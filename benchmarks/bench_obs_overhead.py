@@ -28,7 +28,7 @@ from repro.obs import query as query_mod
 from repro.obs.prof import PROFILER
 from repro.obs.query import QueryStats, activate_stats, deactivate_stats
 from repro.tsdb.model import Labels
-from repro.tsdb.promql.engine import PromQLEngine
+from repro.tsdb.promql.engine import PromQLEngine, range_steps
 from repro.tsdb.storage import TSDB
 
 #: Mean extra cost the middleware may add per request.  Generous
@@ -121,14 +121,19 @@ def build_query_engine() -> PromQLEngine:
     return PromQLEngine(db)
 
 
-def _min_eval_seconds(engine: PromQLEngine, strategy: str) -> float:
-    """Best-of-N wall time for one realistic dashboard range eval."""
+def _min_eval_seconds(engine: PromQLEngine, kind: str) -> float:
+    """Best-of-N wall time for one realistic dashboard evaluation:
+    the grid as one range query, or as an instant query per step (the
+    hooks sit in both evaluators)."""
+    query = "sum by (uuid) (rate(power[120s]))"
     end = (BENCH_SAMPLES - 1) * BENCH_SCRAPE_STEP
 
     def run() -> None:
-        engine.query_range(
-            "sum by (uuid) (rate(power[120s]))", 120.0, end, 60.0, strategy=strategy
-        )
+        if kind == "range":
+            engine.query_range(query, 120.0, end, 60.0)
+        else:
+            for t in range_steps(120.0, end, 60.0).tolist():
+                engine.query(query, t)
 
     run()  # warm parser caches / lazy imports outside the timed runs
     best = math.inf
@@ -158,24 +163,24 @@ def _hooks_bypassed():
 
 
 def test_query_hook_overhead_disabled_under_bound():
-    """Disabled hooks must cost <5% of a range eval — per strategy."""
+    """Disabled hooks must cost <5% of an eval — per query kind."""
     engine = build_query_engine()
     PROFILER.disable()
     PROFILER.reset()
     report: dict[str, dict[str, float]] = {}
     try:
-        for strategy in ("columnar", "per_step"):
+        for kind in ("range", "instant"):
             with _hooks_bypassed():
-                bypassed = _min_eval_seconds(engine, strategy)
-            disabled = _min_eval_seconds(engine, strategy)
+                bypassed = _min_eval_seconds(engine, kind)
+            disabled = _min_eval_seconds(engine, kind)
             PROFILER.enable()
-            token = activate_stats(QueryStats(query="bench", strategy=strategy))
+            token = activate_stats(QueryStats(query="bench"))
             try:
-                enabled = _min_eval_seconds(engine, strategy)
+                enabled = _min_eval_seconds(engine, kind)
             finally:
                 deactivate_stats(token)
                 PROFILER.disable()
-            report[strategy] = {
+            report[kind] = {
                 "bypassed_seconds": bypassed,
                 "disabled_seconds": disabled,
                 "enabled_seconds": enabled,
@@ -183,9 +188,9 @@ def test_query_hook_overhead_disabled_under_bound():
                 "enabled_overhead_ratio": enabled / bypassed - 1.0,
             }
             print(
-                f"\n[obs-hooks] {strategy}: bypassed={bypassed * 1e3:.2f}ms "
+                f"\n[obs-hooks] {kind}: bypassed={bypassed * 1e3:.2f}ms "
                 f"disabled={disabled * 1e3:.2f}ms enabled={enabled * 1e3:.2f}ms "
-                f"disabled-overhead={report[strategy]['disabled_overhead_ratio'] * 100:+.2f}%"
+                f"disabled-overhead={report[kind]['disabled_overhead_ratio'] * 100:+.2f}%"
             )
     finally:
         PROFILER.reset()
@@ -196,11 +201,11 @@ def test_query_hook_overhead_disabled_under_bound():
                 "samples_per_series": BENCH_SAMPLES,
                 "eval_runs": EVAL_RUNS,
                 "bound": HOOK_OVERHEAD_BOUND,
-                "strategies": report,
+                "kinds": report,
             },
         )
-    for strategy, row in report.items():
-        assert row["disabled_overhead_ratio"] < HOOK_OVERHEAD_BOUND, (strategy, row)
+    for kind, row in report.items():
+        assert row["disabled_overhead_ratio"] < HOOK_OVERHEAD_BOUND, (kind, row)
 
 
 # -- exemplar capture overhead -------------------------------------------

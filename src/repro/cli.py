@@ -47,9 +47,6 @@ def _build_sim(args: argparse.Namespace) -> StackSimulation:
             query_log=getattr(args, "query_log", ""),
             active_query_journal=getattr(args, "active_query_journal", ""),
             scrape_workers=getattr(args, "scrape_workers", 0),
-            scrape_cache=not getattr(args, "no_scrape_cache", False),
-            head_layout=getattr(args, "head_layout", "columnar"),
-            lazy_blocks=getattr(args, "lazy_blocks", False),
             decode_cache_chunks=getattr(args, "decode_cache_chunks", 0),
             alert_interval=getattr(args, "alert_interval", 60.0),
             probe_interval=getattr(args, "probe_interval", 60.0),
@@ -338,27 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
             dest="scrape_workers",
             help="scrape fetch-phase worker threads (<=1 scrapes serially; "
             "results are identical for any value)",
-        )
-        p.add_argument(
-            "--no-scrape-cache",
-            action="store_true",
-            dest="no_scrape_cache",
-            help="disable the per-target scrape cache (reference ingest path)",
-        )
-        p.add_argument(
-            "--head-layout",
-            choices=("columnar", "list"),
-            default="columnar",
-            dest="head_layout",
-            help="head series layout: numpy ring buffers (columnar, default) "
-            "or the list-based reference implementation",
-        )
-        p.add_argument(
-            "--lazy-blocks",
-            action="store_true",
-            dest="lazy_blocks",
-            help="serve persisted store blocks decode-on-demand from mmap'd "
-            "chunk files (query-over-chunks); needs --persist-dir",
         )
         p.add_argument(
             "--decode-cache-chunks",

@@ -107,16 +107,6 @@ class SimulationConfig:
     #: Scrape fetch-phase worker threads (``--scrape-workers``);
     #: <=1 scrapes serially.  Results are identical either way.
     scrape_workers: int = 0
-    #: Per-target scrape cache (``--no-scrape-cache`` disables,
-    #: forcing the reference parse-everything path).
-    scrape_cache: bool = True
-    #: Head series layout (``--head-layout``): "columnar" numpy ring
-    #: buffers (default) or the "list" reference implementation.
-    head_layout: str = "columnar"
-    #: Serve persisted store blocks decode-on-demand from mmap'd chunk
-    #: files (``--lazy-blocks``) instead of decoding them into memory
-    #: at open.  Needs ``persist_dir``.
-    lazy_blocks: bool = False
     #: Decoded-chunk LRU capacity in chunks (``--decode-cache-chunks``);
     #: <=0 keeps the default.
     decode_cache_chunks: int = 0
@@ -236,7 +226,6 @@ class StackSimulation:
                 retention=cfg.hot_retention,
                 name="hot",
                 fsync=cfg.persist_fsync,
-                head_layout=cfg.head_layout,
             )
             if self.hot_tsdb.max_time is not None:
                 resumed = (
@@ -244,9 +233,7 @@ class StackSimulation:
                 ) * cfg.scrape_interval
                 start_time = max(start_time, resumed)
         else:
-            self.hot_tsdb = TSDB(
-                retention=cfg.hot_retention, name="hot", head_layout=cfg.head_layout
-            )
+            self.hot_tsdb = TSDB(retention=cfg.hot_retention, name="hot")
         if cfg.decode_cache_chunks > 0:
             from repro.tsdb.persist.chunkio import configure_decode_cache
 
@@ -322,11 +309,7 @@ class StackSimulation:
         self.rate_window = format_duration(max(120.0, 4.0 * cfg.scrape_interval))
         self.scrape_manager = ScrapeManager(
             self.hot_tsdb,
-            ScrapeConfig(
-                interval=cfg.scrape_interval,
-                workers=cfg.scrape_workers,
-                use_cache=cfg.scrape_cache,
-            ),
+            ScrapeConfig(interval=cfg.scrape_interval, workers=cfg.scrape_workers),
             telemetry=Telemetry("scrape-manager"),
         )
         self.scrape_manager.add_targets(exporter_targets)
@@ -389,7 +372,6 @@ class StackSimulation:
         # -- Thanos ------------------------------------------------------------
         self.object_store = ObjectStore(
             persist_dir=os.path.join(cfg.persist_dir, "store") if cfg.persist_dir else "",
-            lazy_blocks=bool(cfg.lazy_blocks and cfg.persist_dir),
         )
         self.sidecar = Sidecar(self.hot_tsdb, self.object_store)
         self.compactor = Compactor(self.object_store)

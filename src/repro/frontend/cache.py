@@ -4,7 +4,7 @@ Two cooperating layers, both bounded by byte-budget LRU:
 
 :class:`ResultsCache` caches *evaluated* ``query_range`` output —
 rendered ``[t, "v"]`` pairs, exactly as the Prometheus JSON API emits
-them — keyed per ``(tenant, query, step, grid phase, strategy)``.  A
+them — keyed per ``(tenant, query, step, grid phase)``.  A
 cache entry records two things:
 
 * ``covered`` — the set of grid timestamps this key has been

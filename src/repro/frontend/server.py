@@ -7,7 +7,7 @@ query-frontend position in the serving path):
   split-interval-aligned (day by default) sub-ranges evaluated
   independently against the backend pool and merged;
 * **step-aligned results cache** — evaluated matrix chunks are cached
-  per ``(tenant, query, step, grid phase, strategy)`` and later
+  per ``(tenant, query, step, grid phase)`` and later
   requests only evaluate the uncovered remainder (the live tail stays
   uncacheable, see :mod:`repro.frontend.cache`);
 * **request coalescing** — concurrent in-flight requests with the
@@ -55,7 +55,7 @@ _QUERY_PATHS = ("/api/v1/query", "/api/v1/query_range")
 
 #: Every parameter that distinguishes one evaluation from another —
 #: extracted once per request, also the request-fingerprint payload.
-_PARAM_NAMES = ("query", "time", "start", "end", "step", "strategy", "stats")
+_PARAM_NAMES = ("query", "time", "start", "end", "step", "stats")
 
 
 class AdmissionRejected(CEEMSError):
@@ -492,7 +492,7 @@ class QueryFrontend:
             not query
             or step <= 0
             or end < start
-            or (values[6] or "") == "all"
+            or (values[5] or "") == "all"
         ):
             # Error cases render backend-identically; stats=all embeds
             # per-evaluation timings that a cache hit could not
@@ -503,8 +503,7 @@ class QueryFrontend:
         grid_list: list[float] = grid.tolist()
         cutoff = self._now_cutoff()
         settled = grid_list[-1] <= cutoff
-        strategy = values[5] or ""
-        key = (tenant, query, strategy, repr(step), repr(math.fmod(start, step)))
+        key = (tenant, query, repr(step), repr(math.fmod(start, step)))
         # Coverage and the covered points are taken in one locked call:
         # the entry can be evicted at any moment afterwards (a
         # concurrent request's ingest under byte pressure, or this
@@ -567,7 +566,6 @@ class QueryFrontend:
                     "start": [repr(float(grid[i0]))],
                     "end": [repr(float(grid[i1]))],
                     "step": [values[4]],
-                    **({"strategy": [strategy]} if strategy else {}),
                 },
                 headers=dict(request.headers),
             )

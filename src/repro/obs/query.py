@@ -5,12 +5,11 @@ lean on:
 
 * **per-query stats** (``stats=all`` on the HTTP API): per-phase wall
   timings (parse / select / eval / render), series selected and
-  samples touched, plus the evaluation strategy.  A
-  :class:`QueryStats` is activated on a :mod:`contextvars` variable
-  for the duration of one evaluation; the engine's selector paths
-  report into it through :func:`tracked_select` /
-  :func:`record_samples`, which cost one context-variable read when no
-  stats object is active.
+  samples touched.  A :class:`QueryStats` is activated on a
+  :mod:`contextvars` variable for the duration of one evaluation; the
+  engine's selector paths report into it through
+  :func:`tracked_select` / :func:`record_samples`, which cost one
+  context-variable read when no stats object is active.
 
 * an **active query tracker** with bounded concurrency slots and
   queued → running → done states, backed by a crash-surviving on-disk
@@ -59,7 +58,6 @@ class QueryStats:
     """Accounting for one query evaluation."""
 
     query: str = ""
-    strategy: str = ""
     #: Wall seconds per phase; ``select`` is a subset of ``eval``.
     phases: dict[str, float] = field(default_factory=dict)
     series_selected: int = 0
@@ -85,7 +83,6 @@ class QueryStats:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "strategy": self.strategy,
             "timings": {
                 f"{name}Seconds": self.phases.get(name, 0.0) for name in PHASES
             },
@@ -147,7 +144,6 @@ class QueryRecord:
     #: Selector fingerprint: the plain series selectors the query
     #: touches (bounded cardinality, unlike the raw query text).
     fingerprint: tuple[str, ...] = ()
-    strategy: str = ""
     state: str = "queued"  # queued | running | done | error
     #: Wall-clock admission time (display, as in ``queries.active``).
     start_time: float = 0.0
@@ -161,7 +157,6 @@ class QueryRecord:
             "id": self.id,
             "query": self.query,
             "fingerprint": list(self.fingerprint),
-            "strategy": self.strategy,
             "state": self.state,
             "start_time": self.start_time,
             "queued_seconds": self.queued_seconds,
@@ -266,7 +261,6 @@ class ActiveQueryTracker:
         query: str,
         *,
         fingerprint: tuple[str, ...] = (),
-        strategy: str = "",
         stats: QueryStats | None = None,
     ) -> Iterator[QueryRecord]:
         """Admit one query: blocks for a slot, journals, tracks states."""
@@ -274,7 +268,6 @@ class ActiveQueryTracker:
             id=0,
             query=query,
             fingerprint=fingerprint,
-            strategy=strategy,
             start_time=time.time(),
             stats=stats,
         )

@@ -70,13 +70,13 @@ class Compactor:
     def compact_blocks(self) -> int:
         """Merge adjacent raw blocks into the next level's window size.
 
-        Sample data lives in the shared per-resolution TSDB, so the
-        in-memory merge only rewrites the ledger — exactly the
-        cheap-metadata / immutable-chunks split of the real design.
-        On a persisted store the merged window is additionally
-        *rewritten* as one new block directory (written before the
-        sources are deleted, so a crash mid-compaction duplicates
-        rather than loses data).
+        In an in-memory store sample data lives in the shared
+        per-resolution TSDB, so the merge only rewrites the ledger —
+        exactly the cheap-metadata / immutable-chunks split of the real
+        design.  On a persisted store the merged window is *rewritten*
+        as one new block directory (written before the sources are
+        deleted, so a crash mid-compaction duplicates rather than loses
+        data).
         """
         with prof.profile("compactor.compact"):
             return self._compact_blocks()
@@ -153,11 +153,11 @@ class Compactor:
         if until <= (start or -np.inf):
             return 0
         dst = self.store.tsdb(key)
-        # Lazy stores serve downsampled output from the block it is
-        # persisted into (add_block registers the chunks); appending
+        # Persisted stores serve downsampled output from the block it
+        # is written into (add_block registers the chunks); appending
         # it to the dst TSDB as well would hold every decoded sample
-        # in memory forever — exactly what lazy mode exists to avoid.
-        lazy = getattr(self.store, "lazy_blocks", False)
+        # in memory forever.
+        persisted = bool(self.store.persist_dir)
         produced = 0
         persist_series: list = []
         lo_global = start if start is not None else -np.inf
@@ -181,16 +181,16 @@ class Compactor:
             b_ts, means, mins, maxs = _downsample_series(ts, vs, bucket)
             min_labels = labels.with_name(base + ":min")
             max_labels = labels.with_name(base + ":max")
-            if not lazy:
+            if persisted:
+                persist_series.append((labels, b_ts, means))
+                persist_series.append((min_labels, b_ts, mins))
+                persist_series.append((max_labels, b_ts, maxs))
+            else:
                 for i in range(len(b_ts)):
                     dst.append(labels, float(b_ts[i]), float(means[i]))
                     dst.append(min_labels, float(b_ts[i]), float(mins[i]))
                     dst.append(max_labels, float(b_ts[i]), float(maxs[i]))
             produced += 3 * len(b_ts)
-            if self.store.persist_dir:
-                persist_series.append((labels, b_ts, means))
-                persist_series.append((min_labels, b_ts, mins))
-                persist_series.append((max_labels, b_ts, maxs))
         if persist_series and produced:
             # Downsampled output becomes its own on-disk block (and a
             # ledger entry), so a reopened store serves 5m/1h data

@@ -15,39 +15,16 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
-from repro.tsdb.model import Labels, Matcher
-from repro.tsdb.storage import Series, TSDB
+from repro.tsdb.model import Matcher
+from repro.tsdb.storage import TSDB
 from repro.thanos.store import ObjectStore
 
 
-def merge_series(primary: Series | None, secondary: Series | None, labels: Labels) -> Series:
-    """Merge two sample streams; primary wins on timestamp collisions."""
-    if primary is None and secondary is None:
-        return Series(labels=labels)
-    if secondary is None:
-        return primary  # type: ignore[return-value]
-    if primary is None:
-        return secondary
-    p_ts = np.asarray(primary.timestamps)
-    s_ts = np.asarray(secondary.timestamps)
-    # Keep secondary samples not present (by timestamp) in primary.
-    keep = ~np.isin(s_ts, p_ts)
-    ts = np.concatenate([s_ts[keep], p_ts])
-    vs = np.concatenate([np.asarray(secondary.values)[keep], np.asarray(primary.values)])
-    order = np.argsort(ts, kind="stable")
-    merged = Series(labels=labels)
-    merged.timestamps = ts[order].tolist()
-    merged.values = vs[order].tolist()
-    return merged
-
-
 class ResolutionView:
-    """``select`` contract over one store resolution (lazy stores).
+    """``select`` contract over one resolution of a persisted store.
 
-    A lazy store's downsampled data lives in chunked blocks, not the
-    resolution TSDB, so pointing an engine at ``store.tsdb("5m")``
+    A persisted store's downsampled data lives in chunked blocks, not
+    the resolution TSDB, so pointing an engine at ``store.tsdb("5m")``
     would miss it; this view routes through
     :meth:`ObjectStore.select_at`, which merges both.
     """
@@ -73,7 +50,7 @@ class FanoutStorage:
     """Hot + store querier with dedup.
 
     Merged selector results are memoised keyed by the matcher tuple.
-    Unlike the in-TSDB memo (which survives appends because ``Series``
+    Unlike the in-TSDB memo (which survives appends because series
     mutate in place), a merged view is frozen at merge time, so the
     memo entry is validated against the data epochs of both backends
     (plus the store's chunk-index generation) and rebuilt whenever
@@ -111,15 +88,9 @@ class FanoutStorage:
         return self.hot.retention
 
     def _epochs(self) -> tuple:
-        store_version = getattr(self.store, "version", None)
-        if store_version is not None:
-            raw_version = store_version("raw")
-        else:
-            raw = self.store.tsdb("raw")
-            raw_version = (raw.series_epoch, raw.data_epoch)
-        return (self.hot.series_epoch, self.hot.data_epoch) + tuple(raw_version)
+        return (self.hot.series_epoch, self.hot.data_epoch) + self.store.version("raw")
 
-    def select(self, matchers: Sequence[Matcher]) -> list[Series]:
+    def select(self, matchers: Sequence[Matcher]) -> list:
         if self.telemetry is not None:
             with self.telemetry.child_span("fanout.select") as span:
                 result = self._select(matchers)
@@ -128,7 +99,7 @@ class FanoutStorage:
                 return result
         return self._select(matchers)
 
-    def _select(self, matchers: Sequence[Matcher]) -> list[Series]:
+    def _select(self, matchers: Sequence[Matcher]) -> list:
         key = tuple(matchers)
         epochs = self._epochs()
         cached = self._select_cache.get(key)
@@ -168,17 +139,15 @@ class FanoutStorage:
     def at_resolution(self, resolution: str):
         """Direct view of one downsampled resolution.
 
-        Eager stores expose the resolution TSDB itself; lazy stores
-        get a :class:`ResolutionView` so chunked block data is seen.
+        In-memory stores expose the resolution TSDB itself; persisted
+        stores get a :class:`ResolutionView` so chunked block data is
+        seen.
         """
-        if getattr(self.store, "lazy_blocks", False):
+        if self.store.persist_dir:
             return ResolutionView(self.store, resolution)
         return self.store.tsdb(resolution)
 
     def label_values(self, name: str) -> list[str]:
-        values = set(self.hot.label_values(name)) | set(
-            self.store.label_values_at("raw", name)
-            if hasattr(self.store, "label_values_at")
-            else self.store.tsdb("raw").label_values(name)
+        return sorted(
+            set(self.hot.label_values(name)) | set(self.store.label_values_at("raw", name))
         )
-        return sorted(values)

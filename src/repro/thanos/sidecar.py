@@ -6,15 +6,16 @@ watermark and, on every :meth:`upload` pass, copies all hot samples
 in completed 2-hour windows beyond the watermark into the store's raw
 resolution, registering one :class:`~repro.thanos.store.BlockMeta`
 per window.  Windows are half-open ``[lo, hi)``, the Prometheus block
-convention, and each series' window slice is ingested with
-:meth:`~repro.tsdb.storage.TSDB.append_array` — one slice extension
-per series, not one Python call per sample.
+convention.
 
-When the store has a ``persist_dir``, each uploaded window is also
-written as a real on-disk block (Gorilla chunks + index + meta.json)
-via :meth:`ObjectStore.persist_block`, and a persistent hot head is
-checkpointed afterwards so its WAL drops everything now durable in
-blocks.
+An in-memory store ingests each series' window slice with
+:meth:`~repro.tsdb.storage.TSDB.append_array` — one slice extension
+per series, not one Python call per sample.  A store with a
+``persist_dir`` instead gets each uploaded window written as a real
+on-disk block (Gorilla chunks + index + meta.json) via
+:meth:`ObjectStore.persist_block` and serves it from there, and a
+persistent hot head is checkpointed afterwards so its WAL drops
+everything now durable in blocks.
 
 The hot TSDB keeps its own (short) retention; together they give the
 paper's architecture: recent data answered locally, history answered
@@ -58,11 +59,11 @@ class Sidecar:
                 )
         uploaded = 0
         raw = self.store.tsdb("raw")
-        # Lazy stores serve uploaded windows straight from the block's
-        # chunk files (add_block registers them); copying the samples
-        # into the raw TSDB as well would keep the whole history
-        # decoded in memory.
-        lazy = getattr(self.store, "lazy_blocks", False)
+        # Persisted stores serve uploaded windows straight from the
+        # block's chunk files (add_block registers them); copying the
+        # samples into the raw TSDB as well would keep the whole
+        # history decoded in memory.
+        persisted = bool(self.store.persist_dir)
         while self._watermark + self.block_seconds <= now:
             lo = self._watermark
             hi = lo + self.block_seconds
@@ -76,7 +77,7 @@ class Sidecar:
                 samples += len(ts)
             if samples:
                 with prof.profile("sidecar.block_cut"):
-                    if not lazy:
+                    if not persisted:
                         for labels, ts, vs in window_series:
                             raw.append_array(labels, ts, vs)
                     ulid = self.store.new_ulid()

@@ -1,28 +1,30 @@
 """The Thanos object store: blocks + per-resolution sample storage.
 
 Real Thanos stores immutable TSDB blocks in object storage and keeps
-an index per resolution (raw, 5m, 1h).  Here each resolution is one
-:class:`~repro.tsdb.storage.TSDB` (reusing its label index and window
-reads) plus a block ledger carrying the metadata compaction decisions
-are made from.  The behavioural contract — what uploads, what gets
-downsampled, what a long-range query reads — is preserved.
+an index per resolution (raw, 5m, 1h).  Here a block ledger carries
+the metadata compaction decisions are made from, and where a block's
+samples live follows from one deployment setting, ``persist_dir``:
 
-With a ``persist_dir`` the store is durable: every block registered
-through :meth:`persist_block` exists as an immutable on-disk
-directory (``meta.json`` + index + Gorilla chunk files, see
-:mod:`repro.tsdb.persist.block`), a fresh store loads every persisted
-block back into its ledger and per-resolution TSDBs on open, and
-:meth:`drop_block` removes the directory along with the ledger entry.
+* **unset** — the store is in-memory: each resolution is one
+  :class:`~repro.tsdb.storage.TSDB` (reusing its label index and
+  window reads) that the sidecar and compactor append into.
+* **set** — the store is durable and *the block directories are the
+  data*: every block registered through :meth:`persist_block` /
+  :meth:`add_block` exists as an immutable on-disk directory
+  (``meta.json`` + index + Gorilla chunk files, see
+  :mod:`repro.tsdb.persist.block`) whose decode-on-demand chunk
+  handles (mmap-backed, see :mod:`repro.tsdb.persist.chunkio`) are
+  registered in a per-resolution
+  :class:`~repro.tsdb.persist.chunkio.ChunkIndex`.  Opening a store
+  on a populated directory reads only each block's ``index.json`` —
+  open cost is metadata-proportional and no chunk is decoded until a
+  query's time range touches it, through the process-wide
+  decoded-chunk LRU.  :meth:`drop_block` removes the directory along
+  with the ledger entry; retention over chunked data is
+  block-granular (whole expired blocks drop), matching Thanos.
 
-``lazy_blocks=True`` (requires a ``persist_dir``) switches block
-reads to query-over-chunks: opening the store reads only each block's
-``index.json`` and registers decode-on-demand chunk handles
-(mmap-backed, see :mod:`repro.tsdb.persist.chunkio`) into a
-per-resolution :class:`~repro.tsdb.persist.chunkio.ChunkIndex`
-instead of decoding every chunk into the TSDBs.  Queries then decode
-exactly the chunks their time range touches, through the process-wide
-decoded-chunk LRU.  Retention over chunked data is block-granular
-(whole expired blocks drop), matching Thanos semantics.
+The behavioural contract — what uploads, what gets downsampled, what a
+long-range query reads — is the same either way.
 """
 
 from __future__ import annotations
@@ -60,34 +62,26 @@ class ObjectStore:
     raw_retention: float = 0.0  # 0 = keep forever
     five_m_retention: float = 0.0
     one_h_retention: float = 0.0
-    #: When set, blocks are written/read as directories under this
-    #: path and reloaded on construction.
+    #: When set, blocks are written as directories under this path,
+    #: served from their chunk files, and re-registered on construction.
     persist_dir: str = ""
-    #: Query-over-chunks mode: serve persisted blocks straight from
-    #: mmap'd chunk files (decode on demand) instead of decoding every
-    #: block into the per-resolution TSDBs at open.  Requires
-    #: ``persist_dir``.
-    lazy_blocks: bool = False
 
     blocks: list[BlockMeta] = field(default_factory=list)
     _ulid_seq: itertools.count = field(default_factory=lambda: itertools.count(1), repr=False)
 
     def __post_init__(self) -> None:
-        if self.lazy_blocks and not self.persist_dir:
-            raise StorageError("lazy_blocks requires a persist_dir")
         self.tsdbs: dict[str, TSDB] = {
             "raw": TSDB(name="thanos-raw"),
             "5m": TSDB(name="thanos-5m"),
             "1h": TSDB(name="thanos-1h"),
         }
-        if self.lazy_blocks:
+        self.chunk_indexes: dict = {}
+        if self.persist_dir:
             from repro.tsdb.persist.chunkio import ChunkIndex
 
             self.chunk_indexes = {
                 res: ChunkIndex(name=f"thanos-{res}") for res in RESOLUTIONS
             }
-        else:
-            self.chunk_indexes = {}
         self._readers: dict[str, object] = {}
         # merged-select memo per resolution: matcher tuple ->
         # (version, series list); validated against `version()` so any
@@ -104,7 +98,7 @@ class ObjectStore:
 
     # -- persistence ------------------------------------------------------
     def _register_block_chunks(self, ulid: str, resolution: str) -> None:
-        """Register a persisted block's chunk handles (lazy mode)."""
+        """Register a persisted block's chunk handles."""
         from repro.tsdb.persist.block import BlockReader
 
         reader = BlockReader(self.persist_dir, ulid)
@@ -112,11 +106,11 @@ class ObjectStore:
         self.chunk_indexes[resolution].add_block(ulid, reader.chunk_series())
 
     def _load_persisted(self) -> None:
-        """Rebuild ledger + per-resolution stores from disk on open.
+        """Rebuild the ledger and chunk indexes from disk on open.
 
-        Eager mode decodes every chunk into the TSDBs; lazy mode only
-        parses each block's index and registers chunk handles — open
-        cost is metadata-proportional, decode is deferred to queries.
+        Only each block's meta and index are parsed and its chunk
+        handles registered — open cost is metadata-proportional,
+        decode is deferred to queries.
         """
         from repro.tsdb.persist.block import BlockReader, list_block_ulids
 
@@ -127,13 +121,8 @@ class ObjectStore:
             resolution = meta.get("resolution", "raw")
             if resolution not in RESOLUTIONS:
                 raise StorageError(f"persisted block {ulid}: unknown resolution {resolution!r}")
-            if self.lazy_blocks:
-                self._readers[ulid] = reader
-                self.chunk_indexes[resolution].add_block(ulid, reader.chunk_series())
-            else:
-                tsdb = self.tsdbs[resolution]
-                for labels, ts, vs in reader.series():
-                    tsdb.append_array(labels, ts, vs)
+            self._readers[ulid] = reader
+            self.chunk_indexes[resolution].add_block(ulid, reader.chunk_series())
             stats = meta.get("stats", {})
             compaction = meta.get("compaction", {})
             self.blocks.append(
@@ -205,9 +194,9 @@ class ObjectStore:
         if meta.max_time < meta.min_time:
             raise StorageError("block max_time before min_time")
         self.blocks.append(meta)
-        if self.lazy_blocks:
-            # In lazy mode the persisted directory *is* the data: a
-            # registered block must be queryable through its chunks.
+        if self.persist_dir:
+            # The persisted directory *is* the data: a registered
+            # block must be queryable through its chunks.
             self._register_block_chunks(meta.ulid, meta.resolution)
 
     def blocks_at(self, resolution: str) -> list[BlockMeta]:
@@ -218,8 +207,8 @@ class ObjectStore:
     def drop_block(self, ulid: str) -> None:
         dropped = [b for b in self.blocks if b.ulid == ulid]
         self.blocks = [b for b in self.blocks if b.ulid != ulid]
-        for meta in dropped:
-            if self.lazy_blocks:
+        if self.persist_dir:
+            for meta in dropped:
                 self.chunk_indexes[meta.resolution].remove_block(ulid)
         reader = self._readers.pop(ulid, None)
         if reader is not None:
@@ -251,15 +240,15 @@ class ObjectStore:
     def select_at(self, resolution: str, matchers):
         """Matching series at one resolution: TSDB + chunked blocks.
 
-        Eager stores delegate straight to the TSDB (selector memo and
-        all).  Lazy stores merge the TSDB's live series with
+        In-memory stores delegate straight to the TSDB (selector memo
+        and all).  Persisted stores merge the TSDB's live series with
         chunk-backed series from registered blocks — overlapping label
         sets become :class:`~repro.tsdb.persist.chunkio.MergedSeries`
         (live head wins duplicate timestamps).  Merged results are
         memoised per matcher tuple, validated by :meth:`version`.
         """
         tsdb = self.tsdb(resolution)
-        if not self.lazy_blocks:
+        if not self.persist_dir:
             return tsdb.select(matchers)
         key = tuple(matchers)
         version = self.version(resolution)
@@ -294,9 +283,9 @@ class ObjectStore:
 
     def select(self, matchers):
         """Batched-select contract (raw resolution), so a PromQL engine
-        — per-step or columnar — can point at the store gateway
-        directly; selection rides the raw TSDB's selector memo (and,
-        in lazy mode, the chunk index + merge memo)."""
+        can point at the store gateway directly; selection rides the
+        raw TSDB's selector memo (and, on a persisted store, the chunk
+        index + merge memo)."""
         return self.select_at("raw", matchers)
 
     def window_series(self, resolution: str, lo: float, hi: float):

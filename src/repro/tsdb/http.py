@@ -8,11 +8,8 @@ documented response envelope (``{"status":"success","data":{...}}``):
 * ``GET/POST /api/v1/query_range`` — range query (``query``,
   ``start``, ``end``, ``step``),
 
-  Both accept an optional ``strategy`` parameter (``columnar`` /
-  ``per_step``) selecting the evaluator — an escape hatch for
-  debugging; an unknown value is a 400.  ``stats=all`` attaches the
-  per-query statistics (phase timings, series/samples counts) to the
-  response, as in Prometheus.
+  ``stats=all`` attaches the per-query statistics (phase timings,
+  series/samples counts) to the response, as in Prometheus.
 
 * ``GET /api/v1/series`` — series metadata for ``match[]`` selectors,
 * ``GET /api/v1/label/{name}/values``,
@@ -169,17 +166,18 @@ class PromAPI:
         families = []
         seconds = MetricFamily(
             "ceems_promql_eval_seconds_total",
-            help="Wall seconds spent evaluating PromQL, per strategy.",
+            help="Wall seconds spent evaluating PromQL, per query kind.",
             type="counter",
         )
         queries = MetricFamily(
             "ceems_promql_eval_queries_total",
-            help="PromQL evaluations, per strategy.",
+            help="PromQL evaluations, per query kind.",
             type="counter",
         )
-        for strategy, stats in self.engine.strategy_stats().items():
-            seconds.add(stats["seconds"], strategy=strategy)
-            queries.add(stats["queries"], strategy=strategy)
+        for kind, count in self.engine.eval_queries.items():
+            if count:  # a kind gets its series with its first query
+                seconds.add(self.engine.eval_seconds[kind], kind=kind)
+                queries.add(float(count), kind=kind)
         families.extend([seconds, queries])
 
         # Storage selector memo.  The hot TSDB and the Thanos fan-out
@@ -210,7 +208,7 @@ class PromAPI:
 
         snapshots = MetricFamily(
             "ceems_tsdb_snapshot_cache_total",
-            help="Series.arrays() snapshot-cache events, process-wide.",
+            help="Head series arrays() snapshot-cache events, process-wide.",
             type="counter",
         )
         snapshots.add(float(SNAPSHOT_STATS["hits"]), event="hit")
@@ -222,13 +220,13 @@ class PromAPI:
         # shape for recording rules and dashboards.
         snap_hits = MetricFamily(
             "ceems_tsdb_snapshot_cache_hits_total",
-            help="Series.arrays() snapshot-cache hits, process-wide.",
+            help="Head series arrays() snapshot-cache hits, process-wide.",
             type="counter",
         )
         snap_hits.add(float(SNAPSHOT_STATS["hits"]))
         snap_misses = MetricFamily(
             "ceems_tsdb_snapshot_cache_misses_total",
-            help="Series.arrays() snapshot rebuilds (cache misses), process-wide.",
+            help="Head series arrays() snapshot rebuilds (cache misses), process-wide.",
             type="counter",
         )
         snap_misses.add(float(SNAPSHOT_STATS["builds"]))
@@ -279,7 +277,7 @@ class PromAPI:
         return value
 
     # -- query introspection pipeline ---------------------------------------
-    def _introspected(self, request: Request, query: str, strategy: str, eval_fn, render_fn) -> Response:
+    def _introspected(self, request: Request, query: str, eval_fn, render_fn) -> Response:
         """Parse, admit, evaluate and render one query with accounting.
 
         ``eval_fn(ast)`` runs the engine; ``render_fn(result)`` builds
@@ -287,7 +285,7 @@ class PromAPI:
         pipeline; the tracker gates the eval phase only (parse/render
         are cheap and must not hold a concurrency slot).
         """
-        stats = QueryStats(query=query, strategy=strategy)
+        stats = QueryStats(query=query)
         ctx = current_trace()
         trace_id = ctx.trace_id if ctx is not None else ""
         token = activate_stats(stats)
@@ -301,12 +299,10 @@ class PromAPI:
             fingerprint = tuple(str(sel) for sel in iter_selectors(ast))
             try:
                 with self.tracker.track(
-                    query, fingerprint=fingerprint, strategy=strategy, stats=stats
+                    query, fingerprint=fingerprint, stats=stats
                 ) as record:
                     record.trace_id = trace_id
-                    with self.app.telemetry.child_span(
-                        "promql.eval", strategy=strategy
-                    ) as span:
+                    with self.app.telemetry.child_span("promql.eval") as span:
                         with stats.phase("eval"):
                             result = eval_fn(ast)
                         if span is not None:
@@ -352,7 +348,6 @@ class PromAPI:
         if time_param is None:
             return Response.error(400, "missing time parameter (no wall clock in simulation)")
         self.queries_served += 1
-        strategy = self._param(request, "strategy") or "per_step"
 
         def render(result):
             if result.is_scalar:
@@ -374,8 +369,7 @@ class PromAPI:
         return self._introspected(
             request,
             query,
-            strategy,
-            lambda ast: self.engine.query(ast, float(time_param), strategy=strategy),
+            lambda ast: self.engine.query(ast, float(time_param)),
             render,
         )
 
@@ -396,7 +390,6 @@ class PromAPI:
             if failed is not None:
                 return failed
         self.queries_served += 1
-        strategy = self._param(request, "strategy") or "columnar"
 
         def render(result):
             return {
@@ -417,8 +410,7 @@ class PromAPI:
         return self._introspected(
             request,
             query,
-            strategy,
-            lambda ast: self.engine.query_range(ast, start, end, step, strategy=strategy),
+            lambda ast: self.engine.query_range(ast, start, end, step),
             render,
         )
 

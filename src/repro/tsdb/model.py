@@ -187,3 +187,37 @@ class Matcher:
 def match_all(matchers: Iterable[Matcher], labels: Labels) -> bool:
     """True when every matcher accepts the label set."""
     return all(m.matches(labels) for m in matchers)
+
+
+def select_labels(
+    postings: Mapping[tuple[str, str], set[Labels]],
+    universe: Iterable[Labels],
+    matchers: Iterable[Matcher],
+) -> Iterable[Labels]:
+    """Label sets from ``universe`` that satisfy every matcher.
+
+    ``postings`` is an inverted index over ``universe``
+    (``(name, value)`` → label sets carrying that pair).  Equality
+    matchers with non-empty values intersect postings first, so the
+    remaining matchers (regex, negation, empty-value equality) only
+    run on the narrowed candidates — the head TSDB and the persisted
+    blocks' chunk index resolve selectors through this one function.
+    The result may alias ``universe`` or a postings set: consume it
+    before mutating either.
+    """
+    candidates: set[Labels] | None = None
+    residual: list[Matcher] = []
+    for m in matchers:
+        if m.op is MatchOp.EQ and m.value != "":
+            found = postings.get((m.name, m.value))
+            if not found:
+                return ()
+            candidates = found if candidates is None else candidates & found
+            if not candidates:
+                return ()
+        else:
+            residual.append(m)
+    narrowed = universe if candidates is None else candidates
+    if not residual:
+        return narrowed
+    return [k for k in narrowed if match_all(residual, k)]

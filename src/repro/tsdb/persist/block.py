@@ -242,8 +242,8 @@ class BlockReader:
 
     Chunk files are mmap'd on first touch and kept mapped for the
     reader's lifetime; :meth:`chunk_series` exposes decode-on-demand
-    chunk handles, :meth:`series` eagerly decodes (legacy path and
-    eager store loads).
+    chunk handles (what the store registers), :meth:`series` decodes
+    the whole block eagerly.
     """
 
     def __init__(self, root: str, ulid: str) -> None:

@@ -9,8 +9,8 @@ read them".  Three chunk handle flavours share one tiny protocol —
 * :class:`FileChunk` — one CRC-framed chunk inside an mmap'd block
   chunk file; the payload is sliced out of the mapping and decoded
   only when a query actually needs the samples.
-* :class:`TailChunk` — a zero-copy view over a series' unsealed tail
-  (or a whole list-layout series); nothing to decode.
+* :class:`TailChunk` — a zero-copy view over a series' unsealed tail;
+  nothing to decode.
 
 Decoded ``(timestamps, values)`` arrays are memoised in a process-wide
 bounded LRU (:data:`DECODE_CACHE`) so repeated queries over the same
@@ -18,7 +18,7 @@ hot chunks decode once; :data:`DECODE_CACHE_STATS` feeds the
 ``ceems_tsdb_chunk_decode_cache_*_total`` self-telemetry counters.
 
 :class:`ChunkSeries` assembles ordered chunk handles into the read
-side of the ``Series`` contract (``arrays``/``window``/
+side of the head series contract (``arrays``/``window``/
 ``window_half_open``/``at_or_before``/``query_window_arrays``), with
 chunk-granular time pruning: a window read decodes only the chunks
 whose ``[min_time, max_time]`` overlaps the request.
@@ -35,6 +35,7 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.tsdb.model import Labels, select_labels
 from repro.tsdb.persist.chunk import decode_chunk
 
 #: Process-wide decoded-chunk LRU counters (self-telemetry).
@@ -182,7 +183,7 @@ def _concat(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.
 class ChunkSeries:
     """A read-only series assembled from time-ordered chunk handles.
 
-    Implements the read side of the ``Series`` contract over chunks
+    Implements the read side of the head series contract over chunks
     that are decoded on demand: metadata (``count``/``min_time``/
     ``max_time``) answers pruning questions without touching payload
     bytes, so a window read over a 30-day series decodes only the
@@ -291,49 +292,69 @@ class ChunkSeries:
 class ChunkIndex:
     """Chunk-backed series across registered blocks, selectable by matchers.
 
-    The lazy :class:`~repro.thanos.store.ObjectStore` keeps one index
-    per resolution: registering a block contributes its per-series
-    chunk handle lists; dropping a block retracts them.  ``select``
-    assembles (and memoises) :class:`ChunkSeries` spanning every
-    registered block — the memo is wiped whenever the block population
-    changes (``generation`` bump), mirroring the TSDB's series-epoch
-    contract.
+    A persisted :class:`~repro.thanos.store.ObjectStore` keeps one
+    index per resolution: registering a block contributes its
+    per-series chunk handle lists; dropping a block retracts them.
+    Equality postings (``(name, value)`` → label sets) are maintained
+    at both moments, so a cold selector narrows through the same
+    :func:`~repro.tsdb.model.select_labels` intersection as the head
+    TSDB instead of testing every block series.  ``select`` assembles
+    (and memoises) :class:`ChunkSeries` spanning every registered
+    block — the memo is wiped whenever the block population changes
+    (``generation`` bump), mirroring the TSDB's series-epoch contract.
     """
 
     MEMO_MAX = 256
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._blocks: dict[str, dict] = {}  # ulid -> {Labels: [chunk handles]}
+        self._blocks: dict[str, list[Labels]] = {}  # ulid -> its series
+        # labels -> {ulid: [chunk handles]} over every registered block
+        self._series: dict[Labels, dict[str, list]] = {}
+        self._postings: dict[tuple[str, str], set[Labels]] = {}
         #: bumps when blocks register or retract (memo invalidation).
         self.generation = 0
         self._memo: dict = {}
-        self._num_series: int | None = None
 
     def add_block(self, ulid: str, series_chunks) -> None:
         """Register ``(labels, [chunk handles])`` pairs under ``ulid``."""
-        self._blocks[ulid] = dict(series_chunks)
+        self.remove_block(ulid)  # re-registering a ulid replaces it
+        block = dict(series_chunks)
+        self._blocks[ulid] = list(block)
+        for labels, chunks in block.items():
+            per_block = self._series.get(labels)
+            if per_block is None:
+                per_block = self._series[labels] = {}
+                for pair in labels:
+                    self._postings.setdefault(pair, set()).add(labels)
+            per_block[ulid] = chunks
         self._bump()
 
     def remove_block(self, ulid: str) -> bool:
-        removed = self._blocks.pop(ulid, None) is not None
-        if removed:
-            self._bump()
-        return removed
+        members = self._blocks.pop(ulid, None)
+        if members is None:
+            return False
+        for labels in members:
+            per_block = self._series[labels]
+            del per_block[ulid]
+            if per_block:
+                continue
+            del self._series[labels]
+            for pair in labels:
+                found = self._postings[pair]
+                found.discard(labels)
+                if not found:
+                    del self._postings[pair]
+        self._bump()
+        return True
 
     def _bump(self) -> None:
         self.generation += 1
         self._memo.clear()
-        self._num_series = None
 
     @property
     def num_series(self) -> int:
-        if self._num_series is None:
-            keys: set = set()
-            for series in self._blocks.values():
-                keys.update(series)
-            self._num_series = len(keys)
-        return self._num_series
+        return len(self._series)
 
     def select(self, matchers) -> list[ChunkSeries]:
         """Matching series in label order (empty matchers = all)."""
@@ -341,12 +362,11 @@ class ChunkIndex:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        merged: dict = {}
-        for series in self._blocks.values():
-            for labels, chunks in series.items():
-                if all(m.matches(labels) for m in key):
-                    merged.setdefault(labels, []).extend(chunks)
-        out = [ChunkSeries(labels, chunks) for labels, chunks in merged.items()]
+        series = self._series
+        out = [
+            ChunkSeries(labels, [c for chunks in series[labels].values() for c in chunks])
+            for labels in select_labels(self._postings, series, key)
+        ]
         out.sort(key=lambda s: tuple(s.labels))
         if len(self._memo) >= self.MEMO_MAX:
             self._memo.clear()
@@ -357,13 +377,7 @@ class ChunkIndex:
         return self.select(())
 
     def label_values(self, label_name: str) -> set[str]:
-        out: set[str] = set()
-        for series in self._blocks.values():
-            for labels in series:
-                value = labels.get(label_name)
-                if value:
-                    out.add(value)
-        return out
+        return {value for name, value in self._postings if name == label_name and value}
 
 
 class MergedSeries:

@@ -64,9 +64,8 @@ class PersistentTSDB(TSDB):
         name: str = "tsdb",
         fsync: str = "batch",
         segment_bytes: int = 4 << 20,
-        head_layout: str = "columnar",
     ) -> None:
-        super().__init__(retention=retention, name=name, head_layout=head_layout)
+        super().__init__(retention=retention, name=name)
         self.persist_dir = persist_dir
         self.wal = WAL(f"{persist_dir}/wal", segment_bytes=segment_bytes, fsync=fsync)
         # WAL ref space — distinct from the base class's in-memory

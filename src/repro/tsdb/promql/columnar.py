@@ -1,14 +1,15 @@
 """Columnar (vectorized) PromQL range evaluation.
 
-The per-step evaluator in :mod:`repro.tsdb.promql.engine` re-walks the
-AST and re-runs ``storage.select`` once per step timestamp: a 90-day
-query at 1 h resolution is ~2160 full instant evaluations, each doing
-fresh index intersections and per-series bisects.  This module
-evaluates the whole range in one pass instead:
+A range query is by definition the instant AST walk of
+:mod:`repro.tsdb.promql.engine` repeated at every step timestamp, but
+evaluating it that way re-walks the AST and re-runs ``storage.select``
+per step: a 90-day query at 1 h resolution would be ~2160 full instant
+evaluations, each doing fresh index intersections and per-series
+bisects.  This module evaluates the whole range in one pass instead:
 
 * every selector is resolved **once per query** (through the storage
   selector memo) and each matched series is materialised once as
-  cached ndarrays (:meth:`Series.arrays`);
+  cached ndarrays (:meth:`ColumnarSeries.arrays`);
 * instant-vector lookback is computed for **all step timestamps at
   once** with ``np.searchsorted``;
 * range functions evaluate as vectorized window kernels
@@ -27,9 +28,10 @@ Values flow through evaluation as one of three shapes:
   present, may be NaN-valued).
 * ``str`` — a string literal.
 
-Bit-identity with the per-step reference evaluator is a hard contract
-(the differential harness in ``tests/test_promql_reference.py``
-asserts it): every elementwise formula reproduces the scalar code's
+Bit-identity with the walk at every step is a hard contract (the
+differential harness in ``tests/test_promql_reference.py`` asserts it
+against the per-step loop in ``tests/reference/promql.py``): every
+elementwise formula reproduces the scalar code's
 operation order, aggregation accumulates rows in the same sequential
 order the reference accumulates vector elements (absent entries
 contribute an exact ``+0.0``), and anything that cannot be reproduced
@@ -40,7 +42,7 @@ raise) falls back to the scalar implementation per window/element.
 Known, deliberate divergence: ``sort()`` inside a *range* query is an
 ordering no-op (range results are keyed by labels, not ordered), so an
 aggregation nested *outside* a ``sort()``/``topk()`` may accumulate in
-a different element order than the per-step path.  Prometheus itself
+a different element order than the walk.  Prometheus itself
 defines sort order only for instant-query presentation.
 """
 
@@ -67,12 +69,7 @@ from repro.tsdb.promql.ast import (
     UnaryOp,
     VectorSelector,
 )
-from repro.tsdb.promql.engine import (
-    PromQLEngine,
-    VectorElement,
-    _compile_anchored,
-    _Vector,
-)
+from repro.tsdb.promql.engine import PromQLEngine, _compile_anchored
 from repro.tsdb.promql.functions import (
     ELEMENT_FUNCTIONS,
     RANGE_FUNCTIONS,
@@ -83,9 +80,12 @@ from repro.tsdb.promql.functions import (
 
 _COMPARISONS = ("==", "!=", ">", "<", ">=", "<=")
 
-#: Process-wide columnar-evaluator counters (self-telemetry): queries
-#: through each public entry point plus per-query memo hits.  Module
-#: level because evaluator instances are per-query throwaways.
+#: Process-wide columnar-evaluator counters (self-telemetry): range
+#: queries evaluated plus per-query memo hits.  Module level because
+#: evaluator instances are per-query throwaways.  ``instant_queries``
+#: stays at 0 now that instants never come here: its exported series
+#: is kept so the scraped series population — which the pipeline
+#: bench's digest counts — is unchanged.
 COLUMNAR_STATS = {
     "range_queries": 0,
     "instant_queries": 0,
@@ -131,29 +131,6 @@ def eval_range_columnar(
     COLUMNAR_STATS["range_queries"] += 1
     ev = _ColumnarEval(engine, steps)
     return ev.materialize(ev.eval(ast))
-
-
-def eval_instant_columnar(engine: PromQLEngine, ast: Expr, at: float):
-    """Single-step columnar evaluation returning the engine's internal
-    value types (``_Vector`` / float / str), for ``query(strategy=
-    "columnar")`` — the path rule groups use."""
-    COLUMNAR_STATS["instant_queries"] += 1
-    ev = _ColumnarEval(engine, np.asarray([float(at)], dtype=np.float64))
-    value = ev.eval(ast)
-    if isinstance(value, _Matrix):
-        vec = _Vector(
-            VectorElement(value.labels[i], float(value.values[i, 0]))
-            for i in range(value.nrows)
-            if value.present[i, 0]
-        )
-        if isinstance(ast, Call) and ast.func in ("sort", "sort_desc"):
-            vec = _Vector(
-                sorted(vec, key=lambda el: el.value, reverse=(ast.func == "sort_desc"))
-            )
-        return vec
-    if isinstance(value, np.ndarray):
-        return float(value[0])
-    return value
 
 
 class _ColumnarEval:
@@ -492,7 +469,7 @@ class _ColumnarEval:
             )
         if func in ("sort", "sort_desc"):
             # Ordering is instant-query presentation; range results are
-            # keyed by labels.  eval_instant_columnar re-applies it.
+            # keyed by labels.
             return self._vector(node.args[0])
         if func == "label_replace":
             if len(node.args) != 5:

@@ -1,9 +1,23 @@
 """PromQL evaluation engine (instant and range queries).
 
-Evaluation model mirrors Prometheus: a *range query* is an instant
-query evaluated at every step timestamp; an *instant query* walks the
-AST producing scalars and instant vectors.  Matrix selectors exist
-only as arguments to range functions.
+Evaluation model mirrors Prometheus: a *range query* is by definition
+an instant query evaluated at every step timestamp; an *instant
+query* walks the AST producing scalars and instant vectors.  Matrix
+selectors exist only as arguments to range functions.
+
+Each query kind has exactly one evaluator, chosen by the method
+called — one timestamp or a step grid:
+
+* :meth:`PromQLEngine.query` walks the AST (``_eval``) at its single
+  timestamp.  At one step there is no step axis to vectorise over, so
+  the walk's scalar code is the cheaper form (measured ~2.2x faster
+  than a one-column matrix evaluation over the shipped recording
+  rules, see DESIGN.md).
+* :meth:`PromQLEngine.query_range` evaluates the whole grid in one
+  columnar pass (:mod:`repro.tsdb.promql.columnar`), bit-identical to
+  running the walk at every ``range_steps`` timestamp — the loop the
+  differential suite keeps as its oracle
+  (``tests/reference/promql.py``).
 
 Semantics reproduced from Prometheus:
 
@@ -124,9 +138,10 @@ def _seq_sum(values) -> float:
     """Strict left-to-right float accumulation.
 
     Both evaluators define sum/avg/stddev aggregation in terms of this
-    order (the columnar path reproduces it as a masked row-by-row
-    accumulate over the step axis), which is what makes their results
-    bit-identical rather than merely close.
+    order (the columnar range path reproduces it as a masked
+    row-by-row accumulate over the step axis), which is what makes a
+    range result bit-identical to the walk at each of its steps
+    rather than merely close.
     """
     total = 0.0
     for v in values:
@@ -156,45 +171,19 @@ class PromQLEngine:
     def __init__(self, storage, lookback: float = DEFAULT_LOOKBACK) -> None:
         self.storage = storage
         self.lookback = lookback
-        # Per-strategy evaluation accounting (self-telemetry): total
-        # wall seconds and query counts keyed by evaluator name.
-        self.strategy_seconds: dict[str, float] = {}
-        self.strategy_queries: dict[str, int] = {}
-
-    def _record_strategy(self, strategy: str, elapsed: float) -> None:
-        self.strategy_seconds[strategy] = self.strategy_seconds.get(strategy, 0.0) + elapsed
-        self.strategy_queries[strategy] = self.strategy_queries.get(strategy, 0) + 1
-
-    def strategy_stats(self) -> dict[str, dict[str, float]]:
-        """Per-evaluator totals: ``{strategy: {queries, seconds}}``."""
-        return {
-            name: {
-                "queries": float(self.strategy_queries.get(name, 0)),
-                "seconds": self.strategy_seconds.get(name, 0.0),
-            }
-            for name in sorted(self.strategy_queries)
-        }
+        # Evaluation accounting (self-telemetry): total wall seconds
+        # and query counts per query kind.
+        self.eval_seconds = {"instant": 0.0, "range": 0.0}
+        self.eval_queries = {"instant": 0, "range": 0}
 
     # -- public API -------------------------------------------------------
-    def query(self, expr: str | Expr, at: float, *, strategy: str = "per_step") -> InstantResult:
-        """Instant query at timestamp ``at``.
-
-        ``strategy`` selects the evaluator: ``"per_step"`` is the
-        classic AST walk, ``"columnar"`` routes through the vectorized
-        evaluator with a single step (used by rule groups so they share
-        the storage selector memo and the batched code path).
-        """
+    def query(self, expr: str | Expr, at: float) -> InstantResult:
+        """Instant query at timestamp ``at`` (the AST walk)."""
         ast = parse_expr(expr) if isinstance(expr, str) else expr
         started = time.perf_counter()
-        if strategy == "columnar":
-            from repro.tsdb.promql.columnar import eval_instant_columnar
-
-            value = eval_instant_columnar(self, ast, at)
-        elif strategy == "per_step":
-            value = self._eval(ast, at)
-        else:
-            raise QueryError(f"unknown evaluation strategy {strategy!r}")
-        self._record_strategy(strategy, time.perf_counter() - started)
+        value = self._eval(ast, at)
+        self.eval_seconds["instant"] += time.perf_counter() - started
+        self.eval_queries["instant"] += 1
         if isinstance(value, _Vector):
             # Results are label-sorted for determinism, except when the
             # outermost expression is sort()/sort_desc(), whose whole
@@ -208,22 +197,14 @@ class PromQLEngine:
         raise QueryError(f"expression does not produce a vector or scalar: {type(value).__name__}")
 
     def query_range(
-        self,
-        expr: str | Expr,
-        start: float,
-        end: float,
-        step: float,
-        *,
-        strategy: str = "columnar",
+        self, expr: str | Expr, start: float, end: float, step: float
     ) -> RangeResult:
         """Range query over ``[start, end]`` at ``step`` resolution.
 
-        ``strategy="columnar"`` (the default) resolves every selector
-        once, snapshots the matched series as ndarrays and evaluates
-        the whole expression along the step axis as matrix operations.
-        ``strategy="per_step"`` is the reference evaluator — an
-        instant evaluation per step timestamp — kept for differential
-        testing; both produce bit-identical results.
+        Resolves every selector once, snapshots the matched series as
+        ndarrays and evaluates the whole expression along the step
+        axis as matrix operations — bit-identical to :meth:`query` at
+        every :func:`range_steps` timestamp.
         """
         if step <= 0:
             raise QueryError("step must be positive")
@@ -232,39 +213,14 @@ class PromQLEngine:
         ast = parse_expr(expr) if isinstance(expr, str) else expr
         steps = range_steps(start, end, step)
         result = RangeResult(start=start, end=end, step=step)
-        started = time.perf_counter()
-        if strategy == "columnar":
-            from repro.tsdb.promql.columnar import eval_range_columnar
+        from repro.tsdb.promql.columnar import eval_range_columnar
 
-            result.series = eval_range_columnar(self, ast, steps)
-        elif strategy == "per_step":
-            result.series = self._eval_range_per_step(ast, steps)
-        else:
-            raise QueryError(f"unknown evaluation strategy {strategy!r}")
-        self._record_strategy(strategy, time.perf_counter() - started)
+        started = time.perf_counter()
+        result.series = eval_range_columnar(self, ast, steps)
+        self.eval_seconds["range"] += time.perf_counter() - started
+        self.eval_queries["range"] += 1
         assert np.array_equal(result.timestamps(), steps)  # drift guard
         return result
-
-    def _eval_range_per_step(
-        self, ast: Expr, steps: np.ndarray
-    ) -> dict[Labels, tuple[np.ndarray, np.ndarray]]:
-        """Reference range evaluation: one instant query per step."""
-        acc: dict[Labels, tuple[list[float], list[float]]] = {}
-        for t in steps:
-            t = float(t)
-            value = self._eval(ast, t)
-            if isinstance(value, _Vector):
-                for el in value:
-                    ts_list, vs_list = acc.setdefault(el.labels, ([], []))
-                    ts_list.append(t)
-                    vs_list.append(el.value)
-            elif isinstance(value, (int, float)):
-                ts_list, vs_list = acc.setdefault(Labels(), ([], []))
-                ts_list.append(t)
-                vs_list.append(float(value))
-        return {
-            labels: (np.asarray(ts), np.asarray(vs)) for labels, (ts, vs) in acc.items()
-        }
 
     # -- evaluation ---------------------------------------------------------
     def _eval(self, node: Expr, at: float):

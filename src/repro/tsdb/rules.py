@@ -71,10 +71,7 @@ class RuleGroup:
         self.last_error = ""
         for rule in self.rules:
             try:
-                # Rules evaluate through the columnar path: a group's
-                # rules repeatedly hit the same selectors, so they ride
-                # the storage selector memo and the batched evaluator.
-                result = engine.query(rule.ast(), at, strategy="columnar")
+                result = engine.query(rule.ast(), at)
             except (QueryError, ZeroDivisionError) as exc:
                 self.last_error = f"{rule.record}: {exc}"
                 continue

@@ -16,8 +16,8 @@ will scrape these compute nodes at a configured interval"*):
   like Prometheus, and per-scrape duration/sample counts are kept for
   the benchmarks.
 
-Scrape fast lane
-----------------
+Ingest path
+-----------
 At Jean-Zay scale (~1700 targets) re-parsing every label set and
 re-hashing every ``Labels`` key each cycle dominates the duty cycle,
 so the manager mirrors Prometheus's ingest optimisations:
@@ -38,9 +38,9 @@ so the manager mirrors Prometheus's ingest optimisations:
   batches to the TSDB in registration order — results are identical
   for any worker count, see DESIGN.md.
 
-The cache-disabled path (``ScrapeConfig(use_cache=False)``) keeps the
-original parse-everything implementation and is the differential
-reference the fast lane is tested against bit-for-bit.
+The parse-everything manager this lane must match bit-for-bit is a
+test oracle (``tests/reference/scrape.py``), built on
+:func:`exposition.parse` and :meth:`TSDB.append`.
 """
 
 from __future__ import annotations
@@ -130,11 +130,9 @@ class ScrapeTarget:
     last_scrape_samples: int = 0
     scrapes_total: int = 0
     scrape_failures_total: int = 0
-    #: Series seen in the previous successful scrape; series absent
-    #: from the next scrape get a staleness marker.  The reference
-    #: (cache-disabled) path tracks ``Labels``; the fast lane tracks
-    #: ``ref -> Labels`` so the staleness pass stays on refs.
-    _previous_series: set = field(default_factory=set, repr=False)
+    #: Series seen in the previous successful scrape (``ref ->
+    #: Labels``, so the staleness pass stays on refs); series absent
+    #: from the next scrape get a staleness marker.
     _previous_refs: dict = field(default_factory=dict, repr=False)
     _cache: ScrapeCache = field(default_factory=ScrapeCache, repr=False)
     _up_labels: Labels | None = field(default=None, repr=False)
@@ -161,9 +159,6 @@ class ScrapeConfig:
     #: Fetch-phase worker threads; <=1 scrapes serially.  Apply stays
     #: single-threaded and ordered either way.
     workers: int = 0
-    #: Disable to force the reference parse-everything path (the
-    #: differential baseline; also what ``--no-scrape-cache`` sets).
-    use_cache: bool = True
 
 
 @dataclass
@@ -174,14 +169,11 @@ class _ScrapeResult:
     ok: bool = False
     error: str = ""
     duration: float = 0.0
-    #: fast lane: line-ordered (cache entry, value) pairs
+    #: line-ordered (cache entry, value) pairs
     ref_batch: list | None = None
-    #: reference path: family-ordered (Labels, value) pairs
-    labels_batch: list | None = None
-    #: exemplar-carrying lines, in line order: ``(entry, Exemplar)``
-    #: on the fast lane, ``(Labels, Exemplar)`` on the reference path.
-    #: Kept separate from the sample batches so the sample hot loops
-    #: stay two-tuples.
+    #: exemplar-carrying lines, in line order: ``(entry, Exemplar)``.
+    #: Kept separate from the sample batch so the sample hot loop
+    #: stays two-tuples.
     exemplars: list | None = None
     hits: int = 0
     misses: int = 0
@@ -355,25 +347,10 @@ class ScrapeManager:
                 raise ScrapeError(f"scrape returned HTTP {response.status}")
             body = response.body.decode()
             with prof.profile("scrape.parse"):
-                if self.config.use_cache:
-                    batch, exemplars, hits, misses = self._parse_cached(target, body)
-                    result.ref_batch = batch
-                    result.exemplars = exemplars
-                    result.hits = hits
-                    result.misses = misses
-                    result.evictions = target._cache.evict_stale()
-                else:
-                    identity = target.identity_labels()
-                    labels_batch: list = []
-                    exemplars = []
-                    for family in exposition.parse(body):
-                        for point in family.points:
-                            labels = exposition.to_labels(family.name, point, identity)
-                            labels_batch.append((labels, point.value))
-                            if point.exemplar is not None:
-                                exemplars.append((labels, point.exemplar))
-                    result.labels_batch = labels_batch
-                    result.exemplars = exemplars
+                result.ref_batch, result.exemplars, result.hits, result.misses = (
+                    self._parse_cached(target, body)
+                )
+                result.evictions = target._cache.evict_stale()
             result.ok = True
         except Exception as exc:  # noqa: BLE001 — one bad node must
             # never stall the cluster scrape: a non-UTF-8 body, a bad
@@ -391,14 +368,7 @@ class ScrapeManager:
         storage = self.storage
         samples = 0
         if result.ok:
-            if result.ref_batch is not None:
-                samples = self._apply_refs(
-                    target, result.ref_batch, now, result.exemplars
-                )
-            else:
-                samples = self._apply_labels(
-                    target, result.labels_batch, now, result.exemplars
-                )
+            samples = self._apply_refs(target, result.ref_batch, now, result.exemplars)
             target.last_scrape_ok = True
         else:
             target.scrape_failures_total += 1
@@ -407,9 +377,6 @@ class ScrapeManager:
             # a failed target so instant queries stop returning zombie
             # values the moment the node dies, instead of after the
             # lookback window.
-            for labels in target._previous_series:
-                storage.append(labels, now, _STALE)
-            target._previous_series = set()
             for ref, labels in target._previous_refs.items():
                 if storage.resolve_ref(ref) is not None:
                     storage.append_ref(ref, now, _STALE)
@@ -427,7 +394,7 @@ class ScrapeManager:
     def _apply_refs(
         self, target: ScrapeTarget, batch: list, now: float, exemplars: list | None = None
     ) -> int:
-        """Fast lane: batched append by ref + ref-set staleness pass."""
+        """Batched append by ref + ref-set staleness pass."""
         storage = self.storage
         get_ref = storage.get_ref
         pairs: list[tuple[int, float]] = []
@@ -440,9 +407,9 @@ class ScrapeManager:
         if dead:
             # Refs that died since the last cycle (retention or
             # delete_series dropped the series): re-resolve through
-            # labels — recreating the series exactly like the
-            # reference path's plain append — and heal the cache
-            # entries so the next cycle is back on the fast path.
+            # labels — recreating the series exactly like a plain
+            # append by labels — and heal the cache entries so the
+            # next cycle is back on the fast path.
             dead_refs = {ref for ref, _ in dead}
             for i, (entry, value) in enumerate(batch):
                 if pairs[i][0] in dead_refs:
@@ -474,32 +441,12 @@ class ScrapeManager:
                     continue
                 # The prev ref died; its labels may have been
                 # re-scraped this cycle under a fresh ref, in which
-                # case the series is live, not stale (the reference
-                # path compares Labels sets and would skip it).
+                # case the series is live, not stale.
                 if seen_labels is None:
                     seen_labels = set(new_prev.values())
                 if labels not in seen_labels:
                     storage.append(labels, now, _STALE)
         target._previous_refs = new_prev
-        return samples
-
-    def _apply_labels(
-        self, target: ScrapeTarget, batch: list, now: float, exemplars: list | None = None
-    ) -> int:
-        """Reference path: per-sample append by Labels (the baseline)."""
-        storage = self.storage
-        seen: set[Labels] = set()
-        samples = 0
-        for labels, value in batch:
-            storage.append(labels, now, value)
-            seen.add(labels)
-            samples += 1
-        if exemplars:
-            for labels, exemplar in exemplars:
-                storage.append_exemplar(labels, exemplar, now)
-        for labels in target._previous_series - seen:
-            storage.append(labels, now, _STALE)
-        target._previous_series = seen
         return samples
 
     # -- scraping ---------------------------------------------------------

@@ -2,12 +2,11 @@
 
 Design points, mirroring what matters about Prometheus for this stack:
 
-* **Appends are cheap**: the default :class:`ColumnarSeries` head
-  appends into growable numpy ring buffers (amortised O(1), no numpy
-  scalar boxing on the comparison path); the original list-based
-  :class:`Series` remains selectable (``head_layout="list"``) as a
-  differential-testing reference.  A scrape of 1400 nodes appends
-  tens of thousands of samples per interval, so this is the
+* **Appends are cheap**: a :class:`ColumnarSeries` stages fresh
+  samples in Python lists and flushes them vectorised into growable
+  numpy ring buffers on the first read (amortised O(1), no numpy
+  scalar boxing on the comparison path).  A scrape of 1400 nodes
+  appends tens of thousands of samples per interval, so this is the
   throughput-critical path (bench E7).
 * **Old head segments seal into Gorilla mini-chunks** — lazily, never
   on the append path — so :meth:`ColumnarSeries.chunks` serves the
@@ -16,18 +15,19 @@ Design points, mirroring what matters about Prometheus for this stack:
   chunks wherever the samples live.
 * **Selection uses an inverted index**: label name/value → set of
   series ids, intersected across equality matchers before any regex
-  work, the same trick Prometheus's head block uses.
+  work, the same trick Prometheus's head block uses
+  (:func:`~repro.tsdb.model.select_labels`, shared with the persisted
+  blocks' :class:`~repro.tsdb.persist.chunkio.ChunkIndex`).
 * **Range reads are vectorized**: a window read binary-searches the
-  timestamp list and returns numpy views for the PromQL engine.
-* **Columnar reads are cached**: :meth:`Series.arrays` materialises a
-  series as a pair of ndarrays exactly once between mutations, so the
+  timestamp array and returns numpy views for the PromQL engine.
+* **Columnar reads are cached**: :meth:`ColumnarSeries.arrays` hands
+  out the same pair of zero-copy views between mutations, so the
   columnar range evaluator can ``searchsorted`` thousands of step
-  timestamps against one snapshot instead of re-walking Python lists
-  per step.  :meth:`TSDB.select` memoises selector results keyed by
-  the matcher tuple — the memo survives appends (``Series`` objects
-  mutate in place) and is invalidated only when series are created or
-  deleted, so a dashboard burst or a rule group touching the same
-  selectors pays the index intersection once.
+  timestamps against one snapshot.  :meth:`TSDB.select` memoises
+  selector results keyed by the matcher tuple — the memo survives
+  appends (series objects mutate in place) and is invalidated only
+  when series are created or deleted, so a dashboard burst or a rule
+  group touching the same selectors pays the index intersection once.
 * **Retention** drops samples older than the horizon; **series
   deletion** implements the API server's cardinality cleanup (paper
   §II.C: *"remove metrics of workloads that did not last more than
@@ -39,172 +39,26 @@ Design points, mirroring what matters about Prometheus for this stack:
 
 from __future__ import annotations
 
-import bisect
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.common.errors import StorageError
 from repro.tsdb.exposition import Exemplar
-from repro.tsdb.model import METRIC_NAME_LABEL, Labels, Matcher, MatchOp
+from repro.tsdb.model import METRIC_NAME_LABEL, Labels, Matcher, select_labels
 
-#: Process-wide snapshot-cache counters for :meth:`Series.arrays` —
-#: per-instance bookkeeping would bloat every Series object for a
-#: number only the self-telemetry endpoint reads.
+#: Process-wide snapshot-cache counters for
+#: :meth:`ColumnarSeries.arrays` — per-instance bookkeeping would bloat
+#: every series object for a number only the self-telemetry endpoint
+#: reads.
 SNAPSHOT_STATS = {"hits": 0, "builds": 0}
 
 #: Samples per sealed head mini-chunk (Prometheus cuts head chunks at
 #: 120 samples; kept as a local constant so the hot path never imports
 #: the persist package).
 HEAD_SEAL_SAMPLES = 120
-
-#: Valid ``head_layout`` values for :class:`TSDB`.
-HEAD_LAYOUTS = ("columnar", "list")
-
-
-@dataclass
-class Series:
-    """One time series: immutable identity + growing sample arrays."""
-
-    labels: Labels
-    #: Storage-assigned series reference (see :meth:`TSDB.get_ref`).
-    #: Monotonic and never reused, so a ref held after the series is
-    #: dropped can only dangle — it can never alias another series.
-    ref: int = 0
-    timestamps: list[float] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
-    #: Cached ndarray snapshot of (timestamps, values); rebuilt lazily
-    #: after any mutation.  See :meth:`arrays`.
-    _snapshot: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    def append(self, timestamp: float, value: float) -> None:
-        if self.timestamps:
-            last = self.timestamps[-1]
-            if timestamp < last:
-                raise StorageError(
-                    f"out-of-order sample for {self.labels}: {timestamp} < {last}"
-                )
-            if timestamp == last:
-                self.values[-1] = value  # idempotent re-ingest
-                self._snapshot = None
-                return
-        self.timestamps.append(timestamp)
-        self.values.append(value)
-        self._snapshot = None
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The whole series as ``(timestamps, values)`` float64 arrays.
-
-        The snapshot is cached until the next append/overwrite/
-        truncation, so repeated columnar reads (one per selector per
-        range query) cost one list conversion, not one per step.
-        Callers must treat the returned arrays as read-only.
-        """
-        snap = self._snapshot
-        if snap is None:
-            SNAPSHOT_STATS["builds"] += 1
-            snap = (
-                np.asarray(self.timestamps, dtype=np.float64),
-                np.asarray(self.values, dtype=np.float64),
-            )
-            self._snapshot = snap
-        else:
-            SNAPSHOT_STATS["hits"] += 1
-        return snap
-
-    def window(self, start: float, end: float) -> tuple[np.ndarray, np.ndarray]:
-        """Samples with ``start <= t <= end`` as zero-copy numpy views."""
-        ts, vs = self.arrays()
-        lo = np.searchsorted(ts, start, side="left")
-        hi = np.searchsorted(ts, end, side="right")
-        return ts[lo:hi], vs[lo:hi]
-
-    def window_half_open(self, start: float, end: float) -> tuple[np.ndarray, np.ndarray]:
-        """Samples with ``start <= t < end`` (block-window semantics).
-
-        Block boundaries are half-open in Prometheus/Thanos; callers
-        cutting ``[lo, hi)`` windows use this instead of shrinking the
-        right edge by an epsilon.
-        """
-        ts, vs = self.arrays()
-        lo = np.searchsorted(ts, start, side="left")
-        hi = np.searchsorted(ts, end, side="left")
-        return ts[lo:hi], vs[lo:hi]
-
-    def query_window_arrays(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-        """Pruned columnar read: a contiguous superset of ``[lo, hi]``.
-
-        The head lives in memory, so the whole snapshot *is* the
-        cheapest superset — this method exists so the engine can use
-        one protocol for head series and chunk-backed series (where
-        pruning skips decoding non-overlapping chunks).
-        """
-        return self.arrays()
-
-    def chunks(self, lo: float = float("-inf"), hi: float = float("inf")) -> list:
-        """Chunk handles overlapping ``[lo, hi]`` — unified read API.
-
-        A list-layout series has no sealed chunks; its whole snapshot
-        is served as one zero-copy tail chunk so head and block reads
-        share the decode-on-demand interface.
-        """
-        from repro.tsdb.persist.chunkio import TailChunk
-
-        ts, vs = self.arrays()
-        if not len(ts) or ts[-1] < lo or ts[0] > hi:
-            return []
-        return [TailChunk(ts, vs)]
-
-    def _extend(self, ts_list: list[float], vs_list: list[float]) -> None:
-        """Bulk tail extension; caller guarantees strictly-increasing
-        timestamps landing after the current tail (see
-        :meth:`TSDB.append_array`)."""
-        self.timestamps.extend(ts_list)
-        self.values.extend(vs_list)
-        self._snapshot = None
-
-    def at_or_before(self, ts: float, lookback: float) -> tuple[float, float] | None:
-        """Most recent sample in ``(ts - lookback, ts]`` (instant read).
-
-        A staleness marker (NaN sample) as the most recent point means
-        the series has disappeared: instant reads return nothing, with
-        no lookback grace — Prometheus staleness semantics.
-        """
-        idx = bisect.bisect_right(self.timestamps, ts) - 1
-        if idx < 0:
-            return None
-        t = self.timestamps[idx]
-        if t <= ts - lookback:
-            return None
-        value = self.values[idx]
-        if value != value:  # NaN: stale marker
-            return None
-        return t, self.values[idx]
-
-    def truncate_before(self, cutoff: float) -> int:
-        """Drop samples with ``t < cutoff``; returns how many."""
-        lo = bisect.bisect_left(self.timestamps, cutoff)
-        if lo:
-            del self.timestamps[:lo]
-            del self.values[:lo]
-            self._snapshot = None
-        return lo
-
-    @property
-    def nsamples(self) -> int:
-        return len(self.timestamps)
-
-    @property
-    def min_time(self) -> float | None:
-        return self.timestamps[0] if self.timestamps else None
-
-    @property
-    def max_time(self) -> float | None:
-        return self.timestamps[-1] if self.timestamps else None
 
 
 class ColumnarSeries:
@@ -227,8 +81,7 @@ class ColumnarSeries:
       lists (``_stage_ts``/``_stage_vs``) — a CPython list append is
       ~2x cheaper than a numpy scalar store — and :meth:`_flush`
       moves them into the ring buffers with one vectorised slice
-      assignment on the first read.  Ingest costs exactly what the
-      list head pays; every read path flushes first.
+      assignment on the first read; every read path flushes first.
     * **Sealing is lazy.**  Full :data:`HEAD_SEAL_SAMPLES` segments
       behind the tail are Gorilla-encoded into immutable mini-chunks
       only when :meth:`chunks` is called — pure-Python encoding costs
@@ -272,8 +125,7 @@ class ColumnarSeries:
         # Append staging: fresh samples land in plain Python lists
         # (a CPython list append beats a numpy scalar store ~2x) and
         # are flushed into the ring buffers *vectorised* on the first
-        # read.  Ingest therefore costs exactly what the list head
-        # pays, while reads keep columnar snapshots incremental.
+        # read, so reads keep columnar snapshots incremental.
         self._stage_ts: list[float] = []
         self._stage_vs: list[float] = []
         self._snapshot: tuple[np.ndarray, np.ndarray] | None = None
@@ -339,7 +191,9 @@ class ColumnarSeries:
         self._snapshot = None
 
     def _extend(self, ts_list: list[float], vs_list: list[float]) -> None:
-        """Bulk tail extension (see :meth:`Series._extend`)."""
+        """Bulk tail extension; caller guarantees strictly-increasing
+        timestamps landing after the current tail (see
+        :meth:`TSDB.append_array`)."""
         self._stage_ts.extend(ts_list)
         self._stage_vs.extend(vs_list)
         self._last = ts_list[-1]
@@ -382,18 +236,34 @@ class ColumnarSeries:
         return ts[lo:hi], vs[lo:hi]
 
     def window_half_open(self, start: float, end: float) -> tuple[np.ndarray, np.ndarray]:
-        """Samples with ``start <= t < end`` (block-window semantics)."""
+        """Samples with ``start <= t < end`` (block-window semantics).
+
+        Block boundaries are half-open in Prometheus/Thanos; callers
+        cutting ``[lo, hi)`` windows use this instead of shrinking the
+        right edge by an epsilon.
+        """
         ts, vs = self.arrays()
         lo = np.searchsorted(ts, start, side="left")
         hi = np.searchsorted(ts, end, side="left")
         return ts[lo:hi], vs[lo:hi]
 
     def query_window_arrays(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-        """Pruned columnar read (see :meth:`Series.query_window_arrays`)."""
+        """Pruned columnar read: a contiguous superset of ``[lo, hi]``.
+
+        The head lives in memory, so the whole snapshot *is* the
+        cheapest superset — this method exists so the engine can use
+        one protocol for head series and chunk-backed series (where
+        pruning skips decoding non-overlapping chunks).
+        """
         return self.arrays()
 
     def at_or_before(self, ts: float, lookback: float) -> tuple[float, float] | None:
-        """Most recent sample in ``(ts - lookback, ts]`` (instant read)."""
+        """Most recent sample in ``(ts - lookback, ts]`` (instant read).
+
+        A staleness marker (NaN sample) as the most recent point means
+        the series has disappeared: instant reads return nothing, with
+        no lookback grace — Prometheus staleness semantics.
+        """
         t_arr, v_arr = self.arrays()
         idx = int(np.searchsorted(t_arr, ts, side="right")) - 1
         if idx < 0:
@@ -638,11 +508,6 @@ class TSDB:
         periodically).  ``0`` disables retention.
     name:
         Instance name, used by the LB and the Thanos fan-out.
-    head_layout:
-        ``"columnar"`` (default) stores samples in numpy ring buffers
-        (:class:`ColumnarSeries`); ``"list"`` keeps the original
-        Python-list :class:`Series` as a differential-testing
-        reference (``--head-layout=list``).
 
     Epoch / cache invalidation contract
     -----------------------------------
@@ -652,12 +517,12 @@ class TSDB:
       mutation (append, bulk append, retention truncation, series
       deletion).
     * ``_select_cache`` maps matcher tuples to lists of live
-      :class:`Series` objects.  Because ``Series`` mutate in place,
+      :class:`ColumnarSeries` objects.  Because series mutate in place,
       entries stay correct across *sample* mutations — retention that
       drops samples but no series deliberately leaves the memo
       populated (it only bumps ``data_epoch``) — and are invalidated
       wholesale whenever the population changes.  Downstream memos
-      that **copy** sample data out of a ``Series`` (e.g. the Thanos
+      that **copy** sample data out of a series (e.g. the Thanos
       fan-out merge) must instead validate against
       ``(series_epoch, data_epoch)``, since an in-place mutation
       silently outdates their copies.
@@ -671,35 +536,25 @@ class TSDB:
     #: Upper bound on memoised selector results before wholesale reset.
     SELECT_CACHE_MAX = 512
 
-    def __init__(
-        self,
-        retention: float = 0.0,
-        name: str = "tsdb",
-        head_layout: str = "columnar",
-    ) -> None:
-        if head_layout not in HEAD_LAYOUTS:
-            raise StorageError(
-                f"unknown head_layout {head_layout!r}; expected one of {HEAD_LAYOUTS}"
-            )
+    def __init__(self, retention: float = 0.0, name: str = "tsdb") -> None:
         self.name = name
         self.retention = retention
-        self.head_layout = head_layout
-        self._series: dict[Labels, Series] = {}
+        self._series: dict[Labels, ColumnarSeries] = {}
         # inverted index: (label_name, label_value) -> set of Labels keys
         self._index: dict[tuple[str, str], set[Labels]] = {}
         # series refs: small-integer handles the scrape fast lane uses
         # to append without hashing a Labels key.  Monotonic, never
         # reused; dropped series leave a hole so stale refs dangle
         # instead of aliasing (see append_ref).
-        self._series_by_ref: dict[int, Series] = {}
+        self._series_by_ref: dict[int, ColumnarSeries] = {}
         self._next_ref = 1
         self.samples_ingested = 0
         self.min_time: float | None = None
         self.max_time: float | None = None
         # selector memo: matcher tuple -> selected series (in label
-        # order).  Valid across appends (Series mutate in place);
+        # order).  Valid across appends (series mutate in place);
         # invalidated whenever the series population changes.
-        self._select_cache: dict[tuple[Matcher, ...], list[Series]] = {}
+        self._select_cache: dict[tuple[Matcher, ...], list[ColumnarSeries]] = {}
         self.select_cache_hits = 0
         self.select_cache_misses = 0
         #: bumps when series are created or deleted
@@ -709,21 +564,18 @@ class TSDB:
         #: Optional :class:`repro.obs.telemetry.Telemetry` sink; when
         #: set, selects inside an active trace record child spans.
         self.telemetry = None
-        #: Bounded exemplar store fed by the scrape path (both lanes).
+        #: Bounded exemplar store fed by the scrape path.
         self.exemplars = CircularExemplarStorage()
 
     # -- ingest ----------------------------------------------------------
-    def _get_or_create_series(self, labels: Labels) -> Series:
+    def _get_or_create_series(self, labels: Labels) -> ColumnarSeries:
         series = self._series.get(labels)
         if series is None:
             if not labels.metric_name:
                 raise StorageError(f"series without a metric name: {labels!r}")
             ref = self._next_ref
             self._next_ref = ref + 1
-            if self.head_layout == "list":
-                series = Series(labels=labels, ref=ref)
-            else:
-                series = ColumnarSeries(labels, ref=ref)
+            series = ColumnarSeries(labels, ref=ref)
             self._series[labels] = series
             self._series_by_ref[ref] = series
             for pair in labels:
@@ -758,7 +610,7 @@ class TSDB:
         current tail extends the sample lists in one slice operation
         (one epoch bump, one snapshot invalidation) instead of a
         per-sample Python loop.  Runs that overlap the tail fall back
-        to :meth:`Series.append` semantics sample by sample
+        to :meth:`ColumnarSeries.append` semantics sample by sample
         (last-write-wins on duplicates, out-of-order rejected).
 
         The batch is **all-or-nothing**: ordering is validated before
@@ -779,7 +631,7 @@ class TSDB:
         increasing = all(a < b for a, b in zip(ts_list, ts_list[1:]))
         fast_path = increasing and (last is None or ts_list[0] > last)
         if not fast_path:
-            # Validate the whole run against Series.append semantics
+            # Validate the whole run against series.append semantics
             # (equal-to-tail overwrites, regressions reject) before
             # touching the store, so a bad batch applies nothing.
             run_last = last
@@ -817,7 +669,7 @@ class TSDB:
         """
         return self._get_or_create_series(labels).ref
 
-    def resolve_ref(self, ref: int) -> Series | None:
+    def resolve_ref(self, ref: int) -> ColumnarSeries | None:
         """The live series behind ``ref``, or ``None`` if it was dropped."""
         return self._series_by_ref.get(ref)
 
@@ -848,10 +700,11 @@ class TSDB:
         One scrape cycle appends every sample of a target at the same
         logical instant, so the timestamp comparison, epoch bump and
         time-bound updates are hoisted out of the per-sample loop and
-        ``Series.append`` is inlined (call overhead matters at ~25k
-        samples per Jean-Zay cycle).  Semantics per sample are exactly
-        ``Series.append``: later-than-tail extends, equal-to-tail
-        overwrites (idempotent re-ingest), earlier-than-tail raises.
+        :meth:`ColumnarSeries.append` is inlined (call overhead matters
+        at ~25k samples per Jean-Zay cycle).  Semantics per sample are
+        exactly ``ColumnarSeries.append``: later-than-tail extends,
+        equal-to-tail overwrites (idempotent re-ingest),
+        earlier-than-tail raises.
 
         Returns ``(appended, dead)`` where ``dead`` holds the
         ``(ref, value)`` pairs whose ref no longer resolves; the
@@ -860,58 +713,33 @@ class TSDB:
         by_ref = self._series_by_ref
         dead: list[tuple[int, float]] = []
         count = 0
-        if self.head_layout == "list":
-            for ref, value in pairs:
-                series = by_ref.get(ref)
-                if series is None:
-                    dead.append((ref, value))
-                    continue
-                timestamps = series.timestamps
-                if timestamps:
-                    last = timestamps[-1]
-                    if last >= timestamp:
-                        if last > timestamp:
-                            raise StorageError(
-                                f"out-of-order sample for {series.labels}: {timestamp} < {last}"
-                            )
-                        series.values[-1] = value
-                        series._snapshot = None
-                        count += 1
-                        continue
-                timestamps.append(timestamp)
-                series.values.append(value)
+        # `_last` is a cached Python float, so the ordering check costs
+        # one comparison — no numpy scalar boxing per sample — and
+        # fresh samples go to the staging lists (flushed vectorised on
+        # the next read), so the hot loop never touches a numpy buffer.
+        for ref, value in pairs:
+            series = by_ref.get(ref)
+            if series is None:
+                dead.append((ref, value))
+                continue
+            last = series._last
+            if last is not None and last >= timestamp:
+                if last > timestamp:
+                    raise StorageError(
+                        f"out-of-order sample for {series.labels}: {timestamp} < {last}"
+                    )
+                if series._stage_vs:
+                    series._stage_vs[-1] = value
+                else:
+                    series._vs[series._start + series._len - 1] = value
                 series._snapshot = None
                 count += 1
-        else:
-            # Columnar twin of the loop above, ColumnarSeries.append
-            # inlined.  `_last` is a cached Python float, so the
-            # ordering check costs one comparison — no numpy scalar
-            # boxing per sample — and fresh samples go to the staging
-            # lists (flushed vectorised on the next read), so the hot
-            # loop never touches a numpy buffer.
-            for ref, value in pairs:
-                series = by_ref.get(ref)
-                if series is None:
-                    dead.append((ref, value))
-                    continue
-                last = series._last
-                if last is not None and last >= timestamp:
-                    if last > timestamp:
-                        raise StorageError(
-                            f"out-of-order sample for {series.labels}: {timestamp} < {last}"
-                        )
-                    if series._stage_vs:
-                        series._stage_vs[-1] = value
-                    else:
-                        series._vs[series._start + series._len - 1] = value
-                    series._snapshot = None
-                    count += 1
-                    continue
-                series._stage_ts.append(timestamp)
-                series._stage_vs.append(value)
-                series._last = timestamp
-                series._snapshot = None
-                count += 1
+                continue
+            series._stage_ts.append(timestamp)
+            series._stage_vs.append(value)
+            series._last = timestamp
+            series._snapshot = None
+            count += 1
         if count:
             self.samples_ingested += count
             self.data_epoch += 1
@@ -925,10 +753,10 @@ class TSDB:
     def append_exemplar(self, labels: Labels, exemplar: Exemplar, scrape_ts: float) -> bool:
         """Store an exemplar for the series identified by ``labels``.
 
-        The reference scrape path appends the sample first, so the
-        series normally exists; creating it here keeps the call safe
-        either way (matching Prometheus, where an exemplar append
-        always follows a sample append for the same series ref).
+        Callers append the sample first, so the series normally
+        exists; creating it here keeps the call safe either way
+        (matching Prometheus, where an exemplar append always follows
+        a sample append for the same series ref).
         """
         series = self._get_or_create_series(labels)
         return self.exemplars.add(series.ref, series.labels, exemplar, scrape_ts)
@@ -936,7 +764,8 @@ class TSDB:
     def append_exemplar_ref(
         self, ref: int, labels: Labels, exemplar: Exemplar, scrape_ts: float
     ) -> bool:
-        """Fast-lane twin of :meth:`append_exemplar`, keyed by ref."""
+        """:meth:`append_exemplar` keyed by ref (the scrape path); a
+        dead ref falls back to the labels."""
         series = self._series_by_ref.get(ref)
         if series is None:
             return self.append_exemplar(labels, exemplar, scrape_ts)
@@ -951,7 +780,7 @@ class TSDB:
         return self.exemplars.select(matchers, start, end)
 
     # -- selection ---------------------------------------------------------
-    def select(self, matchers: Sequence[Matcher]) -> list[Series]:
+    def select(self, matchers: Sequence[Matcher]) -> list[ColumnarSeries]:
         """All series whose labels satisfy every matcher.
 
         Equality matchers with non-empty values are resolved through
@@ -970,39 +799,20 @@ class TSDB:
                 return result
         return self._select(matchers)
 
-    def _select(self, matchers: Sequence[Matcher]) -> list[Series]:
+    def _select(self, matchers: Sequence[Matcher]) -> list[ColumnarSeries]:
         key = tuple(matchers)
         cached = self._select_cache.get(key)
         if cached is not None:
             self.select_cache_hits += 1
             return cached
         self.select_cache_misses += 1
-        candidate_keys: set[Labels] | None = None
-        residual: list[Matcher] = []
-        for m in matchers:
-            if m.op is MatchOp.EQ and m.value != "":
-                postings = self._index.get((m.name, m.value), set())
-                candidate_keys = postings.copy() if candidate_keys is None else candidate_keys & postings
-                if not candidate_keys:
-                    return self._memoize_select(key, [])
-            else:
-                residual.append(m)
-        if candidate_keys is None:
-            candidates: Iterable[Labels] = self._series.keys()
-        else:
-            candidates = candidate_keys
-        out = []
-        for labels_key in candidates:
-            if all(m.matches(labels_key) for m in residual):
-                out.append(self._series[labels_key])
+        series = self._series
+        out = [series[k] for k in select_labels(self._index, series, matchers)]
         out.sort(key=lambda s: tuple(s.labels))
-        return self._memoize_select(key, out)
-
-    def _memoize_select(self, key: tuple[Matcher, ...], result: list[Series]) -> list[Series]:
         if len(self._select_cache) >= self.SELECT_CACHE_MAX:
             self._select_cache.clear()
-        self._select_cache[key] = result
-        return result
+        self._select_cache[key] = out
+        return out
 
     def selector_cache_stats(self) -> dict[str, float]:
         """Hit/miss counters of the selector memo (bench observability)."""
@@ -1122,5 +932,5 @@ class TSDB:
             out[key.metric_name] = out.get(key.metric_name, 0) + 1
         return out
 
-    def all_series(self) -> list[Series]:
+    def all_series(self) -> list[ColumnarSeries]:
         return sorted(self._series.values(), key=lambda s: tuple(s.labels))

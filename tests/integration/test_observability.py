@@ -95,8 +95,9 @@ class TestMetaMonitoring:
         result = obs_sim.engine.query(
             'ceems_promql_eval_queries_total{job="prometheus"}', at=obs_sim.now
         )
-        strategies = {el.labels.get("strategy") for el in result.vector}
-        assert "per_step" in strategies or "columnar" in strategies
+        kinds = {el.labels.get("kind") for el in result.vector}
+        assert kinds and kinds <= {"instant", "range"}
+        assert all("strategy" not in el.labels for el in result.vector)
 
     def test_scrape_loop_counters_scraped(self, obs_sim):
         result = obs_sim.engine.query(

@@ -28,6 +28,20 @@ class TestParser:
         assert args.topology == "small"
         assert args.hours == 1.0
 
+    @pytest.mark.parametrize(
+        "flag",
+        [("--head-layout", "list"), ("--no-scrape-cache",), ("--lazy-blocks",)],
+        ids=lambda flag: flag[0],
+    )
+    def test_implementation_selecting_flags_are_gone(self, flag, capsys):
+        """Each job has one production path, so the flags that picked
+        between two are usage errors, not silently accepted."""
+        for command in ("simulate", "serve"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command, *flag])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_small_run_report(self):

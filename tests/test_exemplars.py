@@ -22,6 +22,8 @@ from repro.tsdb.http import PromAPI
 from repro.tsdb.model import Labels, Matcher
 from repro.tsdb.scrape import ScrapeConfig, ScrapeManager, ScrapeTarget
 from repro.tsdb.storage import TSDB, CircularExemplarStorage
+from tests.reference.list_head import ListHeadTSDB
+from tests.reference.scrape import MANAGERS
 
 
 def _labels(**kv):
@@ -514,7 +516,7 @@ def exemplar_churn_families(cycle: int):
 def run_exemplar_cycles(use_cache: bool, cycles: int = 6, delete_at: int | None = None):
     db = TSDB()
     db.exemplars.per_series = 3  # force per-series eviction in the run
-    manager = ScrapeManager(db, ScrapeConfig(use_cache=use_cache))
+    manager = MANAGERS[use_cache](db)
     state = {"n": -1}
 
     def families():
@@ -547,8 +549,8 @@ class TestExemplarDifferential:
 
     def test_bit_identical_for_list_head_layout(self):
         def run(use_cache):
-            db = TSDB(head_layout="list")
-            manager = ScrapeManager(db, ScrapeConfig(use_cache=use_cache))
+            db = ListHeadTSDB()
+            manager = MANAGERS[use_cache](db)
             state = {"n": -1}
 
             def families():
@@ -578,7 +580,7 @@ class TestExemplarDifferential:
         )
         app = App("fake")
         app.router.get("/metrics", lambda req: Response.text(next(payloads)))
-        manager = ScrapeManager(db, ScrapeConfig(use_cache=True))
+        manager = ScrapeManager(db)
         target = ScrapeTarget(app=app, instance="i", job="j")
         manager.add_target(target)
         manager.scrape_all(now=15.0)

@@ -128,6 +128,31 @@ class TestParity:
         )
         assert fe_sim.lb.app.get(url, headers=ADMIN).body == _direct(fe_sim, url).body
 
+    def test_strategy_parameter_is_ignored_everywhere(self, fe_sim):
+        """There is one evaluator per query kind, so ``strategy`` is
+        just an unknown parameter: with either old value or without
+        it, direct and frontend bodies are byte-identical and the
+        three requests share one results-cache entry."""
+        backends = [Backend(name=a.app.name, app=a.app) for a in fe_sim.prom_apis]
+        fe = QueryFrontend(backends, split_interval=900.0, clock=fe_sim.clock)
+        now = fe_sim.clock.now()
+        variants = ("", "&strategy=per_step", "&strategy=columnar", "&strategy=bogus")
+        base = _range_url("sum by (hostname) (rate(ceems_cpu_seconds_total[5m]))", now - 7000, now - 900, 60)
+        bodies = set()
+        for suffix in variants:
+            direct = _direct(fe_sim, base + suffix)
+            assert direct.status == 200
+            bodies |= {direct.body, fe.app.get(base + suffix).body}
+        assert len(bodies) == 1
+        assert len(fe.cache) == 1
+        instant = "/api/v1/query?" + urllib.parse.urlencode(
+            {"query": "sum(ceems:node:power_watts)", "time": now - 600}
+        )
+        bodies = set()
+        for suffix in variants:
+            bodies |= {_direct(fe_sim, instant + suffix).body, fe.app.get(instant + suffix).body}
+        assert len(bodies) == 1
+
     def test_stats_all_bypasses_cache(self, fe_sim):
         now = fe_sim.clock.now()
         url = (
@@ -456,10 +481,10 @@ class TestLBForwarding:
         hold, entered = threading.Event(), threading.Event()
         original = api.engine.query_range
 
-        def slow(ast, start, end, step, strategy="columnar"):
+        def slow(ast, start, end, step):
             entered.set()
             hold.wait(timeout=5)
-            return original(ast, start, end, step, strategy=strategy)
+            return original(ast, start, end, step)
 
         api.engine.query_range = slow
         now = fe_sim.clock.now()

@@ -27,6 +27,7 @@ from repro.tsdb.model import Labels
 from repro.tsdb.promql.engine import PromQLEngine
 from repro.tsdb.promql.functions import histogram_bucket_quantile
 from repro.tsdb.storage import TSDB
+from tests.reference.promql import query_range_per_step
 
 
 class TestRegistry:
@@ -291,8 +292,8 @@ class TestHistogramQuantile:
     def test_columnar_matches_per_step(self, db):
         engine = PromQLEngine(db)
         expr = "histogram_quantile(0.9, lat_bucket)"
-        ref = engine.query_range(expr, 0.0, 30.0, 15.0, strategy="per_step")
-        col = engine.query_range(expr, 0.0, 30.0, 15.0, strategy="columnar")
+        ref = query_range_per_step(engine, expr, 0.0, 30.0, 15.0)
+        col = engine.query_range(expr, 0.0, 30.0, 15.0)
         assert set(ref.series) == set(col.series)
         for labels in ref.series:
             r_ts, r_vs = ref.series[labels]

@@ -43,6 +43,7 @@ from repro.thanos.compact import Compactor
 from repro.thanos.query import FanoutStorage
 from repro.thanos.sidecar import Sidecar
 from repro.thanos.store import ObjectStore
+from tests.reference.list_head import ListHeadPersistentTSDB, ListHeadTSDB
 
 
 def bits_of(values) -> list[int]:
@@ -415,12 +416,16 @@ class TestStorePersistence:
         reloaded = ObjectStore(persist_dir=str(tmp_path / "store"))
         assert reloaded.loaded_blocks == 2
         assert len(reloaded.blocks_at("raw")) == 2
-        orig = store.tsdb("raw").all_series()
-        got = reloaded.tsdb("raw").all_series()
-        assert len(orig) == len(got)
-        for a, b in zip(orig, got):
-            assert a.labels == b.labels
-            assert_bit_identical(a.timestamps, a.values, b.timestamps, b.values)
+        # the oracle: an in-memory store the sidecar fed the same windows
+        in_memory = ObjectStore()
+        Sidecar(hot, in_memory).upload(now=4.5 * 3600.0)
+        orig = in_memory.tsdb("raw").all_series()
+        assert len(orig) == 3
+        for got in (store.window_series("raw", 0.0, 1e9), reloaded.window_series("raw", 0.0, 1e9)):
+            got = list(got)
+            assert [labels for labels, _ts, _vs in got] == [a.labels for a in orig]
+            for a, (_labels, ts, vs) in zip(orig, got):
+                assert_bit_identical(a.timestamps, a.values, ts, vs)
         # ULID sequence resumes past the loaded blocks
         assert reloaded.new_ulid() not in {b.ulid for b in reloaded.blocks}
 
@@ -466,7 +471,15 @@ class TestStorePersistence:
         five_m = store.blocks_at("5m")
         assert len(five_m) == 1
         reloaded = ObjectStore(persist_dir=str(tmp_path / "store"))
-        assert reloaded.tsdb("5m").num_samples == store.tsdb("5m").num_samples
+        produced = {
+            labels: (ts.tobytes(), vs.tobytes())
+            for labels, ts, vs in store.window_series("5m", 0.0, 1e9)
+        }
+        assert len(produced) == 3  # mean, :min, :max
+        assert produced == {
+            labels: (ts.tobytes(), vs.tobytes())
+            for labels, ts, vs in reloaded.window_series("5m", 0.0, 1e9)
+        }
         # a reopened compactor resumes after the persisted 5m block
         compactor2 = Compactor(reloaded, downsample_5m_after=3600.0)
         assert compactor2._downsampled_until["5m"] == five_m[0].max_time
@@ -578,16 +591,20 @@ class TestConfigWiring:
 class TestHeadLayoutParity:
     """Columnar ring-buffer head vs list head, driven in lockstep.
 
-    Every mutation the TSDB supports runs against one instance of each
-    ``head_layout``; after each phase the two heads must hold
-    bit-identical ``arrays()`` and answer windows identically.  The
-    WAL test extends the lockstep across a restart: both layouts
-    replay the same journal and must converge on the same state.
+    Every mutation the TSDB supports runs against the production head
+    and the list-head oracle (``tests/reference/list_head.py``); after
+    each phase the two heads must hold bit-identical ``arrays()`` and
+    answer windows identically.  The WAL test extends the lockstep
+    across a restart: both layouts replay the same journal and must
+    converge on the same state.
     """
 
     @staticmethod
     def _both(**kwargs) -> dict[str, TSDB]:
-        return {hl: TSDB(name=hl, head_layout=hl, **kwargs) for hl in ("list", "columnar")}
+        return {
+            "list": ListHeadTSDB(name="list", **kwargs),
+            "columnar": TSDB(name="columnar", **kwargs),
+        }
 
     @staticmethod
     def _assert_identical(dbs):
@@ -656,26 +673,21 @@ class TestHeadLayoutParity:
         assert dbs["list"].num_samples == dbs["columnar"].num_samples
 
     def test_wal_restart_parity(self, tmp_path):
-        dbs = {
-            hl: PersistentTSDB(str(tmp_path / hl), head_layout=hl)
-            for hl in ("list", "columnar")
-        }
+        classes = {"list": ListHeadPersistentTSDB, "columnar": PersistentTSDB}
+        dbs = {hl: cls(str(tmp_path / hl)) for hl, cls in classes.items()}
         for t in range(150):
             for i in range(3):
                 for db in dbs.values():
                     db.append(series_labels(i), 30.0 * t, float(i * 1000 + t))
         for db in dbs.values():
             db.close()
-        reopened = {
-            hl: PersistentTSDB(str(tmp_path / hl), head_layout=hl)
-            for hl in ("list", "columnar")
-        }
+        reopened = {hl: cls(str(tmp_path / hl)) for hl, cls in classes.items()}
         self._assert_identical(reopened)
-        assert reopened["columnar"].head_layout == "columnar"
-        # replayed samples landed in ColumnarSeries, not list Series
+        # replayed samples landed in the series kind each head creates
         from repro.tsdb.storage import ColumnarSeries
 
         assert all(isinstance(s, ColumnarSeries) for s in reopened["columnar"].all_series())
+        assert not any(isinstance(s, ColumnarSeries) for s in reopened["list"].all_series())
         for db in reopened.values():
             db.close()
 
@@ -683,7 +695,7 @@ class TestHeadLayoutParity:
         """Sealed mini-chunks + tail chunk reproduce arrays() bit-for-bit."""
         from repro.tsdb.persist.chunkio import TailChunk
 
-        db = TSDB(head_layout="columnar")
+        db = TSDB()
         rng = np.random.default_rng(3)
         for t in range(500):
             db.append(series_labels(0), 15.0 * t, float(rng.standard_normal()))
@@ -700,21 +712,124 @@ class TestHeadLayoutParity:
         assert pruned[0].min_time <= 15.0 * 130 <= pruned[0].max_time
 
 
+class _CountingMatcher(Matcher):
+    """A regex matcher that counts how many label sets it is asked about."""
+
+    calls = 0
+
+    def matches(self, labels) -> bool:
+        type(self).calls += 1
+        return super().matches(labels)
+
+
+class TestChunkIndexPostings:
+    """``ChunkIndex.select`` narrows through equality postings before
+    any residual (regex / negation) matcher runs."""
+
+    @staticmethod
+    def _index(nseries: int = 2000):
+        from repro.tsdb.persist.chunkio import ChunkIndex, TailChunk
+
+        def chunk(t0: float):
+            return TailChunk(np.array([t0, t0 + 15.0]), np.array([1.0, 2.0]))
+
+        # 4 metrics x 50 uuids x 10 hosts: __name__ postings hold 500
+        # series, uuid postings 40, their intersection 10.
+        labels = [
+            Labels({"__name__": f"m{i % 4}", "uuid": str(i // 4 % 50), "host": f"n{i // 200}"})
+            for i in range(nseries)
+        ]
+        index = ChunkIndex(name="t")
+        index.add_block("old", [(lb, [chunk(0.0)]) for lb in labels[: nseries // 2 + 100]])
+        index.add_block("new", [(lb, [chunk(7200.0)]) for lb in labels[nseries // 2 - 100 :]])
+        return index, labels
+
+    def test_cold_select_tests_residuals_on_narrowed_candidates_only(self):
+        index, labels = self._index()
+        assert index.num_series == 2000
+        _CountingMatcher.calls = 0
+        # The regex comes FIRST: a linear scan would ask it about
+        # every one of the 2000 block series.
+        matchers = [
+            _CountingMatcher("host", MatchOp.RE, "n[0-4]"),
+            Matcher.name_eq("m3"),
+            Matcher.eq("uuid", "7"),
+        ]
+        got = index.select(matchers)
+        smaller_posting = sum(1 for lb in labels if lb.get("uuid") == "7")
+        assert smaller_posting == 40
+        assert 0 < _CountingMatcher.calls <= smaller_posting
+        expected = sorted(
+            (lb for lb in labels if all(m.matches(lb) for m in matchers)), key=tuple
+        )
+        assert [s.labels for s in got] == expected and expected
+        # a repeat is a memo hit: no matcher runs at all
+        _CountingMatcher.calls = 0
+        assert index.select(matchers) is got
+        assert _CountingMatcher.calls == 0
+
+    def test_series_spanning_blocks_collect_every_blocks_chunks(self):
+        index, labels = self._index()
+        straddler = labels[1000]  # registered under both blocks
+        (series,) = index.select([Matcher.eq(k, v) for k, v in straddler])
+        assert series.timestamps == [0.0, 15.0, 7200.0, 7215.0]
+        assert len(index.all_series()) == 2000
+
+    def test_remove_block_retracts_postings(self):
+        index, labels = self._index()
+        generation = index.generation
+        assert index.remove_block("old") and not index.remove_block("old")
+        assert index.generation > generation
+        assert index.num_series == 1100  # what "new" alone holds
+        only_old, straddler = labels[0], labels[1000]
+        assert index.select([Matcher.eq(k, v) for k, v in only_old]) == []
+        (series,) = index.select([Matcher.eq(k, v) for k, v in straddler])
+        assert series.timestamps == [7200.0, 7215.0]
+        assert index.label_values("host") == {f"n{i}" for i in range(4, 10)}
+        index.remove_block("new")
+        assert index.num_series == 0 and index.all_series() == []
+        assert index.label_values("host") == set()
+        assert index._postings == {}
+
+
 class TestLazyStore:
-    """Decode-on-demand store: mmap chunk files, LRU, query parity."""
+    """Decode-on-demand store: mmap chunk files, LRU, query parity.
+
+    A ``persist_dir`` makes the store chunk-backed ("lazy"); the
+    oracle ("eager") is the in-memory store, whose resolution TSDBs
+    the sidecar fills with the same windows fully decoded.
+    """
 
     def _build(self, tmp_path, lazy: bool) -> ObjectStore:
         hot = TSDB(name="hot")
         for i in range(3):
             for t in range(18 * 4):
                 hot.append(series_labels(i), t * 900.0, float(i * 100 + t))
-        store = ObjectStore(persist_dir=str(tmp_path / "store"), lazy_blocks=lazy)
+        store = ObjectStore(persist_dir=str(tmp_path / "store")) if lazy else ObjectStore()
         Sidecar(hot, store).upload(now=18 * 3600.0)
         return store
 
-    def test_lazy_requires_persist_dir(self):
-        with pytest.raises(StorageError):
-            ObjectStore(lazy_blocks=True)
+    def test_open_decodes_nothing_then_only_overlapping_chunks(self, tmp_path):
+        """``persist_dir`` alone selects decode-on-demand: opening a
+        populated directory reads indexes only, and a window query
+        then decodes just the chunks overlapping it."""
+        from repro.tsdb.persist.chunkio import DECODE_CACHE, DECODE_CACHE_STATS
+
+        self._build(tmp_path, lazy=True)
+        DECODE_CACHE.clear()
+        before = dict(DECODE_CACHE_STATS)
+        reopened = ObjectStore(persist_dir=str(tmp_path / "store"))
+        assert reopened.loaded_blocks == 9
+        assert DECODE_CACHE_STATS == before  # no chunk touched by open
+        assert reopened.tsdb("raw").num_samples == 0
+        (series,) = reopened.select_at("raw", [Matcher("idx", MatchOp.EQ, "1")])
+        assert DECODE_CACHE_STATS == before  # nor by select
+        lo, hi = 5 * 3600.0, 5.5 * 3600.0
+        overlapping = len(series.chunks(lo, hi))
+        assert 1 <= overlapping < len(series.chunks())
+        ts, _vs = series.window(lo, hi)
+        assert ts.tolist() == [lo, lo + 900.0, hi]
+        assert DECODE_CACHE_STATS["misses"] - before["misses"] == overlapping
 
     def test_lazy_select_matches_eager(self, tmp_path):
         eager = self._build(tmp_path / "eager", lazy=False)
@@ -729,7 +844,7 @@ class TestLazyStore:
 
     def test_lazy_reopen_matches_original(self, tmp_path):
         store = self._build(tmp_path, lazy=True)
-        reloaded = ObjectStore(persist_dir=str(tmp_path / "store"), lazy_blocks=True)
+        reloaded = ObjectStore(persist_dir=str(tmp_path / "store"))
         orig = {s.labels: s for s in store.select_at("raw", [Matcher("__name__", MatchOp.EQ, "metric")])}
         got = {s.labels: s for s in reloaded.select_at("raw", [Matcher("__name__", MatchOp.EQ, "metric")])}
         assert set(orig) == set(got)

@@ -3,6 +3,7 @@ compile/evaluate CI guard, and the ``export-rules --check`` drift
 gate."""
 
 import json
+import struct
 
 import pytest
 
@@ -200,12 +201,40 @@ class TestShippedRulesCompile:
         at = small_sim.now
         for group in small_sim.rule_evaluator.groups:
             for rule in group.rules:
-                engine.query(rule.ast(), at, strategy="columnar")
+                engine.query(rule.ast(), at)
         for rule in ceems_alert_rules():
             engine.query(rule.ast(), at)
         for group in small_sim.rule_evaluator.alert_groups:
             for rule in group.rules:
                 engine.query(rule.ast(), at)
+
+    def test_rule_outputs_bit_identical_to_one_step_range(self, small_sim):
+        """The differential that licenses routing rule groups through
+        the instant walk: what every shipped rule yields at ``t`` is
+        bit-identical to the columnar evaluator's one-step range
+        ``query_range(expr, t, t, step)``."""
+        from repro.tsdb.alerts import ceems_alert_rules
+
+        engine = PromQLEngine(small_sim.hot_tsdb, lookback=small_sim.lookback)
+        at = small_sim.now
+        evaluator = small_sim.rule_evaluator
+        rules = [r for g in evaluator.groups + evaluator.alert_groups for r in g.rules]
+        rules += ceems_alert_rules()
+        compared = 0
+        for rule in rules:
+            walked = engine.query(rule.ast(), at)
+            ranged = engine.query_range(rule.ast(), at, at, 30.0)
+            if walked.is_scalar:
+                points = {Labels(): walked.scalar}
+            else:
+                points = {el.labels: el.value for el in walked.vector}
+            assert set(points) == set(ranged.series), rule.expr
+            for labels, value in points.items():
+                ts, vs = ranged.series[labels]
+                assert ts.tolist() == [at], rule.expr
+                assert vs.tobytes() == struct.pack("=d", value), (rule.expr, labels)
+            compared += len(points)
+        assert len(rules) >= 40 and compared >= 50  # non-vacuous
 
     def test_sim_rule_groups_report_no_errors(self, small_sim):
         for group in small_sim.rule_evaluator.groups:

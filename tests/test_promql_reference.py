@@ -5,11 +5,13 @@ engine result must match an independently-coded brute-force
 implementation of the same semantics.
 
 The second half of this module is the **differential harness** for the
-columnar evaluator: every reference query runs through both
-``strategy="columnar"`` and ``strategy="per_step"`` over randomized
-series (including staleness markers and samples straddling the
-lookback boundary), asserting bit-identical ``RangeResult``s — not
-approximately equal; ``np.array_equal`` on timestamps and values.
+columnar range evaluator: every reference query runs through
+``engine.query_range`` and through the oracle that defines a range
+query (``engine.query`` at every step, ``tests/reference/promql.py``)
+over randomized series (including staleness markers and samples
+straddling the lookback boundary), asserting bit-identical
+``RangeResult``s — not approximately equal; ``np.array_equal`` on
+timestamps and values.
 """
 
 import math
@@ -22,6 +24,8 @@ from hypothesis import strategies as st
 from repro.tsdb.model import Labels
 from repro.tsdb.promql.engine import DEFAULT_LOOKBACK, PromQLEngine
 from repro.tsdb.storage import TSDB
+from tests.reference.list_head import ListHeadTSDB
+from tests.reference.promql import query_range_per_step
 
 # series: (group_label, series_label) -> list of (t, v)
 _series_strategy = st.dictionaries(
@@ -42,8 +46,8 @@ _series_strategy = st.dictionaries(
 )
 
 
-def build_db(layout, head_layout: str = "columnar") -> TSDB:
-    db = TSDB(head_layout=head_layout)
+def build_db(layout, tsdb_class: type[TSDB] = TSDB) -> TSDB:
+    db = tsdb_class()
     for (group, idx), points in layout.items():
         labels = Labels({"__name__": "m", "grp": group, "idx": idx})
         dedup = sorted({t: v for t, v in points}.items())
@@ -180,7 +184,7 @@ def test_comparison_filter_matches_reference(layout, threshold):
 
 
 # ---------------------------------------------------------------------------
-# Differential harness: columnar evaluator vs per-step reference.
+# Differential harness: columnar range evaluator vs the per-step oracle.
 # ---------------------------------------------------------------------------
 
 # Like _series_strategy, but values occasionally become staleness
@@ -274,14 +278,26 @@ DIFFERENTIAL_QUERIES = [
 ]
 
 
+#: The two ways to answer a range query: the production columnar
+#: evaluator and the loop that defines what it must return.
+RANGE_EVALUATORS = {
+    "columnar": lambda engine, *args: engine.query_range(*args),
+    "per_step": query_range_per_step,
+}
+
+
+def _range_outcome(engine, query, start, end, step, evaluator):
+    try:
+        return RANGE_EVALUATORS[evaluator](engine, query, start, end, step)
+    except Exception as exc:  # noqa: BLE001 - recorded for comparison
+        return (type(exc), str(exc))
+
+
 def _run_both_range(engine, query, start, end, step):
-    outcomes = []
-    for strategy in ("columnar", "per_step"):
-        try:
-            outcomes.append(engine.query_range(query, start, end, step, strategy=strategy))
-        except Exception as exc:  # noqa: BLE001 - recorded for comparison
-            outcomes.append((type(exc), str(exc)))
-    return outcomes
+    return [
+        _range_outcome(engine, query, start, end, step, evaluator)
+        for evaluator in ("columnar", "per_step")
+    ]
 
 
 def assert_range_identical(engine, query, start, end, step):
@@ -299,28 +315,26 @@ def assert_range_identical(engine, query, start, end, step):
 
 
 def assert_instant_identical(engine, query, at):
-    outcomes = []
-    for strategy in ("columnar", "per_step"):
-        try:
-            outcomes.append(engine.query(query, at, strategy=strategy))
-        except Exception as exc:  # noqa: BLE001
-            outcomes.append((type(exc), str(exc)))
-    col, ref = outcomes
+    """The walk at one timestamp equals a one-step columnar range: what
+    licenses routing instants (rule groups included) through the walk
+    while dashboards' grids go columnar."""
+    try:
+        ref = engine.query(query, at)
+    except Exception as exc:  # noqa: BLE001
+        ref = (type(exc), str(exc))
+    col = _range_outcome(engine, query, at, at, 15.0, "columnar")
     if isinstance(col, tuple) or isinstance(ref, tuple):
         assert col == ref, f"{query}: divergent errors {col!r} vs {ref!r}"
         return
-    assert col.is_scalar == ref.is_scalar, query
-    if col.is_scalar:
-        assert col.scalar == ref.scalar or (
-            math.isnan(col.scalar) and math.isnan(ref.scalar)
-        ), query
-        return
-    assert len(col.vector) == len(ref.vector), query
-    for c, r in zip(col.vector, ref.vector):
-        assert c.labels == r.labels, query
-        assert c.value == r.value or (
-            math.isnan(c.value) and math.isnan(r.value)
-        ), query
+    if ref.is_scalar:
+        points = [(Labels(), ref.scalar)]
+    else:
+        points = [(el.labels, el.value) for el in ref.vector]
+    assert {labels for labels, _ in points} == set(col.series), query
+    for labels, value in points:
+        col_ts, col_vs = col.series[labels]
+        assert col_ts.tolist() == [at], query
+        assert repr(float(col_vs[0])) == repr(float(value)), query
 
 
 @pytest.mark.parametrize("query", DIFFERENTIAL_QUERIES)
@@ -343,11 +357,12 @@ def test_columnar_lookback_boundary_identical():
     labels = Labels({"__name__": "m", "grp": "a", "idx": "0"})
     db.append(labels, 0.0, 42.0)
     engine = PromQLEngine(db)
-    for strategy in ("columnar", "per_step"):
-        inside = engine.query("m", 299.0, strategy=strategy)
-        at_boundary = engine.query("m", 300.0, strategy=strategy)
-        assert [el.value for el in inside.vector] == [42.0], strategy
-        assert at_boundary.vector == [], strategy
+    inside = engine.query("m", 299.0)
+    at_boundary = engine.query("m", 300.0)
+    assert [el.value for el in inside.vector] == [42.0]
+    assert at_boundary.vector == []
+    assert_instant_identical(engine, "m", 299.0)
+    assert_instant_identical(engine, "m", 300.0)
     # and over a range whose steps straddle the boundary
     assert_range_identical(engine, "m", 0.0, 600.0, 60.0)
 
@@ -360,10 +375,11 @@ def test_columnar_staleness_marker_identical():
     db.append(labels, 10.0, math.nan)
     db.append(labels, 20.0, 7.0)
     engine = PromQLEngine(db)
-    for strategy in ("columnar", "per_step"):
-        assert [el.value for el in engine.query("m", 5.0, strategy=strategy).vector] == [5.0]
-        assert engine.query("m", 12.0, strategy=strategy).vector == []
-        assert [el.value for el in engine.query("m", 25.0, strategy=strategy).vector] == [7.0]
+    assert [el.value for el in engine.query("m", 5.0).vector] == [5.0]
+    assert engine.query("m", 12.0).vector == []
+    assert [el.value for el in engine.query("m", 25.0).vector] == [7.0]
+    for at in (5.0, 12.0, 25.0):
+        assert_instant_identical(engine, "m", at)
     for query in ("m", "rate(m[1m])", "count_over_time(m[30s])", "sum(m)"):
         assert_range_identical(engine, query, 0.0, 120.0, 5.0)
 
@@ -383,26 +399,20 @@ def test_columnar_many_to_many_error_identical():
 # Differential harness: columnar head layout vs list head layout.
 # ---------------------------------------------------------------------------
 #
-# The ring-buffer head (``head_layout="columnar"``) must be
-# *observationally identical* to the original list-backed head: same
-# PromQL answers, bit for bit, under both evaluation strategies.  The
-# hypothesis sweep feeds the same random layout (staleness markers
-# included) into one TSDB of each layout and compares engine output
+# The ring-buffer head (``ColumnarSeries``) must be *observationally
+# identical* to the original list-backed head (the oracle in
+# ``tests/reference/list_head.py``): same PromQL answers, bit for bit,
+# from both range evaluators.  The hypothesis sweep feeds the same
+# random layout (staleness markers included) into one TSDB of each
+# layout and compares engine output
 # across layouts; a deterministic test then stresses the paths the
 # small random layouts cannot reach — buffer growth, tail overwrite
 # after sealing, retention trims that cut through sealed chunks.
 
 
-def _range_outcome(engine, query, start, end, step, strategy):
-    try:
-        return engine.query_range(query, start, end, step, strategy=strategy)
-    except Exception as exc:  # noqa: BLE001 - recorded for comparison
-        return (type(exc), str(exc))
-
-
 def assert_layouts_identical(engines, query, start, end, step):
     """Engine output over a list-head and a columnar-head TSDB match."""
-    for strategy in ("columnar", "per_step"):
+    for strategy in RANGE_EVALUATORS:
         ref = _range_outcome(engines["list"], query, start, end, step, strategy)
         got = _range_outcome(engines["columnar"], query, start, end, step, strategy)
         if isinstance(ref, tuple) or isinstance(got, tuple):
@@ -417,7 +427,7 @@ def assert_layouts_identical(engines, query, start, end, step):
 
 
 #: A representative slice of DIFFERENTIAL_QUERIES — the full list runs
-#: in the strategy differential above; the layout differential only
+#: in the evaluator differential above; the layout differential only
 #: needs one query per selector/kernel shape the head serves.
 LAYOUT_QUERIES = [
     "m",
@@ -443,7 +453,8 @@ LAYOUT_QUERIES = [
 )
 def test_head_layouts_identical(query, layout, start, span, step):
     engines = {
-        hl: PromQLEngine(build_db(layout, head_layout=hl)) for hl in ("list", "columnar")
+        "list": PromQLEngine(build_db(layout, ListHeadTSDB)),
+        "columnar": PromQLEngine(build_db(layout)),
     }
     assert_layouts_identical(engines, query, float(start), float(start + span), step)
 
@@ -457,7 +468,7 @@ def test_head_layouts_identical_dense_with_seal_and_trim():
     exercising the lazy-reseal path.  The list head sees the exact
     same mutations and every engine answer must stay bit-identical.
     """
-    dbs = {hl: TSDB(head_layout=hl) for hl in ("list", "columnar")}
+    dbs = {"list": ListHeadTSDB(), "columnar": TSDB()}
     rng = np.random.default_rng(7)
     all_labels = [
         Labels({"__name__": "m", "grp": g, "idx": str(i)})

@@ -34,6 +34,7 @@ from repro.tsdb.promql.engine import PromQLEngine
 from repro.tsdb.promql.parser import parse_expr
 from repro.tsdb.storage import TSDB
 from repro.thanos.store import ObjectStore
+from tests.reference.promql import query_range_per_step
 
 
 @pytest.fixture
@@ -139,7 +140,7 @@ class TestProfiler:
 
 class TestQueryStats:
     def test_phase_timings_accumulate(self):
-        stats = QueryStats(query="up", strategy="per_step")
+        stats = QueryStats(query="up")
         with stats.phase("parse"):
             pass
         with stats.phase("eval"):
@@ -153,7 +154,6 @@ class TestQueryStats:
             "evalSeconds",
             "renderSeconds",
         }
-        assert d["strategy"] == "per_step"
         assert stats.total_seconds() >= d["timings"]["evalSeconds"]
 
     def test_tracked_select_free_without_stats(self, db):
@@ -176,10 +176,11 @@ class TestQueryStats:
     @pytest.mark.parametrize("strategy", ["per_step", "columnar"])
     def test_engine_reports_samples_touched(self, db, strategy):
         engine = PromQLEngine(db)
-        stats = QueryStats(strategy=strategy)
+        stats = QueryStats()
+        evaluate = {"per_step": query_range_per_step, "columnar": PromQLEngine.query_range}[strategy]
         token = activate_stats(stats)
         try:
-            engine.query_range("rate(power[60s])", 60.0, 285.0, 15.0, strategy=strategy)
+            evaluate(engine, "rate(power[60s])", 60.0, 285.0, 15.0)
         finally:
             deactivate_stats(token)
         assert stats.series_selected >= 2
@@ -194,7 +195,7 @@ class TestQueryStats:
 class TestActiveQueryTracker:
     def test_lifecycle_states(self):
         tracker = ActiveQueryTracker(max_concurrent=2)
-        with tracker.track("up", fingerprint=("up",), strategy="per_step") as record:
+        with tracker.track("up", fingerprint=("up",)) as record:
             assert record.state == "running"
             assert [r.id for r in tracker.active()] == [record.id]
         assert record.state == "done"
@@ -291,7 +292,7 @@ class TestSlowQueryLog:
 
     def test_entry_carries_stats_and_trace(self):
         log = SlowQueryLog(threshold_ms=0.0)
-        stats = QueryStats(strategy="columnar")
+        stats = QueryStats()
         stats.samples_touched = 42
         entry = log.observe("q", 0.5, stats=stats, trace_id="ab" * 16)
         assert entry["trace_id"] == "ab" * 16
@@ -323,13 +324,15 @@ class TestPromAPIIntrospection:
 
     @pytest.mark.parametrize("strategy", ["per_step", "columnar"])
     def test_stats_all_on_range_query(self, api, strategy):
+        """``strategy`` is no longer a parameter: like any unknown one
+        it is ignored, and the stats no longer name an evaluator."""
         resp = api.app.get(
             "/api/v1/query_range?query=rate(power[60s])"
             f"&start=60&end=285&step=15&stats=all&strategy={strategy}"
         )
         assert resp.status == 200
         stats = resp.decode_json()["data"]["stats"]
-        assert stats["strategy"] == strategy
+        assert "strategy" not in stats
         assert stats["samples"]["samplesTouched"] > 0
 
     def test_no_stats_without_param(self, api):

@@ -1,10 +1,11 @@
 """Scrape fast lane: differential proof, cache behaviour, resilience.
 
-The fast lane (per-target scrape cache + append-by-ref + optional
-worker pool) must be **bit-identical** to the cache-disabled reference
-path: same series set, same sample values, same staleness markers —
-across structure churn, retention, and series deletion.  These tests
-are the harness behind that claim.
+The production lane (per-target scrape cache + append-by-ref + optional
+worker pool) must be **bit-identical** to the parse-everything oracle
+(``tests/reference/scrape.py``): same series set, same sample values,
+same staleness markers — across structure churn, retention, and series
+deletion.  These tests are the harness behind that claim;
+``use_cache`` below picks the lane (``False`` = the oracle).
 """
 
 import math
@@ -17,6 +18,7 @@ from repro.tsdb import exposition
 from repro.tsdb.model import Labels, Matcher
 from repro.tsdb.scrape import ScrapeCache, ScrapeConfig, ScrapeManager, ScrapeTarget
 from repro.tsdb.storage import TSDB
+from tests.reference.scrape import MANAGERS
 
 
 def make_exporter(families_fn) -> App:
@@ -48,7 +50,7 @@ def churn_families(cycle: int):
 
 def run_cycles(use_cache: bool, workers: int = 0, cycles: int = 6, db: TSDB | None = None):
     db = db if db is not None else TSDB()
-    manager = ScrapeManager(db, ScrapeConfig(use_cache=use_cache, workers=workers))
+    manager = MANAGERS[use_cache](db, ScrapeConfig(workers=workers))
     state = {"n": -1}
 
     def families():
@@ -75,7 +77,7 @@ class TestDifferential:
         def run(use_cache):
             db = TSDB(retention=40.0)
             # retention every cycle: refs die constantly under the cache
-            manager = ScrapeManager(db, ScrapeConfig(use_cache=use_cache, retention_every=1))
+            manager = MANAGERS[use_cache](db, ScrapeConfig(retention_every=1))
             state = {"n": -1}
 
             def families():
@@ -92,7 +94,7 @@ class TestDifferential:
     def test_bit_identical_across_delete_series(self):
         def run(use_cache):
             db = TSDB()
-            manager = ScrapeManager(db, ScrapeConfig(use_cache=use_cache))
+            manager = MANAGERS[use_cache](db)
             fam = exposition.MetricFamily("m", type="gauge")
             fam.add(1.0, uuid="x")
             fam.add(2.0, uuid="y")
@@ -115,12 +117,12 @@ class TestDifferential:
 
     def test_stale_ref_never_appends_to_recreated_series(self):
         """A dead prev-ref whose labels reappeared under a fresh ref
-        must NOT produce a staleness marker (the reference path
-        compares label sets and sees the series as alive)."""
+        must NOT produce a staleness marker (the oracle compares
+        label sets and sees the series as alive)."""
 
         def run(use_cache):
             db = TSDB()
-            manager = ScrapeManager(db, ScrapeConfig(use_cache=use_cache))
+            manager = MANAGERS[use_cache](db)
             fam = exposition.MetricFamily("m", type="gauge")
             fam.add(1.0, uuid="x")
             manager.add_target(
@@ -164,7 +166,7 @@ class TestBrokenTargets:
             raise ValueError("collector exploded")
 
         crash.router.get("/metrics", boom)
-        manager = ScrapeManager(db, ScrapeConfig(use_cache=use_cache))
+        manager = MANAGERS[use_cache](db)
         manager.add_target(ScrapeTarget(app=crash, instance="c:9", job="j"))
         manager.scrape_all(now=15.0)
         assert manager.targets[0].scrape_failures_total == 1
@@ -176,7 +178,7 @@ class TestBrokenTargets:
         db = TSDB()
         bad = App("badname")
         bad.router.get("/metrics", lambda req: Response.text("m} 1\n"))
-        manager = ScrapeManager(db, ScrapeConfig(use_cache=use_cache))
+        manager = MANAGERS[use_cache](db)
         manager.add_target(ScrapeTarget(app=bad, instance="b:9", job="j"))
         manager.scrape_all(now=15.0)
         assert manager.targets[0].scrape_failures_total == 1
@@ -200,7 +202,7 @@ class TestFailureStaleness:
 
         app = App("flaky")
         app.router.get("/metrics", handler)
-        manager = ScrapeManager(db, ScrapeConfig(use_cache=use_cache))
+        manager = MANAGERS[use_cache](db)
         manager.add_target(ScrapeTarget(app=app, instance="i", job="j"))
         manager.scrape_all(now=15.0)
         state["alive"] = False
@@ -232,7 +234,7 @@ class TestScrapeCache:
 
     def test_value_change_is_still_a_hit(self):
         db = TSDB()
-        manager = ScrapeManager(db, ScrapeConfig(use_cache=True))
+        manager = ScrapeManager(db)
         state = {"v": 0.0}
 
         def families():
@@ -250,7 +252,7 @@ class TestScrapeCache:
 
     def test_label_change_misses_and_evicts(self):
         db = TSDB()
-        manager = ScrapeManager(db, ScrapeConfig(use_cache=True))
+        manager = ScrapeManager(db)
         state = {"uuid": "a"}
 
         def families():
@@ -343,15 +345,22 @@ class TestSimulationDifferential:
             out.append((tuple(s.labels), tuple(s.timestamps), tuple(repr(v) for v in s.values)))
         return out
 
-    def test_small_topology_identical(self):
+    def test_small_topology_identical(self, monkeypatch):
         from repro.cluster.simulation import SimulationConfig, StackSimulation
         from repro.cluster.topology import small_topology
 
-        def run(**kw):
+        import repro.cluster.simulation as simulation
+
+        def run(scrape_cache, **kw):
+            # The deployment builds its own manager: substitute the
+            # oracle class only while it is constructed.
+            monkeypatch.setattr(simulation, "ScrapeManager", MANAGERS[scrape_cache])
             sim = StackSimulation(
                 small_topology(cpu_nodes=2, gpu_nodes=1),
                 SimulationConfig(seed=11, **kw),
             )
+            monkeypatch.undo()
+            assert type(sim.scrape_manager) is MANAGERS[scrape_cache]
             sim.run(450.0)
             return self.data_plane(sim.hot_tsdb)
 

@@ -5,12 +5,12 @@ import pytest
 
 from repro.common.errors import StorageError
 from repro.thanos.compact import Compactor, _downsample_series
-from repro.thanos.query import FanoutStorage, merge_series
+from repro.thanos.query import FanoutStorage
 from repro.thanos.sidecar import Sidecar
 from repro.thanos.store import BlockMeta, ObjectStore
 from repro.tsdb.model import Labels, Matcher
 from repro.tsdb.promql.engine import PromQLEngine
-from repro.tsdb.storage import TSDB, Series
+from repro.tsdb.storage import TSDB
 
 
 def mk(name: str, **labels: str) -> Labels:
@@ -182,23 +182,27 @@ class TestObjectStore:
 class TestFanout:
     def test_merge_prefers_primary(self):
         labels = mk("m")
-        hot = Series(labels=labels)
-        hot.append(10.0, 100.0)
-        hot.append(20.0, 200.0)
-        cold = Series(labels=labels)
-        cold.append(0.0, -1.0)
-        cold.append(10.0, -2.0)  # overlapping timestamp: hot wins
-        merged = merge_series(hot, cold, labels)
+        hot = TSDB()
+        hot.append(labels, 10.0, 100.0)
+        hot.append(labels, 20.0, 200.0)
+        store = ObjectStore()
+        store.tsdb("raw").append(labels, 0.0, -1.0)
+        store.tsdb("raw").append(labels, 10.0, -2.0)  # overlapping timestamp: hot wins
+        (merged,) = FanoutStorage(hot, store).select([Matcher.name_eq("m")])
         assert merged.timestamps == [0.0, 10.0, 20.0]
         assert merged.values == [-1.0, 100.0, 200.0]
+        assert merged.window(5.0, 15.0)[1].tolist() == [100.0]
 
     def test_merge_handles_missing_sides(self):
-        labels = mk("m")
-        only = Series(labels=labels)
-        only.append(1.0, 1.0)
-        assert merge_series(only, None, labels) is only
-        assert merge_series(None, only, labels) is only
-        assert merge_series(None, None, labels).nsamples == 0
+        hot = TSDB()
+        hot.append(mk("m", side="hot"), 1.0, 1.0)
+        store = ObjectStore()
+        store.tsdb("raw").append(mk("m", side="store"), 1.0, 1.0)
+        fanout = FanoutStorage(hot, store)
+        # a series on one side only is served as that side's own object
+        assert fanout.select([Matcher.eq("side", "hot")]) == hot.all_series()
+        assert fanout.select([Matcher.eq("side", "store")]) == store.tsdb("raw").all_series()
+        assert fanout.select([Matcher.eq("side", "neither")]) == []
 
     def test_fanout_spans_hot_and_store(self):
         hot = TSDB(retention=3600.0)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import StorageError
 from repro.tsdb.model import Labels, Matcher, MatchOp
-from repro.tsdb.storage import TSDB, Series
+from repro.tsdb.storage import TSDB, ColumnarSeries
 
 
 def mklabels(name: str, **labels: str) -> Labels:
@@ -129,7 +129,7 @@ class TestSelect:
 
 class TestSeriesReads:
     def test_window(self):
-        series = Series(labels=mklabels("x"))
+        series = ColumnarSeries(labels=mklabels("x"))
         for i in range(10):
             series.append(float(i), float(i * 10))
         ts, vs = series.window(2.0, 5.0)
@@ -137,12 +137,12 @@ class TestSeriesReads:
         assert vs.tolist() == [20.0, 30.0, 40.0, 50.0]
 
     def test_window_empty(self):
-        series = Series(labels=mklabels("x"))
+        series = ColumnarSeries(labels=mklabels("x"))
         ts, vs = series.window(0, 10)
         assert len(ts) == 0
 
     def test_at_or_before_with_lookback(self):
-        series = Series(labels=mklabels("x"))
+        series = ColumnarSeries(labels=mklabels("x"))
         series.append(100.0, 7.0)
         assert series.at_or_before(100.0, 300.0) == (100.0, 7.0)
         assert series.at_or_before(350.0, 300.0) == (100.0, 7.0)
@@ -150,14 +150,14 @@ class TestSeriesReads:
         assert series.at_or_before(99.0, 300.0) is None  # before first sample
 
     def test_stale_marker_hides_series(self):
-        series = Series(labels=mklabels("x"))
+        series = ColumnarSeries(labels=mklabels("x"))
         series.append(100.0, 7.0)
         series.append(115.0, math.nan)  # staleness marker
         assert series.at_or_before(110.0, 300.0) == (100.0, 7.0)
         assert series.at_or_before(120.0, 300.0) is None
 
     def test_series_resumes_after_stale(self):
-        series = Series(labels=mklabels("x"))
+        series = ColumnarSeries(labels=mklabels("x"))
         series.append(100.0, 7.0)
         series.append(115.0, math.nan)
         series.append(130.0, 9.0)
@@ -220,7 +220,7 @@ class TestDeleteSeries:
 def test_window_read_matches_naive_property(points):
     """Window reads agree with a brute-force filter."""
     points = sorted({t: v for t, v in points}.items())
-    series = Series(labels=mklabels("p"))
+    series = ColumnarSeries(labels=mklabels("p"))
     for t, v in points:
         series.append(float(t), v)
     lo, hi = 200.0, 800.0
@@ -231,14 +231,14 @@ def test_window_read_matches_naive_property(points):
 
 class TestSeriesArrays:
     def test_snapshot_cached_between_reads(self):
-        series = Series(labels=mklabels("s"))
+        series = ColumnarSeries(labels=mklabels("s"))
         series.append(1.0, 10.0)
         first = series.arrays()
         assert series.arrays() is first  # same tuple until mutation
         assert first[0].tolist() == [1.0] and first[1].tolist() == [10.0]
 
     def test_snapshot_invalidated_on_append(self):
-        series = Series(labels=mklabels("s"))
+        series = ColumnarSeries(labels=mklabels("s"))
         series.append(1.0, 10.0)
         before = series.arrays()
         series.append(2.0, 20.0)
@@ -247,14 +247,14 @@ class TestSeriesArrays:
         assert after[1].tolist() == [10.0, 20.0]
 
     def test_snapshot_invalidated_on_overwrite(self):
-        series = Series(labels=mklabels("s"))
+        series = ColumnarSeries(labels=mklabels("s"))
         series.append(1.0, 10.0)
         series.arrays()
         series.append(1.0, 99.0)  # duplicate timestamp: last-write-wins
         assert series.arrays()[1].tolist() == [99.0]
 
     def test_snapshot_invalidated_on_truncate(self):
-        series = Series(labels=mklabels("s"))
+        series = ColumnarSeries(labels=mklabels("s"))
         for i in range(5):
             series.append(float(i), float(i))
         series.arrays()
