@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.apiserver.db import Database
-from repro.tsdb.http import delete_series_matchers
+from repro.tsdb.model import Matcher
 from repro.tsdb.storage import TSDB
 
 
@@ -53,7 +53,7 @@ class CardinalityCleaner:
                 continue
             deleted = 0
             for tsdb in self.tsdbs:
-                deleted += tsdb.delete_series(delete_series_matchers(uuid))
+                deleted += tsdb.delete_series([Matcher.eq("uuid", uuid)])
             self.stats.cleaned_uuids.add(uuid)
             if deleted:
                 self.stats.units_cleaned += 1

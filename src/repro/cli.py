@@ -456,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=0,
             dest="max_query_steps",
-            help="reject range queries resolving to more steps than this "
-            "with a structured 422 (0 = unlimited)",
+            help="reject range queries (and subquery grids) resolving to more "
+            "steps than this with a structured 422 (0 = unlimited)",
         )
         p.add_argument(
             "--max-query-length",

@@ -21,6 +21,7 @@ import time
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field
+from functools import cached_property
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Iterator
 
@@ -59,6 +60,9 @@ class Request:
     #: The route pattern that matched (set by the router) — the
     #: bounded-cardinality ``handler`` label of the HTTP metrics.
     matched_route: str = ""
+    #: The validated query plan (:mod:`repro.tsdb.plan`): set by the hop
+    #: that built it, on the request it sends upstream.
+    plan: Any = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_url(
@@ -99,8 +103,11 @@ class Request:
         return self.headers.get(name.lower(), default)
 
     def param(self, name: str, default: str | None = None) -> str | None:
-        """First value of a query parameter."""
+        """First value of a parameter: query string, else POST form
+        (Grafana sends long queries as forms)."""
         values = self.query.get(name)
+        if not values and self.body:
+            values = self.form.get(name)
         return values[0] if values else default
 
     def params(self, name: str) -> list[str]:
@@ -110,13 +117,10 @@ class Request:
     def json(self) -> Any:
         return json.loads(self.body.decode() or "null")
 
-    @property
+    @cached_property
     def form(self) -> dict[str, list[str]]:
-        """Parse an ``application/x-www-form-urlencoded`` body.
-
-        Prometheus accepts query parameters via POST forms; the LB must
-        introspect those too.
-        """
+        """The ``application/x-www-form-urlencoded`` body, parsed on
+        first use and at most once however many hops read it."""
         ctype = self.header("content-type", "")
         if ctype and "application/x-www-form-urlencoded" in ctype:
             return urllib.parse.parse_qs(self.body.decode(), keep_blank_values=True)

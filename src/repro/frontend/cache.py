@@ -46,7 +46,7 @@ import json
 import threading
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from typing import Any, Iterator
+from typing import Any
 
 #: Default live-tail window kept uncacheable (Cortex's
 #: ``max_cache_freshness``): 10 minutes.
@@ -106,17 +106,6 @@ class ResultsCache:
             self.total_bytes = 0
 
     # -- lookup ----------------------------------------------------------
-    def covered_of(self, key: tuple, grid: list[float]) -> set[float]:
-        """Grid timestamps of ``grid`` this key already has evaluated."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return set()
-            self._entries.move_to_end(key)
-            if entry.pending:
-                self._drain_locked(key, entry)
-            return {t for t in grid if t in entry.covered}
-
     def snapshot(
         self, key: tuple, grid: list[float]
     ) -> tuple[set[float], list[tuple[tuple, dict[str, str], list[float], list[str]]]]:
@@ -158,34 +147,6 @@ class ResultsCache:
                 ]
                 columns.append((series_key, col.metric, ts, vals))
             return served, columns
-
-    def slice(
-        self, key: tuple, served: set[float], lo: float, hi: float
-    ) -> Iterator[tuple[tuple, dict[str, str], list[float], list[str]]]:
-        """Yield ``(series_key, metric, ts, vals)`` for cached points.
-
-        Only points whose timestamp is in ``served`` (the exact grid
-        subset this request is being answered from) are returned.
-        Unlike :meth:`snapshot` this is not atomic with the coverage
-        lookup — the serving path must use :meth:`snapshot`.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return
-            if entry.pending:
-                self._drain_locked(key, entry)
-            columns = list(entry.series.items())
-        for series_key, col in columns:
-            a = bisect_left(col.ts, lo)
-            b = bisect_right(col.ts, hi)
-            if a >= b:
-                continue
-            ts = [t for t in col.ts[a:b] if t in served]
-            if not ts:
-                continue
-            vals = [v for t, v in zip(col.ts[a:b], col.vals[a:b]) if t in served]
-            yield series_key, col.metric, ts, vals
 
     # -- ingest ----------------------------------------------------------
     def stash(

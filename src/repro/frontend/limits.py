@@ -1,84 +1,10 @@
 """Admission-side query guardrails (SNIPPETS.md snippet 3 style).
 
-Production Prometheus clients bound three things before a query ever
-reaches an evaluator: the query string length, the requested range
-duration, and the number of resolved steps (``(end-start)/step``).
-Oversized requests fail fast with a *structured* 422 so dashboards
-and API clients can show which limit was hit and by how much, instead
-of a generic error string.
-
-The same :class:`QueryLimits` object is enforced at the query
-frontend and at the direct PromAPI path — the limit must hold no
-matter which door a query comes through.
+The limits are part of request validation, which has one home for
+every door a query can come through: :mod:`repro.tsdb.plan`.  This
+module keeps the frontend's import path for them.
 """
 
-from __future__ import annotations
+from repro.tsdb.plan import DEFAULT_MAX_QUERY_LENGTH, QueryLimits, limit_error
 
-import math
-from dataclasses import dataclass
-
-from repro.common.httpx import Response
-
-#: Conservative default on the query text itself; ranges and step
-#: counts default to unlimited (deployments opt in via CLI flags).
-DEFAULT_MAX_QUERY_LENGTH = 8192
-
-
-def limit_error(limit: str, actual: float, maximum: float, message: str) -> Response:
-    """A structured 422: machine-readable limit name, actual and max."""
-    return Response.json(
-        {
-            "status": "error",
-            "errorType": "bad_data",
-            "error": message,
-            "limit": limit,
-            "actual": actual,
-            "max": maximum,
-        },
-        status=422,
-    )
-
-
-@dataclass(frozen=True)
-class QueryLimits:
-    """Bounds enforced before evaluation; ``0`` disables a bound."""
-
-    max_query_length: int = DEFAULT_MAX_QUERY_LENGTH
-    max_range_seconds: float = 0.0
-    max_resolved_steps: int = 0
-
-    def check_query(self, query: str) -> Response | None:
-        """Length limit (applies to instant and range queries)."""
-        if self.max_query_length > 0 and len(query) > self.max_query_length:
-            return limit_error(
-                "max_query_length",
-                len(query),
-                self.max_query_length,
-                f"query of {len(query)} chars exceeds the "
-                f"{self.max_query_length}-char limit",
-            )
-        return None
-
-    def check_range(self, start: float, end: float, step: float) -> Response | None:
-        """Range-duration and resolved-step limits for ``query_range``."""
-        duration = end - start
-        if self.max_range_seconds > 0 and duration > self.max_range_seconds:
-            return limit_error(
-                "max_range_seconds",
-                duration,
-                self.max_range_seconds,
-                f"range of {duration:.0f}s exceeds the "
-                f"{self.max_range_seconds:.0f}s limit",
-            )
-        if self.max_resolved_steps > 0 and step > 0 and end >= start:
-            steps = int(math.floor(duration / step + 1e-9)) + 1
-            if steps > self.max_resolved_steps:
-                return limit_error(
-                    "max_resolved_steps",
-                    steps,
-                    self.max_resolved_steps,
-                    f"query resolves to {steps} steps, over the "
-                    f"{self.max_resolved_steps}-step limit "
-                    "(increase the step or narrow the range)",
-                )
-        return None
+__all__ = ["DEFAULT_MAX_QUERY_LENGTH", "QueryLimits", "limit_error"]

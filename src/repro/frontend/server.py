@@ -21,9 +21,12 @@ query-frontend position in the serving path):
 The contract throughout is *bit-identity*: any response produced by
 the frontend — split, partially cached, fully cached, or error — must
 be byte-for-byte the response the direct backend path would have
-produced for the same request.  Requests the frontend cannot prove it
-can reproduce exactly (``stats=all``, non-step-exact grids, malformed
-parameters) are forwarded verbatim instead.
+produced for the same request.  Malformed requests get the backends'
+own validation (:func:`repro.tsdb.plan.plan_query`, run here unless
+the LB already did); requests the frontend cannot prove it can
+reproduce exactly (``stats=all``, non-step-exact grids) are forwarded
+verbatim.  What goes upstream — the request or a sub-range of it —
+carries the plan, so no backend reads or parses it again.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import math
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import Iterator
 
 from repro.common.errors import CEEMSError
@@ -46,16 +50,10 @@ from repro.frontend.split import (
     uncovered_runs,
 )
 from repro.lb.strategies import Backend, Strategy, make_strategy
+from repro.tsdb.plan import INSTANT_PATH, RANGE_PATH, QueryPlan, plan_query
 from repro.tsdb.promql.engine import range_steps
 
 USER_HEADER = "x-grafana-user"
-
-#: Paths that go through admission + coalescing (+ cache for ranges).
-_QUERY_PATHS = ("/api/v1/query", "/api/v1/query_range")
-
-#: Every parameter that distinguishes one evaluation from another —
-#: extracted once per request, also the request-fingerprint payload.
-_PARAM_NAMES = ("query", "time", "start", "end", "step", "stats")
 
 
 class AdmissionRejected(CEEMSError):
@@ -247,15 +245,14 @@ class QueryFrontend:
         self.app = App(name=name)
         self.app.expose_telemetry()
         r = self.app.router
-        r.get("/api/v1/query", self._query)
-        r.post("/api/v1/query", self._query)
-        r.get("/api/v1/query_range", self._query_range)
-        r.post("/api/v1/query_range", self._query_range)
+        for path in (INSTANT_PATH, RANGE_PATH):
+            r.get(path, self.handle_query)
+            r.post(path, self.handle_query)
         # Everything else — metadata, exemplars, rules, status — is
         # proxied untouched to a backend (single-segment catch-all
         # plus the nested API paths, same trick as the LB router).
-        r.add("GET", "/{rest}", self._forward_route)
-        r.add("POST", "/{rest}", self._forward_route)
+        r.add("GET", "/{rest}", self._forward)
+        r.add("POST", "/{rest}", self._forward)
         for path in (
             "/api/v1/query_exemplars",
             "/api/v1/series",
@@ -264,13 +261,13 @@ class QueryFrontend:
             "/api/v1/silences",
             "/-/healthy",
         ):
-            r.get(path, self._forward_route)
-            r.post(path, self._forward_route)
-        r.get("/api/v1/status/buildinfo", self._forward_route)
-        r.get("/api/v1/status/runtimeinfo", self._forward_route)
-        r.get("/api/v1/label/{name}/values", self._forward_route)
-        r.get("/api/v1/silence/{id}", self._forward_route)
-        r.delete("/api/v1/silence/{id}", self._forward_route)
+            r.get(path, self._forward)
+            r.post(path, self._forward)
+        r.get("/api/v1/status/buildinfo", self._forward)
+        r.get("/api/v1/status/runtimeinfo", self._forward)
+        r.get("/api/v1/label/{name}/values", self._forward)
+        r.get("/api/v1/silence/{id}", self._forward)
+        r.delete("/api/v1/silence/{id}", self._forward)
         self.split_requests = 0
         self.subqueries = 0
         self.passthrough_requests = 0
@@ -344,22 +341,6 @@ class QueryFrontend:
         )
 
     # -- plumbing --------------------------------------------------------
-    def handle_query(self, request: Request) -> Response:
-        """Entry point for an embedding LB: dispatch a query-path
-        request straight into the frontend logic, without the extra
-        per-hop App middleware the standalone ``self.app`` adds."""
-        if request.path == "/api/v1/query":
-            return self._query(request)
-        return self._query_range(request)
-
-    @staticmethod
-    def _param(request: Request, name: str) -> str | None:
-        value = request.param(name)
-        if value is None:
-            values = request.form.get(name)
-            value = values[0] if values else None
-        return value
-
     def _forward(self, request: Request) -> Response:
         """Send one request to a backend picked by the LB strategy."""
         backend = self.strategy.choose()
@@ -369,35 +350,12 @@ class QueryFrontend:
         finally:
             backend.release()
 
-    def _forward_route(self, request: Request) -> Response:
-        return self._forward(request)
-
     def _rejected(self, exc: AdmissionRejected) -> Response:
         return Response.json(
             {"status": "error", "errorType": "unavailable", "error": str(exc)},
             status=503,
             retry_after=f"{max(1, math.ceil(self.admission.retry_after))}",
         )
-
-    @staticmethod
-    def _params(request: Request) -> tuple[str | None, ...]:
-        """All evaluation-relevant parameters, extracted once.
-
-        Indexed by :data:`_PARAM_NAMES` position; also the variable
-        part of the request fingerprint.  The POST form is parsed at
-        most once, not per missing parameter.
-        """
-        form: dict[str, list[str]] | None = None
-        out = []
-        for name in _PARAM_NAMES:
-            value = request.param(name)
-            if value is None:
-                if form is None:
-                    form = request.form
-                values = form.get(name)
-                value = values[0] if values else None
-            out.append(value)
-        return tuple(out)
 
     def _coalesced(self, fingerprint: tuple, tenant: str, fn) -> Response:
         """Admission inside single-flight: followers hold no slot."""
@@ -420,47 +378,21 @@ class QueryFrontend:
             return math.inf
         return self.clock.now() - self.freshness_seconds
 
-    # -- instant queries -------------------------------------------------
-    def _query(self, request: Request) -> Response:
-        values = self._params(request)
-        query = values[0]
-        if query and self.limits is not None:
-            failed = self.limits.check_query(query)
-            if failed is not None:
-                return failed
+    # -- query paths -----------------------------------------------------
+    def handle_query(self, request: Request) -> Response:
+        """Serve ``/api/v1/query`` or ``/api/v1/query_range``: the
+        standalone app's routes, and the entry point an embedding LB
+        calls directly (no second App middleware per hop)."""
+        plan = plan_query(request, self.limits)
+        if isinstance(plan, Response):
+            return plan
+        if request.plan is None:  # planned here: forward our own request
+            request = replace(request, plan=plan)
         tenant = request.header(USER_HEADER, "") or ""
-        fingerprint = (request.path, tenant) + values
-        return self._coalesced(fingerprint, tenant, lambda: self._forward(request))
-
-    # -- range queries ---------------------------------------------------
-    def _query_range(self, request: Request) -> Response:
-        # Check order mirrors PromAPI._query_range exactly — missing
-        # query, then start/end/step parsing, then limits — so a
-        # request failing several checks at once gets the same status
-        # from both paths (e.g. over-long query + malformed numbers is
-        # a 400, not a 422).
-        values = self._params(request)
-        query = values[0]
-        if not query:
-            # Missing query: the backend renders the canonical 400,
-            # before any float parsing or limit check.
-            self.passthrough_requests += 1
-            return self._forward(request)
-        try:
-            start = float(values[2])
-            end = float(values[3])
-            step = float(values[4])
-        except (TypeError, ValueError):
-            # Malformed numbers: the backend renders the canonical 400.
-            return self._forward(request)
-        if self.limits is not None:
-            failed = self.limits.check_query(query) or self.limits.check_range(
-                start, end, step
-            )
-            if failed is not None:
-                return failed
-        tenant = request.header(USER_HEADER, "") or ""
-        fingerprint = (request.path, tenant) + values
+        # Everything that distinguishes one evaluation from another.
+        fingerprint = (tenant, plan.path, plan.query, plan.time, plan.start, plan.end, plan.step, plan.stats)
+        if plan.path == INSTANT_PATH:
+            return self._coalesced(fingerprint, tenant, lambda: self._forward(request))
         body = self.memo.get(fingerprint)
         if body is not None:
             # Whole-response replay: this exact request was answered
@@ -472,33 +404,18 @@ class QueryFrontend:
         return self._coalesced(
             fingerprint,
             tenant,
-            lambda: self._range_inner(
-                request, values, tenant, start, end, step, fingerprint
-            ),
+            lambda: self._range_inner(request, plan, tenant, fingerprint),
         )
 
     def _range_inner(
-        self,
-        request: Request,
-        values: tuple[str | None, ...],
-        tenant: str,
-        start: float,
-        end: float,
-        step: float,
-        fingerprint: tuple,
+        self, request: Request, plan: QueryPlan, tenant: str, fingerprint: tuple
     ) -> Response:
-        query = values[0] or ""
-        if (
-            not query
-            or step <= 0
-            or end < start
-            or (values[5] or "") == "all"
-        ):
-            # Error cases render backend-identically; stats=all embeds
-            # per-evaluation timings that a cache hit could not
-            # reproduce — both bypass the split/cache machinery.
+        if plan.stats:
+            # stats=all embeds per-evaluation timings that a cache hit
+            # could not reproduce: bypass the split/cache machinery.
             self.passthrough_requests += 1
             return self._forward(request)
+        query, start, end, step = plan.query, plan.start, plan.end, plan.step
         grid = range_steps(start, end, step)
         grid_list: list[float] = grid.tolist()
         cutoff = self._now_cutoff()
@@ -558,16 +475,19 @@ class QueryFrontend:
         part_results: list[tuple[int, int, list]] = []
         for i0, i1 in sub_runs:
             self.subqueries += 1
+            lo, hi = float(grid[i0]), float(grid[i1])
             sub = Request(
                 method="GET",
-                path="/api/v1/query_range",
+                path=RANGE_PATH,
                 query={
                     "query": [query],
-                    "start": [repr(float(grid[i0]))],
-                    "end": [repr(float(grid[i1]))],
-                    "step": [values[4]],
+                    "start": [repr(lo)],
+                    "end": [repr(hi)],
+                    "step": [repr(step)],
                 },
                 headers=dict(request.headers),
+                # The same plan, narrowed: same AST, new start/end.
+                plan=replace(plan, start=lo, end=hi),
             )
             response = self._forward(sub)
             if response.status != 200:

@@ -2,9 +2,14 @@
 
 The LB *"intercepts the query request to the backend Prometheus
 instance [and] retrieves the workload unique identifier"* (§II.B.c).
-Rather than regex-scraping the query string, the query is parsed with
-the real PromQL parser and the AST walked for matchers on the ``uuid``
-label:
+Rather than regex-scraping the query string, the authorizer reads the
+parsed query.  The AST is the one the request's
+:class:`~repro.tsdb.plan.QueryPlan` carries (query text is parsed here
+only for callers off the serving path), and its selectors are found by
+:func:`repro.tsdb.promql.ast.iter_selectors` — the walker the query
+tracker and the exemplar lookup use too, so evaluation can reach no
+selector the authorizer did not see.  Each selector's matchers on the
+``uuid`` label decide the scope:
 
 * ``uuid="123"`` contributes ``123``;
 * ``uuid=~"123|456"`` contributes both (the alternation form Grafana's
@@ -18,17 +23,7 @@ label:
 from __future__ import annotations
 
 from repro.tsdb.model import MatchOp
-from repro.tsdb.promql.ast import (
-    Aggregation,
-    BinaryOp,
-    Call,
-    Expr,
-    MatrixSelector,
-    Paren,
-    Subquery,
-    UnaryOp,
-    VectorSelector,
-)
+from repro.tsdb.promql.ast import Expr, VectorSelector, iter_selectors
 from repro.tsdb.promql.parser import parse_expr
 
 #: Characters allowed in a regex matcher we are willing to expand into
@@ -64,36 +59,13 @@ class QueryScope:
             self.unbounded = True
 
 
-def _walk(node: Expr, scope: QueryScope) -> None:
-    if isinstance(node, VectorSelector):
-        scope.add_selector(node)
-    elif isinstance(node, MatrixSelector):
-        scope.add_selector(node.selector)
-    elif isinstance(node, Paren):
-        _walk(node.expr, scope)
-    elif isinstance(node, Subquery):
-        _walk(node.expr, scope)
-    elif isinstance(node, UnaryOp):
-        _walk(node.expr, scope)
-    elif isinstance(node, Call):
-        for arg in node.args:
-            _walk(arg, scope)
-    elif isinstance(node, Aggregation):
-        _walk(node.expr, scope)
-        if node.param is not None:
-            _walk(node.param, scope)
-    elif isinstance(node, BinaryOp):
-        _walk(node.lhs, scope)
-        _walk(node.rhs, scope)
-    # literals contribute nothing
+def extract_uuids(query: str | Expr) -> QueryScope:
+    """Analyse one PromQL query, given as text or already parsed.
 
-
-def extract_uuids(query: str) -> QueryScope:
-    """Analyse one PromQL query string.
-
-    Raises :class:`QueryError` when the query does not parse — the LB
-    turns that into an HTTP 400 before any backend sees the query.
+    Raises :class:`QueryError` when query text does not parse — fail
+    closed, before any backend sees the query.
     """
     scope = QueryScope()
-    _walk(parse_expr(query), scope)
+    for selector in iter_selectors(parse_expr(query) if isinstance(query, str) else query):
+        scope.add_selector(selector)
     return scope

@@ -1,15 +1,20 @@
 """The load balancer itself: reverse proxy + access control + balancing.
 
-Request flow for ``/api/v1/query`` and ``/api/v1/query_range``:
+Request flow for ``/api/v1/query``, ``/api/v1/query_range`` and
+``/api/v1/query_exemplars``:
 
 1. read the user identity from ``X-Grafana-User`` (reject if absent —
    without an identity there is nothing to authorize against);
-2. extract the query (GET parameter or POST form), introspect it for
-   the unit uuids it touches;
-3. authorize: admins pass, regular users must own every touched unit
-   and the query scope must be bounded;
-4. pick a backend by the configured strategy and forward the request,
-   tracking in-flight connections for least-connection.
+2. plan the request (:func:`repro.tsdb.plan.plan_query`): parameters
+   (GET or POST form), numbers, limits and the PromQL AST are read and
+   checked once, here at the first hop, and a failure is answered with
+   the status and body a backend would have sent;
+3. authorize against the plan's AST: admins pass, regular users must
+   own every unit a selector touches and the scope must be bounded;
+4. route by the plan's earliest time (long-term pool, else the
+   embedded frontend, else a backend picked by the strategy) and
+   forward the LB's own upstream request carrying the plan, through
+   one call that times it and maps outages to 503, crashes to 502.
 
 Non-query endpoints (``/api/v1/label/...``, ``/-/healthy``) pass
 through with only the identity requirement, as they expose no
@@ -20,15 +25,16 @@ the CEEMS deployment default).
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
-from repro.common.errors import CEEMSError, QueryError
+from repro.common.errors import CEEMSError
 from repro.common.httpx import App, Request, Response
 from repro.lb.authz import Authorizer
 from repro.lb.introspect import extract_uuids
 from repro.lb.strategies import Backend, Strategy, make_strategy
+from repro.tsdb.plan import INSTANT_PATH, QUERY_PATHS, RANGE_PATH, QueryPlan, plan_query
 
 USER_HEADER = "x-grafana-user"
-_QUERY_PATHS = ("/api/v1/query", "/api/v1/query_range", "/api/v1/query_exemplars")
 
 
 class LoadBalancer:
@@ -179,160 +185,108 @@ class LoadBalancer:
         return Response.json({"status": "success", "ready": True})
 
     # -- core ---------------------------------------------------------------
-    def _deny(self, request: Request, status: int, reason: str, user: str = "") -> Response:
+    def _deny(self, request: Request, denied: Response, user: str = "") -> Response:
         self.requests_denied += 1
         self.app.telemetry.log.warning(
             "request denied",
             path=request.path,
-            status=status,
+            status=denied.status,
             user=user,
-            reason=reason,
+            reason=denied.decode_json()["error"],
         )
-        return Response.error(status, reason)
+        return denied
 
     def _proxy(self, request: Request) -> Response:
         user = request.header(USER_HEADER, "") or ""
         if not user:
-            return self._deny(request, 401, f"missing {USER_HEADER} header")
-        if request.path in _QUERY_PATHS:
-            query = request.param("query")
-            if query is None:
-                form = request.form
-                values = form.get("query")
-                query = values[0] if values else None
-            if not query:
-                return self._deny(request, 400, "missing query parameter", user)
-            try:
-                scope = extract_uuids(query)
-            except QueryError as exc:
-                return self._deny(request, 400, f"unparseable query: {exc}", user)
+            return self._deny(request, Response.error(401, f"missing {USER_HEADER} header"))
+        plan = None
+        if request.path in QUERY_PATHS:
+            # The embedded frontend's limits, so that every door checks
+            # in one order; a backend holding others applies its own.
+            limits = self.frontend.limits if self.frontend is not None else None
+            plan = plan_query(request, limits)
+            if isinstance(plan, Response):
+                return self._deny(request, plan, user)
+            scope = extract_uuids(plan.ast)
             if not self.authorizer.allowed(user, scope.uuids, unbounded=scope.unbounded):
-                return self._deny(
-                    request,
-                    403,
-                    f"user {user} is not allowed to query units {sorted(scope.uuids) or '(all)'}",
-                    user,
-                )
-        if self.frontend is not None and request.path in (
-            "/api/v1/query",
-            "/api/v1/query_range",
-        ):
-            # Age-based routing wins over the frontend: the frontend's
-            # backend pool is the hot pool, so queries older than the
-            # hot retention must keep going to the long-term (Thanos)
-            # backends via the plain proxy path below.
-            if not self._routes_longterm(request):
-                return self._frontend_dispatch(request)
+                reason = f"user {user} is not allowed to query units {sorted(scope.uuids) or '(all)'}"
+                return self._deny(request, Response.error(403, reason), user)
+            if request.plan is None:
+                # On the LB's own upstream request: the client may keep
+                # its request object, so nothing of ours lives on it.
+                request = replace(request, plan=plan)
+        # Age-based routing wins over the frontend: the frontend's
+        # backend pool is the hot pool, so queries older than the hot
+        # retention go to the long-term (Thanos) backends.
+        longterm = plan is not None and self._routes_longterm(plan)
+        if self.frontend is not None and not longterm and request.path in (INSTANT_PATH, RANGE_PATH):
+            return self._upstream(request, self.frontend.app.name, self.frontend.handle_query)
         try:
-            backend = self._pick_backend(request)
+            if longterm:
+                self.longterm_routed += 1
+                backend = self.longterm_strategy.choose()
+            else:
+                backend = self.strategy.choose()
         except CEEMSError as exc:
-            # No healthy backend to forward to: a retryable outage, not
-            # a crash — tell the client when to come back.
-            self.upstream_errors += 1
-            return Response.json(
-                {"status": "error", "errorType": "unavailable", "error": str(exc)},
-                status=503,
-                retry_after="1",
-            )
+            return self._unavailable(exc)
         backend.acquire()
-        started = time.perf_counter()
         try:
-            response = backend.app.handle(request)
-        except Exception as exc:  # backend crashed mid-request
-            self.upstream_errors += 1
-            self.app.telemetry.log.error(
-                "backend error",
-                path=request.path,
-                backend=backend.name,
-                error=str(exc),
-            )
-            response = Response.json(
-                {"status": "error", "errorType": "internal", "error": f"backend {backend.name} failed: {exc}"},
-                status=502,
-            )
+            return self._upstream(request, backend.name, backend.app.handle)
         finally:
             backend.release()
+
+    def _unavailable(self, exc: CEEMSError) -> Response:
+        """No healthy backend to forward to: a retryable outage, not a
+        crash — tell the client when to come back."""
+        self.upstream_errors += 1
+        return Response.json(
+            {"status": "error", "errorType": "unavailable", "error": str(exc)},
+            status=503,
+            retry_after="1",
+        )
+
+    def _upstream(self, request: Request, name: str, handle) -> Response:
+        """The one upstream call — a backend's ``App.handle`` or the
+        frontend's ``handle_query`` — timed, counted and error-mapped
+        the same way whichever it is."""
+        started = time.perf_counter()
+        try:
+            response = handle(request)
+        except CEEMSError as exc:
+            # The frontend found no healthy backend (strategy.choose
+            # raised inside it): the same outage as above, not a 502.
+            response = self._unavailable(exc)
+        except Exception as exc:  # upstream crashed mid-request
+            self.upstream_errors += 1
+            self.app.telemetry.log.error(
+                "backend error", path=request.path, backend=name, error=str(exc)
+            )
+            response = Response.json(
+                {"status": "error", "errorType": "internal", "error": f"backend {name} failed: {exc}"},
+                status=502,
+            )
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         if 0 <= self.slow_request_ms <= elapsed_ms:
             self.slow_requests += 1
             self.app.telemetry.log.warning(
                 "slow proxied request",
                 path=request.path,
-                backend=backend.name,
+                backend=name,
                 duration_ms=elapsed_ms,
                 threshold_ms=self.slow_request_ms,
             )
         self.requests_proxied += 1
-        response.headers["x-ceems-backend"] = backend.name
+        response.headers["x-ceems-backend"] = name
         return response
 
-    def _frontend_dispatch(self, request: Request) -> Response:
-        """Hand an authorized query-path request to the frontend."""
-        try:
-            response = self.frontend.handle_query(request)
-        except CEEMSError as exc:
-            # No healthy backend behind the frontend (strategy.choose
-            # raised): the same retryable outage the plain proxy path
-            # maps to 503 + Retry-After — not a 502 crash.
-            self.upstream_errors += 1
-            response = Response.json(
-                {"status": "error", "errorType": "unavailable", "error": str(exc)},
-                status=503,
-                retry_after="1",
-            )
-        except Exception as exc:  # frontend/backend crashed mid-request
-            self.upstream_errors += 1
-            self.app.telemetry.log.error(
-                "frontend error", path=request.path, error=str(exc)
-            )
-            response = Response.json(
-                {
-                    "status": "error",
-                    "errorType": "internal",
-                    "error": f"query frontend failed: {exc}",
-                },
-                status=502,
-            )
-        self.requests_proxied += 1
-        response.headers["x-ceems-backend"] = self.frontend.app.name
-        return response
-
-    def _routes_longterm(self, request: Request) -> bool:
+    def _routes_longterm(self, plan: QueryPlan) -> bool:
         """Would age-based routing send this query to the long-term pool?"""
-        if (
-            self.longterm_strategy is None
-            or self.hot_retention <= 0
-            or self.clock is None
-        ):
-            return False
-        earliest = self._query_earliest_time(request)
+        earliest = plan.earliest
         return (
-            earliest is not None
+            self.longterm_strategy is not None
+            and self.hot_retention > 0
+            and self.clock is not None
+            and earliest is not None
             and self.clock.now() - earliest > self.hot_retention
         )
-
-    def _pick_backend(self, request: Request) -> Backend:
-        """Route by query age when a long-term pool is configured."""
-        if request.path in _QUERY_PATHS and self._routes_longterm(request):
-            self.longterm_routed += 1
-            return self.longterm_strategy.choose()
-        return self.strategy.choose()
-
-    @staticmethod
-    def _query_earliest_time(request: Request) -> float | None:
-        """Earliest timestamp a query touches (time / start params)."""
-
-        def param(name: str) -> str | None:
-            value = request.param(name)
-            if value is None:
-                values = request.form.get(name)
-                value = values[0] if values else None
-            return value
-
-        raw = param("start") if request.path.endswith("query_range") else param("time")
-        if raw is None:
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            return None

@@ -17,8 +17,11 @@ documented response envelope (``{"status":"success","data":{...}}``):
   recent queries with live phase timings) plus the slow-query log,
 * ``GET /-/healthy``.
 
-POST form bodies are honoured (Grafana sends long queries that way),
-which matters for the LB: it must introspect both transports.
+POST form bodies are honoured (Grafana sends long queries that way).
+Query-path requests are read, validated and parsed by
+:func:`repro.tsdb.plan.plan_query` — here when a client reaches this
+backend directly, by the LB or the frontend when the request came
+through them, in which case the plan arrives with the request.
 
 Every query runs through the introspection pipeline of
 :mod:`repro.obs.query`: a :class:`~repro.obs.query.QueryStats` is
@@ -36,7 +39,6 @@ import time
 
 from repro.common.errors import QueryError, StorageError
 from repro.common.httpx import App, Request, Response
-from repro.frontend.limits import QueryLimits
 from repro.obs.query import (
     ActiveQueryTracker,
     QueryQueueFullError,
@@ -46,7 +48,8 @@ from repro.obs.query import (
     deactivate_stats,
 )
 from repro.obs.trace import current_trace
-from repro.tsdb.model import Matcher, MatchOp
+from repro.tsdb.model import Matcher
+from repro.tsdb.plan import QueryLimits, plan_query
 from repro.tsdb.promql.ast import VectorSelector, iter_selectors
 from repro.tsdb.promql.engine import PromQLEngine
 from repro.tsdb.promql.parser import parse_expr
@@ -266,37 +269,31 @@ class PromAPI:
             families.append(family)
         return families
 
-    # -- parameter handling -------------------------------------------------
-    @staticmethod
-    def _param(request: Request, name: str) -> str | None:
-        value = request.param(name)
-        if value is None:
-            form = request.form
-            values = form.get(name)
-            value = values[0] if values else None
-        return value
-
     # -- query introspection pipeline ---------------------------------------
-    def _introspected(self, request: Request, query: str, eval_fn, render_fn) -> Response:
-        """Parse, admit, evaluate and render one query with accounting.
+    def _introspected(self, request: Request, eval_fn, render_fn) -> Response:
+        """Plan, admit, evaluate and render one query with accounting.
 
-        ``eval_fn(ast)`` runs the engine; ``render_fn(result)`` builds
-        the response ``data`` payload.  Stats are active for the whole
-        pipeline; the tracker gates the eval phase only (parse/render
-        are cheap and must not hold a concurrency slot).
+        ``eval_fn(plan)`` runs the engine; ``render_fn(result)`` builds
+        the response ``data`` payload.  The tracker gates the eval
+        phase only (planning and render are cheap and must not hold a
+        concurrency slot).  The parse phase is what obtaining the plan
+        cost *here*: reading, validating and parsing when this backend
+        is the first hop, next to nothing when the plan came with the
+        request.
         """
-        stats = QueryStats(query=query)
+        stats = QueryStats()
+        with stats.phase("parse"), self.app.telemetry.child_span("promql.parse"):
+            plan = plan_query(request, self.limits)
+        if isinstance(plan, Response):
+            return plan
+        self.queries_served += 1
+        query = stats.query = plan.query
         ctx = current_trace()
         trace_id = ctx.trace_id if ctx is not None else ""
         token = activate_stats(stats)
         started = time.perf_counter()
         try:
-            try:
-                with stats.phase("parse"), self.app.telemetry.child_span("promql.parse"):
-                    ast = parse_expr(query)
-            except (QueryError, ValueError) as exc:
-                return Response.error(400, str(exc))
-            fingerprint = tuple(str(sel) for sel in iter_selectors(ast))
+            fingerprint = tuple(str(sel) for sel in iter_selectors(plan.ast))
             try:
                 with self.tracker.track(
                     query, fingerprint=fingerprint, stats=stats
@@ -304,7 +301,7 @@ class PromAPI:
                     record.trace_id = trace_id
                     with self.app.telemetry.child_span("promql.eval") as span:
                         with stats.phase("eval"):
-                            result = eval_fn(ast)
+                            result = eval_fn(plan)
                         if span is not None:
                             # Exemplar-style span event: the finished
                             # eval-phase breakdown rides on the span.
@@ -322,7 +319,7 @@ class PromAPI:
                 return Response.error(400, str(exc))
             with stats.phase("render"):
                 payload = render_fn(result)
-            if (self._param(request, "stats") or "") == "all":
+            if plan.stats:
                 payload["stats"] = stats.to_dict()
             return Response.json({"status": "success", "data": payload})
         finally:
@@ -337,18 +334,6 @@ class PromAPI:
 
     # -- endpoints ---------------------------------------------------------------
     def _query(self, request: Request) -> Response:
-        query = self._param(request, "query")
-        if not query:
-            return Response.error(400, "missing query parameter")
-        if self.limits is not None:
-            failed = self.limits.check_query(query)
-            if failed is not None:
-                return failed
-        time_param = self._param(request, "time")
-        if time_param is None:
-            return Response.error(400, "missing time parameter (no wall clock in simulation)")
-        self.queries_served += 1
-
         def render(result):
             if result.is_scalar:
                 return {
@@ -367,30 +352,10 @@ class PromAPI:
             }
 
         return self._introspected(
-            request,
-            query,
-            lambda ast: self.engine.query(ast, float(time_param)),
-            render,
+            request, lambda plan: self.engine.query(plan.ast, plan.time), render
         )
 
     def _query_range(self, request: Request) -> Response:
-        query = self._param(request, "query")
-        if not query:
-            return Response.error(400, "missing query parameter")
-        try:
-            start = float(self._param(request, "start"))
-            end = float(self._param(request, "end"))
-            step = float(self._param(request, "step"))
-        except (TypeError, ValueError):
-            return Response.error(400, "start/end/step must be numbers")
-        if self.limits is not None:
-            failed = self.limits.check_query(query) or self.limits.check_range(
-                start, end, step
-            )
-            if failed is not None:
-                return failed
-        self.queries_served += 1
-
         def render(result):
             return {
                 "resultType": "matrix",
@@ -409,8 +374,9 @@ class PromAPI:
 
         return self._introspected(
             request,
-            query,
-            lambda ast: self.engine.query_range(ast, start, end, step),
+            lambda plan: self.engine.query_range(
+                plan.ast, plan.start, plan.end, plan.step
+            ),
             render,
         )
 
@@ -423,25 +389,16 @@ class PromAPI:
         walks the AST for vector selectors instead of requiring a
         plain selector, exactly like Prometheus.
         """
-        query = self._param(request, "query")
-        if not query:
-            return Response.error(400, "missing query parameter")
-        try:
-            start_param = self._param(request, "start")
-            end_param = self._param(request, "end")
-            start = float(start_param) if start_param is not None else float("-inf")
-            end = float(end_param) if end_param is not None else float("inf")
-        except ValueError:
-            return Response.error(400, "start/end must be numbers")
-        try:
-            ast = parse_expr(query)
-        except (QueryError, ValueError) as exc:
-            return Response.error(400, str(exc))
+        plan = plan_query(request, self.limits)
+        if isinstance(plan, Response):
+            return plan
+        start = -math.inf if plan.start is None else plan.start
+        end = math.inf if plan.end is None else plan.end
         self.queries_served += 1
         if self.exemplars is None:
             return Response.json({"status": "success", "data": []})
         merged: dict = {}
-        for selector in iter_selectors(ast):
+        for selector in iter_selectors(plan.ast):
             for labels, records in self.exemplars.select(
                 list(selector.matchers), start, end
             ):
@@ -622,12 +579,3 @@ class PromAPI:
         if self.alertmanager is None:
             return Response.error(404, "no alertmanager configured")
         return self.alertmanager.app.handle(request)
-
-
-def delete_series_matchers(uuid: str) -> list[Matcher]:
-    """Matchers selecting every series of one compute unit.
-
-    Used by the API server's cardinality cleanup (Admin API analogue
-    of ``/api/v1/admin/tsdb/delete_series?match[]={uuid="..."}``).
-    """
-    return [Matcher("uuid", MatchOp.EQ, uuid)]

@@ -174,24 +174,31 @@ class Paren(Expr):
         return f"({self.expr})"
 
 
+def iter_nodes(node: Expr):
+    """Yield ``node`` and every node below it, reading order: the one
+    walker behind authz, tracking, exemplars and limits, so no node
+    kind is visible to one of them and not to another."""
+    yield node
+    if isinstance(node, MatrixSelector):
+        children = (node.selector,)
+    elif isinstance(node, (Paren, UnaryOp, Subquery)):
+        children = (node.expr,)
+    elif isinstance(node, Aggregation):
+        children = (node.expr,) if node.param is None else (node.expr, node.param)
+    elif isinstance(node, Call):
+        children = node.args
+    elif isinstance(node, BinaryOp):
+        children = (node.lhs, node.rhs)
+    else:
+        return
+    for child in children:
+        yield from iter_nodes(child)
+
+
 def iter_selectors(node: Expr):
     """Yield every :class:`VectorSelector` in ``node``, reading order.
 
     The active-query tracker fingerprints queries by the plain series
     selectors they touch (bounded cardinality, unlike raw query text).
     """
-    if isinstance(node, VectorSelector):
-        yield node
-    elif isinstance(node, MatrixSelector):
-        yield node.selector
-    elif isinstance(node, (Paren, UnaryOp, Subquery, Aggregation)):
-        yield from iter_selectors(node.expr)
-        param = getattr(node, "param", None)
-        if param is not None:
-            yield from iter_selectors(param)
-    elif isinstance(node, Call):
-        for arg in node.args:
-            yield from iter_selectors(arg)
-    elif isinstance(node, BinaryOp):
-        yield from iter_selectors(node.lhs)
-        yield from iter_selectors(node.rhs)
+    return (n for n in iter_nodes(node) if isinstance(n, VectorSelector))

@@ -1,11 +1,14 @@
-"""Columnar (vectorized) PromQL range evaluation.
+"""Columnar (vectorized) PromQL evaluation over a step grid.
 
-A range query is by definition the instant AST walk of
+Evaluating over a grid is by definition the instant AST walk of
 :mod:`repro.tsdb.promql.engine` repeated at every step timestamp, but
-evaluating it that way re-walks the AST and re-runs ``storage.select``
-per step: a 90-day query at 1 h resolution would be ~2160 full instant
+doing it that way re-walks the AST and re-runs ``storage.select`` per
+step: a 90-day query at 1 h resolution would be ~2160 full instant
 evaluations, each doing fresh index intersections and per-series
-bisects.  This module evaluates the whole range in one pass instead:
+bisects.  This module evaluates the whole grid in one pass instead —
+the steps of a range query (:func:`eval_range_columnar`) and equally
+the inner steps of a subquery, whether it sits in a range query or in
+an instant walk (:func:`subquery_windows_at`):
 
 * every selector is resolved **once per query** (through the storage
   selector memo) and each matched series is materialised once as
@@ -30,7 +33,7 @@ Values flow through evaluation as one of three shapes:
 
 Bit-identity with the walk at every step is a hard contract (the
 differential harness in ``tests/test_promql_reference.py`` asserts it
-against the per-step loop in ``tests/reference/promql.py``): every
+against the per-step loops in ``tests/reference/promql.py``): every
 elementwise formula reproduces the scalar code's
 operation order, aggregation accumulates rows in the same sequential
 order the reference accumulates vector elements (absent entries
@@ -131,6 +134,27 @@ def eval_range_columnar(
     COLUMNAR_STATS["range_queries"] += 1
     ev = _ColumnarEval(engine, steps)
     return ev.materialize(ev.eval(ast))
+
+
+def subquery_windows_at(
+    engine: PromQLEngine, node: Subquery, at: float
+) -> list[tuple[Labels, np.ndarray, np.ndarray, float, float]]:
+    """The walk's windows for a subquery at the one outer step ``at``.
+
+    Not a range query — it counts as none in ``COLUMNAR_STATS`` or the
+    engine's ``eval_queries`` — just the window code below asked for a
+    single column.  Rows are ``(labels, ts, vs, start, end)`` as
+    :meth:`PromQLEngine._windows` returns them; series with no inner
+    point in the window are dropped, as the walk never saw them.
+    """
+    ev = _ColumnarEval(engine, np.array([at], dtype=np.float64))
+    starts, ends, rows = ev._window_data(node)
+    start, end = float(starts[0]), float(ends[0])
+    return [
+        (labels, ts[los[0] : his[0]], vs[los[0] : his[0]], start, end)
+        for labels, ts, vs, los, his in rows
+        if his[0] > los[0]
+    ]
 
 
 class _ColumnarEval:
@@ -238,38 +262,27 @@ class _ColumnarEval:
         values = np.full((S, self.T), np.nan)
         present = np.zeros((S, self.T), dtype=bool)
         labels: list[Labels] = []
-        if self.T == 1:
-            # Instant fast path (rule evaluation): one bisect per
-            # series beats per-series searchsorted setup.
-            at = float(ats[0])
-            for i, series in enumerate(series_list):
-                labels.append(series.labels)
-                point = series.at_or_before(at, self.lookback)
-                if point is not None:
-                    values[i, 0] = point[1]
-                    present[i, 0] = True
-        else:
-            # Chunk-granular pruning: only samples in
-            # [first step - lookback, last step] can be selected, and
-            # pruned-out older samples can never shadow the
-            # last-sample-<=-at search (they'd fail the lookback test
-            # anyway), so a contiguous superset read is bit-identical.
-            lo_bound = float(ats[0]) - self.lookback
-            hi_bound = float(ats[-1])
-            for i, series in enumerate(series_list):
-                labels.append(series.labels)
-                ts_a, vs_a = _pruned_arrays(series, lo_bound, hi_bound)
-                if not len(ts_a):
-                    continue
-                idx = np.searchsorted(ts_a, ats, side="right") - 1
-                ok = idx >= 0
-                safe = np.maximum(idx, 0)
-                t_found = ts_a[safe]
-                v_found = vs_a[safe]
-                ok &= t_found > ats - self.lookback
-                ok &= ~np.isnan(v_found)  # staleness marker
-                values[i, ok] = v_found[ok]
-                present[i] = ok
+        # Chunk-granular pruning: only samples in
+        # [first step - lookback, last step] can be selected, and
+        # pruned-out older samples can never shadow the
+        # last-sample-<=-at search (they'd fail the lookback test
+        # anyway), so a contiguous superset read is bit-identical.
+        lo_bound = float(ats[0]) - self.lookback
+        hi_bound = float(ats[-1])
+        for i, series in enumerate(series_list):
+            labels.append(series.labels)
+            ts_a, vs_a = _pruned_arrays(series, lo_bound, hi_bound)
+            if not len(ts_a):
+                continue
+            idx = np.searchsorted(ts_a, ats, side="right") - 1
+            ok = idx >= 0
+            safe = np.maximum(idx, 0)
+            t_found = ts_a[safe]
+            v_found = vs_a[safe]
+            ok &= t_found > ats - self.lookback
+            ok &= ~np.isnan(v_found)  # staleness marker
+            values[i, ok] = v_found[ok]
+            present[i] = ok
         obsquery.record_samples(int(present.sum()))
         mat = _Matrix(labels, values, present)
         self._selector_memo[node] = mat
@@ -376,7 +389,7 @@ class _ColumnarEval:
                 for i, (lbl, tsf, vsf, los, his) in enumerate(rows):
                     labels.append(lbl.without_name())
                     values[i] = kernel(tsf, vsf, los, his, starts, ends)
-            # The per-step engine drops None/NaN range-function results.
+            # The walk drops None/NaN range-function results.
             return _Matrix(labels, values, ~np.isnan(values))
         if func == "quantile_over_time":
             if len(node.args) != 2 or not isinstance(node.args[1], (MatrixSelector, Subquery)):
@@ -413,11 +426,11 @@ class _ColumnarEval:
         else:
             # Python impls may raise (exp overflow, floor of NaN…);
             # apply them per present element so semantics — including
-            # exceptions — match the per-step engine exactly.
+            # exceptions — match the walk exactly.
             impl = ELEMENT_FUNCTIONS[func]
             vals = vec.values
             for i, j in zip(*np.nonzero(vec.present)):
-                # Plain Python floats in, as the per-step engine passes.
+                # Plain Python floats in, as the walk passes.
                 values[i, j] = float(impl(float(vals[i, j]), *(float(e[j]) for e in extras)))
         return _Matrix(labels, values, vec.present.copy())
 

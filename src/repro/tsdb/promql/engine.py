@@ -5,8 +5,8 @@ an instant query evaluated at every step timestamp; an *instant
 query* walks the AST producing scalars and instant vectors.  Matrix
 selectors exist only as arguments to range functions.
 
-Each query kind has exactly one evaluator, chosen by the method
-called — one timestamp or a step grid:
+Each shape of evaluation has exactly one evaluator — one timestamp is
+walked, a step grid is evaluated columnar — wherever the grid occurs:
 
 * :meth:`PromQLEngine.query` walks the AST (``_eval``) at its single
   timestamp.  At one step there is no step axis to vectorise over, so
@@ -15,9 +15,14 @@ called — one timestamp or a step grid:
   rules, see DESIGN.md).
 * :meth:`PromQLEngine.query_range` evaluates the whole grid in one
   columnar pass (:mod:`repro.tsdb.promql.columnar`), bit-identical to
-  running the walk at every ``range_steps`` timestamp — the loop the
-  differential suite keeps as its oracle
-  (``tests/reference/promql.py``).
+  running the walk at every ``range_steps`` timestamp.
+* a subquery ``<expr>[range:step]`` met by the walk is a grid too: its
+  windows come from the same columnar window code, asked for the one
+  outer step the walk is at (``_subquery_windows``), bit-identical to
+  walking the inner expression at every inner step.
+
+Both per-step loops live on as the oracles of the differential suite
+(``tests/reference/promql.py``).
 
 Semantics reproduced from Prometheus:
 
@@ -282,42 +287,16 @@ class PromQLEngine:
         return out
 
     def _subquery_windows(self, node: Subquery, at: float) -> list[tuple[Labels, np.ndarray, np.ndarray, float, float]]:
-        """Synthesise range-vector windows from an instant expression.
+        """Range-vector windows of ``<expr>[range:step]`` ending at ``at``.
 
-        The inner expression is evaluated at every step inside the
-        window; steps are aligned to absolute multiples of the step
-        (Prometheus subquery semantics), so results are stable across
-        evaluation timestamps.
+        The inner steps are a grid, so the columnar evaluator produces
+        them: selectors resolved once, every inner step in one pass
+        (looping ``_eval`` per inner step was 288 selects for the
+        dashboards' 24h:5m panel).
         """
-        end = at - node.offset
-        start = end - node.range_seconds
-        step = node.step_seconds
-        # Steps are generated by index on the absolute grid
-        # (``m * step`` for integer m) rather than accumulated — the
-        # same drift fix as range_steps(), and the property that lets
-        # the columnar evaluator share one grid across all windows.
-        first_index = math.ceil(start / step)
-        acc: dict[Labels, tuple[list[float], list[float]]] = {}
-        j = first_index
-        while True:
-            t = j * step
-            if t > end + 1e-9:
-                break
-            value = self._eval(node.expr, t)
-            if isinstance(value, _Vector):
-                for el in value:
-                    ts_list, vs_list = acc.setdefault(el.labels, ([], []))
-                    ts_list.append(t)
-                    vs_list.append(el.value)
-            elif isinstance(value, (int, float)):
-                ts_list, vs_list = acc.setdefault(Labels(), ([], []))
-                ts_list.append(t)
-                vs_list.append(float(value))
-            j += 1
-        return [
-            (labels, np.asarray(ts), np.asarray(vs), start, end)
-            for labels, (ts, vs) in acc.items()
-        ]
+        from repro.tsdb.promql.columnar import subquery_windows_at
+
+        return subquery_windows_at(self, node, at)
 
     # -- function calls -----------------------------------------------------------
     def _eval_call(self, node: Call, at: float):

@@ -384,7 +384,7 @@ class TestLBForwarding:
         app = App(name="busy")
         app.router.get("/api/v1/query", lambda _r: canned)
         lb = LoadBalancer([Backend(name="busy", app=app)], _AllowAll())
-        response = lb.app.get("/api/v1/query?query=up", headers=ADMIN)
+        response = lb.app.get("/api/v1/query?query=up&time=0", headers=ADMIN)
         assert response.status == 503
         assert response.headers["retry-after"] == "7"
         assert response.body == canned.body
@@ -392,7 +392,7 @@ class TestLBForwarding:
     def test_no_healthy_backend_is_retryable_503(self):
         app = App(name="down")
         lb = LoadBalancer([Backend(name="down", app=app, healthy=False)], _AllowAll())
-        response = lb.app.get("/api/v1/query?query=up", headers=ADMIN)
+        response = lb.app.get("/api/v1/query?query=up&time=0", headers=ADMIN)
         assert response.status == 503
         assert response.headers.get("retry-after") == "1"
         assert response.decode_json()["errorType"] == "unavailable"
@@ -405,7 +405,7 @@ class TestLBForwarding:
         down = [Backend(name="down", app=App(name="down"), healthy=False)]
         lb = LoadBalancer(down, _AllowAll(), frontend=QueryFrontend(down))
         for url in (
-            "/api/v1/query?query=up",
+            "/api/v1/query?query=up&time=0",
             _range_url("up", 0, 600, 60),
         ):
             response = lb.app.get(url, headers=ADMIN)
@@ -422,7 +422,7 @@ class TestLBForwarding:
 
         app.router.get("/api/v1/query", boom)
         lb = LoadBalancer([Backend(name="crashy", app=app)], _AllowAll())
-        response = lb.app.get("/api/v1/query?query=up", headers=ADMIN)
+        response = lb.app.get("/api/v1/query?query=up&time=0", headers=ADMIN)
         assert response.status == 502
         assert "kaput" in response.decode_json()["error"]
         assert lb.upstream_errors == 1
@@ -621,12 +621,16 @@ class TestSplitPrimitives:
         steps = [0.0, 60.0, 120.0]
         result = [{"metric": {"a": "1"}, "values": [[0.0, "1"], [120.0, "3"]]}]
         cache.ingest(key, steps, result, cutoff=float("inf"))
-        assert cache.covered_of(key, steps) == set(steps)
+        served, columns = cache.snapshot(key, steps)
+        assert served == set(steps)
+        assert columns[0][2] == [0.0, 120.0]
+        assert columns[0][3] == ["1", "3"]
         # A drifted grid point is simply not covered.
-        assert cache.covered_of(key, [60.000000001]) == set()
-        sliced = list(cache.slice(key, {0.0, 120.0}, 0.0, 120.0))
-        assert sliced[0][2] == [0.0, 120.0]
-        assert sliced[0][3] == ["1", "3"]
+        assert cache.snapshot(key, [60.000000001]) == (set(), [])
+        # Only the asked-for grid points come back.
+        served, columns = cache.snapshot(key, [0.0, 60.0])
+        assert served == {0.0, 60.0}
+        assert (columns[0][2], columns[0][3]) == ([0.0], ["1"])
 
     def test_snapshot_is_atomic_copy(self):
         cache = ResultsCache(max_bytes=10_000)
@@ -639,7 +643,7 @@ class TestSplitPrimitives:
         # Evicting the entry after the snapshot cannot take the data
         # with it: assembly works from the copied columns.
         cache.clear()
-        assert cache.covered_of(key, steps) == set()
+        assert cache.snapshot(key, steps) == (set(), [])
         assert columns[0][2] == [0.0, 120.0]
         assert columns[0][3] == ["1", "3"]
 
@@ -649,7 +653,7 @@ class TestSplitPrimitives:
         steps = [0.0, 60.0, 120.0]
         result = [{"metric": {}, "values": [[0.0, "1"], [60.0, "2"], [120.0, "3"]]}]
         cache.ingest(key, steps, result, cutoff=60.0)
-        assert cache.covered_of(key, steps) == {0.0, 60.0}
+        assert cache.snapshot(key, steps)[0] == {0.0, 60.0}
 
 
 class TestSingleFlightUnit:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.httpx import Request
-from repro.tsdb.http import PromAPI, delete_series_matchers
+from repro.tsdb.http import PromAPI
 from repro.tsdb.model import Labels
 from repro.tsdb.storage import TSDB
 
@@ -97,9 +97,32 @@ class TestMetadata:
 
 
 def test_delete_series_matchers():
-    matchers = delete_series_matchers("1234")
-    assert len(matchers) == 1
-    assert matchers[0].name == "uuid" and matchers[0].value == "1234"
+    """The cardinality cleanup selects a unit's series by one
+    ``uuid="..."`` matcher, built where it is used (the helper that
+    lived in this module tied ``tsdb.http`` and ``apiserver`` into an
+    import cycle)."""
+    from repro.apiserver.cleanup import CardinalityCleaner
+    from repro.apiserver.db import Database
+    from repro.resourcemgr.base import UnitState
+    from tests.test_apiserver_db import unit
+
+    class RecordingTSDB:
+        def __init__(self):
+            self.deletes = []
+
+        def delete_series(self, matchers):
+            self.deletes.append(matchers)
+            return 0
+
+    db = Database()
+    db.upsert_units(
+        [unit("1234", state=UnitState.COMPLETED, started_at=0.0, ended_at=10.0)],
+        now=10.0,
+    )
+    tsdb = RecordingTSDB()
+    CardinalityCleaner(db, [tsdb], cutoff=300.0).run(now=20.0)
+    (matchers,) = tsdb.deletes
+    assert [str(m) for m in matchers] == ['uuid="1234"']
 
 
 class TestCacheMetricsExposition:

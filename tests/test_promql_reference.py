@@ -11,7 +11,10 @@ query (``engine.query`` at every step, ``tests/reference/promql.py``)
 over randomized series (including staleness markers and samples
 straddling the lookback boundary), asserting bit-identical
 ``RangeResult``s — not approximately equal; ``np.array_equal`` on
-timestamps and values.
+timestamps and values.  The oracle evaluates subquery windows with its
+own per-inner-step loop (``PerStepEngine``), so where the production
+walk borrows the columnar window code the comparison is still against
+independent code.
 """
 
 import math
@@ -21,11 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.units import parse_duration
 from repro.tsdb.model import Labels
 from repro.tsdb.promql.engine import DEFAULT_LOOKBACK, PromQLEngine
 from repro.tsdb.storage import TSDB
 from tests.reference.list_head import ListHeadTSDB
-from tests.reference.promql import query_range_per_step
+from tests.reference.promql import PerStepEngine, query_range_per_step
 
 # series: (group_label, series_label) -> list of (t, v)
 _series_strategy = st.dictionaries(
@@ -275,6 +279,9 @@ DIFFERENTIAL_QUERIES = [
     "max_over_time(m[4m:1m])",
     "rate(m[6m:47s])",
     "avg_over_time(sum by (grp) (m)[5m:90s])",
+    # The one subquery the stack ships (the ceems-fig2c peak-power
+    # panel), scaled from [24h:5m] to the test data's 2000 s.
+    'max_over_time((sum by (idx) (m{grp="a"}))[12m:50s])',
 ]
 
 
@@ -314,14 +321,35 @@ def assert_range_identical(engine, query, start, end, step):
         assert np.array_equal(col_vs, ref_vs, equal_nan=True), f"{query}: {labels}"
 
 
+def _instant_outcome(engine, query, at):
+    try:
+        return engine.query(query, at)
+    except Exception as exc:  # noqa: BLE001 - recorded for comparison
+        return (type(exc), str(exc))
+
+
+def assert_walk_matches_oracle(engine, query, at):
+    """The production walk equals the oracle walk, whose subquery
+    windows come from one ``_eval`` per inner step."""
+    got = _instant_outcome(engine, query, at)
+    ref = _instant_outcome(PerStepEngine.like(engine), query, at)
+    if isinstance(got, tuple) or isinstance(ref, tuple):
+        assert got == ref, f"{query} @ {at!r}: divergent errors {got!r} vs {ref!r}"
+        return
+    assert got.is_scalar == ref.is_scalar, query
+    if ref.is_scalar:
+        assert repr(got.scalar) == repr(ref.scalar), query
+    assert [(el.labels, repr(el.value)) for el in got.vector] == [
+        (el.labels, repr(el.value)) for el in ref.vector
+    ], f"{query} @ {at!r}"
+
+
 def assert_instant_identical(engine, query, at):
     """The walk at one timestamp equals a one-step columnar range: what
     licenses routing instants (rule groups included) through the walk
     while dashboards' grids go columnar."""
-    try:
-        ref = engine.query(query, at)
-    except Exception as exc:  # noqa: BLE001
-        ref = (type(exc), str(exc))
+    assert_walk_matches_oracle(engine, query, at)
+    ref = _instant_outcome(engine, query, at)
     col = _range_outcome(engine, query, at, at, 15.0, "columnar")
     if isinstance(col, tuple) or isinstance(ref, tuple):
         assert col == ref, f"{query}: divergent errors {col!r} vs {ref!r}"
@@ -349,6 +377,82 @@ def test_columnar_matches_per_step(query, layout, start, span, step):
     engine = PromQLEngine(build_db(layout))
     assert_range_identical(engine, query, float(start), float(start + span), step)
     assert_instant_identical(engine, query, float(start + span // 2))
+
+
+#: Range-vector consumers of a subquery: over a plain selector, over an
+#: aggregation (the fig2c shape), and over ``time()``, which has a
+#: point at every inner step, so the count is the grid membership.
+SUBQUERY_SHAPES = [
+    "max_over_time(m[{w}])",
+    "rate(m[{w}])",
+    "quantile_over_time(0.5, m[{w}])",
+    "avg_over_time((sum by (grp) (m))[{w}])",
+    "count_over_time(time()[{w}])",
+]
+
+
+def _end_landing_on(x: float) -> float:
+    """An ``end`` with ``end + 1e-9 == x`` exactly, if a float near
+    ``x - 1e-9`` has one (the sum need not round-trip)."""
+    end = x - 1e-9
+    for toward in (math.inf, -math.inf):
+        cand = end
+        for _ in range(4):
+            if cand + 1e-9 == x:
+                return cand
+            cand = math.nextafter(cand, toward)
+    return end
+
+
+def _near_grid_point(step: float, k: int, ulps: int) -> float:
+    """A window end whose membership bound ``end + 1e-9`` sits ``ulps``
+    ULPs off the inner grid point ``k * step``: where ``floor`` of the
+    division and the loop's ``t <= end + 1e-9`` can disagree by one."""
+    x = k * step
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return _end_landing_on(x)
+
+
+@pytest.mark.parametrize("shape", SUBQUERY_SHAPES)
+@settings(max_examples=25, deadline=None)
+@given(
+    layout=_stale_series_strategy,
+    range_s=st.integers(min_value=1, max_value=1500),
+    step=st.sampled_from(["100ms", "7300ms", "15s", "47s", "60s", "290s"]),
+    offset=st.sampled_from([0, 45, 300]),
+    k=st.integers(min_value=-2, max_value=40),
+    ulps=st.sampled_from([None, -2, -1, 0, 1, 2]),
+    jitter=st.floats(min_value=0.0, max_value=300.0),
+)
+def test_subquery_walk_matches_per_step_oracle(shape, layout, range_s, step, offset, k, ulps, jitter):
+    """Random ``(range, step, offset, at)``: the walk's subquery windows
+    (one columnar pass) equal the oracle's (one ``_eval`` per inner
+    step), bit for bit.  With ``ulps`` set the window end sits on, or
+    within two ULPs of, an inner grid point's ``end + 1e-9`` bound."""
+    sstep = parse_duration(step)
+    range_s = min(range_s, int(sstep * 2000))  # keep the oracle's loop short
+    window = f"{range_s}s:{step}" + (f"] offset {offset}s" if offset else "]")
+    end = k * sstep + jitter if ulps is None else _near_grid_point(sstep, k, ulps)
+    assert_walk_matches_oracle(
+        PromQLEngine(build_db(layout)), shape.replace("[{w}]", "[" + window), end + offset
+    )
+
+
+def test_subquery_grid_membership_at_the_ulp():
+    """The columnar grid bounds are index arithmetic (``ceil``/``floor``
+    of a division) corrected by one where the division rounds across
+    the oracle's ``j * step <= end + 1e-9`` — about 1% of ends placed
+    within two ULPs of a far grid point need it.  Sweep 3000 of them."""
+    rng = np.random.default_rng(18)
+    engine = PromQLEngine(TSDB())
+    oracle = PerStepEngine.like(engine)
+    for step, text in ((0.1, "100ms"), (7.3, "7300ms"), (61.7, "61700ms")):
+        query = f"count_over_time(time()[{4 * step:g}s:{text}])"
+        for k, ulps in zip(rng.integers(1000, 200000, 1000), rng.integers(-2, 3, 1000)):
+            at = _near_grid_point(step, int(k), int(ulps))
+            got, ref = engine.query(query, at).vector, oracle.query(query, at).vector
+            assert got == ref, (step, int(k), int(ulps), at)
 
 
 def test_columnar_lookback_boundary_identical():

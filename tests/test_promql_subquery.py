@@ -9,6 +9,7 @@ from repro.tsdb.promql.ast import Subquery
 from repro.tsdb.promql.engine import PromQLEngine
 from repro.tsdb.promql.parser import parse_expr
 from repro.tsdb.storage import TSDB
+from tests.reference.promql import PerStepEngine
 
 
 def mk(name: str, **labels: str) -> Labels:
@@ -100,6 +101,54 @@ class TestEvaluation:
         engine = PromQLEngine(db)
         result = engine.query("quantile_over_time(0.5, rate(c[2m])[15m:30s])", at=1200.0)
         assert 1.0 <= result.vector[0].value <= 5.0
+
+
+class TestOneSelectPerSubquery:
+    """The dashboard's peak-power panel (``ceems-fig2c``) is the one
+    subquery the stack ships: 288 inner steps.  The walk asks the
+    columnar evaluator for the whole inner grid, so the storage is
+    selected once — not once per inner step."""
+
+    QUERY = 'max_over_time((sum by (uuid) (m{uuid="1"}))[24h:5m])'
+
+    class CountingStorage:
+        def __init__(self, db):
+            self.db, self.selects = db, 0
+
+        def select(self, matchers):
+            self.selects += 1
+            return self.db.select(matchers)
+
+    @pytest.fixture
+    def day(self) -> TSDB:
+        db = TSDB()
+        rng_values = [100.0 + (i * 37) % 91 for i in range(2 * 24 * 60)]
+        for host in ("a", "b"):
+            for i, v in enumerate(rng_values):
+                db.append(mk("m", uuid="1", hostname=host), 60.0 * i, v + (host == "b"))
+        return db
+
+    def test_one_select_and_oracle_identical(self, day):
+        at = 2 * 86400.0 - 600.0
+        storage = self.CountingStorage(day)
+        got = PromQLEngine(storage).query(self.QUERY, at)
+        assert storage.selects == 1
+        oracle_storage = self.CountingStorage(day)
+        ref = PerStepEngine(oracle_storage).query(self.QUERY, at)
+        assert oracle_storage.selects == 289  # [at - 24h, at] holds 289 grid points
+        assert [(el.labels, repr(el.value)) for el in got.vector] == [
+            (el.labels, repr(el.value)) for el in ref.vector
+        ]
+        assert len(got.vector) == 1 and got.vector[0].labels.get("uuid") == "1"
+
+    def test_walk_does_not_count_as_a_range_query(self, day):
+        """The borrowed window code is not a range query: an instant
+        with a subquery must not mint the ``kind="range"`` series of
+        ``ceems_promql_eval_queries_total`` on a backend that served
+        only instants."""
+        engine = PromQLEngine(day)
+        engine.query(self.QUERY, 86400.0)
+        assert engine.eval_queries == {"instant": 1, "range": 0}
 
 
 class TestLBIntrospection:
