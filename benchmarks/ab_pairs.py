@@ -1,0 +1,170 @@
+"""Interleaved parent/change runs of the pipeline benchmark, and the verdict.
+
+``python3 benchmarks/ab_pairs.py PARENT CHANGE --workload ingest_mem --pairs 10``
+
+``PARENT`` and ``CHANGE`` are two checkouts of this repository.  Each
+pair runs the command ``BENCHMARK.json`` declares (``benchmarks/e2e/
+run.py --workload W --seed S --seconds T --trace 0``) once in either
+checkout, the order alternating from pair to pair so that a machine
+that drifts slower or faster charges both sides alike.  Per end-to-end
+metric it prints both sides' medians and quartiles, how many pairs the
+change won, and the verdict of the rule the repository lands
+performance changes by (choosing-metrics §8, ``benchmarks/e2e/
+README.md`` "Naming a claim"):
+
+* **gain** — the change wins at least nine tenths of all pairs run
+  (ties count for neither side), its median is better by more than the
+  distance between the parent's own quartiles, and no larger share of
+  its operations failed;
+* **no worse** — otherwise, the change's median is within the bound
+  ``BENCHMARK.json`` fixes for the metric;
+* **unresolved** — but where either side's inter-quartile spread is
+  wider than that bound the metric is unresolved, not unchanged,
+  unless every run of the change reads better than every run of the
+  parent;
+* **worse** — the median is beyond the bound.
+
+This file reads the benchmark's result line and ``BENCHMARK.json``; it
+imports nothing from ``benchmarks/e2e`` or from the program.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from dataclasses import dataclass
+
+#: Share of all pairs run the change must win before a gain is claimed.
+WIN_SHARE = 0.9
+
+
+@dataclass
+class Verdict:
+    """One metric on one workload, parent against change."""
+
+    verdict: str  # "gain" | "no worse" | "unresolved" | "worse"
+    parent_median: float
+    change_median: float
+    parent_quartiles: tuple[float, float]
+    change_quartiles: tuple[float, float]
+    wins: int
+    #: Change median over parent median, minus one, signed so that
+    #: positive is better whichever way the metric points.
+    gain: float
+
+
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def judge(
+    parent: list[float],
+    change: list[float],
+    better: str,
+    bound: float,
+    *,
+    more_failures: bool = False,
+) -> Verdict:
+    """The decision rule, on the paired values of one metric.
+
+    ``parent[i]`` and ``change[i]`` come from the same pair; ``better``
+    is ``"lower"`` or ``"higher"``; ``bound`` is the share of the
+    parent's median the metric may worsen by.  ``more_failures`` says a
+    larger share of the change's operations failed, which voids a gain.
+    """
+    if not parent or len(parent) != len(change):
+        raise ValueError("need the same, non-zero number of runs on both sides")
+    sign = -1.0 if better == "lower" else 1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    p_q, c_q = _quartiles(parent), _quartiles(change)
+    ahead = sign * (c_med - p_med)  # > 0: the change's median is better
+    base = abs(p_med)
+    if wins >= WIN_SHARE * len(parent) and ahead > p_q[1] - p_q[0] and not more_failures:
+        verdict = "gain"
+    else:
+        spread = max((p_q[1] - p_q[0]) / base, (c_q[1] - c_q[0]) / abs(c_med)) if base and c_med else 0.0
+        separated = min(sign * c for c in change) > max(sign * p for p in parent)
+        if -ahead > bound * base:
+            verdict = "worse"
+        elif spread > bound and not separated:
+            verdict = "unresolved"
+        else:
+            verdict = "no worse"
+    return Verdict(verdict, p_med, c_med, p_q, c_q, wins, ahead / base if base else 0.0)
+
+
+def run_once(checkout: str, command: list[str], workload: str, seed: int, seconds: int) -> dict:
+    """One benchmark process in ``checkout``; its result line, parsed."""
+    argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(f"{' '.join(argv)} in {checkout} exited {done.returncode}:\n{done.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="checkout of the parent commit")
+    parser.add_argument("change", help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=2024)
+    parser.add_argument("--json", default="", help="also write every run's result line to this file")
+    args = parser.parse_args(argv)
+
+    with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
+        declared = json.load(fh)
+    command, seconds = declared["command"], int(declared["run_seconds"])
+    sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_once(sides[side], command, args.workload, args.seed, seconds)
+            runs[side].append(result)
+            cells = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.4g}" for m in declared["end_to_end"])
+            print(f"pair {pair + 1:2d} {side:6s} correct={result['correct']} failed={result['failed']} {cells}", flush=True)
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump({"workload": args.workload, "seed": args.seed, "seconds": seconds, **runs}, fh, indent=1)
+
+    def failed_share(side: str) -> float:
+        return sum(r["failed"] for r in runs[side]) / max(1, sum(r["attempted"] for r in runs[side]))
+
+    more_failures = failed_share("change") > failed_share("parent")
+    print(
+        f"\n{args.workload} seed {args.seed}, {args.pairs} pairs at --seconds {seconds}; "
+        f"failed share parent {failed_share('parent'):.6f} change {failed_share('change'):.6f}; "
+        f"incorrect runs parent {sum(not r['correct'] for r in runs['parent'])} "
+        f"change {sum(not r['correct'] for r in runs['change'])}"
+    )
+    print(f"{'metric':12s} {'parent median [q1, q3]':>36s} {'change median [q1, q3]':>36s} {'change':>8s} {'wins':>6s} {'bound':>6s}  verdict")
+    for metric in declared["end_to_end"]:
+        name = metric["name"]
+        v = judge(
+            [r["metrics"][name]["value"] for r in runs["parent"]],
+            [r["metrics"][name]["value"] for r in runs["change"]],
+            metric["better"],
+            metric["bound"],
+            more_failures=more_failures,
+        )
+        moved = v.gain if metric["better"] == "higher" else -v.gain  # as the metric reads
+        print(
+            f"{name:12s} {v.parent_median:12.4f} [{v.parent_quartiles[0]:10.4f},{v.parent_quartiles[1]:10.4f}]"
+            f" {v.change_median:12.4f} [{v.change_quartiles[0]:10.4f},{v.change_quartiles[1]:10.4f}]"
+            f" {moved:+8.1%} {v.wins:3d}/{args.pairs:<2d} {metric['bound']:6.0%}  {v.verdict}"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -99,15 +99,26 @@ _monotonic = time.monotonic
 # observation exits on the freshness test, so the steady-state cost is
 # one list index and one clock read.  The wire-format
 # :class:`~repro.tsdb.exposition.Exemplar` is only built at collect()
-# time, keeping exposition types off the ingest path entirely.
+# time, keeping exposition types off the ingest path entirely — once
+# per captured tuple: a slot that no observation replaced hands out
+# the same object again, and with it its rendered suffix.  The label
+# dicts of a label set are likewise built once, so collect() returns
+# fresh points over shared, read-only ``labels`` and ``exemplar``.
 
 
-def _as_exemplar(exposition, captured):
-    """Raw captured tuple -> wire :class:`Exemplar` (or ``None``)."""
+def _wire_exemplar(exposition, captured, wire: list, idx: int):
+    """Captured tuple in slot ``idx`` -> wire :class:`Exemplar` (or
+    ``None``), built when the capture is one ``wire`` has not seen."""
     if captured is None:
         return None
-    trace_id, value, _mono = captured
-    return exposition.Exemplar(labels={"trace_id": trace_id}, value=value)
+    built = wire[idx]
+    if built is None or built[0] is not captured:
+        trace_id, value, _mono = captured
+        built = wire[idx] = (
+            captured,
+            exposition.Exemplar(labels={"trace_id": trace_id}, value=value),
+        )
+    return built[1]
 
 
 class _Metric:
@@ -131,7 +142,8 @@ class Counter(_Metric):
 
     def __init__(self, name: str, help: str = "") -> None:
         super().__init__(name, help)
-        # per label set: [running total, captured exemplar tuple|None]
+        # per label set: [running total, captured exemplar tuple|None,
+        # label dict and one-slot exemplar memo for collect()]
         self._values: dict[_LabelKey, list] = {}
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
@@ -141,7 +153,7 @@ class Counter(_Metric):
         with self._lock:
             entry = self._values.get(key)
             if entry is None:
-                entry = self._values[key] = [0.0, None]
+                entry = self._values[key] = [0.0, None, dict(key), [None]]
             entry[0] += amount
             if _EXEMPLARS_ENABLED:
                 # Exemplar value is the increment, not the running
@@ -159,11 +171,12 @@ class Counter(_Metric):
     def collect(self) -> list[MetricFamily]:
         exposition = _exposition()
         family = exposition.MetricFamily(self.name, help=self.help, type=self.type)
+        point = exposition.MetricPoint
         with self._lock:
-            for key, (value, captured) in self._values.items():
-                family.add(
-                    value, exemplar=_as_exemplar(exposition, captured), **dict(key)
-                )
+            family.points = [
+                point(labels, value, None, _wire_exemplar(exposition, captured, wire, 0))
+                for value, captured, labels, wire in self._values.values()
+            ]
         return [family]
 
 
@@ -219,8 +232,10 @@ class Histogram(_Metric):
         # which runs on every exporter scrape — allocation-light.
         self._le_strs: tuple[str, ...] = tuple(self._le(b) for b in self.buckets)
         # per label set: (per-bucket counts (+overflow slot),
-        # [sum, count], per-bucket exemplar tuples (+overflow slot))
-        self._data: dict[_LabelKey, tuple[list[int], list[float], list]] = {}
+        # [sum, count], per-bucket exemplar tuples (+overflow slot),
+        # then for collect(): per-bucket label dicts (+Inf slot, then
+        # the le-less one of _sum/_count) and the exemplar memo)
+        self._data: dict[_LabelKey, tuple[list[int], list[float], list, list[dict], list]] = {}
 
     def observe(self, value: float, **labels: str) -> None:
         key = _label_key(labels)
@@ -231,7 +246,9 @@ class Histogram(_Metric):
             entry = self._data.get(key)
             if entry is None:
                 slots = len(self.buckets) + 1
-                entry = ([0] * slots, [0.0, 0.0], [None] * slots)
+                dicts = [{**dict(key), "le": le} for le in (*self._le_strs, "+Inf")]
+                dicts.append(dict(key))
+                entry = ([0] * slots, [0.0, 0.0], [None] * slots, dicts, [None] * slots)
                 self._data[key] = entry
             entry[0][idx] += 1
             entry[1][0] += value  # sum
@@ -272,33 +289,30 @@ class Histogram(_Metric):
         counts = exposition.MetricFamily(f"{self.name}_count", type="counter")
         point = exposition.MetricPoint
         bucket_points = buckets.points
+        last = len(self.buckets)
         with self._lock:
-            for key, (counts_per_bucket, sum_count, exemplars) in self._data.items():
+            for counts_per_bucket, sum_count, exemplars, labels, wire in self._data.values():
                 cumulative = 0
-                for idx, (le_str, n) in enumerate(
-                    zip(self._le_strs, counts_per_bucket)
-                ):
-                    cumulative += n
-                    labels = dict(key)
-                    labels["le"] = le_str
+                for idx in range(last):
+                    cumulative += counts_per_bucket[idx]
                     bucket_points.append(
                         point(
-                            labels=labels,
-                            value=float(cumulative),
-                            exemplar=_as_exemplar(exposition, exemplars[idx]),
+                            labels[idx],
+                            float(cumulative),
+                            None,
+                            _wire_exemplar(exposition, exemplars[idx], wire, idx),
                         )
                     )
-                labels = dict(key)
-                labels["le"] = "+Inf"
                 bucket_points.append(
                     point(
-                        labels=labels,
-                        value=sum_count[1],
-                        exemplar=_as_exemplar(exposition, exemplars[-1]),
+                        labels[last],
+                        sum_count[1],
+                        None,
+                        _wire_exemplar(exposition, exemplars[last], wire, last),
                     )
                 )
-                sums.add(sum_count[0], **dict(key))
-                counts.add(sum_count[1], **dict(key))
+                sums.points.append(point(labels[-1], sum_count[0]))
+                counts.points.append(point(labels[-1], sum_count[1]))
         return [marker, buckets, sums, counts]
 
 

@@ -38,6 +38,10 @@ class Exemplar:
     labels: dict[str, str]
     value: float
     timestamp: float | None = None
+    #: The rendered ``# {labels} value [ts]`` suffix, filled in by the
+    #: first :func:`render` — so an exemplar is immutable once it rides
+    #: a rendered point; to change one, attach a new ``Exemplar``.
+    _suffix: str | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(slots=True)
@@ -159,18 +163,23 @@ def clear_render_caches() -> None:
 def _render_exemplar(exemplar: Exemplar) -> str:
     """The ``# {labels} value [ts]`` suffix of an exemplar-carrying line.
 
-    Deliberately **not** memoised: exemplar label values (trace ids)
-    and values churn on nearly every scrape, so caching them would
-    thrash the skeleton/value memos that earn their keep on the stable
-    series-identity text.  The output is a pure function of the
-    exemplar, so cold and warm renders stay byte-identical.
+    Computed once per :class:`Exemplar` and kept on it: a metric holds
+    the same exemplar object until a new observation replaces it, so a
+    repeat render of an unchanged slot costs one attribute read.  The
+    module-level memos stay out of it — trace ids never repeat, so
+    they would only thrash the series-identity entries.  The text is a
+    pure function of the exemplar, so cold and warm renders stay
+    byte-identical.
     """
-    label_str = ",".join(
-        f'{k}="{_escape_label_value(v)}"' for k, v in sorted(exemplar.labels.items())
-    )
-    suffix = f"# {{{label_str}}} {_format_value_uncached(exemplar.value)}"
-    if exemplar.timestamp is not None:
-        suffix = f"{suffix} {_format_value_uncached(exemplar.timestamp)}"
+    suffix = exemplar._suffix
+    if suffix is None:
+        label_str = ",".join(
+            f'{k}="{_escape_label_value(v)}"' for k, v in sorted(exemplar.labels.items())
+        )
+        suffix = f"# {{{label_str}}} {_format_value_uncached(exemplar.value)}"
+        if exemplar.timestamp is not None:
+            suffix = f"{suffix} {_format_value_uncached(exemplar.timestamp)}"
+        exemplar._suffix = suffix
     return suffix
 
 
@@ -235,17 +244,37 @@ def _parse_labels(text: str, lineno: int) -> dict[str, str]:
     return labels
 
 
-def _parse_value(token: str, lineno: int) -> float:
-    try:
-        if token == "NaN":
-            return math.nan
-        if token in ("+Inf", "Inf"):
-            return math.inf
-        if token == "-Inf":
-            return -math.inf
-        return float(token)
-    except ValueError as exc:
-        raise ScrapeError(f"line {lineno}: bad value {token!r}") from exc
+def _parse_number(token: str, lineno: int, what: str = "value", convert=float):
+    """One numeric token, by Go's ``ParseFloat``/``ParseInt`` rules.
+
+    Python's ``float``/``int`` spell ``NaN``/``+Inf``/``-Inf`` the way
+    the format does, but also take PEP-515 digit separators (``1_0``)
+    that no Prometheus parser accepts — those are rejected here.
+    """
+    if "_" not in token:
+        try:
+            return convert(token)
+        except ValueError:
+            pass
+    raise ScrapeError(f"line {lineno}: bad {what} {token!r}")
+
+
+def parse_sample_tail(tokens: list[str], lineno: int = 0) -> tuple[float, int | None]:
+    """Parse ``value [timestamp]`` — all that may follow the series text.
+
+    Shared by :func:`parse_sample_line` and the scrape layout rebuild
+    (which skips the label parse for series text it already knows), so
+    both accept exactly one value, at most one integer millisecond
+    timestamp, and nothing after it.
+    """
+    if not tokens:
+        raise ScrapeError(f"line {lineno}: sample without value")
+    if len(tokens) > 2:
+        raise ScrapeError(f"line {lineno}: trailing tokens after timestamp")
+    value = _parse_number(tokens[0], lineno)
+    if len(tokens) == 1:
+        return value, None
+    return value, _parse_number(tokens[1], lineno, "timestamp", int)
 
 
 def split_exemplar(line: str) -> tuple[str, str | None]:
@@ -254,7 +283,7 @@ def split_exemplar(line: str) -> tuple[str, str | None]:
     The exemplar suffix starts at the first ``#`` outside quoted label
     values (quoted values may legally contain ``#``).  Lines without
     one return ``(line, None)``.  Shared by :func:`parse_sample_line`
-    and the scrape fast lane so both carve the line identically.
+    and the scrape layout rebuild so both carve the line identically.
     """
     quote = False
     escaped = False
@@ -299,15 +328,10 @@ def parse_exemplar(text: str, lineno: int = 0) -> Exemplar:
         raise ScrapeError(f"line {lineno}: exemplar without value")
     if len(tokens) > 2:
         raise ScrapeError(f"line {lineno}: trailing tokens after exemplar timestamp")
-    value = _parse_value(tokens[0], lineno)
+    value = _parse_number(tokens[0], lineno)
     timestamp: float | None = None
     if len(tokens) == 2:
-        try:
-            timestamp = float(tokens[1])
-        except ValueError as exc:
-            raise ScrapeError(
-                f"line {lineno}: bad exemplar timestamp {tokens[1]!r}"
-            ) from exc
+        timestamp = _parse_number(tokens[1], lineno, "exemplar timestamp")
     return Exemplar(labels=labels, value=value, timestamp=timestamp)
 
 
@@ -316,8 +340,8 @@ def comment_parts(line: str, lineno: int) -> list[str]:
 
     TYPE lines must name a valid metric type (Prometheus rejects the
     scrape otherwise); everything else is free-form.  Shared by
-    :func:`parse` and the scrape fast lane so both reject exactly the
-    same payloads.
+    :func:`parse` and the scrape layout rebuild so both reject exactly
+    the same payloads.
     """
     parts = line.split(None, 3)
     if len(parts) >= 3 and parts[1] == "TYPE":
@@ -333,9 +357,9 @@ def parse_sample_line(
 
     Returns ``(name, labels, value, timestamp_ms, exemplar)``.  This
     is the single authority on sample-line syntax: :func:`parse` uses
-    it for every line and the scrape cache uses it on cache misses, so
-    the fast lane can never accept a line the reference parser rejects
-    (or vice versa).
+    it for every line and the scrape layout for every line whose
+    series text it has not seen, so the scrape lane can never accept a
+    line the reference parser rejects (or vice versa).
     """
     # sample line: name{labels} value [timestamp] [# {labels} value [ts]]
     exemplar_text: str | None = None
@@ -368,16 +392,13 @@ def parse_sample_line(
         name_part = tokens[0]
         labels = {}
         tokens = tokens[1:]
-    if not tokens:
-        raise ScrapeError(f"line {lineno}: sample without value")
     name = name_part.strip()
     if not name:
         raise ScrapeError(f"line {lineno}: sample without metric name")
-    value = _parse_value(tokens[0], lineno)
-    timestamp_ms = int(tokens[1]) if len(tokens) > 1 else None
+    value, timestamp_ms = parse_sample_tail(tokens, lineno)
     # Exemplar errors surface only after the sample part validated, so
-    # the fast lane (which validates its cached sample prefix first)
-    # raises in the same order on doubly-malformed lines.
+    # the scrape lanes (which validate value and timestamp first)
+    # raise in the same order on doubly-malformed lines.
     exemplar = parse_exemplar(exemplar_text, lineno) if exemplar_text is not None else None
     return name, labels, value, timestamp_ms, exemplar
 

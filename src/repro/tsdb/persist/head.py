@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import struct
 import time
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.common.errors import StorageError
 from repro.obs import prof
@@ -253,16 +253,17 @@ class PersistentTSDB(TSDB):
         self.append(series.labels, timestamp, value)
 
     def append_refs(
-        self, timestamp: float, pairs: Sequence[tuple[int, float]]
+        self, timestamp: float, pairs: Iterable[tuple[int, float]]
     ) -> tuple[int, list[tuple[int, float]]]:
+        pairs = list(pairs)  # read twice: the head, then the journal
         count, dead = super().append_refs(timestamp, pairs)
         if count and not self._replaying:
-            dead_refs = {ref for ref, _ in dead}
+            live = self._series_by_ref  # a dead ref is one not in here
             self._log_samples(
                 [
-                    (self._ref_for(self.resolve_ref(ref).labels), timestamp, value)
+                    (self._ref_for(live[ref].labels), timestamp, value)
                     for ref, value in pairs
-                    if ref not in dead_refs
+                    if ref in live
                 ]
             )
         return count, dead

@@ -18,25 +18,34 @@ will scrape these compute nodes at a configured interval"*):
 
 Ingest path
 -----------
-At Jean-Zay scale (~1700 targets) re-parsing every label set and
-re-hashing every ``Labels`` key each cycle dominates the duty cycle,
-so the manager mirrors Prometheus's ingest optimisations:
+At Jean-Zay scale (~1700 targets) almost every line of a body is the
+line the same target sent last time — same series, often the same
+value — so the manager pays per *changed* line:
 
-* a per-target :class:`ScrapeCache` keyed on each sample line's raw
-  ``name{labels}`` text maps straight to an interned ``Labels`` and a
-  TSDB series ref — a repeat scrape of unchanged structure skips
-  label parsing, validation and sorting entirely (Prometheus
-  ``scrapeCache``).  Any text change is a cache miss (per-line
-  invalidation); lines that stop appearing are evicted by generation.
+* each target keeps one :class:`_Layout` of its last accepted body:
+  the raw lines and, per sample line, the series text it starts with,
+  the validated ``Labels``, the TSDB series ref, the last value and
+  the last exemplar.  A new body with the same number of lines is
+  compared to it line against line at C speed; an unchanged line
+  reuses what it parsed to, a changed one stays on the lane only if it
+  still starts with the remembered series text followed by ``value``
+  or ``value # exemplar``.
+* anything else — another line count, a changed comment or blank
+  line, other series text, a timestamp, a malformed token, a failed
+  previous scrape — **rebuilds** the layout through the reference
+  grammar (:func:`exposition.parse_sample_line` and friends), looking
+  series text up in the old layout so only text never seen before
+  costs a label parse (Prometheus ``scrapeCache``).
 * samples are appended by ref through :meth:`TSDB.append_refs`; refs
   that died since the last cycle (retention, ``delete_series``) are
   re-resolved through their labels, exactly like Prometheus re-lodges
-  a head ref miss.
-* each cycle is split into a **fetch** phase (HTTP + decode + parse +
-  cache resolution, safe to run on a worker pool because it never
-  touches storage) and an **apply** phase that commits per-target
-  batches to the TSDB in registration order — results are identical
-  for any worker count, see DESIGN.md.
+  a head ref miss.  Staleness markers are written only by a rebuild:
+  the same layout means no series vanished.
+* each cycle is split into a **fetch** phase (HTTP + decode + line
+  compare/parse, safe to run on a worker pool because it touches only
+  the target's own layout, never storage) and an **apply** phase that
+  commits per-target batches to the TSDB in registration order —
+  results are identical for any worker count, see DESIGN.md.
 
 The parse-everything manager this lane must match bit-for-bit is a
 test oracle (``tests/reference/scrape.py``), built on
@@ -48,6 +57,8 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import ne
 
 from repro.common.auth import make_basic_auth_header
 from repro.common.errors import ScrapeError
@@ -61,55 +72,155 @@ from repro.tsdb.storage import TSDB
 _STALE = float("nan")
 
 
-@dataclass(slots=True)
-class _CacheEntry:
-    """Resolved identity of one raw series-text prefix."""
+class _Layout:
+    """What one target's last accepted body parsed to, line by line.
 
-    labels: Labels
-    #: TSDB series ref; 0 until the apply phase first resolves it
-    #: (workers must not touch storage).
-    ref: int
-    last_gen: int
+    ``slot_of_line[i]`` is the sample slot of body line ``i`` (``-1``
+    for a comment or blank line); the remaining lists are indexed by
+    slot.  ``refs`` and ``values`` are handed to
+    :meth:`TSDB.append_refs` as they are.  Series text only enters
+    ``slot_of_text`` after a full reference parse of its line
+    succeeded, so the layout can serve stale *work*, never stale
+    *identity*.
 
-
-class ScrapeCache:
-    """Per-target sample-line cache (Prometheus ``scrapeCache``).
-
-    Keys are the raw ``name{labels}`` prefix of each sample line, so
-    any byte-level change in how a target renders a series is simply
-    a miss that re-parses and re-validates — the cache can serve
-    stale *work*, never stale *identity*.  ``gen`` advances once per
-    parsed scrape; entries untouched by the latest generation are
-    evicted so a disappeared series cannot pin its ``Labels`` forever.
+    There are two ways to take a new body: :meth:`refill` this layout
+    in place, paying per changed line, or :meth:`parse` a fresh one,
+    paying per line and a label parse per series text never seen.
     """
 
-    __slots__ = ("entries", "comments", "gen", "hits", "misses", "evictions")
+    __slots__ = ("lines", "slot_of_line", "texts", "labels", "refs", "values", "exemplars", "slot_of_text")
 
-    #: Cap on memoised comment lines per target; cleared wholesale at
-    #: the cap so a pathological target cannot grow it without bound.
-    COMMENTS_MAX = 4096
+    def __init__(self, lines: list[str]) -> None:
+        self.lines = lines
+        self.slot_of_line: list[int] = []
+        #: The ``name{labels}`` text (a bare ``name`` plus the one
+        #: whitespace character after it) each sample line starts with.
+        self.texts: list[str] = []
+        self.labels: list[Labels] = []
+        #: 0 until the apply phase first resolves it (workers must not
+        #: touch storage).
+        self.refs: list[int] = []
+        self.values: list[float] = []
+        #: slot -> (exemplar text, parsed ``Exemplar``)
+        self.exemplars: dict[int, tuple[str, exposition.Exemplar]] = {}
+        #: series text -> a slot that carries it
+        self.slot_of_text: dict[str, int] = {}
 
-    def __init__(self) -> None:
-        self.entries: dict[str, _CacheEntry] = {}
-        #: Comment lines that already passed ``comment_parts``
-        #: validation — HELP/TYPE headers are byte-identical every
-        #: scrape, so re-validating them each cycle is pure waste.
-        #: Only *accepted* lines enter the set; a bad TYPE line is
-        #: never cached and re-raises on every scrape.
-        self.comments: set[str] = set()
-        self.gen = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+    def series(self) -> dict[int, Labels]:
+        """The distinct series of the body, ``ref -> Labels``."""
+        return dict(zip(self.refs, self.labels))
 
-    def evict_stale(self) -> int:
-        """Drop entries not seen in the current generation."""
-        gen = self.gen
-        doomed = [key for key, entry in self.entries.items() if entry.last_gen != gen]
-        for key in doomed:
-            del self.entries[key]
-        self.evictions += len(doomed)
-        return len(doomed)
+    def refill(self, lines: list[str]) -> bool:
+        """The lane: fit a new body into the layout of the last one.
+
+        Only lines that differ from the remembered body are looked at.
+        Returns ``False`` — possibly with some values already
+        overwritten, which the :meth:`parse` that must follow ignores
+        — as soon as one of them is not the remembered series text
+        followed by ``value`` or ``value # exemplar``.  Everything
+        that holds is a sub-grammar of
+        :func:`exposition.parse_sample_line`, so the lane accepts
+        nothing the reference parser would reject or read differently;
+        what it cannot judge, the full parse does.
+        """
+        old = self.lines
+        if len(lines) != len(old):
+            return False
+        slot_of_line = self.slot_of_line
+        texts = self.texts
+        values = self.values
+        exemplars = self.exemplars
+        for i in compress(range(len(lines)), map(ne, lines, old)):
+            slot = slot_of_line[i]
+            if slot < 0:
+                return False  # a comment or blank line changed
+            raw = lines[i]
+            tail = raw.removeprefix(texts[slot])
+            if len(tail) == len(raw):
+                return False  # other series text
+            # The first '#' after a lone numeric token sits outside
+            # any quotes, so it is where split_exemplar would cut.
+            cut = tail.find("#")
+            tokens = (tail if cut < 0 else tail[:cut]).split()
+            if len(tokens) != 1 or "_" in tokens[0]:
+                return False  # no value, a timestamp, or `1_0`
+            try:
+                values[slot] = float(tokens[0])
+            except ValueError:
+                return False
+            if cut < 0:
+                if slot in exemplars:
+                    del exemplars[slot]
+                continue
+            text = tail[cut:]
+            known = exemplars.get(slot)
+            if known is None or known[0] != text:
+                exemplars[slot] = (text, exposition.parse_exemplar(text, i + 1))
+        self.lines = lines
+        return True
+
+    @classmethod
+    def parse(
+        cls, lines: list[str], old: "_Layout | None", identity: dict[str, str]
+    ) -> tuple["_Layout", int, int]:
+        """The rebuild: parse a whole body into a fresh layout.
+
+        Returns ``(layout, misses, evictions)``.  Error behaviour is
+        bit-identical to :func:`exposition.parse`: comment lines,
+        value/timestamp tokens, exemplar suffixes and every line whose
+        series text is new go through the same shared helpers.  Series
+        text that ``old`` (or an earlier line of this body) already
+        resolved keeps its ``Labels`` and ref without a label parse;
+        text of ``old`` that is gone from this body is an eviction.
+        """
+        known = old.slot_of_text if old is not None else {}
+        layout = cls(lines)
+        slot_of_text = layout.slot_of_text
+        misses = 0
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line[0] == "#":
+                if line:
+                    exposition.comment_parts(line, lineno)
+                layout.slot_of_line.append(-1)
+                continue
+            # Carve off an exemplar suffix first (the `'#' in line`
+            # guard keeps exemplar-free lines on the C-speed path): an
+            # exemplar's own label set ends in '}', so with it the
+            # *last* '}' would not be the series' closing brace.
+            sample, ex_text = exposition.split_exemplar(line) if "#" in line else (line, None)
+            # The series text ends at the last '}' — value and
+            # timestamp tokens of a *valid* line cannot contain one —
+            # or, for a bare name, after its first whitespace.  A line
+            # that is structurally odd yields text no valid line ever
+            # registered and fails in the reference parser below.
+            end = sample.rfind("}")
+            if end < 0:
+                end = len(sample.split(None, 1)[0])
+            text = sample[: end + 1]
+            source, at = layout, slot_of_text.get(text)
+            if at is None:
+                source, at = old, known.get(text)
+            if at is not None:
+                value, _ts = exposition.parse_sample_tail(sample[end + 1 :].split(), lineno)
+                # Exemplar last, mirroring parse_sample_line's
+                # validation order on doubly-malformed lines.
+                exemplar = None if ex_text is None else exposition.parse_exemplar(ex_text, lineno)
+                labels, ref = source.labels[at], source.refs[at]
+            else:
+                name, own, value, _ts, exemplar = exposition.parse_sample_line(line, lineno)
+                point = exposition.MetricPoint(labels=own, value=value)
+                labels, ref = exposition.to_labels(name, point, identity), 0
+                misses += 1
+            slot = slot_of_text[text] = len(layout.refs)
+            layout.slot_of_line.append(slot)
+            layout.texts.append(text)
+            layout.labels.append(labels)
+            layout.refs.append(ref)
+            layout.values.append(value)
+            if exemplar is not None:
+                layout.exemplars[slot] = (ex_text, exemplar)
+        return layout, misses, len(known.keys() - slot_of_text.keys())
 
 
 @dataclass
@@ -130,11 +241,11 @@ class ScrapeTarget:
     last_scrape_samples: int = 0
     scrapes_total: int = 0
     scrape_failures_total: int = 0
-    #: Series seen in the previous successful scrape (``ref ->
-    #: Labels``, so the staleness pass stays on refs); series absent
-    #: from the next scrape get a staleness marker.
-    _previous_refs: dict = field(default_factory=dict, repr=False)
-    _cache: ScrapeCache = field(default_factory=ScrapeCache, repr=False)
+    #: The last accepted body.  It outlives a failed scrape (so the
+    #: recovery still knows every series text) but then only as a
+    #: lookup: ``last_scrape_ok`` says whether its lines and values
+    #: are current and its series still unmarked.
+    _layout: _Layout | None = field(default=None, repr=False)
     _up_labels: Labels | None = field(default=None, repr=False)
 
     def identity_labels(self) -> dict[str, str]:
@@ -169,12 +280,11 @@ class _ScrapeResult:
     ok: bool = False
     error: str = ""
     duration: float = 0.0
-    #: line-ordered (cache entry, value) pairs
-    ref_batch: list | None = None
-    #: exemplar-carrying lines, in line order: ``(entry, Exemplar)``.
-    #: Kept separate from the sample batch so the sample hot loop
-    #: stays two-tuples.
-    exemplars: list | None = None
+    #: What to append from: the target's own layout, refilled in
+    #: place (the lane), or a freshly rebuilt one for apply to install.
+    layout: _Layout | None = None
+    #: Sample lines resolved without / with a label parse, and series
+    #: texts of the old layout that the rebuilt one no longer has.
     hits: int = 0
     misses: int = 0
     evictions: int = 0
@@ -199,6 +309,9 @@ class ScrapeManager:
         self.cache_hits_total = 0
         self.cache_misses_total = 0
         self.cache_evictions_total = 0
+        #: Successful scrapes that had to rebuild their target's layout
+        #: (the rest stayed on the per-changed-line lane).
+        self.layout_rebuilds_total = 0
         self.cycle_seconds = Histogram(
             "ceems_scrape_cycle_seconds",
             help="Wall seconds per full scrape cycle (fetch + apply).",
@@ -216,122 +329,10 @@ class ScrapeManager:
             self.add_target(t)
 
     # -- fetch phase (storage-free; may run on worker threads) -----------
-    def _parse_cached(
-        self, target: ScrapeTarget, text: str
-    ) -> tuple[list, list, int, int]:
-        """Parse exposition text through the target's scrape cache.
-
-        Returns ``(batch, exemplars, hits, misses)`` with ``batch``
-        holding line-ordered ``(entry, value)`` pairs and
-        ``exemplars`` line-ordered ``(entry, Exemplar)`` pairs.  Error
-        behaviour is bit-identical to :func:`exposition.parse`:
-        comment validation, every cache miss and every exemplar suffix
-        go through the same shared helpers, and the hit path re-checks
-        value/timestamp tokens the same way — a payload is accepted or
-        rejected identically on both paths.
-        """
-        cache = target._cache
-        cache.gen += 1
-        gen = cache.gen
-        entries = cache.entries
-        identity = target.identity_labels()
-        parse_value = exposition._parse_value
-        entries_get = entries.get
-        comments = cache.comments
-        batch: list = []
-        append = batch.append
-        exemplars: list = []
-        hits = 0
-        misses = 0
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line[0] == "#":
-                if line not in comments:
-                    exposition.comment_parts(line, lineno)
-                    if len(comments) >= ScrapeCache.COMMENTS_MAX:
-                        comments.clear()
-                    comments.add(line)
-                continue
-            # Carve off an exemplar suffix first (the `'#' in line`
-            # guard keeps exemplar-free lines — the vast majority — on
-            # the original C-speed path).  This must happen before the
-            # rfind below: an exemplar's own label set ends in '}', so
-            # on exemplar-carrying lines the *last* '}' is no longer
-            # the series' closing brace.
-            ex_text = None
-            full_line = line
-            if "#" in line:
-                line, ex_text = exposition.split_exemplar(line)
-            # Split the raw `name{labels}` prefix (the cache key) from
-            # the value/timestamp tail.  rfind is sound: value and
-            # timestamp tokens of any *valid* line cannot contain '}',
-            # so the last '}' is the closing brace; lines without one
-            # are bare `name value [ts]`; anything structurally odd
-            # falls through to the reference parser and fails
-            # identically (keys only enter the cache after a full
-            # reference parse succeeds).
-            end = line.rfind("}")
-            if end != -1:
-                key = line[: end + 1]
-                tail = line[end + 1 :]
-            else:
-                parts = line.split(None, 1)
-                key = parts[0]
-                tail = parts[1] if len(parts) > 1 else ""
-            entry = entries_get(key)
-            if entry is not None:
-                tokens = tail.split()
-                if tokens:
-                    token = tokens[0]
-                    try:
-                        # float() accepts the full value grammar
-                        # (NaN/+Inf/-Inf included); _parse_value only
-                        # differs in the error it raises, so fall back
-                        # to it on failure for identical rejection.
-                        value = float(token)
-                    except ValueError:
-                        value = parse_value(token, lineno)
-                    if len(tokens) > 1:
-                        # scrape appends at the cycle timestamp, but a
-                        # malformed timestamp must still reject the
-                        # payload (parity with parse_sample_line's
-                        # int()).
-                        int(tokens[1])
-                    # Exemplar last, mirroring parse_sample_line's
-                    # validation order on doubly-malformed lines.
-                    if ex_text is not None:
-                        exemplars.append(
-                            (entry, exposition.parse_exemplar(ex_text, lineno))
-                        )
-                    entry.last_gen = gen
-                    append((entry, value))
-                    hits += 1
-                    continue
-            # miss (or structurally odd line): reference parse + full
-            # Labels validation before anything enters the cache.  The
-            # *full* line goes through, so the exemplar suffix is
-            # parsed by exactly the reference helper too.
-            name, labels, value, _ts, exemplar = exposition.parse_sample_line(
-                full_line, lineno
-            )
-            point = exposition.MetricPoint(labels=labels, value=value)
-            full = exposition.to_labels(name, point, identity)
-            misses += 1
-            entry = _CacheEntry(labels=full, ref=0, last_gen=gen)
-            entries[key] = entry
-            if exemplar is not None:
-                exemplars.append((entry, exemplar))
-            append((entry, value))
-        cache.hits += hits
-        cache.misses += misses
-        return batch, exemplars, hits, misses
-
     def _fetch(self, target: ScrapeTarget, now: float) -> _ScrapeResult:
-        """HTTP + decode + parse + cache resolution for one target.
+        """HTTP + decode + line compare/parse for one target.
 
-        Touches only the target and its private cache — never the
+        Touches only the target and its private layout — never the
         TSDB — so any number of fetches may run concurrently while
         the apply phase stays single-threaded and deterministic.
         """
@@ -347,10 +348,16 @@ class ScrapeManager:
                 raise ScrapeError(f"scrape returned HTTP {response.status}")
             body = response.body.decode()
             with prof.profile("scrape.parse"):
-                result.ref_batch, result.exemplars, result.hits, result.misses = (
-                    self._parse_cached(target, body)
-                )
-                result.evictions = target._cache.evict_stale()
+                lines = body.splitlines()
+                layout = target._layout
+                # After a failed scrape the layout's values may be
+                # half-refilled, so only a successful one is refilled.
+                if layout is None or not target.last_scrape_ok or not layout.refill(lines):
+                    layout, result.misses, result.evictions = _Layout.parse(
+                        lines, layout, target.identity_labels()
+                    )
+            result.layout = layout
+            result.hits = len(layout.refs) - result.misses
             result.ok = True
         except Exception as exc:  # noqa: BLE001 — one bad node must
             # never stall the cluster scrape: a non-UTF-8 body, a bad
@@ -368,21 +375,30 @@ class ScrapeManager:
         storage = self.storage
         samples = 0
         if result.ok:
-            samples = self._apply_refs(target, result.ref_batch, now, result.exemplars)
+            layout = result.layout
+            rebuilt = layout is not target._layout
+            if rebuilt:
+                for slot, ref in enumerate(layout.refs):
+                    if not ref:
+                        layout.refs[slot] = storage.get_ref(layout.labels[slot])
+            samples = self._append(layout, now)
+            if rebuilt:
+                # Series this target exposed last time but not now
+                # have disappeared (e.g. a finished job's cgroup).
+                # Only a rebuild can find any: the same layout means
+                # the same series.
+                self._mark_stale(target, layout.series(), now)
+                target._layout = layout
+                self.layout_rebuilds_total += 1
             target.last_scrape_ok = True
         else:
             target.scrape_failures_total += 1
-            target.last_scrape_ok = False
             # Prometheus writes staleness markers for every series of
             # a failed target so instant queries stop returning zombie
             # values the moment the node dies, instead of after the
             # lookback window.
-            for ref, labels in target._previous_refs.items():
-                if storage.resolve_ref(ref) is not None:
-                    storage.append_ref(ref, now, _STALE)
-                else:
-                    storage.append(labels, now, _STALE)
-            target._previous_refs = {}
+            self._mark_stale(target, {}, now)
+            target.last_scrape_ok = False
         target.last_scrape_duration = result.duration
         target.last_scrape_samples = samples
         storage.append(target.up_labels(), now, 1.0 if target.last_scrape_ok else 0.0)
@@ -391,63 +407,53 @@ class ScrapeManager:
         self.cache_evictions_total += result.evictions
         return samples
 
-    def _apply_refs(
-        self, target: ScrapeTarget, batch: list, now: float, exemplars: list | None = None
-    ) -> int:
-        """Batched append by ref + ref-set staleness pass."""
+    def _append(self, layout: _Layout, now: float) -> int:
+        """Batched append by ref of one body's samples and exemplars."""
         storage = self.storage
-        get_ref = storage.get_ref
-        pairs: list[tuple[int, float]] = []
-        pairs_append = pairs.append
-        for entry, value in batch:
-            if entry.ref == 0:
-                entry.ref = get_ref(entry.labels)
-            pairs_append((entry.ref, value))
-        samples, dead = storage.append_refs(now, pairs)
+        refs = layout.refs
+        labels = layout.labels
+        samples, dead = storage.append_refs(now, zip(refs, layout.values))
         if dead:
             # Refs that died since the last cycle (retention or
             # delete_series dropped the series): re-resolve through
             # labels — recreating the series exactly like a plain
-            # append by labels — and heal the cache entries so the
-            # next cycle is back on the fast path.
+            # append by labels — and heal the layout so the next cycle
+            # is back on the fast path.
             dead_refs = {ref for ref, _ in dead}
-            for i, (entry, value) in enumerate(batch):
-                if pairs[i][0] in dead_refs:
-                    entry.ref = get_ref(entry.labels)
-                    storage.append_ref(entry.ref, now, value)
+            for slot, ref in enumerate(refs):
+                if ref in dead_refs:
+                    refs[slot] = storage.get_ref(labels[slot])
+                    storage.append_ref(refs[slot], now, layout.values[slot])
                     samples += 1
-        if exemplars:
-            # After the sample loop: dead refs have been healed above,
-            # so entry.ref is always live here and the exemplar lands
-            # on the same series the sample did.
-            for entry, exemplar in exemplars:
-                storage.append_exemplar_ref(entry.ref, entry.labels, exemplar, now)
-        # Staleness markers: series this target exposed last time but
-        # not now have disappeared (e.g. a finished job's cgroup) —
-        # mark them stale so instant queries stop returning zombie
-        # values during the lookback window.
-        new_prev: dict[int, Labels] = {}
-        for entry, _value in batch:
-            new_prev[entry.ref] = entry.labels
-        prev = target._previous_refs
-        if prev:
-            seen_labels = None
-            for ref, labels in prev.items():
-                if ref in new_prev:
-                    continue
-                series = storage.resolve_ref(ref)
-                if series is not None:
-                    storage.append_ref(ref, now, _STALE)
-                    continue
-                # The prev ref died; its labels may have been
-                # re-scraped this cycle under a fresh ref, in which
-                # case the series is live, not stale.
-                if seen_labels is None:
-                    seen_labels = set(new_prev.values())
-                if labels not in seen_labels:
-                    storage.append(labels, now, _STALE)
-        target._previous_refs = new_prev
+        # After the sample loop: dead refs have been healed above, so
+        # the ref is always live here and the exemplar lands on the
+        # same series the sample did.  In line order, and unchanged
+        # exemplars are offered again every scrape: the store drops
+        # and counts the repeats.
+        for slot, (_text, exemplar) in sorted(layout.exemplars.items()):
+            storage.append_exemplar_ref(refs[slot], labels[slot], exemplar, now)
         return samples
+
+    def _mark_stale(self, target: ScrapeTarget, current: dict[int, Labels], now: float) -> None:
+        """Staleness markers for the series of the target's installed
+        layout that are not in ``current`` (``ref -> Labels``)."""
+        if not target.last_scrape_ok:
+            return  # never scraped, or a failed scrape marked them all
+        storage = self.storage
+        seen_labels = None
+        for ref, labels in target._layout.series().items():
+            if ref in current:
+                continue
+            if storage.resolve_ref(ref) is not None:
+                storage.append_ref(ref, now, _STALE)
+                continue
+            # The ref died; its labels may have been re-scraped this
+            # cycle under a fresh ref, in which case the series is
+            # live, not stale.  Otherwise recreate it for the marker.
+            if seen_labels is None:
+                seen_labels = set(current.values())
+            if labels not in seen_labels:
+                storage.append(labels, now, _STALE)
 
     # -- scraping ---------------------------------------------------------
     def scrape_target(self, target: ScrapeTarget, now: float) -> int:
@@ -523,7 +529,7 @@ class ScrapeManager:
         registry.gauge_func(
             "ceems_scrape_cache_hits_total",
             lambda: float(self.cache_hits_total),
-            help="Sample lines resolved from the per-target scrape cache.",
+            help="Sample lines resolved without a label parse: unchanged, or of series text the target's layout knows.",
             type="counter",
         )
         registry.gauge_func(
@@ -535,7 +541,7 @@ class ScrapeManager:
         registry.gauge_func(
             "ceems_scrape_cache_evictions_total",
             lambda: float(self.cache_evictions_total),
-            help="Scrape cache entries evicted after their series disappeared.",
+            help="Series texts dropped from a target's layout after their line disappeared.",
             type="counter",
         )
         exemplars = getattr(self.storage, "exemplars", None)

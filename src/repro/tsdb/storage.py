@@ -693,9 +693,12 @@ class TSDB:
             self.max_time = timestamp
 
     def append_refs(
-        self, timestamp: float, pairs: Sequence[tuple[int, float]]
+        self, timestamp: float, pairs: Iterable[tuple[int, float]]
     ) -> tuple[int, list[tuple[int, float]]]:
         """Batched same-timestamp append by ref — the scrape hot loop.
+
+        ``pairs`` is read once, so the scrape lane passes a ``zip`` of
+        its ref and value columns instead of building a list.
 
         One scrape cycle appends every sample of a target at the same
         logical instant, so the timestamp comparison, epoch bump and

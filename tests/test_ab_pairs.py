@@ -1,0 +1,89 @@
+"""The decision rule of ``benchmarks/ab_pairs.py`` on canned numbers.
+
+The rule is choosing-metrics §8: a gain needs nine tenths of the pairs
+and a median gap wider than the parent's own quartile distance;
+otherwise the bound decides, and a metric noisier than its bound is
+unresolved rather than unchanged.
+"""
+
+import pytest
+
+from benchmarks.ab_pairs import judge
+
+PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 103.0, 97.0, 100.5, 99.5, 101.5]
+
+
+def shifted(values, factor, flips=()):
+    """``values`` scaled by ``factor``; pairs in ``flips`` go the other way."""
+    return [v / factor if i in flips else v * factor for i, v in enumerate(values)]
+
+
+class TestGain:
+    def test_clear_win_higher_is_better(self):
+        v = judge(PARENT, shifted(PARENT, 1.2), "higher", 0.2)
+        assert v.verdict == "gain"
+        assert v.wins == 10
+        assert v.gain == pytest.approx(0.2)
+
+    def test_clear_win_lower_is_better(self):
+        v = judge(PARENT, shifted(PARENT, 0.8), "lower", 0.2)
+        assert v.verdict == "gain"
+        assert v.gain == pytest.approx(0.2)  # positive is better either way
+
+    def test_nine_of_ten_is_enough_eight_is_not(self):
+        assert judge(PARENT, shifted(PARENT, 1.2, flips={3}), "higher", 0.2).verdict == "gain"
+        v = judge(PARENT, shifted(PARENT, 1.2, flips={3, 6}), "higher", 0.2)
+        assert v.wins == 8 and v.verdict == "no worse"
+
+    def test_ties_count_for_neither_side(self):
+        change = shifted(PARENT, 1.2)
+        change[0] = PARENT[0]
+        change[1] = PARENT[1]
+        v = judge(PARENT, change, "higher", 0.2)
+        assert v.wins == 8  # and the two ties do not make up the nine tenths
+        assert v.verdict != "gain"
+
+    def test_median_gap_must_exceed_the_parents_quartile_distance(self):
+        # every pair won, but by 1 % where the parent's own runs spread 3 %
+        v = judge(PARENT, shifted(PARENT, 1.01), "higher", 0.2)
+        assert v.wins == 10 and v.verdict == "no worse"
+
+    def test_more_failures_void_a_gain(self):
+        v = judge(PARENT, shifted(PARENT, 1.2), "higher", 0.2, more_failures=True)
+        assert v.verdict == "no worse"
+
+
+class TestBound:
+    def test_worse_beyond_the_bound(self):
+        assert judge(PARENT, shifted(PARENT, 1.3), "lower", 0.2).verdict == "worse"
+        assert judge(PARENT, shifted(PARENT, 0.7), "higher", 0.2).verdict == "worse"
+
+    def test_worse_within_the_bound_is_no_worse(self):
+        assert judge(PARENT, shifted(PARENT, 1.1), "lower", 0.2).verdict == "no worse"
+
+    def test_spread_wider_than_the_bound_is_unresolved(self):
+        noisy = [100.0, 130.0, 75.0, 120.0, 80.0, 125.0, 70.0, 110.0, 90.0, 105.0]
+        v = judge(noisy, [n * 1.01 for n in noisy], "lower", 0.05)
+        assert v.verdict == "unresolved"
+        # the same noise under a bound it fits in is a plain pass
+        assert judge(noisy, [n * 1.01 for n in noisy], "lower", 0.5).verdict == "no worse"
+
+    def test_noisy_but_every_change_run_beats_every_parent_run(self):
+        noisy = [100.0, 130.0, 75.0, 120.0, 80.0, 125.0, 70.0, 110.0, 90.0, 105.0]
+        better = [60.0, 40.0, 65.0, 45.0, 62.0, 41.0, 66.0, 50.0, 55.0, 69.0]
+        assert judge(noisy, better, "lower", 0.05).verdict == "gain"
+        # with the gain voided, the separation still resolves the metric
+        assert judge(noisy, better, "lower", 0.05, more_failures=True).verdict == "no worse"
+
+
+def test_mismatched_or_empty_runs_are_refused():
+    with pytest.raises(ValueError):
+        judge([], [], "lower", 0.2)
+    with pytest.raises(ValueError):
+        judge([1.0, 2.0], [1.0], "lower", 0.2)
+
+
+def test_single_pair_has_no_spread_to_clear():
+    v = judge([100.0], [80.0], "lower", 0.2)
+    assert v.parent_quartiles == (100.0, 100.0)
+    assert v.verdict == "gain"  # 1/1 won over a zero spread: how many pairs is the caller's call

@@ -113,6 +113,41 @@ class TestParse:
         with pytest.raises(ScrapeError):
             parse(bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            'a{b="c"} 1 2 3 garbage',  # tokens after the timestamp (used to parse as 1 @ 2)
+            "a 1 2 3",
+            "a 1_0",  # PEP-515 separators: Python reads 10.0, Go's ParseFloat refuses
+            'a{b="c"} 1_000.5',
+            "a 1 1.5",  # timestamps are integer milliseconds (used to be a bare ValueError)
+            "a 1 soon",
+            "a 1 1_0",
+            "a 1 # {} 1_0",  # the same two holes inside an exemplar
+            "a 1 # {} 1 1_0",
+        ],
+    )
+    def test_numeric_token_grammar(self, bad):
+        """Every one a ScrapeError naming the line — from the line
+        parser and from the body parser alike."""
+        with pytest.raises(ScrapeError, match="line 7"):
+            parse_sample_line(bad, 7)
+        with pytest.raises(ScrapeError, match="line 3"):
+            parse(f"# TYPE a gauge\nok 1\n{bad}\n")
+
+    def test_numeric_tokens_still_accepted(self):
+        for text, value, ts in [
+            ("a 1e3 1500", 1000.0, 1500),
+            ("a -0.5 -1", -0.5, -1),
+            ("a +Inf", math.inf, None),
+            ("a Inf", math.inf, None),
+            ("a -Inf 0", -math.inf, 0),
+            ('a{b="1_0"} 10', 10.0, None),  # underscores in label values are data
+        ]:
+            _name, _labels, got, got_ts, _ex = parse_sample_line(text)
+            assert (got, got_ts) == (value, ts), text
+        assert math.isnan(parse_sample_line("a NaN")[2])
+
     def test_multiple_families(self):
         text = "# TYPE a counter\na 1\n# TYPE b gauge\nb{x=\"1\"} 2\nb{x=\"2\"} 3\n"
         families = {f.name: f for f in parse(text)}

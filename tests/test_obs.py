@@ -99,6 +99,110 @@ class TestRegistry:
         assert r.names == ["cb"]
 
 
+class TestCollectMemos:
+    """collect() keeps label dicts and wire exemplars between calls;
+    the rendered bytes must not depend on how often it was called."""
+
+    #: (metric, value, labels, trace number or None, seconds since the last one)
+    SCRIPT = [
+        ("lat", 0.003, {"handler": "/metrics"}, 1, 0.0),
+        ("req", 1.0, {"handler": "/metrics", "code": "200"}, 1, 0.0),
+        ("lat", 0.004, {"handler": "/metrics"}, 2, 0.1),  # same bucket, inside the rate limit: kept
+        ("lat", 0.004, {"handler": "/metrics"}, 3, 0.3),  # same bucket, past it: exemplar replaced
+        ("req", 1.0, {"handler": "/metrics", "code": "200"}, 3, 0.0),
+        ("lat", 0.7, {"handler": "/metrics"}, None, 0.0),  # no trace: counted, no exemplar
+        ("lat", 9.0, {"handler": "/health"}, 4, 0.0),  # a new label set, in the +Inf slot
+        ("req", 2.0, {"handler": "/health", "code": "500"}, 4, 0.0),
+        ("lat", 0.003, {"handler": "/metrics"}, 5, 1.0),
+        ("lat", 0.0001, {"handler": "/metrics"}, 6, 0.0),  # a bucket boundary
+        ("req", 1.0, {"handler": "/metrics", "code": "200"}, 6, 0.0),
+    ]
+
+    @staticmethod
+    def replay(script, monkeypatch, render_every_step: bool) -> str:
+        from repro.obs import registry as registry_module
+        from repro.obs.trace import activate, deactivate
+
+        clock = {"now": 100.0}
+        monkeypatch.setattr(registry_module, "_monotonic", lambda: clock["now"])
+        r = MetricsRegistry()
+        lat = r.histogram("lat_seconds", "Latency.", buckets=(0.0001, 0.005, 0.5))
+        req = r.counter("req_total", "Requests.")
+        for metric, value, labels, trace, wait in script:
+            clock["now"] += wait
+            token = activate(TraceContext(f"{trace:032x}", f"{trace:016x}")) if trace else None
+            try:
+                if metric == "lat":
+                    lat.observe(value, **labels)
+                else:
+                    req.inc(value, **labels)
+            finally:
+                if token is not None:
+                    deactivate(token)
+            if render_every_step:
+                r.render()
+        return r.render()
+
+    def test_warm_and_cold_memos_render_the_same_bytes(self, monkeypatch):
+        for upto in range(1, len(self.SCRIPT) + 1):
+            warm = self.replay(self.SCRIPT[:upto], monkeypatch, render_every_step=True)
+            exposition.clear_render_caches()
+            cold = self.replay(self.SCRIPT[:upto], monkeypatch, render_every_step=False)
+            assert warm == cold, upto
+            # the script does what its remarks say
+            if upto == 2:
+                assert f'le="0.005"}} 1 # {{trace_id="{1:032x}"}}' in cold
+            if upto == 3:
+                assert f'le="0.005"}} 2 # {{trace_id="{1:032x}"}}' in cold  # trace 2 never shows
+            if upto == 4:
+                assert f'le="0.005"}} 3 # {{trace_id="{3:032x}"}}' in cold  # replaced
+            if upto == 7:
+                assert f'handler="/health",le="+Inf"}} 1 # {{trace_id="{4:032x}"}}' in cold
+
+    def test_unchanged_slot_hands_out_the_same_exemplar(self):
+        from repro.obs.trace import activate, deactivate
+
+        r = MetricsRegistry()
+        lat = r.histogram("lat_seconds", buckets=(1.0,))
+        token = activate(TraceContext("a" * 32, "b" * 16))
+        try:
+            lat.observe(0.5)
+        finally:
+            deactivate(token)
+        first = lat.collect()[1].points[0]
+        again = lat.collect()[1].points[0]
+        assert first.exemplar is again.exemplar and first.labels is again.labels
+        assert first is not again  # a point per collect; its labels and exemplar are shared, read-only
+
+    def test_golden_body(self, monkeypatch):
+        """The le / +Inf / _sum / _count layout, pinned as bytes."""
+        body = self.replay(self.SCRIPT, monkeypatch, render_every_step=False)
+        t = {n: f'# {{trace_id="{n:032x}"}}' for n in range(1, 7)}
+        assert body == (
+            "# HELP lat_seconds Latency.\n"
+            "# TYPE lat_seconds histogram\n"
+            "# TYPE lat_seconds_bucket counter\n"
+            f'lat_seconds_bucket{{handler="/metrics",le="0.0001"}} 1 {t[6]} 0.0001\n'
+            f'lat_seconds_bucket{{handler="/metrics",le="0.005"}} 5 {t[5]} 0.003\n'
+            'lat_seconds_bucket{handler="/metrics",le="0.5"} 5\n'
+            'lat_seconds_bucket{handler="/metrics",le="+Inf"} 6\n'
+            'lat_seconds_bucket{handler="/health",le="0.0001"} 0\n'
+            'lat_seconds_bucket{handler="/health",le="0.005"} 0\n'
+            'lat_seconds_bucket{handler="/health",le="0.5"} 0\n'
+            f'lat_seconds_bucket{{handler="/health",le="+Inf"}} 1 {t[4]} 9\n'
+            "# TYPE lat_seconds_sum counter\n"
+            'lat_seconds_sum{handler="/metrics"} 0.7141\n'
+            'lat_seconds_sum{handler="/health"} 9\n'
+            "# TYPE lat_seconds_count counter\n"
+            'lat_seconds_count{handler="/metrics"} 6\n'
+            'lat_seconds_count{handler="/health"} 1\n'
+            "# HELP req_total Requests.\n"
+            "# TYPE req_total counter\n"
+            f'req_total{{code="200",handler="/metrics"}} 3 {t[6]} 1\n'
+            f'req_total{{code="500",handler="/health"}} 2 {t[4]} 2\n'
+        )
+
+
 class TestTrace:
     def test_traceparent_roundtrip(self):
         ctx = TraceContext(trace_id="ab" * 16, span_id="cd" * 8)
