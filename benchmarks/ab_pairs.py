@@ -24,6 +24,16 @@ README.md`` "Naming a claim"):
   parent;
 * **worse** — the median is beyond the bound.
 
+``--layers a,b,c`` asks where a difference sits instead: the same
+interleaved pairs run with ``--trace 1`` and, per named per-layer
+metric, both sides' medians are printed after dividing every run's
+value, if it is a time, by its own ``bench.slowdown ** 0.7`` (traced
+layer times are as measured, not speed-normalised like the end-to-end
+ones; the exponent is the one PR 20's hand arithmetic settled on).  Beside them, the
+counts a performance change must leave alone — samples scraped, series
+held, rule samples out, PromQL queries — and the printed digest, each
+``identical`` or ``differs`` over every run of both sides.
+
 This file reads the benchmark's result line and ``BENCHMARK.json``; it
 imports nothing from ``benchmarks/e2e`` or from the program.
 """
@@ -40,6 +50,18 @@ from dataclasses import dataclass
 
 #: Share of all pairs run the change must win before a gain is claimed.
 WIN_SHARE = 0.9
+
+#: Traced layer times are divided by ``bench.slowdown`` to this power.
+SPEED_EXPONENT = 0.7
+
+#: Per-unit counts of a traced run that must not move between parent
+#: and change: they feed ``work_per_s`` and the digest.
+IDENTITY_COUNTS = (
+    "tsdb.scrape.samples",
+    "tsdb.storage.series",
+    "tsdb.rules.samples_out",
+    "tsdb.promql.queries",
+)
 
 
 @dataclass
@@ -101,14 +123,61 @@ def judge(
     return Verdict(verdict, p_med, c_med, p_q, c_q, wins, ahead / base if base else 0.0)
 
 
-def run_once(checkout: str, command: list[str], workload: str, seed: int, seconds: int) -> dict:
-    """One benchmark process in ``checkout``; its result line, parsed."""
-    argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+def normalised_layer(result: dict, name: str) -> float:
+    """One run's per-layer value; a time, at calibration speed (counts
+    and ratios do not depend on the machine's speed and stay as read)."""
+    metrics = result["metrics"]
+    if metrics[name].get("unit") not in ("ms", "s"):
+        return metrics[name]["value"]
+    return metrics[name]["value"] / metrics["bench.slowdown"]["value"] ** SPEED_EXPONENT
+
+
+def layer_medians(runs: dict[str, list[dict]], names: list[str]) -> dict[str, tuple[float, float]]:
+    """Per named layer metric: (parent median, change median) of the
+    speed-normalised values."""
+    return {
+        name: tuple(statistics.median(normalised_layer(r, name) for r in runs[side]) for side in ("parent", "change"))
+        for name in names
+    }
+
+
+def identity_check(runs: dict[str, list[dict]], names=IDENTITY_COUNTS) -> dict[str, tuple[str, list]]:
+    """Per count (and the digest, where runs carry one): ``identical``
+    when every run of both sides printed the same value, else
+    ``differs``; with the distinct values seen."""
+    everything = runs["parent"] + runs["change"]
+    seen = {name: sorted({r["metrics"][name]["value"] for r in everything}) for name in names}
+    if all("digest" in r for r in everything):
+        seen["digest"] = sorted({r["digest"] for r in everything})
+    return {name: ("identical" if len(values) == 1 else "differs", values) for name, values in seen.items()}
+
+
+def run_once(checkout: str, command: list[str], workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
+    """One benchmark process in ``checkout``; its result line, parsed,
+    with the digest it printed on the way."""
+    argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"{' '.join(argv)} in {checkout} exited {done.returncode}:\n{done.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    for line in lines:
+        if line.startswith("digest "):
+            result["digest"] = line.split()[1]
+    return result
+
+
+def print_layers(runs: dict[str, list[dict]], names: list[str]) -> None:
+    print(f"{'layer metric':38s} {'parent':>12s} {'change':>12s} {'change':>8s}   (medians; times / slowdown^{SPEED_EXPONENT})")
+    total = [0.0, 0.0]
+    for name, (p_med, c_med) in layer_medians(runs, names).items():
+        if name.endswith("_ms"):
+            total[0] += p_med
+            total[1] += c_med
+        print(f"{name:38s} {p_med:12.4f} {c_med:12.4f} {(c_med - p_med) / p_med if p_med else 0.0:+8.1%}")
+    print(f"{'sum of the _ms rows':38s} {total[0]:12.4f} {total[1]:12.4f} {total[1] - total[0]:+8.2f}")
+    for name, (verdict, values) in identity_check(runs).items():
+        print(f"{name:38s} {verdict:10s} {', '.join(str(v) for v in values)}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -119,7 +188,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument("--json", default="", help="also write every run's result line to this file")
+    parser.add_argument("--layers", default="", help="comma-separated per-layer metrics: run traced and print these instead")
     args = parser.parse_args(argv)
+    layers = [name for name in args.layers.split(",") if name]
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         declared = json.load(fh)
@@ -129,9 +200,10 @@ def main(argv: list[str] | None = None) -> int:
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(sides[side], command, args.workload, args.seed, seconds)
+            result = run_once(sides[side], command, args.workload, args.seed, seconds, trace=int(bool(layers)))
             runs[side].append(result)
-            cells = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.4g}" for m in declared["end_to_end"])
+            shown = layers + ["bench.slowdown"] if layers else [m["name"] for m in declared["end_to_end"]]
+            cells = " ".join(f"{name}={result['metrics'][name]['value']:.4g}" for name in shown)
             print(f"pair {pair + 1:2d} {side:6s} correct={result['correct']} failed={result['failed']} {cells}", flush=True)
     if args.json:
         with open(args.json, "w") as fh:
@@ -147,6 +219,9 @@ def main(argv: list[str] | None = None) -> int:
         f"incorrect runs parent {sum(not r['correct'] for r in runs['parent'])} "
         f"change {sum(not r['correct'] for r in runs['change'])}"
     )
+    if layers:
+        print_layers(runs, layers)
+        return 0
     print(f"{'metric':12s} {'parent median [q1, q3]':>36s} {'change median [q1, q3]':>36s} {'change':>8s} {'wins':>6s} {'bound':>6s}  verdict")
     for metric in declared["end_to_end"]:
         name = metric["name"]

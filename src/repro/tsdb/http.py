@@ -500,19 +500,25 @@ class PromAPI:
         groups = []
         if self.rules is not None:
             for group in self.rules.groups:
+                plan_hits, plan_rebuilds = group.plan_counts()
                 groups.append(
                     {
                         "name": group.name,
                         "interval": group.interval,
                         "evaluations": group.evaluations,
                         "lastError": group.last_error,
+                        "lastEvaluation": group.last_evaluation,
+                        "evaluationTime": group.evaluation_seconds,
+                        "planHits": plan_hits,
+                        "planRebuilds": plan_rebuilds,
                         "rules": [
                             {
                                 "type": "recording",
                                 "name": rule.record,
                                 "query": rule.expr,
                                 "labels": dict(rule.labels),
-                                "health": "ok",
+                                "health": "err" if rule.last_error else "ok",
+                                "lastError": rule.last_error,
                             }
                             for rule in group.rules
                         ],

@@ -21,8 +21,25 @@ walked, a step grid is evaluated columnar — wherever the grid occurs:
   outer step the walk is at (``_subquery_windows``), bit-identical to
   walking the inner expression at every inner step.
 
-Both per-step loops live on as the oracles of the differential suite
-(``tests/reference/promql.py``).
+**The walk is split in two.**  An instant vector inside the walk is a
+pair ``(labels, values)`` — a tuple of :class:`Labels` and the list of
+floats beside it — and every node evaluates as a *label half* then a
+*value half*.  Everything a node does with labels (dropping the metric
+name, grouping, vector matching and its many-to-many errors, set
+membership, ``label_replace``, the final sort) is a pure function of
+the node and its input label tuples: the label half (the module-level
+``_*_plan`` functions) turns those into a *plan* of output labels and
+index lists, and the value half is plain indexed arithmetic over the
+plan, in the element order the walk always had.  A caller that
+evaluates the same expression again and again — a recording rule —
+passes a :class:`PlanMemo`; a node whose input tuples are the very
+objects it saw last time reuses its last plan and hands up the very
+output tuple it handed up last time, so a hit propagates to the root.
+Without a memo (ad hoc queries, alerts, the updater) the label half
+simply runs every time: one walk, one set of semantics.
+
+The element-wise walk this replaced and both per-step loops live on
+as the oracles of the differential suite (``tests/reference/promql.py``).
 
 Semantics reproduced from Prometheus:
 
@@ -41,17 +58,19 @@ Semantics reproduced from Prometheus:
 from __future__ import annotations
 
 import math
+import operator
 import re
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from repro.common.errors import QueryError
 from repro.obs import query as obsquery
-from repro.tsdb.model import METRIC_NAME_LABEL, Labels
+from repro.tsdb.model import EMPTY_LABELS, METRIC_NAME_LABEL, Labels
 from repro.tsdb.promql.ast import (
+    COMPARISON_OPS,
     Aggregation,
     BinaryOp,
     Call,
@@ -108,18 +127,28 @@ class VectorElement:
 
 @dataclass
 class InstantResult:
-    """Result of an instant query: a vector or a scalar."""
+    """Result of an instant query: a vector or a scalar.
+
+    A vector is held the way the walk produced it — ``labels`` and
+    ``values`` side by side; ``vector`` lists the same elements one
+    :class:`VectorElement` each, built on first use.
+    """
 
     timestamp: float
-    vector: list[VectorElement] = field(default_factory=list)
+    labels: tuple[Labels, ...] = ()
+    values: list[float] = field(default_factory=list)
     scalar: float | None = None
 
     @property
     def is_scalar(self) -> bool:
         return self.scalar is not None
 
+    @cached_property
+    def vector(self) -> list[VectorElement]:
+        return [VectorElement(labels, value) for labels, value in zip(self.labels, self.values)]
+
     def by_labels(self) -> dict[Labels, float]:
-        return {el.labels: el.value for el in self.vector}
+        return dict(zip(self.labels, self.values))
 
 
 @dataclass
@@ -135,8 +164,51 @@ class RangeResult:
         return range_steps(self.start, self.end, self.step)
 
 
-class _Vector(list):
-    """Internal instant-vector value (list of VectorElement)."""
+class PlanMemo:
+    """The last label plan of every node of *one* parsed expression.
+
+    Owned by a caller that evaluates the expression repeatedly (each
+    :class:`~repro.tsdb.rules.RecordingRule` has one).  Per key — a
+    node's ``id``, or a caller's own name for a step after the walk —
+    it holds the input label tuples the plan was built from and the
+    plan: nothing older, so memory is one plan per node.  A plan is
+    stored only after its label half returned; one that raised leaves
+    nothing behind and raises again next time.
+    """
+
+    __slots__ = ("ast", "plans", "hits", "rebuilds")
+
+    def __init__(self) -> None:
+        #: The expression the plans belong to (held so node ids stay
+        #: unique); a different one empties the memo.
+        self.ast: Expr | None = None
+        self.plans: dict[object, tuple[tuple, object]] = {}
+        self.hits = 0
+        self.rebuilds = 0
+
+    def plan(self, key, inputs: tuple, build, *consts, leaf: bool = False):
+        """``build(*consts, *inputs)``, or the plan built last time
+        when ``inputs`` are the same tuple objects as then.  A leaf's
+        input is assembled from storage on every evaluation, so it is
+        compared by value instead (element identity first)."""
+        entry = self.plans.get(key)
+        if entry is not None:
+            held = entry[0]
+            if held == inputs if leaf else all(map(operator.is_, held, inputs)):
+                self.hits += 1
+                return entry[1]
+        plan = build(*consts, *inputs)
+        self.plans[key] = (inputs, plan)
+        self.rebuilds += 1
+        return plan
+
+
+def _plan(memo: PlanMemo | None, key, inputs: tuple, build, *consts, leaf: bool = False):
+    """The label half of one node: remembered by ``memo``, or — with
+    no memo — built now, as every evaluation used to."""
+    if memo is None:
+        return build(*consts, *inputs)
+    return memo.plan(key, inputs, build, *consts, leaf=leaf)
 
 
 def _seq_sum(values) -> float:
@@ -165,6 +237,193 @@ def _seq_moments(values) -> tuple[float, float]:
     return mean, _seq_sum(deviations) / n
 
 
+def _divide(a: float, b: float) -> float:
+    return a / b if b != 0 else (math.nan if a == 0 else math.copysign(math.inf, a) * math.copysign(1, b))
+
+
+_BINARY_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+    "%": lambda a, b: math.fmod(a, b) if b != 0 else math.nan,
+    "^": operator.pow,
+    "==": lambda a, b: float(a == b),
+    "!=": lambda a, b: float(a != b),
+    ">": lambda a, b: float(a > b),
+    "<": lambda a, b: float(a < b),
+    ">=": lambda a, b: float(a >= b),
+    "<=": lambda a, b: float(a <= b),
+}
+
+
+def _binary_fn(op: str):
+    try:
+        return _BINARY_OPS[op]
+    except KeyError:
+        raise QueryError(f"unknown operator {op!r}") from None
+
+
+#: Aggregations that reduce a group's values to one float.
+_REDUCERS = {
+    "sum": _seq_sum,
+    "avg": lambda vals: _seq_sum(vals) / len(vals),
+    "min": lambda vals: float(np.min(np.asarray(vals))),
+    "max": lambda vals: float(np.max(np.asarray(vals))),
+    "count": lambda vals: float(len(vals)),
+    "stddev": lambda vals: math.sqrt(_seq_moments(vals)[1]),
+    "stdvar": lambda vals: _seq_moments(vals)[1],
+}
+
+#: Labels of ``vector(s)`` and of a scalar recorded as a series.
+SCALAR_LABELS = (EMPTY_LABELS,)
+
+
+# -- label halves ----------------------------------------------------------
+# Pure functions of a node and its input label tuples.  Each returns
+# the node's plan: its output label tuple, plus the index lists its
+# value half gathers by.  They raise what the walk always raised
+# (many-to-many matching), on every evaluation the cause persists.
+
+
+def _as_is(labels: tuple) -> tuple:
+    return labels
+
+
+def _without_names(labels: tuple) -> tuple:
+    return tuple([l.without_name() for l in labels])
+
+
+def _label_order(labels: tuple) -> tuple[tuple, list[int]]:
+    order = sorted(range(len(labels)), key=lambda i: tuple(labels[i]))
+    return tuple([labels[i] for i in order]), order
+
+
+def _group_plan(node: Aggregation, labels: tuple) -> tuple[tuple, list[list[int]]]:
+    """Output keys in first-seen order and each group's member indices."""
+    grouping = node.grouping
+    groups: dict[Labels, list[int]] = {}
+    for i, l in enumerate(labels):
+        if node.without:
+            key = l.drop(*grouping, METRIC_NAME_LABEL)
+        elif grouping:
+            key = l.keep(grouping)
+        else:
+            key = EMPTY_LABELS
+        groups.setdefault(key, []).append(i)
+    return tuple(groups), list(groups.values())
+
+
+def _signature(labels: Labels, matching: VectorMatching | None) -> Labels:
+    if matching is None:
+        return labels.without_name()
+    if matching.on:
+        return labels.keep(matching.labels)
+    return labels.drop(*matching.labels, METRIC_NAME_LABEL)
+
+
+def _match_plan(node: BinaryOp, lhs: tuple, rhs: tuple) -> tuple[tuple, list[int], list[int]]:
+    """Vector matching: output labels and the ``(lhs, rhs)`` index of
+    every matched pair, in "many"-side order.  A filtering comparison
+    keeps the many-side element, so its labels are that element's."""
+    matching = node.matching
+    group = matching.group if matching else ""
+    filtering = node.op in COMPARISON_OPS and not node.return_bool
+    # group_right mirrors group_left: match with the sides swapped,
+    # compute with the original ones.
+    many, one = (rhs, lhs) if group == "right" else (lhs, rhs)
+    one_index: dict[Labels, int] = {}
+    for j, labels in enumerate(one):
+        sig = _signature(labels, matching)
+        if sig in one_index:
+            raise QueryError(
+                f"many-to-many matching: duplicate signature {sig} on the "
+                f"'one' side of {node.op}"
+            )
+        one_index[sig] = j
+    out: list[Labels] = []
+    many_idx: list[int] = []
+    one_idx: list[int] = []
+    seen: set[Labels] = set()
+    for i, labels in enumerate(many):
+        sig = _signature(labels, matching)
+        if not group:
+            if sig in seen:
+                raise QueryError(f"many-to-many matching: duplicate signature {sig} on left side")
+            seen.add(sig)
+        j = one_index.get(sig)
+        if j is None:
+            continue
+        many_idx.append(i)
+        one_idx.append(j)
+        if filtering:
+            out.append(labels)
+        elif not group:
+            out.append(sig if (matching and matching.on) else labels.without_name())
+        elif matching.include:
+            merged = labels.without_name().as_dict()
+            for name in matching.include:
+                value_from_one = one[j].get(name, "")
+                if value_from_one:
+                    merged[name] = value_from_one
+                else:
+                    merged.pop(name, None)
+            out.append(Labels(merged))
+        else:
+            out.append(labels.without_name())
+    if group == "right":
+        return tuple(out), one_idx, many_idx
+    return tuple(out), many_idx, one_idx
+
+
+def _set_plan(node: BinaryOp, lhs: tuple, rhs: tuple) -> tuple[tuple, list[int], list[int]]:
+    """``and``/``unless`` keep lhs elements by rhs membership; ``or`` is
+    all of lhs plus the rhs elements whose signature lhs lacks."""
+    matching = node.matching
+    if node.op == "or":
+        lhs_sigs = {_signature(l, matching) for l in lhs}
+        extra = [j for j, l in enumerate(rhs) if _signature(l, matching) not in lhs_sigs]
+        return lhs + tuple([rhs[j] for j in extra]), list(range(len(lhs))), extra
+    rhs_sigs = {_signature(l, matching) for l in rhs}
+    wanted = node.op == "and"
+    keep = [i for i, l in enumerate(lhs) if (_signature(l, matching) in rhs_sigs) == wanted]
+    return tuple([lhs[i] for i in keep]), keep, []
+
+
+def _label_replace_plan(dst: str, replacement: str, src: str, regex: str, labels: tuple) -> tuple:
+    pattern = _compile_anchored(regex)
+    template = replacement.replace("$", "\\")
+    out = []
+    for l in labels:
+        match = pattern.match(l.get(src, ""))
+        if match:
+            new_value = match.expand(template)
+            d = l.as_dict()
+            if new_value:
+                d[dst] = new_value
+            else:
+                d.pop(dst, None)
+            l = Labels(d)
+        out.append(l)
+    return tuple(out)
+
+
+def _label_join_plan(dst: str, sep: str, sources: tuple[str, ...], labels: tuple) -> tuple:
+    return tuple([l.merge({dst: sep.join(l.get(s, "") for s in sources)}) for l in labels])
+
+
+def _absent_plan(node: Call, labels: tuple) -> tuple:
+    if labels:
+        return ()
+    found = {}
+    arg = node.args[0]
+    if isinstance(arg, VectorSelector):
+        for m in arg.matchers:
+            if m.op.value == "=" and m.name != METRIC_NAME_LABEL:
+                found[m.name] = m.value
+    return (Labels(found),)
+
+
 class PromQLEngine:
     """Evaluates PromQL against any object with a ``select`` method.
 
@@ -182,21 +441,30 @@ class PromQLEngine:
         self.eval_queries = {"instant": 0, "range": 0}
 
     # -- public API -------------------------------------------------------
-    def query(self, expr: str | Expr, at: float) -> InstantResult:
-        """Instant query at timestamp ``at`` (the AST walk)."""
+    def query(self, expr: str | Expr, at: float, memo: PlanMemo | None = None) -> InstantResult:
+        """Instant query at timestamp ``at`` (the AST walk).
+
+        ``memo`` is the caller's :class:`PlanMemo` for this parsed
+        expression, if it keeps one; results are the same with it,
+        without it, and with a fresh one.
+        """
         ast = parse_expr(expr) if isinstance(expr, str) else expr
+        if memo is not None and memo.ast is not ast:
+            memo.ast = ast
+            memo.plans.clear()
         started = time.perf_counter()
-        value = self._eval(ast, at)
+        value = self._eval(ast, at, memo)
         self.eval_seconds["instant"] += time.perf_counter() - started
         self.eval_queries["instant"] += 1
-        if isinstance(value, _Vector):
+        if isinstance(value, tuple):
+            labels, values = value
             # Results are label-sorted for determinism, except when the
             # outermost expression is sort()/sort_desc(), whose whole
             # point is value ordering.
-            if isinstance(ast, Call) and ast.func in ("sort", "sort_desc"):
-                return InstantResult(timestamp=at, vector=list(value))
-            vec = sorted(value, key=lambda el: tuple(el.labels))
-            return InstantResult(timestamp=at, vector=list(vec))
+            if not (isinstance(ast, Call) and ast.func in ("sort", "sort_desc")):
+                labels, order = _plan(memo, "order", (labels,), _label_order)
+                values = [values[i] for i in order]
+            return InstantResult(timestamp=at, labels=labels, values=values)
         if isinstance(value, (int, float)):
             return InstantResult(timestamp=at, scalar=float(value))
         raise QueryError(f"expression does not produce a vector or scalar: {type(value).__name__}")
@@ -228,44 +496,52 @@ class PromQLEngine:
         return result
 
     # -- evaluation ---------------------------------------------------------
-    def _eval(self, node: Expr, at: float):
+    # A node evaluates to a float, a string, or a vector
+    # ``(labels, values)``.
+    def _eval(self, node: Expr, at: float, memo: PlanMemo | None):
         if isinstance(node, NumberLiteral):
             return node.value
         if isinstance(node, StringLiteral):
             return node.value
         if isinstance(node, Paren):
-            return self._eval(node.expr, at)
+            return self._eval(node.expr, at, memo)
         if isinstance(node, UnaryOp):
-            inner = self._eval(node.expr, at)
-            if isinstance(inner, _Vector):
-                return _Vector(
-                    VectorElement(el.labels.without_name(), -el.value) for el in inner
-                )
+            inner = self._eval(node.expr, at, memo)
+            if isinstance(inner, tuple):
+                labels, values = inner
+                return _plan(memo, id(node), (labels,), _without_names), [-v for v in values]
             return -inner
         if isinstance(node, VectorSelector):
-            return self._eval_selector(node, at)
+            return self._eval_selector(node, at, memo)
         if isinstance(node, (MatrixSelector, Subquery)):
             raise QueryError("range selector only valid as a range-function argument")
         if isinstance(node, Call):
-            return self._eval_call(node, at)
+            return self._eval_call(node, at, memo)
         if isinstance(node, Aggregation):
-            return self._eval_aggregation(node, at)
+            return self._eval_aggregation(node, at, memo)
         if isinstance(node, BinaryOp):
-            return self._eval_binary(node, at)
+            return self._eval_binary(node, at, memo)
         raise QueryError(f"cannot evaluate node {node!r}")
 
-    # -- selectors ------------------------------------------------------------
-    def _eval_selector(self, node: VectorSelector, at: float) -> _Vector:
+    # -- leaves ---------------------------------------------------------------
+    # A leaf's plan input is the label sets of the series that gave it
+    # an element *this* evaluation: one that appeared, vanished, went
+    # stale or fell out of its window changes the tuple, and every
+    # plan above rebuilds.
+    def _eval_selector(self, node: VectorSelector, at: float, memo):
         ts = at - node.offset
-        out = _Vector()
+        lookback = self.lookback
+        present = []
+        values = []
         # Module-attribute call on purpose: the per-query stats hooks
         # stay swappable for the disabled-overhead bench.
         for series in obsquery.tracked_select(self.storage, node.matchers):
-            point = series.at_or_before(ts, self.lookback)
+            point = series.at_or_before(ts, lookback)
             if point is not None:
-                out.append(VectorElement(series.labels, point[1]))
-        obsquery.record_samples(len(out))
-        return out
+                present.append(series.labels)
+                values.append(point[1])
+        obsquery.record_samples(len(values))
+        return _plan(memo, id(node), (tuple(present),), _as_is, leaf=True), values
 
     def _windows(self, node, at: float) -> list[tuple[Labels, np.ndarray, np.ndarray, float, float]]:
         if isinstance(node, Subquery):
@@ -299,362 +575,208 @@ class PromQLEngine:
         return subquery_windows_at(self, node, at)
 
     # -- function calls -----------------------------------------------------------
-    def _eval_call(self, node: Call, at: float):
+    def _eval_call(self, node: Call, at: float, memo):
         func = node.func
         if func in RANGE_FUNCTIONS:
             if len(node.args) != 1 or not isinstance(node.args[0], (MatrixSelector, Subquery)):
                 raise QueryError(f"{func}() expects a single range-vector argument")
             impl = RANGE_FUNCTIONS[func]
-            out = _Vector()
+            present = []
+            values = []
             for labels, w_ts, w_vs, start, end in self._windows(node.args[0], at):
                 value = impl(w_ts, w_vs, start, end)
                 if value is not None and not math.isnan(value):
-                    out.append(VectorElement(labels.without_name(), float(value)))
-            return out
+                    present.append(labels)
+                    values.append(float(value))
+            return _plan(memo, id(node), (tuple(present),), _without_names, leaf=True), values
         if func == "quantile_over_time":
             if len(node.args) != 2 or not isinstance(node.args[1], (MatrixSelector, Subquery)):
                 raise QueryError("quantile_over_time(scalar, range-vector) expected")
-            q = self._eval_scalar(node.args[0], at)
-            out = _Vector()
-            for labels, w_ts, w_vs, _s, _e in self._windows(node.args[1], at):
+            q = self._eval_scalar(node.args[0], at, memo)
+            present = []
+            values = []
+            for labels, _w_ts, w_vs, _s, _e in self._windows(node.args[1], at):
                 if len(w_vs):
-                    out.append(VectorElement(labels.without_name(), quantile_over_time(q, w_vs)))
-            return out
+                    present.append(labels)
+                    values.append(quantile_over_time(q, w_vs))
+            return _plan(memo, id(node), (tuple(present),), _without_names, leaf=True), values
         if func in ELEMENT_FUNCTIONS:
             if not node.args:
                 raise QueryError(f"{func}() needs at least one argument")
-            vec = self._eval_vector(node.args[0], at)
-            extra = [self._eval_scalar(arg, at) for arg in node.args[1:]]
+            labels, values = self._eval_vector(node.args[0], at, memo)
+            extra = [self._eval_scalar(arg, at, memo) for arg in node.args[1:]]
             impl = ELEMENT_FUNCTIONS[func]
-            return _Vector(
-                VectorElement(el.labels.without_name(), float(impl(el.value, *extra))) for el in vec
+            return (
+                _plan(memo, id(node), (labels,), _without_names),
+                [float(impl(v, *extra)) for v in values],
             )
-        return self._eval_special(node, at)
+        return self._eval_special(node, at, memo)
 
-    def _eval_special(self, node: Call, at: float):
+    def _eval_special(self, node: Call, at: float, memo):
         func = node.func
         if func == "time":
             return float(at)
         if func == "scalar":
-            vec = self._eval_vector(node.args[0], at)
-            return float(vec[0].value) if len(vec) == 1 else math.nan
+            _labels, values = self._eval_vector(node.args[0], at, memo)
+            return float(values[0]) if len(values) == 1 else math.nan
         if func == "vector":
-            value = self._eval_scalar(node.args[0], at)
-            return _Vector([VectorElement(Labels(), value)])
+            return SCALAR_LABELS, [self._eval_scalar(node.args[0], at, memo)]
         if func == "timestamp":
-            vec = self._eval_vector(node.args[0], at)
+            labels, values = self._eval_vector(node.args[0], at, memo)
             # We do not track per-element original timestamps through
             # the lookback; the evaluation timestamp is the Prometheus
             # observable for fresh series and close enough for tests.
-            return _Vector(VectorElement(el.labels.without_name(), float(at)) for el in vec)
+            return _plan(memo, id(node), (labels,), _without_names), [float(at)] * len(values)
         if func == "absent":
-            vec = self._eval_vector(node.args[0], at)
-            if vec:
-                return _Vector()
-            labels = {}
-            arg = node.args[0]
-            if isinstance(arg, VectorSelector):
-                for m in arg.matchers:
-                    if m.op.value == "=" and m.name != METRIC_NAME_LABEL:
-                        labels[m.name] = m.value
-            return _Vector([VectorElement(Labels(labels), 1.0)])
+            labels, _values = self._eval_vector(node.args[0], at, memo)
+            out = _plan(memo, id(node), (labels,), _absent_plan, node)
+            return out, [1.0] * len(out)
         if func in ("sort", "sort_desc"):
-            vec = self._eval_vector(node.args[0], at)
-            reverse = func == "sort_desc"
-            return _Vector(sorted(vec, key=lambda el: el.value, reverse=reverse))
+            # Order is the values' doing: no plan to remember.
+            labels, values = self._eval_vector(node.args[0], at, memo)
+            order = sorted(range(len(values)), key=values.__getitem__, reverse=func == "sort_desc")
+            return tuple([labels[i] for i in order]), [values[i] for i in order]
         if func == "label_replace":
             if len(node.args) != 5:
                 raise QueryError("label_replace(v, dst, replacement, src, regex) expected")
-            vec = self._eval_vector(node.args[0], at)
-            dst, replacement, src, regex = (self._eval_string(a, at) for a in node.args[1:])
-            pattern = _compile_anchored(regex)
-            out = _Vector()
-            for el in vec:
-                match = pattern.match(el.labels.get(src, ""))
-                if match:
-                    new_value = match.expand(replacement.replace("$", "\\"))
-                    d = el.labels.as_dict()
-                    if new_value:
-                        d[dst] = new_value
-                    else:
-                        d.pop(dst, None)
-                    out.append(VectorElement(Labels(d), el.value))
-                else:
-                    out.append(el)
-            return out
+            labels, values = self._eval_vector(node.args[0], at, memo)
+            strings = [self._eval_string(a, at, memo) for a in node.args[1:]]
+            return _plan(memo, id(node), (labels,), _label_replace_plan, *strings), values
         if func == "histogram_quantile":
             if len(node.args) != 2:
                 raise QueryError("histogram_quantile(scalar, vector) expected")
-            q = self._eval_scalar(node.args[0], at)
-            vec = self._eval_vector(node.args[1], at)
-            return _Vector(
-                VectorElement(labels, value)
-                for labels, value in self._histogram_quantile_groups(q, vec)
-            )
+            q = self._eval_scalar(node.args[0], at, memo)
+            return self._histogram_quantile(q, *self._eval_vector(node.args[1], at, memo))
         if func == "label_join":
             if len(node.args) < 3:
                 raise QueryError("label_join(v, dst, sep, src...) expected")
-            vec = self._eval_vector(node.args[0], at)
-            dst = self._eval_string(node.args[1], at)
-            sep = self._eval_string(node.args[2], at)
-            sources = [self._eval_string(a, at) for a in node.args[3:]]
-            out = _Vector()
-            for el in vec:
-                joined = sep.join(el.labels.get(s, "") for s in sources)
-                d = el.labels.as_dict()
-                d[dst] = joined
-                out.append(VectorElement(Labels(d), el.value))
-            return out
+            labels, values = self._eval_vector(node.args[0], at, memo)
+            dst = self._eval_string(node.args[1], at, memo)
+            sep = self._eval_string(node.args[2], at, memo)
+            sources = tuple(self._eval_string(a, at, memo) for a in node.args[3:])
+            return _plan(memo, id(node), (labels,), _label_join_plan, dst, sep, sources), values
         raise QueryError(f"unknown function {func!r}")
 
     @staticmethod
-    def _histogram_quantile_groups(q: float, vec) -> list[tuple[Labels, float]]:
+    def _histogram_quantile(q: float, labels: tuple, values: list[float]):
         """Group ``_bucket`` elements by identity and compute quantiles.
 
         Elements without a parseable ``le`` label are ignored, as in
-        Prometheus.  Shared by both evaluators (the columnar path calls
-        this per step column) so results stay bit-identical.
+        Prometheus.  Rare outside dashboards (which evaluate columnar),
+        so the grouping is redone on every evaluation.
         """
         groups: dict[Labels, list[tuple[float, float]]] = {}
-        for el in vec:
-            le_raw = el.labels.get("le", "")
+        for l, v in zip(labels, values):
             try:
-                le = float(le_raw)
+                le = float(l.get("le", ""))
             except ValueError:
                 continue
-            key = el.labels.without_name().drop("le")
-            groups.setdefault(key, []).append((le, el.value))
-        out: list[tuple[Labels, float]] = []
-        for key, buckets in groups.items():
+            groups.setdefault(l.without_name().drop("le"), []).append((le, v))
+        out = []
+        for buckets in groups.values():
             buckets.sort(key=lambda pair: pair[0])
-            out.append((key, histogram_bucket_quantile(q, buckets)))
-        return out
+            out.append(histogram_bucket_quantile(q, buckets))
+        return tuple(groups), out
 
     # -- aggregations ------------------------------------------------------------
-    def _eval_aggregation(self, node: Aggregation, at: float) -> _Vector:
-        vec = self._eval_vector(node.expr, at)
-        param = self._eval_scalar(node.param, at) if node.param is not None else None
-
-        def group_key(labels: Labels) -> Labels:
-            if node.without:
-                return labels.drop(*node.grouping, METRIC_NAME_LABEL)
-            if node.grouping:
-                return labels.keep(node.grouping)
-            return Labels()
-
-        groups: dict[Labels, list[VectorElement]] = {}
-        for el in vec:
-            groups.setdefault(group_key(el.labels), []).append(el)
-
-        out = _Vector()
+    def _eval_aggregation(self, node: Aggregation, at: float, memo):
+        labels, values = self._eval_vector(node.expr, at, memo)
+        param = self._eval_scalar(node.param, at, memo) if node.param is not None else None
+        keys, members = _plan(memo, id(node), (labels,), _group_plan, node)
         op = node.op
-        for key, members in groups.items():
-            values = [m.value for m in members]
-            if op == "sum":
-                out.append(VectorElement(key, _seq_sum(values)))
-            elif op == "avg":
-                out.append(VectorElement(key, _seq_sum(values) / len(values)))
-            elif op == "min":
-                out.append(VectorElement(key, float(np.min(np.asarray(values)))))
-            elif op == "max":
-                out.append(VectorElement(key, float(np.max(np.asarray(values)))))
-            elif op == "count":
-                out.append(VectorElement(key, float(len(values))))
-            elif op == "stddev":
-                _mean, var = _seq_moments(values)
-                out.append(VectorElement(key, math.sqrt(var)))
-            elif op == "stdvar":
-                _mean, var = _seq_moments(values)
-                out.append(VectorElement(key, var))
-            elif op == "quantile":
-                if param is None:
-                    raise QueryError("quantile requires a parameter")
-                out.append(
-                    VectorElement(
-                        key, float(np.quantile(np.asarray(values), min(max(param, 0), 1)))
-                    )
-                )
-            elif op in ("topk", "bottomk"):
-                if param is None:
-                    raise QueryError(f"{op} requires a parameter")
-                k = max(int(param), 0)
-                ordered = sorted(members, key=lambda m: m.value, reverse=(op == "topk"))
-                # topk keeps the original element labels (incl. name).
-                out.extend(ordered[:k])
-            else:
-                raise QueryError(f"unknown aggregation {op!r}")
-        return out
+        if not members:
+            return keys, []
+        if op in ("topk", "bottomk"):
+            if param is None:
+                raise QueryError(f"{op} requires a parameter")
+            k = max(int(param), 0)
+            # Which elements survive is the values' doing; topk keeps
+            # the original element labels (incl. name).
+            chosen = []
+            for idx in members:
+                chosen += sorted(idx, key=values.__getitem__, reverse=(op == "topk"))[:k]
+            return tuple([labels[i] for i in chosen]), [values[i] for i in chosen]
+        if op == "quantile":
+            if param is None:
+                raise QueryError("quantile requires a parameter")
+            q = min(max(param, 0), 1)
+            return keys, [float(np.quantile(np.asarray([values[i] for i in idx]), q)) for idx in members]
+        reduce = _REDUCERS.get(op)
+        if reduce is None:
+            raise QueryError(f"unknown aggregation {op!r}")
+        return keys, [reduce([values[i] for i in idx]) for idx in members]
 
     # -- binary operators -----------------------------------------------------------
-    def _eval_binary(self, node: BinaryOp, at: float):
-        lhs = self._eval(node.lhs, at)
-        rhs = self._eval(node.rhs, at)
-        lhs_vec = isinstance(lhs, _Vector)
-        rhs_vec = isinstance(rhs, _Vector)
+    def _eval_binary(self, node: BinaryOp, at: float, memo):
+        lhs = self._eval(node.lhs, at, memo)
+        rhs = self._eval(node.rhs, at, memo)
+        lhs_vec = isinstance(lhs, tuple)
+        rhs_vec = isinstance(rhs, tuple)
         if node.op in ("and", "or", "unless"):
             if not (lhs_vec and rhs_vec):
                 raise QueryError(f"set operator {node.op} requires vector operands")
-            return self._set_op(node, lhs, rhs)
+            labels, l_idx, r_idx = _plan(memo, id(node), (lhs[0], rhs[0]), _set_plan, node)
+            l_values, r_values = lhs[1], rhs[1]
+            return labels, [l_values[i] for i in l_idx] + [r_values[j] for j in r_idx]
         if lhs_vec and rhs_vec:
-            return self._vector_vector(node, lhs, rhs)
-        if lhs_vec or rhs_vec:
-            return self._vector_scalar(node, lhs, rhs, scalar_on_right=rhs_vec is False)
-        return self._scalar_scalar(node, float(lhs), float(rhs))
+            return self._vector_vector(node, lhs, rhs, memo)
+        if lhs_vec:
+            return self._vector_scalar(node, lhs, float(rhs), memo, scalar_on_right=True)
+        if rhs_vec:
+            return self._vector_scalar(node, rhs, float(lhs), memo, scalar_on_right=False)
+        if node.op in COMPARISON_OPS and not node.return_bool:
+            raise QueryError("comparisons between scalars must use the bool modifier")
+        return _binary_fn(node.op)(float(lhs), float(rhs))
 
     @staticmethod
     def _apply_op(op: str, a: float, b: float) -> float:
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return a / b if b != 0 else (math.nan if a == 0 else math.copysign(math.inf, a) * math.copysign(1, b))
-        if op == "%":
-            return math.fmod(a, b) if b != 0 else math.nan
-        if op == "^":
-            return a**b
-        if op == "==":
-            return float(a == b)
-        if op == "!=":
-            return float(a != b)
-        if op == ">":
-            return float(a > b)
-        if op == "<":
-            return float(a < b)
-        if op == ">=":
-            return float(a >= b)
-        if op == "<=":
-            return float(a <= b)
-        raise QueryError(f"unknown operator {op!r}")
+        return _binary_fn(op)(a, b)
 
-    def _scalar_scalar(self, node: BinaryOp, a: float, b: float) -> float:
-        if node.op in ("==", "!=", ">", "<", ">=", "<=") and not node.return_bool:
-            raise QueryError("comparisons between scalars must use the bool modifier")
-        return self._apply_op(node.op, a, b)
+    _signature = staticmethod(_signature)
 
-    def _vector_scalar(self, node: BinaryOp, lhs, rhs, *, scalar_on_right: bool) -> _Vector:
-        vec: _Vector = lhs if scalar_on_right else rhs
-        scalar = float(rhs) if scalar_on_right else float(lhs)
-        comparison = node.op in ("==", "!=", ">", "<", ">=", "<=")
-        out = _Vector()
-        for el in vec:
-            a, b = (el.value, scalar) if scalar_on_right else (scalar, el.value)
-            result = self._apply_op(node.op, a, b)
-            if comparison and not node.return_bool:
-                if result:  # keep the element unchanged (filter semantics)
-                    out.append(el)
-            else:
-                labels = el.labels.without_name() if (not comparison or node.return_bool) else el.labels
-                out.append(VectorElement(labels, result if not comparison else float(result)))
-        return out
-
-    @staticmethod
-    def _signature(labels: Labels, matching: VectorMatching | None) -> Labels:
-        if matching is None:
-            return labels.without_name()
-        if matching.on:
-            return labels.keep(matching.labels)
-        return labels.drop(*matching.labels, METRIC_NAME_LABEL)
-
-    def _vector_vector(self, node: BinaryOp, lhs: _Vector, rhs: _Vector) -> _Vector:
-        matching = node.matching
-        group = matching.group if matching else ""
-        comparison = node.op in ("==", "!=", ">", "<", ">=", "<=")
-
-        if group == "right":
-            # Mirror: evaluate as group_left with operands swapped for
-            # matching purposes, then compute with original sides.
-            many, one = rhs, lhs
-        elif group == "left":
-            many, one = lhs, rhs
+    def _vector_scalar(self, node: BinaryOp, vector, scalar: float, memo, *, scalar_on_right: bool):
+        labels, values = vector
+        fn = _binary_fn(node.op)
+        if scalar_on_right:
+            results = [fn(v, scalar) for v in values]
         else:
-            many, one = lhs, rhs  # one-to-one; names kept for error text
+            results = [fn(scalar, v) for v in values]
+        if node.op in COMPARISON_OPS and not node.return_bool:
+            # Filter: the elements that pass stay unchanged, and which
+            # do is the values' doing.
+            keep = [i for i, passed in enumerate(results) if passed]
+            return tuple([labels[i] for i in keep]), [values[i] for i in keep]
+        return _plan(memo, id(node), (labels,), _without_names), results
 
-        one_index: dict[Labels, VectorElement] = {}
-        for el in one:
-            sig = self._signature(el.labels, matching)
-            if sig in one_index:
-                raise QueryError(
-                    f"many-to-many matching: duplicate signature {sig} on the "
-                    f"'one' side of {node.op}"
-                )
-            one_index[sig] = el
-
-        out = _Vector()
-        if group:
-            for el in many:
-                sig = self._signature(el.labels, matching)
-                partner = one_index.get(sig)
-                if partner is None:
-                    continue
-                a, b = (el.value, partner.value) if group == "left" else (partner.value, el.value)
-                value = self._apply_op(node.op, a, b)
-                labels = el.labels.without_name()
-                if matching and matching.include:
-                    merged = labels.as_dict()
-                    for name in matching.include:
-                        value_from_one = partner.labels.get(name, "")
-                        if value_from_one:
-                            merged[name] = value_from_one
-                        else:
-                            merged.pop(name, None)
-                    labels = Labels(merged)
-                if comparison and not node.return_bool:
-                    if value:
-                        out.append(VectorElement(el.labels, el.value))
-                else:
-                    out.append(VectorElement(labels, value))
-            return out
-
-        # one-to-one
-        seen: set[Labels] = set()
-        for el in lhs:
-            sig = self._signature(el.labels, matching)
-            if sig in seen:
-                raise QueryError(f"many-to-many matching: duplicate signature {sig} on left side")
-            seen.add(sig)
-            partner = one_index.get(sig)
-            if partner is None:
-                continue
-            value = self._apply_op(node.op, el.value, partner.value)
-            if comparison and not node.return_bool:
-                if value:
-                    out.append(el)
+    def _vector_vector(self, node: BinaryOp, lhs, rhs, memo):
+        (l_labels, l_values), (r_labels, r_values) = lhs, rhs
+        fn = _binary_fn(node.op)
+        labels, l_idx, r_idx = _plan(memo, id(node), (l_labels, r_labels), _match_plan, node)
+        results = [fn(l_values[i], r_values[j]) for i, j in zip(l_idx, r_idx)]
+        if node.op in COMPARISON_OPS and not node.return_bool:
+            if node.matching is not None and node.matching.group == "right":
+                side, idx = r_values, r_idx
             else:
-                result_labels = sig if (matching and matching.on) else el.labels.without_name()
-                out.append(VectorElement(result_labels, value))
-        return out
-
-    def _set_op(self, node: BinaryOp, lhs: _Vector, rhs: _Vector) -> _Vector:
-        matching = node.matching
-        rhs_sigs = {self._signature(el.labels, matching) for el in rhs}
-        if node.op == "and":
-            return _Vector(el for el in lhs if self._signature(el.labels, matching) in rhs_sigs)
-        if node.op == "unless":
-            return _Vector(el for el in lhs if self._signature(el.labels, matching) not in rhs_sigs)
-        # or: all of lhs plus rhs elements whose signature is absent on lhs
-        lhs_sigs = {self._signature(el.labels, matching) for el in lhs}
-        out = _Vector(lhs)
-        out.extend(el for el in rhs if self._signature(el.labels, matching) not in lhs_sigs)
-        return out
+                side, idx = l_values, l_idx
+            keep = [k for k, passed in enumerate(results) if passed]
+            return tuple([labels[k] for k in keep]), [side[idx[k]] for k in keep]
+        return labels, results
 
     # -- coercion helpers -------------------------------------------------------
-    def _eval_vector(self, node: Expr, at: float) -> _Vector:
-        value = self._eval(node, at)
-        if not isinstance(value, _Vector):
+    def _eval_vector(self, node: Expr, at: float, memo):
+        value = self._eval(node, at, memo)
+        if not isinstance(value, tuple):
             raise QueryError("expected an instant vector")
         return value
 
-    def _eval_scalar(self, node: Expr, at: float) -> float:
-        value = self._eval(node, at)
-        if isinstance(value, _Vector):
+    def _eval_scalar(self, node: Expr, at: float, memo) -> float:
+        value = self._eval(node, at, memo)
+        if isinstance(value, tuple):
             raise QueryError("expected a scalar")
         return float(value)
 
-    def _eval_string(self, node: Expr, at: float) -> str:
-        value = self._eval(node, at)
+    def _eval_string(self, node: Expr, at: float, memo) -> str:
+        value = self._eval(node, at, memo)
         if not isinstance(value, str):
             raise QueryError("expected a string literal")
         return value

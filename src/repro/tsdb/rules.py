@@ -21,7 +21,7 @@ from repro.common.errors import QueryError
 from repro.tsdb.alerts import AlertingRuleGroup
 from repro.tsdb.model import METRIC_NAME_LABEL, Labels
 from repro.tsdb.promql.ast import Expr
-from repro.tsdb.promql.engine import PromQLEngine
+from repro.tsdb.promql.engine import SCALAR_LABELS, PlanMemo, PromQLEngine
 from repro.tsdb.promql.parser import parse_expr
 from repro.tsdb.storage import TSDB
 
@@ -34,15 +34,27 @@ class RecordingRule:
     expr: str
     #: Extra labels attached to every recorded sample.
     labels: dict[str, str] = field(default_factory=dict)
+    #: Why the last evaluation failed; empty once one succeeds.
+    last_error: str = field(default="", repr=False, compare=False)
     _ast: Expr | None = field(default=None, repr=False)
-    #: Output series produced by the previous evaluation; outputs that
-    #: vanish get staleness markers (Prometheus rule semantics).
-    _previous_outputs: set = field(default_factory=set, repr=False)
+    #: The walk's label plans for this rule's expression, and the one
+    #: for relabelling its result (see :class:`PlanMemo`).
+    memo: PlanMemo = field(default_factory=PlanMemo, repr=False, compare=False)
+    #: Output series written by the previous successful evaluation;
+    #: outputs that vanish get staleness markers (Prometheus rule
+    #: semantics).
+    _written: tuple = field(default=(), repr=False, compare=False)
 
     def ast(self) -> Expr:
         if self._ast is None:
             self._ast = parse_expr(self.expr)
         return self._ast
+
+    def output_labels(self, result_labels: tuple) -> tuple:
+        """Label half of recording: every result label set renamed to
+        ``record`` with the rule's extra labels on top."""
+        overlay = {METRIC_NAME_LABEL: self.record, **self.labels}
+        return tuple([labels.merge(overlay) for labels in result_labels])
 
 
 @dataclass
@@ -56,53 +68,66 @@ class RuleGroup:
     #: evaluation bookkeeping
     evaluations: int = 0
     last_samples: int = 0
+    #: ``"<record>: <error>"`` of the first rule that failed in the
+    #: last evaluation (each rule keeps its own ``last_error``).
     last_error: str = ""
+    #: Timestamp of the last evaluation and the engine seconds it took.
+    last_evaluation: float = 0.0
+    evaluation_seconds: float = 0.0
 
     def evaluate(self, storage: TSDB, at: float, *, engine: PromQLEngine | None = None) -> int:
         """Evaluate every rule at timestamp ``at``, appending results.
 
         Returns the number of samples recorded.  A rule whose
         expression fails (e.g. its inputs have not been scraped yet)
-        is skipped and reported via :attr:`last_error`, without
-        aborting the group — Prometheus behaviour.
+        is skipped and reported via its and the group's
+        ``last_error``, without aborting the group — Prometheus
+        behaviour.
         """
         engine = engine or PromQLEngine(storage)
+        busy_before = engine.eval_seconds["instant"]
         recorded = 0
         self.last_error = ""
         for rule in self.rules:
             try:
-                result = engine.query(rule.ast(), at)
+                result = engine.query(rule.ast(), at, memo=rule.memo)
             except (QueryError, ZeroDivisionError) as exc:
-                self.last_error = f"{rule.record}: {exc}"
+                rule.last_error = str(exc)
+                self.last_error = self.last_error or f"{rule.record}: {exc}"
                 continue
-            outputs: set[Labels] = set()
+            rule.last_error = ""
             if result.is_scalar:
-                labels = Labels({METRIC_NAME_LABEL: rule.record, **rule.labels})
-                storage.append(labels, at, float(result.scalar))
-                outputs.add(labels)
-                recorded += 1
+                source, values = SCALAR_LABELS, [float(result.scalar)]
             else:
-                for el in result.vector:
-                    d = el.labels.as_dict()
-                    d[METRIC_NAME_LABEL] = rule.record
-                    d.update(rule.labels)
-                    labels = Labels(d)
-                    storage.append(labels, at, el.value)
-                    outputs.add(labels)
-                    recorded += 1
-            # Stale-mark output series that vanished this evaluation
-            # (e.g. a finished unit's power series) so downstream
-            # reads don't see zombie values for the lookback window.
-            # Series already deleted from storage (cardinality
-            # cleanup) are skipped — marking them would re-create
-            # exactly what the cleanup removed.
-            for labels in rule._previous_outputs - outputs:
-                if storage.has_series(labels):
-                    storage.append(labels, at, float("nan"))
-            rule._previous_outputs = outputs
+                source, values = result.labels, result.values
+            outputs = rule.memo.plan("record", (source,), rule.output_labels)
+            for labels, value in zip(outputs, values):
+                storage.append(labels, at, value)
+            recorded += len(values)
+            if outputs is not rule._written:
+                # Stale-mark output series that vanished this evaluation
+                # (e.g. a finished unit's power series) so downstream
+                # reads don't see zombie values for the lookback window.
+                # Series already deleted from storage (cardinality
+                # cleanup) are skipped — marking them would re-create
+                # exactly what the cleanup removed.
+                current = set(outputs)
+                for labels in dict.fromkeys(rule._written):
+                    if labels not in current and storage.has_series(labels):
+                        storage.append(labels, at, float("nan"))
+                rule._written = outputs
         self.evaluations += 1
         self.last_samples = recorded
+        self.last_evaluation = at
+        self.evaluation_seconds = engine.eval_seconds["instant"] - busy_before
         return recorded
+
+    def plan_counts(self) -> tuple[int, int]:
+        """``(hits, rebuilds)`` of the rules' plan memos since start."""
+        return (
+            sum(rule.memo.hits for rule in self.rules),
+            sum(rule.memo.rebuilds for rule in self.rules),
+        )
 
 
 class RuleManager:

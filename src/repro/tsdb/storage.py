@@ -25,9 +25,10 @@ Design points, mirroring what matters about Prometheus for this stack:
   columnar range evaluator can ``searchsorted`` thousands of step
   timestamps against one snapshot.  :meth:`TSDB.select` memoises
   selector results keyed by the matcher tuple — the memo survives
-  appends (series objects mutate in place) and is invalidated only
-  when series are created or deleted, so a dashboard burst or a rule
-  group touching the same selectors pays the index intersection once.
+  appends (series objects mutate in place), and a series created or
+  deleted forgets only the entries whose matchers it satisfies, so a
+  dashboard burst or a rule group touching the same selectors pays
+  the index intersection once, job churn elsewhere notwithstanding.
 * **Retention** drops samples older than the horizon; **series
   deletion** implements the API server's cardinality cleanup (paper
   §II.C: *"remove metrics of workloads that did not last more than
@@ -47,7 +48,7 @@ import numpy as np
 
 from repro.common.errors import StorageError
 from repro.tsdb.exposition import Exemplar
-from repro.tsdb.model import METRIC_NAME_LABEL, Labels, Matcher, select_labels
+from repro.tsdb.model import METRIC_NAME_LABEL, Labels, Matcher, MatchOp, match_all, select_labels
 
 #: Process-wide snapshot-cache counters for
 #: :meth:`ColumnarSeries.arrays` — per-instance bookkeeping would bloat
@@ -264,14 +265,24 @@ class ColumnarSeries:
         the series has disappeared: instant reads return nothing, with
         no lookback grace — Prometheus staleness semantics.
         """
-        t_arr, v_arr = self.arrays()
-        idx = int(np.searchsorted(t_arr, ts, side="right")) - 1
-        if idx < 0:
-            return None
-        t = float(t_arr[idx])
+        last = self._last
+        if last is not None and ts >= last:
+            # The newest sample answers — the usual instant read — and
+            # it is at hand: no flush, no bisection.
+            t = float(last)
+            if self._stage_vs:
+                value = float(self._stage_vs[-1])
+            else:
+                value = float(self._vs[self._start + self._len - 1])
+        else:
+            t_arr, v_arr = self.arrays()
+            idx = int(np.searchsorted(t_arr, ts, side="right")) - 1
+            if idx < 0:
+                return None
+            t = float(t_arr[idx])
+            value = float(v_arr[idx])
         if t <= ts - lookback:
             return None
-        value = float(v_arr[idx])
         if value != value:  # NaN: stale marker
             return None
         return t, value
@@ -517,11 +528,17 @@ class TSDB:
       mutation (append, bulk append, retention truncation, series
       deletion).
     * ``_select_cache`` maps matcher tuples to lists of live
-      :class:`ColumnarSeries` objects.  Because series mutate in place,
+      :class:`ColumnarSeries` objects, and the contract is that a
+      cached list is exactly what an uncached select would return
+      (same objects, same order).  Because series mutate in place,
       entries stay correct across *sample* mutations — retention that
       drops samples but no series deliberately leaves the memo
-      populated (it only bumps ``data_epoch``) — and are invalidated
-      wholesale whenever the population changes.  Downstream memos
+      populated (it only bumps ``data_epoch``).  When the population
+      changes, the entries whose matchers the created or dropped
+      series satisfies are forgotten (``_forget_selects_matching``)
+      and every other entry stays: it cannot contain that series, and
+      a rule group's selects over other metrics keep hitting while
+      jobs — and the rules' own outputs — come and go.  Downstream memos
       that **copy** sample data out of a series (e.g. the Thanos
       fan-out merge) must instead validate against
       ``(series_epoch, data_epoch)``, since an in-place mutation
@@ -552,9 +569,12 @@ class TSDB:
         self.min_time: float | None = None
         self.max_time: float | None = None
         # selector memo: matcher tuple -> selected series (in label
-        # order).  Valid across appends (series mutate in place);
-        # invalidated whenever the series population changes.
+        # order).  Valid across appends (series mutate in place); a
+        # series created or dropped forgets the entries it matches.
         self._select_cache: dict[tuple[Matcher, ...], list[ColumnarSeries]] = {}
+        # the memo's keys by the metric name they ask for (None: no
+        # `__name__=` matcher) — the only ones a series can be part of
+        self._select_keys: dict[str | None, set[tuple[Matcher, ...]]] = {}
         self.select_cache_hits = 0
         self.select_cache_misses = 0
         #: bumps when series are created or deleted
@@ -581,7 +601,7 @@ class TSDB:
             for pair in labels:
                 self._index.setdefault(pair, set()).add(labels)
             self.series_epoch += 1
-            self._select_cache.clear()
+            self._forget_selects_matching(labels)
         return series
 
     def append(self, labels: Labels, timestamp: float, value: float) -> None:
@@ -814,8 +834,23 @@ class TSDB:
         out.sort(key=lambda s: tuple(s.labels))
         if len(self._select_cache) >= self.SELECT_CACHE_MAX:
             self._select_cache.clear()
+            self._select_keys.clear()
         self._select_cache[key] = out
+        name = next((m.value for m in key if m.name == METRIC_NAME_LABEL and m.op is MatchOp.EQ), None)
+        self._select_keys.setdefault(name, set()).add(key)
         return out
+
+    def _forget_selects_matching(self, labels: Labels) -> None:
+        """Drop the memoised selects a created or dropped series would
+        be part of; every other cached list is still what an uncached
+        select returns."""
+        for name in (labels.metric_name, None):
+            keys = self._select_keys.get(name)
+            # a copy: serving threads may insert meanwhile
+            for key in list(keys) if keys else ():
+                if match_all(key, labels):
+                    keys.discard(key)
+                    self._select_cache.pop(key, None)
 
     def selector_cache_stats(self) -> dict[str, float]:
         """Hit/miss counters of the selector memo (bench observability)."""
@@ -907,7 +942,7 @@ class TSDB:
                     del self._index[pair]
         self.series_epoch += 1
         self.data_epoch += 1
-        self._select_cache.clear()
+        self._forget_selects_matching(key)
 
     def chunk_series(
         self,

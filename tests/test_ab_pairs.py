@@ -87,3 +87,64 @@ def test_single_pair_has_no_spread_to_clear():
     v = judge([100.0], [80.0], "lower", 0.2)
     assert v.parent_quartiles == (100.0, 100.0)
     assert v.verdict == "gain"  # 1/1 won over a zero spread: how many pairs is the caller's call
+
+
+def traced_line(slowdown, digest="c26de5bdc1855593", **metrics):
+    """A ``--trace 1`` result line as ``run_once`` hands it on."""
+    values = {"bench.slowdown": slowdown, "tsdb.scrape.samples": 13061.057142857142,
+              "tsdb.storage.series": 8200.0, "tsdb.rules.samples_out": 581.7142857142857,
+              "tsdb.promql.queries": 63.5, **metrics}  # fmt: skip
+    return {"correct": True, "attempted": 9225, "failed": 0, "digest": digest,
+            "metrics": {name: {"value": value, "unit": "ms" if name.endswith("_ms") else "1/op"}
+                        for name, value in values.items()}}  # fmt: skip
+
+
+class TestLayers:
+    """``--layers``: per-layer medians at calibration speed, and the
+    counts that must not move."""
+
+    def test_a_layer_value_is_divided_by_slowdown_to_the_0_7(self):
+        from benchmarks.ab_pairs import normalised_layer
+
+        line = traced_line(1.33, **{"tsdb.promql.eval_ms": 44.9})
+        assert normalised_layer(line, "tsdb.promql.eval_ms") == pytest.approx(44.9 / 1.33**0.7)
+        # a run at calibration speed reads as measured
+        assert normalised_layer(traced_line(1.0, **{"tsdb.promql.eval_ms": 30.0}), "tsdb.promql.eval_ms") == 30.0
+        # a count is the same on a slow machine
+        assert normalised_layer(line, "tsdb.promql.queries") == 63.5
+
+    def test_medians_are_taken_after_normalising_each_run_by_its_own_speed(self):
+        from benchmarks.ab_pairs import layer_medians
+
+        # the same work on a machine drifting 1.0 -> 2.0: as measured the
+        # medians differ, normalised they agree
+        def side(base):
+            return [traced_line(s, **{"x_ms": base * s**0.7}) for s in (1.0, 1.5, 2.0)]
+
+        medians = layer_medians({"parent": side(40.0), "change": side(20.0)}, ["x_ms"])
+        assert medians["x_ms"] == pytest.approx((40.0, 20.0))
+
+    def test_counts_and_digest_identical(self):
+        from benchmarks.ab_pairs import IDENTITY_COUNTS, identity_check
+
+        runs = {"parent": [traced_line(1.1), traced_line(0.9)], "change": [traced_line(1.0), traced_line(1.2)]}
+        checked = identity_check(runs)
+        assert set(checked) == {*IDENTITY_COUNTS, "digest"}
+        assert all(verdict == "identical" for verdict, _values in checked.values())
+        assert checked["tsdb.promql.queries"][1] == [63.5]
+
+    def test_one_run_with_another_count_or_digest_differs(self):
+        from benchmarks.ab_pairs import identity_check
+
+        odd = traced_line(1.0, digest="0000000000000000", **{"tsdb.rules.samples_out": 580.0})
+        checked = identity_check({"parent": [traced_line(1.0)] * 3, "change": [traced_line(1.0), odd, traced_line(1.0)]})
+        assert checked["tsdb.rules.samples_out"] == ("differs", [580.0, 581.7142857142857])
+        assert checked["digest"][0] == "differs"
+        assert checked["tsdb.scrape.samples"][0] == "identical"
+
+    def test_runs_without_a_digest_line_are_judged_on_counts_alone(self):
+        from benchmarks.ab_pairs import identity_check
+
+        bare = traced_line(1.0)
+        del bare["digest"]
+        assert "digest" not in identity_check({"parent": [bare], "change": [traced_line(1.0)]})

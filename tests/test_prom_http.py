@@ -145,3 +145,55 @@ class TestCacheMetricsExposition:
             ]
             assert matching, name
             assert float(matching[0].rsplit(" ", 1)[1]) >= 0.0
+
+
+class TestRulesEndpoint:
+    """``/api/v1/rules`` tells a failed recording rule from a healthy
+    one, and reports each group's timing and plan-memo counters."""
+
+    @pytest.fixture
+    def ruled(self, api):
+        from repro.tsdb.rules import RecordingRule, RuleGroup, RuleManager
+
+        manager = RuleManager(api.storage)
+        manager.add_group(
+            RuleGroup(
+                name="g",
+                interval=30.0,
+                rules=[
+                    RecordingRule(record="total", expr="sum(power)"),
+                    RecordingRule(record="bad1", expr="power * on(nothing) power"),
+                    RecordingRule(record="bad2", expr="power and 1"),
+                ],
+            )
+        )
+        return manager, PromAPI(api.storage, rules=manager)
+
+    def _group(self, api):
+        (group,) = api.app.get("/api/v1/rules").decode_json()["data"]["groups"]
+        return group, {rule["name"]: rule for rule in group["rules"]}
+
+    def test_failed_recording_rules_are_not_ok(self, ruled):
+        manager, api = ruled
+        manager.evaluate_all(150.0)
+        group, rules = self._group(api)
+        assert rules["total"]["health"] == "ok" and rules["total"]["lastError"] == ""
+        assert rules["bad1"]["health"] == "err" and "many-to-many" in rules["bad1"]["lastError"]
+        assert rules["bad2"]["health"] == "err" and "set operator" in rules["bad2"]["lastError"]
+        assert group["lastError"] == "bad1: " + rules["bad1"]["lastError"]
+
+    def test_group_timing_and_plan_counters(self, ruled):
+        manager, api = ruled
+        group, _rules = self._group(api)
+        assert group["evaluations"] == 0 and group["planHits"] == 0 and group["planRebuilds"] == 0
+        manager.evaluate_all(135.0)
+        first, _rules = self._group(api)
+        assert first["lastEvaluation"] == 135.0 and first["evaluationTime"] > 0.0
+        assert first["planRebuilds"] > 0 and first["planHits"] == 0
+        manager.evaluate_all(150.0)
+        second, _rules = self._group(api)
+        # same series as 15 s ago: every plan is reused, and the label
+        # halves that raised again stored nothing to count
+        assert second["lastEvaluation"] == 150.0
+        assert second["planHits"] > 0
+        assert second["planRebuilds"] == first["planRebuilds"]

@@ -85,6 +85,41 @@ class TestRecordingRules:
         assert recorded == 1
         assert "bad" in group.last_error
 
+    def test_two_failing_rules_each_report_and_group_reports_the_first(self):
+        group = RuleGroup(
+            name="g", interval=30.0,
+            rules=[
+                RecordingRule(record="good", expr="sum(raw)"),
+                RecordingRule(record="bad1", expr="raw * on(nothing) raw"),
+                RecordingRule(record="bad2", expr="raw and 1"),
+            ],
+        )
+        assert group.evaluate(self.db, at=300.0) == 1
+        good, bad1, bad2 = group.rules
+        assert good.last_error == ""
+        assert "many-to-many" in bad1.last_error
+        assert "set operator" in bad2.last_error
+        # the group names the first failure, not the last one standing
+        assert group.last_error == f"bad1: {bad1.last_error}"
+        assert group.last_evaluation == 300.0 and group.evaluation_seconds > 0.0
+
+    def test_rule_that_fails_then_recovers_clears_its_error(self):
+        self.db.append(mk("one", instance="n1"), 285.0, 1.0)
+        group = RuleGroup(
+            name="g", interval=30.0,
+            rules=[RecordingRule(record="joined", expr="raw * on(instance) group_left() one")],
+        )
+        rule = group.rules[0]
+        assert group.evaluate(self.db, at=300.0) == 1 and rule.last_error == ""
+        # a second series makes the "one" side many-to-many ...
+        self.db.append(mk("one", instance="n1", dup="x"), 300.0, 1.0)
+        for at in (315.0, 330.0):  # ... for as long as it is there
+            assert group.evaluate(self.db, at=at) == 0
+            assert "many-to-many" in rule.last_error and group.last_error.startswith("joined: ")
+        self.db.delete_series([Matcher.eq("dup", "x")])
+        assert group.evaluate(self.db, at=345.0) == 1
+        assert rule.last_error == "" and group.last_error == ""
+
     def test_vanished_output_gets_stale_marker(self):
         group = RuleGroup(
             name="g", interval=30.0,

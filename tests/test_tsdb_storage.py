@@ -423,3 +423,190 @@ class TestAppendByRef:
         before = db.data_epoch
         db.append_refs(1.0, [(r1, 1.0), (r2, 2.0)])
         assert db.data_epoch == before + 1
+
+
+# -- the two leaf reads of the instant walk ----------------------------------
+
+#: One step of a series' life: ("append", gap, value) advances time by
+#: ``gap`` (0 overwrites the newest sample), ("truncate", back) drops
+#: everything older than ``newest - back``, ("read",) flushes the
+#: staged tail into the ring the way any window read does.
+_series_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("append"),
+            st.sampled_from([0.0, 1.0, 15.0, 299.0, 300.0, 301.0]),
+            st.one_of(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), st.just(math.nan)),
+        ),
+        st.tuples(st.just("truncate"), st.sampled_from([-1.0, 0.0, 15.0, 400.0])),
+        st.tuples(st.just("read")),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _at_or_before_by_bisection(series: ColumnarSeries, ts: float, lookback: float):
+    """``at_or_before`` as it was before it looked at the newest sample
+    first: ``arrays()`` and a bisection."""
+    import numpy as np
+
+    t_arr, v_arr = series.arrays()
+    idx = int(np.searchsorted(t_arr, ts, side="right")) - 1
+    if idx < 0:
+        return None
+    t, value = float(t_arr[idx]), float(v_arr[idx])
+    if t <= ts - lookback or value != value:
+        return None
+    return t, value
+
+
+def _same_point(got, want) -> bool:
+    if got is None or want is None:
+        return got is want
+    return got == want and [type(x) for x in got] == [float, float]
+
+
+class TestAtOrBeforeNewestSample:
+    """The read every instant selector makes — "the sample at or before
+    now" — answers from the newest sample without flushing or
+    bisecting.  It must equal the bisection at every probe, whether
+    the newest sample is staged or in the ring."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_series_ops, lookback=st.sampled_from([15.0, 300.0]))
+    def test_equals_bisection_after_every_step(self, ops, lookback):
+        series = ColumnarSeries(mklabels("m"))
+        now = 1000.0
+        for op in ops:
+            if op[0] == "append":
+                now += op[1]
+                series.append(now, op[2])
+            elif op[0] == "truncate":
+                series.truncate_before(now - op[1])
+            else:
+                series.arrays()
+            probes = [now - 1.0, now, now + 1.0, now + lookback - 1.0, now + lookback, now + lookback + 1.0, now - 400.0]
+            # Fast path first: it must not depend on a flush the
+            # reference read would have done for it.
+            got = [series.at_or_before(ts, lookback) for ts in probes]
+            want = [_at_or_before_by_bisection(series, ts, lookback) for ts in probes]
+            assert all(_same_point(g, w) for g, w in zip(got, want)), (op, got, want)
+
+    def test_staged_and_flushed_tails_and_the_lookback_edge(self):
+        series = ColumnarSeries(mklabels("m"))
+        series.append(10.0, 1.0)
+        assert series._stage_vs and series.at_or_before(10.0, 300.0) == (10.0, 1.0)  # staged
+        series.arrays()
+        assert not series._stage_vs and series.at_or_before(10.0, 300.0) == (10.0, 1.0)  # ring tail
+        series.append(10.0, 2.0)  # equal-timestamp overwrite lands in the ring
+        assert series.at_or_before(11.0, 300.0) == (10.0, 2.0)
+        assert series.at_or_before(309.9, 300.0) == (10.0, 2.0)
+        assert series.at_or_before(310.0, 300.0) is None  # (ts - lookback, ts] is open on the left
+        assert series.at_or_before(9.0, 300.0) is None  # older than everything
+        series.append(25.0, math.nan)  # staleness marker as the newest sample
+        assert series.at_or_before(25.0, 300.0) is None and series.at_or_before(24.0, 300.0) == (10.0, 2.0)
+        series.truncate_before(100.0)  # emptied
+        assert series.at_or_before(200.0, 300.0) is None
+
+
+#: Matcher tuples worth memoising: equality, regex, negative, and
+#: empty-value equality (which no posting list can answer).
+_MEMO_KEYS = [
+    (Matcher.name_eq("cpu"),),
+    (Matcher.name_eq("cpu"), Matcher.eq("host", "a")),
+    (Matcher.name_eq("cpu"), Matcher("host", MatchOp.NEQ, "a")),
+    (Matcher.name_eq("cpu"), Matcher.re("host", "a|b")),
+    (Matcher.name_eq("cpu"), Matcher("host", MatchOp.NRE, "b.*")),
+    (Matcher.name_eq("cpu"), Matcher.eq("zone", "")),
+    (Matcher.re("__name__", "cpu|mem"),),
+    (Matcher("__name__", MatchOp.NEQ, "cpu"),),
+    (Matcher.eq("host", "b"),),
+    (Matcher.re("host", "[ab]"), Matcher("zone", MatchOp.NEQ, "")),
+]
+
+_series_pool = st.builds(
+    lambda name, host, zone: mklabels(name, **({"host": host} if host else {}), **({"zone": zone} if zone else {})),
+    st.sampled_from(["cpu", "mem", "net"]),
+    st.sampled_from(["", "a", "b", "bb", "c"]),
+    st.sampled_from(["", "z1"]),
+)
+
+_memo_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("create"), _series_pool),
+        st.tuples(st.just("delete"), st.sampled_from(_MEMO_KEYS)),
+        st.tuples(st.just("retention"), st.sampled_from([5.0, 50.0])),
+        st.tuples(st.just("select"), st.sampled_from(_MEMO_KEYS)),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def _assert_memo_is_exact(db: TSDB) -> None:
+    """Every memoised list is what an uncached select would return:
+    the live series objects, in label order."""
+    from repro.tsdb.model import select_labels
+
+    for key, cached in db._select_cache.items():
+        fresh = sorted(
+            (db._series[labels] for labels in select_labels(db._index, db._series, key)),
+            key=lambda s: tuple(s.labels),
+        )
+        assert len(cached) == len(fresh) and all(a is b for a, b in zip(cached, fresh)), key
+    indexed = {key for keys in db._select_keys.values() for key in keys}
+    assert indexed == set(db._select_cache)
+
+
+class TestSelectMemoSelectiveInvalidation:
+    """A created or dropped series forgets only the memoised selects
+    whose matchers it satisfies; the rest stay, and stay right."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_memo_ops)
+    def test_memo_equals_uncached_select_after_every_step(self, ops):
+        db = TSDB(retention=20.0)
+        now = 100.0
+        for op in ops:
+            now += 1.0
+            if op[0] == "create":
+                db.append(op[1], now, 1.0)
+            elif op[0] == "delete":
+                db.delete_series(list(op[1]))
+            elif op[0] == "retention":
+                db.apply_retention(now + op[1])
+            else:
+                db.select(list(op[1]))
+            _assert_memo_is_exact(db)
+        for key in _MEMO_KEYS:  # and through the public read, hit or miss
+            got = db.select(list(key))
+            assert [s.labels for s in got] == sorted(
+                (l for l in db._series if all(m.matches(l) for m in key)), key=tuple
+            )
+
+    def test_series_matching_only_a_regex_matcher_of_a_cached_key(self):
+        """select, create a series that only the key's *regex* matcher
+        can tell apart, select again: the new series must be there."""
+        db = TSDB()
+        db.append(mklabels("cpu", host="a"), 1.0, 1.0)
+        by_regex = [Matcher.name_eq("cpu"), Matcher.re("host", "a|b")]
+        by_other_name = [Matcher.name_eq("mem")]
+        assert len(db.select(by_regex)) == 1 and db.select(by_other_name) == []
+        db.append(mklabels("cpu", host="c"), 2.0, 1.0)  # same metric, regex says no
+        assert tuple(by_regex) in db._select_cache  # ... so the memo stays
+        db.append(mklabels("cpu", host="b"), 2.0, 1.0)  # regex says yes
+        assert tuple(by_regex) not in db._select_cache
+        assert tuple(by_other_name) in db._select_cache  # untouched either time
+        assert [s.labels.get("host") for s in db.select(by_regex)] == ["a", "b"]
+        misses = db.select_cache_misses
+        assert db.select(by_other_name) == [] and db.select_cache_misses == misses
+
+    def test_key_without_a_name_matcher_sees_every_metric(self):
+        db = TSDB()
+        db.append(mklabels("cpu", host="b"), 1.0, 1.0)
+        assert len(db.select([Matcher.eq("host", "b")])) == 1
+        db.append(mklabels("mem", host="b"), 1.0, 1.0)
+        assert len(db.select([Matcher.eq("host", "b")])) == 2
+        db.delete_series([Matcher.name_eq("cpu")])
+        assert [s.labels.metric_name for s in db.select([Matcher.eq("host", "b")])] == ["mem"]
