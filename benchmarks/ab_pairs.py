@@ -31,8 +31,10 @@ value, if it is a time, by its own ``bench.slowdown ** 0.7`` (traced
 layer times are as measured, not speed-normalised like the end-to-end
 ones; the exponent is the one PR 20's hand arithmetic settled on).  Beside them, the
 counts a performance change must leave alone — samples scraped, series
-held, rule samples out, PromQL queries — and the printed digest, each
-``identical`` or ``differs`` over every run of both sides.
+held, rule samples out, PromQL queries, exporter bodies rendered — and
+the printed digest, each ``identical`` or ``differs`` over every run of
+both sides; and, where every run of both sides reports it, the share of
+exporter bodies served by refilling the previous one.
 
 This file reads the benchmark's result line and ``BENCHMARK.json``; it
 imports nothing from ``benchmarks/e2e`` or from the program.
@@ -61,7 +63,14 @@ IDENTITY_COUNTS = (
     "tsdb.storage.series",
     "tsdb.rules.samples_out",
     "tsdb.promql.queries",
+    # a cheaper exporter must not mean fewer bodies
+    "exporter.renders",
 )
+
+#: Share of exporter bodies a ``Body`` refilled rather than rebuilt.  No
+#: benchmark line carries it yet (``benchmarks/e2e`` is not this file's
+#: to change); shown once both sides do.
+REFILL_RATIO = "exporter.refill_ratio"
 
 
 @dataclass
@@ -152,6 +161,14 @@ def identity_check(runs: dict[str, list[dict]], names=IDENTITY_COUNTS) -> dict[s
     return {name: ("identical" if len(values) == 1 else "differs", values) for name, values in seen.items()}
 
 
+def refill_shares(runs: dict[str, list[dict]]) -> tuple[float, float] | None:
+    """(parent median, change median) of the per-body refill share, or
+    ``None`` unless every run of both sides reports one."""
+    if not all(REFILL_RATIO in r["metrics"] for side in ("parent", "change") for r in runs[side]):
+        return None
+    return tuple(statistics.median(r["metrics"][REFILL_RATIO]["value"] for r in runs[side]) for side in ("parent", "change"))
+
+
 def run_once(checkout: str, command: list[str], workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
     """One benchmark process in ``checkout``; its result line, parsed,
     with the digest it printed on the way."""
@@ -178,6 +195,9 @@ def print_layers(runs: dict[str, list[dict]], names: list[str]) -> None:
     print(f"{'sum of the _ms rows':38s} {total[0]:12.4f} {total[1]:12.4f} {total[1] - total[0]:+8.2f}")
     for name, (verdict, values) in identity_check(runs).items():
         print(f"{name:38s} {verdict:10s} {', '.join(str(v) for v in values)}")
+    shares = refill_shares(runs)
+    if shares is not None:
+        print(f"{REFILL_RATIO:38s} {shares[0]:12.4f} {shares[1]:12.4f}   (medians; share of bodies refilled)")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -61,13 +61,14 @@ class EmissionsExporter:
     def __init__(self, registry: ProviderRegistry, zone: str, clock) -> None:
         self.collector = EmissionsCollector(registry, zone)
         self.clock = clock
+        self.body = exposition.Body()
         self.app = App(name="ceems-emissions")
         self.app.router.get("/metrics", self._metrics)
 
     def _metrics(self, request: Request) -> Response:
         families = self.collector.collect(self.clock.now())
         return Response.text(
-            exposition.render(families), content_type="text/plain; version=0.0.4"
+            self.body.render(families), content_type="text/plain; version=0.0.4"
         )
 
 

@@ -13,7 +13,7 @@ import abc
 
 from repro.common.errors import CollectorError
 from repro.obs import prof
-from repro.tsdb.exposition import MetricFamily
+from repro.tsdb.exposition import MetricFamily, MetricPoint
 
 
 class Collector(abc.ABC):
@@ -40,11 +40,16 @@ class CollectorRegistry:
         self.errors_total: dict[str, int] = {}
         #: 1.0/0.0 outcome of each collector's most recent run.
         self.last_success: dict[str, float] = {}
+        #: ``{"collector": name}`` of every collector ever registered:
+        #: one read-only dict under each point that names it (see
+        #: ``exposition.Body``).
+        self.label_sets: dict[str, dict[str, str]] = {}
 
     def register(self, collector: Collector) -> None:
         if any(c.name == collector.name for c in self._collectors):
             raise CollectorError(f"duplicate collector {collector.name!r}")
         collector._prof_phase = f"exporter.collect.{collector.name}"
+        self.label_sets[collector.name] = {"collector": collector.name}
         self._collectors.append(collector)
 
     def unregister(self, name: str) -> None:
@@ -69,11 +74,11 @@ class CollectorRegistry:
             try:
                 with prof.profile(collector._prof_phase):
                     families.extend(collector.collect(now))
-                success.add(1.0, collector=collector.name)
-                self.last_success[collector.name] = 1.0
+                ok = 1.0
             except Exception:  # noqa: BLE001 - collector isolation is the point
-                success.add(0.0, collector=collector.name)
-                self.last_success[collector.name] = 0.0
+                ok = 0.0
                 self.errors_total[collector.name] = self.errors_total.get(collector.name, 0) + 1
+            success.points.append(MetricPoint(self.label_sets[collector.name], ok))
+            self.last_success[collector.name] = ok
         families.append(success)
         return families

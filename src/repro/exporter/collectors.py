@@ -20,7 +20,7 @@ import re
 from repro.hwsim.node import SimulatedNode
 from repro.hwsim.procfs import parse_meminfo, parse_proc_stat
 from repro.hwsim.rapl import RAPLDomain
-from repro.tsdb.exposition import MetricFamily
+from repro.tsdb.exposition import MetricFamily, MetricPoint
 
 from repro.exporter.collector import Collector
 
@@ -30,6 +30,13 @@ UNIT_PATTERNS: dict[str, re.Pattern[str]] = {
     "libvirt": re.compile(r"/machine\.slice/machine-qemu[^/]*?instance-(?P<uuid>[0-9a-f][0-9a-f-]*)\.scope$"),
     "k8s": re.compile(r"/kubepods\.slice/(?:[^/]+/)?kubepods-[a-z]+-pod(?P<uuid>[0-9a-f_]+)\.slice$"),
 }
+
+
+#: ``/proc/stat`` field -> the label dict of its ``ceems_cpu_seconds_total``
+#: point.  Like a unit's or a RAPL domain's ``labelset`` below, one dict
+#: under every point that carries it and read-only: a rendered body
+#: remembers the dict each line was built from (``exposition.Body``).
+_CPU_MODES = tuple((f"{mode}_usec", {"mode": mode}) for mode in ("user", "system", "idle", "iowait"))
 
 
 def extract_unit_uuid(cgroup_path: str) -> tuple[str, str] | None:
@@ -127,14 +134,14 @@ class CgroupCollector(Collector):
             v1 = cgroup.v1_files()
             stat = _parse_kv_file(v1["cpuacct/cpuacct.stat"])
             # cpuacct.stat counts USER_HZ (100 Hz) ticks.
-            cpu_user.add(stat["user"] / 100.0, **labelset)
-            cpu_system.add(stat["system"] / 100.0, **labelset)
-            mem_current.add(float(v1["memory/memory.usage_in_bytes"].strip()), **labelset)
-            mem_peak.add(float(v1["memory/memory.max_usage_in_bytes"].strip()), **labelset)
+            cpu_user.points.append(MetricPoint(labelset, stat["user"] / 100.0))
+            cpu_system.points.append(MetricPoint(labelset, stat["system"] / 100.0))
+            mem_current.points.append(MetricPoint(labelset, float(v1["memory/memory.usage_in_bytes"].strip())))
+            mem_peak.points.append(MetricPoint(labelset, float(v1["memory/memory.max_usage_in_bytes"].strip())))
             limit = int(v1["memory/memory.limit_in_bytes"].strip())
             if limit < 2**62:  # v1's "unlimited" sentinel
-                mem_limit.add(float(limit), **labelset)
-            pids.add(float(v1["pids/pids.current"].strip()), **labelset)
+                mem_limit.points.append(MetricPoint(labelset, float(limit)))
+            pids.points.append(MetricPoint(labelset, float(v1["pids/pids.current"].strip())))
         return [cpu_user, cpu_system, mem_current, mem_peak, mem_limit, pids]
 
     def _collect_v2(self, now: float) -> list[MetricFamily]:
@@ -191,16 +198,16 @@ class CgroupCollector(Collector):
             labelset = {"uuid": uuid, "manager": manager}
             files = cgroup.files()
             cpu_stat = _parse_kv_file(files["cpu.stat"])
-            cpu_user.add(cpu_stat["user_usec"] / 1e6, **labelset)
-            cpu_system.add(cpu_stat["system_usec"] / 1e6, **labelset)
+            cpu_user.points.append(MetricPoint(labelset, cpu_stat["user_usec"] / 1e6))
+            cpu_system.points.append(MetricPoint(labelset, cpu_stat["system_usec"] / 1e6))
             from repro.hwsim.cgroupfs import parse_cpuset
 
-            cpus.add(float(len(parse_cpuset(files["cpuset.cpus"]))), **labelset)
-            mem_current.add(float(files["memory.current"].strip()), **labelset)
-            mem_peak.add(float(files["memory.peak"].strip()), **labelset)
+            cpus.points.append(MetricPoint(labelset, float(len(parse_cpuset(files["cpuset.cpus"])))))
+            mem_current.points.append(MetricPoint(labelset, float(files["memory.current"].strip())))
+            mem_peak.points.append(MetricPoint(labelset, float(files["memory.peak"].strip())))
             limit_text = files["memory.max"].strip()
             if limit_text != "max":
-                mem_limit.add(float(limit_text), **labelset)
+                mem_limit.points.append(MetricPoint(labelset, float(limit_text)))
             rbytes = wbytes = 0
             for line in files["io.stat"].splitlines():
                 fields = dict(
@@ -209,9 +216,9 @@ class CgroupCollector(Collector):
                 rbytes += int(fields.get("rbytes", 0))
                 wbytes += int(fields.get("wbytes", 0))
             if rbytes or wbytes:
-                io_read.add(float(rbytes), **labelset)
-                io_write.add(float(wbytes), **labelset)
-            pids.add(float(files["pids.current"].strip()), **labelset)
+                io_read.points.append(MetricPoint(labelset, float(rbytes)))
+                io_write.points.append(MetricPoint(labelset, float(wbytes)))
+            pids.points.append(MetricPoint(labelset, float(files["pids.current"].strip())))
         return [cpu_user, cpu_system, cpus, mem_current, mem_peak, mem_limit, io_read, io_write, pids]
 
 
@@ -276,10 +283,9 @@ class RAPLCollector(Collector):
                 if acc is not None
                 else raw_uj / 1e6
             )
-            package.add(joules, **labels)
-            trust.add(
-                self._trustworthy(base, now, raw_uj, pkg.package.max_energy_range_uj),
-                **labels,
+            package.points.append(MetricPoint(labels, joules))
+            trust.points.append(
+                MetricPoint(labels, self._trustworthy(base, now, raw_uj, pkg.package.max_energy_range_uj))
             )
             if pkg.dram is not None:
                 sub = f"{base}:0"
@@ -290,10 +296,9 @@ class RAPLCollector(Collector):
                     if acc is not None
                     else raw_uj / 1e6
                 )
-                dram.add(joules, **labels)
-                trust.add(
-                    self._trustworthy(sub, now, raw_uj, pkg.dram.max_energy_range_uj),
-                    **labels,
+                dram.points.append(MetricPoint(labels, joules))
+                trust.points.append(
+                    MetricPoint(labels, self._trustworthy(sub, now, raw_uj, pkg.dram.max_energy_range_uj))
                 )
         families = [package, dram, trust]
         if acc is not None:
@@ -389,10 +394,7 @@ class NodeCollector(Collector):
             help="Node CPU time by mode.",
             type="counter",
         )
-        cpu.add(stat["user_usec"] / 1e6, mode="user")
-        cpu.add(stat["system_usec"] / 1e6, mode="system")
-        cpu.add(stat["idle_usec"] / 1e6, mode="idle")
-        cpu.add(stat["iowait_usec"] / 1e6, mode="iowait")
+        cpu.points = [MetricPoint(labels, stat[key] / 1e6) for key, labels in _CPU_MODES]
         ncpus = MetricFamily("ceems_cpu_count", help="Number of CPUs on the node.", type="gauge")
         ncpus.add(float(self.node.spec.ncores))
         mem_total = MetricFamily(
@@ -437,13 +439,8 @@ class GPUMapCollector(Collector):
             manager = ident[0] if ident else "unknown"
             for index in task.gpu_indices:
                 gpu = self.node.gpus[index]
-                family.add(
-                    1.0,
-                    uuid=task.uuid,
-                    manager=manager,
-                    index=str(index),
-                    gpu_uuid=gpu.uuid,
-                )
+                labels = {"uuid": task.uuid, "manager": manager, "index": str(index), "gpu_uuid": gpu.uuid}
+                family.points.append(MetricPoint(labels, 1.0))
         return [family]
 
 
@@ -478,7 +475,7 @@ class SelfCollector(Collector):
                 type="counter",
             )
             for name, count in sorted(registry.errors_total.items()):
-                errors.add(float(count), collector=name)
+                errors.points.append(MetricPoint(registry.label_sets[name], float(count)))
             last = MetricFamily(
                 "ceems_exporter_collector_last_scrape_success",
                 help="Outcome (1/0) of each collector's previous run.",
@@ -487,6 +484,6 @@ class SelfCollector(Collector):
             # last_success reflects the *previous* registry.collect()
             # pass; the current pass finishes after this collector runs.
             for name, ok in sorted(registry.last_success.items()):
-                last.add(ok, collector=name)
+                last.points.append(MetricPoint(registry.label_sets[name], ok))
             families.extend([errors, last])
         return families

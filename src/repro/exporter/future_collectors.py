@@ -22,7 +22,7 @@ Both are implemented here against the simulated substrate
 from __future__ import annotations
 
 from repro.hwsim.node import SimulatedNode
-from repro.tsdb.exposition import MetricFamily
+from repro.tsdb.exposition import MetricFamily, MetricPoint
 
 from repro.exporter.collector import Collector
 from repro.exporter.collectors import extract_unit_uuid
@@ -70,10 +70,10 @@ class EBPFNetCollector(Collector):
             labels = _unit_labels(self.node, uuid)
             if labels is None:
                 continue
-            tx.add(float(telemetry.net.tx_bytes), **labels)
-            rx.add(float(telemetry.net.rx_bytes), **labels)
-            tx_pkts.add(float(telemetry.net.tx_packets), **labels)
-            rx_pkts.add(float(telemetry.net.rx_packets), **labels)
+            tx.points.append(MetricPoint(labels, float(telemetry.net.tx_bytes)))
+            rx.points.append(MetricPoint(labels, float(telemetry.net.rx_bytes)))
+            tx_pkts.points.append(MetricPoint(labels, float(telemetry.net.tx_packets)))
+            rx_pkts.points.append(MetricPoint(labels, float(telemetry.net.rx_packets)))
         return [tx, rx, tx_pkts, rx_pkts]
 
 
@@ -121,10 +121,10 @@ class PerfCollector(Collector):
             if labels is None:
                 continue
             perf = telemetry.perf
-            cycles.add(float(perf.cycles), **labels)
-            instructions.add(float(perf.instructions), **labels)
-            flops.add(float(perf.flops), **labels)
-            llc_refs.add(float(perf.llc_references), **labels)
-            llc_misses.add(float(perf.llc_misses), **labels)
-            dram.add(float(perf.dram_bytes), **labels)
+            cycles.points.append(MetricPoint(labels, float(perf.cycles)))
+            instructions.points.append(MetricPoint(labels, float(perf.instructions)))
+            flops.points.append(MetricPoint(labels, float(perf.flops)))
+            llc_refs.points.append(MetricPoint(labels, float(perf.llc_references)))
+            llc_misses.points.append(MetricPoint(labels, float(perf.llc_misses)))
+            dram.points.append(MetricPoint(labels, float(perf.dram_bytes)))
         return [cycles, instructions, flops, llc_refs, llc_misses, dram]

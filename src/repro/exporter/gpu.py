@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.common.httpx import App, Request, Response
 from repro.hwsim.node import SimulatedNode
 from repro.tsdb import exposition
-from repro.tsdb.exposition import MetricFamily
+from repro.tsdb.exposition import MetricFamily, MetricPoint
 
 
 class DCGMExporter:
@@ -21,6 +21,7 @@ class DCGMExporter:
     def __init__(self, node: SimulatedNode, clock=None) -> None:
         self.node = node
         self.clock = clock
+        self.body = exposition.Body()
         self.app = App(name=f"dcgm-{node.spec.name}")
         self.app.router.get("/metrics", self._metrics)
 
@@ -50,14 +51,15 @@ class DCGMExporter:
                 "UUID": gpu.uuid,
                 "modelName": gpu.profile.model,
             }
-            power.add(gpu.power_w, **labels)
-            util.add(round(gpu.sm_util * 100.0), **labels)
-            fb_used.add(gpu.mem_used_bytes / 1024**2, **labels)
-            energy.add(float(gpu.energy_mj), **labels)
+            # One read-only dict per GPU under its four points.
+            power.points.append(MetricPoint(labels, gpu.power_w))
+            util.points.append(MetricPoint(labels, round(gpu.sm_util * 100.0)))
+            fb_used.points.append(MetricPoint(labels, gpu.mem_used_bytes / 1024**2))
+            energy.points.append(MetricPoint(labels, float(gpu.energy_mj)))
         return [power, util, fb_used, energy]
 
     def _metrics(self, request: Request) -> Response:
-        return Response.text(exposition.render(self.families(self._now())), content_type="text/plain; version=0.0.4")
+        return Response.text(self.body.render(self.families(self._now())), content_type="text/plain; version=0.0.4")
 
 
 class AMDSMIExporter:
@@ -66,6 +68,7 @@ class AMDSMIExporter:
     def __init__(self, node: SimulatedNode, clock=None) -> None:
         self.node = node
         self.clock = clock
+        self.body = exposition.Body()
         self.app = App(name=f"amd-smi-{node.spec.name}")
         self.app.router.get("/metrics", self._metrics)
 
@@ -85,12 +88,11 @@ class AMDSMIExporter:
         for gpu in self.node.gpus:
             if gpu.profile.vendor != "amd":
                 continue
-            labels = {"gpu_use_percent": "", "productname": gpu.profile.model, "gpu_id": str(gpu.index)}
-            labels.pop("gpu_use_percent")
-            power.add(gpu.power_w * 1e6, **labels)
-            util.add(round(gpu.sm_util * 100.0), **labels)
-            mem.add(round(gpu.mem_util * 100.0), **labels)
+            labels = {"productname": gpu.profile.model, "gpu_id": str(gpu.index)}
+            power.points.append(MetricPoint(labels, gpu.power_w * 1e6))
+            util.points.append(MetricPoint(labels, round(gpu.sm_util * 100.0)))
+            mem.points.append(MetricPoint(labels, round(gpu.mem_util * 100.0)))
         return [power, util, mem]
 
     def _metrics(self, request: Request) -> Response:
-        return Response.text(exposition.render(self.families(self._now())), content_type="text/plain; version=0.0.4")
+        return Response.text(self.body.render(self.families(self._now())), content_type="text/plain; version=0.0.4")

@@ -70,6 +70,8 @@ class CEEMSExporter:
         self.scrapes_total = 0
         self.scrape_cpu_seconds = 0.0
         self.last_payload_bytes = 0
+        #: The last scrape payload; the next re-formats what changed.
+        self.body = exposition.Body()
         self.app.router.get("/metrics", self._handle_metrics)
         self.app.router.get("/", self._handle_index)
         self.app.router.get("/health", self._handle_health)
@@ -89,7 +91,7 @@ class CEEMSExporter:
             families = self.registry.collect(self.clock.now())
             families.extend(self.app.telemetry.collect())
         with prof.profile("exporter.render"):
-            payload = exposition.render(families)
+            payload = self.body.render(families)
         self.scrape_cpu_seconds += time.process_time() - started
         self.scrapes_total += 1
         self.last_payload_bytes = len(payload)

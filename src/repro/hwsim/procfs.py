@@ -13,6 +13,7 @@ Go original does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 #: Kernel USER_HZ: jiffies per second in /proc/stat.
 USER_HZ = 100
@@ -80,15 +81,12 @@ class ProcFS:
         system = jiffies(self.system_usec)
         idle = jiffies(self.idle_usec)
         iowait = jiffies(self.iowait_usec)
-        lines = [f"cpu  {user} 0 {system} {idle} {iowait} 0 0 0 0 0"]
+        n = self.ncpus
         # Per-cpu lines: distribute evenly; collectors only use the sum.
-        for cpu in range(self.ncpus):
-            lines.append(
-                f"cpu{cpu} {user // self.ncpus} 0 {system // self.ncpus} "
-                f"{idle // self.ncpus} {iowait // self.ncpus} 0 0 0 0 0"
-            )
-        lines.append(f"btime {int(self.boot_time)}")
-        return "\n".join(lines) + "\n"
+        # Every one ends alike, so the ending joins the (fixed) names.
+        share = f" {user // n} 0 {system // n} {idle // n} {iowait // n} 0 0 0 0 0\n"
+        per_cpu = share.join(_cpu_names(n))
+        return f"cpu  {user} 0 {system} {idle} {iowait} 0 0 0 0 0\n{per_cpu}btime {int(self.boot_time)}\n"
 
     def render_meminfo(self) -> str:
         """``/proc/meminfo`` — the fields node collectors parse (kB)."""
@@ -104,6 +102,13 @@ class ProcFS:
             f"Buffers:        0 kB\n"
             f"Cached:         {cached_kb} kB\n"
         )
+
+
+@lru_cache(maxsize=None)
+def _cpu_names(ncpus: int) -> tuple[str, ...]:
+    """``cpu0`` … ``cpu<n-1>`` and a trailing ``""`` (so that joining
+    with a line ending also ends the last line)."""
+    return (*(f"cpu{cpu}" for cpu in range(ncpus)), "")
 
 
 def parse_proc_stat(text: str) -> dict[str, int]:

@@ -3,7 +3,7 @@
 The registry is the write side of the stack's self-telemetry: the
 HTTP middleware and component internals record counters, gauges and
 histograms here, and each component's ``/metrics`` endpoint renders
-the registry with :func:`repro.tsdb.exposition.render` — the same
+the registry through a :class:`repro.tsdb.exposition.Body` — the same
 wire format the exporters speak, so the sim Prometheus can scrape the
 stack's own components with zero new parsing code.
 
@@ -333,8 +333,9 @@ class _CallbackGauge(_Metric):
         self.const_labels = const_labels
 
     def collect(self) -> list[MetricFamily]:
-        family = _exposition().MetricFamily(self.name, help=self.help, type=self.type)
-        family.add(float(self.fn()), **self.const_labels)
+        exposition = _exposition()
+        family = exposition.MetricFamily(self.name, help=self.help, type=self.type)
+        family.points.append(exposition.MetricPoint(self.const_labels, float(self.fn())))
         return [family]
 
 
@@ -351,6 +352,9 @@ class MetricsRegistry:
         self._metrics: dict[str, _Metric] = {}
         self._collectors: list[Callable[[], list[MetricFamily]]] = []
         self._lock = threading.Lock()
+        #: The last rendered body (an ``exposition.Body``), made by the
+        #: first render: the import is deferred, see :func:`_exposition`.
+        self.body = None
 
     def _get_or_create(self, cls, name: str, *args, **kwargs) -> _Metric:
         with self._lock:
@@ -410,4 +414,6 @@ class MetricsRegistry:
         return families
 
     def render(self) -> str:
-        return _exposition().render(self.collect())
+        if self.body is None:
+            self.body = _exposition().Body()
+        return self.body.render(self.collect())

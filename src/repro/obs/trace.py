@@ -29,6 +29,7 @@ import itertools
 import re
 import threading
 import time
+from collections import deque
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any
@@ -70,15 +71,10 @@ def parse_traceparent(value: str | None) -> TraceContext | None:
 
 
 # One process-wide id source: deterministic (a counter, not random)
-# and thread-safe.  Trace and span ids share the counter; they only
+# and thread-safe (``next`` on an ``itertools.count`` is one C call
+# under the GIL).  Trace and span ids share the counter; they only
 # need to be unique, not dense.
-_id_counter = itertools.count(1)
-_id_lock = threading.Lock()
-
-
-def _next_id() -> int:
-    with _id_lock:
-        return next(_id_counter)
+_next_id = itertools.count(1).__next__
 
 
 def new_trace_id() -> str:
@@ -205,7 +201,7 @@ class SpanStore:
         if capacity <= 0:
             raise ValueError("span store capacity must be positive")
         self.capacity = capacity
-        self._spans: list[Span] = []
+        self._spans: deque[Span] = deque()
         #: trace id -> retained spans of that trace, ring order.  The
         #: exemplar deep-link path (``/debug/traces?trace_id=``) made
         #: ``for_trace`` hot; the index turns its O(capacity) scan
@@ -226,18 +222,16 @@ class SpanStore:
                 return
             self._spans.append(span)
             self._by_trace.setdefault(span.trace_id, []).append(span)
-            excess = len(self._spans) - self.capacity
-            if excess > 0:
+            if len(self._spans) > self.capacity:
                 # Both the ring and each trace bucket are append-
                 # ordered, so the evicted span is always its bucket's
                 # head; empty buckets are deleted so evicted trace ids
                 # never leak.
-                for doomed in self._spans[:excess]:
-                    bucket = self._by_trace[doomed.trace_id]
-                    bucket.pop(0)
-                    if not bucket:
-                        del self._by_trace[doomed.trace_id]
-                del self._spans[:excess]
+                doomed = self._spans.popleft()
+                bucket = self._by_trace[doomed.trace_id]
+                bucket.pop(0)
+                if not bucket:
+                    del self._by_trace[doomed.trace_id]
 
     def spans(self) -> list[Span]:
         with self._lock:

@@ -17,6 +17,8 @@ exchanges for counters, gauges and histograms.
 from __future__ import annotations
 
 import math
+import re
+import threading
 from dataclasses import dataclass, field
 
 from repro.common.errors import ScrapeError
@@ -70,9 +72,10 @@ class MetricFamily:
         exemplar: Exemplar | None = None,
         **labels: str,
     ) -> None:
-        self.points.append(
-            MetricPoint(labels=labels, value=value, timestamp_ms=timestamp_ms, exemplar=exemplar)
-        )
+        """Append a point over a label dict of its own — the cold-path
+        convenience; a collector with several points per label set
+        builds ``MetricPoint(labelset, value)`` over one shared dict."""
+        self.points.append(MetricPoint(labels, value, timestamp_ms, exemplar))
 
 
 def _escape_help(text: str) -> str:
@@ -83,25 +86,7 @@ def _escape_label_value(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-#: Render-side memoisation.  An exporter re-collects every scrape, but
-#: the *identity* parts of its output — family headers and the
-#: ``name{escaped labels}`` line skeletons — are stable across
-#: collections; only values change.  The caches below mean a repeat
-#: render pays label sorting/escaping exactly once per distinct series
-#: shape.  Keys are raw (unsorted) label item tuples so a hit costs no
-#: sort; two insertion orders of the same labels simply occupy two
-#: slots pointing at the same canonical skeleton text.  Cleared
-#: wholesale at the cap so high-churn label values (per-job uuids)
-#: cannot grow them without bound.
-_SKELETON_CACHE: dict[tuple, str] = {}
-_SKELETON_CACHE_MAX = 65536
-_HEADER_CACHE: dict[tuple[str, str, str], str] = {}
-_HEADER_CACHE_MAX = 4096
-_VALUE_CACHE: dict[float, str] = {}
-_VALUE_CACHE_MAX = 4096
-
-
-def _format_value_uncached(value: float) -> str:
+def _format_value(value: float) -> str:
     if math.isnan(value):
         return "NaN"
     if math.isinf(value):
@@ -111,53 +96,15 @@ def _format_value_uncached(value: float) -> str:
     return repr(float(value))
 
 
-def _format_value(value: float) -> str:
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    cached = _VALUE_CACHE.get(value)
-    if cached is None:
-        cached = _format_value_uncached(value)
-        if len(_VALUE_CACHE) >= _VALUE_CACHE_MAX:
-            _VALUE_CACHE.clear()
-        _VALUE_CACHE[value] = cached
-    return cached
-
-
 def _family_header(name: str, help: str, type: str) -> str:
-    key = (name, help, type)
-    header = _HEADER_CACHE.get(key)
-    if header is None:
-        if help:
-            header = f"# HELP {name} {_escape_help(help)}\n# TYPE {name} {type}"
-        else:
-            header = f"# TYPE {name} {type}"
-        if len(_HEADER_CACHE) >= _HEADER_CACHE_MAX:
-            _HEADER_CACHE.clear()
-        _HEADER_CACHE[key] = header
-    return header
+    if help:
+        return f"# HELP {name} {_escape_help(help)}\n# TYPE {name} {type}"
+    return f"# TYPE {name} {type}"
 
 
-def _series_skeleton(name: str, labels: dict[str, str]) -> str:
-    key = (name, *labels.items())
-    skeleton = _SKELETON_CACHE.get(key)
-    if skeleton is None:
-        label_str = ",".join(
-            f'{k}="{_escape_label_value(v)}"' for k, v in sorted(labels.items())
-        )
-        skeleton = f"{name}{{{label_str}}}"
-        if len(_SKELETON_CACHE) >= _SKELETON_CACHE_MAX:
-            _SKELETON_CACHE.clear()
-        _SKELETON_CACHE[key] = skeleton
-    return skeleton
-
-
-def clear_render_caches() -> None:
-    """Drop the render memos (tests and memory-pressure hooks)."""
-    _SKELETON_CACHE.clear()
-    _HEADER_CACHE.clear()
-    _VALUE_CACHE.clear()
+def _label_set(labels: dict[str, str]) -> str:
+    """``{k="escaped v",...}``, keys sorted."""
+    return "{" + ",".join(f'{k}="{_escape_label_value(v)}"' for k, v in sorted(labels.items())) + "}"
 
 
 def _render_exemplar(exemplar: Exemplar) -> str:
@@ -165,42 +112,164 @@ def _render_exemplar(exemplar: Exemplar) -> str:
 
     Computed once per :class:`Exemplar` and kept on it: a metric holds
     the same exemplar object until a new observation replaces it, so a
-    repeat render of an unchanged slot costs one attribute read.  The
-    module-level memos stay out of it — trace ids never repeat, so
-    they would only thrash the series-identity entries.  The text is a
-    pure function of the exemplar, so cold and warm renders stay
-    byte-identical.
+    rebuild around an unchanged slot costs one attribute read.  The
+    text is a pure function of the exemplar, so cold and warm renders
+    stay byte-identical.
     """
     suffix = exemplar._suffix
     if suffix is None:
-        label_str = ",".join(
-            f'{k}="{_escape_label_value(v)}"' for k, v in sorted(exemplar.labels.items())
-        )
-        suffix = f"# {{{label_str}}} {_format_value_uncached(exemplar.value)}"
+        suffix = f"# {_label_set(exemplar.labels)} {_format_value(exemplar.value)}"
         if exemplar.timestamp is not None:
-            suffix = f"{suffix} {_format_value_uncached(exemplar.timestamp)}"
+            suffix = f"{suffix} {_format_value(exemplar.timestamp)}"
         exemplar._suffix = suffix
     return suffix
 
 
+def _sample_line(
+    skeleton: str, value: float, timestamp_ms: int | None, exemplar: Exemplar | None
+) -> str:
+    """The one place a sample line is put together."""
+    line = f"{skeleton} {_format_value(value)}"
+    if timestamp_ms is not None:
+        line = f"{line} {timestamp_ms}"
+    if exemplar is not None:
+        line = f"{line} {_render_exemplar(exemplar)}"
+    return line
+
+
+class Body:
+    """The body a ``/metrics`` endpoint last served, kept so that the
+    next one costs the readings that changed — the render-side dual of
+    the scrape manager's ``_Layout``.
+
+    Per line it remembers the text and, for a sample line, what the
+    text was rendered from: the ``name{labels}`` skeleton, the label
+    dict, the value and the exemplar.  There are two ways to take new
+    families and never a third:
+
+    * **refill** — the same families in the same order, each with the
+      same name, help, type and point count, every point's labels the
+      remembered dict (the same object, or else an equal one) and no
+      point carrying a ``timestamp_ms``: only lines whose value
+      changed, or whose exemplar is another object, are formatted
+      again;
+    * **rebuild** — anything else: every line, through the same
+      :func:`_sample_line`.
+
+    Both produce exactly the bytes of ``render(families)``, which is
+    itself a throw-away ``Body``'s rebuild.  What makes the refill
+    sound is the contract :mod:`repro.obs.registry` states for its own
+    points: a label dict or an :class:`Exemplar` is **read-only once
+    rendered** — to change a series' labels hand over another dict, to
+    change an exemplar attach another object.  A dict mutated in place
+    is still "the remembered dict" and keeps its old skeleton.
+
+    One ``Body`` belongs to one endpoint; ``render`` serialises its
+    callers (an app behind ``serve_threading`` renders from several
+    threads).
+    """
+
+    __slots__ = ("_lock", "_heads", "_lines", "_skeletons", "_labels", "_values", "_exemplars", "refills", "rebuilds")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: Per family ``(name, help, type, point count)``; ``None``
+        #: while there is no body a refill may trust.
+        self._heads: list[tuple[str, str, str, int]] | None = None
+        #: One entry per family header and per sample line, in body
+        #: order; the four lists after it are indexed alike and hold
+        #: ``None`` at a header.
+        self._lines: list[str] = []
+        self._skeletons: list[str | None] = []
+        self._labels: list[dict[str, str] | None] = []
+        self._values: list[float | None] = []
+        self._exemplars: list[Exemplar | None] = []
+        #: Bodies served each way.
+        self.refills = 0
+        self.rebuilds = 0
+
+    def render(self, families: list[MetricFamily]) -> str:
+        """Exposition text of ``families``."""
+        with self._lock:
+            if self._heads is not None and self._refill(families):
+                self.refills += 1
+            else:
+                self._rebuild(families)
+                self.rebuilds += 1
+            return "\n".join(self._lines) + "\n"
+
+    def _refill(self, families: list[MetricFamily]) -> bool:
+        """Fit ``families`` into the remembered body.  ``False`` at the
+        first thing that is not where it was — some slots may already
+        be up to date by then; the rebuild that must follow replaces
+        them all."""
+        heads = self._heads
+        if len(families) != len(heads):
+            return False
+        lines = self._lines
+        skeletons = self._skeletons
+        known = self._labels
+        values = self._values
+        exemplars = self._exemplars
+        at = 0  # the family's header line
+        for family, (name, help, type, count) in zip(families, heads):
+            points = family.points
+            if len(points) != count or family.name != name or family.help != help or family.type != type:
+                return False
+            for i, point in enumerate(points, at + 1):
+                labels = point.labels
+                if labels is not known[i] and labels != known[i]:
+                    return False
+                if point.timestamp_ms is not None:
+                    return False
+                value = point.value
+                exemplar = point.exemplar
+                if value != values[i] or exemplar is not exemplars[i]:
+                    lines[i] = _sample_line(skeletons[i], value, None, exemplar)
+                    values[i] = value
+                    exemplars[i] = exemplar
+            at += count + 1
+        return True
+
+    def _rebuild(self, families: list[MetricFamily]) -> None:
+        """Format every line and remember what it was formatted from."""
+        heads: list[tuple[str, str, str, int]] = []
+        lines: list[str] = []
+        skeletons: list[str | None] = []
+        known: list[dict[str, str] | None] = []
+        values: list[float | None] = []
+        exemplars: list[Exemplar | None] = []
+        stamped = False
+        for family in families:
+            name = family.name
+            heads.append((name, family.help, family.type, len(family.points)))
+            lines.append(_family_header(name, family.help, family.type))
+            skeletons.append(None)
+            known.append(None)
+            values.append(None)
+            exemplars.append(None)
+            for point in family.points:
+                labels = point.labels
+                skeleton = f"{name}{_label_set(labels)}" if labels else name
+                lines.append(_sample_line(skeleton, point.value, point.timestamp_ms, point.exemplar))
+                skeletons.append(skeleton)
+                known.append(labels)
+                values.append(point.value)
+                exemplars.append(point.exemplar)
+                stamped = stamped or point.timestamp_ms is not None
+        # A refill formats no timestamp, so it may not start from a
+        # body that shows one.
+        self._heads = None if stamped else heads
+        self._lines = lines
+        self._skeletons = skeletons
+        self._labels = known
+        self._values = values
+        self._exemplars = exemplars
+
+
 def render(families: list[MetricFamily]) -> str:
     """Render metric families to exposition text."""
-    lines: list[str] = []
-    append = lines.append
-    for family in families:
-        name = family.name
-        append(_family_header(name, family.help, family.type))
-        for point in family.points:
-            labels = point.labels
-            series = _series_skeleton(name, labels) if labels else name
-            if point.timestamp_ms is not None:
-                line = f"{series} {_format_value(point.value)} {point.timestamp_ms}"
-            else:
-                line = f"{series} {_format_value(point.value)}"
-            if point.exemplar is not None:
-                line = f"{line} {_render_exemplar(point.exemplar)}"
-            append(line)
-    return "\n".join(lines) + "\n"
+    return Body().render(families)
 
 
 def _parse_labels(text: str, lineno: int) -> dict[str, str]:
@@ -277,6 +346,25 @@ def parse_sample_tail(tokens: list[str], lineno: int = 0) -> tuple[float, int | 
     return value, _parse_number(tokens[1], lineno, "timestamp", int)
 
 
+def _closing_brace(rest: str) -> int:
+    """Where the label set whose ``{`` was just consumed closes: the
+    first ``}`` outside quoted values (which may legally contain one),
+    or ``-1``."""
+    quote = False
+    escaped = False
+    for idx, ch in enumerate(rest):
+        if escaped:
+            escaped = False
+            continue
+        if ch == "\\":
+            escaped = True
+        elif ch == '"':
+            quote = not quote
+        elif ch == "}" and not quote:
+            return idx
+    return -1
+
+
 def split_exemplar(line: str) -> tuple[str, str | None]:
     """Split a sample line into ``(sample_part, exemplar_text)``.
 
@@ -300,26 +388,29 @@ def split_exemplar(line: str) -> tuple[str, str | None]:
     return line, None
 
 
+#: The suffix every exporter in this stack emits: one label whose value
+#: needs no unescaping, a single space either side, one number, no
+#: timestamp.  ``\w`` and ``\S`` are the character classes that
+#: ``_parse_labels`` (``isalnum`` or ``_``) and ``str.split`` use.
+_PLAIN_EXEMPLAR = re.compile(r'# \{(\w+)="([^"\\]*)"\} (\S+)')
+
+
 def parse_exemplar(text: str, lineno: int = 0) -> Exemplar:
-    """Parse an exemplar suffix (``text`` starts at the ``#``)."""
+    """Parse an exemplar suffix (``text`` starts at the ``#``).
+
+    The plain shape is matched at C speed; it is a sub-grammar of the
+    scan below, which reads everything else (and is what the frozen
+    copy in ``tests/reference/exposition.py`` holds both lanes to).
+    """
+    plain = _PLAIN_EXEMPLAR.fullmatch(text)
+    if plain is not None:
+        name, label_value, token = plain.groups()
+        return Exemplar({name: label_value}, _parse_number(token, lineno))
     body = text[1:].lstrip()
     if not body.startswith("{"):
         raise ScrapeError(f"line {lineno}: exemplar must carry a {{...}} label set")
     rest = body[1:]
-    quote = False
-    escaped = False
-    end = -1
-    for idx, ch in enumerate(rest):
-        if escaped:
-            escaped = False
-            continue
-        if ch == "\\":
-            escaped = True
-        elif ch == '"':
-            quote = not quote
-        elif ch == "}" and not quote:
-            end = idx
-            break
+    end = _closing_brace(rest)
     if end == -1:
         raise ScrapeError(f"line {lineno}: unterminated exemplar label set")
     labels = _parse_labels(rest[:end], lineno) if rest[:end] else {}
@@ -367,22 +458,7 @@ def parse_sample_line(
         line, exemplar_text = split_exemplar(line)
     if "{" in line:
         name_part, _, rest = line.partition("{")
-        # Find the closing brace outside quoted label values —
-        # values may legally contain '}' inside quotes.
-        quote = False
-        escaped = False
-        end = -1
-        for idx, ch in enumerate(rest):
-            if escaped:
-                escaped = False
-                continue
-            if ch == "\\":
-                escaped = True
-            elif ch == '"':
-                quote = not quote
-            elif ch == "}" and not quote:
-                end = idx
-                break
+        end = _closing_brace(rest)
         if end == -1:
             raise ScrapeError(f"line {lineno}: unterminated label set")
         labels = _parse_labels(rest[:end], lineno)

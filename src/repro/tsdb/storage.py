@@ -400,6 +400,9 @@ class ExemplarRecord:
     scrape_ts: float
     #: Series ref the exemplar was keyed under (eviction bookkeeping).
     ref: int = 0
+    #: Whether ``timestamp`` came with the exemplar (else it is the
+    #: time of the scrape that first showed it).
+    own_timestamp: bool = False
 
 
 class CircularExemplarStorage:
@@ -413,6 +416,10 @@ class CircularExemplarStorage:
     lazily.  A re-appended exemplar identical to the newest one of its
     series is dropped (Prometheus's duplicate rule — one exemplar per
     distinct observation, however many scrapes re-expose it).
+    Identical means the same labels and value and, where the exemplar
+    brings a timestamp, the same timestamp; one that brings none — it
+    would be stamped with the scrape time, which differs every scrape —
+    repeats the newest record when that one brought none either.
     """
 
     def __init__(self, capacity: int = 4096, per_series: int = 10) -> None:
@@ -435,7 +442,8 @@ class CircularExemplarStorage:
         scrape_ts: float,
     ) -> bool:
         """Store one exemplar; returns ``False`` when dropped as a dup."""
-        timestamp = exemplar.timestamp if exemplar.timestamp is not None else scrape_ts
+        own_timestamp = exemplar.timestamp is not None
+        timestamp = exemplar.timestamp if own_timestamp else scrape_ts
         ring = self._by_ref.get(ref)
         if ring is None:
             ring = self._by_ref[ref] = deque()
@@ -445,7 +453,7 @@ class CircularExemplarStorage:
                 newest.labels == exemplar.labels
                 and (newest.value == exemplar.value
                      or repr(newest.value) == repr(exemplar.value))  # NaN-safe
-                and newest.timestamp == timestamp
+                and (newest.timestamp == timestamp if own_timestamp else not newest.own_timestamp)
             ):
                 self.dropped_total += 1
                 return False
@@ -458,6 +466,7 @@ class CircularExemplarStorage:
             timestamp=timestamp,
             scrape_ts=scrape_ts,
             ref=ref,
+            own_timestamp=own_timestamp,
         )
         self._order.append(seq)
         ring.append(seq)

@@ -93,7 +93,7 @@ def traced_line(slowdown, digest="c26de5bdc1855593", **metrics):
     """A ``--trace 1`` result line as ``run_once`` hands it on."""
     values = {"bench.slowdown": slowdown, "tsdb.scrape.samples": 13061.057142857142,
               "tsdb.storage.series": 8200.0, "tsdb.rules.samples_out": 581.7142857142857,
-              "tsdb.promql.queries": 63.5, **metrics}  # fmt: skip
+              "tsdb.promql.queries": 63.5, "exporter.renders": 194.0, **metrics}  # fmt: skip
     return {"correct": True, "attempted": 9225, "failed": 0, "digest": digest,
             "metrics": {name: {"value": value, "unit": "ms" if name.endswith("_ms") else "1/op"}
                         for name, value in values.items()}}  # fmt: skip
@@ -148,3 +148,26 @@ class TestLayers:
         bare = traced_line(1.0)
         del bare["digest"]
         assert "digest" not in identity_check({"parent": [bare], "change": [traced_line(1.0)]})
+
+    def test_fewer_exporter_bodies_is_a_difference(self):
+        from benchmarks.ab_pairs import IDENTITY_COUNTS, identity_check
+
+        assert "exporter.renders" in IDENTITY_COUNTS
+        lazy = traced_line(1.0, **{"exporter.renders": 97.0})
+        checked = identity_check({"parent": [traced_line(1.0)] * 2, "change": [traced_line(1.0), lazy]})
+        assert checked["exporter.renders"] == ("differs", [97.0, 194.0])
+
+    def test_refill_share_is_shown_only_when_every_run_of_both_sides_reports_it(self, capsys):
+        from benchmarks.ab_pairs import print_layers, refill_shares
+
+        def side(*shares):
+            return [traced_line(1.0, **({"exporter.refill_ratio": s} if s is not None else {})) for s in shares]
+
+        assert refill_shares({"parent": side(None, None), "change": side(0.93, 0.95)}) is None
+        assert refill_shares({"parent": side(0.0, 0.0), "change": side(0.93, None)}) is None
+        both = {"parent": side(0.0, 0.0, 0.0), "change": side(0.93, 0.95, 0.94)}
+        assert refill_shares(both) == (0.0, 0.94)
+        print_layers(both, [])
+        assert "exporter.refill_ratio" in capsys.readouterr().out
+        print_layers({"parent": side(None), "change": side(0.9)}, [])
+        assert "exporter.refill_ratio" not in capsys.readouterr().out

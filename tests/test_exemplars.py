@@ -76,6 +76,46 @@ class TestExemplarStorage:
         assert store.add(1, labels, _ex("a", math.nan, 5.0), 5.0)
         assert not store.add(1, labels, _ex("a", math.nan, 5.0), 5.0)
 
+    def test_timestampless_repeat_across_scrapes_dropped(self):
+        """What every exporter in the stack emits: no timestamp of its
+        own.  The scrape time it would be stamped with moves every
+        scrape; the observation does not."""
+        store = CircularExemplarStorage()
+        labels = _labels()
+        assert store.add(1, labels, _ex("a", 1.0), 15.0)
+        for scrape_ts in (30.0, 45.0, 60.0):
+            assert not store.add(1, labels, _ex("a", 1.0), scrape_ts)
+        [(_, records)] = store.select([])
+        assert [(r.labels["trace_id"], r.timestamp, r.own_timestamp) for r in records] == [("a", 15.0, False)]
+        assert (store.appended_total, store.dropped_total) == (1, 3)
+
+    def test_timestampless_nan_repeat_dropped(self):
+        store = CircularExemplarStorage()
+        assert store.add(1, _labels(), _ex("a", math.nan), 15.0)
+        assert not store.add(1, _labels(), _ex("a", math.nan), 30.0)
+
+    def test_new_value_or_trace_under_the_same_series_stored(self):
+        store = CircularExemplarStorage()
+        labels = _labels()
+        assert store.add(1, labels, _ex("a", 1.0), 15.0)
+        assert store.add(1, labels, _ex("a", 2.0), 30.0)  # same trace observed again
+        assert store.add(1, labels, _ex("b", 2.0), 45.0)
+        assert store.add(1, labels, _ex("a", 2.0), 60.0)  # only the newest record is compared
+        assert store.add(2, _labels(job="other"), _ex("a", 2.0), 60.0)  # per series
+        assert (store.appended_total, store.dropped_total) == (5, 0)
+
+    def test_own_timestamp_behaviour_unchanged(self):
+        store = CircularExemplarStorage()
+        labels = _labels()
+        assert store.add(1, labels, _ex("a", 1.0, 15.0), 15.0)
+        assert not store.add(1, labels, _ex("a", 1.0, 15.0), 30.0)  # same stamp: the same observation
+        assert store.add(1, labels, _ex("a", 1.0, 16.0), 30.0)  # a new stamp: a new one
+        # One that brings no stamp does not repeat one that brought its own.
+        assert store.add(1, labels, _ex("a", 1.0), 45.0)
+        assert not store.add(1, labels, _ex("a", 1.0), 60.0)
+        [(_, records)] = store.select([])
+        assert [(r.timestamp, r.own_timestamp) for r in records] == [(15.0, True), (16.0, True), (45.0, False)]
+
     def test_changed_exemplar_replaces_not_drops(self):
         store = CircularExemplarStorage()
         labels = _labels()
@@ -136,6 +176,27 @@ class TestExemplarStorage:
         [(got, records)] = db.select_exemplars([Matcher.eq("uuid", "x")])
         assert got == labels
         assert records[0].labels["trace_id"] == "keepme"
+
+
+def test_no_ring_of_a_live_deployment_holds_one_trace_twice(small_sim):
+    """One exemplar per distinct observation, however many scrapes
+    re-expose it: two hours of 15 s scrapes re-offer every exemplar the
+    stack's own components hold, none of which brings a timestamp.
+    (A trace captured twice by one series would also show here, but the
+    registry replaces a slot's exemplar at most every 0.25 s of real
+    time and no trace of this deployment lives that long.)"""
+    store = small_sim.hot_tsdb.exemplars
+    rings = store.select([])
+    assert len(rings) > 20 and store.dropped_total > store.appended_total
+    for labels, records in rings:
+        trace_ids = [r.labels["trace_id"] for r in records]
+        assert len(set(trace_ids)) == len(trace_ids), (labels, trace_ids)
+    response = small_sim.prom_apis[0].app.get("/api/v1/query_exemplars?query=ceems_http_request_duration_seconds_bucket")
+    served = response.decode_json()["data"]
+    assert served
+    for series in served:
+        trace_ids = [e["labels"]["trace_id"] for e in series["exemplars"]]
+        assert len(set(trace_ids)) == len(trace_ids), series["seriesLabels"]
 
 
 class TestTSDBExemplarAppend:

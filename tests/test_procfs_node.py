@@ -48,6 +48,19 @@ class TestProcFS:
         assert lines[1].startswith("cpu0 ")
         assert lines[3].startswith("cpu2 ")
 
+    def test_stat_text_is_the_kernels_to_the_byte(self):
+        proc = ProcFS(ncpus=3, memory_total_bytes=2**30, boot_time=1700000000.9)
+        proc.advance(100.0)
+        proc.charge_cpu(user_usec=120_000_000, system_usec=31_000_000)
+        proc.iowait_usec = 7_000_000
+        assert proc.render_stat() == (
+            "cpu  12000 0 3100 14200 700 0 0 0 0 0\n"
+            "cpu0 4000 0 1033 4733 233 0 0 0 0 0\n"
+            "cpu1 4000 0 1033 4733 233 0 0 0 0 0\n"
+            "cpu2 4000 0 1033 4733 233 0 0 0 0 0\n"
+            "btime 1700000000\n"
+        )
+
     def test_parse_proc_stat_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_proc_stat("intr 12345\n")
