@@ -31,10 +31,12 @@ value, if it is a time, by its own ``bench.slowdown ** 0.7`` (traced
 layer times are as measured, not speed-normalised like the end-to-end
 ones; the exponent is the one PR 20's hand arithmetic settled on).  Beside them, the
 counts a performance change must leave alone — samples scraped, series
-held, rule samples out, PromQL queries, exporter bodies rendered — and
-the printed digest, each ``identical`` or ``differs`` over every run of
-both sides; and, where every run of both sides reports it, the share of
-exporter bodies served by refilling the previous one.
+held, rule samples out, PromQL queries, exporter bodies rendered, LB
+requests, frontend sub-queries — and the printed digest, each
+``identical`` or ``differs`` over every run of both sides; and, where
+every run of both sides reports it, the share of exporter bodies served
+by refilling the previous one.  A bare ``--layers`` on a ``dash_*``
+workload names the serving layers (``SERVING_LAYERS``) itself.
 
 This file reads the benchmark's result line and ``BENCHMARK.json``; it
 imports nothing from ``benchmarks/e2e`` or from the program.
@@ -65,6 +67,20 @@ IDENTITY_COUNTS = (
     "tsdb.promql.queries",
     # a cheaper exporter must not mean fewer bodies
     "exporter.renders",
+    # nor a cheaper serving path fewer requests or evaluations
+    "lb.requests",
+    "frontend.subqueries",
+)
+
+#: What a bare ``--layers`` prints on a ``dash_*`` workload: the layers
+#: a read request crosses.
+SERVING_LAYERS = (
+    "tsdb.promql.eval_ms",
+    "tsdb.storage.select_ms",
+    "tsdb.http.self_ms",
+    "lb.self_ms",
+    "frontend.self_ms",
+    "apiserver.api_ms",
 )
 
 #: Share of exporter bodies a ``Body`` refilled rather than rebuilt.  No
@@ -169,6 +185,16 @@ def refill_shares(runs: dict[str, list[dict]]) -> tuple[float, float] | None:
     return tuple(statistics.median(r["metrics"][REFILL_RATIO]["value"] for r in runs[side]) for side in ("parent", "change"))
 
 
+def layer_names(given: str | None, workload: str) -> list[str]:
+    """The per-layer metrics ``--layers`` asks for: none without the
+    option, those listed, or — given bare — the serving default."""
+    if given is None:
+        if not workload.startswith("dash_"):
+            raise SystemExit(f"--layers needs a list of metrics on {workload}: only dash_* has a default")
+        return list(SERVING_LAYERS)
+    return [name for name in given.split(",") if name]
+
+
 def run_once(checkout: str, command: list[str], workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
     """One benchmark process in ``checkout``; its result line, parsed,
     with the digest it printed on the way."""
@@ -208,9 +234,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument("--json", default="", help="also write every run's result line to this file")
-    parser.add_argument("--layers", default="", help="comma-separated per-layer metrics: run traced and print these instead")
+    parser.add_argument(
+        "--layers",
+        nargs="?",
+        default="",
+        help="comma-separated per-layer metrics: run traced and print these instead (bare on dash_*: the serving layers)",
+    )
     args = parser.parse_args(argv)
-    layers = [name for name in args.layers.split(",") if name]
+    layers = layer_names(args.layers, args.workload)
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         declared = json.load(fh)

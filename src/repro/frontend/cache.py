@@ -14,11 +14,9 @@ cache entry records two things:
 * per-series sorted ``(timestamp, value-string)`` columns, from which
   any sub-range of a later request is sliced.
 
-Ingest is *lazy* on the cold fast path: :meth:`ResultsCache.stash`
-files the raw response body against the key (a reference copy — no
-parsing), and the first later request for that key pays the JSON
-decode.  A one-shot query therefore funds the cache with a pointer
-store, not a parse.
+Only a grid that crosses a split boundary is looked up or stored here:
+one that fits a single split bucket is forwarded whole (see
+:meth:`repro.frontend.server.QueryFrontend._range_inner`).
 
 :class:`ResponseMemo` short-circuits *complete* repeats: the full
 rendered body of a request whose every grid timestamp lies in settled
@@ -42,7 +40,6 @@ are never served stale "now" data.
 
 from __future__ import annotations
 
-import json
 import threading
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
@@ -73,15 +70,12 @@ class _SeriesColumn:
 class _Entry:
     """All cached state for one (tenant, query, step, phase) key."""
 
-    __slots__ = ("covered", "series", "bytes", "pending")
+    __slots__ = ("covered", "series", "bytes")
 
     def __init__(self) -> None:
         self.covered: set[float] = set()
         self.series: dict[tuple, _SeriesColumn] = {}
         self.bytes = 0
-        #: Raw response bodies stashed by the cold fast path, parsed
-        #: and folded in on the entry's next access.
-        self.pending: list[tuple[list[float], bytes, float]] = []
 
 
 class ResultsCache:
@@ -127,8 +121,6 @@ class ResultsCache:
             if entry is None:
                 return set(), []
             self._entries.move_to_end(key)
-            if entry.pending:
-                self._drain_locked(key, entry)
             served = {t for t in grid if t in entry.covered}
             if not served:
                 return served, []
@@ -149,37 +141,6 @@ class ResultsCache:
             return served, columns
 
     # -- ingest ----------------------------------------------------------
-    def stash(
-        self, key: tuple, part_steps: list[float], body: bytes, cutoff: float
-    ) -> None:
-        """File a raw 200 response body for lazy ingestion.
-
-        The cold fast path calls this instead of :meth:`ingest`: the
-        body reference is stored as-is (no JSON decode), and the next
-        request touching this key pays the parse.  A query asked only
-        once never pays it at all.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = self._entries[key] = _Entry()
-            self._entries.move_to_end(key)
-            entry.pending.append((part_steps, body, cutoff))
-            entry.bytes += len(body)
-            self.total_bytes += len(body)
-            self._evict_locked(keep=key)
-
-    def _drain_locked(self, key: tuple, entry: _Entry) -> None:
-        pending, entry.pending = entry.pending, []
-        for part_steps, body, cutoff in pending:
-            entry.bytes -= len(body)
-            self.total_bytes -= len(body)
-            try:
-                result = json.loads(body.decode())["data"]["result"]
-            except (ValueError, KeyError, TypeError):
-                continue
-            self._ingest_locked(key, entry, part_steps, result, cutoff)
-
     def ingest(
         self,
         key: tuple,
@@ -199,44 +160,34 @@ class ResultsCache:
             if entry is None:
                 entry = self._entries[key] = _Entry()
             self._entries.move_to_end(key)
-            self._ingest_locked(key, entry, part_steps, result, cutoff)
-
-    def _ingest_locked(
-        self,
-        key: tuple,
-        entry: _Entry,
-        part_steps: list[float],
-        result: list[dict[str, Any]],
-        cutoff: float,
-    ) -> None:
-        fresh_cov = {t for t in part_steps if t <= cutoff and t not in entry.covered}
-        if not fresh_cov:
-            return
-        entry.covered |= fresh_cov
-        added = len(fresh_cov) * 8
-        for item in result:
-            pairs = [
-                (float(t), v) for t, v in item["values"] if float(t) in fresh_cov
-            ]
-            if not pairs:
-                continue
-            metric = item["metric"]
-            series_key = tuple(sorted(metric.items()))
-            col = entry.series.get(series_key)
-            if col is None:
-                col = entry.series[series_key] = _SeriesColumn(metric)
-                added += sum(len(k) + len(v) for k, v in series_key)
-            if not col.ts or pairs[0][0] > col.ts[-1]:
-                col.ts.extend(t for t, _v in pairs)
-                col.vals.extend(v for _t, v in pairs)
-            else:
-                merged = sorted(list(zip(col.ts, col.vals)) + pairs)
-                col.ts = [t for t, _v in merged]
-                col.vals = [v for _t, v in merged]
-            added += sum(_POINT_BYTES + len(v) for _t, v in pairs)
-        entry.bytes += added
-        self.total_bytes += added
-        self._evict_locked(keep=key)
+            fresh_cov = {t for t in part_steps if t <= cutoff and t not in entry.covered}
+            if not fresh_cov:
+                return
+            entry.covered |= fresh_cov
+            added = len(fresh_cov) * 8
+            for item in result:
+                pairs = [
+                    (float(t), v) for t, v in item["values"] if float(t) in fresh_cov
+                ]
+                if not pairs:
+                    continue
+                metric = item["metric"]
+                series_key = tuple(sorted(metric.items()))
+                col = entry.series.get(series_key)
+                if col is None:
+                    col = entry.series[series_key] = _SeriesColumn(metric)
+                    added += sum(len(k) + len(v) for k, v in series_key)
+                if not col.ts or pairs[0][0] > col.ts[-1]:
+                    col.ts.extend(t for t, _v in pairs)
+                    col.vals.extend(v for _t, v in pairs)
+                else:
+                    merged = sorted(list(zip(col.ts, col.vals)) + pairs)
+                    col.ts = [t for t, _v in merged]
+                    col.vals = [v for _t, v in merged]
+                added += sum(_POINT_BYTES + len(v) for _t, v in pairs)
+            entry.bytes += added
+            self.total_bytes += added
+            self._evict_locked(keep=key)
 
     def _evict_locked(self, keep: tuple) -> None:
         while self.total_bytes > self.max_bytes and len(self._entries) > 1:

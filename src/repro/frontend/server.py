@@ -6,10 +6,13 @@ query-frontend position in the serving path):
 * **range splitting** — long ``query_range`` requests are cut into
   split-interval-aligned (day by default) sub-ranges evaluated
   independently against the backend pool and merged;
-* **step-aligned results cache** — evaluated matrix chunks are cached
-  per ``(tenant, query, step, grid phase)`` and later
-  requests only evaluate the uncovered remainder (the live tail stays
-  uncacheable, see :mod:`repro.frontend.cache`);
+* **step-aligned results cache** — for a range that crosses a split
+  boundary, evaluated matrix chunks are cached per ``(tenant, query,
+  step, grid phase)`` and later requests only evaluate the uncovered
+  remainder (the live tail stays uncacheable, see
+  :mod:`repro.frontend.cache`); a range inside one split bucket goes
+  to a backend verbatim, which evaluates it faster than cached points
+  re-assemble;
 * **request coalescing** — concurrent in-flight requests with the
   same fingerprint share one evaluation through a single-flight map;
 * **bounded worker pool with per-tenant admission** — a fixed number
@@ -417,37 +420,31 @@ class QueryFrontend:
             return self._forward(request)
         query, start, end, step = plan.query, plan.start, plan.end, plan.step
         grid = range_steps(start, end, step)
-        grid_list: list[float] = grid.tolist()
+        last = float(grid[-1])
         cutoff = self._now_cutoff()
-        settled = grid_list[-1] <= cutoff
-        key = (tenant, query, repr(step), repr(math.fmod(start, step)))
-        # Coverage and the covered points are taken in one locked call:
-        # the entry can be evicted at any moment afterwards (a
-        # concurrent request's ingest under byte pressure, or this
-        # request's own), and served steps are never re-evaluated, so
-        # assembly must work from this copy — never a later re-read.
-        served, cached_columns = self.cache.snapshot(key, grid_list)
-
-        if not served and (
-            self.split_interval <= 0
-            or math.floor(grid_list[0] / self.split_interval)
-            == math.floor(grid_list[-1] / self.split_interval)
-        ):
-            # Cold single-bucket fast path: nothing cached and the
-            # whole grid fits one split bucket, so forward the
-            # original request verbatim — the response bytes are the
-            # backend's own — and stash the raw body for lazy ingest
-            # (the parse is paid by the next request for this key, or
-            # never).
+        settled = last <= cutoff
+        split = self.split_interval
+        if split <= 0 or math.floor(start / split) == math.floor(last / split):
+            # The whole grid fits one split bucket: the backend
+            # evaluates it in one columnar pass faster than cached
+            # points can be re-assembled, so the request goes upstream
+            # verbatim and the response bytes are the backend's own.
             self.cache.record_miss()
             self.subqueries += 1
             response = self._forward(request)
-            if response.status == 200:
-                self.cache.stash(key, grid_list, response.body, cutoff)
-                if settled:
-                    self.memo.put(fingerprint, response.body)
+            if settled and response.status == 200:
+                self.memo.put(fingerprint, response.body)
             return response
 
+        # Only a grid that crosses a split boundary reaches the step
+        # cache.  Coverage and the covered points are taken in one
+        # locked call: the entry can be evicted at any moment afterwards
+        # (a concurrent request's ingest under byte pressure, or this
+        # request's own), and served steps are never re-evaluated, so
+        # assembly must work from this copy — never a later re-read.
+        grid_list: list[float] = grid.tolist()
+        key = (tenant, query, repr(step), repr(math.fmod(start, step)))
+        served, cached_columns = self.cache.snapshot(key, grid_list)
         runs = uncovered_runs(grid, served)
         if served:
             self.cache.record_hit()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, auto
 
@@ -48,7 +49,19 @@ KEYWORDS = frozenset(
     }
 )
 
-_DURATION_UNITS = ("ms", "s", "m", "h", "d", "w", "y")
+_PUNCTUATION = {
+    "(": TokenType.LPAREN,
+    ")": TokenType.RPAREN,
+    "{": TokenType.LBRACE,
+    "}": TokenType.RBRACE,
+    "[": TokenType.LBRACKET,
+    "]": TokenType.RBRACKET,
+    ",": TokenType.COMMA,
+    ":": TokenType.COLON,
+}
+
+#: number+unit pairs: 15s, 5m, 1h30m…
+_DURATION = re.compile(r"(\d+(?:\.\d+)?(?:ms|s|m|h|d|w|y))+")
 
 
 def _is_ident_start(ch: str) -> bool:
@@ -76,19 +89,8 @@ def tokenize(text: str) -> list[Token]:
                 i += 1
             continue
         start = i
-        # punctuation
-        simple = {
-            "(": TokenType.LPAREN,
-            ")": TokenType.RPAREN,
-            "{": TokenType.LBRACE,
-            "}": TokenType.RBRACE,
-            "[": TokenType.LBRACKET,
-            "]": TokenType.RBRACKET,
-            ",": TokenType.COMMA,
-            ":": TokenType.COLON,
-        }
-        if ch in simple:
-            tokens.append(Token(simple[ch], ch, start))
+        if ch in _PUNCTUATION:
+            tokens.append(Token(_PUNCTUATION[ch], ch, start))
             i += 1
             continue
         # multi-char operators first
@@ -131,24 +133,18 @@ def tokenize(text: str) -> list[Token]:
                     j = k
                     while j < n and text[j].isdigit():
                         j += 1
-                    tokens.append(Token(TokenType.NUMBER, text[i:j], start))
-                    i = j
-                    continue
-            # duration suffix?  (15s, 5m, 1h30m…)
-            if j < n and text[j].isalpha():
+            elif j < n and text[j].isalpha():  # duration suffix?
                 k = j
-                dur = True
-                while k < n and (text[k].isalnum()):
+                while k < n and text[k].isalnum():
                     k += 1
-                candidate = text[i:k]
-                # validate it decomposes into number+unit pairs
-                import re as _re
-
-                if _re.fullmatch(r"(\d+(?:\.\d+)?(?:ms|s|m|h|d|w|y))+", candidate):
-                    tokens.append(Token(TokenType.DURATION, candidate, start))
+                if _DURATION.fullmatch(text, i, k):
+                    tokens.append(Token(TokenType.DURATION, text[i:k], start))
                     i = k
                     continue
-                del dur
+            try:
+                float(text[i:j])
+            except ValueError:
+                raise QueryError(f"malformed number {text[i:j]!r}", position=start) from None
             tokens.append(Token(TokenType.NUMBER, text[i:j], start))
             i = j
             continue

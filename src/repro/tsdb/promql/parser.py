@@ -2,12 +2,16 @@
 
 Operator precedence follows Prometheus, weakest to strongest::
 
-    or  <  and/unless  <  comparisons  <  +/-  <  */%/  <  ^  <  unary
+    or  <  and/unless  <  comparisons  <  +/-  <  */%/ and unary  <  ^
 
-``^`` is right-associative; all others are left-associative.
+``^`` is right-associative; all others are left-associative.  A unary
+sign takes everything up to the next operator weaker than ``^``, so
+``-x ^ 2`` is ``-(x ^ 2)`` and ``-x * 3`` is ``(-x) * 3``.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from repro.common.errors import QueryError
 from repro.common.units import parse_duration
@@ -142,7 +146,7 @@ class _Parser:
         tok = self.peek()
         if tok.type is TokenType.OP and tok.text in ("+", "-"):
             self.next()
-            operand = self.parse_unary()
+            operand = self.parse_expression(_PRECEDENCE["^"])
             if tok.text == "-":
                 if isinstance(operand, NumberLiteral):
                     return NumberLiteral(-operand.value)
@@ -281,24 +285,37 @@ class _Parser:
         if name:
             matchers.append(Matcher.name_eq(name))
         if self.accept(TokenType.LBRACE):
-            if self.peek().type is not TokenType.RBRACE:
-                while True:
-                    label = self.expect(TokenType.IDENT).text
-                    op_tok = self.expect(TokenType.OP)
-                    if op_tok.text not in _MATCH_OPS:
-                        raise QueryError(f"bad matcher operator {op_tok.text!r}", position=op_tok.pos)
-                    value = self.expect(TokenType.STRING).text
-                    matchers.append(Matcher(label, _MATCH_OPS[op_tok.text], value))
-                    if not self.accept(TokenType.COMMA):
-                        break
+            # ``{a="b",}``: a comma may end the list, as in Prometheus.
+            while self.peek().type is not TokenType.RBRACE:
+                label = self.expect(TokenType.IDENT).text
+                op_tok = self.expect(TokenType.OP)
+                if op_tok.text not in _MATCH_OPS:
+                    raise QueryError(f"bad matcher operator {op_tok.text!r}", position=op_tok.pos)
+                value = self.expect(TokenType.STRING).text
+                matchers.append(Matcher(label, _MATCH_OPS[op_tok.text], value))
+                if not self.accept(TokenType.COMMA):
+                    break
             self.expect(TokenType.RBRACE)
         if not matchers:
             raise QueryError("vector selector must have a name or at least one matcher")
         return VectorSelector(name=name, matchers=tuple(matchers))
 
 
+#: Distinct query texts whose AST stays remembered.  A ``dash_live``
+#: round re-sends 49 texts, the ``dash_cold`` pages hold ~160 (39 units
+#: x 4 panels), the shipped rules 37 and dashboards 33: all of them at
+#: once with room to spare, and a few hundred small frozen trees at most.
+AST_MEMO_SIZE = 512
+
+
+@lru_cache(maxsize=AST_MEMO_SIZE)
 def parse_expr(query: str) -> Expr:
-    """Parse a PromQL expression string into an AST."""
+    """Parse a PromQL expression string into an AST.
+
+    The same text gets the same (frozen, shareable) tree back while it
+    is among the last :data:`AST_MEMO_SIZE` distinct ones; a text that
+    does not parse raises on every call and is never remembered.
+    """
     parser = _Parser(tokenize(query))
     expr = parser.parse_expression()
     trailing = parser.peek()

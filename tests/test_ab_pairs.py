@@ -93,7 +93,8 @@ def traced_line(slowdown, digest="c26de5bdc1855593", **metrics):
     """A ``--trace 1`` result line as ``run_once`` hands it on."""
     values = {"bench.slowdown": slowdown, "tsdb.scrape.samples": 13061.057142857142,
               "tsdb.storage.series": 8200.0, "tsdb.rules.samples_out": 581.7142857142857,
-              "tsdb.promql.queries": 63.5, "exporter.renders": 194.0, **metrics}  # fmt: skip
+              "tsdb.promql.queries": 63.5, "exporter.renders": 194.0, "lb.requests": 49.0,
+              "frontend.subqueries": 42.0, **metrics}  # fmt: skip
     return {"correct": True, "attempted": 9225, "failed": 0, "digest": digest,
             "metrics": {name: {"value": value, "unit": "ms" if name.endswith("_ms") else "1/op"}
                         for name, value in values.items()}}  # fmt: skip
@@ -156,6 +157,40 @@ class TestLayers:
         lazy = traced_line(1.0, **{"exporter.renders": 97.0})
         checked = identity_check({"parent": [traced_line(1.0)] * 2, "change": [traced_line(1.0), lazy]})
         assert checked["exporter.renders"] == ("differs", [97.0, 194.0])
+
+    def test_fewer_lb_requests_or_frontend_subqueries_is_a_difference(self):
+        """A serving path made cheaper by answering less is not cheaper."""
+        from benchmarks.ab_pairs import IDENTITY_COUNTS, identity_check
+
+        assert {"lb.requests", "frontend.subqueries"} <= set(IDENTITY_COUNTS)
+        same = {"parent": [traced_line(1.0)] * 2, "change": [traced_line(1.2)] * 2}
+        assert identity_check(same)["lb.requests"] == ("identical", [49.0])
+        assert identity_check(same)["frontend.subqueries"] == ("identical", [42.0])
+        fewer = traced_line(1.0, **{"lb.requests": 48.0})
+        checked = identity_check({"parent": [traced_line(1.0)] * 2, "change": [traced_line(1.0), fewer]})
+        assert checked["lb.requests"] == ("differs", [48.0, 49.0])
+        merged = traced_line(1.0, **{"frontend.subqueries": 21.0})
+        checked = identity_check({"parent": [traced_line(1.0)] * 2, "change": [merged, merged]})
+        assert checked["frontend.subqueries"] == ("differs", [21.0, 42.0])
+        assert checked["lb.requests"][0] == "identical"
+
+    def test_bare_layers_names_the_serving_layers_on_dash_workloads_only(self, capsys):
+        from benchmarks.ab_pairs import SERVING_LAYERS, layer_names, print_layers
+
+        assert layer_names("", "dash_live") == []  # no --layers: the end-to-end verdicts
+        assert layer_names("a_ms,,b", "ingest_mem") == ["a_ms", "b"]
+        assert layer_names("a_ms", "dash_cold") == ["a_ms"]  # a list wins over the default
+        assert layer_names(None, "dash_live") == layer_names(None, "dash_cold") == list(SERVING_LAYERS)
+        assert "frontend.self_ms" in SERVING_LAYERS and all(name.endswith("_ms") for name in SERVING_LAYERS)
+        with pytest.raises(SystemExit, match="ingest_mem"):
+            layer_names(None, "ingest_mem")
+        # every default row is printed and summed from canned lines
+        parent = {name: 10.0 for name in SERVING_LAYERS} | {"frontend.self_ms": 20.0}
+        change = {name: 10.0 for name in SERVING_LAYERS} | {"frontend.self_ms": 2.0}
+        print_layers({"parent": [traced_line(1.0, **parent)], "change": [traced_line(1.0, **change)]}, list(SERVING_LAYERS))
+        out = capsys.readouterr().out
+        assert all(name in out for name in SERVING_LAYERS)
+        assert "70.0000      52.0000   -18.00" in out
 
     def test_refill_share_is_shown_only_when_every_run_of_both_sides_reports_it(self, capsys):
         from benchmarks.ab_pairs import print_layers, refill_shares

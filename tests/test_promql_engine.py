@@ -294,6 +294,36 @@ class TestBinaryOps:
         result = engine.query("-power", at=1500.0)
         assert sorted(el.value for el in result.vector) == [-500.0, -300.0]
 
+    @pytest.mark.parametrize(
+        "query, value",
+        [
+            ("-2 ^ 2", -4.0),  # parent: 4 — the sign was folded into the base
+            ("-(2) ^ 2", -4.0),  # parent: 4
+            ("(-2) ^ 2", 4.0),
+            ("--2 ^ 2", 4.0),
+            ("1 - -2 ^ 2", 5.0),
+            ("2 ^ -1", 0.5),
+            ("2 ^ -1 ^ 2", 0.5),
+            ("-2 * 3", -6.0),
+            ("-2 % 3 * 4", -8.0),
+            ("2 ^ 3 ^ 2", 512.0),
+        ],
+    )
+    def test_unary_minus_binds_looser_than_power(self, engine, query, value):
+        """Prometheus: ``unary_expr: unary_op expr %prec MUL``, ``^`` above it."""
+        assert engine.query(query, at=0.0).scalar == value
+        ((_ts, vs),) = engine.query_range(query, 0.0, 30.0, 15.0).series.values()
+        assert vs.tolist() == [value] * 3
+
+    def test_negated_vector_is_squared_before_the_sign(self, engine):
+        """parent: ``-x ^ 2`` squared the negated vector (+250000, +90000)."""
+        result = engine.query("-power ^ 2", at=1500.0)
+        assert sorted(el.value for el in result.vector) == [-250000.0, -90000.0]
+        ranged = engine.query_range("-power ^ 2", 1470.0, 1500.0, 15.0)
+        assert sorted(vs.tolist() for _ts, vs in ranged.series.values()) == [[-250000.0] * 3, [-90000.0] * 3]
+        kept = engine.query("(-power) ^ 2", at=1500.0)
+        assert sorted(el.value for el in kept.vector) == [90000.0, 250000.0]
+
 
 class TestFunctions:
     def test_clamp_family(self, engine):

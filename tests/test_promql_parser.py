@@ -55,6 +55,18 @@ class TestLexer:
         texts = [t.text for t in tokens if t.type != TokenType.EOF]
         assert texts == ["up", "+", "1"]
 
+    def test_malformed_number_is_a_query_error_with_its_position(self):
+        """parent: a bare ``ValueError`` from ``float()`` in the parser,
+        whose Python text reached the client's 400 body."""
+        for text, pos in [("1.2.3", 0), ("x + 1..2", 4), ("sum(m) / 1.2.3e4", 9)]:
+            with pytest.raises(QueryError) as excinfo:
+                tokenize(text)
+            assert excinfo.value.position == pos
+            assert "malformed number" in str(excinfo.value) and "float" not in str(excinfo.value)
+        # Everything float() takes that the scan can produce still lexes.
+        texts = ["1.", ".5", "1.5e3", "1e", "1e+", "1.5h"]
+        assert [tokenize(t)[0].text for t in texts] == ["1.", ".5", "1.5e3", "1", "1", "1.5h"]
+
     def test_unterminated_string_rejected(self):
         with pytest.raises(QueryError):
             tokenize('"never ends')
@@ -81,6 +93,15 @@ class TestSelectorParsing:
         ast = parse_expr('{job="ceems"}')
         assert isinstance(ast, VectorSelector)
         assert ast.name == ""
+
+    def test_trailing_comma_in_matchers(self):
+        """Accepted as Prometheus accepts it; a lone or doubled comma is not."""
+        assert parse_expr('foo{a="b",}') == parse_expr('foo{a="b"}')
+        assert parse_expr('{a="b", c!="d",}') == parse_expr('{a="b", c!="d"}')
+        for bad, pos in [("foo{,}", 4), ('foo{a="b",,}', 10), ('foo{a="b" c="d"}', 10)]:
+            with pytest.raises(QueryError) as excinfo:
+                parse_expr(bad)
+            assert excinfo.value.position == pos
 
     def test_empty_nameless_selector_rejected(self):
         with pytest.raises(QueryError):
@@ -211,6 +232,28 @@ class TestBinaryOps:
         ast = parse_expr("-up")
         assert isinstance(ast, UnaryOp)
         assert parse_expr("-5") == NumberLiteral(-5.0)
+
+    def test_unary_minus_binds_looser_than_power(self):
+        """``-a ^ b`` is ``-(a ^ b)``; against ``*`` and below, the sign
+        still belongs to its operand."""
+        two, x = NumberLiteral(2.0), parse_expr("x")
+        assert parse_expr("-2 ^ 2") == UnaryOp("-", BinaryOp("^", two, two))
+        assert parse_expr("-x ^ 2") == UnaryOp("-", BinaryOp("^", x, two))
+        assert parse_expr("+x ^ 2") == BinaryOp("^", x, two)
+        assert parse_expr("-(2) ^ 2") == UnaryOp("-", BinaryOp("^", Paren(two), two))
+        assert parse_expr("(-2) ^ 2") == BinaryOp("^", Paren(NumberLiteral(-2.0)), two)
+        assert parse_expr("2 ^ -1") == BinaryOp("^", two, NumberLiteral(-1.0))
+        assert parse_expr("2 ^ -x ^ 2") == BinaryOp("^", two, UnaryOp("-", BinaryOp("^", x, two)))
+        assert parse_expr("-2 * 3") == BinaryOp("*", NumberLiteral(-2.0), NumberLiteral(3.0))
+        assert parse_expr("-x * 3") == BinaryOp("*", UnaryOp("-", x), NumberLiteral(3.0))
+        assert parse_expr("-x ^ 2 * 3") == BinaryOp(
+            "*", UnaryOp("-", BinaryOp("^", x, two)), NumberLiteral(3.0)
+        )
+        assert parse_expr("1 - -x ^ 2") == BinaryOp(
+            "-", NumberLiteral(1.0), UnaryOp("-", BinaryOp("^", x, two))
+        )
+        for text in ("-x ^ 2", "-x ^ 2 * 3", "2 ^ -x ^ 2", "1 - -2 ^ 2"):
+            assert parse_expr(str(parse_expr(text))) == parse_expr(text)
 
     def test_bare_duration_is_seconds(self):
         ast = parse_expr("rate(x[1m]) * 1h")

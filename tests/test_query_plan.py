@@ -168,6 +168,7 @@ MALFORMED = [
     ("missing time", INSTANT, {"query": "m"}, 400),
     ("unparseable PromQL", RANGE, {**GRID, "query": "sum("}, 400),
     ("unparseable PromQL (instant)", INSTANT, {"query": "m{", "time": 0}, 400),
+    ("malformed number in PromQL", RANGE, {**GRID, "query": "m * 1.2.3"}, 400),
     ("step=0", RANGE, {**GRID, "query": "m", "step": 0}, 400),
     ("step<0", RANGE, {**GRID, "query": "m", "step": -5}, 400),
     ("end<start", RANGE, {"query": "m", "start": 600, "end": 0, "step": 60}, 400),
@@ -218,6 +219,7 @@ def test_first_failure_of_each_pair_is_the_earlier_check(limited_stack):
         "missing time + unparseable": "missing time parameter",
         "bad time + unparseable": "time must be a number",
         "unparseable + step=0": "unexpected token",
+        "malformed number in PromQL": "malformed number '1.2.3' (at offset 4)",  # parent: float()'s own text
         "subquery over-steps + step=0": "max_resolved_steps",
         "step=0 + end<start": "step must be positive",
     }
