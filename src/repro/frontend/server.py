@@ -53,7 +53,7 @@ from repro.frontend.split import (
     uncovered_runs,
 )
 from repro.lb.strategies import Backend, Strategy, make_strategy
-from repro.tsdb.plan import INSTANT_PATH, RANGE_PATH, QueryPlan, plan_query
+from repro.tsdb.plan import INSTANT_PATH, PASSTHROUGH_ROUTES, RANGE_PATH, QueryPlan, plan_query
 from repro.tsdb.promql.engine import range_steps
 
 USER_HEADER = "x-grafana-user"
@@ -253,24 +253,11 @@ class QueryFrontend:
             r.post(path, self.handle_query)
         # Everything else — metadata, exemplars, rules, status — is
         # proxied untouched to a backend (single-segment catch-all
-        # plus the nested API paths, same trick as the LB router).
+        # plus the nested API paths the LB mounts too).
         r.add("GET", "/{rest}", self._forward)
         r.add("POST", "/{rest}", self._forward)
-        for path in (
-            "/api/v1/query_exemplars",
-            "/api/v1/series",
-            "/api/v1/rules",
-            "/api/v1/alerts",
-            "/api/v1/silences",
-            "/-/healthy",
-        ):
-            r.get(path, self._forward)
-            r.post(path, self._forward)
-        r.get("/api/v1/status/buildinfo", self._forward)
-        r.get("/api/v1/status/runtimeinfo", self._forward)
-        r.get("/api/v1/label/{name}/values", self._forward)
-        r.get("/api/v1/silence/{id}", self._forward)
-        r.delete("/api/v1/silence/{id}", self._forward)
+        for method, path in PASSTHROUGH_ROUTES:
+            r.add(method, path, self._forward)
         self.split_requests = 0
         self.subqueries = 0
         self.passthrough_requests = 0

@@ -32,7 +32,14 @@ from repro.common.httpx import App, Request, Response
 from repro.lb.authz import Authorizer
 from repro.lb.introspect import extract_uuids
 from repro.lb.strategies import Backend, Strategy, make_strategy
-from repro.tsdb.plan import INSTANT_PATH, QUERY_PATHS, RANGE_PATH, QueryPlan, plan_query
+from repro.tsdb.plan import (
+    INSTANT_PATH,
+    PASSTHROUGH_ROUTES,
+    QUERY_PATHS,
+    RANGE_PATH,
+    QueryPlan,
+    plan_query,
+)
 
 USER_HEADER = "x-grafana-user"
 
@@ -85,25 +92,11 @@ class LoadBalancer:
         self.app.router.add("POST", "/{rest}", self._proxy)
         # Router patterns match single segments; register the API paths
         # explicitly so nested paths route too.
-        for path in (
-            "/api/v1/query",
-            "/api/v1/query_range",
-            "/api/v1/query_exemplars",
-            "/api/v1/series",
-            "/api/v1/rules",
-            "/api/v1/alerts",
-            "/api/v1/silences",
-            "/-/healthy",
-        ):
+        for path in (INSTANT_PATH, RANGE_PATH):
             self.app.router.get(path, self._proxy)
             self.app.router.post(path, self._proxy)
-        # Grafana probes these on data-source load; read-only, so GET
-        # only (no query introspection — they carry no PromQL).
-        self.app.router.get("/api/v1/status/buildinfo", self._proxy)
-        self.app.router.get("/api/v1/status/runtimeinfo", self._proxy)
-        self.app.router.get("/api/v1/label/{name}/values", self._proxy)
-        self.app.router.get("/api/v1/silence/{id}", self._proxy)
-        self.app.router.delete("/api/v1/silence/{id}", self._proxy)
+        for method, path in PASSTHROUGH_ROUTES:
+            self.app.router.add(method, path, self._proxy)
         self.requests_proxied = 0
         self.requests_denied = 0
         self.longterm_routed = 0

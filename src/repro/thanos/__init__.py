@@ -6,15 +6,14 @@ reproduces the pieces of Thanos the stack exercises:
 
 * :class:`~repro.thanos.sidecar.Sidecar` — ships completed 2-hour
   blocks from the hot TSDB into the object store;
-* :class:`~repro.thanos.store.ObjectStore` — block storage holding
-  raw and downsampled data with per-resolution retention;
+* :class:`~repro.thanos.store.ObjectStore` — immutable blocks of raw
+  and downsampled data with per-resolution retention;
 * :class:`~repro.thanos.compact.Compactor` — merges blocks and
   produces the 5-minute and 1-hour downsampled resolutions that make
   year-long queries tractable (the substrate of bench E8);
 * :class:`~repro.thanos.query.FanoutStorage` — a querier that merges
-  hot-TSDB and store data behind the same ``select`` interface the
-  PromQL engine uses, with automatic resolution selection for long
-  ranges.
+  hot-TSDB and raw store data behind the same ``select`` interface
+  the PromQL engine uses.
 """
 
 from repro.thanos.compact import Compactor

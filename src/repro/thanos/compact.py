@@ -56,13 +56,13 @@ class Compactor:
         self.downsample_1h_after = downsample_1h_after
         self.compaction_levels = compaction_levels
         self._downsampled_until = {"5m": None, "1h": None}
-        # A store reopened from disk already holds downsampled blocks;
-        # resume after them instead of re-producing (and re-persisting)
-        # the same buckets.
+        # A store reopened from disk may already hold downsampled
+        # blocks; resume after them instead of re-producing the same
+        # buckets.
         for key in ("5m", "1h"):
-            persisted = store.blocks_at(key)
-            if persisted:
-                self._downsampled_until[key] = max(b.max_time for b in persisted)
+            done = store.blocks_at(key)
+            if done:
+                self._downsampled_until[key] = max(b.max_time for b in done)
         self.compactions = 0
         self.downsample_passes = 0
 
@@ -70,13 +70,9 @@ class Compactor:
     def compact_blocks(self) -> int:
         """Merge adjacent raw blocks into the next level's window size.
 
-        In an in-memory store sample data lives in the shared
-        per-resolution TSDB, so the merge only rewrites the ledger —
-        exactly the cheap-metadata / immutable-chunks split of the real
-        design.  On a persisted store the merged window is *rewritten*
-        as one new block directory (written before the sources are
-        deleted, so a crash mid-compaction duplicates rather than loses
-        data).
+        The merged window is rewritten as one new block naming its
+        sources, and storing it drops them — a block is never edited
+        in place.
         """
         with prof.profile("compactor.compact"):
             return self._compact_blocks()
@@ -88,36 +84,18 @@ class Compactor:
             groups: dict[int, list[BlockMeta]] = {}
             for block in blocks:
                 groups.setdefault(int(block.min_time // window), []).append(block)
-            for slot, members in groups.items():
+            for members in groups.values():
                 span = sum(b.max_time - b.min_time for b in members)
                 if span < window:  # window not complete yet
                     continue
                 min_time = min(b.min_time for b in members)
                 max_time = max(b.max_time for b in members)
-                sources = tuple(b.ulid for b in members)
-                ulid = self.store.new_ulid()
-                self.store.persist_block(
-                    ulid,
+                self.store.store_block(
                     self.store.window_series("raw", min_time, max_time),
                     min_time=min_time,
                     max_time=max_time,
-                    resolution="raw",
                     level=level,
-                    sources=sources,
-                )
-                for member in members:
-                    self.store.drop_block(member.ulid)
-                self.store.add_block(
-                    BlockMeta(
-                        ulid=ulid,
-                        min_time=min_time,
-                        max_time=max_time,
-                        resolution="raw",
-                        num_samples=sum(b.num_samples for b in members),
-                        num_series=max(b.num_series for b in members),
-                        level=level,
-                        source_ulids=sources,
-                    )
+                    sources=tuple(b.ulid for b in members),
                 )
                 merged_total += len(members)
                 self.compactions += 1
@@ -147,19 +125,14 @@ class Compactor:
         return produced
 
     def _downsample_into(self, src: str, bucket: float, until: float, key: str) -> int:
+        """Downsample ``src`` data of whole buckets not yet covered into
+        one ``key`` block; returns the points produced."""
         start = self._downsampled_until[key]
         # Only whole buckets: stop at the last complete bucket edge.
         until = np.floor(until / bucket) * bucket
         if until <= (start or -np.inf):
             return 0
-        dst = self.store.tsdb(key)
-        # Persisted stores serve downsampled output from the block it
-        # is written into (add_block registers the chunks); appending
-        # it to the dst TSDB as well would hold every decoded sample
-        # in memory forever.
-        persisted = bool(self.store.persist_dir)
-        produced = 0
-        persist_series: list = []
+        out: list = []
         lo_global = start if start is not None else -np.inf
         for labels, ts, vs in self.store.window_series(src, lo_global, until):
             # Staleness markers do not survive downsampling (they mark
@@ -179,42 +152,15 @@ class Compactor:
             if base.endswith((":min", ":max")):
                 continue
             b_ts, means, mins, maxs = _downsample_series(ts, vs, bucket)
-            min_labels = labels.with_name(base + ":min")
-            max_labels = labels.with_name(base + ":max")
-            if persisted:
-                persist_series.append((labels, b_ts, means))
-                persist_series.append((min_labels, b_ts, mins))
-                persist_series.append((max_labels, b_ts, maxs))
-            else:
-                for i in range(len(b_ts)):
-                    dst.append(labels, float(b_ts[i]), float(means[i]))
-                    dst.append(min_labels, float(b_ts[i]), float(mins[i]))
-                    dst.append(max_labels, float(b_ts[i]), float(maxs[i]))
-            produced += 3 * len(b_ts)
-        if persist_series and produced:
-            # Downsampled output becomes its own on-disk block (and a
-            # ledger entry), so a reopened store serves 5m/1h data
-            # without re-downsampling.  In-memory stores skip this to
-            # keep the seed ledger semantics (raw blocks only).
-            min_time = min(float(ts[0]) for _labels, ts, _vs in persist_series)
-            ulid = self.store.new_ulid()
-            self.store.persist_block(
-                ulid,
-                persist_series,
-                min_time=min_time,
-                max_time=until,
-                resolution=key,
-            )
-            self.store.add_block(
-                BlockMeta(
-                    ulid=ulid,
-                    min_time=min_time,
-                    max_time=until,
-                    resolution=key,
-                    num_samples=produced,
-                    num_series=len(persist_series),
-                )
-            )
+            out.append((labels, b_ts, means))
+            out.append((labels.with_name(base + ":min"), b_ts, mins))
+            out.append((labels.with_name(base + ":max"), b_ts, maxs))
+        produced = sum(len(b_ts) for _labels, b_ts, _vs in out)
+        if produced:
+            # Downsampled output is a block of its own resolution, so a
+            # reopened store serves 5m/1h data without re-downsampling.
+            min_time = min(float(b_ts[0]) for _labels, b_ts, _vs in out)
+            self.store.store_block(out, min_time=min_time, max_time=until, resolution=key)
         self._downsampled_until[key] = until
         return produced
 

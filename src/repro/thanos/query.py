@@ -2,48 +2,19 @@
 
 Implements the ``select`` contract the PromQL engine expects, so one
 engine instance can transparently answer over the full history: the
-hot TSDB serves recent samples, the store serves older ones, and
-overlap deduplicates in favour of the hot data (it is rawer).
-
-:meth:`FanoutStorage.at_resolution` exposes the downsampled views for
-long-range queries — the E8 bench evaluates the same PromQL over raw
-and downsampled data to reproduce the latency cliff that motivates
-the CEEMS API server.
+hot TSDB serves recent samples, the store's raw blocks serve older
+ones, and overlap deduplicates in favour of the hot data (it is
+rawer).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.tsdb.model import Matcher
-from repro.tsdb.storage import TSDB
 from repro.thanos.store import ObjectStore
-
-
-class ResolutionView:
-    """``select`` contract over one resolution of a persisted store.
-
-    A persisted store's downsampled data lives in chunked blocks, not
-    the resolution TSDB, so pointing an engine at ``store.tsdb("5m")``
-    would miss it; this view routes through
-    :meth:`ObjectStore.select_at`, which merges both.
-    """
-
-    def __init__(self, store: ObjectStore, resolution: str) -> None:
-        self.store = store
-        self.resolution = resolution
-        self.name = f"thanos-{resolution}-view"
-        self.telemetry = None
-
-    def select(self, matchers: Sequence[Matcher]):
-        return self.store.select_at(self.resolution, matchers)
-
-    def label_values(self, name: str) -> list[str]:
-        return self.store.label_values_at(self.resolution, name)
-
-    @property
-    def num_series(self) -> int:
-        return self.store.num_series_at(self.resolution)
+from repro.tsdb.model import Matcher
+from repro.tsdb.persist.chunkio import MergedSeries
+from repro.tsdb.storage import TSDB
 
 
 class FanoutStorage:
@@ -52,15 +23,16 @@ class FanoutStorage:
     Merged selector results are memoised keyed by the matcher tuple.
     Unlike the in-TSDB memo (which survives appends because series
     mutate in place), a merged view is frozen at merge time, so the
-    memo entry is validated against the data epochs of both backends
-    (plus the store's chunk-index generation) and rebuilt whenever
-    either side mutated.  A dashboard burst or a columnar range query
-    touching the same selectors between scrapes pays the merge once.
+    memo entry is validated against the hot TSDB's data epochs and the
+    store's raw :meth:`~repro.thanos.store.ObjectStore.version`, and
+    rebuilt whenever either side changed.  A dashboard burst or a
+    columnar range query touching the same selectors between scrapes
+    pays the merge once.
 
     Overlapping series merge lazily: the memo holds
     :class:`~repro.tsdb.persist.chunkio.MergedSeries` overlays (hot
     wins duplicate timestamps) and queries read them window-pruned, so
-    a chunk-backed store side decodes only what a query touches.
+    the store side decodes only what a query touches.
     """
 
     #: Upper bound on memoised fan-out selections before wholesale reset.
@@ -88,7 +60,7 @@ class FanoutStorage:
         return self.hot.retention
 
     def _epochs(self) -> tuple:
-        return (self.hot.series_epoch, self.hot.data_epoch) + self.store.version("raw")
+        return (self.hot.series_epoch, self.hot.data_epoch, self.store.version("raw"))
 
     def select(self, matchers: Sequence[Matcher]) -> list:
         if self.telemetry is not None:
@@ -107,8 +79,6 @@ class FanoutStorage:
             self.select_cache_hits += 1
             return cached[1]
         self.select_cache_misses += 1
-        from repro.tsdb.persist.chunkio import MergedSeries
-
         hot_series = {s.labels: s for s in self.hot.select(matchers)}
         store_series = {s.labels: s for s in self.store.select_at("raw", matchers)}
         keys = sorted(set(hot_series) | set(store_series), key=tuple)
@@ -135,17 +105,6 @@ class FanoutStorage:
             "misses": float(self.select_cache_misses),
             "hit_rate": self.select_cache_hits / total if total else 0.0,
         }
-
-    def at_resolution(self, resolution: str):
-        """Direct view of one downsampled resolution.
-
-        In-memory stores expose the resolution TSDB itself; persisted
-        stores get a :class:`ResolutionView` so chunked block data is
-        seen.
-        """
-        if self.store.persist_dir:
-            return ResolutionView(self.store, resolution)
-        return self.store.tsdb(resolution)
 
     def label_values(self, name: str) -> list[str]:
         return sorted(

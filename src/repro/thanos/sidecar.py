@@ -2,20 +2,12 @@
 
 Prometheus cuts a block every 2 hours; the sidecar uploads each
 completed block to object storage.  Here the sidecar tracks a
-watermark and, on every :meth:`upload` pass, copies all hot samples
-in completed 2-hour windows beyond the watermark into the store's raw
-resolution, registering one :class:`~repro.thanos.store.BlockMeta`
-per window.  Windows are half-open ``[lo, hi)``, the Prometheus block
-convention.
-
-An in-memory store ingests each series' window slice with
-:meth:`~repro.tsdb.storage.TSDB.append_array` — one slice extension
-per series, not one Python call per sample.  A store with a
-``persist_dir`` instead gets each uploaded window written as a real
-on-disk block (Gorilla chunks + index + meta.json) via
-:meth:`ObjectStore.persist_block` and serves it from there, and a
+watermark and, on every :meth:`upload` pass, stores the hot samples of
+each completed 2-hour window beyond the watermark as one raw block
+(:meth:`~repro.thanos.store.ObjectStore.store_block`).  Windows are
+half-open ``[lo, hi)``, the Prometheus block convention.  A
 persistent hot head is checkpointed afterwards so its WAL drops
-everything now durable in blocks.
+everything now held by blocks.
 
 The hot TSDB keeps its own (short) retention; together they give the
 paper's architecture: recent data answered locally, history answered
@@ -27,7 +19,7 @@ from __future__ import annotations
 import math
 
 from repro.obs import prof
-from repro.thanos.store import BlockMeta, ObjectStore
+from repro.thanos.store import ObjectStore
 from repro.tsdb.storage import TSDB
 
 BLOCK_SECONDS = 2 * 3600.0
@@ -58,44 +50,19 @@ class Sidecar:
                     self._watermark, max(b.max_time for b in already_shipped)
                 )
         uploaded = 0
-        raw = self.store.tsdb("raw")
-        # Persisted stores serve uploaded windows straight from the
-        # block's chunk files (add_block registers them); copying the
-        # samples into the raw TSDB as well would keep the whole
-        # history decoded in memory.
-        persisted = bool(self.store.persist_dir)
         while self._watermark + self.block_seconds <= now:
             lo = self._watermark
             hi = lo + self.block_seconds
             window_series = []
-            samples = 0
             for series in self.hot.all_series():
                 ts, vs = series.window_half_open(lo, hi)
-                if len(ts) == 0:
-                    continue
-                window_series.append((series.labels, ts, vs))
-                samples += len(ts)
-            if samples:
+                if len(ts):
+                    window_series.append((series.labels, ts, vs))
+            if window_series:
                 with prof.profile("sidecar.block_cut"):
-                    if not persisted:
-                        for labels, ts, vs in window_series:
-                            raw.append_array(labels, ts, vs)
-                    ulid = self.store.new_ulid()
-                    self.store.persist_block(
-                        ulid, window_series, min_time=lo, max_time=hi, resolution="raw"
-                    )
-                    self.store.add_block(
-                        BlockMeta(
-                            ulid=ulid,
-                            min_time=lo,
-                            max_time=hi,
-                            resolution="raw",
-                            num_samples=samples,
-                            num_series=len(window_series),
-                        )
-                    )
+                    block = self.store.store_block(window_series, min_time=lo, max_time=hi)
                 self.blocks_uploaded += 1
-                self.samples_uploaded += samples
+                self.samples_uploaded += block.num_samples
                 uploaded += 1
             self._watermark = hi
         if uploaded and hasattr(self.hot, "checkpoint"):

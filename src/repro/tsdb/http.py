@@ -183,10 +183,8 @@ class PromAPI:
                 queries.add(float(count), kind=kind)
         families.extend([seconds, queries])
 
-        # Storage selector memo.  The hot TSDB and the Thanos fan-out
-        # expose flat {hits, misses} stats; an ObjectStore backend
-        # returns one such dict per resolution — emit those as
-        # resolution-labelled samples of the same families.
+        # Storage selector memo (the hot TSDB and the Thanos fan-out
+        # both expose {hits, misses}).
         stats_fn = getattr(self.storage, "selector_cache_stats", None)
         if stats_fn is not None:
             stats = stats_fn()
@@ -200,13 +198,8 @@ class PromAPI:
                 help="Selector memo misses in the storage backend.",
                 type="counter",
             )
-            if isinstance(stats.get("hits"), dict) or "hits" not in stats:
-                for resolution, sub in stats.items():
-                    hits.add(float(sub["hits"]), resolution=resolution)
-                    misses.add(float(sub["misses"]), resolution=resolution)
-            else:
-                hits.add(float(stats["hits"]))
-                misses.add(float(stats["misses"]))
+            hits.add(float(stats["hits"]))
+            misses.add(float(stats["misses"]))
             families.extend([hits, misses])
 
         snapshots = MetricFamily(

@@ -23,8 +23,8 @@ substrate with real Prometheus-style on-disk semantics:
 
 The design keeps the hot in-memory :class:`~repro.tsdb.storage.TSDB`
 API unchanged: persistence is an opt-in subclass plus an opt-in
-``persist_dir`` on the object store, so the purely in-memory
-simulation path pays nothing.
+``persist_dir`` on the object store, which decides only whether its
+blocks' chunks live in directories or in memory.
 """
 
 from repro.tsdb.persist.block import (

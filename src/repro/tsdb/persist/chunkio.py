@@ -9,7 +9,8 @@ read them".  Three chunk handle flavours share one tiny protocol —
 * :class:`FileChunk` — one CRC-framed chunk inside an mmap'd block
   chunk file; the payload is sliced out of the mapping and decoded
   only when a query actually needs the samples.
-* :class:`TailChunk` — a zero-copy view over a series' unsealed tail;
+* :class:`TailChunk` — already-decoded arrays: a zero-copy view over a
+  series' unsealed tail, or an object-store block's private copy;
   nothing to decode.
 
 Decoded ``(timestamps, values)`` arrays are memoised in a process-wide
@@ -154,7 +155,7 @@ class FileChunk:
 
 
 class TailChunk:
-    """Zero-copy view over already-decoded samples; no cache traffic."""
+    """Already-decoded samples, held as given (no copy); no cache traffic."""
 
     __slots__ = ("_ts", "_vs", "count", "min_time", "max_time")
 
@@ -292,8 +293,8 @@ class ChunkSeries:
 class ChunkIndex:
     """Chunk-backed series across registered blocks, selectable by matchers.
 
-    A persisted :class:`~repro.thanos.store.ObjectStore` keeps one
-    index per resolution: registering a block contributes its
+    The :class:`~repro.thanos.store.ObjectStore` keeps one index per
+    resolution: registering a block contributes its
     per-series chunk handle lists; dropping a block retracts them.
     Equality postings (``(name, value)`` → label sets) are maintained
     at both moments, so a cold selector narrows through the same
@@ -396,8 +397,8 @@ class MergedSeries:
 
     __slots__ = ("labels", "primary", "secondary", "_full")
 
-    def __init__(self, primary, secondary, labels=None):
-        self.labels = labels if labels is not None else primary.labels
+    def __init__(self, primary, secondary, labels):
+        self.labels = labels
         self.primary = primary
         self.secondary = secondary
         self._full: tuple[np.ndarray, np.ndarray] | None = None

@@ -44,6 +44,29 @@ _NUMBERS = {
 }
 QUERY_PATHS = tuple(_NUMBERS)
 
+#: ``(method, pattern)`` routes the LB and the query frontend pass to
+#: a backend untouched, in mount order.  Router patterns match single
+#: segments, so the nested API paths are listed one by one; the probes
+#: Grafana makes on data-source load are read-only, so GET only.
+PASSTHROUGH_ROUTES = tuple(
+    (method, path)
+    for path in (
+        EXEMPLARS_PATH,
+        "/api/v1/series",
+        "/api/v1/rules",
+        "/api/v1/alerts",
+        "/api/v1/silences",
+        "/-/healthy",
+    )
+    for method in ("GET", "POST")
+) + (
+    ("GET", "/api/v1/status/buildinfo"),
+    ("GET", "/api/v1/status/runtimeinfo"),
+    ("GET", "/api/v1/label/{name}/values"),
+    ("GET", "/api/v1/silence/{id}"),
+    ("DELETE", "/api/v1/silence/{id}"),
+)
+
 #: Conservative default on the query text itself; ranges and step
 #: counts default to unlimited (deployments opt in via CLI flags).
 DEFAULT_MAX_QUERY_LENGTH = 8192

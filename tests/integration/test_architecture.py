@@ -79,7 +79,7 @@ class TestPipelineConsistency:
                 assert co2_rate == pytest.approx(matching_power * factor / 3.6e6, rel=0.3)
 
     def test_thanos_holds_history(self, small_sim):
-        assert small_sim.object_store.tsdb("raw").num_samples > 0
+        assert sum(b.num_samples for b in small_sim.object_store.blocks) > 0
         assert len(small_sim.object_store.blocks) >= 1
 
     def test_updater_ran_and_synced(self, small_sim):

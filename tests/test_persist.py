@@ -38,11 +38,12 @@ from repro.tsdb.persist import (
     write_block,
 )
 from repro.tsdb.persist.bits import BitReader, BitWriter
+from repro.tsdb.promql.engine import PromQLEngine
 from repro.tsdb.storage import TSDB
-from repro.thanos.compact import Compactor
+from repro.thanos.compact import Compactor, _downsample_series
 from repro.thanos.query import FanoutStorage
 from repro.thanos.sidecar import Sidecar
-from repro.thanos.store import ObjectStore
+from repro.thanos.store import RESOLUTIONS, ObjectStore
 from tests.reference.list_head import ListHeadPersistentTSDB, ListHeadTSDB
 
 
@@ -402,8 +403,7 @@ class TestStorePersistence:
         hot.append(series_labels(0), 7205.0, 3.0)
         store = ObjectStore()
         Sidecar(hot, store).upload(now=2 * 3600.0)
-        raw = store.tsdb("raw")
-        series = raw.all_series()[0]
+        (series,) = store.select_at("raw", [])
         # t=0 included (closed left), t=7200 excluded (open right)
         assert series.timestamps == [0.0]
 
@@ -416,16 +416,14 @@ class TestStorePersistence:
         reloaded = ObjectStore(persist_dir=str(tmp_path / "store"))
         assert reloaded.loaded_blocks == 2
         assert len(reloaded.blocks_at("raw")) == 2
-        # the oracle: an in-memory store the sidecar fed the same windows
-        in_memory = ObjectStore()
-        Sidecar(hot, in_memory).upload(now=4.5 * 3600.0)
-        orig = in_memory.tsdb("raw").all_series()
+        # the oracle: the hot TSDB's own samples of the two shipped windows
+        orig = sorted(hot.all_series(), key=lambda s: tuple(s.labels))
         assert len(orig) == 3
         for got in (store.window_series("raw", 0.0, 1e9), reloaded.window_series("raw", 0.0, 1e9)):
             got = list(got)
             assert [labels for labels, _ts, _vs in got] == [a.labels for a in orig]
             for a, (_labels, ts, vs) in zip(orig, got):
-                assert_bit_identical(a.timestamps, a.values, ts, vs)
+                assert_bit_identical(*a.window_half_open(0.0, 4 * 3600.0), ts, vs)
         # ULID sequence resumes past the loaded blocks
         assert reloaded.new_ulid() not in {b.ulid for b in reloaded.blocks}
 
@@ -485,6 +483,42 @@ class TestStorePersistence:
         assert compactor2._downsampled_until["5m"] == five_m[0].max_time
         compactor2.downsample(now)
         assert len(reloaded.blocks_at("5m")) == 1  # nothing re-produced
+
+    def test_crash_mid_compaction_does_not_double_history(self, tmp_path, monkeypatch):
+        """Killed after the merged block is on disk but before its
+        sources are gone: the reopened store serves every sample once
+        and deletes the leftover sources (Thanos's sources rule)."""
+        root = str(tmp_path / "store")
+        hot = TSDB(name="hot")
+        for t in range(0, 8 * 3600, 120):
+            hot.append(series_labels(0), float(t), float(t))
+        store = ObjectStore(persist_dir=root)
+        Sidecar(hot, store).upload(now=8 * 3600.0)
+        sources = {b.ulid for b in store.blocks}
+        assert len(sources) == 4
+
+        def killed(_ulid):
+            raise RuntimeError("killed mid-compaction")
+
+        monkeypatch.setattr(store, "drop_block", killed)
+        with pytest.raises(RuntimeError):
+            Compactor(store).compact_blocks()
+        on_disk = set(list_block_ulids(root))
+        assert sources < on_disk and len(on_disk) == 5
+
+        reopened = ObjectStore(persist_dir=root)
+        (merged,) = reopened.blocks
+        assert merged.level == 2 and set(merged.source_ulids) == sources
+        assert set(list_block_ulids(root)) == {merged.ulid}
+        (series,) = reopened.select_at("raw", [])
+        (orig,) = hot.all_series()
+        assert_bit_identical(*orig.arrays(), *series.arrays())
+        engine = PromQLEngine(FanoutStorage(TSDB(), reopened))
+        (sample,) = engine.query("count_over_time(metric[1h])", at=4 * 3600.0).vector
+        assert sample.value == 31.0  # what a clean compaction serves
+        # the next pass has nothing left to merge twice
+        Compactor(reopened).compact_blocks()
+        assert [b.ulid for b in reopened.blocks] == [merged.ulid]
 
 
 class TestSimulationCrashRecovery:
@@ -793,35 +827,28 @@ class TestChunkIndexPostings:
 
 
 class TestLazyStore:
-    """Decode-on-demand store: mmap chunk files, LRU, query parity.
+    """Decode-on-demand store: mmap chunk files, LRU, reopen parity."""
 
-    A ``persist_dir`` makes the store chunk-backed ("lazy"); the
-    oracle ("eager") is the in-memory store, whose resolution TSDBs
-    the sidecar fills with the same windows fully decoded.
-    """
-
-    def _build(self, tmp_path, lazy: bool) -> ObjectStore:
+    def _build(self, tmp_path) -> ObjectStore:
         hot = TSDB(name="hot")
         for i in range(3):
             for t in range(18 * 4):
                 hot.append(series_labels(i), t * 900.0, float(i * 100 + t))
-        store = ObjectStore(persist_dir=str(tmp_path / "store")) if lazy else ObjectStore()
+        store = ObjectStore(persist_dir=str(tmp_path / "store"))
         Sidecar(hot, store).upload(now=18 * 3600.0)
         return store
 
     def test_open_decodes_nothing_then_only_overlapping_chunks(self, tmp_path):
-        """``persist_dir`` alone selects decode-on-demand: opening a
-        populated directory reads indexes only, and a window query
-        then decodes just the chunks overlapping it."""
+        """Opening a populated directory reads indexes only, and a
+        window query then decodes just the chunks overlapping it."""
         from repro.tsdb.persist.chunkio import DECODE_CACHE, DECODE_CACHE_STATS
 
-        self._build(tmp_path, lazy=True)
+        self._build(tmp_path)
         DECODE_CACHE.clear()
         before = dict(DECODE_CACHE_STATS)
         reopened = ObjectStore(persist_dir=str(tmp_path / "store"))
         assert reopened.loaded_blocks == 9
         assert DECODE_CACHE_STATS == before  # no chunk touched by open
-        assert reopened.tsdb("raw").num_samples == 0
         (series,) = reopened.select_at("raw", [Matcher("idx", MatchOp.EQ, "1")])
         assert DECODE_CACHE_STATS == before  # nor by select
         lo, hi = 5 * 3600.0, 5.5 * 3600.0
@@ -831,40 +858,19 @@ class TestLazyStore:
         assert ts.tolist() == [lo, lo + 900.0, hi]
         assert DECODE_CACHE_STATS["misses"] - before["misses"] == overlapping
 
-    def test_lazy_select_matches_eager(self, tmp_path):
-        eager = self._build(tmp_path / "eager", lazy=False)
-        lazy = self._build(tmp_path / "lazy", lazy=True)
-        all_m = [Matcher("__name__", MatchOp.EQ, "metric")]
-        for matchers in (all_m, [Matcher("idx", MatchOp.EQ, "1")]):
-            e = {s.labels: s for s in eager.select_at("raw", matchers)}
-            l = {s.labels: s for s in lazy.select_at("raw", matchers)}
-            assert set(e) == set(l)
-            for k in e:
-                assert_bit_identical(*e[k].arrays(), *l[k].arrays())
-
     def test_lazy_reopen_matches_original(self, tmp_path):
-        store = self._build(tmp_path, lazy=True)
+        store = self._build(tmp_path)
         reloaded = ObjectStore(persist_dir=str(tmp_path / "store"))
         orig = {s.labels: s for s in store.select_at("raw", [Matcher("__name__", MatchOp.EQ, "metric")])}
         got = {s.labels: s for s in reloaded.select_at("raw", [Matcher("__name__", MatchOp.EQ, "metric")])}
         assert set(orig) == set(got)
         for k in orig:
             assert_bit_identical(*orig[k].arrays(), *got[k].arrays())
-        # reloaded lazily: the resolution TSDB holds no samples
-        assert reloaded.tsdb("raw").num_samples == 0
-
-    def test_window_series_matches_eager(self, tmp_path):
-        eager = self._build(tmp_path / "eager", lazy=False)
-        lazy = self._build(tmp_path / "lazy", lazy=True)
-        lo, hi = 4 * 3600.0, 9 * 3600.0
-        e = {k: (ts.tobytes(), vs.tobytes()) for k, ts, vs in eager.window_series("raw", lo, hi)}
-        l = {k: (ts.tobytes(), vs.tobytes()) for k, ts, vs in lazy.window_series("raw", lo, hi)}
-        assert e == l
 
     def test_pruned_read_decodes_only_overlapping_chunks(self, tmp_path):
         from repro.tsdb.persist.chunkio import DECODE_CACHE, DECODE_CACHE_STATS
 
-        store = self._build(tmp_path, lazy=True)
+        store = self._build(tmp_path)
         DECODE_CACHE.clear()
         before = dict(DECODE_CACHE_STATS)
         series = {s.labels: s for s in store.select_at("raw", [Matcher("__name__", MatchOp.EQ, "metric")])}
@@ -882,7 +888,7 @@ class TestLazyStore:
         assert DECODE_CACHE_STATS["misses"] == before["misses"]
 
     def test_drop_block_unregisters_chunks_and_closes_reader(self, tmp_path):
-        store = self._build(tmp_path, lazy=True)
+        store = self._build(tmp_path)
         ulid = store.blocks_at("raw")[0].ulid
         total_before = sum(
             s.nsamples for s in store.select_at("raw", [Matcher("__name__", MatchOp.EQ, "metric")])
@@ -895,7 +901,7 @@ class TestLazyStore:
     def test_chunk_file_crc_detected_on_read(self, tmp_path):
         from repro.tsdb.persist.block import ChunkFile
 
-        store = self._build(tmp_path, lazy=True)
+        store = self._build(tmp_path)
         ulid = store.blocks_at("raw")[0].ulid
         block_dir = os.path.join(str(tmp_path / "store"), ulid)
         chunk_path = os.path.join(block_dir, "chunks", "000001")
@@ -924,7 +930,7 @@ class TestLazyStore:
             configure_decode_cache,
         )
 
-        store = self._build(tmp_path, lazy=True)
+        store = self._build(tmp_path)
         configure_decode_cache(1)
         try:
             DECODE_CACHE.clear()
@@ -935,3 +941,106 @@ class TestLazyStore:
             assert len(DECODE_CACHE._entries) <= 1
         finally:
             configure_decode_cache(0)
+
+
+class TestStoreDifferential:
+    """One hot TSDB shipped through sidecar, compaction, downsampling
+    and retention into a store without a ``persist_dir``, a store with
+    one, and that store reopened.  All three hold the same ledger and
+    serve bit-identical reads at every resolution; the oracle outside
+    the stores is the hot TSDB's own ``window_half_open``."""
+
+    HOUR = 3600.0
+    END = 30 * HOUR
+    RAW_RETENTION = 20 * HOUR
+
+    def _hot(self) -> TSDB:
+        rng = np.random.default_rng(7)
+        hot = TSDB(name="hot")
+        for t in np.arange(0.0, self.END, 60.0):
+            t = float(t)
+            for i in range(4):
+                if (i == 1 and 11 * self.HOUR <= t < 12 * self.HOUR) or (i == 2 and t < 5 * self.HOUR):
+                    continue  # a gap; a series born mid-history
+                if i == 3 and t >= 9 * self.HOUR:
+                    continue  # a series that ends
+                hot.append(series_labels(i), t, float(rng.normal(100.0 * i, 7.0)))
+            if t == 13 * self.HOUR:
+                hot.append(series_labels(0), t + 30.0, float("nan"))  # stale marker
+        return hot
+
+    def _ship(self, hot: TSDB, store: ObjectStore) -> ObjectStore:
+        sidecar = Sidecar(hot, store)
+        compactor = Compactor(store, downsample_5m_after=2 * self.HOUR, downsample_1h_after=6 * self.HOUR)
+        for hour in range(2, 31, 2):
+            sidecar.upload(hour * self.HOUR)
+            compactor.run(hour * self.HOUR)  # compact, downsample, retention
+        return store
+
+    @staticmethod
+    def _bits(series_list) -> dict:
+        return {s.labels: (bits_of(s.arrays()[0]), bits_of(s.arrays()[1])) for s in series_list}
+
+    def _reads(self, store: ObjectStore, resolution: str) -> tuple:
+        one = [Matcher("idx", MatchOp.EQ, "1")]
+        windows = [
+            [(labels, bits_of(ts), bits_of(vs)) for labels, ts, vs in store.window_series(resolution, lo, hi)]
+            for lo, hi in ((-np.inf, np.inf), (9.5 * self.HOUR, 17.25 * self.HOUR))
+        ]
+        return (
+            [s.labels for s in store.select_at(resolution, [])],
+            self._bits(store.select_at(resolution, [])),
+            self._bits(store.select_at(resolution, one)),
+            windows,
+        )
+
+    @staticmethod
+    def _downsampled(source: dict, until: float, bucket: float) -> dict:
+        """The compactor's bucketing applied to ``(ts, vs)`` arrays of
+        mean series, keyed by labels, up to ``until``."""
+        out = {}
+        for labels, (ts, vs) in source.items():
+            if labels.metric_name.endswith((":min", ":max")):
+                continue
+            keep = (ts < until) & ~np.isnan(vs)
+            b_ts, means, mins, maxs = _downsample_series(ts[keep], vs[keep], bucket)
+            if len(b_ts):
+                base = labels.metric_name
+                out[labels] = (b_ts, means)
+                out[labels.with_name(base + ":min")] = (b_ts, mins)
+                out[labels.with_name(base + ":max")] = (b_ts, maxs)
+        return out
+
+    def test_three_stores_agree_with_hot_oracle(self, tmp_path):
+        hot = self._hot()
+        root = str(tmp_path / "store")
+        memory = self._ship(hot, ObjectStore(raw_retention=self.RAW_RETENTION))
+        disk = self._ship(hot, ObjectStore(raw_retention=self.RAW_RETENTION, persist_dir=root))
+        reopened = ObjectStore(raw_retention=self.RAW_RETENTION, persist_dir=root)
+        stores = (memory, disk, reopened)
+
+        ledger = sorted(memory.blocks, key=lambda b: b.ulid)
+        assert ledger == sorted(disk.blocks, key=lambda b: b.ulid) == sorted(reopened.blocks, key=lambda b: b.ulid)
+        assert {b.resolution for b in ledger} == {"raw", "5m", "1h"}
+        assert {b.level for b in memory.blocks_at("raw")} == {1, 2}
+        # retention dropped the first merged block whole
+        raw_lo = memory.blocks_at("raw")[0].min_time
+        assert raw_lo == 8 * self.HOUR
+        for resolution in RESOLUTIONS:
+            reads = [self._reads(store, resolution) for store in stores]
+            assert reads[0][0], resolution
+            assert reads[0] == reads[1] == reads[2], resolution
+
+        hot_arrays = {s.labels: s.window_half_open(-np.inf, self.END) for s in hot.all_series()}
+        raw = {s.labels: s.window_half_open(raw_lo, self.END) for s in hot.all_series()}
+        assert self._bits(memory.select_at("raw", [])) == {
+            labels: (bits_of(ts), bits_of(vs)) for labels, (ts, vs) in raw.items() if len(ts)
+        }
+        five_m = self._downsampled(hot_arrays, 28 * self.HOUR, 300.0)
+        assert self._bits(memory.select_at("5m", [])) == {
+            labels: (bits_of(ts), bits_of(vs)) for labels, (ts, vs) in five_m.items()
+        }
+        one_h = self._downsampled(five_m, 24 * self.HOUR, 3600.0)
+        assert self._bits(memory.select_at("1h", [])) == {
+            labels: (bits_of(ts), bits_of(vs)) for labels, (ts, vs) in one_h.items()
+        }

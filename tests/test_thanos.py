@@ -7,7 +7,7 @@ from repro.common.errors import StorageError
 from repro.thanos.compact import Compactor, _downsample_series
 from repro.thanos.query import FanoutStorage
 from repro.thanos.sidecar import Sidecar
-from repro.thanos.store import BlockMeta, ObjectStore
+from repro.thanos.store import ObjectStore
 from repro.tsdb.model import Labels, Matcher
 from repro.tsdb.promql.engine import PromQLEngine
 from repro.tsdb.storage import TSDB
@@ -15,6 +15,10 @@ from repro.tsdb.storage import TSDB
 
 def mk(name: str, **labels: str) -> Labels:
     return Labels({"__name__": name, **labels})
+
+
+def samples(store: ObjectStore, resolution: str) -> int:
+    return sum(b.num_samples for b in store.blocks_at(resolution))
 
 
 def fill(db: TSDB, hours: float, step: float = 60.0) -> None:
@@ -32,7 +36,7 @@ class TestSidecar:
         sidecar = Sidecar(hot, store)
         uploaded = sidecar.upload(now=5 * 3600.0)
         assert uploaded == 2  # two complete 2h windows; the third is open
-        assert store.tsdb("raw").num_samples == 2 * 120
+        assert samples(store, "raw") == 2 * 120
 
     def test_incremental_upload(self):
         hot = TSDB()
@@ -40,14 +44,14 @@ class TestSidecar:
         store = ObjectStore()
         sidecar = Sidecar(hot, store)
         sidecar.upload(now=2 * 3600.0)
-        first = store.tsdb("raw").num_samples
+        first = samples(store, "raw")
         fill_more = TSDB()  # extend hot in place instead
         t = 2 * 3600.0 + 60.0
         while t <= 4 * 3600.0:
             hot.append(mk("m", instance="n1"), t, t / 60.0)
             t += 60.0
         sidecar.upload(now=4 * 3600.0)
-        assert store.tsdb("raw").num_samples > first
+        assert samples(store, "raw") > first
         assert sidecar.blocks_uploaded == 2
         del fill_more
 
@@ -85,8 +89,7 @@ class TestDownsampling:
         compactor = Compactor(store, downsample_5m_after=3600.0)
         produced = compactor.downsample(now=8 * 3600.0)
         assert produced["5m"] > 0
-        five = store.tsdb("5m")
-        mean_series = five.select([Matcher.name_eq("m")])
+        mean_series = store.select_at("5m", [Matcher.name_eq("m")])
         assert len(mean_series) == 1
         # 5m averages of a linear signal match the signal midpoint
         ts, vs = mean_series[0].window(300.0, 3600.0)
@@ -99,8 +102,9 @@ class TestDownsampling:
         store = ObjectStore()
         Sidecar(hot, store).upload(now=4 * 3600.0)
         Compactor(store, downsample_5m_after=0.0).downsample(now=4 * 3600.0)
-        names = store.tsdb("5m").metric_names()
-        assert set(names) == {"m", "m:min", "m:max"}
+        assert store.label_values_at("5m", "__name__") == ["m", "m:max", "m:min"]
+        (block,) = store.blocks_at("5m")
+        assert block.num_series == 3
 
     def test_downsample_idempotent(self):
         hot = TSDB()
@@ -120,7 +124,7 @@ class TestDownsampling:
         compactor = Compactor(store, downsample_5m_after=0.0, downsample_1h_after=0.0)
         produced = compactor.downsample(now=30 * 3600.0)
         assert produced["1h"] > 0
-        assert store.tsdb("1h").num_samples > 0
+        assert samples(store, "1h") > 0
 
 
 class TestCompaction:
@@ -151,32 +155,38 @@ class TestObjectStore:
     def test_bad_resolution_rejected(self):
         store = ObjectStore()
         with pytest.raises(StorageError):
-            store.tsdb("3m")
+            store.select_at("3m", [])
         with pytest.raises(StorageError):
-            store.add_block(BlockMeta("u", 0, 1, "3m", 0, 0))
+            store.store_block([], min_time=0.0, max_time=1.0, resolution="3m")
 
     def test_inverted_block_rejected(self):
         store = ObjectStore()
         with pytest.raises(StorageError):
-            store.add_block(BlockMeta("u", 10, 5, "raw", 0, 0))
-
-    def test_pick_resolution_heuristic(self):
-        store = ObjectStore()
-        store.tsdb("5m").append(mk("m"), 0.0, 1.0)
-        store.tsdb("1h").append(mk("m"), 0.0, 1.0)
-        assert store.pick_resolution(3600.0) == "raw"
-        assert store.pick_resolution(3 * 86400.0) == "5m"
-        assert store.pick_resolution(30 * 86400.0) == "1h"
+            store.store_block([], min_time=10.0, max_time=5.0)
+        assert store.blocks == []
 
     def test_retention_per_resolution(self):
         store = ObjectStore(raw_retention=3600.0)
-        for t in range(0, 7200, 600):
-            store.tsdb("raw").append(mk("m"), float(t), 1.0)
-        store.add_block(BlockMeta("old", 0.0, 1800.0, "raw", 3, 1))
-        store.add_block(BlockMeta("new", 5400.0, 7200.0, "raw", 3, 1))
+        ts = np.arange(0.0, 7200.0, 600.0)
+        old = store.store_block([(mk("m"), ts[:3], np.ones(3))], min_time=0.0, max_time=1800.0)
+        new = store.store_block([(mk("m"), ts[9:], np.ones(3))], min_time=5400.0, max_time=7200.0)
+        assert old.num_samples == 3
         dropped = store.apply_retention(now=7200.0)
-        assert dropped["raw"] > 0
-        assert [b.ulid for b in store.blocks_at("raw")] == ["new"]
+        assert dropped["raw"] == 3
+        # retention drops whole blocks: the survivor keeps all its samples
+        assert [b.ulid for b in store.blocks_at("raw")] == [new.ulid]
+        (series,) = store.select_at("raw", [Matcher.name_eq("m")])
+        assert series.timestamps == [5400.0, 6000.0, 6600.0]
+
+    def test_block_holds_a_copy_of_its_arrays(self):
+        store = ObjectStore()
+        ts = np.array([0.0, 60.0])
+        vs = np.array([1.0, 2.0])
+        store.store_block([(mk("m"), ts, vs)], min_time=0.0, max_time=120.0)
+        ts[1], vs[1] = 90.0, -1.0  # the caller reuses its buffers
+        (series,) = store.select_at("raw", [])
+        assert series.timestamps == [0.0, 60.0]
+        assert series.values == [1.0, 2.0]
 
 
 class TestFanout:
@@ -186,8 +196,8 @@ class TestFanout:
         hot.append(labels, 10.0, 100.0)
         hot.append(labels, 20.0, 200.0)
         store = ObjectStore()
-        store.tsdb("raw").append(labels, 0.0, -1.0)
-        store.tsdb("raw").append(labels, 10.0, -2.0)  # overlapping timestamp: hot wins
+        # overlapping timestamp 10.0: hot wins
+        store.store_block([(labels, np.array([0.0, 10.0]), np.array([-1.0, -2.0]))], min_time=0.0, max_time=20.0)
         (merged,) = FanoutStorage(hot, store).select([Matcher.name_eq("m")])
         assert merged.timestamps == [0.0, 10.0, 20.0]
         assert merged.values == [-1.0, 100.0, 200.0]
@@ -197,11 +207,12 @@ class TestFanout:
         hot = TSDB()
         hot.append(mk("m", side="hot"), 1.0, 1.0)
         store = ObjectStore()
-        store.tsdb("raw").append(mk("m", side="store"), 1.0, 1.0)
+        store.store_block([(mk("m", side="store"), np.array([1.0]), np.array([1.0]))], min_time=0.0, max_time=2.0)
         fanout = FanoutStorage(hot, store)
         # a series on one side only is served as that side's own object
         assert fanout.select([Matcher.eq("side", "hot")]) == hot.all_series()
-        assert fanout.select([Matcher.eq("side", "store")]) == store.tsdb("raw").all_series()
+        on_store = [Matcher.eq("side", "store")]
+        assert fanout.select(on_store) == store.select_at("raw", on_store)
         assert fanout.select([Matcher.eq("side", "neither")]) == []
 
     def test_fanout_spans_hot_and_store(self):
@@ -223,6 +234,6 @@ class TestFanout:
         hot = TSDB()
         hot.append(mk("m", instance="hot1"), 0.0, 1.0)
         store = ObjectStore()
-        store.tsdb("raw").append(mk("m", instance="cold1"), 0.0, 1.0)
+        store.store_block([(mk("m", instance="cold1"), np.array([0.0]), np.array([1.0]))], min_time=0.0, max_time=1.0)
         fanout = FanoutStorage(hot, store)
         assert fanout.label_values("instance") == ["cold1", "hot1"]
