@@ -827,14 +827,19 @@ class TestChunkIndexPostings:
 
 
 class TestLazyStore:
-    """Decode-on-demand store: mmap chunk files, LRU, reopen parity."""
+    """Decode-on-demand store: mmap chunk files, LRU, query parity.
 
-    def _build(self, tmp_path) -> ObjectStore:
+    A ``persist_dir`` makes the store chunk-backed ("lazy"); the
+    oracle ("eager") is the store without one, whose blocks hold the
+    same windows fully decoded in memory.
+    """
+
+    def _build(self, tmp_path, lazy: bool = True) -> ObjectStore:
         hot = TSDB(name="hot")
         for i in range(3):
             for t in range(18 * 4):
                 hot.append(series_labels(i), t * 900.0, float(i * 100 + t))
-        store = ObjectStore(persist_dir=str(tmp_path / "store"))
+        store = ObjectStore(persist_dir=str(tmp_path / "store")) if lazy else ObjectStore()
         Sidecar(hot, store).upload(now=18 * 3600.0)
         return store
 
@@ -857,6 +862,25 @@ class TestLazyStore:
         ts, _vs = series.window(lo, hi)
         assert ts.tolist() == [lo, lo + 900.0, hi]
         assert DECODE_CACHE_STATS["misses"] - before["misses"] == overlapping
+
+    def test_lazy_select_matches_eager(self, tmp_path):
+        eager = self._build(tmp_path / "eager", lazy=False)
+        lazy = self._build(tmp_path / "lazy")
+        all_m = [Matcher("__name__", MatchOp.EQ, "metric")]
+        for matchers in (all_m, [Matcher("idx", MatchOp.EQ, "1")]):
+            e = {s.labels: s for s in eager.select_at("raw", matchers)}
+            l = {s.labels: s for s in lazy.select_at("raw", matchers)}
+            assert set(e) == set(l)
+            for k in e:
+                assert_bit_identical(*e[k].arrays(), *l[k].arrays())
+
+    def test_window_series_matches_eager(self, tmp_path):
+        eager = self._build(tmp_path / "eager", lazy=False)
+        lazy = self._build(tmp_path / "lazy")
+        lo, hi = 4 * 3600.0, 9 * 3600.0
+        e = {k: (ts.tobytes(), vs.tobytes()) for k, ts, vs in eager.window_series("raw", lo, hi)}
+        l = {k: (ts.tobytes(), vs.tobytes()) for k, ts, vs in lazy.window_series("raw", lo, hi)}
+        assert e == l
 
     def test_lazy_reopen_matches_original(self, tmp_path):
         store = self._build(tmp_path)
