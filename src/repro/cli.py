@@ -228,9 +228,11 @@ def cmd_export_rules(args: argparse.Namespace, out=sys.stdout) -> int:
 def cmd_persist_info(args: argparse.Namespace, out=sys.stdout) -> int:
     """Inspect a persisted storage directory without running anything.
 
-    Opens the head (replaying its WAL) and the block store read-only,
-    then prints what survived — the quickstart's proof that a killed
-    simulation lost nothing beyond the unflushed tail.
+    Opens the head (replaying its WAL) and the block store, then prints
+    what survived — the quickstart's proof that a killed simulation
+    lost nothing beyond the unflushed tail.  Opening the store is not
+    read-only: it deletes the source blocks left behind by a compaction
+    killed after writing its merged block.
     """
     import os
 

@@ -146,16 +146,13 @@ class ObjectStore:
         resolution: str = "raw",
         level: int = 1,
         sources: tuple[str, ...] = (),
-    ) -> dict | None:
-        """Write one immutable block directory (no-op without a ``persist_dir``).
+    ) -> dict:
+        """Write one immutable block directory under ``persist_dir``.
 
         ``series`` is an iterable of ``(labels, ts_array, vs_array)``.
-        Returns the written ``meta.json`` dict, or ``None`` when the
-        store has no ``persist_dir``.  Writing does not register the
-        block; :meth:`store_block` does both.
+        Returns the written ``meta.json`` dict.  Writing does not
+        register the block; :meth:`store_block` does both.
         """
-        if not self.persist_dir:
-            return None
         meta = write_block(
             self.persist_dir,
             ulid,
