@@ -32,9 +32,11 @@ layer times are as measured, not speed-normalised like the end-to-end
 ones; the exponent is the one PR 20's hand arithmetic settled on).  Beside them, the
 counts a performance change must leave alone — samples scraped, series
 held, rule samples out, PromQL queries, exporter bodies rendered, LB
-requests, frontend sub-queries — and the printed digest, each
-``identical`` or ``differs`` over every run of both sides; and, where
-every run of both sides reports it, the share of exporter bodies served
+requests, frontend sub-queries, query-answer bytes sent — and the
+printed digest, each ``identical`` or ``differs`` over every run of
+both sides (``varies`` where the parent's own runs already disagree,
+see ``identity_check``); and, where every run of both sides reports
+it, the share of exporter bodies served
 by refilling the previous one.  A bare ``--layers`` on a ``dash_*``
 workload names the serving layers (``SERVING_LAYERS``) itself.
 
@@ -70,6 +72,8 @@ IDENTITY_COUNTS = (
     # nor a cheaper serving path fewer requests or evaluations
     "lb.requests",
     "frontend.subqueries",
+    # nor a cheaper renderer different answer bytes
+    "tsdb.http.bytes_out",
 )
 
 #: What a bare ``--layers`` prints on a ``dash_*`` workload: the layers
@@ -168,13 +172,31 @@ def layer_medians(runs: dict[str, list[dict]], names: list[str]) -> dict[str, tu
 
 def identity_check(runs: dict[str, list[dict]], names=IDENTITY_COUNTS) -> dict[str, tuple[str, list]]:
     """Per count (and the digest, where runs carry one): ``identical``
-    when every run of both sides printed the same value, else
-    ``differs``; with the distinct values seen."""
-    everything = runs["parent"] + runs["change"]
-    seen = {name: sorted({r["metrics"][name]["value"] for r in everything}) for name in names}
-    if all("digest" in r for r in everything):
-        seen["digest"] = sorted({r["digest"] for r in everything})
-    return {name: ("identical" if len(values) == 1 else "differs", values) for name, values in seen.items()}
+    when every run of both sides printed the same value; ``varies``
+    when the parent's own runs already disagree — the count carries
+    wall-clock data, as ``tsdb.http.bytes_out`` does on ``dash_live``,
+    whose answers hold measured durations such as
+    ``probe_duration_seconds`` — and the two sides' ranges overlap;
+    else ``differs``.  With the distinct values seen."""
+
+    def value(run: dict, name: str):
+        return run["digest"] if name == "digest" else run["metrics"][name]["value"]
+
+    checked = list(names)
+    if all("digest" in r for r in runs["parent"] + runs["change"]):
+        checked.append("digest")
+    out = {}
+    for name in checked:
+        parent = {value(r, name) for r in runs["parent"]}
+        change = {value(r, name) for r in runs["change"]}
+        if len(parent | change) == 1:
+            verdict = "identical"
+        elif len(parent) > 1 and min(change) <= max(parent) and min(parent) <= max(change):
+            verdict = "varies"
+        else:
+            verdict = "differs"
+        out[name] = (verdict, sorted(parent | change))
+    return out
 
 
 def refill_shares(runs: dict[str, list[dict]]) -> tuple[float, float] | None:

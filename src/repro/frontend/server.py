@@ -53,6 +53,7 @@ from repro.frontend.split import (
     uncovered_runs,
 )
 from repro.lb.strategies import Backend, Strategy, make_strategy
+from repro.tsdb.http import matrix_text, query_response
 from repro.tsdb.plan import INSTANT_PATH, PASSTHROUGH_ROUTES, RANGE_PATH, QueryPlan, plan_query
 from repro.tsdb.promql.engine import range_steps
 
@@ -438,7 +439,7 @@ class QueryFrontend:
         if not runs:
             # Fully covered: assemble from the snapshot alone, zero
             # backend round-trips.
-            response = self._assemble(cached_columns, [])
+            response = self._assemble(grid_list, cached_columns, [])
             if settled:
                 self.memo.put(fingerprint, response.body)
             return response
@@ -484,13 +485,14 @@ class QueryFrontend:
             part_results.append((i0, i1, result))
             self.cache.ingest(key, grid_list[i0 : i1 + 1], result, cutoff)
 
-        response = self._assemble(cached_columns, part_results)
+        response = self._assemble(grid_list, cached_columns, part_results)
         if settled:
             self.memo.put(fingerprint, response.body)
         return response
 
     def _assemble(
         self,
+        grid: list[float],
         cached_columns: list[tuple[tuple, dict, list[float], list[str]]],
         part_results: list[tuple[int, int, list]],
     ) -> Response:
@@ -500,9 +502,11 @@ class QueryFrontend:
         ``cached_columns`` is the copy :meth:`ResultsCache.snapshot`
         took atomically with the coverage set — re-reading the cache
         here could silently lose served steps to a concurrent eviction.
-        Reproduces the PromAPI matrix rendering exactly: series sorted
-        by their label items, values in step order, every ``metric``
-        object in ``Labels.as_dict()`` (label-name-sorted) key order.
+        The merge orders series by their label items and each series'
+        points by step, as PromAPI does; the bytes are then written by
+        PromAPI's own renderer (:func:`repro.tsdb.http.matrix_text`)
+        from the backends' ``metric`` objects and value texts, so they
+        are the direct path's by construction.
         """
         merged: dict[tuple, tuple[dict, list]] = {}
         for series_key, metric, ts, vals in cached_columns:
@@ -518,11 +522,9 @@ class QueryFrontend:
                 if entry is None:
                     entry = merged[series_key] = (metric, [])
                 entry[1].extend((float(t), v) for t, v in item["values"])
-        out = []
+        columns = []
         for series_key in sorted(merged):
             metric, pairs = merged[series_key]
             pairs.sort(key=lambda tv: tv[0])
-            out.append({"metric": metric, "values": [[t, v] for t, v in pairs]})
-        return Response.json(
-            {"status": "success", "data": {"resultType": "matrix", "result": out}}
-        )
+            columns.append((metric, [t for t, _v in pairs], [v for _t, v in pairs]))
+        return query_response("matrix", matrix_text(columns, grid))

@@ -17,6 +17,13 @@ documented response envelope (``{"status":"success","data":{...}}``):
   recent queries with live phase timings) plus the slow-query log,
 * ``GET /-/healthy``.
 
+A query answer is written by one renderer, :func:`query_response`
+over :func:`instant_result` / :func:`range_result` /
+:func:`matrix_text`: the body text is built straight from the engine's
+arrays, and the query frontend writes the answers it assembles through
+the same functions, so the two paths' bytes agree by construction.
+Non-finite sample values are spelled ``NaN`` / ``+Inf`` / ``-Inf``.
+
 POST form bodies are honoured (Grafana sends long queries that way).
 Query-path requests are read, validated and parsed by
 :func:`repro.tsdb.plan.plan_query` — here when a client reaches this
@@ -34,8 +41,10 @@ threshold together with the trace id they ran under.
 
 from __future__ import annotations
 
+import json
 import math
 import time
+from operator import add
 
 from repro.common.errors import QueryError, StorageError
 from repro.common.httpx import App, Request, Response
@@ -51,7 +60,7 @@ from repro.obs.trace import current_trace
 from repro.tsdb.model import Matcher
 from repro.tsdb.plan import QueryLimits, plan_query
 from repro.tsdb.promql.ast import VectorSelector, iter_selectors
-from repro.tsdb.promql.engine import PromQLEngine
+from repro.tsdb.promql.engine import InstantResult, PromQLEngine, RangeResult
 from repro.tsdb.promql.parser import parse_expr
 
 
@@ -60,6 +69,77 @@ def _selector_matchers(selector_text: str) -> list[Matcher]:
     if not isinstance(ast, VectorSelector):
         raise QueryError("match[] must be a plain series selector")
     return list(ast.matchers)
+
+
+# -- query answers: one renderer ---------------------------------------------
+#: Prometheus spells the non-finite values Python writes ``nan`` /
+#: ``inf`` / ``-inf`` this way (and Grafana reads only this spelling).
+_NON_FINITE = {"nan": "NaN", "inf": "+Inf", "-inf": "-Inf"}
+
+
+def sample_text(value: float) -> str:
+    """One sample value as the API writes it inside its quotes."""
+    text = str(value)
+    return _NON_FINITE.get(text, text)
+
+
+def _points_text(heads: dict[float, str], ts: list[float], texts: list[str]) -> str:
+    """One series' ``[[t, "v"], ...]`` from its timestamps and value texts."""
+    if not texts:
+        return "[]"
+    text = '"], '.join(map(add, map(heads.__getitem__, ts), texts))
+    if "n" in text:  # only a nan or an inf puts an "n" among the points
+        text = '"], '.join(map(add, map(heads.__getitem__, ts), map(_NON_FINITE.get, texts, texts)))
+    return f'[{text}"]]'
+
+
+def matrix_text(series: list[tuple[dict, list[float], list[str]]], grid: list[float]) -> str:
+    """The ``result`` array of a matrix answer, from ``(metric dict,
+    timestamps, value texts)`` per series in response order; every
+    timestamp is a step of ``grid``."""
+    if not series:
+        return "[]"
+    # Each step's ``[t, "`` once per response (``json`` writes a float
+    # with the same ``repr``), looked up by value: series covering
+    # different steps share one text per step, never one per position.
+    heads = {t: f'[{t!r}, "' for t in grid}
+    return "[" + ", ".join(
+        f'{{"metric": {json.dumps(metric)}, "values": {_points_text(heads, ts, texts)}}}'
+        for metric, ts, texts in series
+    ) + "]"
+
+
+def range_result(result: RangeResult) -> tuple[str, str]:
+    """``(resultType, result text)`` of a range query: series sorted by
+    their label items, one C-level ``repr`` pass over each value array."""
+    series = [
+        (labels.as_dict(), ts.tolist(), list(map(repr, vs.tolist())))
+        for labels, (ts, vs) in sorted(result.series.items(), key=lambda kv: tuple(kv[0]))
+    ]
+    return "matrix", matrix_text(series, result.timestamps().tolist())
+
+
+def instant_result(result: InstantResult) -> tuple[str, str]:
+    """``(resultType, result text)`` of an instant query, in the
+    engine's element order.  A vector holds one point per series, so
+    its elements are the answer itself and one ``json.dumps`` over them
+    is the cheap way to write it."""
+    if result.is_scalar:
+        return "scalar", json.dumps([result.timestamp, sample_text(result.scalar)])
+    return "vector", json.dumps(
+        [
+            {"metric": labels.as_dict(), "value": [result.timestamp, sample_text(value)]}
+            for labels, value in zip(result.labels, result.values)
+        ]
+    )
+
+
+def query_response(result_type: str, result: str, stats: dict | None = None) -> Response:
+    """The 200 answer around a rendered ``result``; ``stats`` (for
+    ``stats=all``) follows the result."""
+    tail = "" if stats is None else f', "stats": {json.dumps(stats)}'
+    body = f'{{"status": "success", "data": {{"resultType": "{result_type}", "result": {result}{tail}}}}}'
+    return Response(status=200, headers={"content-type": "application/json"}, body=body.encode())
 
 
 class PromAPI:
@@ -266,8 +346,8 @@ class PromAPI:
     def _introspected(self, request: Request, eval_fn, render_fn) -> Response:
         """Plan, admit, evaluate and render one query with accounting.
 
-        ``eval_fn(plan)`` runs the engine; ``render_fn(result)`` builds
-        the response ``data`` payload.  The tracker gates the eval
+        ``eval_fn(plan)`` runs the engine; ``render_fn(result)`` writes
+        its ``(resultType, result text)``.  The tracker gates the eval
         phase only (planning and render are cheap and must not hold a
         concurrency slot).  The parse phase is what obtaining the plan
         cost *here*: reading, validating and parsing when this backend
@@ -311,10 +391,8 @@ class PromAPI:
             except (QueryError, StorageError, ValueError) as exc:
                 return Response.error(400, str(exc))
             with stats.phase("render"):
-                payload = render_fn(result)
-            if plan.stats:
-                payload["stats"] = stats.to_dict()
-            return Response.json({"status": "success", "data": payload})
+                result_type, text = render_fn(result)
+            return query_response(result_type, text, stats.to_dict() if plan.stats else None)
         finally:
             deactivate_stats(token)
             self.slow_log.observe(
@@ -327,50 +405,17 @@ class PromAPI:
 
     # -- endpoints ---------------------------------------------------------------
     def _query(self, request: Request) -> Response:
-        def render(result):
-            if result.is_scalar:
-                return {
-                    "resultType": "scalar",
-                    "result": [result.timestamp, str(result.scalar)],
-                }
-            return {
-                "resultType": "vector",
-                "result": [
-                    {
-                        "metric": el.labels.as_dict(),
-                        "value": [result.timestamp, str(el.value)],
-                    }
-                    for el in result.vector
-                ],
-            }
-
         return self._introspected(
-            request, lambda plan: self.engine.query(plan.ast, plan.time), render
+            request, lambda plan: self.engine.query(plan.ast, plan.time), instant_result
         )
 
     def _query_range(self, request: Request) -> Response:
-        def render(result):
-            return {
-                "resultType": "matrix",
-                "result": [
-                    {
-                        "metric": labels.as_dict(),
-                        "values": [
-                            [float(t), str(v)] for t, v in zip(ts.tolist(), vs.tolist())
-                        ],
-                    }
-                    for labels, (ts, vs) in sorted(
-                        result.series.items(), key=lambda kv: tuple(kv[0])
-                    )
-                ],
-            }
-
         return self._introspected(
             request,
             lambda plan: self.engine.query_range(
                 plan.ast, plan.start, plan.end, plan.step
             ),
-            render,
+            range_result,
         )
 
     def _query_exemplars(self, request: Request) -> Response:
@@ -410,7 +455,7 @@ class PromAPI:
                 exemplars.append(
                     {
                         "labels": dict(record.labels),
-                        "value": str(record.value),
+                        "value": sample_text(record.value),
                         "timestamp": record.timestamp,
                     }
                 )

@@ -94,7 +94,7 @@ def traced_line(slowdown, digest="c26de5bdc1855593", **metrics):
     values = {"bench.slowdown": slowdown, "tsdb.scrape.samples": 13061.057142857142,
               "tsdb.storage.series": 8200.0, "tsdb.rules.samples_out": 581.7142857142857,
               "tsdb.promql.queries": 63.5, "exporter.renders": 194.0, "lb.requests": 49.0,
-              "frontend.subqueries": 42.0, **metrics}  # fmt: skip
+              "frontend.subqueries": 42.0, "tsdb.http.bytes_out": 195072.0, **metrics}  # fmt: skip
     return {"correct": True, "attempted": 9225, "failed": 0, "digest": digest,
             "metrics": {name: {"value": value, "unit": "ms" if name.endswith("_ms") else "1/op"}
                         for name, value in values.items()}}  # fmt: skip
@@ -173,6 +173,34 @@ class TestLayers:
         checked = identity_check({"parent": [traced_line(1.0)] * 2, "change": [merged, merged]})
         assert checked["frontend.subqueries"] == ("differs", [21.0, 42.0])
         assert checked["lb.requests"][0] == "identical"
+
+    def test_other_answer_bytes_are_a_difference(self):
+        """A cheaper renderer must send the same bytes, not fewer or more."""
+        from benchmarks.ab_pairs import IDENTITY_COUNTS, identity_check
+
+        assert "tsdb.http.bytes_out" in IDENTITY_COUNTS
+        same = {"parent": [traced_line(1.0)] * 2, "change": [traced_line(0.8)] * 2}
+        assert identity_check(same)["tsdb.http.bytes_out"] == ("identical", [195072.0])
+        respelled = traced_line(1.0, **{"tsdb.http.bytes_out": 195073.5})
+        checked = identity_check({"parent": [traced_line(1.0)] * 2, "change": [traced_line(1.0), respelled]})
+        assert checked["tsdb.http.bytes_out"] == ("differs", [195072.0, 195073.5])
+        assert checked["lb.requests"][0] == checked["frontend.subqueries"][0] == "identical"
+
+    def test_a_count_the_parent_cannot_repeat_varies_unless_the_sides_part(self):
+        """Answers carrying wall-clock values (probe durations) change
+        a few bytes from run to run on either side."""
+        from benchmarks.ab_pairs import identity_check
+
+        def side(*sizes):
+            return [traced_line(1.0, **{"tsdb.http.bytes_out": s}) for s in sizes]
+
+        overlapping = identity_check({"parent": side(194700.8, 194835.9), "change": side(194728.2, 194741.5)})
+        assert overlapping["tsdb.http.bytes_out"] == ("varies", [194700.8, 194728.2, 194741.5, 194835.9])
+        apart = identity_check({"parent": side(194700.8, 194835.9), "change": side(190000.0, 190100.0)})
+        assert apart["tsdb.http.bytes_out"][0] == "differs"
+        # a parent that repeats itself leaves no room: any other value differs
+        steady = identity_check({"parent": side(194700.8, 194700.8), "change": side(194700.8, 194701.0)})
+        assert steady["tsdb.http.bytes_out"][0] == "differs"
 
     def test_bare_layers_names_the_serving_layers_on_dash_workloads_only(self, capsys):
         from benchmarks.ab_pairs import SERVING_LAYERS, layer_names, print_layers

@@ -486,6 +486,16 @@ class TestPromAPIEndpoints:
         assert ex["value"] == "0.4"
         assert ex["timestamp"] == 10.0
 
+    def test_query_exemplars_non_finite_values_spelled_the_prometheus_way(self):
+        db = TSDB()
+        for le, value, spelled in (("1.0", math.nan, "NaN"), ("2.0", math.inf, "+Inf"), ("3.0", -math.inf, "-Inf")):
+            labels = Labels({"__name__": "lat_bucket", "le": le})
+            db.append(labels, 10.0, 3.0)
+            db.append_exemplar(labels, _ex("fe" * 16, value, 10.0), 10.0)
+        status, body = self._get(PromAPI(db), "/api/v1/query_exemplars?query=lat_bucket")
+        assert status == 200
+        assert [s["exemplars"][0]["value"] for s in body["data"]] == ["NaN", "+Inf", "-Inf"]
+
     def test_query_exemplars_walks_function_calls(self):
         status, body = self._get(
             self._api(),

@@ -11,6 +11,7 @@ serving tier).
 
 from __future__ import annotations
 
+import math
 import threading
 import urllib.parse
 
@@ -226,6 +227,45 @@ class TestParity:
                 url = _range_url(query, now - 6000, now - 300, 60)
                 assert tiny.app.get(url).body == _direct(fe_sim, url).body
         assert tiny.cache.evictions > 0
+
+
+class TestNonFiniteValues:
+    """Prometheus spells non-finite sample values ``NaN`` / ``+Inf`` /
+    ``-Inf`` (Grafana does not read Python's ``inf``), directly and
+    through the LB with the frontend on, split or not."""
+
+    SPELLED = {"0 / 0": "NaN", "1 / 0": "+Inf", "-1 / 0": "-Inf"}
+
+    def test_instant_and_range_direct_and_through_the_frontend(self, fe_sim):
+        now = fe_sim.clock.now()
+        for query, text in self.SPELLED.items():
+            instant = "/api/v1/query?" + urllib.parse.urlencode({"query": query, "time": now - 600})
+            ranges = [
+                _range_url(query, now - 7000, now - 120, 60),  # crosses split boundaries: assembled
+                _range_url(f"vector({query})", now - 600, now - 300, 60),  # inside one bucket
+            ]
+            for url in (instant, *ranges):
+                direct = _direct(fe_sim, url)
+                via = fe_sim.lb.app.get(url, headers=ADMIN)
+                assert direct.status == via.status == 200, url
+                assert via.body == direct.body, url
+            data = _direct(fe_sim, instant).decode_json()["data"]
+            assert data == {"resultType": "scalar", "result": [now - 600, text]}
+            values = _direct(fe_sim, ranges[0]).decode_json()["data"]["result"][0]["values"]
+            assert {v for _t, v in values} == {text}
+
+    def test_the_dashboard_data_source_reads_them(self, fe_sim):
+        from repro.dashboard.datasource import PrometheusDataSource
+
+        source = PrometheusDataSource(fe_sim.lb.app, "admin")
+        now = fe_sim.clock.now()
+        for query, expected in (("0 / 0", math.nan), ("1 / 0", math.inf), ("-1 / 0", -math.inf)):
+            [(ts, vs)] = source.query_range(query, now - 7000, now - 120, 60).values()
+            assert len(ts) == len(vs) > 100
+            assert np.array_equal(vs, np.full(len(vs), expected), equal_nan=True)
+            [element] = source.query(f"vector({query})", now - 600)
+            value = float(element["value"][1])
+            assert value == expected or (math.isnan(value) and math.isnan(expected))
 
 
 class TestSplitInvariance:

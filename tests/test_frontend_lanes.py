@@ -13,6 +13,7 @@ from __future__ import annotations
 import threading
 import urllib.parse
 
+import numpy as np
 import pytest
 
 from repro.cluster import StackSimulation, small_topology
@@ -22,6 +23,8 @@ from repro.frontend import QueryFrontend, QueryLimits
 from repro.lb.server import LoadBalancer
 from repro.lb.strategies import Backend
 from repro.tsdb.http import PromAPI
+from repro.tsdb.model import Labels
+from repro.tsdb.storage import TSDB
 
 ADMIN = {"x-grafana-user": "admin"}
 WINDOW, STEP, ADVANCE = 600.0, 30.0, 30.0  # the dash_live shape, at test size
@@ -138,6 +141,62 @@ class TestSlidingLiveWindows:
         before = fe.subqueries
         lanes.ask(range_url(query, boundary, boundary + 300.0))  # inside one bucket, all of it covered
         assert lanes.snapshots == 1 and fe.subqueries == before + 1 and fe.cache.hits == 0
+
+
+class TestAssembledAnswers:
+    """A grid crossing a split boundary is answered from cached text
+    columns plus fresh sub-results, written by PromAPI's own renderer;
+    the bytes must be a frontend-less LB's over the same backends."""
+
+    BOUNDARY = 7200.0  # a multiple of SPLIT
+
+    @pytest.fixture(scope="class")
+    def db(self) -> TSDB:
+        """``m{k="a"}`` throughout, cycling 0, 1, 2 (so ``m / (m - 1)``
+        is +Inf every third step); ``m{k="b"}`` only after the first
+        window; ``m{k="c"}`` only before the boundary."""
+        db = TSDB()
+        b0 = self.BOUNDARY
+        for i, t in enumerate(np.arange(b0 - 1800.0, b0 + 1800.0, 15.0)):
+            db.append(Labels(__name__="m", k="a"), float(t), float(i % 3))
+            if t > b0 + 600.0:
+                db.append(Labels(__name__="m", k="b", note='q"\\\n日'), float(t), float(i))
+            if t < b0 - 300.0:
+                db.append(Labels(__name__="m", k="c"), float(t), -float(i))
+        return db
+
+    def lanes(self, db: TSDB, split: float = SPLIT) -> tuple[QueryFrontend, LoadBalancer, LoadBalancer]:
+        backends = [Backend(name="p", app=PromAPI(db).app)]
+        frontend = QueryFrontend(backends, split_interval=split)  # no clock: all settled
+        return frontend, LoadBalancer(backends, _AllowAll(), frontend=frontend), LoadBalancer(backends, _AllowAll())
+
+    def ask(self, frontend, lb, reference, url: str) -> bytes:
+        got, want = lb.app.get(url, headers=ADMIN), reference.app.get(url, headers=ADMIN)
+        assert got.status == want.status == 200, url
+        assert got.body == want.body, url
+        return got.body
+
+    @pytest.mark.parametrize("query", ["m", "m / (m - 1)", "(m - 1) / (m - 1)", "-m / (m - 1)", "sum by (k) (m)"])
+    def test_partly_cached_crossing_windows(self, db, query):
+        frontend, lb, reference = self.lanes(db)
+        b0 = self.BOUNDARY
+        # The first window crosses the boundary and fills the step cache;
+        # the second keeps its start and grid, so its older part is
+        # served from the cache and only the newer part is evaluated.
+        first = self.ask(frontend, lb, reference, range_url(query, b0 - 900.0, b0 + 600.0, 15.0))
+        assert frontend.cache.hits == 0 and len(frontend.cache) == 1
+        subqueries = frontend.subqueries
+        second = self.ask(frontend, lb, reference, range_url(query, b0 - 900.0, b0 + 1500.0, 15.0))
+        assert frontend.cache.hits == 1 and frontend.subqueries > subqueries
+        if query == "m":
+            assert b'"k": "b"' not in first and b'"k": "b", "note": "q\\"\\\\\\n\\u65e5"' in second
+        if "/" in query:  # the cached texts and the fresh ones are spelled alike
+            assert b"nan" not in second and b"inf" not in second
+            assert (b'"NaN"' in second) == (query.startswith("(")) and (b'"+Inf"' in second) == (query == "m / (m - 1)")
+        # Fully covered now: no backend round trip at all.
+        subqueries = frontend.subqueries
+        self.ask(frontend, lb, reference, range_url(query, b0 - 600.0, b0 + 1200.0, 15.0))
+        assert frontend.subqueries == subqueries
 
 
 class TestSettledMemo:
