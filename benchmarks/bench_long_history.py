@@ -2,7 +2,7 @@
 
 Fig. 2a shows a user's aggregate usage *"during the last 3 months"*.
 The short benches use 2-hour histories; this one runs a genuine 90-day
-deployment (coarsened cadences — 15 min scrapes, 30 min rules — 2 nodes, diurnal workload) through the
+deployment (coarsened cadences — 15 min scrapes and probes, 30 min rules — 2 nodes, diurnal workload) through the
 complete stack — scrapes, rules, Thanos replication + downsampling,
 hot-TSDB retention, API-server accumulation — and then regenerates the
 90-day Fig. 2a panels and checks the long-term storage answered where
@@ -44,6 +44,7 @@ def ninety_days() -> StackSimulation:
         sidecar_interval=12 * 3600.0,
         compactor_interval=24 * 3600.0,
         hot_retention=14 * DAY,
+        probe_interval=900.0,
     )
     sim = StackSimulation(small_topology(cpu_nodes=2, gpu_nodes=0), config, workload=mix)
     sim.run(90 * DAY)
@@ -128,7 +129,7 @@ def test_selector_memo_effective_during_rule_evaluation(ninety_days):
     it — so the steady-state hit rate sits well below 1 (~28% at
     seed 99), but must stay clearly above zero."""
     sim = ninety_days
-    stats = sim.rule_manager.selector_cache_stats()
+    stats = sim.rule_evaluator.selector_cache_stats()
     print(f"\n[E3-long] hot-TSDB selector memo: {stats['hits']:.0f} hits, "
           f"{stats['misses']:.0f} misses ({stats['hit_rate'] * 100:.0f}% hit rate)")
     assert stats["hits"] > 0

@@ -23,13 +23,57 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from repro.cluster import StackSimulation, jean_zay_topology, small_topology
-from repro.cluster.simulation import SimulationConfig
+from repro.cluster.simulation import CARBON_POLICIES, SimulationConfig
 from repro.common.config import StackConfig
 from repro.common.errors import ConfigError
 from repro.common.units import format_co2, format_energy
+
+
+#: ``SimulationConfig`` fields exposed on ``simulate`` / ``serve``, with
+#: their help text.  Each becomes ``--kebab-name`` with the field's type
+#: and default (``store_true`` for a bool); nothing else is declared here.
+SIM_FLAGS = {
+    "seed": "seed for node hardware, workload and emission providers",
+    "persist_dir": "durable storage root (WAL + blocks); reopening resumes the run",
+    "slow_query_ms": "slow-query log threshold in ms (0 logs every query, <0 disables)",
+    "query_log": "JSONL file receiving slow-query log entries",
+    "active_query_journal": "base path for the crash-surviving active-query journals (one file per backend)",
+    "alert_interval": "alerting rule evaluation cadence in seconds (<=0 disables live alert evaluation)",
+    "probe_interval": "blackbox prober cadence in seconds (<=0 disables probing)",
+    "notify_log": "JSONL file receiving grouped Alertmanager notifications",
+    "governor": "run the carbon-aware governor daemon (10 Hz RAPL accumulators, power capping)",
+    "carbon_policy": "defer deferrable jobs while grid intensity is above a fixed or a trailing-24h percentile cut-off",
+    "carbon_threshold": "--carbon-policy cut-off: gCO2e/kWh for threshold, the percentile rank (0-100) for percentile",
+    "carbon_cap_w": "per-socket package cap (W) applied during high-carbon windows (0 = defer only)",
+    "power_cap_w": "static per-socket package power cap in watts (0 = off)",
+    "trace_sample_rate": "tail-sampling keep probability for fast, successful spans (errors and slow ones are kept)",
+    "trace_keep_slow_ms": "spans at least this slow (ms) are always retained by the tail sampler",
+    "exemplars_per_series": "exemplar ring slots per series in the hot TSDB",
+    "frontend": "put the query frontend (splitting, results cache, coalescing, admission) between LB and backends",
+    "split_interval": "frontend range-splitting interval in seconds (default: 1 day)",
+    "max_query_range": "reject range queries spanning more seconds than this with a structured 422 (0 = unlimited)",
+    "max_query_steps": "reject range queries (and subquery grids) of more steps than this with a 422 (0 = unlimited)",
+    "max_query_length": "reject queries longer than this many characters with a structured 422 (0 = unlimited)",
+}
+
+
+def add_sim_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--topology", choices=("small", "jean-zay"), default="small")
+    p.add_argument("--scale", type=float, default=0.01, help="Jean-Zay scale factor")
+    p.add_argument("--hours", type=float, default=1.0)
+    fields = {f.name: f for f in dataclasses.fields(SimulationConfig)}
+    for name, text in SIM_FLAGS.items():
+        default = fields[name].default
+        flag = "--" + name.replace("_", "-")
+        if isinstance(default, bool):
+            p.add_argument(flag, action="store_true", help=text)
+        else:
+            choices = tuple(CARBON_POLICIES) if name == "carbon_policy" else None
+            p.add_argument(flag, type=type(default), default=default, choices=choices, help=text)
 
 
 def _build_sim(args: argparse.Namespace) -> StackSimulation:
@@ -37,36 +81,8 @@ def _build_sim(args: argparse.Namespace) -> StackSimulation:
         topology = jean_zay_topology(scale=args.scale)
     else:
         topology = small_topology(cpu_nodes=3, gpu_nodes=1)
-    return StackSimulation(
-        topology,
-        SimulationConfig(
-            seed=args.seed,
-            update_interval=600.0,
-            persist_dir=getattr(args, "persist_dir", ""),
-            slow_query_ms=getattr(args, "slow_query_ms", 100.0),
-            query_log=getattr(args, "query_log", ""),
-            active_query_journal=getattr(args, "active_query_journal", ""),
-            scrape_workers=getattr(args, "scrape_workers", 0),
-            decode_cache_chunks=getattr(args, "decode_cache_chunks", 0),
-            alert_interval=getattr(args, "alert_interval", 60.0),
-            probe_interval=getattr(args, "probe_interval", 60.0),
-            notify_log=getattr(args, "notify_log", ""),
-            governor=getattr(args, "governor", False),
-            carbon_policy=getattr(args, "carbon_policy", ""),
-            carbon_threshold=getattr(args, "carbon_threshold", 75.0),
-            carbon_cap_w=getattr(args, "carbon_cap_w", 0.0),
-            power_cap_w=getattr(args, "power_cap_w", 0.0),
-            trace_sample_rate=getattr(args, "trace_sample_rate", 1.0),
-            trace_keep_slow_ms=getattr(args, "trace_keep_slow_ms", 250.0),
-            exemplars_per_series=getattr(args, "exemplars_per_series", 10),
-            frontend=getattr(args, "frontend", False),
-            split_interval=getattr(args, "split_interval", 86400.0),
-            results_cache_mb=getattr(args, "results_cache_mb", 64.0),
-            max_query_range=getattr(args, "max_query_range", 0.0),
-            max_query_steps=getattr(args, "max_query_steps", 0),
-            max_query_length=getattr(args, "max_query_length", 8192),
-        ),
-    )
+    flags = {name: getattr(args, name) for name in SIM_FLAGS}
+    return StackSimulation(topology, SimulationConfig(update_interval=600.0, **flags))
 
 
 def _print_report(sim: StackSimulation, out) -> None:
@@ -103,7 +119,7 @@ def _print_report(sim: StackSimulation, out) -> None:
 
 def cmd_simulate(args: argparse.Namespace, out=sys.stdout) -> int:
     sim = _build_sim(args)
-    if getattr(args, "persist_dir", ""):
+    if args.persist_dir:
         head = sim.hot_tsdb
         if head.replay_result.records:
             print(
@@ -116,7 +132,7 @@ def cmd_simulate(args: argparse.Namespace, out=sys.stdout) -> int:
     print(f"simulating {args.hours:.1f} h on topology '{args.topology}'...", file=out)
     sim.run(args.hours * 3600.0)
     _print_report(sim, out)
-    if getattr(args, "persist_dir", ""):
+    if args.persist_dir:
         sim.hot_tsdb.close()
         print(f"state persisted under {args.persist_dir}", file=out)
     return 0
@@ -298,177 +314,6 @@ def cmd_validate_config(args: argparse.Namespace, out=sys.stdout) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_sim_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--topology", choices=("small", "jean-zay"), default="small")
-        p.add_argument("--scale", type=float, default=0.01, help="Jean-Zay scale factor")
-        p.add_argument("--hours", type=float, default=1.0)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument(
-            "--persist-dir",
-            default="",
-            dest="persist_dir",
-            help="durable storage root (WAL + blocks); reopening resumes the run",
-        )
-        p.add_argument(
-            "--slow-query-ms",
-            type=float,
-            default=100.0,
-            dest="slow_query_ms",
-            help="slow-query log threshold in ms (0 logs every query, <0 disables)",
-        )
-        p.add_argument(
-            "--query-log",
-            default="",
-            dest="query_log",
-            help="JSONL file receiving slow-query log entries",
-        )
-        p.add_argument(
-            "--active-query-journal",
-            default="",
-            dest="active_query_journal",
-            help="base path for the crash-surviving active-query journals "
-            "(one file per Prometheus backend)",
-        )
-        p.add_argument(
-            "--scrape-workers",
-            type=int,
-            default=0,
-            dest="scrape_workers",
-            help="scrape fetch-phase worker threads (<=1 scrapes serially; "
-            "results are identical for any value)",
-        )
-        p.add_argument(
-            "--decode-cache-chunks",
-            type=int,
-            default=0,
-            dest="decode_cache_chunks",
-            help="decoded-chunk LRU capacity in chunks (0 keeps the default 4096)",
-        )
-        p.add_argument(
-            "--alert-interval",
-            type=float,
-            default=60.0,
-            dest="alert_interval",
-            help="alerting rule evaluation cadence in seconds",
-        )
-        p.add_argument(
-            "--probe-interval",
-            type=float,
-            default=60.0,
-            dest="probe_interval",
-            help="blackbox prober cadence in seconds (<=0 disables probing)",
-        )
-        p.add_argument(
-            "--notify-log",
-            default="",
-            dest="notify_log",
-            help="JSONL file receiving grouped Alertmanager notifications",
-        )
-        p.add_argument(
-            "--governor",
-            action="store_true",
-            help="run the carbon-aware governor daemon (10 Hz RAPL "
-            "accumulators, power capping, ceems_governor_* metrics)",
-        )
-        p.add_argument(
-            "--carbon-policy",
-            choices=("threshold", "percentile"),
-            default="",
-            dest="carbon_policy",
-            help="carbon admission policy: defer deferrable jobs while grid "
-            "intensity is above a fixed threshold or a trailing-24h percentile",
-        )
-        p.add_argument(
-            "--carbon-threshold",
-            type=float,
-            default=75.0,
-            dest="carbon_threshold",
-            help="gCO2e/kWh cut-off for --carbon-policy threshold",
-        )
-        p.add_argument(
-            "--carbon-cap-w",
-            type=float,
-            default=0.0,
-            dest="carbon_cap_w",
-            help="per-socket package cap (W) applied during high-carbon "
-            "windows (0 = defer only)",
-        )
-        p.add_argument(
-            "--power-cap-w",
-            type=float,
-            default=0.0,
-            dest="power_cap_w",
-            help="static per-socket package power cap in watts (0 = off)",
-        )
-        p.add_argument(
-            "--trace-sample-rate",
-            type=float,
-            default=1.0,
-            dest="trace_sample_rate",
-            help="tail-sampling keep probability for fast, successful spans "
-            "(errors and slow spans are always kept; 1.0 keeps everything)",
-        )
-        p.add_argument(
-            "--trace-keep-slow-ms",
-            type=float,
-            default=250.0,
-            dest="trace_keep_slow_ms",
-            help="spans at least this slow (ms) are always retained by the "
-            "tail sampler",
-        )
-        p.add_argument(
-            "--exemplars-per-series",
-            type=int,
-            default=10,
-            dest="exemplars_per_series",
-            help="exemplar ring slots per series in the hot TSDB",
-        )
-        p.add_argument(
-            "--frontend",
-            action="store_true",
-            help="put the query frontend (range splitting, results cache, "
-            "request coalescing, worker-pool admission) between the LB "
-            "and the PromQL backends",
-        )
-        p.add_argument(
-            "--split-interval",
-            type=float,
-            default=86400.0,
-            dest="split_interval",
-            help="frontend range-splitting interval in seconds (default: 1 day)",
-        )
-        p.add_argument(
-            "--results-cache-mb",
-            type=float,
-            default=64.0,
-            dest="results_cache_mb",
-            help="frontend results-cache budget in MiB",
-        )
-        p.add_argument(
-            "--max-query-range",
-            type=float,
-            default=0.0,
-            dest="max_query_range",
-            help="reject range queries spanning more than this many seconds "
-            "with a structured 422 (0 = unlimited)",
-        )
-        p.add_argument(
-            "--max-query-steps",
-            type=int,
-            default=0,
-            dest="max_query_steps",
-            help="reject range queries (and subquery grids) resolving to more "
-            "steps than this with a structured 422 (0 = unlimited)",
-        )
-        p.add_argument(
-            "--max-query-length",
-            type=int,
-            default=8192,
-            dest="max_query_length",
-            help="reject queries longer than this many characters with a "
-            "structured 422 (0 = unlimited)",
-        )
 
     p_sim = sub.add_parser("simulate", help="run a deployment and print the operator report")
     add_sim_args(p_sim)

@@ -57,6 +57,10 @@ from repro.tsdb.rules import RuleEvaluator
 from repro.tsdb.scrape import ScrapeConfig, ScrapeManager, ScrapeTarget
 from repro.tsdb.storage import TSDB
 
+#: ``carbon_policy`` name -> the :class:`CarbonPolicy` keyword that
+#: ``carbon_threshold`` fills.
+CARBON_POLICIES = {"threshold": "threshold_g_kwh", "percentile": "percentile"}
+
 
 @dataclass
 class SimulationConfig:
@@ -90,8 +94,6 @@ class SimulationConfig:
     #: directory replays the WAL, reloads the blocks and resumes
     #: logical time just after the last recovered sample.
     persist_dir: str = ""
-    #: WAL fsync policy: "always", "batch" (default) or "never".
-    persist_fsync: str = "batch"
     #: Slow-query threshold (ms) for every PromAPI backend; ``<0``
     #: disables the slow-query log, ``0`` records every query.
     slow_query_ms: float = 100.0
@@ -102,15 +104,8 @@ class SimulationConfig:
     #: journal file).
     active_query_journal: str = ""
     max_concurrent_queries: int = 20
-    #: Enable the process-wide phase profiler (``/debug/prof``).
-    profiling: bool = False
-    #: Scrape fetch-phase worker threads (``--scrape-workers``);
-    #: <=1 scrapes serially.  Results are identical either way.
-    scrape_workers: int = 0
-    #: Decoded-chunk LRU capacity in chunks (``--decode-cache-chunks``);
-    #: <=0 keeps the default.
-    decode_cache_chunks: int = 0
-    #: Alerting rule evaluation cadence (``--alert-interval``).
+    #: Alerting rule evaluation cadence (``--alert-interval``); <=0
+    #: adds no alerting groups.
     alert_interval: float = 60.0
     #: Blackbox prober cadence (``--probe-interval``); <=0 disables.
     probe_interval: float = 60.0
@@ -132,10 +127,9 @@ class SimulationConfig:
     #: "threshold" = fixed gCO2e/kWh cut-off, "percentile" = trailing
     #: 24 h percentile of the 15-min intensity curve.
     carbon_policy: str = ""
-    #: Cut-off for carbon_policy="threshold" (gCO2e/kWh).
+    #: The policy's cut-off: gCO2e/kWh under "threshold", the
+    #: percentile rank (0-100) under "percentile".
     carbon_threshold: float = 75.0
-    #: Percentile for carbon_policy="percentile" (0-100).
-    carbon_percentile: float = 75.0
     #: Per-socket package cap during high-carbon windows (W; 0 = defer
     #: only, no capping).
     carbon_cap_w: float = 0.0
@@ -156,16 +150,6 @@ class SimulationConfig:
     frontend: bool = False
     #: Range-splitting interval in seconds (``--split-interval``).
     split_interval: float = 86400.0
-    #: Results-cache budget in MiB (``--results-cache-mb``).
-    results_cache_mb: float = 64.0
-    #: Live tail kept uncacheable by the results cache (seconds).
-    frontend_freshness: float = 600.0
-    #: Frontend worker-pool size; queue overflow answers 503.
-    frontend_max_inflight: int = 16
-    #: Per-tenant cap on frontend worker slots (0 = no per-tenant cap).
-    frontend_max_per_tenant: int = 0
-    #: How long a frontend request may queue for a worker slot.
-    frontend_queue_timeout: float = 5.0
     #: Query guardrails (``--max-query-range`` seconds /
     #: ``--max-query-steps`` / ``--max-query-length`` chars; 0
     #: disables a bound).  Enforced at the frontend *and* the direct
@@ -225,7 +209,6 @@ class StackSimulation:
                 os.path.join(cfg.persist_dir, "hot"),
                 retention=cfg.hot_retention,
                 name="hot",
-                fsync=cfg.persist_fsync,
             )
             if self.hot_tsdb.max_time is not None:
                 resumed = (
@@ -234,10 +217,6 @@ class StackSimulation:
                 start_time = max(start_time, resumed)
         else:
             self.hot_tsdb = TSDB(retention=cfg.hot_retention, name="hot")
-        if cfg.decode_cache_chunks > 0:
-            from repro.tsdb.persist.chunkio import configure_decode_cache
-
-            configure_decode_cache(cfg.decode_cache_chunks)
         self.hot_tsdb.telemetry = Telemetry("tsdb-hot")
         self.clock = SimClock(start=start_time)
 
@@ -309,34 +288,36 @@ class StackSimulation:
         self.rate_window = format_duration(max(120.0, 4.0 * cfg.scrape_interval))
         self.scrape_manager = ScrapeManager(
             self.hot_tsdb,
-            ScrapeConfig(interval=cfg.scrape_interval, workers=cfg.scrape_workers),
+            ScrapeConfig(interval=cfg.scrape_interval),
             telemetry=Telemetry("scrape-manager"),
         )
         self.scrape_manager.add_targets(exporter_targets)
         # The rule evaluator runs recording AND alerting groups on the
-        # sim clock; ``rule_manager`` stays as the historical name.
-        self.rule_manager = self.rule_evaluator = RuleEvaluator(
-            self.hot_tsdb, lookback=self.lookback
-        )
+        # sim clock.
+        self.rule_evaluator = RuleEvaluator(self.hot_tsdb, lookback=self.lookback)
         seen_rule_groups = set()
         for group in topology:
             if group.nodegroup in seen_rule_groups:
                 continue
             seen_rule_groups.add(group.nodegroup)
-            self.rule_manager.add_group(
+            self.rule_evaluator.add_group(
                 rules_for_group(group.rule_group(), cfg.rule_interval, self.rate_window)
             )
-        self.rule_manager.add_group(emissions_rules(cfg.rule_interval))
+        self.rule_evaluator.add_group(emissions_rules(cfg.rule_interval))
 
         # -- alerting control plane -------------------------------------------
         self.alertmanager = None
         self.slos = []
+        # Handed to the evaluator once the governor has added its own;
+        # alert_interval <= 0 adds none, as probe_interval <= 0 adds no
+        # prober.
+        alert_groups = []
         if cfg.with_alerting:
             from repro.obs.alertmanager import Alertmanager, InhibitRule, JSONLReceiver
             from repro.obs.slo import slo_alert_group, slo_recording_group, standard_slos
             from repro.tsdb.alerts import AlertingRuleGroup, ceems_alert_rules
 
-            self.rule_evaluator.add_alert_group(
+            alert_groups.append(
                 AlertingRuleGroup(
                     name="ceems-alerts",
                     interval=cfg.alert_interval,
@@ -350,9 +331,7 @@ class StackSimulation:
                 self.rule_evaluator.add_group(
                     slo_recording_group(self.slos, interval=cfg.rule_interval)
                 )
-                self.rule_evaluator.add_alert_group(
-                    slo_alert_group(self.slos, interval=cfg.alert_interval)
-                )
+                alert_groups.append(slo_alert_group(self.slos, interval=cfg.alert_interval))
             self.alertmanager = Alertmanager(
                 self.clock,
                 inhibit_rules=[
@@ -399,21 +378,13 @@ class StackSimulation:
 
             carbon_policy = None
             if cfg.carbon_policy:
-                intensity = lambda t: self.emission_registry.factor(cfg.zone, t).value  # noqa: E731
-                if cfg.carbon_policy == "threshold":
-                    carbon_policy = CarbonPolicy(
-                        intensity,
-                        threshold_g_kwh=cfg.carbon_threshold,
-                        high_cap_w=cfg.carbon_cap_w,
-                    )
-                elif cfg.carbon_policy == "percentile":
-                    carbon_policy = CarbonPolicy(
-                        intensity,
-                        percentile=cfg.carbon_percentile,
-                        high_cap_w=cfg.carbon_cap_w,
-                    )
-                else:
+                if cfg.carbon_policy not in CARBON_POLICIES:
                     raise ValueError(f"unknown carbon policy {cfg.carbon_policy!r}")
+                carbon_policy = CarbonPolicy(
+                    lambda t: self.emission_registry.factor(cfg.zone, t).value,
+                    high_cap_w=cfg.carbon_cap_w,
+                    **{CARBON_POLICIES[cfg.carbon_policy]: cfg.carbon_threshold},
+                )
             cap_policy = StaticCapPolicy(cfg.power_cap_w) if cfg.power_cap_w > 0 else None
             self.governor = GovernorDaemon(
                 self.nodes,
@@ -433,15 +404,16 @@ class StackSimulation:
             exporter_targets.append(governor_target)
             self.scrape_manager.add_targets([governor_target])
             if cfg.with_alerting:
-                from repro.tsdb.alerts import AlertingRuleGroup
-
-                self.rule_evaluator.add_alert_group(
+                alert_groups.append(
                     AlertingRuleGroup(
                         name="governor-alerts",
                         interval=cfg.alert_interval,
                         rules=governor_alert_rules(),
                     )
                 )
+        if cfg.alert_interval > 0:
+            for group in alert_groups:
+                self.rule_evaluator.add_alert_group(group)
 
         # -- API server ----------------------------------------------------------
         self.db = Database(":memory:")
@@ -467,10 +439,6 @@ class StackSimulation:
         )
 
         # -- load balancer -----------------------------------------------------------
-        if cfg.profiling:
-            from repro.obs import PROFILER
-
-            PROFILER.enabled = True
         if cfg.exemplars_per_series > 0:
             self.hot_tsdb.exemplars.per_series = cfg.exemplars_per_series
         from repro.frontend import QueryLimits
@@ -526,13 +494,8 @@ class StackSimulation:
                 backends,
                 strategy=cfg.lb_strategy,
                 split_interval=cfg.split_interval,
-                cache_max_bytes=int(cfg.results_cache_mb * 1024 * 1024),
-                freshness_seconds=cfg.frontend_freshness,
                 clock=self.clock,
                 limits=query_limits,
-                max_inflight=cfg.frontend_max_inflight,
-                max_per_tenant=cfg.frontend_max_per_tenant,
-                queue_timeout=cfg.frontend_queue_timeout,
             )
         self.lb = LoadBalancer(
             backends,
@@ -541,36 +504,32 @@ class StackSimulation:
             frontend=self.frontend,
         )
 
+        # -- the stack's own served apps -------------------------------------
+        # One row per app: (app, instance, job, probe path or None).
+        # Meta-monitoring scrapes every row, the prober checks every row
+        # with a path, and every row's span store joins the tail sampler.
+        self.services = [
+            (self.lb.app, "lb:9030", "ceems-lb", "/-/ready"),
+            (self.api_server.app, "api:9040", "ceems-api", "/-/healthy"),
+        ]
+        self.services += [
+            (api.app, f"prom-{i}:9090", "prometheus", "/-/healthy")
+            for i, api in enumerate(self.prom_apis)
+        ]
+        if self.frontend is not None:
+            # /-/healthy proxies through the frontend to a backend,
+            # so the probe proves the whole serving path answers.
+            self.services.append((self.frontend.app, "frontend:9031", "ceems-frontend", "/-/healthy"))
+        if self.alertmanager is not None:
+            self.services.append((self.alertmanager.app, "alertmanager:9093", "alertmanager", None))
+
         # -- meta-monitoring ---------------------------------------------------
-        # The stack scrapes itself: LB, Prometheus endpoints and the
-        # API server become ordinary targets of the sim Prometheus, so
-        # one PromQL query answers "what is the p99 LB latency".
+        # The stack scrapes itself, so one PromQL query answers "what
+        # is the p99 LB latency".
         if cfg.meta_monitoring:
-            meta_targets = [
-                ScrapeTarget(app=self.lb.app, instance="lb:9030", job="ceems-lb"),
-                ScrapeTarget(app=self.api_server.app, instance="api:9040", job="ceems-api"),
-            ]
-            meta_targets.extend(
-                ScrapeTarget(app=api.app, instance=f"prom-{i}:9090", job="prometheus")
-                for i, api in enumerate(self.prom_apis)
+            self.scrape_manager.add_targets(
+                [ScrapeTarget(app=app, instance=instance, job=job) for app, instance, job, _ in self.services]
             )
-            if self.frontend is not None:
-                meta_targets.append(
-                    ScrapeTarget(
-                        app=self.frontend.app,
-                        instance="frontend:9031",
-                        job="ceems-frontend",
-                    )
-                )
-            if self.alertmanager is not None:
-                meta_targets.append(
-                    ScrapeTarget(
-                        app=self.alertmanager.app,
-                        instance="alertmanager:9093",
-                        job="alertmanager",
-                    )
-                )
-            self.scrape_manager.add_targets(meta_targets)
 
         # -- blackbox probing --------------------------------------------------
         # Synthetic outside-in checks: meta-monitoring proves a
@@ -580,33 +539,15 @@ class StackSimulation:
             from repro.obs.probe import BlackboxProber, ProbeTarget
 
             self.prober = BlackboxProber(self.hot_tsdb, interval=cfg.probe_interval)
-            self.prober.add_target(
-                ProbeTarget(app=self.lb.app, instance="lb:9030", path="/-/ready")
-            )
-            self.prober.add_target(
-                ProbeTarget(app=self.api_server.app, instance="api:9040", path="/-/healthy")
-            )
-            for i, api in enumerate(self.prom_apis):
-                self.prober.add_target(
-                    ProbeTarget(app=api.app, instance=f"prom-{i}:9090", path="/-/healthy")
-                )
-            if self.frontend is not None:
-                # /-/healthy proxies through the frontend to a backend,
-                # so the probe proves the whole serving path answers.
-                self.prober.add_target(
-                    ProbeTarget(
-                        app=self.frontend.app,
-                        instance="frontend:9031",
-                        path="/-/healthy",
-                    )
-                )
-            for target in exporter_targets:
-                # CEEMS exporters ship a cheap /health; DCGM and the
-                # emissions exporter only expose /metrics.
-                path = "/health" if target.job == "ceems" else "/metrics"
-                self.prober.add_target(
-                    ProbeTarget(app=target.app, instance=target.instance, path=path)
-                )
+            probes = [(app, instance, path) for app, instance, _, path in self.services if path]
+            # CEEMS exporters ship a cheap /health; DCGM and the
+            # emissions exporter only expose /metrics.
+            probes += [
+                (t.app, t.instance, "/health" if t.job == "ceems" else "/metrics")
+                for t in exporter_targets
+            ]
+            for app, instance, path in probes:
+                self.prober.add_target(ProbeTarget(app=app, instance=instance, path=path))
             for api in self.prom_apis:
                 self.prober.register_metrics(api.app.telemetry.registry)
 
@@ -625,22 +566,14 @@ class StackSimulation:
 
     def _all_telemetry(self):
         """Every component telemetry whose span store exists today."""
-        out = [
+        exporters = [*self.exporters, *self.gpu_exporters, self.emissions_exporter]
+        return [
             self.hot_tsdb.telemetry,
             self.scrape_manager.telemetry,
             self.fanout.telemetry,
-            self.lb.app.telemetry,
-            self.api_server.app.telemetry,
+            *(app.telemetry for app, *_ in self.services),
+            *(e.app.telemetry for e in exporters),
         ]
-        out.extend(api.app.telemetry for api in self.prom_apis)
-        if self.frontend is not None:
-            out.append(self.frontend.app.telemetry)
-        if self.alertmanager is not None:
-            out.append(self.alertmanager.app.telemetry)
-        out.extend(e.app.telemetry for e in self.exporters)
-        out.extend(e.app.telemetry for e in self.gpu_exporters)
-        out.append(self.emissions_exporter.app.telemetry)
-        return [t for t in out if t is not None]
 
     # -- wiring --------------------------------------------------------------
     def _register_timers(self) -> None:
@@ -655,7 +588,7 @@ class StackSimulation:
             self.workload_generator.register_timer(self.clock, self.slurm)
         self.clock.every(cfg.slurm_step, self.slurm.step)
         self.scrape_manager.register_timer(self.clock)
-        self.rule_manager.register_timers(self.clock)
+        self.rule_evaluator.register_timers(self.clock)
         if self.prober is not None:
             self.prober.register_timer(self.clock)
         if self.alertmanager is not None:

@@ -43,7 +43,7 @@ from repro.tsdb.persist.chunk import decode_chunk
 DECODE_CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
 #: Default LRU capacity in *chunks* (~120 samples ≈ 2 KiB decoded per
-#: entry → ~8 MiB at the default).  Tunable via --decode-cache-chunks.
+#: entry → ~8 MiB at the default).  ``configure_decode_cache`` resizes it.
 DEFAULT_DECODE_CACHE_CHUNKS = 4096
 
 _EMPTY = (np.empty(0, dtype=np.float64), np.empty(0, dtype=np.float64))

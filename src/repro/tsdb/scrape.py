@@ -41,11 +41,10 @@ value — so the manager pays per *changed* line:
   re-resolved through their labels, exactly like Prometheus re-lodges
   a head ref miss.  Staleness markers are written only by a rebuild:
   the same layout means no series vanished.
-* each cycle is split into a **fetch** phase (HTTP + decode + line
-  compare/parse, safe to run on a worker pool because it touches only
-  the target's own layout, never storage) and an **apply** phase that
-  commits per-target batches to the TSDB in registration order —
-  results are identical for any worker count, see DESIGN.md.
+* each cycle is split into a **fetch** phase over every target (HTTP
+  + decode + line compare/parse, touching only the target's own
+  layout, never storage) and an **apply** phase that commits the
+  per-target batches to the TSDB in registration order.
 
 The parse-everything manager this lane must match bit-for-bit is a
 test oracle (``tests/reference/scrape.py``), built on
@@ -55,7 +54,6 @@ test oracle (``tests/reference/scrape.py``), built on
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import ne
@@ -97,8 +95,8 @@ class _Layout:
         #: whitespace character after it) each sample line starts with.
         self.texts: list[str] = []
         self.labels: list[Labels] = []
-        #: 0 until the apply phase first resolves it (workers must not
-        #: touch storage).
+        #: 0 until the apply phase first resolves it (a fetch never
+        #: touches storage).
         self.refs: list[int] = []
         self.values: list[float] = []
         #: slot -> (exemplar text, parsed ``Exemplar``)
@@ -267,9 +265,6 @@ class ScrapeConfig:
     timeout: float = 10.0
     #: Run storage retention every this many scrape cycles.
     retention_every: int = 40
-    #: Fetch-phase worker threads; <=1 scrapes serially.  Apply stays
-    #: single-threaded and ordered either way.
-    workers: int = 0
 
 
 @dataclass
@@ -328,13 +323,12 @@ class ScrapeManager:
         for t in targets:
             self.add_target(t)
 
-    # -- fetch phase (storage-free; may run on worker threads) -----------
+    # -- fetch phase (storage-free) ----------------------------------------
     def _fetch(self, target: ScrapeTarget, now: float) -> _ScrapeResult:
         """HTTP + decode + line compare/parse for one target.
 
         Touches only the target and its private layout — never the
-        TSDB — so any number of fetches may run concurrently while
-        the apply phase stays single-threaded and deterministic.
+        TSDB; the apply phase commits what it produced.
         """
         target.scrapes_total += 1
         started = time.perf_counter()
@@ -368,7 +362,7 @@ class ScrapeManager:
         result.duration = time.perf_counter() - started
         return result
 
-    # -- apply phase (single-threaded, registration order) ---------------
+    # -- apply phase (registration order) ------------------------------------
     def _apply(self, result: _ScrapeResult, now: float) -> int:
         """Commit one fetch result: samples, staleness markers, ``up``."""
         target = result.target
@@ -477,17 +471,7 @@ class ScrapeManager:
 
     def _scrape_all(self, now: float) -> int:
         started = time.perf_counter()
-        workers = self.config.workers
-        if workers > 1 and len(self.targets) > 1:
-            # Workers only fetch (HTTP + parse + cache resolution);
-            # map() yields results in submission order, and the apply
-            # loop below commits them to storage one at a time — so
-            # the TSDB sees the exact same operations in the exact
-            # same order as a serial cycle, for any worker count.
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda t: self._fetch(t, now), self.targets))
-        else:
-            results = [self._fetch(target, now) for target in self.targets]
+        results = [self._fetch(target, now) for target in self.targets]
         with prof.profile("scrape.append"):
             total = sum(self._apply(result, now) for result in results)
         self._cycles += 1

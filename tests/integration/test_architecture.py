@@ -95,7 +95,7 @@ class TestPipelineConsistency:
         assert small_sim.scrape_manager.healthy_targets() == len(small_sim.scrape_manager.targets)
 
     def test_rule_groups_healthy(self, small_sim):
-        for group in small_sim.rule_manager.groups:
+        for group in small_sim.rule_evaluator.groups:
             assert group.evaluations > 100
             assert group.last_error == "", group.name
 

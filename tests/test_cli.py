@@ -1,11 +1,18 @@
 """Tests for the CLI."""
 
+import dataclasses
 import io
 import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _build_sim, build_parser, main
+from repro.cluster.simulation import SimulationConfig
+
+CONFIG_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SimulationConfig)}
+#: Options of ``simulate`` that are not SimulationConfig fields.
+NOT_CONFIG = {"command", "func", "topology", "scale", "hours"}
+SIM_DESTS = sorted(set(vars(build_parser().parse_args(["simulate"]))) - NOT_CONFIG)
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -30,7 +37,14 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "flag",
-        [("--head-layout", "list"), ("--no-scrape-cache",), ("--lazy-blocks",)],
+        [
+            ("--head-layout", "list"),
+            ("--no-scrape-cache",),
+            ("--lazy-blocks",),
+            ("--scrape-workers", "2"),
+            ("--decode-cache-chunks", "8"),
+            ("--results-cache-mb", "1"),
+        ],
         ids=lambda flag: flag[0],
     )
     def test_implementation_selecting_flags_are_gone(self, flag, capsys):
@@ -41,6 +55,61 @@ class TestParser:
                 build_parser().parse_args([command, *flag])
             assert exc.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestFlagsAreConfigFields:
+    """Every sim flag is a SimulationConfig field: same default, and a
+    value given on the command line reaches ``sim.config``."""
+
+    @pytest.mark.parametrize("command", ["simulate", "serve"])
+    def test_parsed_defaults_are_the_field_defaults(self, command):
+        parsed = vars(build_parser().parse_args([command]))
+        dests = set(parsed) - NOT_CONFIG - {"port"}
+        assert dests == set(SIM_DESTS)
+        for dest in dests:
+            assert parsed[dest] == CONFIG_DEFAULTS[dest], dest
+
+    @pytest.mark.parametrize("dest", SIM_DESTS)
+    def test_flag_reaches_sim_config(self, dest, tmp_path):
+        default = CONFIG_DEFAULTS[dest]
+        flag = "--" + dest.replace("_", "-")
+        if isinstance(default, bool):
+            value, argv = True, [flag]
+        else:
+            if dest == "carbon_policy":
+                value = "percentile"
+            elif isinstance(default, str):
+                value = str(tmp_path / dest)
+            elif isinstance(default, int):
+                value = default * 2 + 1
+            else:
+                value = default / 2 if default else 0.5
+            argv = [flag, str(value)]
+        sim = _build_sim(build_parser().parse_args(["simulate", *argv]))
+        assert getattr(sim.config, dest) == value
+        if sim.config.persist_dir:
+            sim.hot_tsdb.close()
+
+    def test_percentile_policy_reads_carbon_threshold(self):
+        """Under --carbon-policy percentile, --carbon-threshold is the
+        percentile rank."""
+        args = build_parser().parse_args(
+            ["simulate", "--governor", "--carbon-policy", "percentile", "--carbon-threshold", "90"]
+        )
+        policy = _build_sim(args).governor.carbon_policy
+        assert policy.percentile == 90.0
+        assert policy.threshold_g_kwh is None
+
+    def test_alert_interval_zero_disables_alert_evaluation(self):
+        args = build_parser().parse_args(["simulate", "--governor", "--alert-interval", "0"])
+        sim = _build_sim(args)
+        assert sim.rule_evaluator.alert_groups == []
+        assert sim.rule_evaluator.groups  # recording rules still run
+        sim.run(300.0)
+        assert sim.rule_evaluator.alert_evaluations == 0
+        code, output = run_cli("simulate", "--alert-interval", "0", "--hours", "0.05")
+        assert code == 0
+        assert "deployment:" in output
 
 
 class TestSimulate:

@@ -86,13 +86,15 @@ class Model:
             return
         if not families:
             return
-        family = families[f % len(families)]
+        # By position: finding the family again by value would compare
+        # its exemplars, which StrictExemplar forbids.
+        here = f % len(families)
+        family = families[here]
         points = family[3]
         if kind == "del_family":
-            families.remove(family)
+            del families[here]
         elif kind == "swap":
             other = p % len(families)
-            here = families.index(family)
             families[here], families[other] = families[other], families[here]
         elif kind == "help":
             family[1] = HELPS[p % len(HELPS)]

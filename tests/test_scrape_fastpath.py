@@ -1,7 +1,6 @@
 """Scrape fast lane: differential proof, cache behaviour, resilience.
 
-The production lane (per-target line layout + append-by-ref + optional
-worker pool) must be **bit-identical** to the parse-everything oracle
+The production lane (per-target line layout + append-by-ref) must be **bit-identical** to the parse-everything oracle
 (``tests/reference/scrape.py``): same series set, same sample values,
 same staleness markers — across structure churn, retention, and series
 deletion.  These tests are the harness behind that claim;
@@ -51,9 +50,9 @@ def churn_families(cycle: int):
     return [fam, counters]
 
 
-def run_cycles(use_cache: bool, workers: int = 0, cycles: int = 6, db: TSDB | None = None):
+def run_cycles(use_cache: bool, cycles: int = 6, db: TSDB | None = None):
     db = db if db is not None else TSDB()
-    manager = MANAGERS[use_cache](db, ScrapeConfig(workers=workers))
+    manager = MANAGERS[use_cache](db)
     state = {"n": -1}
 
     def families():
@@ -70,8 +69,7 @@ class TestDifferential:
     def test_bit_identical_across_structure_churn(self):
         ref, _ = run_cycles(use_cache=False)
         fast, _ = run_cycles(use_cache=True)
-        par, _ = run_cycles(use_cache=True, workers=4)
-        assert dump(ref) == dump(fast) == dump(par)
+        assert dump(ref) == dump(fast)
         # staleness markers must be part of the identical contents
         gone = [s for s in fast.all_series() if "uuid" in s.labels and "job-" in s.labels.get("uuid")]
         assert gone and all(math.isnan(s.values[-1]) for s in gone)
@@ -319,15 +317,15 @@ class FuzzTarget:
 
 
 class FuzzRig:
-    """The oracle and the production manager (serial and pooled) over
-    the same two exporters, compared after every scrape."""
+    """The oracle and the production manager over the same two
+    exporters, compared after every scrape."""
 
     def __init__(self) -> None:
         self.exporters = [FuzzTarget(), FuzzTarget()]
         self.lanes = {}
-        for lane, (use_cache, workers) in {"ref": (False, 0), "w0": (True, 0), "w4": (True, 4)}.items():
+        for lane, use_cache in {"ref": False, "fast": True}.items():
             db = TSDB(retention=50.0)
-            manager = MANAGERS[use_cache](db, ScrapeConfig(workers=workers, retention_every=0))
+            manager = MANAGERS[use_cache](db, ScrapeConfig(retention_every=0))
             for n, exporter in enumerate(self.exporters):
                 manager.add_target(ScrapeTarget(app=exporter.app, instance=f"n{n}:9010", job="fuzz"))
             self.lanes[lane] = (db, manager)
@@ -357,17 +355,16 @@ class FuzzRig:
             exporter.after_scrape()
         ref_db, ref = self.lanes["ref"]
         self.sample_lines += sum(t.last_scrape_samples for t in ref.targets if t.last_scrape_ok)
-        for lane in ("w0", "w4"):
-            db, manager = self.lanes[lane]
-            assert dump(db) == dump(ref_db), lane  # samples, staleness NaNs, up
-            assert dump_exemplars(db) == dump_exemplars(ref_db), lane
-            assert db.exemplars.dropped_total == ref_db.exemplars.dropped_total, lane
-            assert db.exemplars.appended_total == ref_db.exemplars.appended_total, lane
-            assert db.samples_ingested == ref_db.samples_ingested, lane
-            assert [(t.last_scrape_ok, t.last_scrape_samples, t.scrape_failures_total) for t in manager.targets] == [
-                (t.last_scrape_ok, t.last_scrape_samples, t.scrape_failures_total) for t in ref.targets
-            ], lane
-            assert manager.cache_hits_total + manager.cache_misses_total == self.sample_lines, lane
+        db, manager = self.lanes["fast"]
+        assert dump(db) == dump(ref_db)  # samples, staleness NaNs, up
+        assert dump_exemplars(db) == dump_exemplars(ref_db)
+        assert db.exemplars.dropped_total == ref_db.exemplars.dropped_total
+        assert db.exemplars.appended_total == ref_db.exemplars.appended_total
+        assert db.samples_ingested == ref_db.samples_ingested
+        assert [(t.last_scrape_ok, t.last_scrape_samples, t.scrape_failures_total) for t in manager.targets] == [
+            (t.last_scrape_ok, t.last_scrape_samples, t.scrape_failures_total) for t in ref.targets
+        ]
+        assert manager.cache_hits_total + manager.cache_misses_total == self.sample_lines
 
 
 class TestDifferentialFuzz:
@@ -394,7 +391,7 @@ class TestDifferentialFuzz:
             # failure marker, recovery, disappearance marker — once
             assert gone.timestamps == [15.0, 30.0, 45.0, 60.0], lane
             assert [repr(v) for v in gone.values] == ["2.0", "nan", "2.0", "nan"], lane
-        _db, manager = rig.lanes["w0"]
+        _db, manager = rig.lanes["fast"]
         # nothing was parsed a second time: the recovery found every
         # series text in the layout the failure left behind
         assert manager.cache_misses_total == 2 * 5
@@ -417,7 +414,7 @@ class TestDifferentialFuzz:
     def test_lane_takes_what_it_should_and_rebuilds_on_the_rest(self):
         """Which edits stay on the lane is observable: rebuilds count."""
         rig = FuzzRig()
-        _db, manager = rig.lanes["w0"]
+        _db, manager = rig.lanes["fast"]
         rig.step()
         assert manager.layout_rebuilds_total == 2
         for edit in (
@@ -453,7 +450,7 @@ class TestDifferentialFuzz:
         rig.step()
         rig.step(0, ("token", 0, VALUE, "7"))
         rig.step(0, ("token", 0, SEP, ""))
-        assert [m.targets[0].last_scrape_ok for _db, m in rig.lanes.values()] == [False] * 3
+        assert [m.targets[0].last_scrape_ok for _db, m in rig.lanes.values()] == [False] * 2
 
 
 class TestBrokenTargets:
@@ -694,7 +691,7 @@ class TestPersistentHead:
 
 class TestSimulationDifferential:
     """End-to-end: the full stack produces identical *data-plane*
-    contents with the cache on, off, and with a worker pool.
+    contents through the production lane and through the oracle.
 
     Self-telemetry is excluded: wall-clock series (request-latency
     histograms, CPU seconds) differ between any two runs regardless
@@ -725,13 +722,13 @@ class TestSimulationDifferential:
 
         import repro.cluster.simulation as simulation
 
-        def run(scrape_cache, **kw):
+        def run(scrape_cache):
             # The deployment builds its own manager: substitute the
             # oracle class only while it is constructed.
             monkeypatch.setattr(simulation, "ScrapeManager", MANAGERS[scrape_cache])
             sim = StackSimulation(
                 small_topology(cpu_nodes=2, gpu_nodes=1),
-                SimulationConfig(seed=11, **kw),
+                SimulationConfig(seed=11),
             )
             monkeypatch.undo()
             assert type(sim.scrape_manager) is MANAGERS[scrape_cache]
@@ -740,6 +737,5 @@ class TestSimulationDifferential:
 
         ref = run(scrape_cache=False)
         fast = run(scrape_cache=True)
-        par = run(scrape_cache=True, scrape_workers=3)
         assert len(ref) > 100  # the comparison is over real content
-        assert ref == fast == par
+        assert ref == fast
