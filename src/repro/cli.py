@@ -267,6 +267,9 @@ def cmd_persist_info(args: argparse.Namespace, out=sys.stdout) -> int:
     print(f"  wal segments: {replay.segments}  torn: {'yes' if replay.torn else 'no'}", file=out)
     print(f"  series recovered: {head.num_series}", file=out)
     print(f"  samples recovered: {head.num_samples}", file=out)
+    print(f"  samples dropped at replay: {head.replay_dropped}", file=out)
+    if head.replayed_samples:
+        print(f"  wal bytes per recovered sample: {replay.bytes_read / head.replayed_samples:.2f}", file=out)
     head.close()
     store = ObjectStore(persist_dir=store_dir)
     print("store:", file=out)

@@ -41,6 +41,9 @@ class ProbeTarget:
     last_success: bool | None = None
     last_duration: float = 0.0
     last_status: int = 0
+    #: ``probe_success``, ``probe_duration_seconds`` and
+    #: ``probe_http_status_code`` series of this target.
+    _series: tuple[Labels, Labels, Labels] | None = field(default=None, repr=False)
 
 
 class BlackboxProber:
@@ -59,9 +62,23 @@ class BlackboxProber:
             raise ValueError(f"duplicate probe target {target.instance!r}")
         self.targets.append(target)
 
+    def _result_series(self, target: ProbeTarget) -> tuple[Labels, Labels, Labels]:
+        """The target's three result series, built on its first probe."""
+        if target._series is None:
+            labels = {"instance": target.instance, "job": self.job, "module": target.module}
+            target._series = tuple(
+                Labels({METRIC_NAME_LABEL: name, **labels})
+                for name in ("probe_success", "probe_duration_seconds", "probe_http_status_code")
+            )
+        return target._series
+
     def probe_all(self, now: float) -> int:
-        """Probe every target once at sim time ``now``; returns failures."""
+        """Probe every target once at sim time ``now``; returns failures.
+
+        The round's results are committed in one batch (one WAL record
+        on a durable head) after the last probe."""
         failures = 0
+        batch = []
         for target in self.targets:
             request = Request.from_url("GET", target.path, headers=target.headers)
             started = time.perf_counter()
@@ -79,14 +96,10 @@ class BlackboxProber:
             if not success:
                 failures += 1
                 self.failures_total += 1
-            labels = {"instance": target.instance, "job": self.job, "module": target.module}
-            self._append("probe_success", labels, now, 1.0 if success else 0.0)
-            self._append("probe_duration_seconds", labels, now, duration)
-            self._append("probe_http_status_code", labels, now, float(status))
+            ok, took, code = self._result_series(target)
+            batch += ((ok, now, 1.0 if success else 0.0), (took, now, duration), (code, now, float(status)))
+        self.storage.append_many(batch)
         return failures
-
-    def _append(self, name: str, labels: dict[str, str], now: float, value: float) -> None:
-        self.storage.append(Labels({METRIC_NAME_LABEL: name, **labels}), now, value)
 
     def register_timer(self, clock) -> None:
         clock.every(self.interval, self.probe_all)

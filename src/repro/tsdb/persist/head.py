@@ -3,9 +3,18 @@
 :class:`PersistentTSDB` subclasses the in-memory
 :class:`~repro.tsdb.storage.TSDB` and adds a write-ahead log:
 
-* every new series writes a SERIES record (ref -> labels), every
-  append a SAMPLES record referencing series by ref — the same
-  ref-indirection Prometheus's WAL uses so sample records stay small;
+* a series gets a SERIES record (ref -> labels) before its first
+  sample is journaled, and every committed batch — a scrape target's
+  body with its ``up`` sample, a recording rule's outputs, a probe
+  round, a bulk array — is **one** SAMPLES record referencing series
+  by ref (the ref indirection Prometheus's WAL uses so sample records
+  stay small)::
+
+      [u8 kind][u32 n][u32 nt][nt x f64 t][n x u32 ref][n x f64 value]
+
+  ``nt`` is 1 for a batch sharing one timestamp and ``n`` otherwise;
+  each record is packed and unpacked with one ``struct`` call.  The
+  per-sample layout of earlier versions (kind 2) still replays;
 * series deletions write TOMBSTONE records, so cardinality cleanup
   survives a restart;
 * opening a head replays its WAL up to the first torn frame and
@@ -19,14 +28,19 @@
   not-yet-blocked tail plus one series snapshot.  Because that
   snapshot lands *after* the kept tail in segment order, replay
   buffers samples whose ref is not yet defined and flushes them when
-  the restating CHECKPOINT record arrives (see :meth:`_replay`).
+  the restating CHECKPOINT record arrives (see :meth:`_replay`).  A
+  series the head dropped (deletion, retention) has no WAL ref any
+  more, so no checkpoint restates it and its buffered tail samples
+  are counted in ``replay_dropped`` instead of bringing it back.
 
 Recovery invariant: after a crash, ``replayed samples == every sample
 whose WAL record was fully framed before the crash``; with
 ``fsync="always"`` that is every acknowledged append, with the
 default ``"batch"`` policy at most the unsynced OS-buffer tail is
-lost.  Samples older than the last checkpoint live in blocks and are
-served through the Thanos fan-out, not the head.
+lost.  A batch the in-memory head rejects is not journaled, so memory
+and log never disagree about it.  Samples older than the last
+checkpoint live in blocks and are served through the Thanos fan-out,
+not the head.
 """
 
 from __future__ import annotations
@@ -34,7 +48,7 @@ from __future__ import annotations
 import json
 import struct
 import time
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.common.errors import StorageError
 from repro.obs import prof
@@ -44,13 +58,50 @@ from repro.tsdb.persist.wal import WAL, ReplayResult
 from repro.tsdb.storage import TSDB
 
 _REC_SERIES = 1
-_REC_SAMPLES = 2
+#: Samples as ``[u32 ref][f64 t][f64 value]`` triples (earlier versions).
+_REC_SAMPLES_V1 = 2
 _REC_CHECKPOINT = 3
 _REC_TOMBSTONE = 4
+_REC_SAMPLES = 5
 
 _HDR = struct.Struct("<BI")
-_SAMPLE = struct.Struct("<Idd")
+_SAMPLES_HDR = struct.Struct("<BII")
+_V1_SAMPLE = struct.Struct("<Idd")
 _CKPT_ENTRY = struct.Struct("<II")
+
+
+def encode_samples(refs: Sequence[int], stamps: Sequence[float], values: Sequence[float]) -> bytes:
+    """One SAMPLES record; ``stamps`` holds the batch's one timestamp
+    or one timestamp per sample."""
+    n, nt = len(refs), len(stamps)
+    return struct.pack(f"<BII{nt}d{n}I{n}d", _REC_SAMPLES, n, nt, *stamps, *refs, *values)
+
+
+def decode_samples(payload: bytes) -> tuple[Sequence[int], Sequence[float], Sequence[float]]:
+    """``(refs, timestamps, values)`` of a SAMPLES record of either
+    layout, one timestamp per sample."""
+    if payload[0] == _REC_SAMPLES_V1:
+        return tuple(zip(*_V1_SAMPLE.iter_unpack(payload[_HDR.size :])))
+    _, n, nt = _SAMPLES_HDR.unpack_from(payload)
+    offset = _SAMPLES_HDR.size + 8 * nt
+    stamps = struct.unpack_from(f"<{nt}d", payload, _SAMPLES_HDR.size)
+    refs = struct.unpack_from(f"<{n}I", payload, offset)
+    values = struct.unpack_from(f"<{n}d", payload, offset + 4 * n)
+    return refs, stamps * n if nt == 1 else stamps, values
+
+
+def _series_entries(payload: bytes) -> Iterator[tuple[int, Labels]]:
+    """``(ref, labels)`` defined by a SERIES or CHECKPOINT record."""
+    kind, n = _HDR.unpack_from(payload)
+    if kind == _REC_SERIES:
+        yield n, Labels(json.loads(payload[_HDR.size :]))
+        return
+    offset = _HDR.size
+    for _ in range(n):
+        ref, length = _CKPT_ENTRY.unpack_from(payload, offset)
+        offset += _CKPT_ENTRY.size
+        yield ref, Labels(json.loads(payload[offset : offset + length]))
+        offset += length
 
 
 class PersistentTSDB(TSDB):
@@ -68,11 +119,11 @@ class PersistentTSDB(TSDB):
         super().__init__(retention=retention, name=name)
         self.persist_dir = persist_dir
         self.wal = WAL(f"{persist_dir}/wal", segment_bytes=segment_bytes, fsync=fsync)
-        # WAL ref space — distinct from the base class's in-memory
-        # series refs (``_next_ref``): WAL refs must survive replay
-        # with the exact numbering the log recorded, while series refs
-        # restart fresh per process.
-        self._refs: dict[Labels, int] = {}
+        # WAL ref by in-memory series ref.  The WAL ref space is the
+        # log's own: replay must find refs numbered exactly as the log
+        # recorded them, while series refs restart fresh per process.
+        # An entry lives exactly as long as its series (_drop_series).
+        self._wal_refs: dict[int, int] = {}
         self._next_wal_ref = 1
         #: max sample timestamp seen per segment (checkpoint eligibility)
         self._segment_max_time: dict[int, float] = {}
@@ -86,7 +137,6 @@ class PersistentTSDB(TSDB):
             "ceems_tsdb_checkpoint_seconds",
             help="Wall seconds per WAL checkpoint/truncation pass.",
         )
-        self._replaying = False
         started = time.perf_counter()
         with prof.profile("head.replay"):
             self._replay()
@@ -97,100 +147,86 @@ class PersistentTSDB(TSDB):
     def _replay(self) -> None:
         """Rebuild head state from the WAL.
 
-        Checkpoints restate live series in a segment *after* the kept
-        tail, so a SAMPLES record may legitimately precede the only
-        surviving definition of its ref.  Samples with unknown refs
-        are therefore buffered (per ref, in log order) and flushed the
-        moment a SERIES/CHECKPOINT record defines that ref; whatever
-        is still buffered when the log ends referenced a series that
-        was never restated (deleted, or lost to a torn frame) and is
-        counted in ``replay_dropped``.
+        Replay applies records through the in-memory base class, so
+        nothing it does is journaled again.  Checkpoints restate live
+        series in a segment *after* the kept tail, so a SAMPLES record
+        may legitimately precede the only surviving definition of its
+        ref.  Samples with unknown refs are therefore buffered (per
+        ref, in log order) and flushed the moment a SERIES/CHECKPOINT
+        record defines that ref; whatever is still buffered when the
+        log ends referenced a series that was never restated (dropped,
+        or lost to a torn frame) and is counted in ``replay_dropped``.
         """
-        self._replaying = True
         ref_labels: dict[int, Labels] = {}
-        pending: dict[int, list[tuple[int, float, float]]] = {}
-        try:
-            for segment, payload in self.wal.replay():
-                kind = payload[0]
-                if kind in (_REC_SERIES, _REC_CHECKPOINT):
-                    self._replay_series(payload, ref_labels, pending)
-                elif kind == _REC_SAMPLES:
-                    self._replay_samples(segment, payload, ref_labels, pending)
-                elif kind == _REC_TOMBSTONE:
-                    self._replay_tombstone(payload)
-                else:
-                    self.replay_dropped += 1
-        finally:
-            self._replaying = False
+        pending: dict[int, list[tuple[float, float]]] = {}
+        for segment, payload in self.wal.replay():
+            kind = payload[0]
+            if kind in (_REC_SERIES, _REC_CHECKPOINT):
+                for ref, labels in _series_entries(payload):
+                    ref_labels[ref] = labels
+                    self.replayed_series += 1
+                    buffered = pending.pop(ref, None)
+                    if buffered:
+                        self._flush_pending(labels, buffered)
+            elif kind in (_REC_SAMPLES, _REC_SAMPLES_V1):
+                self._replay_samples(segment, payload, ref_labels, pending)
+            elif kind == _REC_TOMBSTONE:
+                self._replay_tombstone(payload)
+            else:
+                self.replay_dropped += 1
         self.replay_dropped += sum(len(buffered) for buffered in pending.values())
         self.replay_result = self.wal.last_replay
-        self._refs = {labels: ref for ref, labels in ref_labels.items()}
-        self._next_wal_ref = max(ref_labels, default=0) + 1
-
-    def _replay_series(
-        self,
-        payload: bytes,
-        ref_labels: dict[int, Labels],
-        pending: dict[int, list[tuple[int, float, float]]],
-    ) -> None:
-        kind, n = _HDR.unpack_from(payload)
-        offset = _HDR.size
-        if kind == _REC_SERIES:
-            labels = Labels(json.loads(payload[offset:].decode("utf-8")))
-            ref_labels[n] = labels
-            self.replayed_series += 1
-            self._flush_pending(n, labels, pending)
-            return
-        for _ in range(n):
-            ref, length = _CKPT_ENTRY.unpack_from(payload, offset)
-            offset += _CKPT_ENTRY.size
-            labels = Labels(json.loads(payload[offset : offset + length].decode("utf-8")))
-            offset += length
-            ref_labels[ref] = labels
-            self.replayed_series += 1
-            self._flush_pending(ref, labels, pending)
-
-    def _flush_pending(
-        self,
-        ref: int,
-        labels: Labels,
-        pending: dict[int, list[tuple[int, float, float]]],
-    ) -> None:
-        """Apply samples that arrived before ``ref``'s definition."""
-        for segment, ts, value in pending.pop(ref, ()):
-            self._apply_replayed_sample(segment, labels, ts, value)
-
-    def _apply_replayed_sample(
-        self, segment: int, labels: Labels, ts: float, value: float
-    ) -> None:
-        try:
-            super().append(labels, ts, value)
-        except StorageError:
-            self.replay_dropped += 1  # out-of-order relic; skip
-            return
-        self.replayed_samples += 1
-        self._note_segment_time(segment, ts)
+        live = self._series
+        self._wal_refs = {live[labels].ref: ref for ref, labels in ref_labels.items() if labels in live}
+        # Past the orphans too: their samples stay in the kept tail, and
+        # a new series under one of their refs would inherit them.
+        self._next_wal_ref = max((*ref_labels, *pending), default=0) + 1
 
     def _replay_samples(
         self,
         segment: int,
         payload: bytes,
         ref_labels: dict[int, Labels],
-        pending: dict[int, list[tuple[int, float, float]]],
+        pending: dict[int, list[tuple[float, float]]],
     ) -> None:
-        _, count = _HDR.unpack_from(payload)
-        offset = _HDR.size
-        for _ in range(count):
-            ref, ts, value = _SAMPLE.unpack_from(payload, offset)
-            offset += _SAMPLE.size
-            labels = ref_labels.get(ref)
-            if labels is None:
+        refs, stamps, values = decode_samples(payload)
+        self._note_segment_time(segment, max(stamps))
+        labels = list(map(ref_labels.get, refs))
+        if None not in labels:
+            self._apply_replayed(list(zip(labels, stamps, values)))
+            return
+        batch = []
+        for ref, series_labels, ts, value in zip(refs, labels, stamps, values):
+            if series_labels is None:
                 # The series definition may still be ahead of us (a
-                # checkpoint restated after the kept tail); hold the
-                # sample until the ref is defined or the log ends.
-                pending.setdefault(ref, []).append((segment, ts, value))
-                continue
-            self._apply_replayed_sample(segment, labels, ts, value)
+                # checkpoint restated after the kept tail).
+                pending.setdefault(ref, []).append((ts, value))
+            else:
+                batch.append((series_labels, ts, value))
+        self._apply_replayed(batch)
+
+    def _flush_pending(self, labels: Labels, buffered: list[tuple[float, float]]) -> None:
+        """Apply the samples held for a ref its definition just named —
+        one series' run in log order, so usually one array append."""
+        stamps, values = zip(*buffered)
+        try:
+            self.replayed_samples += super().append_array(labels, stamps, values)
+        except StorageError:
+            self._apply_replayed([(labels, ts, value) for ts, value in buffered])
+
+    def _apply_replayed(self, batch: list[tuple[Labels, float, float]]) -> None:
+        """Apply replayed samples as one batch or, when one of them is
+        an out-of-order relic, one by one, counting the relics."""
+        try:
+            self.replayed_samples += super().append_many(batch)
+        except StorageError:
+            for labels, ts, value in batch:
+                try:
+                    super().append(labels, ts, value)
+                except StorageError:
+                    self.replay_dropped += 1
+                else:
+                    self.replayed_samples += 1
 
     def _replay_tombstone(self, payload: bytes) -> None:
         matchers = [
@@ -206,42 +242,45 @@ class PersistentTSDB(TSDB):
         if prev is None or ts > prev:
             self._segment_max_time[segment] = ts
 
-    def _ref_for(self, labels: Labels) -> int:
-        ref = self._refs.get(labels)
+    def _wal_ref(self, series) -> int:
+        """The WAL ref of a live series, journaling its SERIES record
+        the first time."""
+        ref = self._wal_refs.get(series.ref)
         if ref is None:
-            ref = self._next_wal_ref
+            ref = self._wal_refs[series.ref] = self._next_wal_ref
             self._next_wal_ref += 1
-            self._refs[labels] = ref
             self.wal.append(
-                _HDR.pack(_REC_SERIES, ref) + json.dumps(labels.as_dict()).encode("utf-8")
+                _HDR.pack(_REC_SERIES, ref) + json.dumps(series.labels.as_dict()).encode("utf-8")
             )
         return ref
 
-    def _log_samples(self, entries: list[tuple[int, float, float]]) -> None:
-        payload = bytearray(_HDR.pack(_REC_SAMPLES, len(entries)))
-        for ref, ts, value in entries:
-            payload += _SAMPLE.pack(ref, ts, value)
+    def _log_samples(self, refs: Sequence[int], stamps: Sequence[float], values: Sequence[float]) -> None:
         # append() reports the segment that actually holds the frame;
         # reading current_segment afterwards would mis-attribute the
         # record to the fresh segment when the write triggers an eager
         # cut, letting checkpoint() truncate un-blocked samples.
-        segment = self.wal.append(bytes(payload))
-        for _ref, ts, _value in entries:
-            self._note_segment_time(segment, ts)
+        segment = self.wal.append(encode_samples(refs, stamps, values))
+        self._note_segment_time(segment, max(stamps))
 
     # -- mutations (journal after the in-memory append validates) ---------
     def append(self, labels: Labels, timestamp: float, value: float) -> None:
         super().append(labels, timestamp, value)
-        if not self._replaying:
-            self._log_samples([(self._ref_for(labels), timestamp, value)])
+        self._log_samples((self._wal_ref(self._series[labels]),), (timestamp,), (value,))
+
+    def append_many(self, batch: Iterable[tuple[Labels, float, float]]) -> int:
+        batch = list(batch)
+        count = super().append_many(batch)
+        if count:
+            keys, stamps, values = zip(*batch)
+            series = self._series
+            refs = [self._wal_ref(series[labels]) for labels in keys]
+            self._log_samples(refs, stamps[:1] if stamps.count(stamps[0]) == count else stamps, values)
+        return count
 
     def append_array(self, labels: Labels, timestamps, values) -> int:
         count = super().append_array(labels, timestamps, values)
-        if count and not self._replaying:
-            ref = self._ref_for(labels)
-            self._log_samples(
-                [(ref, float(t), float(v)) for t, v in zip(timestamps, values)]
-            )
+        if count:
+            self._log_samples((self._wal_ref(self._series[labels]),) * count, timestamps, values)
         return count
 
     def append_ref(self, ref: int, timestamp: float, value: float) -> None:
@@ -255,25 +294,33 @@ class PersistentTSDB(TSDB):
     def append_refs(
         self, timestamp: float, pairs: Iterable[tuple[int, float]]
     ) -> tuple[int, list[tuple[int, float]]]:
-        pairs = list(pairs)  # read twice: the head, then the journal
+        pairs = list(pairs)
         count, dead = super().append_refs(timestamp, pairs)
-        if count and not self._replaying:
-            live = self._series_by_ref  # a dead ref is one not in here
-            self._log_samples(
-                [
-                    (self._ref_for(live[ref].labels), timestamp, value)
-                    for ref, value in pairs
-                    if ref in live
-                ]
-            )
+        if count:
+            refs, values = zip(*pairs)
+            wal_refs = list(map(self._wal_refs.get, refs))
+            if None in wal_refs:
+                # A series journaled for the first time, or a dead ref
+                # (not applied: the caller re-resolves it by labels).
+                live = self._series_by_ref
+                wal_refs, values = zip(*[(self._wal_ref(live[ref]), value) for ref, value in pairs if ref in live])
+            self._log_samples(wal_refs, (timestamp,), values)
         return count, dead
 
     def delete_series(self, matchers: Sequence[Matcher]) -> int:
         deleted = super().delete_series(matchers)
-        if deleted and not self._replaying:
+        if deleted:
             doc = [{"name": m.name, "op": m.op.value, "value": m.value} for m in matchers]
             self.wal.append(bytes([_REC_TOMBSTONE]) + json.dumps(doc).encode("utf-8"))
         return deleted
+
+    def _drop_series(self, key: Labels) -> None:
+        # Forget the WAL ref with the series (delete or retention): a
+        # checkpoint restates live series only, so a dropped series'
+        # kept-tail samples stay orphans on replay instead of
+        # resurrecting it.
+        self._wal_refs.pop(self._series[key].ref, None)
+        super()._drop_series(key)
 
     # -- checkpointing -----------------------------------------------------
     def checkpoint(self, before_time: float) -> int:
@@ -289,8 +336,9 @@ class PersistentTSDB(TSDB):
         started = time.perf_counter()
         with prof.profile("head.checkpoint"):
             entries = bytearray()
-            live = sorted(self._refs.items(), key=lambda kv: kv[1])
-            for labels, ref in live:
+            by_ref = self._series_by_ref
+            live = sorted((wal_ref, by_ref[ref].labels) for ref, wal_ref in self._wal_refs.items())
+            for ref, labels in live:
                 encoded = json.dumps(labels.as_dict()).encode("utf-8")
                 entries += _CKPT_ENTRY.pack(ref, len(encoded)) + encoded
             fresh = self.wal.cut_segment()

@@ -16,6 +16,7 @@ and DRAM power are recorded first, then summed into total job power).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from repro.common.errors import QueryError
 from repro.tsdb.alerts import AlertingRuleGroup
@@ -24,6 +25,8 @@ from repro.tsdb.promql.ast import Expr
 from repro.tsdb.promql.engine import SCALAR_LABELS, PlanMemo, PromQLEngine
 from repro.tsdb.promql.parser import parse_expr
 from repro.tsdb.storage import TSDB
+
+_STALE = float("nan")
 
 
 @dataclass
@@ -101,9 +104,7 @@ class RuleGroup:
             else:
                 source, values = result.labels, result.values
             outputs = rule.memo.plan("record", (source,), rule.output_labels)
-            for labels, value in zip(outputs, values):
-                storage.append(labels, at, value)
-            recorded += len(values)
+            batch = list(zip(outputs, repeat(at), values))
             if outputs is not rule._written:
                 # Stale-mark output series that vanished this evaluation
                 # (e.g. a finished unit's power series) so downstream
@@ -112,10 +113,16 @@ class RuleGroup:
                 # cleanup) are skipped — marking them would re-create
                 # exactly what the cleanup removed.
                 current = set(outputs)
-                for labels in dict.fromkeys(rule._written):
-                    if labels not in current and storage.has_series(labels):
-                        storage.append(labels, at, float("nan"))
-                rule._written = outputs
+                batch += [
+                    (labels, at, _STALE)
+                    for labels in dict.fromkeys(rule._written)
+                    if labels not in current and storage.has_series(labels)
+                ]
+            # One commit per rule (one WAL record on a durable head),
+            # before the next rule reads what this one recorded.
+            storage.append_many(batch)
+            rule._written = outputs
+            recorded += len(values)
         self.evaluations += 1
         self.last_samples = recorded
         self.last_evaluation = at
@@ -212,6 +219,7 @@ class RuleEvaluator(RuleManager):
 
     def _write_alert_series(self, now: float) -> None:
         outputs: set[Labels] = set()
+        batch = []
         for group in self.alert_groups:
             for alert in group.active_alerts():
                 d = alert.labels.as_dict()
@@ -219,14 +227,17 @@ class RuleEvaluator(RuleManager):
                 d["alertname"] = alert.name
                 d["alertstate"] = alert.state.value
                 labels = Labels(d)
-                self.storage.append(labels, now, 1.0)
+                batch.append((labels, now, 1.0))
                 outputs.add(labels)
         # An alert that changed state or cleared leaves its previous
         # ALERTS series dangling; stale-mark it like a recording rule
         # output so lookback reads don't resurrect it.
-        for labels in self._previous_alert_series - outputs:
-            if self.storage.has_series(labels):
-                self.storage.append(labels, now, float("nan"))
+        batch += [
+            (labels, now, _STALE)
+            for labels in self._previous_alert_series - outputs
+            if self.storage.has_series(labels)
+        ]
+        self.storage.append_many(batch)
         self._previous_alert_series = outputs
 
     # -- introspection ------------------------------------------------

@@ -36,8 +36,10 @@ value — so the manager pays per *changed* line:
   grammar (:func:`exposition.parse_sample_line` and friends), looking
   series text up in the old layout so only text never seen before
   costs a label parse (Prometheus ``scrapeCache``).
-* samples are appended by ref through :meth:`TSDB.append_refs`; refs
-  that died since the last cycle (retention, ``delete_series``) are
+* a target's samples and its ``up`` sample are committed by ref in
+  one :meth:`TSDB.append_refs` call (one WAL record on a durable
+  head, as Prometheus commits a scrape's appender once); refs that
+  died since the last cycle (retention, ``delete_series``) are
   re-resolved through their labels, exactly like Prometheus re-lodges
   a head ref miss.  Staleness markers are written only by a rebuild:
   the same layout means no series vanished.
@@ -55,7 +57,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from operator import ne
 
 from repro.common.auth import make_basic_auth_header
@@ -245,6 +247,9 @@ class ScrapeTarget:
     #: are current and its series still unmarked.
     _layout: _Layout | None = field(default=None, repr=False)
     _up_labels: Labels | None = field(default=None, repr=False)
+    #: Storage ref of the ``up`` series; 0 until the first scrape
+    #: resolves it, and healed like a layout ref when it dies.
+    _up_ref: int = field(default=0, repr=False)
 
     def identity_labels(self) -> dict[str, str]:
         labels = {"instance": self.instance, "job": self.job}
@@ -364,7 +369,8 @@ class ScrapeManager:
 
     # -- apply phase (registration order) ------------------------------------
     def _apply(self, result: _ScrapeResult, now: float) -> int:
-        """Commit one fetch result: samples, staleness markers, ``up``."""
+        """Commit one fetch result: samples and ``up`` in one batch,
+        then staleness markers."""
         target = result.target
         storage = self.storage
         samples = 0
@@ -375,7 +381,8 @@ class ScrapeManager:
                 for slot, ref in enumerate(layout.refs):
                     if not ref:
                         layout.refs[slot] = storage.get_ref(layout.labels[slot])
-            samples = self._append(layout, now)
+            self._append(target, layout, 1.0, now)
+            samples = len(layout.refs)
             if rebuilt:
                 # Series this target exposed last time but not now
                 # have disappeared (e.g. a finished job's cgroup).
@@ -393,40 +400,44 @@ class ScrapeManager:
             # lookback window.
             self._mark_stale(target, {}, now)
             target.last_scrape_ok = False
+            self._append(target, None, 0.0, now)
         target.last_scrape_duration = result.duration
         target.last_scrape_samples = samples
-        storage.append(target.up_labels(), now, 1.0 if target.last_scrape_ok else 0.0)
         self.cache_hits_total += result.hits
         self.cache_misses_total += result.misses
         self.cache_evictions_total += result.evictions
         return samples
 
-    def _append(self, layout: _Layout, now: float) -> int:
-        """Batched append by ref of one body's samples and exemplars."""
+    def _append(self, target: ScrapeTarget, layout: _Layout | None, up: float, now: float) -> None:
+        """One batched append by ref of a body's samples and the
+        target's ``up`` sample, then the body's exemplars."""
         storage = self.storage
-        refs = layout.refs
-        labels = layout.labels
-        samples, dead = storage.append_refs(now, zip(refs, layout.values))
+        refs = layout.refs if layout is not None else []
+        values = layout.values if layout is not None else []
+        _appended, dead = storage.append_refs(now, chain(zip(refs, values), ((target._up_ref, up),)))
         if dead:
             # Refs that died since the last cycle (retention or
-            # delete_series dropped the series): re-resolve through
-            # labels — recreating the series exactly like a plain
-            # append by labels — and heal the layout so the next cycle
-            # is back on the fast path.
+            # delete_series dropped the series; `up`'s before its first
+            # resolution): re-resolve through labels — recreating the
+            # series exactly like a plain append by labels — and heal
+            # the layout so the next cycle is back on the fast path.
             dead_refs = {ref for ref, _ in dead}
             for slot, ref in enumerate(refs):
                 if ref in dead_refs:
-                    refs[slot] = storage.get_ref(labels[slot])
-                    storage.append_ref(refs[slot], now, layout.values[slot])
-                    samples += 1
+                    refs[slot] = storage.get_ref(layout.labels[slot])
+                    storage.append_ref(refs[slot], now, values[slot])
+            if target._up_ref in dead_refs:
+                target._up_ref = storage.get_ref(target.up_labels())
+                storage.append_ref(target._up_ref, now, up)
+        if layout is None:
+            return
         # After the sample loop: dead refs have been healed above, so
         # the ref is always live here and the exemplar lands on the
         # same series the sample did.  In line order, and unchanged
         # exemplars are offered again every scrape: the store drops
         # and counts the repeats.
         for slot, (_text, exemplar) in sorted(layout.exemplars.items()):
-            storage.append_exemplar_ref(refs[slot], labels[slot], exemplar, now)
-        return samples
+            storage.append_exemplar_ref(refs[slot], layout.labels[slot], exemplar, now)
 
     def _mark_stale(self, target: ScrapeTarget, current: dict[int, Labels], now: float) -> None:
         """Staleness markers for the series of the target's installed

@@ -625,11 +625,49 @@ class TSDB:
             self.max_time = timestamp
 
     def append_many(self, batch: Iterable[tuple[Labels, float, float]]) -> int:
-        count = 0
+        """Append ``(labels, timestamp, value)`` samples in batch order.
+
+        Each sample has :meth:`append` semantics, but a batch holding a
+        sample that would land before its series' newest one (counting
+        the batch's own earlier samples) raises before any is applied.
+        Rule groups, the prober and WAL replay commit through here; a
+        persistent head journals the whole batch as one record.
+        """
+        batch = batch if isinstance(batch, list) else list(batch)
+        if not batch:
+            return 0
+        stamps = [sample[1] for sample in batch]
+        lo, hi = min(stamps), max(stamps)
+        # Series by series only when a sample is older than the store's
+        # newest or the batch's own timestamps go backwards.
+        if (self.max_time is not None and lo < self.max_time) or (lo != hi and stamps != sorted(stamps)):
+            self._check_order((labels, ts) for labels, ts, _value in batch)
+        series_of = self._series
         for labels, ts, value in batch:
-            self.append(labels, ts, value)
-            count += 1
-        return count
+            series = series_of.get(labels)
+            if series is None:
+                series = self._get_or_create_series(labels)
+            series.append(ts, value)
+        self.samples_ingested += len(batch)
+        self.data_epoch += 1
+        if self.min_time is None or lo < self.min_time:
+            self.min_time = lo
+        if self.max_time is None or hi > self.max_time:
+            self.max_time = hi
+        return len(batch)
+
+    def _check_order(self, samples: Iterable[tuple[Labels, float]]) -> None:
+        """Raise if a ``(labels, timestamp)`` of ``samples``, taken in
+        order, lands before its series' newest sample."""
+        newest: dict[Labels, float] = {}
+        for labels, ts in samples:
+            last = newest.get(labels)
+            if last is None:
+                series = self._series.get(labels)
+                last = None if series is None else series.max_time
+            if last is not None and ts < last:
+                raise StorageError(f"out-of-order sample for {labels}: {ts} < {last}")
+            newest[labels] = ts
 
     def append_array(self, labels: Labels, timestamps, values) -> int:
         """Bulk-append a sorted run of samples to one series.
@@ -740,9 +778,16 @@ class TSDB:
 
         Returns ``(appended, dead)`` where ``dead`` holds the
         ``(ref, value)`` pairs whose ref no longer resolves; the
-        caller re-resolves those through labels.
+        caller re-resolves those through labels.  A batch with an
+        out-of-order sample raises before any sample is applied.
         """
         by_ref = self._series_by_ref
+        if self.max_time is not None and timestamp < self.max_time:
+            # Some series may end after `timestamp`; at or past the
+            # store's newest sample none can, so the hot path skips this.
+            pairs = list(pairs)
+            live = (by_ref.get(ref) for ref, _value in pairs)
+            self._check_order((series.labels, timestamp) for series in live if series is not None)
         dead: list[tuple[int, float]] = []
         count = 0
         # `_last` is a cached Python float, so the ordering check costs

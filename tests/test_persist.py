@@ -12,18 +12,25 @@ through the Thanos sidecar/store/compactor and the full simulation:
 * on-disk blocks — write/read roundtrip, CRC detection, atomic
   staging;
 * :class:`PersistentTSDB` — replay on open, checkpoint truncation,
-  tombstones, and the kill-and-reopen simulation with WAL replay
-  surfaced in ``/metrics``.
+  tombstones, one SAMPLES record per committed batch (torn tails
+  recover whole batches, records of the per-sample layout still
+  replay, rejected batches leave memory and log alone), a reopen
+  differential against the in-memory TSDB, and the kill-and-reopen
+  simulation with WAL replay surfaced in ``/metrics``.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import StorageError
 from repro.common.httpx import Request
@@ -49,6 +56,11 @@ from tests.reference.list_head import ListHeadPersistentTSDB, ListHeadTSDB
 
 def bits_of(values) -> list[int]:
     return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def contents(db: TSDB) -> dict:
+    """Every series holding samples, as bit patterns by labels."""
+    return {s.labels: (bits_of(s.timestamps), bits_of(s.values)) for s in db.all_series() if s.nsamples}
 
 
 def assert_bit_identical(expected_ts, expected_vs, got_ts, got_vs):
@@ -373,6 +385,301 @@ class TestPersistentTSDB:
         assert head.wal.fsyncs >= 3  # series record + two sample records
         head.close()
 
+    def test_each_batch_is_one_record(self, tmp_path):
+        head = PersistentTSDB(str(tmp_path / "hot"))
+        refs = [head.get_ref(series_labels(i)) for i in range(64)]
+        head.append_refs(0.0, [(ref, 1.0) for ref in refs])  # 64 SERIES + 1 SAMPLES
+        records, written = head.wal.records_written, head.wal.bytes_written
+        head.append_refs(15.0, [(ref, 2.0) for ref in refs])
+        # frame header 8 + [kind][n][nt] 9 + one timestamp 8 + 64 x (4 + 8)
+        assert head.wal.records_written - records == 1
+        assert head.wal.bytes_written - written == 8 + 9 + 8 + 64 * 12
+        records = head.wal.records_written
+        head.append_many([(series_labels(i), 30.0 + i % 2, float(i)) for i in range(5)])
+        head.append_array(series_labels(0), [40.0, 41.0], [1.0, 2.0])
+        head.append(series_labels(1), 50.0, 3.0)
+        assert head.wal.records_written - records == 3
+        head.close()
+        reopened = PersistentTSDB(str(tmp_path / "hot"))
+        assert contents(reopened) == contents(head)
+        assert reopened.replay_result.records == records + 3
+
+    def test_rejected_append_refs_batch_applies_nothing(self, tmp_path):
+        head = PersistentTSDB(str(tmp_path / "hot"))
+        r1, r2 = head.get_ref(series_labels(1)), head.get_ref(series_labels(2))
+        head.append_refs(10.0, [(r1, 1.0)])
+        head.append_refs(20.0, [(r2, 2.0)])
+        records = head.wal.records_written
+        with pytest.raises(StorageError, match="out-of-order"):
+            head.append_refs(15.0, [(r1, 5.0), (r2, 6.0)])
+        assert head.resolve_ref(r1).timestamps == [10.0]
+        assert head.samples_ingested == head.num_samples == 2
+        assert head.max_time == 20.0
+        assert head.wal.records_written == records
+        head.close()
+        assert contents(PersistentTSDB(str(tmp_path / "hot"))) == contents(head)
+
+    def test_rejected_append_many_batch_applies_nothing(self, tmp_path):
+        head = PersistentTSDB(str(tmp_path / "hot"))
+        head.append(series_labels(2), 20.0, 2.0)
+        before = contents(head)
+        records = head.wal.records_written
+        for batch in (
+            [(series_labels(1), 15.0, 5.0), (series_labels(2), 15.0, 6.0)],  # behind a series' tail
+            [(series_labels(3), 30.0, 5.0), (series_labels(3), 25.0, 6.0)],  # behind the batch's own sample
+        ):
+            with pytest.raises(StorageError, match="out-of-order"):
+                head.append_many(batch)
+        assert contents(head) == before
+        assert head.num_series == 1 and head.samples_ingested == 1
+        assert head.wal.records_written == records
+
+    def test_deleted_series_stays_deleted_after_checkpoint_and_reopen(self, tmp_path):
+        """A checkpoint restates live series only: the kept-tail samples
+        of a deleted series are counted as dropped on replay instead of
+        bringing the series back."""
+        head = PersistentTSDB(str(tmp_path / "hot"), segment_bytes=256)
+        x, y = Labels({"__name__": "m", "idx": "x"}), Labels({"__name__": "m", "idx": "y"})
+        for t in range(100):
+            head.append(x, float(t), float(t))
+            head.append(y, float(t), float(t))
+        head.delete_series([Matcher.eq("idx", "x")])
+        for t in range(100, 150):
+            head.append(y, float(t), float(t))
+        assert head.checkpoint(90.0) > 0
+        head.close()
+        reopened = PersistentTSDB(str(tmp_path / "hot"))
+        assert not reopened.has_series(x)
+        assert reopened.replay_dropped > 0  # x's samples in the kept tail
+        (series,) = reopened.all_series()
+        assert [t for t in series.timestamps if t >= 90.0] == [float(t) for t in range(90, 150)]
+
+    def test_orphaned_wal_ref_is_not_reused_after_reopen(self, tmp_path):
+        """The deleted series holds the highest WAL ref and its SERIES
+        record is truncated while its samples stay in the kept tail: a
+        series created after a reopen must not take that ref, or the
+        next reopen hands it the orphaned samples."""
+        head = PersistentTSDB(str(tmp_path / "hot"), segment_bytes=256)
+        y, x, w = (Labels({"__name__": "m", "idx": idx}) for idx in "yxw")
+        for t in range(100):
+            head.append(y, float(t), float(t))
+            head.append(x, float(t), float(t))
+        head.delete_series([Matcher.eq("idx", "x")])
+        for t in range(100, 150):
+            head.append(y, float(t), float(t))
+        assert head.checkpoint(90.0) > 0
+        head.close()
+        reopened = PersistentTSDB(str(tmp_path / "hot"))
+        reopened.append(w, 150.0, 1.0)
+        reopened.close()
+        again = PersistentTSDB(str(tmp_path / "hot"))
+        assert again.resolve_ref(again.get_ref(w)).timestamps == [150.0]
+        assert not again.has_series(x)
+        assert again.replay_dropped == reopened.replay_dropped > 0
+
+    def test_retention_forgets_the_wal_ref(self, tmp_path):
+        head = PersistentTSDB(str(tmp_path / "hot"), retention=50.0, segment_bytes=256)
+        head.append(series_labels(0), 0.0, 1.0)
+        for t in range(1, 120):
+            head.append(series_labels(1), float(t), float(t))
+        head.apply_retention(now=119.0)
+        assert not head.has_series(series_labels(0))
+        head.checkpoint(69.0)
+        checkpoint = [p for _s, p in WAL(head.wal.path).replay() if p[0] == 3]
+        assert b'"idx": "0"' not in checkpoint[-1] and b'"idx": "1"' in checkpoint[-1]
+        head.close()
+
+    def test_per_sample_records_still_replay(self, tmp_path):
+        """A WAL of the earlier per-sample SAMPLES layout (kind 2) opens,
+        and new batches append after it."""
+        wal = WAL(str(tmp_path / "hot" / "wal"))
+        for ref, idx in ((1, 0), (2, 1)):
+            wal.append(struct.pack("<BI", 1, ref) + json.dumps(series_labels(idx).as_dict()).encode())
+        triples = [(1, 10.0, 1.5), (2, 10.0, float("nan")), (1, 20.0, -0.0), (2, 20.0, float("inf"))]
+        wal.append(struct.pack("<BI", 2, len(triples)) + b"".join(struct.pack("<Idd", *t) for t in triples))
+        wal.append(struct.pack("<BI", 2, 1) + struct.pack("<Idd", 1, 30.0, 7.0))
+        wal.close()
+        head = PersistentTSDB(str(tmp_path / "hot"))
+        assert head.replayed_samples == 5 and head.replay_dropped == 0
+        assert contents(head) == {
+            series_labels(0): (bits_of([10.0, 20.0, 30.0]), bits_of([1.5, -0.0, 7.0])),
+            series_labels(1): (bits_of([10.0, 20.0]), bits_of([float("nan"), float("inf")])),
+        }
+        head.append_refs(40.0, [(head.get_ref(series_labels(i)), 8.0) for i in (0, 1)])
+        head.close()
+        assert contents(PersistentTSDB(str(tmp_path / "hot"))) == contents(head)
+
+    def test_torn_wal_recovers_whole_batches(self, tmp_path):
+        """Every batch — ``append_refs`` with dead and duplicate refs,
+        ``append_many`` over several timestamps, ``append_array``, one
+        ``append`` — is one record: a log cut at any byte recovers the
+        state after exactly the batches whose record is whole."""
+        rng = random.Random(2929)
+        head = PersistentTSDB(str(tmp_path / "hot"), fsync="never")
+        values = [0.5, -0.0, float("nan"), float("inf"), -1e300, 42.0]
+        states, ends = [contents(head)], [0]
+        dead: list[int] = []
+        for step in range(1, 150):
+            t = float(step)
+            kind = rng.choice(("refs", "refs", "many", "array", "append", "delete"))
+            idx = rng.sample(range(6), 3)
+            if kind == "refs":
+                refs = [head.get_ref(series_labels(i)) for i in idx]
+                pairs = [(ref, rng.choice(values)) for ref in refs + refs[:1] + dead[-2:]]
+                rng.shuffle(pairs)
+                head.append_refs(t, pairs)
+            elif kind == "many":
+                head.append_many([(series_labels(i), t + k / 4, rng.choice(values)) for k, i in enumerate(idx)])
+            elif kind == "array":
+                head.append_array(series_labels(idx[0]), [t, t + 0.25, t + 0.5], [rng.choice(values) for _ in range(3)])
+            elif kind == "append":
+                head.append(series_labels(idx[0]), t, rng.choice(values))
+            else:
+                dead.append(head.get_ref(series_labels(idx[0])))
+                head.delete_series([Matcher.eq("idx", str(idx[0]))])
+            states.append(contents(head))
+            ends.append(head.wal.bytes_written)
+        head.close()
+        (segment,) = head.wal.segment_indices()
+        with open(os.path.join(head.wal.path, f"{segment:08d}.wal"), "rb") as fh:
+            log = fh.read()
+        assert len(log) == ends[-1]
+        for trial in range(25):
+            cut = rng.randint(1, len(log) - 1)
+            wal_dir = tmp_path / f"cut{trial}" / "wal"
+            wal_dir.mkdir(parents=True)
+            (wal_dir / "00000001.wal").write_bytes(log[:cut])
+            reopened = PersistentTSDB(str(tmp_path / f"cut{trial}"))
+            whole = max(i for i, end in enumerate(ends) if end <= cut)
+            assert contents(reopened) == states[whole], cut
+            reopened.close()
+
+
+_VALUES = st.floats(width=64) | st.sampled_from([-0.0, float("nan"), float("inf")])
+_IDX = st.integers(0, 2)
+_REFS = st.tuples(
+    st.just("refs"),
+    st.integers(-2, 3),
+    # False: the ref held since the labels were last resolved
+    st.lists(st.tuples(_IDX, st.sampled_from([False, False, True]), _VALUES), min_size=1, max_size=5),
+)
+#: One operation on both stores; time only moves forward, except the
+#: small negative offsets that make some batches out of order.
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), _IDX, st.integers(0, 3), _VALUES),
+        st.tuples(st.just("many"), st.lists(st.tuples(_IDX, st.integers(-2, 3), _VALUES), min_size=1, max_size=4)),
+        st.tuples(st.just("array"), _IDX, st.integers(1, 6), _VALUES),
+        _REFS,
+        _REFS,
+        st.tuples(st.just("delete"), _IDX),
+        st.tuples(st.just("retention")),
+        st.tuples(st.just("checkpoint")),
+        st.tuples(st.just("reopen")),
+    ),
+    min_size=20,
+    max_size=60,
+)
+
+
+class TestReopenDifferential:
+    """A :class:`PersistentTSDB` closed and reopened at random points
+    must hold, bit for bit, what an in-memory :class:`TSDB` fed the same
+    operations holds.
+
+    Retention is not journaled (a restarted Prometheus re-applies it
+    too), so a reopened head re-applies the last retention horizon; a
+    checkpoint first applies retention on both sides and then truncates
+    at that horizon, as the sidecar does once the older samples are in
+    blocks.  ``refs`` appends by ref, each ref either freshly resolved
+    or the one held since the labels were last resolved — dead once
+    their series was dropped, and forgotten, like a scrape layout, by a
+    reopen.
+
+    Mutation checks made while writing this (each fails
+    ``test_reopen_matches_memory`` on a contents mismatch):
+    ``_drop_series`` keeping the dropped series' WAL ref (and the
+    checkpoint skipping it), so a dead ref in an ``append_refs`` batch
+    is journaled under it and a reopen resurrects the series;
+    ``append_many`` writing ``nt=1`` for a batch over several
+    timestamps.
+    """
+
+    RETENTION = 8.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_OPS)
+    def test_reopen_matches_memory(self, ops):
+        with tempfile.TemporaryDirectory() as root:
+            self._run(ops, root)
+
+    def _open(self, root: str) -> PersistentTSDB:
+        return PersistentTSDB(root, retention=self.RETENTION, fsync="never", segment_bytes=160)
+
+    def _run(self, ops, root: str) -> None:
+        memory, head = TSDB(retention=self.RETENTION), self._open(root)
+        held: dict[int, dict[int, int]] = {id(memory): {}, id(head): {}}
+        now, retained_at = 0.0, None
+
+        def both(apply):
+            """Run ``apply(db)`` on the two stores; they must agree on
+            whether it raised."""
+            outcomes = []
+            for db in (memory, head):
+                try:
+                    apply(db)
+                    outcomes.append(None)
+                except StorageError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+
+        def ref(db, idx: int, fresh: bool) -> int:
+            refs = held[id(db)]
+            if fresh or idx not in refs:
+                refs[idx] = db.get_ref(series_labels(idx))
+            return refs[idx]
+
+        for op in ops:
+            kind = op[0]
+            if kind == "append":
+                _, idx, step, value = op
+                now += step
+                both(lambda db: db.append(series_labels(idx), now, value))
+            elif kind == "many":
+                batch = [(series_labels(idx), now + offset, value) for idx, offset, value in op[1]]
+                now = max(now, max(ts for _labels, ts, _value in batch))
+                both(lambda db: db.append_many(batch))
+            elif kind == "array":
+                _, idx, n, value = op
+                stamps = [now + 1 + k for k in range(n)]
+                now = stamps[-1]
+                both(lambda db: db.append_array(series_labels(idx), stamps, [value + k for k in range(n)]))
+            elif kind == "refs":
+                _, offset, entries = op
+                at = now + offset
+                now = max(now, at)
+                both(lambda db: db.append_refs(at, [(ref(db, idx, fresh), value) for idx, fresh, value in entries]))
+            elif kind == "delete":
+                both(lambda db: db.delete_series([Matcher.eq("idx", str(op[1]))]))
+            elif kind in ("retention", "checkpoint"):
+                retained_at = now
+                both(lambda db: db.apply_retention(now))
+                if kind == "checkpoint":
+                    head.checkpoint(now - self.RETENTION)
+            else:
+                head.close()
+                head = self._open(root)
+                if retained_at is not None:
+                    head.apply_retention(retained_at)
+                held = {id(memory): {}, id(head): {}}
+            assert contents(head) == contents(memory), op
+        head.close()
+        reopened = self._open(root)
+        if retained_at is not None:
+            reopened.apply_retention(retained_at)
+        assert contents(reopened) == contents(memory)
+        reopened.close()
+
 
 class TestStorePersistence:
     def _fill(self, store: ObjectStore, hot: TSDB, hours: float = 4.5):
@@ -613,6 +920,26 @@ class TestConfigWiring:
         out = io.StringIO()
         assert main(["persist-info", str(tmp_path)], out=out) == 0
         assert "samples recovered: 1" in out.getvalue()
+
+    def test_cli_persist_info_reports_replay_drops_and_bytes(self, tmp_path):
+        import io
+
+        from repro.cli import main
+
+        head = PersistentTSDB(str(tmp_path / "hot"), segment_bytes=256)
+        for t in range(100):
+            head.append_many([(series_labels(0), float(t), 1.0), (series_labels(1), float(t), 2.0)])
+        head.delete_series([Matcher.eq("idx", "0")])
+        head.checkpoint(90.0)
+        head.close()
+        reopened = PersistentTSDB(str(tmp_path / "hot"))
+        assert reopened.replay_dropped > 0
+        per_sample = reopened.replay_result.bytes_read / reopened.replayed_samples
+        reopened.close()
+        out = io.StringIO()
+        assert main(["persist-info", str(tmp_path)], out=out) == 0
+        assert f"samples dropped at replay: {reopened.replay_dropped}\n" in out.getvalue()
+        assert f"wal bytes per recovered sample: {per_sample:.2f}\n" in out.getvalue()
 
     def test_cli_persist_info_missing(self, tmp_path):
         import io

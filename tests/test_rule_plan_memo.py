@@ -79,6 +79,11 @@ class _Recorder:
         self.log.append((labels, timestamp, struct.pack("<d", value)))
         self.db.append(labels, timestamp, value)
 
+    def append_many(self, batch) -> int:
+        batch = list(batch)
+        self.log += [(labels, timestamp, struct.pack("<d", value)) for labels, timestamp, value in batch]
+        return self.db.append_many(batch)
+
     def has_series(self, labels: Labels) -> bool:
         return self.db.has_series(labels)
 
