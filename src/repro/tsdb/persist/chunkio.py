@@ -1,36 +1,32 @@
 """Decode-on-demand chunk handles and the decoded-chunk LRU.
 
 This module is the seam between "where bytes live" and "how queries
-read them".  Three chunk handle flavours share one tiny protocol —
+read them".  Two chunk handle flavours share one tiny protocol —
 ``count``, ``min_time``, ``max_time`` and ``arrays() -> (ts, vs)``:
 
-* :class:`MemChunk` — a sealed, immutable Gorilla chunk held in memory
-  (the columnar head's mini-chunks).
 * :class:`FileChunk` — one CRC-framed chunk inside an mmap'd block
   chunk file; the payload is sliced out of the mapping and decoded
   only when a query actually needs the samples.
-* :class:`TailChunk` — already-decoded arrays: a zero-copy view over a
-  series' unsealed tail, or an object-store block's private copy;
-  nothing to decode.
+* :class:`TailChunk` — already-decoded arrays (an object-store block's
+  private copy when the store has no directory); nothing to decode.
 
 Decoded ``(timestamps, values)`` arrays are memoised in a process-wide
 bounded LRU (:data:`DECODE_CACHE`) so repeated queries over the same
 hot chunks decode once; :data:`DECODE_CACHE_STATS` feeds the
 ``ceems_tsdb_chunk_decode_cache_*_total`` self-telemetry counters.
 
-:class:`ChunkSeries` assembles ordered chunk handles into the read
-side of the head series contract (``arrays``/``window``/
-``window_half_open``/``at_or_before``/``query_window_arrays``), with
-chunk-granular time pruning: a window read decodes only the chunks
-whose ``[min_time, max_time]`` overlaps the request.
-:class:`MergedSeries` layers a mutable primary (the live head) over a
-chunk-backed secondary with window-local last-write-wins dedup — the
-Thanos fan-out's lazy merge.
+:class:`ChunkSeries` assembles ordered chunk handles into a series
+and :class:`MergedSeries` layers a mutable primary (the live head) over
+a chunk-backed secondary with window-local last-write-wins dedup — the
+Thanos fan-out's lazy merge.  Each provides ``arrays`` and a pruned
+``query_window_arrays``, which decodes only the chunks whose
+``[min_time, max_time]`` overlaps the request; the window and lookback
+reads come from :class:`~repro.tsdb.storage.SeriesReads`, as they do
+for head series.
 """
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 
@@ -38,26 +34,23 @@ import numpy as np
 
 from repro.tsdb.model import Labels, select_labels
 from repro.tsdb.persist.chunk import decode_chunk
+from repro.tsdb.storage import SeriesReads
 
 #: Process-wide decoded-chunk LRU counters (self-telemetry).
 DECODE_CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
 #: Default LRU capacity in *chunks* (~120 samples ≈ 2 KiB decoded per
-#: entry → ~8 MiB at the default).  ``configure_decode_cache`` resizes it.
+#: entry → ~8 MiB at the default).
 DEFAULT_DECODE_CACHE_CHUNKS = 4096
 
 _EMPTY = (np.empty(0, dtype=np.float64), np.empty(0, dtype=np.float64))
-
-#: Process-unique keys for in-memory chunks.
-_MEM_KEYS = itertools.count()
 
 
 class DecodedChunkCache:
     """Bounded LRU of decoded ``(timestamps, values)`` chunk arrays.
 
-    Keys are supplied by the chunk handles (a process-unique integer
-    for :class:`MemChunk`, ``(file key, offset)`` for
-    :class:`FileChunk`); values are immutable ndarray pairs, safe to
+    Keys are the ``(file key, offset)`` of a :class:`FileChunk`;
+    values are immutable ndarray pairs, safe to
     hand to any number of concurrent readers.
     """
 
@@ -83,12 +76,6 @@ class DecodedChunkCache:
             entries.popitem(last=False)
             DECODE_CACHE_STATS["evictions"] += 1
 
-    def trim(self) -> None:
-        """Re-enforce the bound after :attr:`max_chunks` shrinks."""
-        while len(self._entries) > self.max_chunks:
-            self._entries.popitem(last=False)
-            DECODE_CACHE_STATS["evictions"] += 1
-
     def clear(self) -> None:
         self._entries.clear()
 
@@ -98,32 +85,6 @@ class DecodedChunkCache:
 
 #: The process-wide decoded-chunk cache all chunk handles share.
 DECODE_CACHE = DecodedChunkCache()
-
-
-def configure_decode_cache(max_chunks: int) -> None:
-    """Resize the process-wide decoded-chunk LRU (CLI knob)."""
-    DECODE_CACHE.max_chunks = max(0, int(max_chunks))
-    DECODE_CACHE.trim()
-
-
-class MemChunk:
-    """A sealed, immutable Gorilla chunk held in memory."""
-
-    __slots__ = ("encoded", "count", "min_time", "max_time", "_key")
-
-    def __init__(self, encoded: bytes, count: int, min_time: float, max_time: float):
-        self.encoded = encoded
-        self.count = count
-        self.min_time = min_time
-        self.max_time = max_time
-        self._key = next(_MEM_KEYS)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        cached = DECODE_CACHE.get(self._key)
-        if cached is None:
-            cached = decode_chunk(self.encoded)
-            DECODE_CACHE.put(self._key, cached)
-        return cached
 
 
 class FileChunk:
@@ -181,18 +142,16 @@ def _concat(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.
     )
 
 
-class ChunkSeries:
+class ChunkSeries(SeriesReads):
     """A read-only series assembled from time-ordered chunk handles.
 
-    Implements the read side of the head series contract over chunks
-    that are decoded on demand: metadata (``count``/``min_time``/
+    Chunks are decoded on demand: their metadata (``min_time``/
     ``max_time``) answers pruning questions without touching payload
     bytes, so a window read over a 30-day series decodes only the
     chunks overlapping the window.
 
-    Chunks must be non-overlapping and sorted by ``min_time`` —
-    exactly what block writers produce; :meth:`add_chunks` re-sorts so
-    blocks may register in any order.
+    Chunks must not overlap in time — exactly what block writers
+    produce; they are sorted here, so blocks may register in any order.
     """
 
     __slots__ = ("labels", "_chunks", "_mins", "_maxs", "_full")
@@ -203,27 +162,6 @@ class ChunkSeries:
         self._mins = [c.min_time for c in self._chunks]
         self._maxs = [c.max_time for c in self._chunks]
         self._full: tuple[np.ndarray, np.ndarray] | None = None
-
-    def add_chunks(self, chunks: list) -> None:
-        self._chunks.extend(chunks)
-        self._chunks.sort(key=lambda c: (c.min_time, c.max_time))
-        self._mins = [c.min_time for c in self._chunks]
-        self._maxs = [c.max_time for c in self._chunks]
-        self._full = None
-
-    # -- list-compat accessors ------------------------------------------
-    @property
-    def timestamps(self) -> list[float]:
-        return self.arrays()[0].tolist()
-
-    @property
-    def values(self) -> list[float]:
-        return self.arrays()[1].tolist()
-
-    # -- reads -----------------------------------------------------------
-    def chunks(self, lo: float = float("-inf"), hi: float = float("inf")) -> list:
-        i, j = self._overlap(lo, hi)
-        return self._chunks[i:j]
 
     def _overlap(self, lo: float, hi: float) -> tuple[int, int]:
         """Index range of chunks whose [min,max] intersects [lo, hi]."""
@@ -247,47 +185,6 @@ class ChunkSeries:
         if i == 0 and j == len(self._chunks):
             return self.arrays()
         return _concat([c.arrays() for c in self._chunks[i:j]])
-
-    def window(self, start: float, end: float) -> tuple[np.ndarray, np.ndarray]:
-        ts, vs = self.query_window_arrays(start, end)
-        lo = np.searchsorted(ts, start, side="left")
-        hi = np.searchsorted(ts, end, side="right")
-        return ts[lo:hi], vs[lo:hi]
-
-    def window_half_open(self, start: float, end: float) -> tuple[np.ndarray, np.ndarray]:
-        ts, vs = self.query_window_arrays(start, end)
-        lo = np.searchsorted(ts, start, side="left")
-        hi = np.searchsorted(ts, end, side="left")
-        return ts[lo:hi], vs[lo:hi]
-
-    def at_or_before(self, ts: float, lookback: float) -> tuple[float, float] | None:
-        # Newest chunk that can hold a sample <= ts: min_time <= ts.
-        idx = bisect_right(self._mins, ts) - 1
-        if idx < 0:
-            return None
-        t_arr, v_arr = self._chunks[idx].arrays()
-        i = int(np.searchsorted(t_arr, ts, side="right")) - 1
-        if i < 0:
-            return None  # unreachable given min_time <= ts, kept defensive
-        t = float(t_arr[i])
-        if t <= ts - lookback:
-            return None
-        value = float(v_arr[i])
-        if value != value:  # NaN: stale marker
-            return None
-        return t, value
-
-    @property
-    def nsamples(self) -> int:
-        return sum(c.count for c in self._chunks)
-
-    @property
-    def min_time(self) -> float | None:
-        return self._mins[0] if self._chunks else None
-
-    @property
-    def max_time(self) -> float | None:
-        return max(self._maxs) if self._chunks else None
 
 
 class ChunkIndex:
@@ -381,7 +278,7 @@ class ChunkIndex:
         return {value for name, value in self._postings if name == label_name and value}
 
 
-class MergedSeries:
+class MergedSeries(SeriesReads):
     """Lazy last-write-wins merge of a primary over a secondary series.
 
     The Thanos fan-out overlays the hot head (primary) on store data
@@ -431,51 +328,3 @@ class MergedSeries:
             self.primary.query_window_arrays(lo, hi),
             self.secondary.query_window_arrays(lo, hi),
         )
-
-    # -- list-compat accessors ------------------------------------------
-    @property
-    def timestamps(self) -> list[float]:
-        return self.arrays()[0].tolist()
-
-    @property
-    def values(self) -> list[float]:
-        return self.arrays()[1].tolist()
-
-    def window(self, start: float, end: float) -> tuple[np.ndarray, np.ndarray]:
-        ts, vs = self.query_window_arrays(start, end)
-        lo = np.searchsorted(ts, start, side="left")
-        hi = np.searchsorted(ts, end, side="right")
-        return ts[lo:hi], vs[lo:hi]
-
-    def window_half_open(self, start: float, end: float) -> tuple[np.ndarray, np.ndarray]:
-        ts, vs = self.query_window_arrays(start, end)
-        lo = np.searchsorted(ts, start, side="left")
-        hi = np.searchsorted(ts, end, side="left")
-        return ts[lo:hi], vs[lo:hi]
-
-    def at_or_before(self, ts: float, lookback: float) -> tuple[float, float] | None:
-        t_arr, v_arr = self.query_window_arrays(ts - lookback, ts)
-        idx = int(np.searchsorted(t_arr, ts, side="right")) - 1
-        if idx < 0:
-            return None
-        t = float(t_arr[idx])
-        if t <= ts - lookback:
-            return None
-        value = float(v_arr[idx])
-        if value != value:  # NaN: stale marker
-            return None
-        return t, value
-
-    @property
-    def nsamples(self) -> int:
-        return len(self.arrays()[0])
-
-    @property
-    def min_time(self) -> float | None:
-        ts = self.arrays()[0]
-        return float(ts[0]) if len(ts) else None
-
-    @property
-    def max_time(self) -> float | None:
-        ts = self.arrays()[0]
-        return float(ts[-1]) if len(ts) else None

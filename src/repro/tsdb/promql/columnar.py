@@ -97,23 +97,6 @@ COLUMNAR_STATS = {
 }
 
 
-def _pruned_arrays(series, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Columnar read of ``series`` pruned to a superset of ``[lo, hi]``.
-
-    Chunk-backed series (persisted blocks, sealed head segments) serve
-    ``query_window_arrays`` — a contiguous sample run covering the
-    window that decodes only overlapping chunks.  Plain head series
-    fall back to the full cached snapshot, which is already zero-copy.
-    Bit-identity: samples outside the returned superset can neither be
-    selected (every step's window/lookback lies inside ``[lo, hi]``)
-    nor shadow a searchsorted hit within it.
-    """
-    fn = getattr(series, "query_window_arrays", None)
-    if fn is not None:
-        return fn(lo, hi)
-    return series.arrays()
-
-
 @dataclass
 class _Matrix:
     """An instant vector at every step: rows are elements, columns steps."""
@@ -271,7 +254,7 @@ class _ColumnarEval:
         hi_bound = float(ats[-1])
         for i, series in enumerate(series_list):
             labels.append(series.labels)
-            ts_a, vs_a = _pruned_arrays(series, lo_bound, hi_bound)
+            ts_a, vs_a = series.query_window_arrays(lo_bound, hi_bound)
             if not len(ts_a):
                 continue
             idx = np.searchsorted(ts_a, ats, side="right") - 1
@@ -312,7 +295,7 @@ class _ColumnarEval:
             lo_bound = float(starts[0])
             hi_bound = float(ends[-1])
             for series in obsquery.tracked_select(self.storage, node.selector.matchers):
-                ts_a, vs_a = _pruned_arrays(series, lo_bound, hi_bound)
+                ts_a, vs_a = series.query_window_arrays(lo_bound, hi_bound)
                 if len(vs_a):
                     nan = np.isnan(vs_a)
                     if nan.any():

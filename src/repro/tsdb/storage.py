@@ -8,11 +8,11 @@ Design points, mirroring what matters about Prometheus for this stack:
   scalar boxing on the comparison path).  A scrape of 1400 nodes
   appends tens of thousands of samples per interval, so this is the
   throughput-critical path (bench E7).
-* **Old head segments seal into Gorilla mini-chunks** — lazily, never
-  on the append path — so :meth:`ColumnarSeries.chunks` serves the
-  same chunk-handle API as persisted blocks (see
-  ``persist/chunkio.py``) and the query engine can evaluate over
-  chunks wherever the samples live.
+* **One read contract for every series kind**: a series provides
+  ``arrays()`` and ``query_window_arrays(lo, hi)``, and
+  :class:`SeriesReads` derives the window, lookback and list reads
+  from them, so head series and the chunk-backed and merged series of
+  ``persist/chunkio.py`` answer every read the same way.
 * **Selection uses an inverted index**: label name/value → set of
   series ids, intersected across equality matchers before any regex
   work, the same trick Prometheus's head block uses
@@ -56,19 +56,85 @@ from repro.tsdb.model import METRIC_NAME_LABEL, Labels, Matcher, MatchOp, match_
 #: reads.
 SNAPSHOT_STATS = {"hits": 0, "builds": 0}
 
-#: Samples per sealed head mini-chunk (Prometheus cuts head chunks at
-#: 120 samples; kept as a local constant so the hot path never imports
-#: the persist package).
-HEAD_SEAL_SAMPLES = 120
+
+class SeriesReads:
+    """The read side every series kind shares.
+
+    A series provides ``labels``, :meth:`arrays` (all its samples as
+    sorted ``(timestamps, values)`` float64 arrays) and, where it can
+    read less than all of them, :meth:`query_window_arrays`; the window,
+    lookback and list reads here derive from those.  Slotted and
+    stateless, so a slotted subclass stays free of a ``__dict__``.
+    """
+
+    __slots__ = ()
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def query_window_arrays(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted samples holding every sample in ``[lo, hi]`` unchanged.
+
+        What lies outside the window may be partial: chunk-backed
+        series return the chunks the window overlaps, merged series
+        merge only within it.  The whole series always qualifies.
+        """
+        return self.arrays()
+
+    @property
+    def timestamps(self) -> list[float]:
+        return self.arrays()[0].tolist()
+
+    @property
+    def values(self) -> list[float]:
+        return self.arrays()[1].tolist()
+
+    def _slice(self, start: float, end: float, end_side: str) -> tuple[np.ndarray, np.ndarray]:
+        ts, vs = self.query_window_arrays(start, end)
+        lo = np.searchsorted(ts, start, side="left")
+        hi = np.searchsorted(ts, end, side=end_side)
+        return ts[lo:hi], vs[lo:hi]
+
+    def window(self, start: float, end: float) -> tuple[np.ndarray, np.ndarray]:
+        """Samples with ``start <= t <= end``."""
+        return self._slice(start, end, "right")
+
+    def window_half_open(self, start: float, end: float) -> tuple[np.ndarray, np.ndarray]:
+        """Samples with ``start <= t < end`` (block-window semantics).
+
+        Block boundaries are half-open in Prometheus/Thanos; callers
+        cutting ``[lo, hi)`` windows use this instead of shrinking the
+        right edge by an epsilon.
+        """
+        return self._slice(start, end, "left")
+
+    def at_or_before(self, ts: float, lookback: float) -> tuple[float, float] | None:
+        """Most recent sample in ``(ts - lookback, ts]`` (instant read).
+
+        A staleness marker (NaN sample) as the most recent point means
+        the series has disappeared: instant reads return nothing, with
+        no lookback grace — Prometheus staleness semantics.
+        """
+        t_arr, v_arr = self.query_window_arrays(ts - lookback, ts)
+        idx = int(np.searchsorted(t_arr, ts, side="right")) - 1
+        if idx < 0:
+            return None
+        t = float(t_arr[idx])
+        if t <= ts - lookback:
+            return None
+        value = float(v_arr[idx])
+        if value != value:  # NaN: stale marker
+            return None
+        return t, value
 
 
-class ColumnarSeries:
+class ColumnarSeries(SeriesReads):
     """Columnar head series: samples live in growable numpy buffers.
 
     Layout::
 
-        _ts/_vs:  [ dead | sealed ........ | unsealed tail ]  | free |
-                    ^_start                                  ^_start+_len
+        _ts/_vs:  [ dead | live region ................ | free ]
+                         ^_start                        ^_start+_len
 
     * The live region is ``_ts[_start : _start + _len]``; retention
       advances ``_start`` (O(1)) instead of shifting elements.  When
@@ -83,23 +149,18 @@ class ColumnarSeries:
       ~2x cheaper than a numpy scalar store — and :meth:`_flush`
       moves them into the ring buffers with one vectorised slice
       assignment on the first read; every read path flushes first.
-    * **Sealing is lazy.**  Full :data:`HEAD_SEAL_SAMPLES` segments
-      behind the tail are Gorilla-encoded into immutable mini-chunks
-      only when :meth:`chunks` is called — pure-Python encoding costs
-      ~5µs/sample and must never ride the append path.  The sealed
-      region is always a strict prefix of the live region and never
-      includes the newest sample, so an equal-timestamp overwrite
-      (which rewrites the tail value in place) cannot invalidate a
-      sealed chunk.
-    * :meth:`arrays`/:meth:`window` return zero-copy views of the live
-      region; callers must treat them as read-only snapshots and
-      consume them before the next mutation.
+    * :meth:`arrays` and the windows derived from it return zero-copy
+      views of the live region; callers must treat them as read-only
+      snapshots and consume them before the next mutation.
+    * :meth:`at_or_before` is the one read overridden here: the instant
+      read of rules and dashboards nearly always asks for the newest
+      sample, which ``_last`` and the stage hold at hand — no flush,
+      no bisection.
     """
 
     __slots__ = (
         "labels",
         "ref",
-        "seal_samples",
         "_ts",
         "_vs",
         "_start",
@@ -108,16 +169,13 @@ class ColumnarSeries:
         "_stage_ts",
         "_stage_vs",
         "_snapshot",
-        "_chunks",
-        "_sealed_count",
     )
 
     MIN_CAPACITY = 64
 
-    def __init__(self, labels: Labels, ref: int = 0, seal_samples: int = HEAD_SEAL_SAMPLES):
+    def __init__(self, labels: Labels, ref: int = 0):
         self.labels = labels
         self.ref = ref
-        self.seal_samples = seal_samples
         self._ts = np.empty(self.MIN_CAPACITY, dtype=np.float64)
         self._vs = np.empty(self.MIN_CAPACITY, dtype=np.float64)
         self._start = 0
@@ -130,19 +188,6 @@ class ColumnarSeries:
         self._stage_ts: list[float] = []
         self._stage_vs: list[float] = []
         self._snapshot: tuple[np.ndarray, np.ndarray] | None = None
-        self._chunks: list = []
-        self._sealed_count = 0
-
-    # -- list-compat accessors (tests, debug dumps, exposition) ----------
-    @property
-    def timestamps(self) -> list[float]:
-        self._flush()
-        return self._ts[self._start : self._start + self._len].tolist()
-
-    @property
-    def values(self) -> list[float]:
-        self._flush()
-        return self._vs[self._start : self._start + self._len].tolist()
 
     # -- ingest ----------------------------------------------------------
     def _make_room(self, extra: int) -> int:
@@ -229,35 +274,6 @@ class ColumnarSeries:
             SNAPSHOT_STATS["hits"] += 1
         return snap
 
-    def window(self, start: float, end: float) -> tuple[np.ndarray, np.ndarray]:
-        """Samples with ``start <= t <= end`` as zero-copy numpy views."""
-        ts, vs = self.arrays()
-        lo = np.searchsorted(ts, start, side="left")
-        hi = np.searchsorted(ts, end, side="right")
-        return ts[lo:hi], vs[lo:hi]
-
-    def window_half_open(self, start: float, end: float) -> tuple[np.ndarray, np.ndarray]:
-        """Samples with ``start <= t < end`` (block-window semantics).
-
-        Block boundaries are half-open in Prometheus/Thanos; callers
-        cutting ``[lo, hi)`` windows use this instead of shrinking the
-        right edge by an epsilon.
-        """
-        ts, vs = self.arrays()
-        lo = np.searchsorted(ts, start, side="left")
-        hi = np.searchsorted(ts, end, side="left")
-        return ts[lo:hi], vs[lo:hi]
-
-    def query_window_arrays(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-        """Pruned columnar read: a contiguous superset of ``[lo, hi]``.
-
-        The head lives in memory, so the whole snapshot *is* the
-        cheapest superset — this method exists so the engine can use
-        one protocol for head series and chunk-backed series (where
-        pruning skips decoding non-overlapping chunks).
-        """
-        return self.arrays()
-
     def at_or_before(self, ts: float, lookback: float) -> tuple[float, float] | None:
         """Most recent sample in ``(ts - lookback, ts]`` (instant read).
 
@@ -287,65 +303,6 @@ class ColumnarSeries:
             return None
         return t, value
 
-    # -- chunk API -------------------------------------------------------
-    def seal(self) -> int:
-        """Gorilla-encode full segments behind the tail; returns chunks cut.
-
-        Called lazily from :meth:`chunks` — never from the append
-        path.  At least one live sample stays unsealed so tail
-        overwrites can never touch a sealed chunk.
-        """
-        self._flush()
-        if self._sealed_count + self.seal_samples >= self._len:
-            return 0
-        from repro.tsdb.persist.chunk import encode_chunk
-        from repro.tsdb.persist.chunkio import MemChunk
-
-        sealed = 0
-        seal_n = self.seal_samples
-        while self._sealed_count + seal_n < self._len:
-            lo = self._start + self._sealed_count
-            hi = lo + seal_n
-            ts = self._ts[lo:hi]
-            vs = self._vs[lo:hi]
-            self._chunks.append(
-                MemChunk(encode_chunk(ts, vs), seal_n, float(ts[0]), float(ts[-1]))
-            )
-            self._sealed_count += seal_n
-            sealed += 1
-        return sealed
-
-    def chunks(self, lo: float = float("-inf"), hi: float = float("inf")) -> list:
-        """Chunk handles overlapping ``[lo, hi]``: sealed mini-chunks
-        plus one zero-copy tail chunk over the unsealed samples."""
-        from repro.tsdb.persist.chunkio import TailChunk
-
-        self.seal()
-        out = [c for c in self._chunks if c.max_time >= lo and c.min_time <= hi]
-        ts, vs = self.arrays()
-        tail_ts = ts[self._sealed_count :]
-        tail_vs = vs[self._sealed_count :]
-        if len(tail_ts) and tail_ts[-1] >= lo and tail_ts[0] <= hi:
-            out.append(TailChunk(tail_ts, tail_vs))
-        return out
-
-    def _drop_sealed_prefix(self, dropped: int) -> None:
-        """Retire sealed chunks after ``dropped`` oldest samples left."""
-        if not self._sealed_count:
-            return
-        chunks = self._chunks
-        while chunks and dropped and chunks[0].count <= dropped:
-            first = chunks.pop(0)
-            dropped -= first.count
-            self._sealed_count -= first.count
-        if dropped:
-            # The trim cut through a sealed chunk.  The sealed region
-            # must stay a contiguous prefix of the live region, so the
-            # cut chunk and everything after it reseal lazily from the
-            # ring buffer.
-            chunks.clear()
-            self._sealed_count = 0
-
     # -- maintenance -----------------------------------------------------
     def truncate_before(self, cutoff: float) -> int:
         """Drop samples with ``t < cutoff``; returns how many."""
@@ -359,7 +316,6 @@ class ColumnarSeries:
             if not self._len:
                 self._last = None
             self._snapshot = None
-            self._drop_sealed_prefix(lo)
         return lo
 
     @property
@@ -997,24 +953,6 @@ class TSDB:
         self.series_epoch += 1
         self.data_epoch += 1
         self._forget_selects_matching(key)
-
-    def chunk_series(
-        self,
-        matchers: Sequence[Matcher],
-        lo: float = float("-inf"),
-        hi: float = float("inf"),
-    ):
-        """Yield ``(labels, [chunk handles])`` for matching series.
-
-        The head-side half of the unified chunk-iterator API: the same
-        shape :meth:`repro.tsdb.persist.block.BlockReader.chunk_series`
-        yields for persisted blocks, so query layers can fan out over
-        head and blocks with one code path.
-        """
-        for series in self.select(matchers):
-            handles = series.chunks(lo, hi)
-            if handles:
-                yield series.labels, handles
 
     # -- introspection ----------------------------------------------------
     def cardinality_by_metric(self) -> dict[str, int]:

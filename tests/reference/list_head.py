@@ -99,20 +99,6 @@ class Series:
         """
         return self.arrays()
 
-    def chunks(self, lo: float = float("-inf"), hi: float = float("inf")) -> list:
-        """Chunk handles overlapping ``[lo, hi]`` — unified read API.
-
-        A list-layout series has no sealed chunks; its whole snapshot
-        is served as one zero-copy tail chunk so head and block reads
-        share the decode-on-demand interface.
-        """
-        from repro.tsdb.persist.chunkio import TailChunk
-
-        ts, vs = self.arrays()
-        if not len(ts) or ts[-1] < lo or ts[0] > hi:
-            return []
-        return [TailChunk(ts, vs)]
-
     def _extend(self, ts_list: list[float], vs_list: list[float]) -> None:
         """Bulk tail extension; caller guarantees strictly-increasing
         timestamps landing after the current tail (see

@@ -1016,11 +1016,8 @@ class TestHeadLayoutParity:
             for hl, db in dbs.items():
                 db.append_refs(15.0 * t, [(r, float(t % 17)) for r in refs[hl]])
         self._assert_identical(dbs)
-        # phase 5: retention trim (cuts through sealed chunks on the
-        # columnar side — seal first so the lazy-reseal path runs)
+        # phase 5: retention trim
         for db in dbs.values():
-            for series in db.all_series():
-                series.chunks()
             db.retention = 3600.0
             db.apply_retention(now=15.0 * 480)
         self._assert_identical(dbs)
@@ -1051,26 +1048,6 @@ class TestHeadLayoutParity:
         assert not any(isinstance(s, ColumnarSeries) for s in reopened["list"].all_series())
         for db in reopened.values():
             db.close()
-
-    def test_columnar_chunks_cover_live_region_exactly(self):
-        """Sealed mini-chunks + tail chunk reproduce arrays() bit-for-bit."""
-        from repro.tsdb.persist.chunkio import TailChunk
-
-        db = TSDB()
-        rng = np.random.default_rng(3)
-        for t in range(500):
-            db.append(series_labels(0), 15.0 * t, float(rng.standard_normal()))
-        series = db.all_series()[0]
-        handles = series.chunks()
-        assert len(handles) == 5  # four sealed 120s + one live tail
-        assert isinstance(handles[-1], TailChunk)
-        ts = np.concatenate([h.arrays()[0] for h in handles])
-        vs = np.concatenate([h.arrays()[1] for h in handles])
-        assert_bit_identical(*series.arrays(), ts, vs)
-        # pruning by time returns only overlapping handles
-        pruned = series.chunks(15.0 * 130, 15.0 * 130)
-        assert len(pruned) == 1
-        assert pruned[0].min_time <= 15.0 * 130 <= pruned[0].max_time
 
 
 class _CountingMatcher(Matcher):
@@ -1173,6 +1150,7 @@ class TestLazyStore:
     def test_open_decodes_nothing_then_only_overlapping_chunks(self, tmp_path):
         """Opening a populated directory reads indexes only, and a
         window query then decodes just the chunks overlapping it."""
+        from repro.tsdb.persist.chunk import DEFAULT_CHUNK_SAMPLES
         from repro.tsdb.persist.chunkio import DECODE_CACHE, DECODE_CACHE_STATS
 
         self._build(tmp_path)
@@ -1184,8 +1162,13 @@ class TestLazyStore:
         (series,) = reopened.select_at("raw", [Matcher("idx", MatchOp.EQ, "1")])
         assert DECODE_CACHE_STATS == before  # nor by select
         lo, hi = 5 * 3600.0, 5.5 * 3600.0
-        overlapping = len(series.chunks(lo, hi))
-        assert 1 <= overlapping < len(series.chunks())
+        # `_build` ships 2 h blocks of one sample per 900 s: each block
+        # holds one chunk per series, so a window decodes one chunk per
+        # block it overlaps.
+        assert 7200.0 / 900.0 <= DEFAULT_CHUNK_SAMPLES
+        blocks = reopened.blocks_at("raw")
+        overlapping = sum(1 for b in blocks if b.min_time <= hi and lo < b.max_time)
+        assert 1 <= overlapping < len(blocks)
         ts, _vs = series.window(lo, hi)
         assert ts.tolist() == [lo, lo + 900.0, hi]
         assert DECODE_CACHE_STATS["misses"] - before["misses"] == overlapping
@@ -1228,7 +1211,7 @@ class TestLazyStore:
         target = series[series_labels(0)]
         ts, vs = target.query_window_arrays(5 * 3600.0, 5.5 * 3600.0)
         decoded = DECODE_CACHE_STATS["misses"] - before["misses"]
-        # 72 samples/block-window never spans more than 2 mini-chunks
+        # 72 samples/block-window never spans more than 2 block chunks
         assert decoded <= 2
         lo = np.searchsorted(ts, 5 * 3600.0, side="left")
         hi = np.searchsorted(ts, 5.5 * 3600.0, side="right")
@@ -1242,11 +1225,11 @@ class TestLazyStore:
         store = self._build(tmp_path)
         ulid = store.blocks_at("raw")[0].ulid
         total_before = sum(
-            s.nsamples for s in store.select_at("raw", [Matcher("__name__", MatchOp.EQ, "metric")])
+            len(s.timestamps) for s in store.select_at("raw", [Matcher("__name__", MatchOp.EQ, "metric")])
         )
         store.drop_block(ulid)
         assert ulid not in list_block_ulids(str(tmp_path / "store"))
-        total_after = sum(s.nsamples for s in store.select_at("raw", [Matcher("__name__", MatchOp.EQ, "metric")]))
+        total_after = sum(len(s.timestamps) for s in store.select_at("raw", [Matcher("__name__", MatchOp.EQ, "metric")]))
         assert total_after < total_before
 
     def test_chunk_file_crc_detected_on_read(self, tmp_path):
@@ -1274,24 +1257,18 @@ class TestLazyStore:
                 offset += 8 + length
         cf.close()
 
-    def test_decode_cache_eviction_counter(self, tmp_path):
-        from repro.tsdb.persist.chunkio import (
-            DECODE_CACHE,
-            DECODE_CACHE_STATS,
-            configure_decode_cache,
-        )
+    def test_decode_cache_eviction_counter(self, tmp_path, monkeypatch):
+        from repro.tsdb.persist.chunkio import DECODE_CACHE, DECODE_CACHE_STATS
 
         store = self._build(tmp_path)
-        configure_decode_cache(1)
-        try:
-            DECODE_CACHE.clear()
-            before = dict(DECODE_CACHE_STATS)
-            for s in store.select_at("raw", [Matcher("__name__", MatchOp.EQ, "metric")]):
-                s.arrays()
-            assert DECODE_CACHE_STATS["evictions"] > before["evictions"]
-            assert len(DECODE_CACHE._entries) <= 1
-        finally:
-            configure_decode_cache(0)
+        # restored after the test: the cache is process-wide
+        monkeypatch.setattr(DECODE_CACHE, "max_chunks", 1)
+        DECODE_CACHE.clear()
+        before = dict(DECODE_CACHE_STATS)
+        for s in store.select_at("raw", [Matcher("__name__", MatchOp.EQ, "metric")]):
+            s.arrays()
+        assert DECODE_CACHE_STATS["evictions"] > before["evictions"]
+        assert len(DECODE_CACHE._entries) <= 1
 
 
 class TestStoreDifferential:

@@ -564,13 +564,12 @@ def test_head_layouts_identical(query, layout, start, span, step):
 
 
 def test_head_layouts_identical_dense_with_seal_and_trim():
-    """Deterministic stress: growth, sealing, tail overwrite, trims.
+    """Deterministic stress: growth, tail overwrite, trims.
 
-    800 samples/series forces several ring-buffer doublings and (after
-    an explicit ``chunks()`` call) six sealed 120-sample mini-chunks;
-    retention trims land once on a chunk boundary and once mid-chunk,
-    exercising the lazy-reseal path.  The list head sees the exact
-    same mutations and every engine answer must stay bit-identical.
+    800 samples/series forces several ring-buffer doublings; two
+    retention trims then advance the live region's start.  The list
+    head sees the exact same mutations and every engine answer must
+    stay bit-identical.
     """
     dbs = {"list": ListHeadTSDB(), "columnar": TSDB()}
     rng = np.random.default_rng(7)
@@ -584,12 +583,10 @@ def test_head_layouts_identical_dense_with_seal_and_trim():
         for k in range(800):
             for db in dbs.values():
                 db.append(labels, 15.0 * k, float(vs[k]))
-    # Tail overwrite (idempotent re-ingest) after sealing mini-chunks.
+    # Tail overwrite (idempotent re-ingest).
     for db in dbs.values():
-        for series in db.all_series():
-            series.chunks()  # seal full segments on the columnar head
         db.append(all_labels[0], 15.0 * 799, -1.0)
-    # Trim exactly on a 120-sample chunk boundary, then mid-chunk.
+    # Two trims, 240 then 10 more samples.
     for db in dbs.values():
         for series in db.all_series():
             series.truncate_before(15.0 * 240)
