@@ -88,7 +88,7 @@ from repro.tsdb.promql.functions import (
     ELEMENT_FUNCTIONS,
     RANGE_FUNCTIONS,
     histogram_bucket_quantile,
-    quantile_over_time,
+    quantile,
 )
 from repro.tsdb.promql.parser import parse_expr
 
@@ -598,7 +598,7 @@ class PromQLEngine:
             for labels, _w_ts, w_vs, _s, _e in self._windows(node.args[1], at):
                 if len(w_vs):
                     present.append(labels)
-                    values.append(quantile_over_time(q, w_vs))
+                    values.append(quantile(q, w_vs))
             return _plan(memo, id(node), (tuple(present),), _without_names, leaf=True), values
         if func in ELEMENT_FUNCTIONS:
             if not node.args:
@@ -699,8 +699,7 @@ class PromQLEngine:
         if op == "quantile":
             if param is None:
                 raise QueryError("quantile requires a parameter")
-            q = min(max(param, 0), 1)
-            return keys, [float(np.quantile(np.asarray([values[i] for i in idx]), q)) for idx in members]
+            return keys, [quantile(param, [values[i] for i in idx]) for idx in members]
         reduce = _REDUCERS.get(op)
         if reduce is None:
             raise QueryError(f"unknown aggregation {op!r}")

@@ -177,10 +177,15 @@ RANGE_FUNCTIONS: dict[str, RangeFunc] = {
 
 # -- windowed (columnar) kernels ----------------------------------------
 #
-# A *window kernel* evaluates one range function over many windows of
-# one series at once: given the series' sample arrays plus per-step
-# ``[lo, hi)`` index bounds and ``[start, end]`` time bounds, it
-# returns one value per step, NaN marking "no result" (the columnar
+# A *window kernel* evaluates one range function over every window of
+# one AST node at once.  ``ts``/``vs`` are one flat pair of sample
+# arrays holding every series' samples back to back; ``los``/``his``
+# are integer index arrays of any shape — ``(S, T)`` for a node, ``(T,)``
+# for one series — giving each window's ``[lo, hi)`` bounds into that
+# flat pair (a window never crosses from one series' samples into the
+# next); ``starts``/``ends`` hold the windows' ``[start, end]`` time
+# bounds and broadcast against ``los``.  A kernel returns one value per
+# window, shaped like ``los``, NaN marking "no result" (the columnar
 # engine treats NaN kernel output as an absent element, mirroring the
 # per-step engine dropping None/NaN results).
 #
@@ -188,13 +193,16 @@ RANGE_FUNCTIONS: dict[str, RangeFunc] = {
 # — the differential test harness asserts it.  Functions whose value
 # depends only on window endpoints, exact integer counts, or the
 # extrapolation formula are vectorized outright (the elementwise IEEE
-# ops match the scalar code's operation order); counter windows that
-# contain resets fall back to the scalar implementation per window,
-# because the reset-correction accumulation order cannot be reproduced
-# with prefix sums.  Everything else (``avg_over_time``, ``deriv``…)
-# uses a generic fallback that slices views and calls the scalar
-# implementation — still a large win, since the columnar engine has
-# already amortised selection, snapshotting and searchsorted.
+# ops match the scalar code's operation order; prefix counts over the
+# flat array are exact integers, and a window's count only spans pairs
+# inside the window, never the seam between two series); counter
+# windows that contain resets fall back to the scalar implementation
+# per window, because the reset-correction accumulation order cannot
+# be reproduced with prefix sums.  Everything else (``avg_over_time``,
+# ``deriv``…) uses a generic fallback that slices views of the flat
+# arrays and calls the scalar implementation once per non-empty
+# window — still a large win, since the columnar engine has already
+# amortised selection, snapshotting and searchsorted.
 
 WindowFunc = Callable[
     [np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
@@ -202,24 +210,36 @@ WindowFunc = Callable[
 ]
 
 
+def _each_window(mask, los, his, starts, ends):
+    """``(flat position, lo, hi, start, end)`` of every window in
+    ``mask``, as Python scalars, in row-major order."""
+    if not mask.any():
+        return ()
+    where = np.nonzero(mask)
+    return zip(
+        np.flatnonzero(mask).tolist(),
+        los[where].tolist(),
+        his[where].tolist(),
+        np.broadcast_to(starts, mask.shape)[where].tolist(),
+        np.broadcast_to(ends, mask.shape)[where].tolist(),
+    )
+
+
 def _windowed_fallback(impl: RangeFunc) -> WindowFunc:
     def kernel(ts, vs, los, his, starts, ends):
-        out = np.full(len(los), np.nan)
-        for i in range(len(los)):
-            lo, hi = los[i], his[i]
-            if hi <= lo:
-                continue
-            value = impl(ts[lo:hi], vs[lo:hi], float(starts[i]), float(ends[i]))
+        out = np.full(los.shape, np.nan)
+        flat = out.reshape(-1)
+        for k, lo, hi, start, end in _each_window(his > los, los, his, starts, ends):
+            value = impl(ts[lo:hi], vs[lo:hi], start, end)
             if value is not None:
-                out[i] = value
+                flat[k] = value
         return out
 
     return kernel
 
 
 def _w_extrapolated_delta(ts, vs, los, his, starts, ends, *, is_counter: bool):
-    T = len(los)
-    out = np.full(T, np.nan)
+    out = np.full(los.shape, np.nan)
     n = his - los
     ok = n >= 2
     if not ok.any():
@@ -230,13 +250,13 @@ def _w_extrapolated_delta(ts, vs, los, his, starts, ends, *, is_counter: bool):
     first_v, last_v = vs[lo], vs[hi - 1]
     sampled_interval = last_t - first_t
     ok &= sampled_interval > 0
-    if is_counter and len(vs) >= 2:
+    if is_counter:
         # Exact integer prefix count of reset positions: window
         # [lo, hi) contains a reset iff some i in [lo, hi-2] drops.
         reset_count = np.concatenate(([0], np.cumsum(np.diff(vs) < 0)))
         has_reset = ok & (reset_count[hi - 1] - reset_count[lo] > 0)
     else:
-        has_reset = np.zeros(T, dtype=bool)
+        has_reset = np.zeros(los.shape, dtype=bool)
     easy = ok & ~has_reset
     with np.errstate(divide="ignore", invalid="ignore"):
         sampled_delta = last_v - first_v
@@ -255,16 +275,11 @@ def _w_extrapolated_delta(ts, vs, los, his, starts, ends, *, is_counter: bool):
         extrapolated_interval = (sampled_interval + extend_start) + extend_end
         result = sampled_delta * extrapolated_interval / sampled_interval
     out[easy] = result[easy]
-    for i in np.nonzero(has_reset)[0]:
-        value = _extrapolated_delta(
-            ts[los[i] : his[i]],
-            vs[los[i] : his[i]],
-            float(starts[i]),
-            float(ends[i]),
-            is_counter=is_counter,
-        )
+    flat = out.reshape(-1)
+    for k, lo, hi, start, end in _each_window(has_reset, los, his, starts, ends):
+        value = _extrapolated_delta(ts[lo:hi], vs[lo:hi], start, end, is_counter=is_counter)
         if value is not None:
-            out[i] = value
+            flat[k] = value
     return out
 
 
@@ -282,7 +297,7 @@ def _w_delta(ts, vs, los, his, starts, ends):
 
 
 def _w_irate(ts, vs, los, his, starts, ends):
-    out = np.full(len(los), np.nan)
+    out = np.full(los.shape, np.nan)
     ok = his - los >= 2
     if not ok.any():
         return out
@@ -298,7 +313,7 @@ def _w_irate(ts, vs, los, his, starts, ends):
 
 
 def _w_idelta(ts, vs, los, his, starts, ends):
-    out = np.full(len(los), np.nan)
+    out = np.full(los.shape, np.nan)
     ok = his - los >= 2
     if not ok.any():
         return out
@@ -318,29 +333,23 @@ def _w_diff_count(predicate_diffs: np.ndarray, los, his):
 
 
 def _w_changes(ts, vs, los, his, starts, ends):
-    out = np.full(len(los), np.nan)
+    out = np.full(los.shape, np.nan)
     ok = his > los
     if not ok.any():
         return out
-    if len(vs) >= 2:
-        with np.errstate(invalid="ignore"):
-            result = _w_diff_count(np.diff(vs) != 0, los, his)
-    else:
-        result = np.zeros(len(los))
+    with np.errstate(invalid="ignore"):
+        result = _w_diff_count(np.diff(vs) != 0, los, his)
     out[ok] = result[ok]
     return out
 
 
 def _w_resets(ts, vs, los, his, starts, ends):
-    out = np.full(len(los), np.nan)
+    out = np.full(los.shape, np.nan)
     ok = his > los
     if not ok.any():
         return out
-    if len(vs) >= 2:
-        with np.errstate(invalid="ignore"):
-            result = _w_diff_count(np.diff(vs) < 0, los, his)
-    else:
-        result = np.zeros(len(los))
+    with np.errstate(invalid="ignore"):
+        result = _w_diff_count(np.diff(vs) < 0, los, his)
     out[ok] = result[ok]
     return out
 
@@ -351,7 +360,7 @@ def _w_count(ts, vs, los, his, starts, ends):
 
 
 def _w_last(ts, vs, los, his, starts, ends):
-    out = np.full(len(los), np.nan)
+    out = np.full(los.shape, np.nan)
     ok = his > los
     if ok.any():
         out[ok] = vs[np.where(ok, his, 1) - 1][ok]
@@ -383,10 +392,14 @@ WINDOW_FUNCTIONS.update(
 )
 
 
-#: quantile_over_time takes a scalar parameter; handled by the engine
-#: with this helper.
-def quantile_over_time(q: float, vs: np.ndarray) -> float:
-    if len(vs) == 0:
+def quantile(q: float, vs) -> float:
+    """Prometheus ``quantile``: the ``quantile`` aggregation's and
+    ``quantile_over_time``'s value over ``vs``.
+
+    ``q`` outside ``[0, 1]`` is ``-Inf``/``+Inf`` and a NaN ``q`` is NaN
+    (never clamped to the extreme member, never an error).
+    """
+    if len(vs) == 0 or math.isnan(q):
         return math.nan
     if q < 0:
         return -math.inf
@@ -400,8 +413,13 @@ def histogram_bucket_quantile(q: float, buckets: list[tuple[float, float]]) -> f
 
     ``buckets`` must be sorted by ``le``; the list must end in a
     ``+Inf`` bucket to be usable (otherwise NaN, matching Prometheus).
-    Both evaluators call this one helper, keeping their
-    ``histogram_quantile`` results bit-identical.
+    As in Prometheus, buckets with the same bound (``le="1"`` beside
+    ``le="1.0"``) are first coalesced into one, their counts added in
+    list order, and a cumulative count below an earlier one is raised
+    to it — a histogram whose buckets were scraped or rated a little
+    apart is still searched as monotonic.  Both evaluators call this
+    one helper, keeping their ``histogram_quantile`` results
+    bit-identical.
     """
     if math.isnan(q):
         return math.nan
@@ -411,25 +429,49 @@ def histogram_bucket_quantile(q: float, buckets: list[tuple[float, float]]) -> f
         return math.inf
     if not buckets or not math.isinf(buckets[-1][0]):
         return math.nan
-    total = buckets[-1][1]
+    # One pass: a bucket is kept once the next bound differs (equal
+    # bounds coalesce first), its count raised to the highest kept
+    # before it — Prometheus's coalesceBuckets then ensureMonotonic.
+    bounds: list[float] = []
+    counts: list[float] = []
+    highest = -math.inf
+    bound, count = buckets[0]
+    for le, c in buckets[1:]:
+        if le == bound:
+            count += c
+            continue
+        if count > highest:
+            highest = count
+        elif count < highest:
+            count = highest
+        bounds.append(bound)
+        counts.append(count)
+        bound, count = le, c
+    if count < highest:
+        count = highest
+    bounds.append(bound)
+    counts.append(count)
+    if len(bounds) < 2:
+        return math.nan
+    total = counts[-1]
     if total == 0 or math.isnan(total):
         return math.nan
     rank = q * total
     b = 0
-    while b < len(buckets) - 1 and buckets[b][1] < rank:
+    while b < len(bounds) - 1 and counts[b] < rank:
         b += 1
-    if b == len(buckets) - 1:
+    if b == len(bounds) - 1:
         # The quantile falls in the +Inf bucket: the best available
         # answer is the highest finite bound.
-        return buckets[-2][0] if len(buckets) >= 2 else math.nan
-    bucket_end = buckets[b][0]
-    bucket_count = buckets[b][1]
+        return bounds[-2]
+    bucket_end = bounds[b]
+    bucket_count = counts[b]
     if b == 0:
         if bucket_end <= 0:
             return bucket_end
         bucket_start, prev_count = 0.0, 0.0
     else:
-        bucket_start, prev_count = buckets[b - 1][0], buckets[b - 1][1]
+        bucket_start, prev_count = bounds[b - 1], counts[b - 1]
     in_bucket = bucket_count - prev_count
     if in_bucket <= 0:
         return bucket_end

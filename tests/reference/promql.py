@@ -55,7 +55,7 @@ from repro.tsdb.promql.functions import (
     ELEMENT_FUNCTIONS,
     RANGE_FUNCTIONS,
     histogram_bucket_quantile,
-    quantile_over_time,
+    quantile,
 )
 from repro.tsdb.promql.parser import parse_expr
 
@@ -215,7 +215,7 @@ class ElementWalkEngine:
             out = _Vector()
             for labels, w_ts, w_vs, _s, _e in self._windows(node.args[1], at):
                 if len(w_vs):
-                    out.append(VectorElement(labels.without_name(), quantile_over_time(q, w_vs)))
+                    out.append(VectorElement(labels.without_name(), quantile(q, w_vs)))
             return out
         if func in ELEMENT_FUNCTIONS:
             if not node.args:
@@ -366,11 +366,17 @@ class ElementWalkEngine:
             elif op == "quantile":
                 if param is None:
                     raise QueryError("quantile requires a parameter")
-                out.append(
-                    VectorElement(
-                        key, float(np.quantile(np.asarray(values), min(max(param, 0), 1)))
-                    )
-                )
+                # Prometheus: a q outside [0, 1] is -Inf/+Inf, never
+                # the extreme member; a NaN q is NaN.
+                if math.isnan(param):
+                    value = math.nan
+                elif param < 0:
+                    value = -math.inf
+                elif param > 1:
+                    value = math.inf
+                else:
+                    value = float(np.quantile(np.asarray(values), param))
+                out.append(VectorElement(key, value))
             elif op in ("topk", "bottomk"):
                 if param is None:
                     raise QueryError(f"{op} requires a parameter")

@@ -249,6 +249,16 @@ DIFFERENTIAL_QUERIES = [
     "stddev by (grp) (m)",
     "stdvar(m)",
     "quantile(0.7, m)",
+    "quantile(-0.5, m)",
+    "quantile(1.5, m)",
+    # Group shapes of the one-pass accumulation: many groups of a few,
+    # one group of every row, many groups of one row each.
+    "sum by (grp) (rate(m[4m]))",
+    "min by (grp) (m)",
+    "max by (idx) (m)",
+    "count(m == 0)",
+    "sum(m)",
+    "max by (grp, idx) (m)",
     "topk(2, m)",
     "bottomk(2, m)",
     "m * 2 + 1",
@@ -377,6 +387,79 @@ def test_columnar_matches_per_step(query, layout, start, span, step):
     engine = PromQLEngine(build_db(layout))
     assert_range_identical(engine, query, float(start), float(start + span), step)
     assert_instant_identical(engine, query, float(start + span // 2))
+
+
+#: ``le`` bounds of the bucket layouts: ``1`` and ``1.0`` name the same
+#: bound twice (Prometheus coalesces them).
+BUCKET_LES = ("0.1", "1", "1.0", "10", "+Inf")
+
+
+@st.composite
+def _bucket_layouts(draw):
+    """Cumulative bucket counters ``h{grp, le}`` sharing scrape times:
+    group ``a`` has every bound, group ``b`` lacks ``+Inf``; each
+    counter grows by random increments and resets to 0 at up to two
+    scrapes, so neighbouring buckets need not stay monotonic."""
+    times = sorted(draw(st.sets(st.integers(min_value=0, max_value=2000), min_size=2, max_size=25)))
+    layout = {}
+    for grp in ("a", "b"):
+        for le in BUCKET_LES if grp == "a" else BUCKET_LES[:-1]:
+            steps = draw(
+                st.lists(st.integers(min_value=0, max_value=20), min_size=len(times), max_size=len(times))
+            )
+            resets = draw(st.sets(st.integers(min_value=0, max_value=len(times) - 1), max_size=2))
+            value, points = 0.0, []
+            for k, (t, inc) in enumerate(zip(times, steps)):
+                value = 0.0 if k in resets else value + inc
+                points.append((t, value))
+            layout[(grp, le)] = points
+    return layout
+
+
+def build_bucket_db(layout) -> TSDB:
+    db = TSDB()
+    for (grp, le), points in layout.items():
+        labels = Labels({"__name__": "h", "grp": grp, "le": le})
+        for t, v in points:
+            db.append(labels, float(t), v)
+    return db
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "histogram_quantile(0.9, sum by (le) (rate(h[5m])))",
+        "histogram_quantile(0.9, rate(h[5m]))",
+        "histogram_quantile(0.5, h)",
+    ],
+)
+@settings(max_examples=15, deadline=None)
+@given(
+    layout=_bucket_layouts(),
+    start=st.integers(min_value=-100, max_value=500),
+    span=st.integers(min_value=60, max_value=1800),
+    step=st.sampled_from([7.3, 15.0, 61.7]),
+)
+def test_histogram_quantile_columnar_matches_per_step(query, layout, start, span, step):
+    engine = PromQLEngine(build_bucket_db(layout))
+    assert_range_identical(engine, query, float(start), float(start + span), step)
+    assert_instant_identical(engine, query, float(start + span // 2))
+
+
+def test_columnar_group_sums_start_from_positive_zero():
+    """Each group's sum starts from +0.0, as the walk's ``_seq_sum``
+    does, so a group of -0.0 members sums to +0.0, not -0.0 — the one
+    input where starting from the first row instead shows."""
+    db = TSDB()
+    for grp, idx in (("a", "0"), ("a", "1"), ("b", "0")):
+        for t in (0.0, 15.0, 30.0):
+            db.append(Labels({"__name__": "m", "grp": grp, "idx": idx}), t, -0.0)
+    engine = PromQLEngine(db)
+    for query in ("sum by (grp, idx) (m)", "sum by (grp) (m)", "sum(m)", "avg by (grp) (m)"):
+        assert_range_identical(engine, query, 0.0, 30.0, 15.0)
+        assert_instant_identical(engine, query, 30.0)
+        for _ts, vs in engine.query_range(query, 0.0, 30.0, 15.0).series.values():
+            assert not np.signbit(vs).any(), query
 
 
 #: Range-vector consumers of a subquery: over a plain selector, over an
