@@ -44,6 +44,16 @@ Values flow through evaluation as one of three shapes:
   present, may be NaN-valued).
 * ``str`` — a string literal.
 
+**Labels.**  This module derives no label set of its own: every output
+label tuple comes from a label half of :mod:`repro.tsdb.promql.engine`
+(``_group_plan``, ``_match_plan``, ``_set_plan``, ``_bucket_plan``,
+``_without_names``, ``_label_replace_plan``, ...), the walk's own.
+A plan lists its *clashes* — rows that must not be present at one step
+together — and where the walk raises on any, a grid raises at the
+earliest step two rows of one clash are present together; output rows
+that share a label set at disjoint steps fold into one row, so no
+``_Matrix`` holds a label set twice.
+
 Bit-identity with the walk at every step is a hard contract (the
 differential harness in ``tests/test_promql_reference.py`` asserts it
 against the per-step loops in ``tests/reference/promql.py``): every
@@ -79,14 +89,16 @@ defines sort order only for instant-query presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from repro.common.errors import QueryError
 from repro.obs import prof
 from repro.obs import query as obsquery
-from repro.tsdb.model import METRIC_NAME_LABEL, Labels
+from repro.tsdb.model import Labels
 from repro.tsdb.promql.ast import (
+    COMPARISON_OPS,
     Aggregation,
     BinaryOp,
     Call,
@@ -99,7 +111,21 @@ from repro.tsdb.promql.ast import (
     UnaryOp,
     VectorSelector,
 )
-from repro.tsdb.promql.engine import PromQLEngine, _compile_anchored
+from repro.tsdb.promql.engine import (
+    OUT,
+    SCALAR_LABELS,
+    PromQLEngine,
+    _absent_plan,
+    _binary_fn,
+    _bucket_plan,
+    _group_plan,
+    _label_join_plan,
+    _label_replace_plan,
+    _match_plan,
+    _same_labelsets,
+    _set_plan,
+    _without_names,
+)
 from repro.tsdb.promql.functions import (
     ELEMENT_FUNCTIONS,
     RANGE_FUNCTIONS,
@@ -107,8 +133,6 @@ from repro.tsdb.promql.functions import (
     histogram_bucket_quantile,
     quantile,
 )
-
-_COMPARISONS = ("==", "!=", ">", "<", ">=", "<=")
 
 #: Process-wide columnar-evaluator counters (self-telemetry): range
 #: queries evaluated plus per-query memo hits.  Module level because
@@ -126,15 +150,55 @@ COLUMNAR_STATS = {
 
 @dataclass
 class _Matrix:
-    """An instant vector at every step: rows are elements, columns steps."""
+    """An instant vector at every step: rows are elements, columns steps.
+    No two rows hold the same label set."""
 
-    labels: list[Labels]
+    labels: tuple[Labels, ...]
     values: np.ndarray  # (S, T) float64
     present: np.ndarray  # (S, T) bool
 
     @property
     def nrows(self) -> int:
         return len(self.labels)
+
+
+def _raise_first_clash(clashes: list, presences: tuple) -> None:
+    """Raise the clash of a label plan (``engine``'s label halves) that
+    the walk at every step meets first: at the earliest step where two
+    of its rows are present together, the first listed on a tie.
+    ``presences`` holds the lhs, rhs and output presence masks."""
+    first = None
+    for message, side, rows in clashes:
+        together = presences[side][rows].sum(axis=0) > 1
+        if together.any():
+            step = int(together.argmax())
+            if first is None or step < first[0]:
+                first = (step, message)
+    if first is not None:
+        raise QueryError(first[1])
+
+
+def _folded(labels: tuple, values: np.ndarray, present: np.ndarray, clashes: list) -> _Matrix:
+    """The rows of every output clash — one label set, present at
+    disjoint steps once :func:`_raise_first_clash` passed — folded into
+    the first, so one series carries each label set."""
+    groups = [rows for _message, side, rows in clashes if side == OUT]
+    if not groups:
+        return _Matrix(labels, values, present)
+    values, present = values.copy(), present.copy()
+    for head, *rest in groups:
+        for row in rest:
+            np.copyto(values[head], values[row], where=present[row])
+            present[head] |= present[row]
+    keep = np.delete(np.arange(len(labels)), [row for rows in groups for row in rows[1:]])
+    return _Matrix(tuple([labels[i] for i in keep.tolist()]), values[keep], present[keep])
+
+
+def _relabelled(plan: tuple, values: np.ndarray, present: np.ndarray) -> _Matrix:
+    """A one-input node's output from its ``(labels, clashes)`` plan."""
+    labels, clashes = plan
+    _raise_first_clash(clashes, (None, None, present))
+    return _folded(labels, values, present, clashes)
 
 
 @dataclass
@@ -146,7 +210,7 @@ class _Windows:
     one window per row and step, each inside its own row's samples.
     """
 
-    labels: list[Labels]
+    labels: tuple[Labels, ...]
     ts: np.ndarray
     vs: np.ndarray
     los: np.ndarray  # (S, T) intp
@@ -229,26 +293,15 @@ class _ColumnarEval:
                 if not count:
                     continue
                 if count == len(steps):
-                    ts, vs = steps.copy(), value.values[i].copy()
+                    acc[labels] = (steps.copy(), value.values[i].copy())
                 else:
                     pres = value.present[i]
-                    ts = steps[pres]
-                    vs = value.values[i][pres]
-                prev = acc.get(labels)
-                if prev is not None:
-                    # Duplicate output labels (label_replace collisions):
-                    # interleave by timestamp, earlier row first on ties
-                    # — the per-step append order.
-                    ts = np.concatenate([prev[0], ts])
-                    vs = np.concatenate([prev[1], vs])
-                    order = np.argsort(ts, kind="stable")
-                    ts, vs = ts[order], vs[order]
-                acc[labels] = (ts, vs)
+                    acc[labels] = (steps[pres], value.values[i][pres])
             return acc
         if isinstance(value, np.ndarray):
             if not len(steps):
                 return {}
-            return {Labels(): (steps.copy(), np.asarray(value, dtype=np.float64))}
+            return {SCALAR_LABELS[0]: (steps.copy(), np.asarray(value, dtype=np.float64))}
         # String expressions accumulate nothing, as in the per-step loop.
         return {}
 
@@ -263,11 +316,7 @@ class _ColumnarEval:
         if isinstance(node, UnaryOp):
             inner = self.eval(node.expr)
             if isinstance(inner, _Matrix):
-                return _Matrix(
-                    [l.without_name() for l in inner.labels],
-                    -inner.values,
-                    inner.present.copy(),
-                )
+                return _relabelled(_without_names(inner.labels), -inner.values, inner.present)
             return -inner
         if isinstance(node, VectorSelector):
             return self._selector(node)
@@ -346,7 +395,7 @@ class _ColumnarEval:
             present = np.zeros((S, self.T), dtype=bool)
             values = np.full((S, self.T), np.nan)
         obsquery.record_samples(int(present.sum()))
-        mat = _Matrix(labels, values, present)
+        mat = _Matrix(tuple(labels), values, present)
         self._selector_memo[node] = mat
         return mat
 
@@ -401,7 +450,7 @@ class _ColumnarEval:
             his = kept_before[his]
             ts, vs = ts[keep], vs[keep]
         obsquery.record_samples(int(np.sum(his - los)))
-        return _Windows(labels, ts, vs, los, his, starts, ends)
+        return _Windows(tuple(labels), ts, vs, los, his, starts, ends)
 
     def _subquery_window_data(self, node: Subquery) -> _Windows:
         """Range-vector windows from an instant sub-expression.
@@ -426,7 +475,7 @@ class _ColumnarEval:
         inner = _ColumnarEval(self.engine, grid).eval(node.expr)
         if isinstance(inner, np.ndarray):
             inner = _Matrix(
-                [Labels()],
+                SCALAR_LABELS,
                 np.asarray(inner, dtype=np.float64).reshape(1, -1),
                 np.ones((1, len(grid)), dtype=bool),
             )
@@ -446,11 +495,11 @@ class _ColumnarEval:
         # synthesised subquery windows.
         ts = grid[at % G]
         vs = inner.values[inner.present]
-        return _Windows(list(inner.labels), ts, vs, los, his, starts, ends)
+        return _Windows(inner.labels, ts, vs, los, his, starts, ends)
 
     def _no_windows(self, starts: np.ndarray, ends: np.ndarray) -> _Windows:
         empty = np.zeros((0, self.T), dtype=np.intp)
-        return _Windows([], np.zeros(0), np.zeros(0), empty, empty, starts, ends)
+        return _Windows((), np.zeros(0), np.zeros(0), empty, empty, starts, ends)
 
     # -- calls -----------------------------------------------------------
     def _call(self, node: Call):
@@ -463,9 +512,8 @@ class _ColumnarEval:
                 values = WINDOW_FUNCTIONS[func](
                     win.ts, win.vs, win.los, win.his, win.starts, win.ends
                 )
-            labels = [l.without_name() for l in win.labels]
             # The walk drops None/NaN range-function results.
-            return _Matrix(labels, values, ~np.isnan(values))
+            return _relabelled(_without_names(win.labels), values, ~np.isnan(values))
         if func == "quantile_over_time":
             if len(node.args) != 2 or not isinstance(node.args[1], (MatrixSelector, Subquery)):
                 raise QueryError("quantile_over_time(scalar, range-vector) expected")
@@ -479,7 +527,7 @@ class _ColumnarEval:
                 rows.tolist(), cols.tolist(), win.los[present].tolist(), win.his[present].tolist()
             ):
                 values[i, j] = quantile(q[j], vs[lo:hi])
-            return _Matrix([l.without_name() for l in win.labels], values, present)
+            return _relabelled(_without_names(win.labels), values, present)
         if func in ELEMENT_FUNCTIONS:
             return self._element_call(node)
         return self._special(node)
@@ -490,7 +538,6 @@ class _ColumnarEval:
             raise QueryError(f"{func}() needs at least one argument")
         vec = self._vector(node.args[0])
         extras = [self._scalar(arg) for arg in node.args[1:]]
-        labels = [l.without_name() for l in vec.labels]
         values = np.full_like(vec.values, np.nan)
         if func == "abs":
             np.copyto(values, np.abs(vec.values), where=vec.present)
@@ -507,7 +554,7 @@ class _ColumnarEval:
             for i, j in zip(*np.nonzero(vec.present)):
                 # Plain Python floats in, as the walk passes.
                 values[i, j] = float(impl(float(vals[i, j]), *(float(e[j]) for e in extras)))
-        return _Matrix(labels, values, vec.present.copy())
+        return _relabelled(_without_names(vec.labels), values, vec.present)
 
     # -- special forms ---------------------------------------------------
     def _special(self, node: Call):
@@ -528,33 +575,18 @@ class _ColumnarEval:
         if func == "vector":
             value = self._scalar(node.args[0])
             return _Matrix(
-                [Labels()],
+                SCALAR_LABELS,
                 np.asarray(value, dtype=np.float64).reshape(1, -1).copy(),
                 np.ones((1, T), dtype=bool),
             )
         if func == "timestamp":
             vec = self._vector(node.args[0])
             values = np.where(vec.present, self.steps, np.nan)
-            return _Matrix(
-                [l.without_name() for l in vec.labels], values, vec.present.copy()
-            )
+            return _relabelled(_without_names(vec.labels), values, vec.present)
         if func == "absent":
             vec = self._vector(node.args[0])
-            any_present = (
-                vec.present.any(axis=0) if vec.nrows else np.zeros(T, dtype=bool)
-            )
-            labels = {}
-            arg = node.args[0]
-            if isinstance(arg, VectorSelector):
-                for m in arg.matchers:
-                    if m.op.value == "=" and m.name != METRIC_NAME_LABEL:
-                        labels[m.name] = m.value
-            present = ~any_present
-            return _Matrix(
-                [Labels(labels)],
-                np.where(present, 1.0, np.nan).reshape(1, -1),
-                present.reshape(1, -1),
-            )
+            present = ~vec.present.any(axis=0, keepdims=True)
+            return _Matrix(_absent_plan(node, ()), np.where(present, 1.0, np.nan), present)
         if func in ("sort", "sort_desc"):
             # Ordering is instant-query presentation; range results are
             # keyed by labels.
@@ -563,113 +595,70 @@ class _ColumnarEval:
             if len(node.args) != 5:
                 raise QueryError("label_replace(v, dst, replacement, src, regex) expected")
             vec = self._vector(node.args[0])
-            dst, replacement, src, regex = (self._string(a) for a in node.args[1:])
-            pattern = _compile_anchored(regex)
-            new_labels = []
-            for l in vec.labels:
-                match = pattern.match(l.get(src, ""))
-                if match:
-                    new_value = match.expand(replacement.replace("$", "\\"))
-                    d = l.as_dict()
-                    if new_value:
-                        d[dst] = new_value
-                    else:
-                        d.pop(dst, None)
-                    new_labels.append(Labels(d))
-                else:
-                    new_labels.append(l)
-            return _Matrix(new_labels, vec.values.copy(), vec.present.copy())
+            strings = [self._string(a) for a in node.args[1:]]
+            return _relabelled(_label_replace_plan(*strings, vec.labels), vec.values, vec.present)
         if func == "histogram_quantile":
             if len(node.args) != 2:
                 raise QueryError("histogram_quantile(scalar, vector) expected")
             q = self._scalar(node.args[0])
             vec = self._vector(node.args[1])
-            # Group bucket rows by series identity (labels sans name/le),
-            # then run the shared bucketQuantile helper per present
-            # column — same pairs, same helper, bit-identical to the
-            # per-step path.
-            groups: dict[Labels, list[tuple[float, int]]] = {}
-            for i, l in enumerate(vec.labels):
-                try:
-                    le = float(l.get("le", ""))
-                except ValueError:
-                    continue
-                groups.setdefault(l.without_name().drop("le"), []).append((le, i))
-            if not groups:
-                return _Matrix([], np.zeros((0, T)), np.zeros((0, T), dtype=bool))
+            # The walk's bucket groups, then the shared bucketQuantile
+            # helper per present column — same pairs, same helper,
+            # bit-identical to the per-step path.
+            keys, rows, bounds = _bucket_plan(vec.labels)
             qs = q.tolist()
-            out_values = np.full((len(groups), T), np.nan)
-            out_present = np.zeros((len(groups), T), dtype=bool)
-            for g, members in enumerate(groups.values()):
-                members.sort(key=lambda pair: pair[0])
-                les = [le for le, _i in members]
-                rows = [i for _le, i in members]
-                pres = vec.present[rows]
+            out_values = np.full((len(keys), T), np.nan)
+            out_present = np.zeros((len(keys), T), dtype=bool)
+            for g, (members, les) in enumerate(zip(rows, bounds)):
+                pres = vec.present[members]
                 col_present = pres.any(axis=0)
                 out_present[g] = col_present
                 # One tolist of the group's slice: columns of plain
                 # floats, the walk's element values.
-                cols_v = vec.values[rows].T.tolist()
+                cols_v = vec.values[members].T.tolist()
                 cols_p = pres.T.tolist()
                 for j in np.flatnonzero(col_present).tolist():
                     buckets = [
                         (le, v) for le, v, p in zip(les, cols_v[j], cols_p[j]) if p
                     ]
                     out_values[g, j] = histogram_bucket_quantile(qs[j], buckets)
-            return _Matrix(list(groups), out_values, out_present)
+            return _Matrix(keys, out_values, out_present)
         if func == "label_join":
             if len(node.args) < 3:
                 raise QueryError("label_join(v, dst, sep, src...) expected")
             vec = self._vector(node.args[0])
             dst = self._string(node.args[1])
             sep = self._string(node.args[2])
-            sources = [self._string(a) for a in node.args[3:]]
-            new_labels = []
-            for l in vec.labels:
-                d = l.as_dict()
-                d[dst] = sep.join(l.get(s, "") for s in sources)
-                new_labels.append(Labels(d))
-            return _Matrix(new_labels, vec.values.copy(), vec.present.copy())
+            sources = tuple(self._string(a) for a in node.args[3:])
+            return _relabelled(_label_join_plan(dst, sep, sources, vec.labels), vec.values, vec.present)
         raise QueryError(f"unknown function {func!r}")
 
     # -- aggregations ----------------------------------------------------
     def _aggregation(self, node: Aggregation) -> _Matrix:
         vec = self._vector(node.expr)
         param = self._scalar(node.param) if node.param is not None else None
-        T = self.T
-
-        def group_key(labels: Labels) -> Labels:
-            if node.without:
-                return labels.drop(*node.grouping, METRIC_NAME_LABEL)
-            if node.grouping:
-                return labels.keep(node.grouping)
-            return Labels()
-
-        # Groups in order of first appearance; gid[i] is row i's group.
-        slots: dict[Labels, int] = {}
-        gid = np.fromiter(
-            (slots.setdefault(group_key(l), len(slots)) for l in vec.labels),
-            dtype=np.intp,
-            count=vec.nrows,
-        )
-        keys = list(slots)
+        keys, members = _group_plan(node, vec.labels)
         G = len(keys)
         if not G:
-            return _Matrix([], np.zeros((0, T)), np.zeros((0, T), dtype=bool))
+            return vec  # nothing to aggregate
+        # Each group's rows back to back, in row order within a group
+        # (``order``, group ``g`` from ``bounds[g]``); gid[i] is row i's
+        # group.  A lone group's rows already are.
+        if G == 1:
+            order, gid, bounds = slice(None), np.zeros(vec.nrows, dtype=np.intp), np.zeros(1, dtype=np.intp)
+        else:
+            order = np.fromiter(chain.from_iterable(members), dtype=np.intp, count=vec.nrows)
+            sizes = np.fromiter(map(len, members), dtype=np.intp, count=G)
+            bounds = np.zeros(G, dtype=np.intp)
+            sizes[:-1].cumsum(out=bounds[1:])
+            gid = np.empty(vec.nrows, dtype=np.intp)
+            gid[order] = np.repeat(np.arange(G), sizes)
 
         op = node.op
         if op in ("topk", "bottomk"):
-            return self._topk(node, vec, gid, param)
+            return self._topk(node, vec, gid, bounds, param)
 
         values, present = vec.values, vec.present
-        # Each group's rows back to back, in row order within a group:
-        # for the reductions whose result does not depend on order.  A
-        # lone group's rows already are.
-        if G == 1:
-            order, bounds = slice(None), np.zeros(1, dtype=np.intp)
-        else:
-            order = np.argsort(gid, kind="stable")
-            bounds = np.searchsorted(gid[order], np.arange(G))
         count = np.add.reduceat(present[order].astype(np.intp), bounds, axis=0)
         col_present = count > 0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -725,7 +714,7 @@ class _ColumnarEval:
                     out[g, j] = quantile(q[j], members)
         return out
 
-    def _topk(self, node, vec: _Matrix, gid: np.ndarray, param) -> _Matrix:
+    def _topk(self, node, vec: _Matrix, gid: np.ndarray, bounds: np.ndarray, param) -> _Matrix:
         op = node.op
         if param is None:
             raise QueryError(f"{op} requires a parameter")
@@ -740,7 +729,6 @@ class _ColumnarEval:
         S = vec.nrows
         by_group = np.broadcast_to(gid[:, None], key.shape)
         ranked = np.lexsort((key, by_group), axis=0)
-        group_first = np.searchsorted(np.sort(gid), gid)
         ranks = np.empty_like(ranked)
         np.put_along_axis(
             ranks,
@@ -748,16 +736,9 @@ class _ColumnarEval:
             np.broadcast_to(np.arange(S).reshape(-1, 1), ranked.shape),
             axis=0,
         )
-        keep = vec.present & (ranks - group_first[:, None] < k_cols)
-        # Output rows group by group, each group's rows in row order;
         # topk keeps the original element labels (incl. name).
-        out = np.argsort(gid, kind="stable")
-        keep = keep[out]
-        return _Matrix(
-            [vec.labels[i] for i in out.tolist()],
-            np.where(keep, vec.values[out], np.nan),
-            keep,
-        )
+        keep = vec.present & (ranks - bounds[gid][:, None] < k_cols)
+        return _Matrix(vec.labels, np.where(keep, vec.values, np.nan), keep)
 
     # -- binary operators ------------------------------------------------
     def _binary(self, node: BinaryOp):
@@ -794,11 +775,11 @@ class _ColumnarEval:
 
     @classmethod
     def _apply_op_array(cls, op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise _apply_op.  +,-,*,/ and comparisons are IEEE ops
-        whose results match the scalar special-casing bit for bit; % and
-        ^ loop through the scalar implementation because ``math.fmod``/
-        ``**`` have Python-level edge semantics (exceptions) that numpy
-        ufuncs do not reproduce."""
+        """The walk's binary operator, elementwise.  +,-,*,/ and
+        comparisons are IEEE ops whose results match the scalar
+        special-casing bit for bit; % and ^ loop through the scalar
+        implementation because ``math.fmod``/``**`` have Python-level
+        edge semantics (exceptions) that numpy ufuncs do not reproduce."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if op == "+":
                 return a + b
@@ -809,14 +790,14 @@ class _ColumnarEval:
             if op == "/":
                 return a / b
             if op in ("%", "^"):
+                fn = _binary_fn(op)
                 a2, b2 = np.broadcast_arrays(a, b)
                 out = np.empty(a2.shape)
-                flat_a, flat_b = a2.ravel(), b2.ravel()
                 flat_o = out.ravel()
-                for i in range(flat_a.size):
-                    flat_o[i] = PromQLEngine._apply_op(op, float(flat_a[i]), float(flat_b[i]))
+                for i, (x, y) in enumerate(zip(a2.ravel().tolist(), b2.ravel().tolist())):
+                    flat_o[i] = fn(x, y)
                 return out
-            if op in _COMPARISONS:
+            if op in COMPARISON_OPS:
                 return cls._compare_raw(op, a, b).astype(np.float64)
         raise QueryError(f"unknown operator {op!r}")
 
@@ -826,7 +807,7 @@ class _ColumnarEval:
         return value
 
     def _scalar_scalar(self, node: BinaryOp, lhs, rhs) -> np.ndarray:
-        if node.op in _COMPARISONS and not node.return_bool:
+        if node.op in COMPARISON_OPS and not node.return_bool:
             raise QueryError("comparisons between scalars must use the bool modifier")
         return self._apply_op_array(
             node.op, self._as_scalar_array(lhs), self._as_scalar_array(rhs)
@@ -835,153 +816,50 @@ class _ColumnarEval:
     def _vector_scalar(self, node: BinaryOp, lhs, rhs, *, scalar_on_right: bool) -> _Matrix:
         vec: _Matrix = lhs if scalar_on_right else rhs
         scal = self._as_scalar_array(rhs if scalar_on_right else lhs)
-        comparison = node.op in _COMPARISONS
         a = vec.values if scalar_on_right else scal
         b = scal if scalar_on_right else vec.values
-        if comparison and not node.return_bool:
-            raw = self._compare_raw(node.op, a, b)
-            present = vec.present & raw
+        if node.op in COMPARISON_OPS and not node.return_bool:
+            present = vec.present & self._compare_raw(node.op, a, b)
             # Filter semantics: kept elements are unchanged.
-            return _Matrix(
-                list(vec.labels),
-                np.where(present, vec.values, np.nan),
-                present,
-            )
-        values = self._apply_op_array(node.op, a, b)
-        values = np.where(vec.present, values, np.nan)
-        return _Matrix(
-            [l.without_name() for l in vec.labels], values, vec.present.copy()
-        )
+            return _Matrix(vec.labels, np.where(present, vec.values, np.nan), present)
+        values = np.where(vec.present, self._apply_op_array(node.op, a, b), np.nan)
+        return _relabelled(_without_names(vec.labels), values, vec.present)
 
     def _vector_vector(self, node: BinaryOp, lhs: _Matrix, rhs: _Matrix) -> _Matrix:
-        matching = node.matching
-        group = matching.group if matching else ""
-        comparison = node.op in _COMPARISONS
-        signature = PromQLEngine._signature
-        T = self.T
-
-        if group == "right":
-            many, one = rhs, lhs
+        """One gather of every matched pair and one operation over them."""
+        labels, l_idx, r_idx, clashes = _match_plan(node, lhs.labels, rhs.labels)
+        l_idx = np.asarray(l_idx, dtype=np.intp)
+        r_idx = np.asarray(r_idx, dtype=np.intp)
+        a, b = lhs.values[l_idx], rhs.values[r_idx]
+        present = lhs.present[l_idx] & rhs.present[r_idx]
+        _raise_first_clash(clashes, (lhs.present, rhs.present, present))
+        if node.op in COMPARISON_OPS and not node.return_bool:
+            present &= self._compare_raw(node.op, a, b)
+            # The many side's element is kept.
+            values = b if node.matching is not None and node.matching.group == "right" else a
         else:
-            many, one = lhs, rhs
-
-        one_sigs = [signature(l, matching) for l in one.labels]
-        one_groups: dict[Labels, list[int]] = {}
-        for i, s in enumerate(one_sigs):
-            one_groups.setdefault(s, []).append(i)
-        # Duplicate signatures are only an error where two elements are
-        # simultaneously present — column-aware, like the per-step path.
-        for s, idxs in one_groups.items():
-            if len(idxs) > 1 and bool((one.present[idxs].sum(axis=0) > 1).any()):
-                raise QueryError(
-                    f"many-to-many matching: duplicate signature {s} on the "
-                    f"'one' side of {node.op}"
-                )
-
-        out_labels: list[Labels] = []
-        out_rows: list[np.ndarray] = []
-        out_present: list[np.ndarray] = []
-
-        def emit(labels: Labels, values: np.ndarray, present: np.ndarray) -> None:
-            out_labels.append(labels)
-            out_rows.append(np.where(present, values, np.nan))
-            out_present.append(present)
-
-        if group:
-            many_sigs = [signature(l, matching) for l in many.labels]
-            for m_i, m_sig in enumerate(many_sigs):
-                partners = one_groups.get(m_sig)
-                if not partners:
-                    continue
-                for o_i in partners:
-                    both = many.present[m_i] & one.present[o_i]
-                    if group == "left":
-                        a, b = many.values[m_i], one.values[o_i]
-                    else:
-                        a, b = one.values[o_i], many.values[m_i]
-                    if comparison and not node.return_bool:
-                        raw = self._compare_raw(node.op, a, b)
-                        emit(many.labels[m_i], many.values[m_i], both & raw)
-                        continue
-                    labels = many.labels[m_i].without_name()
-                    if matching and matching.include:
-                        merged = labels.as_dict()
-                        partner_labels = one.labels[o_i]
-                        for name in matching.include:
-                            value_from_one = partner_labels.get(name, "")
-                            if value_from_one:
-                                merged[name] = value_from_one
-                            else:
-                                merged.pop(name, None)
-                        labels = Labels(merged)
-                    emit(labels, self._apply_op_array(node.op, a, b), both)
-        else:
-            lhs_sigs = [signature(l, matching) for l in lhs.labels]
-            lhs_groups: dict[Labels, list[int]] = {}
-            for i, s in enumerate(lhs_sigs):
-                lhs_groups.setdefault(s, []).append(i)
-            for s, idxs in lhs_groups.items():
-                if len(idxs) > 1 and bool((lhs.present[idxs].sum(axis=0) > 1).any()):
-                    raise QueryError(
-                        f"many-to-many matching: duplicate signature {s} on left side"
-                    )
-            for l_i, s in enumerate(lhs_sigs):
-                partners = one_groups.get(s)
-                if not partners:
-                    continue
-                for r_i in partners:
-                    both = lhs.present[l_i] & rhs.present[r_i]
-                    a, b = lhs.values[l_i], rhs.values[r_i]
-                    if comparison and not node.return_bool:
-                        raw = self._compare_raw(node.op, a, b)
-                        emit(lhs.labels[l_i], lhs.values[l_i], both & raw)
-                        continue
-                    labels = s if (matching and matching.on) else lhs.labels[l_i].without_name()
-                    emit(labels, self._apply_op_array(node.op, a, b), both)
-
-        if not out_labels:
-            return _Matrix([], np.zeros((0, T)), np.zeros((0, T), dtype=bool))
-        return _Matrix(out_labels, np.vstack(out_rows), np.vstack(out_present))
+            values = self._apply_op_array(node.op, a, b)
+        return _folded(labels, np.where(present, values, np.nan), present, clashes)
 
     def _set_op(self, node: BinaryOp, lhs: _Matrix, rhs: _Matrix) -> _Matrix:
-        matching = node.matching
-        signature = PromQLEngine._signature
-        T = self.T
-
-        def sig_masks(mat: _Matrix) -> dict[Labels, np.ndarray]:
-            masks: dict[Labels, np.ndarray] = {}
-            for i, labels in enumerate(mat.labels):
-                s = signature(labels, matching)
-                prev = masks.get(s)
-                masks[s] = mat.present[i] if prev is None else (prev | mat.present[i])
-            return masks
-
-        if node.op in ("and", "unless"):
-            rhs_masks = sig_masks(rhs)
-            rows = []
-            for i, labels in enumerate(lhs.labels):
-                mask = rhs_masks.get(signature(labels, matching))
-                if mask is None:
-                    mask = np.zeros(T, dtype=bool)
-                present = lhs.present[i] & (mask if node.op == "and" else ~mask)
-                rows.append(present)
-            present = (
-                np.vstack(rows) if rows else np.zeros((0, T), dtype=bool)
-            )
-            return _Matrix(
-                list(lhs.labels), np.where(present, lhs.values, np.nan), present
-            )
-        # or: all of lhs plus rhs columns whose signature is absent on lhs
-        lhs_masks = sig_masks(lhs)
-        out_labels = list(lhs.labels)
-        out_rows = [np.where(lhs.present[i], lhs.values[i], np.nan) for i in range(lhs.nrows)]
-        out_present = [lhs.present[i].copy() for i in range(lhs.nrows)]
-        for i, labels in enumerate(rhs.labels):
-            shadow = lhs_masks.get(signature(labels, matching))
-            present = rhs.present[i] & ~shadow if shadow is not None else rhs.present[i].copy()
-            out_labels.append(labels)
-            out_rows.append(np.where(present, rhs.values[i], np.nan))
-            out_present.append(present)
-        if not out_labels:
-            return _Matrix([], np.zeros((0, T)), np.zeros((0, T), dtype=bool))
-        return _Matrix(out_labels, np.vstack(out_rows), np.vstack(out_present))
+        """Membership per step: a row's signature group is present on
+        the other side where any of the group's rows is."""
+        _labels, _l_idx, _r_idx, (member, groups) = _set_plan(node, lhs.labels, rhs.labels)
+        other = lhs if node.op == "or" else rhs
+        # One row per group plus an always-absent last row, the group
+        # of a signature the other side lacks (-1).
+        seen = np.zeros((max(groups, default=-1) + 2, self.T), dtype=bool)
+        np.logical_or.at(seen, groups, other.present)
+        hit = seen[np.asarray(member, dtype=np.intp)]
+        if node.op == "and":
+            present = lhs.present & hit
+        elif node.op == "unless":
+            present = lhs.present & ~hit
+        else:
+            present = np.vstack([lhs.present, rhs.present & ~hit])
+            values = np.vstack([lhs.values, rhs.values])
+            labels = lhs.labels + rhs.labels
+            # An rhs row holding an lhs row's labels shares its
+            # signature, so it only fills that row's gaps.
+            return _relabelled((labels, _same_labelsets(labels)), np.where(present, values, np.nan), present)
+        return _Matrix(lhs.labels, np.where(present, lhs.values, np.nan), present)

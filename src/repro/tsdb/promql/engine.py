@@ -36,7 +36,9 @@ passes a :class:`PlanMemo`; a node whose input tuples are the very
 objects it saw last time reuses its last plan and hands up the very
 output tuple it handed up last time, so a hit propagates to the root.
 Without a memo (ad hoc queries, alerts, the updater) the label half
-simply runs every time: one walk, one set of semantics.
+simply runs every time: one walk, one set of semantics.  The columnar
+evaluator applies the same label halves to its step grid, so PromQL's
+label semantics are written once, here.
 
 The element-wise walk this replaced and both per-step loops live on
 as the oracles of the differential suite (``tests/reference/promql.py``).
@@ -68,7 +70,7 @@ import numpy as np
 
 from repro.common.errors import QueryError
 from repro.obs import query as obsquery
-from repro.tsdb.model import EMPTY_LABELS, METRIC_NAME_LABEL, Labels
+from repro.tsdb.model import _LABEL_NAME_RE, EMPTY_LABELS, METRIC_NAME_LABEL, Labels, MatchOp
 from repro.tsdb.promql.ast import (
     COMPARISON_OPS,
     Aggregation,
@@ -116,7 +118,10 @@ def range_steps(start: float, end: float, step: float) -> np.ndarray:
 def _compile_anchored(regex: str) -> re.Pattern[str]:
     """Compiled, fully-anchored regex for label_replace (cached —
     mirrors :class:`Matcher`'s precompiled ``_regex``)."""
-    return re.compile(f"^(?:{regex})$")
+    try:
+        return re.compile(f"^(?:{regex})$")
+    except re.error:
+        raise QueryError(f"invalid regular expression in label_replace(): {regex}") from None
 
 
 @dataclass(frozen=True)
@@ -173,7 +178,9 @@ class PlanMemo:
     it holds the input label tuples the plan was built from and the
     plan: nothing older, so memory is one plan per node.  A plan is
     stored only after its label half returned; one that raised leaves
-    nothing behind and raises again next time.
+    nothing behind and raises again next time.  A plan listing clashes
+    is stored, and the walk raises them on every evaluation that
+    reuses it.
     """
 
     __slots__ = ("ast", "plans", "hits", "rebuilds")
@@ -209,6 +216,15 @@ def _plan(memo: PlanMemo | None, key, inputs: tuple, build, *consts, leaf: bool 
     if memo is None:
         return build(*consts, *inputs)
     return memo.plan(key, inputs, build, *consts, leaf=leaf)
+
+
+def _relabel(memo: PlanMemo | None, node: Expr, labels: tuple, build, *consts, leaf: bool = False) -> tuple:
+    """The output labels of a one-input node whose plan is ``(labels,
+    clashes)``: at the walk's one step every row is present, so any
+    clash raises."""
+    out, clashes = _plan(memo, id(node), (labels,), build, *consts, leaf=leaf)
+    _raise_any(clashes)
+    return out
 
 
 def _seq_sum(values) -> float:
@@ -280,18 +296,75 @@ SCALAR_LABELS = (EMPTY_LABELS,)
 
 
 # -- label halves ----------------------------------------------------------
-# Pure functions of a node and its input label tuples.  Each returns
-# the node's plan: its output label tuple, plus the index lists its
-# value half gathers by.  They raise what the walk always raised
-# (many-to-many matching), on every evaluation the cause persists.
+# Pure functions of a node and its input label tuples, shared by both
+# evaluators.  Each returns the node's plan: its output label tuple,
+# plus the index lists its value half gathers by.  A plan whose output
+# may hold one label set twice also lists its *clashes*: ``(message,
+# side, rows)``, rows of the lhs input, the rhs input or the output
+# that must never be present at one step together.  The walk's rows
+# are all present at its one step, so it raises on any clash; a grid
+# raises where two rows of one clash are present at the same step.
+
+#: Prometheus's error for a vector holding one label set twice.
+SAME_LABELSET = "vector cannot contain metrics with the same labelset"
+
+#: Clash sides: rows of the lhs input, of the rhs input, of the output.
+LHS, RHS, OUT = 0, 1, 2
+
+
+def _raise_any(clashes: list) -> None:
+    if clashes:
+        raise QueryError(clashes[0][0])
+
+
+def _rows_by(keys) -> dict:
+    """Each key's positions in ``keys``, in first-seen order."""
+    where: dict = {}
+    for i, key in enumerate(keys):
+        if key in where:
+            where[key].append(i)
+        else:
+            where[key] = [i]
+    return where
+
+
+def _repeats(where: dict) -> list[list[int]]:
+    """The positions of each repeated key, ordered by where a walk along
+    the keys first meets a repeat."""
+    return sorted([rows for rows in where.values() if len(rows) > 1], key=lambda rows: rows[1])
+
+
+def _same_labelsets(labels: tuple, message: str = SAME_LABELSET) -> list:
+    """The output clashes of ``labels``: rows holding one label set."""
+    if len(set(labels)) == len(labels):
+        return []
+    return [(message, OUT, rows) for rows in _repeats(_rows_by(labels))]
+
+
+def _set_labels(labels: Labels, values: dict[str, str]) -> Labels:
+    """``labels`` with each name set to its value, or removed where the
+    value is empty: a label with an empty value is an absent label."""
+    d = labels.as_dict()
+    for name, value in values.items():
+        if value:
+            d[name] = value
+        else:
+            d.pop(name, None)
+    return Labels(d)
+
+
+def _check_label_name(name: str, what: str, func: str) -> None:
+    if not _LABEL_NAME_RE.match(name):
+        raise QueryError(f"invalid {what} label name in {func}(): {name}")
 
 
 def _as_is(labels: tuple) -> tuple:
     return labels
 
 
-def _without_names(labels: tuple) -> tuple:
-    return tuple([l.without_name() for l in labels])
+def _without_names(labels: tuple) -> tuple[tuple, list]:
+    out = tuple([l.without_name() for l in labels])
+    return out, _same_labelsets(out)
 
 
 def _label_order(labels: tuple) -> tuple[tuple, list[int]]:
@@ -302,16 +375,34 @@ def _label_order(labels: tuple) -> tuple[tuple, list[int]]:
 def _group_plan(node: Aggregation, labels: tuple) -> tuple[tuple, list[list[int]]]:
     """Output keys in first-seen order and each group's member indices."""
     grouping = node.grouping
-    groups: dict[Labels, list[int]] = {}
-    for i, l in enumerate(labels):
-        if node.without:
-            key = l.drop(*grouping, METRIC_NAME_LABEL)
-        elif grouping:
-            key = l.keep(grouping)
-        else:
-            key = EMPTY_LABELS
-        groups.setdefault(key, []).append(i)
+    if node.without:
+        keys = [l.drop(*grouping, METRIC_NAME_LABEL) for l in labels]
+    elif grouping:
+        keys = [l.keep(grouping) for l in labels]
+    else:
+        keys = [EMPTY_LABELS] * len(labels)
+    groups = _rows_by(keys)
     return tuple(groups), list(groups.values())
+
+
+def _bucket_plan(labels: tuple) -> tuple[tuple, list[list[int]], list[list[float]]]:
+    """``histogram_quantile``'s groups: series identity (labels without
+    name and ``le``) in first-seen order, each group's rows sorted
+    stably by ``le`` beside their bounds.  Rows without a parseable
+    ``le`` are left out, as in Prometheus."""
+    groups: dict[Labels, list[tuple[float, int]]] = {}
+    for i, l in enumerate(labels):
+        try:
+            le = float(l.get("le", ""))
+        except ValueError:
+            continue
+        groups.setdefault(l.without_name().drop("le"), []).append((le, i))
+    rows, bounds = [], []
+    for members in groups.values():
+        members.sort(key=lambda pair: pair[0])
+        bounds.append([le for le, _i in members])
+        rows.append([i for _le, i in members])
+    return tuple(groups), rows, bounds
 
 
 def _signature(labels: Labels, matching: VectorMatching | None) -> Labels:
@@ -322,9 +413,12 @@ def _signature(labels: Labels, matching: VectorMatching | None) -> Labels:
     return labels.drop(*matching.labels, METRIC_NAME_LABEL)
 
 
-def _match_plan(node: BinaryOp, lhs: tuple, rhs: tuple) -> tuple[tuple, list[int], list[int]]:
+def _match_plan(node: BinaryOp, lhs: tuple, rhs: tuple) -> tuple[tuple, list[int], list[int], list]:
     """Vector matching: output labels and the ``(lhs, rhs)`` index of
-    every matched pair, in "many"-side order.  A filtering comparison
+    every matched pair, in "many"-side order, and the clashes.  A row
+    is paired with every "one"-side row sharing its signature: those
+    rows clash (many-to-many), as do one-to-one lhs rows sharing one,
+    and pairs whose output labels are equal.  A filtering comparison
     keeps the many-side element, so its labels are that element's."""
     matching = node.matching
     group = matching.group if matching else ""
@@ -332,96 +426,109 @@ def _match_plan(node: BinaryOp, lhs: tuple, rhs: tuple) -> tuple[tuple, list[int
     # group_right mirrors group_left: match with the sides swapped,
     # compute with the original ones.
     many, one = (rhs, lhs) if group == "right" else (lhs, rhs)
-    one_index: dict[Labels, int] = {}
-    for j, labels in enumerate(one):
-        sig = _signature(labels, matching)
-        if sig in one_index:
-            raise QueryError(
-                f"many-to-many matching: duplicate signature {sig} on the "
-                f"'one' side of {node.op}"
-            )
-        one_index[sig] = j
+    one_sigs = [_signature(l, matching) for l in one]
+    partners = _rows_by(one_sigs)
+    clashes = [
+        (
+            f"many-to-many matching: duplicate signature {one_sigs[rows[0]]} on the 'one' side of {node.op}",
+            LHS if group == "right" else RHS,
+            rows,
+        )
+        for rows in _repeats(partners)
+    ]
+    sigs = [_signature(l, matching) for l in many]
+    if not group and len(set(sigs)) < len(sigs):
+        clashes += [
+            (f"many-to-many matching: duplicate signature {sigs[rows[0]]} on left side", LHS, rows)
+            for rows in _repeats(_rows_by(sigs))
+        ]
     out: list[Labels] = []
     many_idx: list[int] = []
     one_idx: list[int] = []
-    seen: set[Labels] = set()
-    for i, labels in enumerate(many):
-        sig = _signature(labels, matching)
-        if not group:
-            if sig in seen:
-                raise QueryError(f"many-to-many matching: duplicate signature {sig} on left side")
-            seen.add(sig)
-        j = one_index.get(sig)
-        if j is None:
-            continue
-        many_idx.append(i)
-        one_idx.append(j)
-        if filtering:
-            out.append(labels)
-        elif not group:
-            out.append(sig if (matching and matching.on) else labels.without_name())
-        elif matching.include:
-            merged = labels.without_name().as_dict()
-            for name in matching.include:
-                value_from_one = one[j].get(name, "")
-                if value_from_one:
-                    merged[name] = value_from_one
-                else:
-                    merged.pop(name, None)
-            out.append(Labels(merged))
-        else:
-            out.append(labels.without_name())
+    for i, (labels, sig) in enumerate(zip(many, sigs)):
+        for j in partners.get(sig, ()):
+            many_idx.append(i)
+            one_idx.append(j)
+            if filtering:
+                out.append(labels)
+            elif not group:
+                out.append(sig if matching and matching.on else labels.without_name())
+            else:
+                out.append(
+                    _set_labels(labels.without_name(), {name: one[j].get(name, "") for name in matching.include})
+                    if matching.include
+                    else labels.without_name()
+                )
+    out = tuple(out)
+    clashes += _same_labelsets(
+        out, "multiple matches for labels: grouping labels must ensure unique matches" if group else SAME_LABELSET
+    )
     if group == "right":
-        return tuple(out), one_idx, many_idx
-    return tuple(out), many_idx, one_idx
+        return out, one_idx, many_idx, clashes
+    return out, many_idx, one_idx, clashes
 
 
-def _set_plan(node: BinaryOp, lhs: tuple, rhs: tuple) -> tuple[tuple, list[int], list[int]]:
-    """``and``/``unless`` keep lhs elements by rhs membership; ``or`` is
-    all of lhs plus the rhs elements whose signature lhs lacks."""
+def _set_plan(node: BinaryOp, lhs: tuple, rhs: tuple) -> tuple[tuple, list[int], list[int], tuple[list[int], list[int]]]:
+    """``and``/``unless`` keep lhs rows by rhs membership; ``or`` is all
+    of lhs plus the rhs rows whose signature lhs lacks.  Membership is
+    by signature group: per row of the filtered side (lhs; rhs for
+    ``or``) the group its signature has among the other side's rows
+    (-1: none), and per row of the other side its group.  With every
+    row present — the walk — that decides the output labels and the
+    kept lhs and rhs indices, which come first."""
     matching = node.matching
+    filtered, other = (rhs, lhs) if node.op == "or" else (lhs, rhs)
+    index: dict[Labels, int] = {}
+    groups = [index.setdefault(_signature(l, matching), len(index)) for l in other]
+    member = [index.get(_signature(l, matching), -1) for l in filtered]
     if node.op == "or":
-        lhs_sigs = {_signature(l, matching) for l in lhs}
-        extra = [j for j, l in enumerate(rhs) if _signature(l, matching) not in lhs_sigs]
-        return lhs + tuple([rhs[j] for j in extra]), list(range(len(lhs))), extra
-    rhs_sigs = {_signature(l, matching) for l in rhs}
+        extra = [j for j, g in enumerate(member) if g < 0]
+        return lhs + tuple([rhs[j] for j in extra]), list(range(len(lhs))), extra, (member, groups)
     wanted = node.op == "and"
-    keep = [i for i, l in enumerate(lhs) if (_signature(l, matching) in rhs_sigs) == wanted]
-    return tuple([lhs[i] for i in keep]), keep, []
+    keep = [i for i, g in enumerate(member) if (g >= 0) == wanted]
+    return tuple([lhs[i] for i in keep]), keep, [], (member, groups)
 
 
-def _label_replace_plan(dst: str, replacement: str, src: str, regex: str, labels: tuple) -> tuple:
+def _label_replace_plan(dst: str, replacement: str, src: str, regex: str, labels: tuple) -> tuple[tuple, list]:
     pattern = _compile_anchored(regex)
+    _check_label_name(dst, "destination", "label_replace")
     template = replacement.replace("$", "\\")
     out = []
     for l in labels:
         match = pattern.match(l.get(src, ""))
-        if match:
-            new_value = match.expand(template)
-            d = l.as_dict()
-            if new_value:
-                d[dst] = new_value
-            else:
-                d.pop(dst, None)
-            l = Labels(d)
-        out.append(l)
-    return tuple(out)
+        out.append(_set_labels(l, {dst: match.expand(template)}) if match else l)
+    out = tuple(out)
+    return out, _same_labelsets(out)
 
 
-def _label_join_plan(dst: str, sep: str, sources: tuple[str, ...], labels: tuple) -> tuple:
-    return tuple([l.merge({dst: sep.join(l.get(s, "") for s in sources)}) for l in labels])
+def _label_join_plan(dst: str, sep: str, sources: tuple[str, ...], labels: tuple) -> tuple[tuple, list]:
+    for name in sources:
+        _check_label_name(name, "source", "label_join")
+    _check_label_name(dst, "destination", "label_join")
+    out = tuple([_set_labels(l, {dst: sep.join(l.get(s, "") for s in sources)}) for l in labels])
+    return out, _same_labelsets(out)
 
 
 def _absent_plan(node: Call, labels: tuple) -> tuple:
+    """One label set when ``labels`` is empty, built as Prometheus's
+    ``createLabelsForAbsentFunction``: from the argument selector's
+    ``=`` matchers, except a name matched twice, or matched by ``=``
+    and then by another operator; an empty value is no label."""
     if labels:
         return ()
-    found = {}
+    found: dict[str, str] = {}
     arg = node.args[0]
     if isinstance(arg, VectorSelector):
+        matched: set[str] = set()
         for m in arg.matchers:
-            if m.op.value == "=" and m.name != METRIC_NAME_LABEL:
+            if m.name == METRIC_NAME_LABEL:
+                continue
+            if m.op is MatchOp.EQ and m.name not in matched:
                 found[m.name] = m.value
-    return (Labels(found),)
+                matched.add(m.name)
+            else:
+                found[m.name] = ""
+    return (_set_labels(EMPTY_LABELS, found),)
 
 
 class PromQLEngine:
@@ -509,7 +616,7 @@ class PromQLEngine:
             inner = self._eval(node.expr, at, memo)
             if isinstance(inner, tuple):
                 labels, values = inner
-                return _plan(memo, id(node), (labels,), _without_names), [-v for v in values]
+                return _relabel(memo, node, labels, _without_names), [-v for v in values]
             return -inner
         if isinstance(node, VectorSelector):
             return self._eval_selector(node, at, memo)
@@ -588,7 +695,7 @@ class PromQLEngine:
                 if value is not None and not math.isnan(value):
                     present.append(labels)
                     values.append(float(value))
-            return _plan(memo, id(node), (tuple(present),), _without_names, leaf=True), values
+            return _relabel(memo, node, tuple(present), _without_names, leaf=True), values
         if func == "quantile_over_time":
             if len(node.args) != 2 or not isinstance(node.args[1], (MatrixSelector, Subquery)):
                 raise QueryError("quantile_over_time(scalar, range-vector) expected")
@@ -599,17 +706,15 @@ class PromQLEngine:
                 if len(w_vs):
                     present.append(labels)
                     values.append(quantile(q, w_vs))
-            return _plan(memo, id(node), (tuple(present),), _without_names, leaf=True), values
+            return _relabel(memo, node, tuple(present), _without_names, leaf=True), values
         if func in ELEMENT_FUNCTIONS:
             if not node.args:
                 raise QueryError(f"{func}() needs at least one argument")
             labels, values = self._eval_vector(node.args[0], at, memo)
             extra = [self._eval_scalar(arg, at, memo) for arg in node.args[1:]]
             impl = ELEMENT_FUNCTIONS[func]
-            return (
-                _plan(memo, id(node), (labels,), _without_names),
-                [float(impl(v, *extra)) for v in values],
-            )
+            values = [float(impl(v, *extra)) for v in values]
+            return _relabel(memo, node, labels, _without_names), values
         return self._eval_special(node, at, memo)
 
     def _eval_special(self, node: Call, at: float, memo):
@@ -626,7 +731,7 @@ class PromQLEngine:
             # We do not track per-element original timestamps through
             # the lookback; the evaluation timestamp is the Prometheus
             # observable for fresh series and close enough for tests.
-            return _plan(memo, id(node), (labels,), _without_names), [float(at)] * len(values)
+            return _relabel(memo, node, labels, _without_names), [float(at)] * len(values)
         if func == "absent":
             labels, _values = self._eval_vector(node.args[0], at, memo)
             out = _plan(memo, id(node), (labels,), _absent_plan, node)
@@ -641,12 +746,17 @@ class PromQLEngine:
                 raise QueryError("label_replace(v, dst, replacement, src, regex) expected")
             labels, values = self._eval_vector(node.args[0], at, memo)
             strings = [self._eval_string(a, at, memo) for a in node.args[1:]]
-            return _plan(memo, id(node), (labels,), _label_replace_plan, *strings), values
+            return _relabel(memo, node, labels, _label_replace_plan, *strings), values
         if func == "histogram_quantile":
             if len(node.args) != 2:
                 raise QueryError("histogram_quantile(scalar, vector) expected")
             q = self._eval_scalar(node.args[0], at, memo)
-            return self._histogram_quantile(q, *self._eval_vector(node.args[1], at, memo))
+            labels, values = self._eval_vector(node.args[1], at, memo)
+            keys, rows, bounds = _plan(memo, id(node), (labels,), _bucket_plan)
+            return keys, [
+                histogram_bucket_quantile(q, list(zip(les, [values[i] for i in idx])))
+                for idx, les in zip(rows, bounds)
+            ]
         if func == "label_join":
             if len(node.args) < 3:
                 raise QueryError("label_join(v, dst, sep, src...) expected")
@@ -654,29 +764,8 @@ class PromQLEngine:
             dst = self._eval_string(node.args[1], at, memo)
             sep = self._eval_string(node.args[2], at, memo)
             sources = tuple(self._eval_string(a, at, memo) for a in node.args[3:])
-            return _plan(memo, id(node), (labels,), _label_join_plan, dst, sep, sources), values
+            return _relabel(memo, node, labels, _label_join_plan, dst, sep, sources), values
         raise QueryError(f"unknown function {func!r}")
-
-    @staticmethod
-    def _histogram_quantile(q: float, labels: tuple, values: list[float]):
-        """Group ``_bucket`` elements by identity and compute quantiles.
-
-        Elements without a parseable ``le`` label are ignored, as in
-        Prometheus.  Rare outside dashboards (which evaluate columnar),
-        so the grouping is redone on every evaluation.
-        """
-        groups: dict[Labels, list[tuple[float, float]]] = {}
-        for l, v in zip(labels, values):
-            try:
-                le = float(l.get("le", ""))
-            except ValueError:
-                continue
-            groups.setdefault(l.without_name().drop("le"), []).append((le, v))
-        out = []
-        for buckets in groups.values():
-            buckets.sort(key=lambda pair: pair[0])
-            out.append(histogram_bucket_quantile(q, buckets))
-        return tuple(groups), out
 
     # -- aggregations ------------------------------------------------------------
     def _eval_aggregation(self, node: Aggregation, at: float, memo):
@@ -714,7 +803,7 @@ class PromQLEngine:
         if node.op in ("and", "or", "unless"):
             if not (lhs_vec and rhs_vec):
                 raise QueryError(f"set operator {node.op} requires vector operands")
-            labels, l_idx, r_idx = _plan(memo, id(node), (lhs[0], rhs[0]), _set_plan, node)
+            labels, l_idx, r_idx, _groups = _plan(memo, id(node), (lhs[0], rhs[0]), _set_plan, node)
             l_values, r_values = lhs[1], rhs[1]
             return labels, [l_values[i] for i in l_idx] + [r_values[j] for j in r_idx]
         if lhs_vec and rhs_vec:
@@ -726,12 +815,6 @@ class PromQLEngine:
         if node.op in COMPARISON_OPS and not node.return_bool:
             raise QueryError("comparisons between scalars must use the bool modifier")
         return _binary_fn(node.op)(float(lhs), float(rhs))
-
-    @staticmethod
-    def _apply_op(op: str, a: float, b: float) -> float:
-        return _binary_fn(op)(a, b)
-
-    _signature = staticmethod(_signature)
 
     def _vector_scalar(self, node: BinaryOp, vector, scalar: float, memo, *, scalar_on_right: bool):
         labels, values = vector
@@ -745,12 +828,13 @@ class PromQLEngine:
             # do is the values' doing.
             keep = [i for i, passed in enumerate(results) if passed]
             return tuple([labels[i] for i in keep]), [values[i] for i in keep]
-        return _plan(memo, id(node), (labels,), _without_names), results
+        return _relabel(memo, node, labels, _without_names), results
 
     def _vector_vector(self, node: BinaryOp, lhs, rhs, memo):
         (l_labels, l_values), (r_labels, r_values) = lhs, rhs
         fn = _binary_fn(node.op)
-        labels, l_idx, r_idx = _plan(memo, id(node), (l_labels, r_labels), _match_plan, node)
+        labels, l_idx, r_idx, clashes = _plan(memo, id(node), (l_labels, r_labels), _match_plan, node)
+        _raise_any(clashes)
         results = [fn(l_values[i], r_values[j]) for i, j in zip(l_idx, r_idx)]
         if node.op in COMPARISON_OPS and not node.return_bool:
             if node.matching is not None and node.matching.group == "right":

@@ -11,6 +11,7 @@ sign takes everything up to the next operator weaker than ``^``, so
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 from repro.common.errors import QueryError
@@ -287,12 +288,17 @@ class _Parser:
         if self.accept(TokenType.LBRACE):
             # ``{a="b",}``: a comma may end the list, as in Prometheus.
             while self.peek().type is not TokenType.RBRACE:
-                label = self.expect(TokenType.IDENT).text
+                label_tok = self.expect(TokenType.IDENT)
                 op_tok = self.expect(TokenType.OP)
                 if op_tok.text not in _MATCH_OPS:
                     raise QueryError(f"bad matcher operator {op_tok.text!r}", position=op_tok.pos)
                 value = self.expect(TokenType.STRING).text
-                matchers.append(Matcher(label, _MATCH_OPS[op_tok.text], value))
+                try:
+                    matchers.append(Matcher(label_tok.text, _MATCH_OPS[op_tok.text], value))
+                except re.error as exc:
+                    raise QueryError(
+                        f"invalid regular expression {value!r} in matcher: {exc.msg}", position=label_tok.pos
+                    ) from None
                 if not self.accept(TokenType.COMMA):
                     break
             self.expect(TokenType.RBRACE)

@@ -17,6 +17,13 @@ at every inner step" as a loop over ``_eval`` — the walk's own
 subquery code until the production walk started asking the columnar
 evaluator for those windows.  The range oracle runs on it, so no
 differential compares the columnar code with itself.
+
+One rule was added to the frozen walk since, written here in its own
+code: as in Prometheus, no node may hand up one label set twice
+(``_eval``), and a ``group_left``/``group_right`` match whose outputs
+repeat a label set is its own error (``_vector_vector``).  The
+production evaluators take the same rule from their shared label
+plans; nothing here imports them.
 """
 
 from __future__ import annotations
@@ -126,6 +133,13 @@ class ElementWalkEngine:
 
     # -- evaluation ---------------------------------------------------------
     def _eval(self, node: Expr, at: float):
+        value = self._eval_node(node, at)
+        # No node may hand up one label set twice (Prometheus).
+        if isinstance(value, _Vector) and len({el.labels for el in value}) < len(value):
+            raise QueryError("vector cannot contain metrics with the same labelset")
+        return value
+
+    def _eval_node(self, node: Expr, at: float):
         if isinstance(node, NumberLiteral):
             return node.value
         if isinstance(node, StringLiteral):
@@ -487,6 +501,7 @@ class ElementWalkEngine:
 
         out = _Vector()
         if group:
+            emitted: set[Labels] = set()
             for el in many:
                 sig = self._signature(el.labels, matching)
                 partner = one_index.get(sig)
@@ -504,6 +519,11 @@ class ElementWalkEngine:
                         else:
                             merged.pop(name, None)
                     labels = Labels(merged)
+                if comparison and not node.return_bool:
+                    labels = el.labels
+                if labels in emitted:
+                    raise QueryError("multiple matches for labels: grouping labels must ensure unique matches")
+                emitted.add(labels)
                 if comparison and not node.return_bool:
                     if value:
                         out.append(VectorElement(el.labels, el.value))

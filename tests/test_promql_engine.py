@@ -386,6 +386,55 @@ class TestFunctions:
             assert el.value == pytest.approx(round(el.value, 1))
 
 
+@pytest.fixture
+def pair_engine() -> PromQLEngine:
+    """``m{grp="a", idx="0"} = 1`` and ``m{grp="a", idx="1"} = 2`` at 0, 15 and 30 s."""
+    db = TSDB()
+    for t in (0.0, 15.0, 30.0):
+        db.append(mk("m", grp="a", idx="0"), t, 1.0)
+        db.append(mk("m", grp="a", idx="1"), t, 2.0)
+    return PromQLEngine(db)
+
+
+def both_evaluators(engine: PromQLEngine, query: str) -> tuple[dict, dict]:
+    """The walk's answer at 30 s and the columnar one over 0–30 s."""
+    walk = engine.query(query, at=30.0).by_labels()
+    grid = {labels: vs.tolist() for labels, (_ts, vs) in engine.query_range(query, 0.0, 30.0, 15.0).series.items()}
+    return walk, grid
+
+
+class TestPrometheusLabelRules:
+    """Hand-computed answers of both evaluators where a label ends up
+    empty: an empty label value is an absent label."""
+
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            # parent: dst="" on every element, and a {dst=""} group
+            ('label_join(m, "dst", ",", "nope")', {mk("m", grp="a", idx="0"): 1.0, mk("m", grp="a", idx="1"): 2.0}),
+            ('sum by (dst) (label_join(m, "dst", ",", "nope"))', {Labels(): 3.0}),
+            ('label_join(m, "grp", "", "nope", "nope")', {mk("m", idx="0"): 1.0, mk("m", idx="1"): 2.0}),
+        ],
+    )
+    def test_empty_joined_value_deletes_dst(self, pair_engine, query, expected):
+        walk, grid = both_evaluators(pair_engine, query)
+        assert walk == expected
+        assert grid == {labels: [value] * 3 for labels, value in expected.items()}
+
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            ('absent(nope{job=""})', Labels()),  # parent: {job=""}
+            ('absent(nope{job="a", job="b"})', Labels()),  # parent: {job="b"}
+            ('absent(nope{job="a", job!="b", env="x"})', Labels({"env": "x"})),  # parent: job="a" too
+        ],
+    )
+    def test_absent_labels_follow_prometheus(self, pair_engine, query, expected):
+        walk, grid = both_evaluators(pair_engine, query)
+        assert walk == {expected: 1.0}
+        assert grid == {expected: [1.0, 1.0, 1.0]}
+
+
 class TestRangeQueries:
     def test_range_of_gauge(self, engine):
         result = engine.query_range("power", 0.0, 150.0, 15.0)

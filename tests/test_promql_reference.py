@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.errors import QueryError
 from repro.common.units import parse_duration
 from repro.tsdb.model import Labels
 from repro.tsdb.promql.engine import DEFAULT_LOOKBACK, PromQLEngine
@@ -292,6 +293,20 @@ DIFFERENTIAL_QUERIES = [
     # The one subquery the stack ships (the ceems-fig2c peak-power
     # panel), scaled from [24h:5m] to the test data's 2000 s.
     'max_over_time((sum by (idx) (m{grp="a"}))[12m:50s])',
+    # One label set twice at one step is an error (Prometheus); at
+    # steps apart it is one series.
+    'label_replace(m, "idx", "0", "idx", ".*")',
+    'm * on(grp) group_left(idx) max by (grp, idx) (m{idx="0"})',
+    # Label-half shapes: "one"-side rows that share a signature without
+    # being present together (one label set folded, or several), set
+    # operators across signatures, ties broken by aggregation group order.
+    'm / ignoring(idx) group_left() label_replace(m, "idx", "", "idx", ".*")',
+    "m / ignoring(idx) group_left() m",
+    'm or on(grp) m{idx="1"}',
+    'm unless ignoring(idx) m{idx="2"}',
+    "m and on() vector(1)",
+    'sum by (grp) (label_replace(m, "grp", "z", "idx", "[01]"))',
+    "topk(1, count by (grp) (m))",
 ]
 
 
@@ -580,6 +595,51 @@ def test_columnar_many_to_many_error_identical():
     engine = PromQLEngine(db)
     assert_range_identical(engine, "n * on(grp) m", 0.0, 60.0, 15.0)
     assert_instant_identical(engine, "n * on(grp) m", 30.0)
+
+
+def _pair_db(late_start: float = 0.0) -> TSDB:
+    """``m{grp="a", idx="0"} = 1`` and ``m{grp="a", idx="1"} = 2`` every
+    15 s from 0 to 30 s; ``idx="1"`` starts at ``late_start`` instead."""
+    db = TSDB()
+    for t in (0.0, 15.0, 30.0):
+        db.append(Labels({"__name__": "m", "grp": "a", "idx": "0"}), t, 1.0)
+        db.append(Labels({"__name__": "m", "grp": "a", "idx": "1"}), late_start + t, 2.0)
+    return db
+
+
+@pytest.mark.parametrize(
+    "query, error",
+    [
+        ('label_replace(m, "idx", "0", "idx", ".*")', "vector cannot contain metrics with the same labelset"),
+        (
+            'm * on(grp) group_left(idx) max by (grp, idx) (m{idx="0"})',
+            "multiple matches for labels: grouping labels must ensure unique matches",
+        ),
+    ],
+)
+def test_one_label_set_twice_at_one_step_is_an_error(query, error):
+    """Parent: two elements with one label set (instant), and one series
+    with every timestamp twice (range)."""
+    engine = PromQLEngine(_pair_db())
+    with pytest.raises(QueryError) as walk:
+        engine.query(query, 30.0)
+    with pytest.raises(QueryError) as grid:
+        engine.query_range(query, 0.0, 30.0, 15.0)
+    assert str(walk.value) == str(grid.value) == error
+    assert_range_identical(engine, query, 0.0, 30.0, 15.0)
+    assert_instant_identical(engine, query, 30.0)
+
+
+def test_one_label_set_at_disjoint_steps_is_one_series():
+    """``idx="1"`` starts after ``idx="0"`` has left the lookback: the
+    relabelled rows never meet, and the range holds both as one series."""
+    engine = PromQLEngine(_pair_db(late_start=400.0))
+    query = 'label_replace(m, "idx", "0", "idx", ".*")'
+    result = engine.query_range(query, 0.0, 420.0, 105.0)
+    ((labels, (ts, vs)),) = result.series.items()
+    assert labels == Labels({"__name__": "m", "grp": "a", "idx": "0"})
+    assert ts.tolist() == [0.0, 105.0, 210.0, 315.0, 420.0] and vs.tolist() == [1.0, 1.0, 1.0, 1.0, 2.0]
+    assert_range_identical(engine, query, 0.0, 420.0, 105.0)
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,44 @@ def test_well_formed_request_still_equal_at_every_door(limited_stack):
     assert len(bodies) == 1 and b'"success"' in bodies.pop()
 
 
+#: A selector regex that does not compile: the parser's error, so the
+#: first door that plans the request answers it.
+BAD_SELECTOR = 'm{uuid=~"("}'
+
+
+@pytest.mark.parametrize("door", ["direct", "frontend", "lb+frontend", "series"])
+def test_malformed_selector_regex_is_a_400_at_every_door(limited_stack, door):
+    if door == "series":  # parent: re.error out of App.handle at every door
+        response = send(limited_stack.api.app, "/api/v1/series", {"match[]": BAD_SELECTOR}, "GET")
+    else:
+        response = send(limited_stack.doors[door], RANGE, {**GRID, "query": BAD_SELECTOR}, "GET")
+    assert response.status == 400
+    assert response.decode_json()["error"] == (
+        "invalid regular expression '(' in matcher: missing ), unterminated subpattern (at offset 2)"
+    )
+
+
+#: Arguments of ``label_replace`` / ``label_join`` that Prometheus
+#: rejects, with its messages; found when the query runs, not planned.
+BAD_LABEL_ARGUMENTS = [
+    ('label_replace(m, "d", "v", "uuid", "(")', "invalid regular expression in label_replace(): ("),
+    ('label_replace(m, "1d", "v", "uuid", ".*")', "invalid destination label name in label_replace(): 1d"),
+    ('label_join(m, "d", ",", "u-id")', "invalid source label name in label_join(): u-id"),
+    ('label_join(m, "d-x", ",", "uuid")', "invalid destination label name in label_join(): d-x"),
+]
+
+
+@pytest.mark.parametrize("path", [INSTANT, RANGE])
+@pytest.mark.parametrize("query, error", BAD_LABEL_ARGUMENTS)
+def test_bad_label_function_argument_is_a_400_through_the_lb(query, error, path):
+    stack = Stack()
+    plain_lb = LoadBalancer([Backend(name="prom", app=stack.api.app)], AllowAll())
+    params = {**GRID, "query": query} if path == RANGE else {"query": query, "time": 600}
+    for door, app in {**stack.doors, "lb": plain_lb.app}.items():
+        response = send(app, path, params, "GET")  # parent: re.error, or the LB's 502
+        assert (response.status, response.decode_json()["error"]) == (400, error), door
+
+
 class TestLimitsFollowThePlan:
     def test_subquery_grid_counts_against_max_resolved_steps(self):
         api = PromAPI(TSDB(), limits=QueryLimits(max_resolved_steps=1000))

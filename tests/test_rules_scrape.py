@@ -103,6 +103,34 @@ class TestRecordingRules:
         assert group.last_error == f"bad1: {bad1.last_error}"
         assert group.last_evaluation == 300.0 and group.evaluation_seconds > 0.0
 
+    @pytest.mark.parametrize(
+        "expr, error",
+        [
+            ('label_replace(raw, "d", "v", "instance", "(")', "invalid regular expression in label_replace(): ("),
+            ('label_replace(raw, "1d", "v", "instance", ".*")', "invalid destination label name in label_replace(): 1d"),
+            ('label_join(raw, "d", ",", "in-stance")', "invalid source label name in label_join(): in-stance"),
+            ('label_join(raw, "d-x", ",", "instance")', "invalid destination label name in label_join(): d-x"),
+        ],
+    )
+    def test_bad_label_function_argument_is_a_rule_error_and_groups_run_on(self, expr, error):
+        """Parent: ``re.error`` / ``ValueError`` escaped the group and the
+        clock, whose timer was already popped: neither this group nor
+        one due at the same tick ran again."""
+        manager = RuleManager(self.db)
+        bad = RuleGroup(
+            name="bad", interval=30.0,
+            rules=[RecordingRule(record="broken", expr=expr), RecordingRule(record="total", expr="sum(raw)")],
+        )
+        other = RuleGroup(name="other", interval=30.0, rules=[RecordingRule(record="other", expr="sum(raw)")])
+        manager.add_group(bad)
+        manager.add_group(other)
+        clock = SimClock(start=270.0)
+        manager.register_timers(clock)
+        clock.advance(60.0)
+        assert bad.evaluations == other.evaluations == 2
+        assert bad.last_samples == other.last_samples == 1
+        assert bad.rules[0].last_error == error and bad.last_error == f"broken: {error}"
+
     def test_rule_that_fails_then_recovers_clears_its_error(self):
         self.db.append(mk("one", instance="n1"), 285.0, 1.0)
         group = RuleGroup(
