@@ -53,7 +53,8 @@ from repro.frontend.split import (
     uncovered_runs,
 )
 from repro.lb.strategies import Backend, Strategy, make_strategy
-from repro.tsdb.http import matrix_text, query_response
+from repro.tsdb.http import matrix_text, metric_text, query_response
+from repro.tsdb.model import Labels
 from repro.tsdb.plan import INSTANT_PATH, PASSTHROUGH_ROUTES, RANGE_PATH, QueryPlan, plan_query
 from repro.tsdb.promql.engine import range_steps
 
@@ -505,26 +506,23 @@ class QueryFrontend:
         The merge orders series by their label items and each series'
         points by step, as PromAPI does; the bytes are then written by
         PromAPI's own renderer (:func:`repro.tsdb.http.matrix_text`)
-        from the backends' ``metric`` objects and value texts, so they
-        are the direct path's by construction.
+        from the backends' label sets and value texts, so they are the
+        direct path's by construction.
         """
-        merged: dict[tuple, tuple[dict, list]] = {}
-        for series_key, metric, ts, vals in cached_columns:
-            entry = merged.get(series_key)
-            if entry is None:
-                entry = merged[series_key] = (metric, [])
-            entry[1].extend(zip(ts, vals))
+        merged: dict[tuple, list] = {}
+        for series_key, _metric, ts, vals in cached_columns:
+            merged.setdefault(series_key, []).extend(zip(ts, vals))
         for _i0, _i1, result in part_results:
             for item in result:
-                metric = item["metric"]
-                series_key = tuple(sorted(metric.items()))
-                entry = merged.get(series_key)
-                if entry is None:
-                    entry = merged[series_key] = (metric, [])
-                entry[1].extend((float(t), v) for t, v in item["values"])
+                series_key = tuple(sorted(item["metric"].items()))
+                merged.setdefault(series_key, []).extend((float(t), v) for t, v in item["values"])
         columns = []
         for series_key in sorted(merged):
-            metric, pairs = merged[series_key]
+            pairs = merged[series_key]
             pairs.sort(key=lambda tv: tv[0])
-            columns.append((metric, [t for t, _v in pairs], [v for _t, v in pairs]))
+            # A backend wrote each ``metric`` object from a label set,
+            # names sorted, so the key's label set renders the same
+            # text; it serves only as the render memo's key.
+            labels = Labels.from_sorted_items(series_key)
+            columns.append((metric_text(labels), [t for t, _v in pairs], [v for _t, v in pairs]))
         return query_response("matrix", matrix_text(columns, grid))

@@ -33,7 +33,11 @@ _SAFE_ALTERNATION = set("0123456789abcdefABCDEF-|_")
 
 
 class QueryScope:
-    """The set of uuids a query touches, or 'unbounded'."""
+    """The set of uuids a query touches, or 'unbounded'.
+
+    Read-only once :func:`extract_uuids` returns it: the LB keeps one
+    per parsed expression and shares it across that text's requests.
+    """
 
     def __init__(self) -> None:
         self.uuids: set[str] = set()

@@ -40,6 +40,7 @@ from repro.tsdb.plan import (
     QueryPlan,
     plan_query,
 )
+from repro.tsdb.promql.parser import plan_memo
 
 USER_HEADER = "x-grafana-user"
 
@@ -201,7 +202,9 @@ class LoadBalancer:
             plan = plan_query(request, limits)
             if isinstance(plan, Response):
                 return self._deny(request, plan, user)
-            scope = extract_uuids(plan.ast)
+            # The scope depends on the text alone: worked out once per
+            # parsed expression, shared (read-only) by its requests.
+            scope = plan_memo(plan.ast).fixed("uuid_scope", extract_uuids, plan.ast)
             if not self.authorizer.allowed(user, scope.uuids, unbounded=scope.unbounded):
                 reason = f"user {user} is not allowed to query units {sorted(scope.uuids) or '(all)'}"
                 return self._deny(request, Response.error(403, reason), user)

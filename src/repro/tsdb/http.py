@@ -23,6 +23,10 @@ over :func:`instant_result` / :func:`range_result` /
 arrays, and the query frontend writes the answers it assembles through
 the same functions, so the two paths' bytes agree by construction.
 Non-finite sample values are spelled ``NaN`` / ``+Inf`` / ``-Inf``.
+A refreshed dashboard asks for nearly the same answer again, so the
+renderer writes each distinct sample value (:func:`value_texts`) and
+each label set's ``"metric"`` object (:func:`metric_text`) once, through
+two bounded process-wide memos.
 
 POST form bodies are honoured (Grafana sends long queries that way).
 Query-path requests are read, validated and parsed by
@@ -44,7 +48,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from operator import add
+from itertools import compress
+from operator import add, not_
 
 from repro.common.errors import QueryError, StorageError
 from repro.common.httpx import App, Request, Response
@@ -57,11 +62,16 @@ from repro.obs.query import (
     deactivate_stats,
 )
 from repro.obs.trace import current_trace
-from repro.tsdb.model import Matcher
+from repro.tsdb.model import Labels, Matcher
 from repro.tsdb.plan import QueryLimits, plan_query
 from repro.tsdb.promql.ast import VectorSelector, iter_selectors
 from repro.tsdb.promql.engine import InstantResult, PromQLEngine, RangeResult
-from repro.tsdb.promql.parser import parse_expr
+from repro.tsdb.promql.parser import parse_expr, plan_memo
+
+
+def _selector_texts(ast) -> tuple[str, ...]:
+    """The active-query tracker's fingerprint of a query: its selectors."""
+    return tuple(str(sel) for sel in iter_selectors(ast))
 
 
 def _selector_matchers(selector_text: str) -> list[Matcher]:
@@ -83,6 +93,52 @@ def sample_text(value: float) -> str:
     return _NON_FINITE.get(text, text)
 
 
+#: Bounds of the two render memos below.  Each is emptied wholesale
+#: when full (as the storage selector memo is).  A ``dash_live`` round
+#: renders ~5k values, ~2.4k of them distinct and 98.4-99.0 % rendered
+#: by the round before, under ~80 label sets; its 50 rounds leave
+#: ~5.5k values in the memo.
+VALUE_TEXT_MAX = 1 << 13
+METRIC_TEXT_MAX = 1 << 11
+
+#: Sample value -> its ``repr``, the 17-digit float formatting that
+#: costs ~1 µs a value.  ``+0.0`` and ``-0.0`` never enter (equal keys,
+#: different texts), nor does NaN (equal to nothing, so a NaN key would
+#: only fill the memo).  Threads share it: every access is one dict
+#: operation, and a racing clear only costs misses.
+_VALUE_TEXT: dict[float, str] = {}
+
+#: Label set -> its ``"metric"`` JSON object.  A refresh whose plans
+#: are remembered hands back the very label objects of last time.
+_METRIC_TEXT: dict[Labels, str] = {}
+
+
+def value_texts(values: list[float]) -> list[str]:
+    """The ``repr`` of every value (``json`` writes a float alike),
+    each distinct value formatted once across answers."""
+    memo = _VALUE_TEXT
+    texts = list(map(memo.get, values))
+    if None in texts:
+        if len(memo) >= VALUE_TEXT_MAX:
+            memo.clear()
+        for i in compress(range(len(texts)), map(not_, texts)):
+            value = values[i]
+            text = texts[i] = repr(value)
+            if value and value == value:
+                memo[value] = text
+    return texts
+
+
+def metric_text(labels: Labels) -> str:
+    """``labels`` as the ``"metric"`` JSON object of an answer."""
+    text = _METRIC_TEXT.get(labels)
+    if text is None:
+        if len(_METRIC_TEXT) >= METRIC_TEXT_MAX:
+            _METRIC_TEXT.clear()
+        text = _METRIC_TEXT[labels] = json.dumps(labels.as_dict())
+    return text
+
+
 def _points_text(heads: dict[float, str], ts: list[float], texts: list[str]) -> str:
     """One series' ``[[t, "v"], ...]`` from its timestamps and value texts."""
     if not texts:
@@ -93,8 +149,8 @@ def _points_text(heads: dict[float, str], ts: list[float], texts: list[str]) -> 
     return f'[{text}"]]'
 
 
-def matrix_text(series: list[tuple[dict, list[float], list[str]]], grid: list[float]) -> str:
-    """The ``result`` array of a matrix answer, from ``(metric dict,
+def matrix_text(series: list[tuple[str, list[float], list[str]]], grid: list[float]) -> str:
+    """The ``result`` array of a matrix answer, from ``(metric text,
     timestamps, value texts)`` per series in response order; every
     timestamp is a step of ``grid``."""
     if not series:
@@ -104,16 +160,16 @@ def matrix_text(series: list[tuple[dict, list[float], list[str]]], grid: list[fl
     # different steps share one text per step, never one per position.
     heads = {t: f'[{t!r}, "' for t in grid}
     return "[" + ", ".join(
-        f'{{"metric": {json.dumps(metric)}, "values": {_points_text(heads, ts, texts)}}}'
+        f'{{"metric": {metric}, "values": {_points_text(heads, ts, texts)}}}'
         for metric, ts, texts in series
     ) + "]"
 
 
 def range_result(result: RangeResult) -> tuple[str, str]:
     """``(resultType, result text)`` of a range query: series sorted by
-    their label items, one C-level ``repr`` pass over each value array."""
+    their label items."""
     series = [
-        (labels.as_dict(), ts.tolist(), list(map(repr, vs.tolist())))
+        (metric_text(labels), ts.tolist(), value_texts(vs.tolist()))
         for labels, (ts, vs) in sorted(result.series.items(), key=lambda kv: tuple(kv[0]))
     ]
     return "matrix", matrix_text(series, result.timestamps().tolist())
@@ -121,17 +177,15 @@ def range_result(result: RangeResult) -> tuple[str, str]:
 
 def instant_result(result: InstantResult) -> tuple[str, str]:
     """``(resultType, result text)`` of an instant query, in the
-    engine's element order.  A vector holds one point per series, so
-    its elements are the answer itself and one ``json.dumps`` over them
-    is the cheap way to write it."""
+    engine's element order."""
     if result.is_scalar:
         return "scalar", json.dumps([result.timestamp, sample_text(result.scalar)])
-    return "vector", json.dumps(
-        [
-            {"metric": labels.as_dict(), "value": [result.timestamp, sample_text(value)]}
-            for labels, value in zip(result.labels, result.values)
-        ]
-    )
+    at = json.dumps(result.timestamp)
+    texts = value_texts(result.values)
+    return "vector", "[" + ", ".join(
+        f'{{"metric": {metric}, "value": [{at}, "{_NON_FINITE.get(text, text)}"]}}'
+        for metric, text in zip(map(metric_text, result.labels), texts)
+    ) + "]"
 
 
 def query_response(result_type: str, result: str, stats: dict | None = None) -> Response:
@@ -366,7 +420,7 @@ class PromAPI:
         token = activate_stats(stats)
         started = time.perf_counter()
         try:
-            fingerprint = tuple(str(sel) for sel in iter_selectors(plan.ast))
+            fingerprint = plan_memo(plan.ast).fixed("tracker", _selector_texts, plan.ast)
             try:
                 with self.tracker.track(
                     query, fingerprint=fingerprint, stats=stats

@@ -19,6 +19,14 @@ _LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 _METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 
 
+def anchored_regex(regex: str) -> str:
+    """``regex`` anchored as Prometheus anchors a matcher or
+    ``label_replace`` regex, ``^(?s:regex)$``: the whole value must
+    match and ``.`` matches a newline too.  RE2's ``$`` is Python's
+    ``\\Z`` (Python's ``$`` also matches before a final newline)."""
+    return f"^(?s:{regex})\\Z"
+
+
 class Labels:
     """An immutable, hashable label set.
 
@@ -152,8 +160,7 @@ class Matcher:
 
     def __post_init__(self) -> None:
         if self.op in (MatchOp.RE, MatchOp.NRE):
-            # Prometheus fully anchors regex matchers.
-            object.__setattr__(self, "_regex", re.compile(f"^(?:{self.value})$"))
+            object.__setattr__(self, "_regex", re.compile(anchored_regex(self.value)))
         else:
             object.__setattr__(self, "_regex", None)
 

@@ -47,7 +47,13 @@ Values flow through evaluation as one of three shapes:
 **Labels.**  This module derives no label set of its own: every output
 label tuple comes from a label half of :mod:`repro.tsdb.promql.engine`
 (``_group_plan``, ``_match_plan``, ``_set_plan``, ``_bucket_plan``,
-``_without_names``, ``_label_replace_plan``, ...), the walk's own.
+``_without_names``, ``_label_replace_plan``, ...), the walk's own,
+taken through the expression's :class:`~repro.tsdb.promql.parser.PlanMemo`
+under the node's grid key (``-id(node)``; the walk's is ``id(node)``).
+A selector's or matrix selector's row labels enter as a leaf (compared
+by value), so a query whose selectors return the series of last time
+gets every plan of last time back, index arrays included, and hands
+the very output label sets of last time to the renderer.
 A plan lists its *clashes* — rows that must not be present at one step
 together — and where the walk raises on any, a grid raises at the
 earliest step two rows of one clash are present together; output rows
@@ -116,6 +122,7 @@ from repro.tsdb.promql.engine import (
     SCALAR_LABELS,
     PromQLEngine,
     _absent_plan,
+    _as_is,
     _binary_fn,
     _bucket_plan,
     _group_plan,
@@ -133,6 +140,7 @@ from repro.tsdb.promql.functions import (
     histogram_bucket_quantile,
     quantile,
 )
+from repro.tsdb.promql.parser import PlanMemo
 
 #: Process-wide columnar-evaluator counters (self-telemetry): range
 #: queries evaluated plus per-query memo hits.  Module level because
@@ -181,7 +189,8 @@ def _raise_first_clash(clashes: list, presences: tuple) -> None:
 def _folded(labels: tuple, values: np.ndarray, present: np.ndarray, clashes: list) -> _Matrix:
     """The rows of every output clash — one label set, present at
     disjoint steps once :func:`_raise_first_clash` passed — folded into
-    the first, so one series carries each label set."""
+    the first, so one series carries each label set.  A row clashing
+    with itself was never present, and is dropped."""
     groups = [rows for _message, side, rows in clashes if side == OUT]
     if not groups:
         return _Matrix(labels, values, present)
@@ -192,6 +201,50 @@ def _folded(labels: tuple, values: np.ndarray, present: np.ndarray, clashes: lis
             present[head] |= present[row]
     keep = np.delete(np.arange(len(labels)), [row for rows in groups for row in rows[1:]])
     return _Matrix(tuple([labels[i] for i in keep.tolist()]), values[keep], present[keep])
+
+
+def _grid_groups(node: Aggregation, labels: tuple) -> tuple:
+    """``_group_plan`` as one pass over the rows wants it: the output
+    keys, the rows in group order (``order``, group ``g`` from
+    ``bounds[g]``) and each row's group (``gid``).  A lone group's rows
+    already are in order."""
+    keys, members = _group_plan(node, labels)
+    G, S = len(keys), len(labels)
+    if G <= 1:
+        return keys, slice(None), np.zeros(S, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    order = np.fromiter(chain.from_iterable(members), dtype=np.intp, count=S)
+    sizes = np.fromiter(map(len, members), dtype=np.intp, count=G)
+    bounds = np.zeros(G, dtype=np.intp)
+    sizes[:-1].cumsum(out=bounds[1:])
+    gid = np.empty(S, dtype=np.intp)
+    gid[order] = np.repeat(np.arange(G), sizes)
+    return keys, order, gid, bounds
+
+
+def _grid_match(node: BinaryOp, lhs: tuple, rhs: tuple) -> tuple:
+    """``_match_plan`` with its pair indices as gather arrays."""
+    labels, l_idx, r_idx, clashes = _match_plan(node, lhs, rhs)
+    return labels, np.asarray(l_idx, dtype=np.intp), np.asarray(r_idx, dtype=np.intp), clashes
+
+
+def _grid_set(node: BinaryOp, lhs: tuple, rhs: tuple) -> tuple:
+    """``_set_plan``'s signature groups as index arrays, the number of
+    group rows (one more, always absent, for a signature the other side
+    lacks), and for ``or`` its rows — every row of both sides — with
+    their clashes."""
+    _labels, _l_idx, _r_idx, (member, groups) = _set_plan(node, lhs, rhs)
+    rows = None
+    if node.op == "or":
+        # An rhs row holding an lhs row's labels shares its signature,
+        # so it only fills that row's gaps.
+        rows = lhs + rhs
+        rows = (rows, _same_labelsets(rows))
+    return (
+        np.asarray(member, dtype=np.intp),
+        np.asarray(groups, dtype=np.intp),
+        max(groups, default=-1) + 2,
+        rows,
+    )
 
 
 def _relabelled(plan: tuple, values: np.ndarray, present: np.ndarray) -> _Matrix:
@@ -241,16 +294,17 @@ def _flatten(
 
 
 def eval_range_columnar(
-    engine: PromQLEngine, ast: Expr, steps: np.ndarray
+    engine: PromQLEngine, ast: Expr, steps: np.ndarray, memo: PlanMemo
 ) -> dict[Labels, tuple[np.ndarray, np.ndarray]]:
-    """Evaluate ``ast`` at every step; returns RangeResult.series data."""
+    """Evaluate ``ast`` at every step, label plans from ``memo`` (the
+    expression's); returns RangeResult.series data."""
     COLUMNAR_STATS["range_queries"] += 1
-    ev = _ColumnarEval(engine, steps)
+    ev = _ColumnarEval(engine, steps, memo)
     return ev.materialize(ev.eval(ast))
 
 
 def subquery_windows_at(
-    engine: PromQLEngine, node: Subquery, at: float
+    engine: PromQLEngine, node: Subquery, at: float, memo: PlanMemo
 ) -> list[tuple[Labels, np.ndarray, np.ndarray, float, float]]:
     """The walk's windows for a subquery at the one outer step ``at``.
 
@@ -260,7 +314,7 @@ def subquery_windows_at(
     :meth:`PromQLEngine._windows` returns them; series with no inner
     point in the window are dropped, as the walk never saw them.
     """
-    ev = _ColumnarEval(engine, np.array([at], dtype=np.float64))
+    ev = _ColumnarEval(engine, np.array([at], dtype=np.float64), memo)
     win = ev._window_data(node)
     start, end = float(win.starts[0]), float(win.ends[0])
     ts, vs = win.ts, win.vs
@@ -272,8 +326,9 @@ def subquery_windows_at(
 
 
 class _ColumnarEval:
-    def __init__(self, engine: PromQLEngine, steps: np.ndarray) -> None:
+    def __init__(self, engine: PromQLEngine, steps: np.ndarray, memo: PlanMemo) -> None:
         self.engine = engine
+        self.memo = memo
         self.storage = engine.storage
         self.lookback = engine.lookback
         self.steps = steps
@@ -282,6 +337,10 @@ class _ColumnarEval:
         # (e.g. rate(m[5m]) + increase(m[5m])) are resolved once.
         self._selector_memo: dict[Expr, _Matrix] = {}
         self._window_memo: dict[Expr, _Windows] = {}
+
+    def _plan(self, node: Expr, inputs: tuple, build, *consts, leaf: bool = False):
+        """The label half of ``node`` under its grid key."""
+        return self.memo.plan(-id(node), inputs, build, *consts, leaf=leaf)
 
     # -- materialization -------------------------------------------------
     def materialize(self, value) -> dict[Labels, tuple[np.ndarray, np.ndarray]]:
@@ -316,7 +375,7 @@ class _ColumnarEval:
         if isinstance(node, UnaryOp):
             inner = self.eval(node.expr)
             if isinstance(inner, _Matrix):
-                return _relabelled(_without_names(inner.labels), -inner.values, inner.present)
+                return _relabelled(self._plan(node, (inner.labels,), _without_names), -inner.values, inner.present)
             return -inner
         if isinstance(node, VectorSelector):
             return self._selector(node)
@@ -395,7 +454,7 @@ class _ColumnarEval:
             present = np.zeros((S, self.T), dtype=bool)
             values = np.full((S, self.T), np.nan)
         obsquery.record_samples(int(present.sum()))
-        mat = _Matrix(tuple(labels), values, present)
+        mat = _Matrix(self._plan(node, (tuple(labels),), _as_is, leaf=True), values, present)
         self._selector_memo[node] = mat
         return mat
 
@@ -450,7 +509,8 @@ class _ColumnarEval:
             his = kept_before[his]
             ts, vs = ts[keep], vs[keep]
         obsquery.record_samples(int(np.sum(his - los)))
-        return _Windows(tuple(labels), ts, vs, los, his, starts, ends)
+        labels = self._plan(node, (tuple(labels),), _as_is, leaf=True)
+        return _Windows(labels, ts, vs, los, his, starts, ends)
 
     def _subquery_window_data(self, node: Subquery) -> _Windows:
         """Range-vector windows from an instant sub-expression.
@@ -472,7 +532,7 @@ class _ColumnarEval:
             return self._no_windows(starts, ends)
         m0 = int(k_lo.min())
         grid = np.arange(m0, int(k_hi.max()) + 1, dtype=np.int64) * sstep
-        inner = _ColumnarEval(self.engine, grid).eval(node.expr)
+        inner = _ColumnarEval(self.engine, grid, self.memo).eval(node.expr)
         if isinstance(inner, np.ndarray):
             inner = _Matrix(
                 SCALAR_LABELS,
@@ -513,7 +573,7 @@ class _ColumnarEval:
                     win.ts, win.vs, win.los, win.his, win.starts, win.ends
                 )
             # The walk drops None/NaN range-function results.
-            return _relabelled(_without_names(win.labels), values, ~np.isnan(values))
+            return _relabelled(self._plan(node, (win.labels,), _without_names), values, ~np.isnan(values))
         if func == "quantile_over_time":
             if len(node.args) != 2 or not isinstance(node.args[1], (MatrixSelector, Subquery)):
                 raise QueryError("quantile_over_time(scalar, range-vector) expected")
@@ -527,7 +587,7 @@ class _ColumnarEval:
                 rows.tolist(), cols.tolist(), win.los[present].tolist(), win.his[present].tolist()
             ):
                 values[i, j] = quantile(q[j], vs[lo:hi])
-            return _relabelled(_without_names(win.labels), values, present)
+            return _relabelled(self._plan(node, (win.labels,), _without_names), values, present)
         if func in ELEMENT_FUNCTIONS:
             return self._element_call(node)
         return self._special(node)
@@ -554,7 +614,7 @@ class _ColumnarEval:
             for i, j in zip(*np.nonzero(vec.present)):
                 # Plain Python floats in, as the walk passes.
                 values[i, j] = float(impl(float(vals[i, j]), *(float(e[j]) for e in extras)))
-        return _relabelled(_without_names(vec.labels), values, vec.present)
+        return _relabelled(self._plan(node, (vec.labels,), _without_names), values, vec.present)
 
     # -- special forms ---------------------------------------------------
     def _special(self, node: Call):
@@ -582,11 +642,11 @@ class _ColumnarEval:
         if func == "timestamp":
             vec = self._vector(node.args[0])
             values = np.where(vec.present, self.steps, np.nan)
-            return _relabelled(_without_names(vec.labels), values, vec.present)
+            return _relabelled(self._plan(node, (vec.labels,), _without_names), values, vec.present)
         if func == "absent":
             vec = self._vector(node.args[0])
             present = ~vec.present.any(axis=0, keepdims=True)
-            return _Matrix(_absent_plan(node, ()), np.where(present, 1.0, np.nan), present)
+            return _Matrix(self._plan(node, ((),), _absent_plan, node), np.where(present, 1.0, np.nan), present)
         if func in ("sort", "sort_desc"):
             # Ordering is instant-query presentation; range results are
             # keyed by labels.
@@ -596,7 +656,7 @@ class _ColumnarEval:
                 raise QueryError("label_replace(v, dst, replacement, src, regex) expected")
             vec = self._vector(node.args[0])
             strings = [self._string(a) for a in node.args[1:]]
-            return _relabelled(_label_replace_plan(*strings, vec.labels), vec.values, vec.present)
+            return _relabelled(self._plan(node, (vec.labels,), _label_replace_plan, *strings), vec.values, vec.present)
         if func == "histogram_quantile":
             if len(node.args) != 2:
                 raise QueryError("histogram_quantile(scalar, vector) expected")
@@ -605,7 +665,7 @@ class _ColumnarEval:
             # The walk's bucket groups, then the shared bucketQuantile
             # helper per present column — same pairs, same helper,
             # bit-identical to the per-step path.
-            keys, rows, bounds = _bucket_plan(vec.labels)
+            keys, rows, bounds = self._plan(node, (vec.labels,), _bucket_plan)
             qs = q.tolist()
             out_values = np.full((len(keys), T), np.nan)
             out_present = np.zeros((len(keys), T), dtype=bool)
@@ -630,29 +690,18 @@ class _ColumnarEval:
             dst = self._string(node.args[1])
             sep = self._string(node.args[2])
             sources = tuple(self._string(a) for a in node.args[3:])
-            return _relabelled(_label_join_plan(dst, sep, sources, vec.labels), vec.values, vec.present)
+            plan = self._plan(node, (vec.labels,), _label_join_plan, dst, sep, sources)
+            return _relabelled(plan, vec.values, vec.present)
         raise QueryError(f"unknown function {func!r}")
 
     # -- aggregations ----------------------------------------------------
     def _aggregation(self, node: Aggregation) -> _Matrix:
         vec = self._vector(node.expr)
         param = self._scalar(node.param) if node.param is not None else None
-        keys, members = _group_plan(node, vec.labels)
+        keys, order, gid, bounds = self._plan(node, (vec.labels,), _grid_groups, node)
         G = len(keys)
         if not G:
             return vec  # nothing to aggregate
-        # Each group's rows back to back, in row order within a group
-        # (``order``, group ``g`` from ``bounds[g]``); gid[i] is row i's
-        # group.  A lone group's rows already are.
-        if G == 1:
-            order, gid, bounds = slice(None), np.zeros(vec.nrows, dtype=np.intp), np.zeros(1, dtype=np.intp)
-        else:
-            order = np.fromiter(chain.from_iterable(members), dtype=np.intp, count=vec.nrows)
-            sizes = np.fromiter(map(len, members), dtype=np.intp, count=G)
-            bounds = np.zeros(G, dtype=np.intp)
-            sizes[:-1].cumsum(out=bounds[1:])
-            gid = np.empty(vec.nrows, dtype=np.intp)
-            gid[order] = np.repeat(np.arange(G), sizes)
 
         op = node.op
         if op in ("topk", "bottomk"):
@@ -823,13 +872,11 @@ class _ColumnarEval:
             # Filter semantics: kept elements are unchanged.
             return _Matrix(vec.labels, np.where(present, vec.values, np.nan), present)
         values = np.where(vec.present, self._apply_op_array(node.op, a, b), np.nan)
-        return _relabelled(_without_names(vec.labels), values, vec.present)
+        return _relabelled(self._plan(node, (vec.labels,), _without_names), values, vec.present)
 
     def _vector_vector(self, node: BinaryOp, lhs: _Matrix, rhs: _Matrix) -> _Matrix:
         """One gather of every matched pair and one operation over them."""
-        labels, l_idx, r_idx, clashes = _match_plan(node, lhs.labels, rhs.labels)
-        l_idx = np.asarray(l_idx, dtype=np.intp)
-        r_idx = np.asarray(r_idx, dtype=np.intp)
+        labels, l_idx, r_idx, clashes = self._plan(node, (lhs.labels, rhs.labels), _grid_match, node)
         a, b = lhs.values[l_idx], rhs.values[r_idx]
         present = lhs.present[l_idx] & rhs.present[r_idx]
         _raise_first_clash(clashes, (lhs.present, rhs.present, present))
@@ -844,13 +891,11 @@ class _ColumnarEval:
     def _set_op(self, node: BinaryOp, lhs: _Matrix, rhs: _Matrix) -> _Matrix:
         """Membership per step: a row's signature group is present on
         the other side where any of the group's rows is."""
-        _labels, _l_idx, _r_idx, (member, groups) = _set_plan(node, lhs.labels, rhs.labels)
+        member, groups, group_rows, rows = self._plan(node, (lhs.labels, rhs.labels), _grid_set, node)
         other = lhs if node.op == "or" else rhs
-        # One row per group plus an always-absent last row, the group
-        # of a signature the other side lacks (-1).
-        seen = np.zeros((max(groups, default=-1) + 2, self.T), dtype=bool)
+        seen = np.zeros((group_rows, self.T), dtype=bool)
         np.logical_or.at(seen, groups, other.present)
-        hit = seen[np.asarray(member, dtype=np.intp)]
+        hit = seen[member]
         if node.op == "and":
             present = lhs.present & hit
         elif node.op == "unless":
@@ -858,8 +903,5 @@ class _ColumnarEval:
         else:
             present = np.vstack([lhs.present, rhs.present & ~hit])
             values = np.vstack([lhs.values, rhs.values])
-            labels = lhs.labels + rhs.labels
-            # An rhs row holding an lhs row's labels shares its
-            # signature, so it only fills that row's gaps.
-            return _relabelled((labels, _same_labelsets(labels)), np.where(present, values, np.nan), present)
+            return _relabelled(rows, np.where(present, values, np.nan), present)
         return _Matrix(lhs.labels, np.where(present, lhs.values, np.nan), present)

@@ -30,15 +30,17 @@ membership, ``label_replace``, the final sort) is a pure function of
 the node and its input label tuples: the label half (the module-level
 ``_*_plan`` functions) turns those into a *plan* of output labels and
 index lists, and the value half is plain indexed arithmetic over the
-plan, in the element order the walk always had.  A caller that
-evaluates the same expression again and again — a recording rule —
-passes a :class:`PlanMemo`; a node whose input tuples are the very
-objects it saw last time reuses its last plan and hands up the very
-output tuple it handed up last time, so a hit propagates to the root.
-Without a memo (ad hoc queries, alerts, the updater) the label half
-simply runs every time: one walk, one set of semantics.  The columnar
-evaluator applies the same label halves to its step grid, so PromQL's
-label semantics are written once, here.
+plan, in the element order the walk always had.  Every parsed
+expression owns one :class:`~repro.tsdb.promql.parser.PlanMemo`
+(:func:`~repro.tsdb.promql.parser.plan_memo`), so whoever evaluates a
+text again — a recording rule, a refreshed dashboard panel, an alert —
+meets the plans its last evaluation left: a node whose input tuples
+are the very objects it saw last time reuses its last plan and hands
+up the very output tuple it handed up last time, so a hit propagates
+to the root, and the answer's label sets are the objects of last
+time.  The columnar evaluator applies the same label halves to its
+step grid through the same memo (keyed apart from the walk's), so
+PromQL's label semantics are written once, here.
 
 The element-wise walk this replaced and both per-step loops live on
 as the oracles of the differential suite (``tests/reference/promql.py``).
@@ -70,7 +72,15 @@ import numpy as np
 
 from repro.common.errors import QueryError
 from repro.obs import query as obsquery
-from repro.tsdb.model import _LABEL_NAME_RE, EMPTY_LABELS, METRIC_NAME_LABEL, Labels, MatchOp
+from repro.tsdb.model import (
+    _LABEL_NAME_RE,
+    _METRIC_NAME_RE,
+    EMPTY_LABELS,
+    METRIC_NAME_LABEL,
+    Labels,
+    MatchOp,
+    anchored_regex,
+)
 from repro.tsdb.promql.ast import (
     COMPARISON_OPS,
     Aggregation,
@@ -92,7 +102,7 @@ from repro.tsdb.promql.functions import (
     histogram_bucket_quantile,
     quantile,
 )
-from repro.tsdb.promql.parser import parse_expr
+from repro.tsdb.promql.parser import PlanMemo, parse_expr, plan_memo
 
 DEFAULT_LOOKBACK = 300.0
 
@@ -116,10 +126,11 @@ def range_steps(start: float, end: float, step: float) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _compile_anchored(regex: str) -> re.Pattern[str]:
-    """Compiled, fully-anchored regex for label_replace (cached —
-    mirrors :class:`Matcher`'s precompiled ``_regex``)."""
+    """Compiled, fully-anchored regex for label_replace, anchored as
+    :class:`Matcher` anchors (cached — mirrors its precompiled
+    ``_regex``)."""
     try:
-        return re.compile(f"^(?:{regex})$")
+        return re.compile(anchored_regex(regex))
     except re.error:
         raise QueryError(f"invalid regular expression in label_replace(): {regex}") from None
 
@@ -169,60 +180,11 @@ class RangeResult:
         return range_steps(self.start, self.end, self.step)
 
 
-class PlanMemo:
-    """The last label plan of every node of *one* parsed expression.
-
-    Owned by a caller that evaluates the expression repeatedly (each
-    :class:`~repro.tsdb.rules.RecordingRule` has one).  Per key — a
-    node's ``id``, or a caller's own name for a step after the walk —
-    it holds the input label tuples the plan was built from and the
-    plan: nothing older, so memory is one plan per node.  A plan is
-    stored only after its label half returned; one that raised leaves
-    nothing behind and raises again next time.  A plan listing clashes
-    is stored, and the walk raises them on every evaluation that
-    reuses it.
-    """
-
-    __slots__ = ("ast", "plans", "hits", "rebuilds")
-
-    def __init__(self) -> None:
-        #: The expression the plans belong to (held so node ids stay
-        #: unique); a different one empties the memo.
-        self.ast: Expr | None = None
-        self.plans: dict[object, tuple[tuple, object]] = {}
-        self.hits = 0
-        self.rebuilds = 0
-
-    def plan(self, key, inputs: tuple, build, *consts, leaf: bool = False):
-        """``build(*consts, *inputs)``, or the plan built last time
-        when ``inputs`` are the same tuple objects as then.  A leaf's
-        input is assembled from storage on every evaluation, so it is
-        compared by value instead (element identity first)."""
-        entry = self.plans.get(key)
-        if entry is not None:
-            held = entry[0]
-            if held == inputs if leaf else all(map(operator.is_, held, inputs)):
-                self.hits += 1
-                return entry[1]
-        plan = build(*consts, *inputs)
-        self.plans[key] = (inputs, plan)
-        self.rebuilds += 1
-        return plan
-
-
-def _plan(memo: PlanMemo | None, key, inputs: tuple, build, *consts, leaf: bool = False):
-    """The label half of one node: remembered by ``memo``, or — with
-    no memo — built now, as every evaluation used to."""
-    if memo is None:
-        return build(*consts, *inputs)
-    return memo.plan(key, inputs, build, *consts, leaf=leaf)
-
-
-def _relabel(memo: PlanMemo | None, node: Expr, labels: tuple, build, *consts, leaf: bool = False) -> tuple:
+def _relabel(memo: PlanMemo, node: Expr, labels: tuple, build, *consts, leaf: bool = False) -> tuple:
     """The output labels of a one-input node whose plan is ``(labels,
     clashes)``: at the walk's one step every row is present, so any
     clash raises."""
-    out, clashes = _plan(memo, id(node), (labels,), build, *consts, leaf=leaf)
+    out, clashes = memo.plan(id(node), (labels,), build, *consts, leaf=leaf)
     _raise_any(clashes)
     return out
 
@@ -303,7 +265,9 @@ SCALAR_LABELS = (EMPTY_LABELS,)
 # side, rows)``, rows of the lhs input, the rhs input or the output
 # that must never be present at one step together.  The walk's rows
 # are all present at its one step, so it raises on any clash; a grid
-# raises where two rows of one clash are present at the same step.
+# raises where two rows of one clash are present at the same step.  A
+# row that must not be present at all — one that would write an
+# invalid metric name — is a clash of the row with itself.
 
 #: Prometheus's error for a vector holding one label set twice.
 SAME_LABELSET = "vector cannot contain metrics with the same labelset"
@@ -356,6 +320,27 @@ def _set_labels(labels: Labels, values: dict[str, str]) -> Labels:
 def _check_label_name(name: str, what: str, func: str) -> None:
     if not _LABEL_NAME_RE.match(name):
         raise QueryError(f"invalid {what} label name in {func}(): {name}")
+
+
+def _rewritten(labels: tuple, dst: str, values: list[str | None], func: str) -> tuple[tuple, list]:
+    """``labels`` with ``dst`` set to each row's value (``None``: the
+    row unchanged), and the clashes.  A value written as the metric
+    name must be a valid one: a row where it is not raises the moment
+    it is present, so it clashes with itself, first, and keeps an
+    unvalidated label set that no valid row can equal (a grid drops it
+    with the other never-present rows of its clashes)."""
+    out: list[Labels] = []
+    invalid = []
+    for i, (l, value) in enumerate(zip(labels, values)):
+        if value is None:
+            out.append(l)
+        elif dst == METRIC_NAME_LABEL and value and not _METRIC_NAME_RE.match(value):
+            invalid.append((f"invalid metric name in {func}(): {value}", OUT, [i, i]))
+            out.append(Labels.from_sorted_items(sorted({**l.as_dict(), dst: value}.items())))
+        else:
+            out.append(_set_labels(l, {dst: value}))
+    out = tuple(out)
+    return out, invalid + _same_labelsets(out)
 
 
 def _as_is(labels: tuple) -> tuple:
@@ -493,20 +478,15 @@ def _label_replace_plan(dst: str, replacement: str, src: str, regex: str, labels
     pattern = _compile_anchored(regex)
     _check_label_name(dst, "destination", "label_replace")
     template = replacement.replace("$", "\\")
-    out = []
-    for l in labels:
-        match = pattern.match(l.get(src, ""))
-        out.append(_set_labels(l, {dst: match.expand(template)}) if match else l)
-    out = tuple(out)
-    return out, _same_labelsets(out)
+    matches = [pattern.match(l.get(src, "")) for l in labels]
+    return _rewritten(labels, dst, [m.expand(template) if m else None for m in matches], "label_replace")
 
 
 def _label_join_plan(dst: str, sep: str, sources: tuple[str, ...], labels: tuple) -> tuple[tuple, list]:
     for name in sources:
         _check_label_name(name, "source", "label_join")
     _check_label_name(dst, "destination", "label_join")
-    out = tuple([_set_labels(l, {dst: sep.join(l.get(s, "") for s in sources)}) for l in labels])
-    return out, _same_labelsets(out)
+    return _rewritten(labels, dst, [sep.join(l.get(s, "") for s in sources) for l in labels], "label_join")
 
 
 def _absent_plan(node: Call, labels: tuple) -> tuple:
@@ -548,17 +528,11 @@ class PromQLEngine:
         self.eval_queries = {"instant": 0, "range": 0}
 
     # -- public API -------------------------------------------------------
-    def query(self, expr: str | Expr, at: float, memo: PlanMemo | None = None) -> InstantResult:
-        """Instant query at timestamp ``at`` (the AST walk).
-
-        ``memo`` is the caller's :class:`PlanMemo` for this parsed
-        expression, if it keeps one; results are the same with it,
-        without it, and with a fresh one.
-        """
+    def query(self, expr: str | Expr, at: float) -> InstantResult:
+        """Instant query at timestamp ``at`` (the AST walk), label plans
+        from the expression's own memo (:func:`plan_memo`)."""
         ast = parse_expr(expr) if isinstance(expr, str) else expr
-        if memo is not None and memo.ast is not ast:
-            memo.ast = ast
-            memo.plans.clear()
+        memo = plan_memo(ast)
         started = time.perf_counter()
         value = self._eval(ast, at, memo)
         self.eval_seconds["instant"] += time.perf_counter() - started
@@ -569,7 +543,7 @@ class PromQLEngine:
             # outermost expression is sort()/sort_desc(), whose whole
             # point is value ordering.
             if not (isinstance(ast, Call) and ast.func in ("sort", "sort_desc")):
-                labels, order = _plan(memo, "order", (labels,), _label_order)
+                labels, order = memo.plan("order", (labels,), _label_order)
                 values = [values[i] for i in order]
             return InstantResult(timestamp=at, labels=labels, values=values)
         if isinstance(value, (int, float)):
@@ -596,7 +570,7 @@ class PromQLEngine:
         from repro.tsdb.promql.columnar import eval_range_columnar
 
         started = time.perf_counter()
-        result.series = eval_range_columnar(self, ast, steps)
+        result.series = eval_range_columnar(self, ast, steps, plan_memo(ast))
         self.eval_seconds["range"] += time.perf_counter() - started
         self.eval_queries["range"] += 1
         assert np.array_equal(result.timestamps(), steps)  # drift guard
@@ -648,11 +622,11 @@ class PromQLEngine:
                 present.append(series.labels)
                 values.append(point[1])
         obsquery.record_samples(len(values))
-        return _plan(memo, id(node), (tuple(present),), _as_is, leaf=True), values
+        return memo.plan(id(node), (tuple(present),), _as_is, leaf=True), values
 
-    def _windows(self, node, at: float) -> list[tuple[Labels, np.ndarray, np.ndarray, float, float]]:
+    def _windows(self, node, at: float, memo: PlanMemo) -> list[tuple[Labels, np.ndarray, np.ndarray, float, float]]:
         if isinstance(node, Subquery):
-            return self._subquery_windows(node, at)
+            return self._subquery_windows(node, at, memo)
         end = at - node.selector.offset
         start = end - node.range_seconds
         out = []
@@ -669,7 +643,9 @@ class PromQLEngine:
         obsquery.record_samples(touched)
         return out
 
-    def _subquery_windows(self, node: Subquery, at: float) -> list[tuple[Labels, np.ndarray, np.ndarray, float, float]]:
+    def _subquery_windows(
+        self, node: Subquery, at: float, memo: PlanMemo
+    ) -> list[tuple[Labels, np.ndarray, np.ndarray, float, float]]:
         """Range-vector windows of ``<expr>[range:step]`` ending at ``at``.
 
         The inner steps are a grid, so the columnar evaluator produces
@@ -679,7 +655,7 @@ class PromQLEngine:
         """
         from repro.tsdb.promql.columnar import subquery_windows_at
 
-        return subquery_windows_at(self, node, at)
+        return subquery_windows_at(self, node, at, memo)
 
     # -- function calls -----------------------------------------------------------
     def _eval_call(self, node: Call, at: float, memo):
@@ -690,7 +666,7 @@ class PromQLEngine:
             impl = RANGE_FUNCTIONS[func]
             present = []
             values = []
-            for labels, w_ts, w_vs, start, end in self._windows(node.args[0], at):
+            for labels, w_ts, w_vs, start, end in self._windows(node.args[0], at, memo):
                 value = impl(w_ts, w_vs, start, end)
                 if value is not None and not math.isnan(value):
                     present.append(labels)
@@ -702,7 +678,7 @@ class PromQLEngine:
             q = self._eval_scalar(node.args[0], at, memo)
             present = []
             values = []
-            for labels, _w_ts, w_vs, _s, _e in self._windows(node.args[1], at):
+            for labels, _w_ts, w_vs, _s, _e in self._windows(node.args[1], at, memo):
                 if len(w_vs):
                     present.append(labels)
                     values.append(quantile(q, w_vs))
@@ -734,7 +710,7 @@ class PromQLEngine:
             return _relabel(memo, node, labels, _without_names), [float(at)] * len(values)
         if func == "absent":
             labels, _values = self._eval_vector(node.args[0], at, memo)
-            out = _plan(memo, id(node), (labels,), _absent_plan, node)
+            out = memo.plan(id(node), (labels,), _absent_plan, node)
             return out, [1.0] * len(out)
         if func in ("sort", "sort_desc"):
             # Order is the values' doing: no plan to remember.
@@ -752,7 +728,7 @@ class PromQLEngine:
                 raise QueryError("histogram_quantile(scalar, vector) expected")
             q = self._eval_scalar(node.args[0], at, memo)
             labels, values = self._eval_vector(node.args[1], at, memo)
-            keys, rows, bounds = _plan(memo, id(node), (labels,), _bucket_plan)
+            keys, rows, bounds = memo.plan(id(node), (labels,), _bucket_plan)
             return keys, [
                 histogram_bucket_quantile(q, list(zip(les, [values[i] for i in idx])))
                 for idx, les in zip(rows, bounds)
@@ -771,7 +747,7 @@ class PromQLEngine:
     def _eval_aggregation(self, node: Aggregation, at: float, memo):
         labels, values = self._eval_vector(node.expr, at, memo)
         param = self._eval_scalar(node.param, at, memo) if node.param is not None else None
-        keys, members = _plan(memo, id(node), (labels,), _group_plan, node)
+        keys, members = memo.plan(id(node), (labels,), _group_plan, node)
         op = node.op
         if not members:
             return keys, []
@@ -803,7 +779,7 @@ class PromQLEngine:
         if node.op in ("and", "or", "unless"):
             if not (lhs_vec and rhs_vec):
                 raise QueryError(f"set operator {node.op} requires vector operands")
-            labels, l_idx, r_idx, _groups = _plan(memo, id(node), (lhs[0], rhs[0]), _set_plan, node)
+            labels, l_idx, r_idx, _groups = memo.plan(id(node), (lhs[0], rhs[0]), _set_plan, node)
             l_values, r_values = lhs[1], rhs[1]
             return labels, [l_values[i] for i in l_idx] + [r_values[j] for j in r_idx]
         if lhs_vec and rhs_vec:
@@ -833,7 +809,7 @@ class PromQLEngine:
     def _vector_vector(self, node: BinaryOp, lhs, rhs, memo):
         (l_labels, l_values), (r_labels, r_values) = lhs, rhs
         fn = _binary_fn(node.op)
-        labels, l_idx, r_idx, clashes = _plan(memo, id(node), (l_labels, r_labels), _match_plan, node)
+        labels, l_idx, r_idx, clashes = memo.plan(id(node), (l_labels, r_labels), _match_plan, node)
         _raise_any(clashes)
         results = [fn(l_values[i], r_values[j]) for i, j in zip(l_idx, r_idx)]
         if node.op in COMPARISON_OPS and not node.return_bool:

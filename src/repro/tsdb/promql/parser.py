@@ -11,6 +11,7 @@ sign takes everything up to the next operator weaker than ``^``, so
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import lru_cache
 
@@ -328,3 +329,86 @@ def parse_expr(query: str) -> Expr:
     if trailing.type is not TokenType.EOF:
         raise QueryError(f"unexpected trailing input {trailing.text!r}", position=trailing.pos)
     return expr
+
+
+class PlanMemo:
+    """The last label plan of every node of *one* parsed expression.
+
+    Every expression has one (:func:`plan_memo`), whoever evaluates it:
+    a recording rule, a dashboard panel refreshed through PromAPI, an
+    alert.  Per key it holds the input label tuples the plan was built
+    from and the plan: nothing older, so memory is one plan per node
+    and evaluator.  The walk keys a node by its ``id``, the columnar
+    evaluator by ``-id`` (the two see different input tuples for one
+    node, so they must not evict each other), and a caller may name a
+    step of its own.  A plan is stored only after its label half
+    returned; one that raised leaves nothing behind and raises again
+    next time.  A plan listing clashes is stored, and the evaluators
+    raise them on every evaluation that reuses it.
+
+    Threads may share a memo: every read and write is one dict
+    operation on a whole ``(inputs, plan)`` entry, so a racing writer
+    costs a rebuild, never a plan for other inputs (the counters are
+    approximate under races).
+    """
+
+    __slots__ = ("ast", "plans", "hits", "rebuilds")
+
+    def __init__(self, ast: Expr) -> None:
+        #: The expression the plans belong to, held so node ids stay unique.
+        self.ast = ast
+        self.plans: dict[object, tuple[tuple, object]] = {}
+        self.hits = 0
+        self.rebuilds = 0
+
+    def plan(self, key, inputs: tuple, build, *consts, leaf: bool = False):
+        """``build(*consts, *inputs)``, or the plan built last time
+        when ``inputs`` are the same tuple objects as then.  A leaf's
+        input is assembled from storage on every evaluation, so it is
+        compared by value instead (element identity first), and a hit
+        keeps the inputs just compared: equal label sets that are new
+        objects (another storage with the same series) are compared
+        value by value once, then by identity again."""
+        entry = self.plans.get(key)
+        if entry is not None and (entry[0] == inputs if leaf else all(map(operator.is_, entry[0], inputs))):
+            if leaf:
+                self.plans[key] = (inputs, entry[1])
+            self.hits += 1
+            return entry[1]
+        plan = build(*consts, *inputs)
+        self.plans[key] = (inputs, plan)
+        self.rebuilds += 1
+        return plan
+
+    def fixed(self, key: str, build, *args):
+        """What the expression's text alone decides (a fingerprint of
+        its selectors, the uuids it may read): built on the first ask
+        and never counted as a plan."""
+        entry = self.plans.get(key)
+        if entry is None:
+            entry = self.plans[key] = ((), build(*args))
+        return entry[1]
+
+
+#: Expressions whose :class:`PlanMemo` is kept, by the ``id`` of the
+#: tree: as many as ``parse_expr`` remembers.  Emptied wholesale when
+#: full (as the storage selector memo is); an expression evaluated
+#: afterwards starts a new memo, which costs one rebuild per node.
+PLAN_MEMO_MAX = AST_MEMO_SIZE
+_PLAN_MEMOS: dict[int, PlanMemo] = {}
+
+
+def plan_memo(ast: Expr) -> PlanMemo:
+    """The one :class:`PlanMemo` of the parsed expression ``ast``.
+
+    ``parse_expr`` hands one text the same tree, so a text asked again
+    — a dashboard refresh, a rule tick — finds the plans its last
+    evaluation left.  A memo holds its tree, so an ``id`` is never
+    reused while its entry stands.
+    """
+    memo = _PLAN_MEMOS.get(id(ast))
+    if memo is None or memo.ast is not ast:
+        if len(_PLAN_MEMOS) >= PLAN_MEMO_MAX:
+            _PLAN_MEMOS.clear()
+        memo = _PLAN_MEMOS[id(ast)] = PlanMemo(ast)
+    return memo

@@ -22,8 +22,8 @@ from repro.common.errors import QueryError
 from repro.tsdb.alerts import AlertingRuleGroup
 from repro.tsdb.model import METRIC_NAME_LABEL, Labels
 from repro.tsdb.promql.ast import Expr
-from repro.tsdb.promql.engine import SCALAR_LABELS, PlanMemo, PromQLEngine
-from repro.tsdb.promql.parser import parse_expr
+from repro.tsdb.promql.engine import SCALAR_LABELS, PromQLEngine
+from repro.tsdb.promql.parser import parse_expr, plan_memo
 from repro.tsdb.storage import TSDB
 
 _STALE = float("nan")
@@ -40,9 +40,6 @@ class RecordingRule:
     #: Why the last evaluation failed; empty once one succeeds.
     last_error: str = field(default="", repr=False, compare=False)
     _ast: Expr | None = field(default=None, repr=False)
-    #: The walk's label plans for this rule's expression, and the one
-    #: for relabelling its result (see :class:`PlanMemo`).
-    memo: PlanMemo = field(default_factory=PlanMemo, repr=False, compare=False)
     #: Output series written by the previous successful evaluation;
     #: outputs that vanish get staleness markers (Prometheus rule
     #: semantics).
@@ -52,6 +49,12 @@ class RecordingRule:
         if self._ast is None:
             self._ast = parse_expr(self.expr)
         return self._ast
+
+    def record_key(self) -> tuple:
+        """The key of this rule's relabelling plan in its expression's
+        :class:`~repro.tsdb.promql.parser.PlanMemo`: rules sharing an
+        expression share the memo, not the plan."""
+        return ("record", self.record, tuple(self.labels.items()))
 
     def output_labels(self, result_labels: tuple) -> tuple:
         """Label half of recording: every result label set renamed to
@@ -93,7 +96,7 @@ class RuleGroup:
         self.last_error = ""
         for rule in self.rules:
             try:
-                result = engine.query(rule.ast(), at, memo=rule.memo)
+                result = engine.query(rule.ast(), at)
             except (QueryError, ZeroDivisionError) as exc:
                 rule.last_error = str(exc)
                 self.last_error = self.last_error or f"{rule.record}: {exc}"
@@ -103,7 +106,7 @@ class RuleGroup:
                 source, values = SCALAR_LABELS, [float(result.scalar)]
             else:
                 source, values = result.labels, result.values
-            outputs = rule.memo.plan("record", (source,), rule.output_labels)
+            outputs = plan_memo(rule.ast()).plan(rule.record_key(), (source,), rule.output_labels)
             batch = list(zip(outputs, repeat(at), values))
             if outputs is not rule._written:
                 # Stale-mark output series that vanished this evaluation
@@ -130,11 +133,16 @@ class RuleGroup:
         return recorded
 
     def plan_counts(self) -> tuple[int, int]:
-        """``(hits, rebuilds)`` of the rules' plan memos since start."""
-        return (
-            sum(rule.memo.hits for rule in self.rules),
-            sum(rule.memo.rebuilds for rule in self.rules),
-        )
+        """``(hits, rebuilds)`` of the plan memos of the rules'
+        expressions (each counted once, whoever else evaluates it)."""
+        memos = {}
+        for rule in self.rules:
+            try:
+                memo = plan_memo(rule.ast())
+            except QueryError:
+                continue  # a text that does not parse has no plans
+            memos[id(memo)] = memo
+        return sum(memo.hits for memo in memos.values()), sum(memo.rebuilds for memo in memos.values())
 
 
 class RuleManager:

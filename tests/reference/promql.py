@@ -64,12 +64,26 @@ from repro.tsdb.promql.functions import (
     histogram_bucket_quantile,
     quantile,
 )
-from repro.tsdb.promql.parser import parse_expr
+from repro.tsdb.promql.parser import PlanMemo, parse_expr
 
 
 @lru_cache(maxsize=256)
 def _compile_anchored(regex: str) -> re.Pattern[str]:
-    return re.compile(f"^(?:{regex})$")
+    # RE2's ``^(?s:…)$``: ``.`` matches a newline, ``$`` only the end.
+    return re.compile(f"^(?s:{regex})\\Z")
+
+
+def _with_label(labels: Labels, name: str, value: str, func: str) -> Labels:
+    """``labels`` with ``name`` set to ``value``; an empty value removes
+    it, and a metric name must be valid."""
+    d = labels.as_dict()
+    if value:
+        if name == METRIC_NAME_LABEL and not re.fullmatch(r"[a-zA-Z_:][a-zA-Z0-9_:]*", value):
+            raise QueryError(f"invalid metric name in {func}(): {value}")
+        d[name] = value
+    else:
+        d.pop(name, None)
+    return Labels(d)
 
 
 class _Vector(list):
@@ -203,11 +217,12 @@ class ElementWalkEngine:
         The inner steps are a grid, so the columnar evaluator produces
         them: selectors resolved once, every inner step in one pass
         (looping ``_eval`` per inner step was 288 selects for the
-        dashboards' 24h:5m panel).
+        dashboards' 24h:5m panel).  A fresh plan memo: every label
+        set is derived anew, as everywhere else in this walk.
         """
         from repro.tsdb.promql.columnar import subquery_windows_at
 
-        return subquery_windows_at(self, node, at)
+        return subquery_windows_at(self, node, at, PlanMemo(node))
 
     # -- function calls -----------------------------------------------------------
     def _eval_call(self, node: Call, at: float):
@@ -262,13 +277,22 @@ class ElementWalkEngine:
             vec = self._eval_vector(node.args[0], at)
             if vec:
                 return _Vector()
+            # Prometheus's createLabelsForAbsentFunction, matcher by
+            # matcher: the first ``=`` of a name sets it, any other
+            # matcher of the name deletes it; an empty value is no label.
             labels = {}
             arg = node.args[0]
             if isinstance(arg, VectorSelector):
+                has = set()
                 for m in arg.matchers:
-                    if m.op.value == "=" and m.name != METRIC_NAME_LABEL:
+                    if m.name == METRIC_NAME_LABEL:
+                        continue
+                    if m.op.value == "=" and m.name not in has:
                         labels[m.name] = m.value
-            return _Vector([VectorElement(Labels(labels), 1.0)])
+                        has.add(m.name)
+                    else:
+                        labels.pop(m.name, None)
+            return _Vector([VectorElement(Labels({k: v for k, v in labels.items() if v}), 1.0)])
         if func in ("sort", "sort_desc"):
             vec = self._eval_vector(node.args[0], at)
             reverse = func == "sort_desc"
@@ -284,12 +308,7 @@ class ElementWalkEngine:
                 match = pattern.match(el.labels.get(src, ""))
                 if match:
                     new_value = match.expand(replacement.replace("$", "\\"))
-                    d = el.labels.as_dict()
-                    if new_value:
-                        d[dst] = new_value
-                    else:
-                        d.pop(dst, None)
-                    out.append(VectorElement(Labels(d), el.value))
+                    out.append(VectorElement(_with_label(el.labels, dst, new_value, "label_replace"), el.value))
                 else:
                     out.append(el)
             return out
@@ -312,9 +331,7 @@ class ElementWalkEngine:
             out = _Vector()
             for el in vec:
                 joined = sep.join(el.labels.get(s, "") for s in sources)
-                d = el.labels.as_dict()
-                d[dst] = joined
-                out.append(VectorElement(Labels(d), el.value))
+                out.append(VectorElement(_with_label(el.labels, dst, joined, "label_join"), el.value))
             return out
         raise QueryError(f"unknown function {func!r}")
 

@@ -1,5 +1,7 @@
 """Tests for the Prometheus HTTP API facade."""
 
+import urllib.parse
+
 import pytest
 
 from repro.common.httpx import Request
@@ -42,6 +44,18 @@ class TestInstantQuery:
     def test_bad_query_is_400(self, api):
         response = api.app.get("/api/v1/query?query=power{&time=0")
         assert response.status == 400
+
+    @pytest.mark.parametrize(
+        "expr, error",
+        [
+            ('label_replace(power, "__name__", "9$1", "uuid", "(.*)")', "invalid metric name in label_replace(): 91"),
+            ('label_join(power, "__name__", "-", "uuid", "uuid")', "invalid metric name in label_join(): 1-1"),
+        ],
+    )
+    @pytest.mark.parametrize("path", ["/api/v1/query?time=150&", "/api/v1/query_range?start=0&end=150&step=15&"])
+    def test_an_invalid_metric_name_written_is_a_400(self, api, expr, error, path):
+        response = api.app.get(path + urllib.parse.urlencode({"query": expr}))
+        assert response.status == 400 and response.decode_json()["error"] == error
 
     def test_post_form_body(self, api):
         response = api.app.handle(
@@ -153,8 +167,12 @@ class TestRulesEndpoint:
 
     @pytest.fixture
     def ruled(self, api):
+        from repro.tsdb.promql import parser
         from repro.tsdb.rules import RecordingRule, RuleGroup, RuleManager
 
+        # Plan memos are per parsed expression, process-wide: start the
+        # counters from memos no earlier test has used.
+        parser._PLAN_MEMOS.clear()
         manager = RuleManager(api.storage)
         manager.add_group(
             RuleGroup(

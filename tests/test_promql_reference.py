@@ -307,6 +307,21 @@ DIFFERENTIAL_QUERIES = [
     "m and on() vector(1)",
     'sum by (grp) (label_replace(m, "grp", "z", "idx", "[01]"))',
     "topk(1, count by (grp) (m))",
+    # label_join and absent as Prometheus has them: an empty joined
+    # value is no label (rows may then clash or fold), a metric name
+    # written must be a valid one; absent's labels come from its
+    # selector's matchers one by one (the first "=" of a name sets it,
+    # any other matcher of the name deletes it).
+    'label_join(m, "grp", "", "nope")',
+    'label_join(m, "j", "-", "grp", "nope", "idx")',
+    'label_join(m, "__name__", "_", "grp", "idx")',
+    'label_join(m, "__name__", "-", "grp", "idx")',
+    'label_replace(m, "__name__", "$1", "idx", "(.*)")',
+    'absent(m{grp="zz", grp="yy"})',
+    'absent(m{grp=~"z+", grp="zz", idx="9"})',
+    'absent(m{grp="zz", grp=~"z+"})',
+    'absent(nope{grp=""})',
+    'sum by (j) (label_join(absent(m{grp="zz"}), "j", "-", "grp", "idx"))',
 ]
 
 
@@ -402,6 +417,38 @@ def test_columnar_matches_per_step(query, layout, start, span, step):
     engine = PromQLEngine(build_db(layout))
     assert_range_identical(engine, query, float(start), float(start + span), step)
     assert_instant_identical(engine, query, float(start + span // 2))
+
+
+#: ``grp`` values holding a newline, and what each regex must select:
+#: Prometheus anchors a regex as ``^(?s:…)$``, so ``.`` matches a
+#: newline and ``$`` only the end of the value (Python's ``$`` would
+#: also match before a final newline).
+NEWLINE_GROUPS = ("a\nb", "a", "a\n", "ab")
+NEWLINE_QUERIES = {
+    'm{grp=~"a.b"}': {("a\nb", "")},
+    'm{grp=~"a"}': {("a", "")},
+    'm{grp=~"a.*"}': {(grp, "") for grp in NEWLINE_GROUPS},
+    'm{grp!~"a.*"}': set(),
+    'm{grp=~"a\\n"}': {("a\n", "")},
+    'label_replace(m, "g2", "[$1]", "grp", "a(.*)")': {
+        ("a\nb", "[\nb]"), ("a", "[]"), ("a\n", "[\n]"), ("ab", "[b]"),
+    },
+    'label_replace(m, "g2", "x", "grp", "a")': {("a\nb", ""), ("a", "x"), ("a\n", ""), ("ab", "")},
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("query", sorted(NEWLINE_QUERIES))
+def test_regexes_match_newlines_as_prometheus(query):
+    db = TSDB()
+    for i, grp in enumerate(NEWLINE_GROUPS):
+        labels = Labels({"__name__": "m", "grp": grp, "idx": str(i)})
+        for t in range(0, 600, 15):
+            db.append(labels, float(t), i + t / 100)
+    engine = PromQLEngine(db)
+    got = engine.query(query, 300.0)
+    assert {(l.get("grp"), l.get("g2")) for l in got.labels} == NEWLINE_QUERIES[query]
+    assert_range_identical(engine, query, 100.0, 500.0, 15.0)
+    assert_instant_identical(engine, query, 300.0)
 
 
 #: ``le`` bounds of the bucket layouts: ``1`` and ``1.0`` name the same

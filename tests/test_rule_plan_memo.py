@@ -1,8 +1,9 @@
 """Edit-sequence differential of the rule plan memo.
 
-A recording rule keeps a :class:`~repro.tsdb.promql.engine.PlanMemo`:
-per node of its expression, the last label plan and the input label
-tuples it was built from.  The memo must never change an answer.  The
+A parsed expression owns a :class:`~repro.tsdb.promql.parser.PlanMemo`
+(``plan_memo``), which its recording rule reaches through the AST:
+per node, the last label plan and the input label tuples it was built
+from.  The memo must never change an answer.  The
 fuzz here edits one TSDB between rule ticks — a series matching a
 selector appears, goes stale, is deleted and re-created, moves host, a
 whole target goes stale and returns, a counter resets, a ``rate``
@@ -15,7 +16,9 @@ same order (outputs, staleness NaNs), and reported the same errors:
 * the frozen element-wise walk (``tests/reference/``), which derives
   every label set from scratch on every evaluation;
 * the production walk with a **fresh** memo per rule per tick (the
-  label half of every node runs, as for an ad hoc query);
+  label half of every node runs; these rules hold trees of their own,
+  parsed unremembered, so emptying their memos leaves the long-lived
+  ones alone);
 * the production walk with the **long-lived** memos the rule groups
   own, which is what a deployment runs.
 
@@ -42,10 +45,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import StackSimulation
+from repro.common.errors import QueryError
 from repro.cluster.jean_zay import jean_zay_topology
 from repro.cluster.simulation import SimulationConfig
 from repro.tsdb.model import Labels, Matcher
-from repro.tsdb.promql.engine import PlanMemo, PromQLEngine
+from repro.tsdb.promql.engine import PromQLEngine
+from repro.tsdb.promql.parser import parse_expr, plan_memo
 from repro.tsdb.rules import RecordingRule, RuleGroup
 from repro.tsdb.storage import TSDB
 from tests.conftest import SMALL_MIX
@@ -91,6 +96,16 @@ class _Recorder:
 GroupSpec = tuple[str, list[tuple[str, str, dict[str, str]]]]
 
 
+def _own_tree(text: str):
+    """A tree ``parse_expr`` never handed out, so its memo is its own
+    (``None`` for a text that does not parse: the rule then fails at
+    every evaluation, as the others do)."""
+    try:
+        return parse_expr.__wrapped__(text)
+    except QueryError:
+        return None
+
+
 class World:
     """One TSDB, the feeds that write to it, and three evaluators of
     the same rule groups."""
@@ -106,10 +121,11 @@ class World:
         self.engine = PromQLEngine(self.db, lookback=lookback)
         self.oracle = ElementWalkEngine(self.db, lookback=lookback)
         self.reference = [ElementRuleGroup(rules) for _name, rules in groups]
-        self.fresh, self.memoised = (
-            [RuleGroup(name, 30.0, [RecordingRule(*rule) for rule in rules]) for name, rules in groups]
-            for _ in range(2)
-        )
+        self.memoised = [RuleGroup(name, 30.0, [RecordingRule(*rule) for rule in rules]) for name, rules in groups]
+        self.fresh = [
+            RuleGroup(name, 30.0, [RecordingRule(*rule, _ast=_own_tree(rule[1])) for rule in rules])
+            for name, rules in groups
+        ]
 
     # -- edits -------------------------------------------------------------
     def _pick(self, index: int, wanted=lambda feed: True) -> Feed | None:
@@ -209,7 +225,8 @@ class World:
 
     def _evaluate_fresh(self, group: RuleGroup, storage) -> int:
         for rule in group.rules:
-            rule.memo = PlanMemo()
+            if rule._ast is not None:
+                plan_memo(rule._ast).plans.clear()
         return group.evaluate(storage, self.now, engine=self.engine)
 
     def _evaluate(self, groups, run):
@@ -401,3 +418,26 @@ def test_many_to_many_is_raised_every_tick_it_lasts_and_never_remembered():
     world.edit("undup", 0)
     world.tick()
     assert group.last_samples == 1 and rule.last_error == ""
+
+
+def test_a_second_storage_with_equal_series_is_compared_by_value_once():
+    """Two storages holding equal series (a deployment set up again, a
+    test's fresh TSDB) meet one text's memo: the second's label sets are
+    equal but new objects, so a leaf hit keeps them, and the next
+    evaluation compares by identity again — walk and grid alike."""
+    ast = parse_expr.__wrapped__("sum by (grp) (m)")
+    memo = plan_memo(ast)
+    answers = []
+    for _ in range(2):
+        db = TSDB()
+        for g in "ab":
+            db.append(Labels({"__name__": "m", "grp": g}), 0.0, 1.0)
+        engine = PromQLEngine(db)
+        answers.append((engine.query(ast, 10.0), engine.query_range(ast, 0.0, 30.0, 15.0)))
+        stored = {id(series.labels) for series in db.all_series()}
+        for key in (id(ast.expr), -id(ast.expr)):
+            (held,), _plan = memo.plans[key]
+            assert {id(labels) for labels in held} == stored
+    (walk, grid), (walk_again, grid_again) = answers
+    assert walk_again.labels is walk.labels and walk_again.values == walk.values
+    assert grid_again.series.keys() == grid.series.keys()

@@ -110,6 +110,10 @@ class TestRecordingRules:
             ('label_replace(raw, "1d", "v", "instance", ".*")', "invalid destination label name in label_replace(): 1d"),
             ('label_join(raw, "d", ",", "in-stance")', "invalid source label name in label_join(): in-stance"),
             ('label_join(raw, "d-x", ",", "instance")', "invalid destination label name in label_join(): d-x"),
+            # A metric name written must be a valid one, reported as
+            # the rule's error rather than a ValueError out of the group.
+            ('label_replace(raw, "__name__", "1$1", "instance", "(.*)")', "invalid metric name in label_replace(): 1n1"),
+            ('label_join(raw, "__name__", "-", "instance", "instance")', "invalid metric name in label_join(): n1-n1"),
         ],
     )
     def test_bad_label_function_argument_is_a_rule_error_and_groups_run_on(self, expr, error):
