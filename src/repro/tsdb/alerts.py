@@ -77,7 +77,7 @@ class AlertingRule:
         self.last_error = ""
         try:
             result = engine.query(self.ast(), now)
-        except (QueryError, ZeroDivisionError) as exc:
+        except QueryError as exc:
             self.last_error = str(exc)
             return []
         current = {el.labels.drop("__name__"): el.value for el in result.vector}

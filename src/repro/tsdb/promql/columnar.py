@@ -7,8 +7,9 @@ step: a 90-day query at 1 h resolution would be ~2160 full instant
 evaluations, each doing fresh index intersections and per-series
 bisects.  This module evaluates the whole grid in one pass instead —
 the steps of a range query (:func:`eval_range_columnar`) and equally
-the inner steps of a subquery, whether it sits in a range query or in
-an instant walk (:func:`subquery_windows_at`).
+the inner steps of a subquery.  Its window builder
+(:func:`range_windows`) is the only one: the walk asks it for the
+windows of a range function at its one step.
 
 Its work is paid **once per AST node**, not once per series: the only
 per-series steps left are reading a series' arrays and one
@@ -23,15 +24,16 @@ per-series steps left are reading a series' arrays and one
   whole selector.  A one-series node uses the series' own arrays, no
   copy.
 * **Range functions.**  A matrix selector or subquery becomes a
-  :class:`_Windows`: the flat pair plus ``(S, T)`` ``[lo, hi)`` bounds,
+  :class:`Windows`: the flat pair plus ``(S, T)`` ``[lo, hi)`` bounds,
   staleness markers dropped by re-indexing the bounds through a prefix
   count of kept samples.  Every kernel in
   :data:`repro.tsdb.promql.functions.WINDOW_FUNCTIONS` takes bounds of
   any shape into one flat array, so a range function is **one kernel
   call per node**.
 * **Aggregations** accumulate every group in one pass over the rows
-  (below); binary operators and element functions execute along the
-  step axis as ``(n_series × n_steps)`` matrix operations.
+  (below); binary operators and element functions are the numpy
+  ufuncs of :mod:`repro.tsdb.promql.functions`, the walk's own,
+  applied once to the whole ``(n_series × n_steps)`` matrix.
 
 Values flow through evaluation as one of three shapes:
 
@@ -62,12 +64,12 @@ that share a label set at disjoint steps fold into one row, so no
 
 Bit-identity with the walk at every step is a hard contract (the
 differential harness in ``tests/test_promql_reference.py`` asserts it
-against the per-step loops in ``tests/reference/promql.py``): every
-elementwise formula reproduces the scalar code's operation order, and
-anything that cannot be reproduced vectorially (counter windows
-containing resets, most ``*_over_time`` reducers, ``^``/``%`` edge
-semantics, element functions that may raise) falls back to the scalar
-implementation per window/element.
+byte for byte against the per-step loops in
+``tests/reference/promql.py``).  Values are computed by the one
+implementation both evaluators share — window kernels, element
+functions and operators from :mod:`repro.tsdb.promql.functions` —
+and the label plans of :mod:`repro.tsdb.promql.engine`; what is left
+here is order: accumulation (below) and where a clash raises.
 
 **Accumulation order.**  ``sum``/``avg``/``stddev``/``stdvar`` must
 equal the walk's ``_seq_sum``: each group accumulated
@@ -123,7 +125,6 @@ from repro.tsdb.promql.engine import (
     PromQLEngine,
     _absent_plan,
     _as_is,
-    _binary_fn,
     _bucket_plan,
     _group_plan,
     _label_join_plan,
@@ -134,8 +135,8 @@ from repro.tsdb.promql.engine import (
     _without_names,
 )
 from repro.tsdb.promql.functions import (
+    BINARY_OPERATORS,
     ELEMENT_FUNCTIONS,
-    RANGE_FUNCTIONS,
     WINDOW_FUNCTIONS,
     histogram_bucket_quantile,
     quantile,
@@ -255,12 +256,14 @@ def _relabelled(plan: tuple, values: np.ndarray, present: np.ndarray) -> _Matrix
 
 
 @dataclass
-class _Windows:
+class Windows:
     """The range-vector windows of one matrix selector or subquery.
 
     Every row's samples sit back to back in one flat ``ts``/``vs``
-    pair; ``los``/``his`` are ``(S, T)`` ``[lo, hi)`` indices into it,
-    one window per row and step, each inside its own row's samples.
+    pair, staleness markers dropped; ``los``/``his`` are ``(S, T)``
+    ``[lo, hi)`` indices into it, one window per row and step, each
+    inside its own row's samples, and ``starts``/``ends`` each step's
+    window ``[start, end]``.
     """
 
     labels: tuple[Labels, ...]
@@ -300,29 +303,19 @@ def eval_range_columnar(
     expression's); returns RangeResult.series data."""
     COLUMNAR_STATS["range_queries"] += 1
     ev = _ColumnarEval(engine, steps, memo)
-    return ev.materialize(ev.eval(ast))
+    # Prometheus's IEEE answers (NaN, ±Inf) are values, not warnings.
+    with np.errstate(all="ignore"):
+        return ev.materialize(ev.eval(ast))
 
 
-def subquery_windows_at(
-    engine: PromQLEngine, node: Subquery, at: float, memo: PlanMemo
-) -> list[tuple[Labels, np.ndarray, np.ndarray, float, float]]:
-    """The walk's windows for a subquery at the one outer step ``at``.
-
-    Not a range query — it counts as none in ``COLUMNAR_STATS`` or the
-    engine's ``eval_queries`` — just the window code below asked for a
-    single column.  Rows are ``(labels, ts, vs, start, end)`` as
-    :meth:`PromQLEngine._windows` returns them; series with no inner
-    point in the window are dropped, as the walk never saw them.
-    """
-    ev = _ColumnarEval(engine, np.array([at], dtype=np.float64), memo)
-    win = ev._window_data(node)
-    start, end = float(win.starts[0]), float(win.ends[0])
-    ts, vs = win.ts, win.vs
-    return [
-        (labels, ts[lo:hi], vs[lo:hi], start, end)
-        for labels, lo, hi in zip(win.labels, win.los[:, 0].tolist(), win.his[:, 0].tolist())
-        if hi > lo
-    ]
+def range_windows(
+    engine: PromQLEngine, node: MatrixSelector | Subquery, steps: np.ndarray, memo: PlanMemo
+) -> Windows:
+    """The windows of ``node`` ending at every one of ``steps``: the one
+    window builder, for a range query's grid and for the walk's one
+    step alike.  A matrix selector's row labels are a leaf plan of
+    ``memo`` under the node's grid key."""
+    return _ColumnarEval(engine, steps, memo)._windows(node)
 
 
 class _ColumnarEval:
@@ -336,7 +329,7 @@ class _ColumnarEval:
         # Per-query memos: identical selector / matrix-selector nodes
         # (e.g. rate(m[5m]) + increase(m[5m])) are resolved once.
         self._selector_memo: dict[Expr, _Matrix] = {}
-        self._window_memo: dict[Expr, _Windows] = {}
+        self._window_memo: dict[Expr, Windows] = {}
 
     def _plan(self, node: Expr, inputs: tuple, build, *consts, leaf: bool = False):
         """The label half of ``node`` under its grid key."""
@@ -459,20 +452,22 @@ class _ColumnarEval:
         return mat
 
     # -- range-vector windows --------------------------------------------
-    def _window_data(self, node) -> _Windows:
-        """The flat windows of a matrix selector / subquery."""
+    def _window_data(self, node) -> Windows:
+        """The flat windows of a matrix selector / subquery, once per
+        query for equal nodes."""
         cached = self._window_memo.get(node)
         if cached is not None:
             COLUMNAR_STATS["window_memo_hits"] += 1
             return cached
-        if isinstance(node, Subquery):
-            win = self._subquery_window_data(node)
-        else:
-            win = self._matrix_window_data(node)
-        self._window_memo[node] = win
+        win = self._window_memo[node] = self._windows(node)
         return win
 
-    def _matrix_window_data(self, node: MatrixSelector) -> _Windows:
+    def _windows(self, node) -> Windows:
+        if isinstance(node, Subquery):
+            return self._subquery_window_data(node)
+        return self._matrix_window_data(node)
+
+    def _matrix_window_data(self, node: MatrixSelector) -> Windows:
         ends = self.steps - node.selector.offset
         starts = ends - node.range_seconds
         series_list = obsquery.tracked_select(self.storage, node.selector.matchers)
@@ -510,9 +505,9 @@ class _ColumnarEval:
             ts, vs = ts[keep], vs[keep]
         obsquery.record_samples(int(np.sum(his - los)))
         labels = self._plan(node, (tuple(labels),), _as_is, leaf=True)
-        return _Windows(labels, ts, vs, los, his, starts, ends)
+        return Windows(labels, ts, vs, los, his, starts, ends)
 
-    def _subquery_window_data(self, node: Subquery) -> _Windows:
+    def _subquery_window_data(self, node: Subquery) -> Windows:
         """Range-vector windows from an instant sub-expression.
 
         Subquery steps live on the absolute grid ``m * step`` (exactly
@@ -555,16 +550,16 @@ class _ColumnarEval:
         # synthesised subquery windows.
         ts = grid[at % G]
         vs = inner.values[inner.present]
-        return _Windows(inner.labels, ts, vs, los, his, starts, ends)
+        return Windows(inner.labels, ts, vs, los, his, starts, ends)
 
-    def _no_windows(self, starts: np.ndarray, ends: np.ndarray) -> _Windows:
+    def _no_windows(self, starts: np.ndarray, ends: np.ndarray) -> Windows:
         empty = np.zeros((0, self.T), dtype=np.intp)
-        return _Windows((), np.zeros(0), np.zeros(0), empty, empty, starts, ends)
+        return Windows((), np.zeros(0), np.zeros(0), empty, empty, starts, ends)
 
     # -- calls -----------------------------------------------------------
     def _call(self, node: Call):
         func = node.func
-        if func in RANGE_FUNCTIONS:
+        if func in WINDOW_FUNCTIONS:
             if len(node.args) != 1 or not isinstance(node.args[0], (MatrixSelector, Subquery)):
                 raise QueryError(f"{func}() expects a single range-vector argument")
             win = self._window_data(node.args[0])
@@ -572,7 +567,7 @@ class _ColumnarEval:
                 values = WINDOW_FUNCTIONS[func](
                     win.ts, win.vs, win.los, win.his, win.starts, win.ends
                 )
-            # The walk drops None/NaN range-function results.
+            # A NaN kernel result is no element.
             return _relabelled(self._plan(node, (win.labels,), _without_names), values, ~np.isnan(values))
         if func == "quantile_over_time":
             if len(node.args) != 2 or not isinstance(node.args[1], (MatrixSelector, Subquery)):
@@ -598,22 +593,7 @@ class _ColumnarEval:
             raise QueryError(f"{func}() needs at least one argument")
         vec = self._vector(node.args[0])
         extras = [self._scalar(arg) for arg in node.args[1:]]
-        values = np.full_like(vec.values, np.nan)
-        if func == "abs":
-            np.copyto(values, np.abs(vec.values), where=vec.present)
-        elif func == "sqrt":
-            if bool((vec.present & (vec.values < 0)).any()):
-                raise ValueError("math domain error")  # as math.sqrt raises
-            np.copyto(values, np.sqrt(vec.values), where=vec.present)
-        else:
-            # Python impls may raise (exp overflow, floor of NaN…);
-            # apply them per present element so semantics — including
-            # exceptions — match the walk exactly.
-            impl = ELEMENT_FUNCTIONS[func]
-            vals = vec.values
-            for i, j in zip(*np.nonzero(vec.present)):
-                # Plain Python floats in, as the walk passes.
-                values[i, j] = float(impl(float(vals[i, j]), *(float(e[j]) for e in extras)))
+        values = np.where(vec.present, ELEMENT_FUNCTIONS[func](vec.values, *extras), np.nan)
         return _relabelled(self._plan(node, (vec.labels,), _without_names), values, vec.present)
 
     # -- special forms ---------------------------------------------------
@@ -710,32 +690,31 @@ class _ColumnarEval:
         values, present = vec.values, vec.present
         count = np.add.reduceat(present[order].astype(np.intp), bounds, axis=0)
         col_present = count > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if op in ("sum", "avg", "stddev", "stdvar"):
-                vals = self._group_sums(gid, np.where(present, values, 0.0), G)
-                if op == "avg":
-                    vals = vals / count
-                elif op in ("stddev", "stdvar"):
-                    dev = values - (vals / count)[gid]
-                    vals = self._group_sums(gid, np.where(present, dev * dev, 0.0), G) / count
-                    if op == "stddev":
-                        vals = np.sqrt(vals)
-            elif op == "min":
-                vals = np.minimum.reduceat(
-                    np.where(present, values, np.inf)[order], bounds, axis=0
-                )
-            elif op == "max":
-                vals = np.maximum.reduceat(
-                    np.where(present, values, -np.inf)[order], bounds, axis=0
-                )
-            elif op == "count":
-                vals = count.astype(np.float64)
-            elif op == "quantile":
-                if param is None:
-                    raise QueryError("quantile requires a parameter")
-                vals = self._group_quantiles(param.tolist(), values[order], present[order], bounds)
-            else:
-                raise QueryError(f"unknown aggregation {op!r}")
+        if op in ("sum", "avg", "stddev", "stdvar"):
+            vals = self._group_sums(gid, np.where(present, values, 0.0), G)
+            if op == "avg":
+                vals = vals / count
+            elif op in ("stddev", "stdvar"):
+                dev = values - (vals / count)[gid]
+                vals = self._group_sums(gid, np.where(present, dev * dev, 0.0), G) / count
+                if op == "stddev":
+                    vals = np.sqrt(vals)
+        elif op == "min":
+            vals = np.minimum.reduceat(
+                np.where(present, values, np.inf)[order], bounds, axis=0
+            )
+        elif op == "max":
+            vals = np.maximum.reduceat(
+                np.where(present, values, -np.inf)[order], bounds, axis=0
+            )
+        elif op == "count":
+            vals = count.astype(np.float64)
+        elif op == "quantile":
+            if param is None:
+                raise QueryError("quantile requires a parameter")
+            vals = self._group_quantiles(param.tolist(), values[order], present[order], bounds)
+        else:
+            raise QueryError(f"unknown aggregation {op!r}")
         return _Matrix(keys, np.where(col_present, vals, np.nan), col_present)
 
     @staticmethod
@@ -805,51 +784,6 @@ class _ColumnarEval:
             return self._vector_scalar(node, lhs, rhs, scalar_on_right=not rhs_mat)
         return self._scalar_scalar(node, lhs, rhs)
 
-    @staticmethod
-    def _compare_raw(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            if op == "==":
-                return a == b
-            if op == "!=":
-                return a != b
-            if op == ">":
-                return a > b
-            if op == "<":
-                return a < b
-            if op == ">=":
-                return a >= b
-            if op == "<=":
-                return a <= b
-        raise QueryError(f"unknown operator {op!r}")
-
-    @classmethod
-    def _apply_op_array(cls, op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The walk's binary operator, elementwise.  +,-,*,/ and
-        comparisons are IEEE ops whose results match the scalar
-        special-casing bit for bit; % and ^ loop through the scalar
-        implementation because ``math.fmod``/``**`` have Python-level
-        edge semantics (exceptions) that numpy ufuncs do not reproduce."""
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                return a / b
-            if op in ("%", "^"):
-                fn = _binary_fn(op)
-                a2, b2 = np.broadcast_arrays(a, b)
-                out = np.empty(a2.shape)
-                flat_o = out.ravel()
-                for i, (x, y) in enumerate(zip(a2.ravel().tolist(), b2.ravel().tolist())):
-                    flat_o[i] = fn(x, y)
-                return out
-            if op in COMPARISON_OPS:
-                return cls._compare_raw(op, a, b).astype(np.float64)
-        raise QueryError(f"unknown operator {op!r}")
-
     def _as_scalar_array(self, value) -> np.ndarray:
         if isinstance(value, str):
             return np.full(self.T, float(value))
@@ -858,20 +792,20 @@ class _ColumnarEval:
     def _scalar_scalar(self, node: BinaryOp, lhs, rhs) -> np.ndarray:
         if node.op in COMPARISON_OPS and not node.return_bool:
             raise QueryError("comparisons between scalars must use the bool modifier")
-        return self._apply_op_array(
-            node.op, self._as_scalar_array(lhs), self._as_scalar_array(rhs)
-        )
+        result = BINARY_OPERATORS[node.op](self._as_scalar_array(lhs), self._as_scalar_array(rhs))
+        return result.astype(np.float64, copy=False)
 
     def _vector_scalar(self, node: BinaryOp, lhs, rhs, *, scalar_on_right: bool) -> _Matrix:
         vec: _Matrix = lhs if scalar_on_right else rhs
         scal = self._as_scalar_array(rhs if scalar_on_right else lhs)
         a = vec.values if scalar_on_right else scal
         b = scal if scalar_on_right else vec.values
+        result = BINARY_OPERATORS[node.op](a, b)
         if node.op in COMPARISON_OPS and not node.return_bool:
-            present = vec.present & self._compare_raw(node.op, a, b)
+            present = vec.present & result
             # Filter semantics: kept elements are unchanged.
             return _Matrix(vec.labels, np.where(present, vec.values, np.nan), present)
-        values = np.where(vec.present, self._apply_op_array(node.op, a, b), np.nan)
+        values = np.where(vec.present, result, np.nan)
         return _relabelled(self._plan(node, (vec.labels,), _without_names), values, vec.present)
 
     def _vector_vector(self, node: BinaryOp, lhs: _Matrix, rhs: _Matrix) -> _Matrix:
@@ -880,12 +814,11 @@ class _ColumnarEval:
         a, b = lhs.values[l_idx], rhs.values[r_idx]
         present = lhs.present[l_idx] & rhs.present[r_idx]
         _raise_first_clash(clashes, (lhs.present, rhs.present, present))
+        values = BINARY_OPERATORS[node.op](a, b)
         if node.op in COMPARISON_OPS and not node.return_bool:
-            present &= self._compare_raw(node.op, a, b)
+            present &= values
             # The many side's element is kept.
             values = b if node.matching is not None and node.matching.group == "right" else a
-        else:
-            values = self._apply_op_array(node.op, a, b)
         return _folded(labels, np.where(present, values, np.nan), present, clashes)
 
     def _set_op(self, node: BinaryOp, lhs: _Matrix, rhs: _Matrix) -> _Matrix:

@@ -16,10 +16,12 @@ walked, a step grid is evaluated columnar — wherever the grid occurs:
 * :meth:`PromQLEngine.query_range` evaluates the whole grid in one
   columnar pass (:mod:`repro.tsdb.promql.columnar`), bit-identical to
   running the walk at every ``range_steps`` timestamp.
-* a subquery ``<expr>[range:step]`` met by the walk is a grid too: its
-  windows come from the same columnar window code, asked for the one
-  outer step the walk is at (``_subquery_windows``), bit-identical to
-  walking the inner expression at every inner step.
+* a range function met by the walk takes its windows from the one
+  window builder (:func:`~repro.tsdb.promql.columnar.range_windows`),
+  asked for the one step the walk is at, and makes one kernel call
+  over every series.  A subquery ``<expr>[range:step]`` is a grid too:
+  the builder evaluates its inner steps in one columnar pass,
+  bit-identical to walking the inner expression at every inner step.
 
 **The walk is split in two.**  An instant vector inside the walk is a
 pair ``(labels, values)`` — a tuple of :class:`Labels` and the list of
@@ -40,7 +42,10 @@ up the very output tuple it handed up last time, so a hit propagates
 to the root, and the answer's label sets are the objects of last
 time.  The columnar evaluator applies the same label halves to its
 step grid through the same memo (keyed apart from the walk's), so
-PromQL's label semantics are written once, here.
+PromQL's label semantics are written once, here; its value semantics
+are written once in :mod:`repro.tsdb.promql.functions` — window
+kernels, element functions and operators — which both evaluators
+call, the walk on its value list as one float64 array.
 
 The element-wise walk this replaced and both per-step loops live on
 as the oracles of the differential suite (``tests/reference/promql.py``).
@@ -62,7 +67,6 @@ Semantics reproduced from Prometheus:
 from __future__ import annotations
 
 import math
-import operator
 import re
 import time
 from dataclasses import dataclass, field
@@ -97,8 +101,9 @@ from repro.tsdb.promql.ast import (
     VectorSelector,
 )
 from repro.tsdb.promql.functions import (
+    BINARY_OPERATORS,
     ELEMENT_FUNCTIONS,
-    RANGE_FUNCTIONS,
+    WINDOW_FUNCTIONS,
     histogram_bucket_quantile,
     quantile,
 )
@@ -213,33 +218,6 @@ def _seq_moments(values) -> tuple[float, float]:
         d = v - mean
         deviations.append(d * d)
     return mean, _seq_sum(deviations) / n
-
-
-def _divide(a: float, b: float) -> float:
-    return a / b if b != 0 else (math.nan if a == 0 else math.copysign(math.inf, a) * math.copysign(1, b))
-
-
-_BINARY_OPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": _divide,
-    "%": lambda a, b: math.fmod(a, b) if b != 0 else math.nan,
-    "^": operator.pow,
-    "==": lambda a, b: float(a == b),
-    "!=": lambda a, b: float(a != b),
-    ">": lambda a, b: float(a > b),
-    "<": lambda a, b: float(a < b),
-    ">=": lambda a, b: float(a >= b),
-    "<=": lambda a, b: float(a <= b),
-}
-
-
-def _binary_fn(op: str):
-    try:
-        return _BINARY_OPS[op]
-    except KeyError:
-        raise QueryError(f"unknown operator {op!r}") from None
 
 
 #: Aggregations that reduce a group's values to one float.
@@ -534,7 +512,9 @@ class PromQLEngine:
         ast = parse_expr(expr) if isinstance(expr, str) else expr
         memo = plan_memo(ast)
         started = time.perf_counter()
-        value = self._eval(ast, at, memo)
+        # Prometheus's IEEE answers (NaN, ±Inf) are values, not warnings.
+        with np.errstate(all="ignore"):
+            value = self._eval(ast, at, memo)
         self.eval_seconds["instant"] += time.perf_counter() - started
         self.eval_queries["instant"] += 1
         if isinstance(value, tuple):
@@ -624,74 +604,44 @@ class PromQLEngine:
         obsquery.record_samples(len(values))
         return memo.plan(id(node), (tuple(present),), _as_is, leaf=True), values
 
-    def _windows(self, node, at: float, memo: PlanMemo) -> list[tuple[Labels, np.ndarray, np.ndarray, float, float]]:
-        if isinstance(node, Subquery):
-            return self._subquery_windows(node, at, memo)
-        end = at - node.selector.offset
-        start = end - node.range_seconds
-        out = []
-        touched = 0
-        for series in obsquery.tracked_select(self.storage, node.selector.matchers):
-            w_ts, w_vs = series.window(start, end)
-            # Staleness markers (NaN) delimit a series' life; range
-            # functions never see them, as in Prometheus.
-            keep = ~np.isnan(w_vs)
-            if not keep.all():
-                w_ts, w_vs = w_ts[keep], w_vs[keep]
-            touched += len(w_ts)
-            out.append((series.labels, w_ts, w_vs, start, end))
-        obsquery.record_samples(touched)
-        return out
-
-    def _subquery_windows(
-        self, node: Subquery, at: float, memo: PlanMemo
-    ) -> list[tuple[Labels, np.ndarray, np.ndarray, float, float]]:
-        """Range-vector windows of ``<expr>[range:step]`` ending at ``at``.
-
-        The inner steps are a grid, so the columnar evaluator produces
-        them: selectors resolved once, every inner step in one pass
-        (looping ``_eval`` per inner step was 288 selects for the
-        dashboards' 24h:5m panel).
-        """
-        from repro.tsdb.promql.columnar import subquery_windows_at
-
-        return subquery_windows_at(self, node, at, memo)
-
     # -- function calls -----------------------------------------------------------
     def _eval_call(self, node: Call, at: float, memo):
         func = node.func
-        if func in RANGE_FUNCTIONS:
+        if func in WINDOW_FUNCTIONS:
             if len(node.args) != 1 or not isinstance(node.args[0], (MatrixSelector, Subquery)):
                 raise QueryError(f"{func}() expects a single range-vector argument")
-            impl = RANGE_FUNCTIONS[func]
-            present = []
-            values = []
-            for labels, w_ts, w_vs, start, end in self._windows(node.args[0], at, memo):
-                value = impl(w_ts, w_vs, start, end)
-                if value is not None and not math.isnan(value):
-                    present.append(labels)
-                    values.append(float(value))
-            return _relabel(memo, node, tuple(present), _without_names, leaf=True), values
+            win = self._windows(node.args[0], at, memo)
+            values = WINDOW_FUNCTIONS[func](win.ts, win.vs, win.los[:, 0], win.his[:, 0], win.starts, win.ends)
+            # A NaN kernel result is no element.
+            present = values == values
+            labels = tuple([l for l, p in zip(win.labels, present.tolist()) if p])
+            return _relabel(memo, node, labels, _without_names, leaf=True), values[present].tolist()
         if func == "quantile_over_time":
             if len(node.args) != 2 or not isinstance(node.args[1], (MatrixSelector, Subquery)):
                 raise QueryError("quantile_over_time(scalar, range-vector) expected")
             q = self._eval_scalar(node.args[0], at, memo)
+            win = self._windows(node.args[1], at, memo)
             present = []
             values = []
-            for labels, _w_ts, w_vs, _s, _e in self._windows(node.args[1], at, memo):
-                if len(w_vs):
+            for labels, lo, hi in zip(win.labels, win.los[:, 0].tolist(), win.his[:, 0].tolist()):
+                if hi > lo:
                     present.append(labels)
-                    values.append(quantile(q, w_vs))
+                    values.append(quantile(q, win.vs[lo:hi]))
             return _relabel(memo, node, tuple(present), _without_names, leaf=True), values
         if func in ELEMENT_FUNCTIONS:
             if not node.args:
                 raise QueryError(f"{func}() needs at least one argument")
             labels, values = self._eval_vector(node.args[0], at, memo)
             extra = [self._eval_scalar(arg, at, memo) for arg in node.args[1:]]
-            impl = ELEMENT_FUNCTIONS[func]
-            values = [float(impl(v, *extra)) for v in values]
+            values = ELEMENT_FUNCTIONS[func](np.array(values, dtype=np.float64), *extra).tolist()
             return _relabel(memo, node, labels, _without_names), values
         return self._eval_special(node, at, memo)
+
+    def _windows(self, node: MatrixSelector | Subquery, at: float, memo: PlanMemo):
+        """The windows of ``node`` ending at ``at``, a grid of one step."""
+        from repro.tsdb.promql.columnar import range_windows
+
+        return range_windows(self, node, np.array([at], dtype=np.float64), memo)
 
     def _eval_special(self, node: Call, at: float, memo):
         func = node.func
@@ -790,36 +740,38 @@ class PromQLEngine:
             return self._vector_scalar(node, rhs, float(lhs), memo, scalar_on_right=False)
         if node.op in COMPARISON_OPS and not node.return_bool:
             raise QueryError("comparisons between scalars must use the bool modifier")
-        return _binary_fn(node.op)(float(lhs), float(rhs))
+        # One element, not a 0-d array, whose repeating exponent numpy
+        # would take as a shortcut (``functions._power``).
+        return float(BINARY_OPERATORS[node.op](np.array([float(lhs)]), float(rhs))[0])
 
     def _vector_scalar(self, node: BinaryOp, vector, scalar: float, memo, *, scalar_on_right: bool):
         labels, values = vector
-        fn = _binary_fn(node.op)
-        if scalar_on_right:
-            results = [fn(v, scalar) for v in values]
-        else:
-            results = [fn(scalar, v) for v in values]
+        fn = BINARY_OPERATORS[node.op]
+        array = np.array(values, dtype=np.float64)
+        results = fn(array, scalar) if scalar_on_right else fn(scalar, array)
         if node.op in COMPARISON_OPS and not node.return_bool:
             # Filter: the elements that pass stay unchanged, and which
             # do is the values' doing.
-            keep = [i for i, passed in enumerate(results) if passed]
+            keep = np.flatnonzero(results).tolist()
             return tuple([labels[i] for i in keep]), [values[i] for i in keep]
-        return _relabel(memo, node, labels, _without_names), results
+        return _relabel(memo, node, labels, _without_names), results.astype(np.float64, copy=False).tolist()
 
     def _vector_vector(self, node: BinaryOp, lhs, rhs, memo):
         (l_labels, l_values), (r_labels, r_values) = lhs, rhs
-        fn = _binary_fn(node.op)
         labels, l_idx, r_idx, clashes = memo.plan(id(node), (l_labels, r_labels), _match_plan, node)
         _raise_any(clashes)
-        results = [fn(l_values[i], r_values[j]) for i, j in zip(l_idx, r_idx)]
+        results = BINARY_OPERATORS[node.op](
+            np.array([l_values[i] for i in l_idx], dtype=np.float64),
+            np.array([r_values[j] for j in r_idx], dtype=np.float64),
+        )
         if node.op in COMPARISON_OPS and not node.return_bool:
             if node.matching is not None and node.matching.group == "right":
                 side, idx = r_values, r_idx
             else:
                 side, idx = l_values, l_idx
-            keep = [k for k, passed in enumerate(results) if passed]
+            keep = np.flatnonzero(results).tolist()
             return tuple([labels[k] for k in keep]), [side[idx[k]] for k in keep]
-        return labels, results
+        return labels, results.astype(np.float64, copy=False).tolist()
 
     # -- coercion helpers -------------------------------------------------------
     def _eval_vector(self, node: Expr, at: float, memo):

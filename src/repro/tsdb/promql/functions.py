@@ -1,14 +1,22 @@
-"""PromQL function implementations.
+"""PromQL function implementations: every value rule, written once.
 
+Both evaluators — the walk at one timestamp and the columnar grid —
+call the tables below, so the two can never compute one value two ways.
 Functions fall into three families the engine dispatches on:
 
 * **range functions** (``rate``, ``increase``, ``*_over_time``…):
-  consume one matrix selector window per series and produce one value.
-  Counter semantics (reset detection, boundary extrapolation) follow
-  Prometheus's ``extrapolatedRate`` so recorded power series behave
-  like the real system's.
-* **element-wise functions** (``abs``, ``clamp_min``…): map over the
-  values of an instant vector.
+  one window kernel each (:data:`WINDOW_FUNCTIONS`), evaluating every
+  window of a matrix selector or subquery at once.  Counter semantics
+  (reset detection, boundary extrapolation) follow Prometheus's
+  ``extrapolatedRate`` so recorded power series behave like the real
+  system's.
+* **element-wise functions** (``abs``, ``clamp_min``…) and **binary
+  operators**: numpy ufuncs (:data:`ELEMENT_FUNCTIONS`,
+  :data:`BINARY_OPERATORS`) over every value of an instant vector at
+  once, with Prometheus's IEEE semantics — a domain error, a division
+  by zero or an overflow is NaN or ±Inf, never an exception.  The
+  evaluators silence numpy's floating-point warnings once per
+  evaluation.
 * **special forms** (``scalar``, ``vector``, ``time``, ``timestamp``,
   ``label_replace``, ``label_join``, ``absent``, ``sort``…): need
   evaluation context and are implemented inside the engine; they are
@@ -78,37 +86,6 @@ def _extrapolated_delta(
     return sampled_delta * extrapolated_interval / sampled_interval
 
 
-def _rate(ts: np.ndarray, vs: np.ndarray, start: float, end: float) -> float | None:
-    delta = _extrapolated_delta(ts, vs, start, end, is_counter=True)
-    if delta is None:
-        return None
-    return delta / (end - start)
-
-
-def _increase(ts: np.ndarray, vs: np.ndarray, start: float, end: float) -> float | None:
-    return _extrapolated_delta(ts, vs, start, end, is_counter=True)
-
-
-def _delta(ts: np.ndarray, vs: np.ndarray, start: float, end: float) -> float | None:
-    return _extrapolated_delta(ts, vs, start, end, is_counter=False)
-
-
-def _irate(ts: np.ndarray, vs: np.ndarray, start: float, end: float) -> float | None:
-    if len(ts) < 2:
-        return None
-    dv = float(vs[-1] - vs[-2])
-    if dv < 0:  # counter reset between the last two samples
-        dv = float(vs[-1])
-    dt = float(ts[-1] - ts[-2])
-    return dv / dt if dt > 0 else None
-
-
-def _idelta(ts: np.ndarray, vs: np.ndarray, start: float, end: float) -> float | None:
-    if len(ts) < 2:
-        return None
-    return float(vs[-1] - vs[-2])
-
-
 def _deriv(ts: np.ndarray, vs: np.ndarray, start: float, end: float) -> float | None:
     """Least-squares slope, as Prometheus's deriv()."""
     if len(ts) < 2:
@@ -125,84 +102,30 @@ def _deriv(ts: np.ndarray, vs: np.ndarray, start: float, end: float) -> float | 
     return (n * sxy - sx * sy) / denom
 
 
-def _changes(ts: np.ndarray, vs: np.ndarray, start: float, end: float) -> float | None:
-    if len(vs) == 0:
-        return None
-    return float(np.count_nonzero(np.diff(vs) != 0))
-
-
-def _resets(ts: np.ndarray, vs: np.ndarray, start: float, end: float) -> float | None:
-    if len(vs) == 0:
-        return None
-    return float(np.count_nonzero(np.diff(vs) < 0))
-
-
-def _over_time(reducer: Callable[[np.ndarray], float]) -> RangeFunc:
-    def func(ts: np.ndarray, vs: np.ndarray, start: float, end: float) -> float | None:
-        if len(vs) == 0:
-            return None
-        return float(reducer(vs))
-
-    return func
-
-
-def _last_over_time(ts: np.ndarray, vs: np.ndarray, start: float, end: float) -> float | None:
-    return float(vs[-1]) if len(vs) else None
-
-
-def _present_over_time(ts: np.ndarray, vs: np.ndarray, start: float, end: float) -> float | None:
-    return 1.0 if len(vs) else None
-
-
-#: Range functions: name -> implementation.
-RANGE_FUNCTIONS: dict[str, RangeFunc] = {
-    "rate": _rate,
-    "irate": _irate,
-    "increase": _increase,
-    "delta": _delta,
-    "idelta": _idelta,
-    "deriv": _deriv,
-    "changes": _changes,
-    "resets": _resets,
-    "avg_over_time": _over_time(np.mean),
-    "sum_over_time": _over_time(np.sum),
-    "min_over_time": _over_time(np.min),
-    "max_over_time": _over_time(np.max),
-    "count_over_time": _over_time(len),
-    "stddev_over_time": _over_time(lambda v: float(np.std(v))),
-    "stdvar_over_time": _over_time(lambda v: float(np.var(v))),
-    "last_over_time": _last_over_time,
-    "present_over_time": _present_over_time,
-}
-
-# -- windowed (columnar) kernels ----------------------------------------
+# -- window kernels --------------------------------------------------
 #
 # A *window kernel* evaluates one range function over every window of
 # one AST node at once.  ``ts``/``vs`` are one flat pair of sample
 # arrays holding every series' samples back to back; ``los``/``his``
-# are integer index arrays of any shape — ``(S, T)`` for a node, ``(T,)``
-# for one series — giving each window's ``[lo, hi)`` bounds into that
-# flat pair (a window never crosses from one series' samples into the
-# next); ``starts``/``ends`` hold the windows' ``[start, end]`` time
-# bounds and broadcast against ``los``.  A kernel returns one value per
-# window, shaped like ``los``, NaN marking "no result" (the columnar
-# engine treats NaN kernel output as an absent element, mirroring the
-# per-step engine dropping None/NaN results).
+# are integer index arrays of any shape — ``(S, T)`` for a grid,
+# ``(S,)`` for the walk's one step — giving each window's ``[lo, hi)``
+# bounds into that flat pair (a window never crosses from one series'
+# samples into the next); ``starts``/``ends`` hold the windows'
+# ``[start, end]`` time bounds and broadcast against ``los``.  A kernel
+# returns one value per window, shaped like ``los``, NaN marking "no
+# result" (an absent element in both evaluators).
 #
-# Kernels must be *bit-identical* to the scalar implementations above
-# — the differential test harness asserts it.  Functions whose value
-# depends only on window endpoints, exact integer counts, or the
-# extrapolation formula are vectorized outright (the elementwise IEEE
-# ops match the scalar code's operation order; prefix counts over the
-# flat array are exact integers, and a window's count only spans pairs
-# inside the window, never the seam between two series); counter
-# windows that contain resets fall back to the scalar implementation
-# per window, because the reset-correction accumulation order cannot
-# be reproduced with prefix sums.  Everything else (``avg_over_time``,
-# ``deriv``…) uses a generic fallback that slices views of the flat
-# arrays and calls the scalar implementation once per non-empty
-# window — still a large win, since the columnar engine has already
-# amortised selection, snapshotting and searchsorted.
+# Functions whose value depends only on window endpoints, exact integer
+# counts, or the extrapolation formula are vectorized outright (prefix
+# counts over the flat array are exact integers, and a window's count
+# only spans pairs inside the window, never the seam between two
+# series); counter windows that contain resets run the scalar
+# ``_extrapolated_delta`` per window, because the reset-correction
+# accumulation order cannot be reproduced with prefix sums.  The rest
+# (``deriv``, the reducing ``*_over_time``) run a per-window function
+# on views of the flat arrays (``_windowed_fallback``).  The scalar
+# forms of the vectorized kernels are the oracle they are checked
+# against, bit for bit (``tests/reference/promql.py``).
 
 WindowFunc = Callable[
     [np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
@@ -226,6 +149,8 @@ def _each_window(mask, los, his, starts, ends):
 
 
 def _windowed_fallback(impl: RangeFunc) -> WindowFunc:
+    """A kernel calling ``impl`` on every non-empty window."""
+
     def kernel(ts, vs, los, his, starts, ends):
         out = np.full(los.shape, np.nan)
         flat = out.reshape(-1)
@@ -238,65 +163,66 @@ def _windowed_fallback(impl: RangeFunc) -> WindowFunc:
     return kernel
 
 
-def _w_extrapolated_delta(ts, vs, los, his, starts, ends, *, is_counter: bool):
-    out = np.full(los.shape, np.nan)
+def _over_time(reducer: Callable[[np.ndarray], float]) -> WindowFunc:
+    """A kernel reducing every non-empty window's values."""
+    return _windowed_fallback(lambda ts, vs, start, end: float(reducer(vs)))
+
+
+def _extrapolated_delta_kernel(ts, vs, los, his, starts, ends, *, is_counter: bool):
     n = his - los
     ok = n >= 2
     if not ok.any():
-        return out
-    lo = np.where(ok, los, 0)
-    hi = np.where(ok, his, 2)
-    first_t, last_t = ts[lo], ts[hi - 1]
-    first_v, last_v = vs[lo], vs[hi - 1]
+        return np.full(los.shape, np.nan)
+    # In bounds for every window (``ts`` is not empty); what a window of
+    # fewer than two samples gathers is masked out below.
+    last = his - 1
+    lo = np.minimum(los, last)
+    first_t, last_t = ts[lo], ts[last]
+    first_v, last_v = vs[lo], vs[last]
     sampled_interval = last_t - first_t
     ok &= sampled_interval > 0
+    sampled_delta = last_v - first_v
+    average_interval = sampled_interval / (n - 1)
+    half_interval = average_interval / 2
+    threshold = average_interval * 1.1
+    start_gap = first_t - starts
+    end_gap = ends - last_t
+    extend_start = np.where(start_gap < threshold, start_gap, half_interval)
+    extend_end = np.where(end_gap < threshold, end_gap, half_interval)
+    if is_counter:
+        clamp = (sampled_delta > 0) & (first_v >= 0)
+        zero_point = sampled_interval * first_v / sampled_delta
+        extend_start = np.where(clamp, np.minimum(extend_start, zero_point), extend_start)
+    extrapolated_interval = (sampled_interval + extend_start) + extend_end
+    out = np.where(ok, sampled_delta * extrapolated_interval / sampled_interval, np.nan)
     if is_counter:
         # Exact integer prefix count of reset positions: window
         # [lo, hi) contains a reset iff some i in [lo, hi-2] drops.
-        reset_count = np.concatenate(([0], np.cumsum(np.diff(vs) < 0)))
-        has_reset = ok & (reset_count[hi - 1] - reset_count[lo] > 0)
-    else:
-        has_reset = np.zeros(los.shape, dtype=bool)
-    easy = ok & ~has_reset
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sampled_delta = last_v - first_v
-        average_interval = sampled_interval / (n - 1)
-        start_gap = first_t - starts
-        end_gap = ends - last_t
-        threshold = average_interval * 1.1
-        extend_start = np.where(start_gap < threshold, start_gap, average_interval / 2)
-        extend_end = np.where(end_gap < threshold, end_gap, average_interval / 2)
-        if is_counter:
-            clamp = (sampled_delta > 0) & (first_v >= 0)
-            zero_point = sampled_interval * first_v / sampled_delta
-            extend_start = np.where(
-                clamp, np.minimum(extend_start, zero_point), extend_start
-            )
-        extrapolated_interval = (sampled_interval + extend_start) + extend_end
-        result = sampled_delta * extrapolated_interval / sampled_interval
-    out[easy] = result[easy]
-    flat = out.reshape(-1)
-    for k, lo, hi, start, end in _each_window(has_reset, los, his, starts, ends):
-        value = _extrapolated_delta(ts[lo:hi], vs[lo:hi], start, end, is_counter=is_counter)
-        if value is not None:
-            flat[k] = value
+        # Such a window is computed again, per window.
+        reset_count = np.zeros(len(vs), dtype=np.intp)
+        np.cumsum(vs[1:] < vs[:-1], out=reset_count[1:])
+        flat = out.reshape(-1)
+        for k, lo, hi, start, end in _each_window(reset_count[last] > reset_count[lo], los, his, starts, ends):
+            value = _extrapolated_delta(ts[lo:hi], vs[lo:hi], start, end, is_counter=True)
+            if value is not None:
+                flat[k] = value
     return out
 
 
-def _w_rate(ts, vs, los, his, starts, ends):
-    delta = _w_extrapolated_delta(ts, vs, los, his, starts, ends, is_counter=True)
+def _rate_kernel(ts, vs, los, his, starts, ends):
+    delta = _extrapolated_delta_kernel(ts, vs, los, his, starts, ends, is_counter=True)
     return delta / (ends - starts)
 
 
-def _w_increase(ts, vs, los, his, starts, ends):
-    return _w_extrapolated_delta(ts, vs, los, his, starts, ends, is_counter=True)
+def _increase_kernel(ts, vs, los, his, starts, ends):
+    return _extrapolated_delta_kernel(ts, vs, los, his, starts, ends, is_counter=True)
 
 
-def _w_delta(ts, vs, los, his, starts, ends):
-    return _w_extrapolated_delta(ts, vs, los, his, starts, ends, is_counter=False)
+def _delta_kernel(ts, vs, los, his, starts, ends):
+    return _extrapolated_delta_kernel(ts, vs, los, his, starts, ends, is_counter=False)
 
 
-def _w_irate(ts, vs, los, his, starts, ends):
+def _irate_kernel(ts, vs, los, his, starts, ends):
     out = np.full(los.shape, np.nan)
     ok = his - los >= 2
     if not ok.any():
@@ -306,13 +232,12 @@ def _w_irate(ts, vs, los, his, starts, ends):
     dv = np.where(dv < 0, vs[hi - 1], dv)  # counter reset at the tail
     dt = ts[hi - 1] - ts[hi - 2]
     ok &= dt > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        result = dv / dt
+    result = dv / dt
     out[ok] = result[ok]
     return out
 
 
-def _w_idelta(ts, vs, los, his, starts, ends):
+def _idelta_kernel(ts, vs, los, his, starts, ends):
     out = np.full(los.shape, np.nan)
     ok = his - los >= 2
     if not ok.any():
@@ -323,7 +248,7 @@ def _w_idelta(ts, vs, los, his, starts, ends):
     return out
 
 
-def _w_diff_count(predicate_diffs: np.ndarray, los, his):
+def _diff_count(predicate_diffs: np.ndarray, los, his):
     """Count predicate hits between consecutive window samples (exact)."""
     counts = np.concatenate(([0], np.cumsum(predicate_diffs)))
     top = len(counts) - 1
@@ -332,34 +257,32 @@ def _w_diff_count(predicate_diffs: np.ndarray, los, his):
     return (counts[hi] - counts[lo]).astype(np.float64)
 
 
-def _w_changes(ts, vs, los, his, starts, ends):
+def _changes_kernel(ts, vs, los, his, starts, ends):
     out = np.full(los.shape, np.nan)
     ok = his > los
     if not ok.any():
         return out
-    with np.errstate(invalid="ignore"):
-        result = _w_diff_count(np.diff(vs) != 0, los, his)
+    result = _diff_count(np.diff(vs) != 0, los, his)
     out[ok] = result[ok]
     return out
 
 
-def _w_resets(ts, vs, los, his, starts, ends):
+def _resets_kernel(ts, vs, los, his, starts, ends):
     out = np.full(los.shape, np.nan)
     ok = his > los
     if not ok.any():
         return out
-    with np.errstate(invalid="ignore"):
-        result = _w_diff_count(np.diff(vs) < 0, los, his)
+    result = _diff_count(np.diff(vs) < 0, los, his)
     out[ok] = result[ok]
     return out
 
 
-def _w_count(ts, vs, los, his, starts, ends):
+def _count_kernel(ts, vs, los, his, starts, ends):
     n = (his - los).astype(np.float64)
     return np.where(n > 0, n, np.nan)
 
 
-def _w_last(ts, vs, los, his, starts, ends):
+def _last_kernel(ts, vs, los, his, starts, ends):
     out = np.full(los.shape, np.nan)
     ok = his > los
     if ok.any():
@@ -367,29 +290,30 @@ def _w_last(ts, vs, los, his, starts, ends):
     return out
 
 
-def _w_present(ts, vs, los, his, starts, ends):
+def _present_kernel(ts, vs, los, his, starts, ends):
     return np.where(his > los, 1.0, np.nan)
 
 
-#: Window kernels for every range function; non-vectorizable ones get
-#: the scalar-fallback wrapper so semantics stay bit-identical.
+#: Range functions: name -> window kernel.
 WINDOW_FUNCTIONS: dict[str, WindowFunc] = {
-    name: _windowed_fallback(impl) for name, impl in RANGE_FUNCTIONS.items()
+    "rate": _rate_kernel,
+    "irate": _irate_kernel,
+    "increase": _increase_kernel,
+    "delta": _delta_kernel,
+    "idelta": _idelta_kernel,
+    "deriv": _windowed_fallback(_deriv),
+    "changes": _changes_kernel,
+    "resets": _resets_kernel,
+    "avg_over_time": _over_time(np.mean),
+    "sum_over_time": _over_time(np.sum),
+    "min_over_time": _over_time(np.min),
+    "max_over_time": _over_time(np.max),
+    "count_over_time": _count_kernel,
+    "stddev_over_time": _over_time(np.std),
+    "stdvar_over_time": _over_time(np.var),
+    "last_over_time": _last_kernel,
+    "present_over_time": _present_kernel,
 }
-WINDOW_FUNCTIONS.update(
-    {
-        "rate": _w_rate,
-        "irate": _w_irate,
-        "increase": _w_increase,
-        "delta": _w_delta,
-        "idelta": _w_idelta,
-        "changes": _w_changes,
-        "resets": _w_resets,
-        "count_over_time": _w_count,
-        "last_over_time": _w_last,
-        "present_over_time": _w_present,
-    }
-)
 
 
 def quantile(q: float, vs) -> float:
@@ -478,23 +402,56 @@ def histogram_bucket_quantile(q: float, buckets: list[tuple[float, float]]) -> f
     return bucket_start + (bucket_end - bucket_start) * ((rank - prev_count) / in_bucket)
 
 
-ElementFunc = Callable[..., float]
+def _round(v, to=1.0):
+    """Prometheus ``round``: half up, to the nearest multiple of ``to``."""
+    inverse = np.divide(1.0, to)
+    return np.floor(v * inverse + 0.5) / inverse
 
-#: Element-wise functions over instant vectors; extra scalar args allowed.
-ELEMENT_FUNCTIONS: dict[str, ElementFunc] = {
-    "abs": abs,
-    "ceil": math.ceil,
-    "floor": math.floor,
-    "sqrt": math.sqrt,
-    "exp": math.exp,
-    "ln": lambda v: math.log(v) if v > 0 else (-math.inf if v == 0 else math.nan),
-    "log2": lambda v: math.log2(v) if v > 0 else (-math.inf if v == 0 else math.nan),
-    "log10": lambda v: math.log10(v) if v > 0 else (-math.inf if v == 0 else math.nan),
-    "sgn": lambda v: float((v > 0) - (v < 0)),
-    "round": lambda v, to=1.0: round(v / to) * to if to else math.nan,
-    "clamp": lambda v, lo, hi: min(max(v, lo), hi),
-    "clamp_min": lambda v, lo: max(v, lo),
-    "clamp_max": lambda v, hi: min(v, hi),
+
+#: Element-wise functions: each maps the values of an instant vector —
+#: a float64 array of any shape — at once; extra scalar arguments
+#: broadcast against it along its last axis.
+ELEMENT_FUNCTIONS: dict[str, Callable[..., np.ndarray]] = {
+    "abs": np.abs,
+    "ceil": np.ceil,
+    "floor": np.floor,
+    "sqrt": np.sqrt,
+    "exp": np.exp,
+    "ln": np.log,
+    "log2": np.log2,
+    "log10": np.log10,
+    "sgn": np.sign,
+    "round": _round,
+    "clamp": lambda v, lo, hi: np.minimum(np.maximum(v, lo), hi),
+    "clamp_min": np.maximum,
+    "clamp_max": np.minimum,
+}
+
+def _power(a, b) -> np.ndarray:
+    """``a ^ b`` by ``pow``, as Go's ``math.Pow``.  Both sides are
+    copied out to their common shape first: numpy computes a power
+    whose exponent repeats (a scalar, or broadcast) as ``sqrt`` when it
+    is 0.5, and ``sqrt`` differs from ``pow`` at -0.0 and -Inf."""
+    a, b = np.broadcast_arrays(a, b)
+    return np.power(np.array(a), np.array(b))
+
+
+#: Binary operators over float64 arrays (either side may be a scalar).
+#: A comparison gives booleans: a filter keeps the elements where it
+#: holds, and ``bool`` makes it 1.0 or 0.0.
+BINARY_OPERATORS: dict[str, Callable[..., np.ndarray]] = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+    "%": np.fmod,
+    "^": _power,
+    "==": np.equal,
+    "!=": np.not_equal,
+    ">": np.greater,
+    "<": np.less,
+    ">=": np.greater_equal,
+    "<=": np.less_equal,
 }
 
 #: Special forms implemented inside the engine.
@@ -513,4 +470,4 @@ SPECIAL_FUNCTIONS = (
 )
 
 #: Every callable name the parser should accept.
-FUNCTIONS = frozenset(RANGE_FUNCTIONS) | frozenset(ELEMENT_FUNCTIONS) | frozenset(SPECIAL_FUNCTIONS)
+FUNCTIONS = frozenset(WINDOW_FUNCTIONS) | frozenset(ELEMENT_FUNCTIONS) | frozenset(SPECIAL_FUNCTIONS)

@@ -97,7 +97,7 @@ class RuleGroup:
         for rule in self.rules:
             try:
                 result = engine.query(rule.ast(), at)
-            except (QueryError, ZeroDivisionError) as exc:
+            except QueryError as exc:
                 rule.last_error = str(exc)
                 self.last_error = self.last_error or f"{rule.record}: {exc}"
                 continue

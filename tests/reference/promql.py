@@ -12,11 +12,22 @@ Two grids, two loops, both over that walk.
 :func:`query_range_per_step` is "a range query is the instant query at
 every step"; the columnar evaluator behind
 :meth:`PromQLEngine.query_range` must return bit-identical results.
-:class:`PerStepEngine` is "a subquery window is the inner expression
-at every inner step" as a loop over ``_eval`` — the walk's own
-subquery code until the production walk started asking the columnar
-evaluator for those windows.  The range oracle runs on it, so no
-differential compares the columnar code with itself.
+"A subquery window is the inner expression at every inner step" is the
+walk's own ``_subquery_windows``, a loop over ``_eval``, and a matrix
+selector's window is a per-series ``series.window`` read: the walk
+imports no production window code, so no differential compares the
+columnar window builder with itself.
+
+**Values.**  The scalar range functions below (``_rate``, ``_irate``,
+``_changes``…) are the per-window forms the production window kernels
+replaced, kept as the oracle those kernels must match bit for bit; the
+per-window code the kernels still run (``_extrapolated_delta`` for
+counter windows with resets, ``_deriv``) is imported.  ``_apply_op`` is
+its own if-chain computing on ``np.float64``, so a division by zero,
+``%`` by zero or a negative base to a fractional power is NaN or ±Inf
+as in Prometheus (Go's float64), never a Python exception or a complex
+number; element functions are the production numpy table, applied one
+element at a time.
 
 One rule was added to the frozen walk since, written here in its own
 code: as in Prometheus, no node may hand up one label set twice
@@ -60,11 +71,12 @@ from repro.tsdb.promql.engine import (
 )
 from repro.tsdb.promql.functions import (
     ELEMENT_FUNCTIONS,
-    RANGE_FUNCTIONS,
+    _deriv,
+    _extrapolated_delta,
     histogram_bucket_quantile,
     quantile,
 )
-from repro.tsdb.promql.parser import PlanMemo, parse_expr
+from repro.tsdb.promql.parser import parse_expr
 
 
 @lru_cache(maxsize=256)
@@ -84,6 +96,88 @@ def _with_label(labels: Labels, name: str, value: str, func: str) -> Labels:
     else:
         d.pop(name, None)
     return Labels(d)
+
+
+def _rate(ts: np.ndarray, vs: np.ndarray, start: float, end: float) -> float | None:
+    delta = _extrapolated_delta(ts, vs, start, end, is_counter=True)
+    if delta is None:
+        return None
+    return delta / (end - start)
+
+
+def _increase(ts: np.ndarray, vs: np.ndarray, start: float, end: float) -> float | None:
+    return _extrapolated_delta(ts, vs, start, end, is_counter=True)
+
+
+def _delta(ts: np.ndarray, vs: np.ndarray, start: float, end: float) -> float | None:
+    return _extrapolated_delta(ts, vs, start, end, is_counter=False)
+
+
+def _irate(ts: np.ndarray, vs: np.ndarray, start: float, end: float) -> float | None:
+    if len(ts) < 2:
+        return None
+    dv = float(vs[-1] - vs[-2])
+    if dv < 0:  # counter reset between the last two samples
+        dv = float(vs[-1])
+    dt = float(ts[-1] - ts[-2])
+    return dv / dt if dt > 0 else None
+
+
+def _idelta(ts: np.ndarray, vs: np.ndarray, start: float, end: float) -> float | None:
+    if len(ts) < 2:
+        return None
+    return float(vs[-1] - vs[-2])
+
+
+def _changes(ts: np.ndarray, vs: np.ndarray, start: float, end: float) -> float | None:
+    if len(vs) == 0:
+        return None
+    return float(np.count_nonzero(np.diff(vs) != 0))
+
+
+def _resets(ts: np.ndarray, vs: np.ndarray, start: float, end: float) -> float | None:
+    if len(vs) == 0:
+        return None
+    return float(np.count_nonzero(np.diff(vs) < 0))
+
+
+def _over_time(reducer):
+    def func(ts: np.ndarray, vs: np.ndarray, start: float, end: float) -> float | None:
+        if len(vs) == 0:
+            return None
+        return float(reducer(vs))
+
+    return func
+
+
+def _last_over_time(ts: np.ndarray, vs: np.ndarray, start: float, end: float) -> float | None:
+    return float(vs[-1]) if len(vs) else None
+
+
+def _present_over_time(ts: np.ndarray, vs: np.ndarray, start: float, end: float) -> float | None:
+    return 1.0 if len(vs) else None
+
+
+#: Range functions, one window at a time.
+RANGE_FUNCTIONS = {
+    "rate": _rate,
+    "irate": _irate,
+    "increase": _increase,
+    "delta": _delta,
+    "idelta": _idelta,
+    "deriv": _deriv,
+    "changes": _changes,
+    "resets": _resets,
+    "avg_over_time": _over_time(np.mean),
+    "sum_over_time": _over_time(np.sum),
+    "min_over_time": _over_time(np.min),
+    "max_over_time": _over_time(np.max),
+    "count_over_time": _over_time(len),
+    "stddev_over_time": _over_time(lambda v: float(np.std(v))),
+    "stdvar_over_time": _over_time(lambda v: float(np.var(v))),
+    "last_over_time": _last_over_time,
+    "present_over_time": _present_over_time,
+}
 
 
 class _Vector(list):
@@ -129,7 +223,8 @@ class ElementWalkEngine:
 
     def query(self, expr: str | Expr, at: float) -> InstantResult:
         ast = parse_expr(expr) if isinstance(expr, str) else expr
-        value = self._eval(ast, at)
+        with np.errstate(all="ignore"):
+            value = self._eval(ast, at)
         if isinstance(value, _Vector):
             # Results are label-sorted for determinism, except when the
             # outermost expression is sort()/sort_desc(), whose whole
@@ -212,17 +307,34 @@ class ElementWalkEngine:
         return out
 
     def _subquery_windows(self, node: Subquery, at: float) -> list[tuple[Labels, np.ndarray, np.ndarray, float, float]]:
-        """Range-vector windows of ``<expr>[range:step]`` ending at ``at``.
+        """Range-vector windows of ``<expr>[range:step]`` ending at
+        ``at``: the inner expression walked at every inner step."""
+        end = at - node.offset
+        start = end - node.range_seconds
+        step = node.step_seconds
+        # Inner steps sit on the absolute grid ``m * step`` (Prometheus
+        # subquery alignment), generated by index, never accumulated.
+        acc: dict[Labels, tuple[list[float], list[float]]] = {}
+        j = math.ceil(start / step)
+        while j * step <= end + 1e-9:
+            t = j * step
+            value = self._eval(node.expr, t)
+            if isinstance(value, _Vector):
+                points = [(el.labels, el.value) for el in value]
+            elif isinstance(value, (int, float)):
+                points = [(Labels(), float(value))]
+            else:
+                points = []
+            for labels, v in points:
+                ts_list, vs_list = acc.setdefault(labels, ([], []))
+                ts_list.append(t)
+                vs_list.append(v)
+            j += 1
+        return [
+            (labels, np.asarray(ts), np.asarray(vs), start, end)
+            for labels, (ts, vs) in acc.items()
+        ]
 
-        The inner steps are a grid, so the columnar evaluator produces
-        them: selectors resolved once, every inner step in one pass
-        (looping ``_eval`` per inner step was 288 selects for the
-        dashboards' 24h:5m panel).  A fresh plan memo: every label
-        set is derived anew, as everywhere else in this walk.
-        """
-        from repro.tsdb.promql.columnar import subquery_windows_at
-
-        return subquery_windows_at(self, node, at, PlanMemo(node))
 
     # -- function calls -----------------------------------------------------------
     def _eval_call(self, node: Call, at: float):
@@ -437,18 +549,21 @@ class ElementWalkEngine:
 
     @staticmethod
     def _apply_op(op: str, a: float, b: float) -> float:
+        a = np.float64(a)
         if op == "+":
-            return a + b
+            return float(a + b)
         if op == "-":
-            return a - b
+            return float(a - b)
         if op == "*":
-            return a * b
+            return float(a * b)
         if op == "/":
-            return a / b if b != 0 else (math.nan if a == 0 else math.copysign(math.inf, a) * math.copysign(1, b))
+            return float(np.divide(a, b))
         if op == "%":
-            return math.fmod(a, b) if b != 0 else math.nan
+            return float(np.fmod(a, b))
         if op == "^":
-            return a**b
+            # pow, never numpy's sqrt for a lone exponent of 0.5 (its
+            # -0.0 and -Inf differ): one element each side.
+            return float(np.power(np.array([a]), np.array([b]))[0])
         if op == "==":
             return float(a == b)
         if op == "!=":
@@ -600,38 +715,6 @@ class ElementWalkEngine:
         return value
 
 
-class PerStepEngine(ElementWalkEngine):
-    """The walk with subquery windows synthesised one inner step at a
-    time, each a full ``_eval`` (and a fresh ``select``)."""
-
-    def _subquery_windows(self, node: Subquery, at: float):
-        end = at - node.offset
-        start = end - node.range_seconds
-        step = node.step_seconds
-        # Inner steps sit on the absolute grid ``m * step`` (Prometheus
-        # subquery alignment), generated by index, never accumulated.
-        acc: dict[Labels, tuple[list[float], list[float]]] = {}
-        j = math.ceil(start / step)
-        while j * step <= end + 1e-9:
-            t = j * step
-            value = self._eval(node.expr, t)
-            if isinstance(value, _Vector):
-                points = [(el.labels, el.value) for el in value]
-            elif isinstance(value, (int, float)):
-                points = [(Labels(), float(value))]
-            else:
-                points = []
-            for labels, v in points:
-                ts_list, vs_list = acc.setdefault(labels, ([], []))
-                ts_list.append(t)
-                vs_list.append(v)
-            j += 1
-        return [
-            (labels, np.asarray(ts), np.asarray(vs), start, end)
-            for labels, (ts, vs) in acc.items()
-        ]
-
-
 def query_range_per_step(
     engine, expr, start: float, end: float, step: float
 ) -> RangeResult:
@@ -640,7 +723,7 @@ def query_range_per_step(
     if end < start:
         raise QueryError("end before start")
     ast = parse_expr(expr) if isinstance(expr, str) else expr
-    oracle = PerStepEngine.like(engine)
+    oracle = ElementWalkEngine.like(engine)
     acc: dict[Labels, tuple[list[float], list[float]]] = {}
     for t in range_steps(start, end, step).tolist():
         result = oracle.query(ast, t)

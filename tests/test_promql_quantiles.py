@@ -23,7 +23,7 @@ from repro.tsdb.model import Labels
 from repro.tsdb.promql.engine import PromQLEngine
 from repro.tsdb.promql.functions import histogram_bucket_quantile
 from repro.tsdb.storage import TSDB
-from tests.reference.promql import PerStepEngine, query_range_per_step
+from tests.reference.promql import ElementWalkEngine, query_range_per_step
 
 INF = math.inf
 
@@ -40,7 +40,7 @@ def _instant(db: TSDB, query: str, at: float = 30.0) -> dict[Labels, float]:
     """The walk's and the oracle's answer at ``at``, which must agree."""
     engine = PromQLEngine(db)
     got = {el.labels: el.value for el in engine.query(query, at).vector}
-    ref = {el.labels: el.value for el in PerStepEngine.like(engine).query(query, at).vector}
+    ref = {el.labels: el.value for el in ElementWalkEngine.like(engine).query(query, at).vector}
     assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in ref.items()}
     return got
 

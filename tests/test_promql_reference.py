@@ -11,10 +11,12 @@ query (``engine.query`` at every step, ``tests/reference/promql.py``)
 over randomized series (including staleness markers and samples
 straddling the lookback boundary), asserting bit-identical
 ``RangeResult``s — not approximately equal; ``np.array_equal`` on
-timestamps and values.  The oracle evaluates subquery windows with its
-own per-inner-step loop (``PerStepEngine``), so where the production
-walk borrows the columnar window code the comparison is still against
-independent code.
+timestamps, byte equality on values (one NaN is not another).  The
+oracle (``ElementWalkEngine``) reads every window itself — per series,
+and per inner step for a subquery — and computes range functions one
+window at a time, so where both production evaluators share the
+columnar window builder and the window kernels, the comparison is
+still against independent code.
 """
 
 import math
@@ -30,7 +32,7 @@ from repro.tsdb.model import Labels
 from repro.tsdb.promql.engine import DEFAULT_LOOKBACK, PromQLEngine
 from repro.tsdb.storage import TSDB
 from tests.reference.list_head import ListHeadTSDB
-from tests.reference.promql import PerStepEngine, query_range_per_step
+from tests.reference.promql import ElementWalkEngine, query_range_per_step
 
 # series: (group_label, series_label) -> list of (t, v)
 _series_strategy = st.dictionaries(
@@ -215,6 +217,23 @@ _stale_series_strategy = st.dictionaries(
     max_size=8,
 )
 
+#: Element functions and operators at their IEEE edges, and what
+#: Prometheus answers over a series holding 0 and one holding -4.
+IEEE_QUERIES = {
+    "sqrt(m)": (0.0, math.nan),
+    "exp(-m * 1000)": (1.0, math.inf),
+    "ln(m)": (-math.inf, math.nan),
+    "ceil(m / 0)": (math.nan, -math.inf),
+    "floor(m / m)": (math.nan, 1.0),
+    "m ^ 0.5": (0.0, math.nan),
+    "m % 0": (math.nan, math.nan),
+    "(1 / m) % 1": (math.nan, -0.25),
+    "m / m": (math.nan, 1.0),
+    "round(m + 2.5)": (3.0, -1.0),
+    "round(m - 2.5)": (-2.0, -6.0),
+    "sgn(m / m)": (math.nan, 1.0),
+}
+
 #: Every construct the engine supports, exercised through both
 #: evaluators.  Compositions whose result order is defined only for
 #: instant presentation (aggregating *over* topk/sort output) are the
@@ -322,6 +341,9 @@ DIFFERENTIAL_QUERIES = [
     'absent(m{grp="zz", grp=~"z+"})',
     'absent(nope{grp=""})',
     'sum by (j) (label_join(absent(m{grp="zz"}), "j", "-", "grp", "idx"))',
+    # Prometheus's IEEE answers: a domain error, a division by zero or
+    # an overflow is NaN or ±Inf, never an error; round is half up.
+    *IEEE_QUERIES,
 ]
 
 
@@ -358,7 +380,12 @@ def assert_range_identical(engine, query, start, end, step):
         col_ts, col_vs = col.series[labels]
         ref_ts, ref_vs = ref.series[labels]
         assert np.array_equal(col_ts, ref_ts), f"{query}: {labels}"
-        assert np.array_equal(col_vs, ref_vs, equal_nan=True), f"{query}: {labels}"
+        assert col_vs.tobytes() == ref_vs.tobytes(), f"{query}: {labels}"
+
+
+def _bits(value) -> bytes:
+    """A float's eight bytes: ``-0.0`` is not ``0.0``, one NaN not another."""
+    return np.float64(value).tobytes()
 
 
 def _instant_outcome(engine, query, at):
@@ -372,15 +399,15 @@ def assert_walk_matches_oracle(engine, query, at):
     """The production walk equals the oracle walk, whose subquery
     windows come from one ``_eval`` per inner step."""
     got = _instant_outcome(engine, query, at)
-    ref = _instant_outcome(PerStepEngine.like(engine), query, at)
+    ref = _instant_outcome(ElementWalkEngine.like(engine), query, at)
     if isinstance(got, tuple) or isinstance(ref, tuple):
         assert got == ref, f"{query} @ {at!r}: divergent errors {got!r} vs {ref!r}"
         return
     assert got.is_scalar == ref.is_scalar, query
     if ref.is_scalar:
-        assert repr(got.scalar) == repr(ref.scalar), query
-    assert [(el.labels, repr(el.value)) for el in got.vector] == [
-        (el.labels, repr(el.value)) for el in ref.vector
+        assert _bits(got.scalar) == _bits(ref.scalar), query
+    assert [(el.labels, _bits(el.value)) for el in got.vector] == [
+        (el.labels, _bits(el.value)) for el in ref.vector
     ], f"{query} @ {at!r}"
 
 
@@ -402,7 +429,7 @@ def assert_instant_identical(engine, query, at):
     for labels, value in points:
         col_ts, col_vs = col.series[labels]
         assert col_ts.tolist() == [at], query
-        assert repr(float(col_vs[0])) == repr(float(value)), query
+        assert _bits(col_vs[0]) == _bits(value), query
 
 
 @pytest.mark.parametrize("query", DIFFERENTIAL_QUERIES)
@@ -591,7 +618,7 @@ def test_subquery_grid_membership_at_the_ulp():
     within two ULPs of a far grid point need it.  Sweep 3000 of them."""
     rng = np.random.default_rng(18)
     engine = PromQLEngine(TSDB())
-    oracle = PerStepEngine.like(engine)
+    oracle = ElementWalkEngine.like(engine)
     for step, text in ((0.1, "100ms"), (7.3, "7300ms"), (61.7, "61700ms")):
         query = f"count_over_time(time()[{4 * step:g}s:{text}])"
         for k, ulps in zip(rng.integers(1000, 200000, 1000), rng.integers(-2, 3, 1000)):

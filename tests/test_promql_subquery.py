@@ -9,7 +9,7 @@ from repro.tsdb.promql.ast import Subquery
 from repro.tsdb.promql.engine import PromQLEngine
 from repro.tsdb.promql.parser import parse_expr
 from repro.tsdb.storage import TSDB
-from tests.reference.promql import PerStepEngine
+from tests.reference.promql import ElementWalkEngine
 
 
 def mk(name: str, **labels: str) -> Labels:
@@ -134,7 +134,7 @@ class TestOneSelectPerSubquery:
         got = PromQLEngine(storage).query(self.QUERY, at)
         assert storage.selects == 1
         oracle_storage = self.CountingStorage(day)
-        ref = PerStepEngine(oracle_storage).query(self.QUERY, at)
+        ref = ElementWalkEngine(oracle_storage).query(self.QUERY, at)
         assert oracle_storage.selects == 289  # [at - 24h, at] holds 289 grid points
         assert [(el.labels, repr(el.value)) for el in got.vector] == [
             (el.labels, repr(el.value)) for el in ref.vector
