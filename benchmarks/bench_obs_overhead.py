@@ -4,14 +4,17 @@ Every request through every component pays the observability
 middleware (trace resolution, in-flight gauge, counter + histogram
 update, span record).  The stack scrapes itself every 15 s on top of
 user traffic, so this cost multiplies across the whole deployment —
-this bench guards it with a hard per-request bound.
+this bench guards it with a hard per-request bound, and prints next to
+it what one child span costs inside an active trace (every traced
+query opens three or four).
 
 The second half guards the query-introspection hooks: the profiler
 and per-query-stats call sites left inside the PromQL evaluators must
 add <5% to a range eval when disabled.  The baseline monkeypatches
 the hooks away entirely (possible because every call site goes
 through a module attribute); the guarded run takes the normal path
-with no stats active and the profiler off.  Results land in
+with no stats active and the profiler off.  The bypassed, disabled
+and enabled runs alternate round by round, each keeping its best.  Results land in
 ``BENCH_obs_overhead.json`` for the CI artifact.
 """
 
@@ -23,10 +26,12 @@ import math
 import time
 
 from repro.common.httpx import App, Request, Response
+from repro.obs import Telemetry
 from repro.obs import prof as prof_mod
 from repro.obs import query as query_mod
 from repro.obs.prof import PROFILER
 from repro.obs.query import QueryStats, activate_stats, deactivate_stats
+from repro.obs.trace import TraceContext, activate, deactivate
 from repro.tsdb.model import Labels
 from repro.tsdb.promql.engine import PromQLEngine, range_steps
 from repro.tsdb.storage import TSDB
@@ -52,6 +57,22 @@ def _time_per_request(fn) -> float:
     return (time.perf_counter() - started) / REQUESTS
 
 
+def _child_span_seconds() -> float:
+    """One ``Telemetry.child_span`` block inside an active trace: what
+    every traced query pays per storage select, parse and eval span."""
+    telemetry = Telemetry("bench")
+    token = activate(TraceContext("ab" * 16, "cd" * 8))
+
+    def child() -> None:
+        with telemetry.child_span("bench.child"):
+            pass
+
+    try:
+        return _time_per_request(child)
+    finally:
+        deactivate(token)
+
+
 def test_middleware_overhead_bounded():
     app = build_app()
     request = Request(method="GET", path="/ping/a")
@@ -59,9 +80,22 @@ def test_middleware_overhead_bounded():
     bare = _time_per_request(lambda: app._handle_inner(request))
     full = _time_per_request(lambda: app.handle(request))
     overhead = full - bare
+    child_span = _child_span_seconds()
     print(
         f"\n[E16] per-request: bare={bare * 1e6:.1f}µs "
-        f"full={full * 1e6:.1f}µs overhead={overhead * 1e6:.1f}µs"
+        f"full={full * 1e6:.1f}µs overhead={overhead * 1e6:.1f}µs "
+        f"child_span={child_span * 1e6:.1f}µs"
+    )
+    _merge_artifact(
+        "middleware",
+        {
+            "requests": REQUESTS,
+            "bare_seconds": bare,
+            "full_seconds": full,
+            "overhead_seconds": overhead,
+            "child_span_seconds": child_span,
+            "bound": OVERHEAD_BOUND_SECONDS,
+        },
     )
     assert overhead < OVERHEAD_BOUND_SECONDS
 
@@ -121,10 +155,10 @@ def build_query_engine() -> PromQLEngine:
     return PromQLEngine(db)
 
 
-def _min_eval_seconds(engine: PromQLEngine, kind: str) -> float:
-    """Best-of-N wall time for one realistic dashboard evaluation:
-    the grid as one range query, or as an instant query per step (the
-    hooks sit in both evaluators)."""
+def _eval_runner(engine: PromQLEngine, kind: str):
+    """One realistic dashboard evaluation: the grid as one range
+    query, or as an instant query per step (the hooks sit in both
+    evaluators)."""
     query = "sum by (uuid) (rate(power[120s]))"
     end = (BENCH_SAMPLES - 1) * BENCH_SCRAPE_STEP
 
@@ -135,13 +169,13 @@ def _min_eval_seconds(engine: PromQLEngine, kind: str) -> float:
             for t in range_steps(120.0, end, 60.0).tolist():
                 engine.query(query, t)
 
-    run()  # warm parser caches / lazy imports outside the timed runs
-    best = math.inf
-    for _ in range(EVAL_RUNS):
-        started = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - started)
-    return best
+    return run
+
+
+def _timed(run) -> float:
+    started = time.perf_counter()
+    run()
+    return time.perf_counter() - started
 
 
 @contextlib.contextmanager
@@ -170,16 +204,23 @@ def test_query_hook_overhead_disabled_under_bound():
     report: dict[str, dict[str, float]] = {}
     try:
         for kind in ("range", "instant"):
-            with _hooks_bypassed():
-                bypassed = _min_eval_seconds(engine, kind)
-            disabled = _min_eval_seconds(engine, kind)
-            PROFILER.enable()
-            token = activate_stats(QueryStats(query="bench"))
-            try:
-                enabled = _min_eval_seconds(engine, kind)
-            finally:
-                deactivate_stats(token)
-                PROFILER.disable()
+            run = _eval_runner(engine, kind)
+            run()  # warm parser caches / lazy imports outside the timed runs
+            # The three configurations alternate within each round and
+            # each keeps its best: machine drift between rounds hits all
+            # three alike instead of one block of runs.
+            bypassed = disabled = enabled = math.inf
+            for _ in range(EVAL_RUNS):
+                with _hooks_bypassed():
+                    bypassed = min(bypassed, _timed(run))
+                disabled = min(disabled, _timed(run))
+                PROFILER.enable()
+                token = activate_stats(QueryStats(query="bench"))
+                try:
+                    enabled = min(enabled, _timed(run))
+                finally:
+                    deactivate_stats(token)
+                    PROFILER.disable()
             report[kind] = {
                 "bypassed_seconds": bypassed,
                 "disabled_seconds": disabled,

@@ -17,12 +17,12 @@ from __future__ import annotations
 import json
 import re
 import threading
-import time
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field
 from functools import cached_property
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from time import perf_counter
 from typing import Any, Callable, Iterator
 
 from repro.common.auth import BasicAuth, TLSConfig
@@ -38,6 +38,7 @@ from repro.obs.trace import (
     new_span_id,
     new_trace_id,
     parse_traceparent,
+    wall_time,
 )
 
 #: Exposition content type served by ``/metrics`` endpoints.
@@ -101,6 +102,15 @@ class Request:
 
     def header(self, name: str, default: str | None = None) -> str | None:
         return self.headers.get(name.lower(), default)
+
+    def with_plan(self, plan: Any) -> "Request":
+        """A shallow copy of this request carrying ``plan``: what a hop
+        forwards upstream when the caller's request must stay as it
+        was sent (fields, headers dict and parsed form are shared)."""
+        forwarded = object.__new__(type(self))
+        forwarded.__dict__.update(self.__dict__)
+        forwarded.plan = plan
+        return forwarded
 
     def param(self, name: str, default: str | None = None) -> str | None:
         """First value of a parameter: query string, else POST form
@@ -271,40 +281,48 @@ class App:
         handler forwards — the same request object or a new one built
         with :meth:`Request.from_url` — carries this span as parent.
         """
-        incoming = parse_traceparent(request.header(TRACEPARENT_HEADER))
+        headers = request.headers
+        incoming = parse_traceparent(headers.get(TRACEPARENT_HEADER))
         if incoming is None:
             incoming = current_trace()
-        ctx = TraceContext(
-            trace_id=incoming.trace_id if incoming else new_trace_id(),
-            span_id=new_span_id(),
-        )
-        request.headers[TRACEPARENT_HEADER] = ctx.header_value()
+        if incoming is None:
+            trace_id, parent_id = new_trace_id(), ""
+        else:
+            trace_id, parent_id = incoming.trace_id, incoming.span_id
+        ctx = TraceContext(trace_id, new_span_id())
+        headers[TRACEPARENT_HEADER] = ctx.header_value()
         token = activate(ctx)
         self._in_flight += 1
-        started = time.perf_counter()
+        # One clock pair times the span, the histogram and the
+        # exemplars' rate limit alike.
+        started = perf_counter()
         status = 500
         try:
             response = self._handle_inner(request)
             status = response.status
         finally:
+            ended = perf_counter()
             self._in_flight -= 1
-            duration = time.perf_counter() - started
+            duration = ended - started
+            method = request.method
             handler = request.matched_route or "(unrouted)"
-            self._http_requests.inc(
-                method=request.method, handler=handler, code=str(status)
+            # Label keys written in sorted label-name order, as the
+            # registry keys them.
+            self._http_requests.inc_key(
+                (("code", str(status)), ("handler", handler), ("method", method)), 1.0, ended
             )
-            self._http_latency.observe(duration, handler=handler)
+            self._http_latency.observe_key((("handler", handler),), duration, ended)
             self.telemetry.spans.record(
                 Span(
-                    trace_id=ctx.trace_id,
-                    span_id=ctx.span_id,
-                    parent_id=incoming.span_id if incoming else "",
-                    name=f"{request.method} {handler}",
-                    component=self.name,
-                    start=time.time() - duration,
-                    duration=duration,
-                    status="ok" if status < 500 else "error",
-                    attrs={"path": request.path, "status": status},
+                    trace_id,
+                    ctx.span_id,
+                    parent_id,
+                    f"{method} {handler}",
+                    self.name,
+                    wall_time(started),
+                    duration,
+                    "ok" if status < 500 else "error",
+                    {"path": request.path, "status": status},
                 )
             )
             if status >= 500:
@@ -312,12 +330,12 @@ class App:
                 # entry auto-correlates with this request's trace.
                 self.telemetry.log.error(
                     "request failed",
-                    method=request.method,
+                    method=method,
                     path=request.path,
                     status=status,
                 )
             deactivate(token)
-        response.headers.setdefault("x-trace-id", ctx.trace_id)
+        response.headers.setdefault("x-trace-id", trace_id)
         return response
 
     def _handle_inner(self, request: Request) -> Response:

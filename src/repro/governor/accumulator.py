@@ -133,26 +133,38 @@ class NodeAccumulator:
         #: ⟺ unchanged ``energy_uj``, and the plain attribute read
         #: keeps the 10 Hz hot path off the wrapped-view arithmetic.
         self._last_stamp = [float("nan")] * len(self._pairs)
+        #: :attr:`RAPLDomain.changes` as the last poll found it.
+        self._seen_changes = -1
         #: uuid -> attributed µJ (allocation-ratio share of RAPL energy).
         self.unit_uj: dict[str, float] = {}
         self.polls = 0
+        #: Time of the last poll, the node's staleness reference (a
+        #: domain's own ``last_poll_at`` is its last fold).
+        self.last_poll_at: float | None = None
 
     # -- polling -----------------------------------------------------------
     def poll(self, now: float) -> None:
         """One high-rate pass over every domain counter.
 
-        An unchanged counter takes the cheap path: refresh the
-        staleness stamp, skip the fold and window bookkeeping.  This
-        is what keeps a 10 Hz daemon well under the data plane's cost
-        — most polls land between energy updates.
+        Most polls land between energy updates: when no RAPL counter
+        anywhere moved since the last poll (:attr:`RAPLDomain.changes`
+        unchanged) the poll only refreshes the staleness stamp, one
+        comparison whatever the node's domain count.  Otherwise each
+        unchanged counter is skipped by its own stamp and a changed
+        one folded.  This is what keeps a 10 Hz daemon well under the
+        data plane's cost.
         """
         self.polls += 1
+        self.last_poll_at = now
+        changes = RAPLDomain.changes
+        if changes == self._seen_changes:
+            return
+        self._seen_changes = changes
         rapl_delta_uj = 0
         stamps = self._last_stamp
         for i, (domain, acc) in enumerate(self._pairs):
             stamp = domain._energy_uj_exact
             if stamp == stamps[i]:
-                acc.last_poll_at = now
                 continue
             stamps[i] = stamp
             rapl_delta_uj += acc.observe(now, domain.energy_uj)
@@ -189,7 +201,10 @@ class NodeAccumulator:
         return self.unit_uj.get(uuid, 0.0) / 1e6
 
     def staleness(self, now: float) -> float:
-        return max(acc.staleness(now) for acc in self.domains)
+        """Seconds since the last poll (``inf`` before the first)."""
+        if self.last_poll_at is None:
+            return float("inf")
+        return max(now - self.last_poll_at, 0.0)
 
     def allocation_ratio(self, uuid: str) -> float:
         task = self.node.tasks.get(uuid)

@@ -29,6 +29,7 @@ its power model (see :mod:`repro.hwsim.power_model`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.common.errors import SimulationError
 
@@ -53,12 +54,17 @@ class RAPLDomain:
     #: Exact accumulated energy in microjoules (never wraps; the
     #: counter view wraps).
     _energy_uj_exact: float = field(default=0.0, repr=False)
+    #: Change stamp shared by every domain: :meth:`add_energy` bumps
+    #: it, so a high-rate poller that finds it where it left it knows
+    #: that no counter moved without reading any of them.
+    changes: ClassVar[int] = 0
 
     def add_energy(self, joules: float) -> None:
         """Integrate ground-truth energy into the counter."""
         if joules < 0:
             raise SimulationError(f"negative energy into RAPL domain {self.name}")
         self._energy_uj_exact += joules * 1e6
+        RAPLDomain.changes += 1
 
     @property
     def energy_uj(self) -> int:

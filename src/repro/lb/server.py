@@ -25,7 +25,6 @@ the CEEMS deployment default).
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 from repro.common.errors import CEEMSError
 from repro.common.httpx import App, Request, Response
@@ -211,7 +210,7 @@ class LoadBalancer:
             if request.plan is None:
                 # On the LB's own upstream request: the client may keep
                 # its request object, so nothing of ours lives on it.
-                request = replace(request, plan=plan)
+                request = request.with_plan(plan)
         # Age-based routing wins over the frontend: the frontend's
         # backend pool is the hot pool, so queries older than the hot
         # retention go to the long-term (Thanos) backends.

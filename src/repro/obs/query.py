@@ -36,16 +36,19 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
+from collections import deque
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Iterator, TextIO
+from typing import Any, TextIO
 
 from repro.common.errors import QueryError
 from repro.obs.log import StructuredLogger
+from repro.obs.scope import Scope
 
 #: Per-query phases, in pipeline order.
 PHASES = ("parse", "select", "eval", "render")
+#: Each phase with its ``stats=all`` timing key.
+_TIMING_KEYS = tuple((name, f"{name}Seconds") for name in PHASES)
 
 
 class QueryQueueFullError(QueryError):
@@ -53,7 +56,7 @@ class QueryQueueFullError(QueryError):
 
 
 # -- per-query stats -----------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class QueryStats:
     """Accounting for one query evaluation."""
 
@@ -63,15 +66,18 @@ class QueryStats:
     series_selected: int = 0
     samples_touched: int = 0
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.phases[name] = (
-                self.phases.get(name, 0.0) + time.perf_counter() - started
-            )
+    def phase(self, name: str) -> Scope:
+        """Time a block into phase ``name`` (added to what it holds)."""
+        return Scope(self, name)
+
+    def _scope_enter(self, scope: Scope) -> None:
+        return None
+
+    def _scope_exit(self, scope: Scope, exc_type) -> None:
+        self.add_phase(scope.key, scope.ended - scope.started)
+
+    def add_phase(self, name: str, seconds: float) -> None:
+        self.phases[name] = self.phases.get(name, 0.0) + seconds
 
     def add_select(self, series: int, seconds: float) -> None:
         self.series_selected += series
@@ -82,10 +88,9 @@ class QueryStats:
         return sum(v for k, v in self.phases.items() if k != "select")
 
     def to_dict(self) -> dict[str, Any]:
+        phases = self.phases
         return {
-            "timings": {
-                f"{name}Seconds": self.phases.get(name, 0.0) for name in PHASES
-            },
+            "timings": {key: phases.get(name, 0.0) for name, key in _TIMING_KEYS},
             "samples": {
                 "seriesSelected": self.series_selected,
                 "samplesTouched": self.samples_touched,
@@ -98,18 +103,19 @@ _active_stats: ContextVar[QueryStats | None] = ContextVar(
 )
 
 
-def current_stats() -> QueryStats | None:
-    """The stats object of the query being evaluated, if any."""
-    return _active_stats.get()
+# The accessors are the context variable's own methods, as for the
+# trace context (:mod:`repro.obs.trace`): every query calls them.
 
+#: ``current_stats()`` — the stats object of the query being evaluated,
+#: if any.
+current_stats = _active_stats.get
 
-def activate_stats(stats: QueryStats):
-    """Make ``stats`` the ambient accounting sink; returns reset token."""
-    return _active_stats.set(stats)
+#: ``activate_stats(stats)`` — make ``stats`` the ambient accounting
+#: sink; returns the reset token.
+activate_stats = _active_stats.set
 
-
-def deactivate_stats(token) -> None:
-    _active_stats.reset(token)
+#: ``deactivate_stats(token)`` — restore what ``activate_stats`` replaced.
+deactivate_stats = _active_stats.reset
 
 
 def tracked_select(storage, matchers):
@@ -135,7 +141,7 @@ def record_samples(n: int) -> None:
 
 
 # -- active query tracker ------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class QueryRecord:
     """One tracked query's lifecycle."""
 
@@ -201,7 +207,8 @@ class ActiveQueryTracker:
         self._next_id = 1
         self._queued: list[QueryRecord] = []
         self._running: list[QueryRecord] = []
-        self._done: list[QueryRecord] = []
+        #: Finished records, oldest first, at most ``done_capacity``.
+        self._done: deque[QueryRecord] = deque(maxlen=done_capacity)
         self._journal: TextIO | None = None
         self.queries_tracked = 0
         self.queue_timeouts = 0
@@ -255,15 +262,15 @@ class ActiveQueryTracker:
         self._journal.flush()
 
     # -- tracking --------------------------------------------------------
-    @contextmanager
     def track(
         self,
         query: str,
         *,
         fingerprint: tuple[str, ...] = (),
         stats: QueryStats | None = None,
-    ) -> Iterator[QueryRecord]:
-        """Admit one query: blocks for a slot, journals, tracks states."""
+    ) -> Scope:
+        """Admit one query: entering blocks for a slot, journals, and
+        binds the :class:`QueryRecord`; leaving finishes it."""
         record = QueryRecord(
             id=0,
             query=query,
@@ -271,47 +278,65 @@ class ActiveQueryTracker:
             start_time=time.time(),
             stats=stats,
         )
+        return Scope(self, value=record)
+
+    def _scope_enter(self, scope: Scope) -> QueryRecord:
+        record = scope.value
         queued_at = time.perf_counter()
-        with self._cond:
+        # acquire/release, not ``with``: every query passes here twice,
+        # and a Condition's ``with`` runs Python-level methods.
+        cond = self._cond
+        cond.acquire()
+        try:
             record.id = self._next_id
             self._next_id += 1
             self.queries_tracked += 1
-            self._queued.append(record)
+            if len(self._running) >= self.max_concurrent:
+                self._wait_for_slot(record, queued_at)
+            record.queued_seconds = time.perf_counter() - queued_at
+            record.state = "running"
+            self._running.append(record)
+        finally:
+            cond.release()
+        if self._journal is not None:
+            self._journal_write(
+                {"op": "start", "id": record.id, "query": record.query, "ts": record.start_time}
+            )
+        return record
+
+    def _wait_for_slot(self, record: QueryRecord, queued_at: float) -> None:
+        """Hold ``record`` queued until a slot frees (lock held), or
+        raise :class:`QueryQueueFullError` at the queue timeout."""
+        self._queued.append(record)
+        try:
             deadline = queued_at + self.queue_timeout
             while len(self._running) >= self.max_concurrent:
                 remaining = deadline - time.perf_counter()
                 if remaining <= 0 or not self._cond.wait(timeout=remaining):
-                    self._queued.remove(record)
                     self.queue_timeouts += 1
                     raise QueryQueueFullError(
                         f"query queue full: {len(self._running)} of "
                         f"{self.max_concurrent} slots busy for "
                         f"{self.queue_timeout:.1f}s"
                     )
-            self._queued.remove(record)
-            record.queued_seconds = time.perf_counter() - queued_at
-            record.state = "running"
-            self._running.append(record)
-        self._journal_write(
-            {"op": "start", "id": record.id, "query": query, "ts": record.start_time}
-        )
-        started = time.perf_counter()
-        try:
-            yield record
-        except BaseException:
-            record.state = "error"
-            raise
-        else:
-            record.state = "done"
         finally:
-            record.duration_seconds = time.perf_counter() - started
+            self._queued.remove(record)
+
+    def _scope_exit(self, scope: Scope, exc_type) -> None:
+        record = scope.value
+        record.state = "done" if exc_type is None else "error"
+        record.duration_seconds = scope.ended - scope.started
+        if self._journal is not None:
             self._journal_write({"op": "end", "id": record.id})
-            with self._cond:
-                self._running.remove(record)
-                self._done.append(record)
-                if len(self._done) > self.done_capacity:
-                    del self._done[: len(self._done) - self.done_capacity]
-                self._cond.notify()
+        cond = self._cond
+        cond.acquire()
+        try:
+            self._running.remove(record)
+            self._done.append(record)
+            if self._queued:  # every waiter's record is queued
+                cond.notify()
+        finally:
+            cond.release()
 
     # -- views -----------------------------------------------------------
     def active(self) -> list[QueryRecord]:

@@ -19,9 +19,9 @@ from server threads concurrently.
 
 from __future__ import annotations
 
-import bisect
 import threading
 import time
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.common.errors import CEEMSError
@@ -90,7 +90,10 @@ def set_exemplars_enabled(enabled: bool) -> bool:
     return old
 
 
-_monotonic = time.monotonic
+#: The exemplar rate limit's clock.  ``perf_counter`` is monotonic,
+#: and it is the clock request timing reads: the middleware hands its
+#: closing reading in, so one request reads the clock twice in all.
+_monotonic = time.perf_counter
 
 # Exemplar capture stores raw ``(trace_id, value, monotonic)`` tuples
 # inline in each metric's per-label-set entry — no side dict, so the
@@ -149,8 +152,16 @@ class Counter(_Metric):
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         if amount < 0:
             raise CEEMSError(f"counter {self.name} cannot decrease")
-        key = _label_key(labels)
-        with self._lock:
+        self.inc_key(_label_key(labels), amount)
+
+    def inc_key(self, key: _LabelKey, amount: float = 1.0, now: float | None = None) -> None:
+        """:meth:`inc` by a label key already in sorted order (no
+        negative check); ``now`` is a :data:`_monotonic` reading the
+        caller already took."""
+        # acquire/release, not ``with``: every request pays this path,
+        # and the ``with`` protocol costs more than the lock itself.
+        self._lock.acquire()
+        try:
             entry = self._values.get(key)
             if entry is None:
                 entry = self._values[key] = [0.0, None, dict(key), [None]]
@@ -159,10 +170,14 @@ class Counter(_Metric):
                 # Exemplar value is the increment, not the running
                 # total: "this trace contributed this much".
                 prev = entry[1]
-                if prev is None or _monotonic() - prev[2] >= _EXEMPLAR_MIN_INTERVAL:
+                if now is None:
+                    now = _monotonic()
+                if prev is None or now - prev[2] >= _EXEMPLAR_MIN_INTERVAL:
                     ctx = current_trace()
                     if ctx is not None:
-                        entry[1] = (ctx.trace_id, amount, _monotonic())
+                        entry[1] = (ctx.trace_id, amount, now)
+        finally:
+            self._lock.release()
 
     def value(self, **labels: str) -> float:
         entry = self._values.get(_label_key(labels))
@@ -238,11 +253,16 @@ class Histogram(_Metric):
         self._data: dict[_LabelKey, tuple[list[int], list[float], list, list[dict], list]] = {}
 
     def observe(self, value: float, **labels: str) -> None:
-        key = _label_key(labels)
+        self.observe_key(_label_key(labels), value)
+
+    def observe_key(self, key: _LabelKey, value: float, now: float | None = None) -> None:
+        """:meth:`observe` by a label key already in sorted order;
+        ``now`` as for :meth:`Counter.inc_key`."""
         # First bucket with ``le >= value`` (Prometheus bucket rule);
         # past the last bucket the observation lands in +Inf only.
-        idx = bisect.bisect_left(self.buckets, value)
-        with self._lock:
+        idx = bisect_left(self.buckets, value)
+        self._lock.acquire()  # not ``with``: see Counter.inc_key
+        try:
             entry = self._data.get(key)
             if entry is None:
                 slots = len(self.buckets) + 1
@@ -259,10 +279,14 @@ class Histogram(_Metric):
                 # so a p99 spike's bucket carries a p99 trace.
                 exemplars = entry[2]
                 prev = exemplars[idx]
-                if prev is None or _monotonic() - prev[2] >= _EXEMPLAR_MIN_INTERVAL:
+                if now is None:
+                    now = _monotonic()
+                if prev is None or now - prev[2] >= _EXEMPLAR_MIN_INTERVAL:
                     ctx = current_trace()
                     if ctx is not None:
-                        exemplars[idx] = (ctx.trace_id, value, _monotonic())
+                        exemplars[idx] = (ctx.trace_id, value, now)
+        finally:
+            self._lock.release()
 
     def count(self, **labels: str) -> float:
         entry = self._data.get(_label_key(labels))

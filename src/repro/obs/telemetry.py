@@ -9,27 +9,33 @@ into.  Two span entry points cover the two call patterns:
   context is active.  For periodic activities that *originate* work
   (an updater pass, a scrape cycle).
 * :meth:`Telemetry.child_span` — records only when a trace is already
-  active, and is free (yields ``None``) otherwise.  For hot internals
-  (storage selects, query evaluation) that must not mint junk traces
-  on every rule evaluation.
+  active, and binds ``None`` otherwise.  For hot internals (storage
+  selects, query evaluation) that must not mint junk traces on every
+  rule evaluation.
+
+Both return a :class:`~repro.obs.scope.Scope`, so a caller can read
+the block's two clock readings after it (``scope.seconds``), traced or
+not.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
 
 from repro.obs.log import StructuredLogger
 from repro.obs.registry import MetricsRegistry
+from repro.obs.scope import Scope
 from repro.obs.trace import (
     Span,
     SpanStore,
     TailSampler,
+    TraceContext,
     activate,
     current_trace,
     deactivate,
     make_span,
+    new_span_id,
+    wall_time,
 )
 
 
@@ -55,41 +61,38 @@ class Telemetry:
     def set_sampler(self, sampler: TailSampler | None) -> None:
         self.spans.sampler = sampler
 
-    @contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[Span]:
+    def span(self, name: str, **attrs: Any) -> Scope:
         """Record a span, rooting a new trace if none is active."""
         span, ctx = make_span(name, self.component, current_trace(), **attrs)
-        token = activate(ctx)
-        started = time.perf_counter()
-        try:
-            yield span
-        except Exception:
-            span.status = "error"
-            raise
-        finally:
-            deactivate(token)
-            span.duration = time.perf_counter() - started
-            self.spans.record(span)
+        return Scope(self, ctx, span)
 
-    @contextmanager
-    def child_span(self, name: str, **attrs: Any) -> Iterator[Span | None]:
-        """Record a span only when already inside a trace."""
+    def child_span(self, name: str, **attrs: Any) -> Scope:
+        """Record a span only when already inside a trace; outside one
+        the block is only timed and binds ``None``."""
         parent = current_trace()
         if parent is None:
-            yield None
+            return Scope(self)
+        # make_span's work, inline on the hot path; the start is set
+        # from the scope's first clock reading.
+        trace_id, span_id = parent.trace_id, new_span_id()
+        span = Span(trace_id, span_id, parent.span_id, name, self.component, 0.0, 0.0, "ok", attrs)
+        return Scope(self, TraceContext(trace_id, span_id), span)
+
+    def _scope_enter(self, scope: Scope):
+        if scope.key is not None:
+            scope.token = activate(scope.key)
+        return scope.value
+
+    def _scope_exit(self, scope: Scope, exc_type) -> None:
+        span = scope.value
+        if span is None:
             return
-        span, ctx = make_span(name, self.component, parent, **attrs)
-        token = activate(ctx)
-        started = time.perf_counter()
-        try:
-            yield span
-        except Exception:
+        deactivate(scope.token)
+        if exc_type is not None and issubclass(exc_type, Exception):
             span.status = "error"
-            raise
-        finally:
-            deactivate(token)
-            span.duration = time.perf_counter() - started
-            self.spans.record(span)
+        span.start = wall_time(scope.started)
+        span.duration = scope.ended - scope.started
+        self.spans.record(span)
 
     # -- exposition -------------------------------------------------------
     def collect(self):

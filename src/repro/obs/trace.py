@@ -26,7 +26,6 @@ meant to detect.
 from __future__ import annotations
 
 import itertools
-import re
 import threading
 import time
 from collections import deque
@@ -36,16 +35,35 @@ from typing import Any
 
 TRACEPARENT_HEADER = "traceparent"
 
-_TRACE_ID_RE = re.compile(r"^[0-9a-f]{32}$")
-_SPAN_ID_RE = re.compile(r"^[0-9a-f]{16}$")
+#: The digits of a trace or span id (lower-case hex only), as bytes:
+#: ``bytes.strip`` by a set is a table lookup per byte.
+_HEX_DIGITS = b"0123456789abcdef"
 
 
-@dataclass(frozen=True)
 class TraceContext:
-    """The propagated part of a trace: who we are inside which trace."""
+    """The propagated part of a trace: who we are inside which trace.
 
-    trace_id: str
-    span_id: str
+    A value (equality, hash and repr by its two ids) that every request
+    builds once: a plain slotted class, since a frozen dataclass pays
+    ``object.__setattr__`` per field on construction.
+    """
+
+    __slots__ = ("trace_id", "span_id")
+
+    def __init__(self, trace_id: str, span_id: str) -> None:
+        self.trace_id = trace_id
+        self.span_id = span_id
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TraceContext:
+            return NotImplemented
+        return self.trace_id == other.trace_id and self.span_id == other.span_id
+
+    def __hash__(self) -> int:
+        return hash((self.trace_id, self.span_id))
+
+    def __repr__(self) -> str:
+        return f"TraceContext(trace_id={self.trace_id!r}, span_id={self.span_id!r})"
 
     def header_value(self) -> str:
         return f"00-{self.trace_id}-{self.span_id}-01"
@@ -63,11 +81,19 @@ def parse_traceparent(value: str | None) -> TraceContext | None:
     if len(parts) != 4 or parts[0] != "00":
         return None
     trace_id, span_id = parts[1], parts[2]
-    if not _TRACE_ID_RE.match(trace_id) or not _SPAN_ID_RE.match(span_id):
+    ids = trace_id + span_id
+    # ``strip`` by a character set leaves nothing exactly when every
+    # character is in the set: all hex digits, and not all zeros.
+    if (
+        len(trace_id) != 32
+        or len(span_id) != 16
+        or not ids.isascii()
+        or ids.encode().strip(_HEX_DIGITS)
+        or not trace_id.strip("0")
+        or not span_id.strip("0")
+    ):
         return None
-    if set(trace_id) == {"0"} or set(span_id) == {"0"}:
-        return None
-    return TraceContext(trace_id=trace_id, span_id=span_id)
+    return TraceContext(trace_id, span_id)
 
 
 # One process-wide id source: deterministic (a counter, not random)
@@ -88,21 +114,34 @@ def new_span_id() -> str:
 _current: ContextVar[TraceContext | None] = ContextVar("repro_obs_trace", default=None)
 
 
-def current_trace() -> TraceContext | None:
-    """The active trace context of this thread/task, if any."""
-    return _current.get()
+# The three accessors are the context variable's own methods, not
+# wrappers around them: every request and span calls them, and a
+# Python-level wrapper doubles what a call costs.
+
+#: ``current_trace()`` — the active trace context of this thread/task,
+#: if any.
+current_trace = _current.get
+
+#: ``activate(ctx)`` — make ``ctx`` the active context; returns the
+#: reset token.
+activate = _current.set
+
+#: ``deactivate(token)`` — restore the context ``activate`` replaced.
+deactivate = _current.reset
 
 
-def activate(ctx: TraceContext):
-    """Make ``ctx`` the active context; returns the reset token."""
-    return _current.set(ctx)
+#: Wall-clock time minus ``time.perf_counter()``, taken once: a span
+#: timed by the monotonic clock gets its display start from its first
+#: reading without a second clock read.
+_WALL_OFFSET = time.time() - time.perf_counter()
 
 
-def deactivate(token) -> None:
-    _current.reset(token)
+def wall_time(perf: float) -> float:
+    """The ``time.time()`` matching a ``time.perf_counter()`` reading."""
+    return _WALL_OFFSET + perf
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One recorded operation inside a trace."""
 
@@ -175,11 +214,11 @@ class TailSampler:
     dropped_total: int = 0
 
     def keep(self, span: Span) -> bool:
-        if span.status != "ok":
+        if self.rate >= 1.0:
+            decision = True  # whatever the status and duration
+        elif span.status != "ok":
             decision = True
         elif span.duration * 1000.0 >= self.keep_slow_ms:
-            decision = True
-        elif self.rate >= 1.0:
             decision = True
         elif self.rate <= 0.0:
             decision = False
@@ -215,13 +254,22 @@ class SpanStore:
         self.total_recorded = 0
 
     def record(self, span: Span) -> None:
-        with self._lock:
+        # acquire/release, not ``with``: every request records a
+        # span, and the ``with`` protocol costs more than the lock.
+        self._lock.acquire()
+        try:
             self.total_recorded += 1
             sampler = self.sampler
             if sampler is not None and not sampler.keep(span):
                 return
             self._spans.append(span)
-            self._by_trace.setdefault(span.trace_id, []).append(span)
+            bucket = self._by_trace.get(span.trace_id)
+            if bucket is None:
+                # A list, not a deque: most buckets hold one to six
+                # spans, and a deque's block is ten times a short list.
+                self._by_trace[span.trace_id] = [span]
+            else:
+                bucket.append(span)
             if len(self._spans) > self.capacity:
                 # Both the ring and each trace bucket are append-
                 # ordered, so the evicted span is always its bucket's
@@ -232,6 +280,8 @@ class SpanStore:
                 bucket.pop(0)
                 if not bucket:
                     del self._by_trace[doomed.trace_id]
+        finally:
+            self._lock.release()
 
     def spans(self) -> list[Span]:
         with self._lock:
@@ -273,14 +323,5 @@ def make_span(
         trace_id, parent_id = parent.trace_id, parent.span_id
     else:
         trace_id, parent_id = new_trace_id(), ""
-    ctx = TraceContext(trace_id=trace_id, span_id=new_span_id())
-    span = Span(
-        trace_id=trace_id,
-        span_id=ctx.span_id,
-        parent_id=parent_id,
-        name=name,
-        component=component,
-        start=time.time(),
-        attrs=attrs,
-    )
-    return span, ctx
+    ctx = TraceContext(trace_id, new_span_id())
+    return Span(trace_id, ctx.span_id, parent_id, name, component, time.time(), attrs=attrs), ctx

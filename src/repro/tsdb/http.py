@@ -50,6 +50,7 @@ import math
 import time
 from itertools import compress
 from operator import add, not_
+from time import perf_counter
 
 from repro.common.errors import QueryError, StorageError
 from repro.common.httpx import App, Request, Response
@@ -409,8 +410,13 @@ class PromAPI:
         request.
         """
         stats = QueryStats()
-        with stats.phase("parse"), self.app.telemetry.child_span("promql.parse"):
+        telemetry = self.app.telemetry
+        # The parse span and the parse phase time the same block: they
+        # share its clock pair, and the slow log starts where it ends.
+        parsing = telemetry.child_span("promql.parse")
+        with parsing:
             plan = plan_query(request, self.limits)
+        stats.add_phase("parse", parsing.seconds)
         if isinstance(plan, Response):
             return plan
         self.queries_served += 1
@@ -418,7 +424,7 @@ class PromAPI:
         ctx = current_trace()
         trace_id = ctx.trace_id if ctx is not None else ""
         token = activate_stats(stats)
-        started = time.perf_counter()
+        started = parsing.ended
         try:
             fingerprint = plan_memo(plan.ast).fixed("tracker", _selector_texts, plan.ast)
             try:
@@ -426,9 +432,13 @@ class PromAPI:
                     query, fingerprint=fingerprint, stats=stats
                 ) as record:
                     record.trace_id = trace_id
-                    with self.app.telemetry.child_span("promql.eval") as span:
-                        with stats.phase("eval"):
+                    evaluating = telemetry.child_span("promql.eval")
+                    with evaluating as span:
+                        # The eval phase starts on the span's reading.
+                        try:
                             result = eval_fn(plan)
+                        finally:
+                            stats.add_phase("eval", perf_counter() - evaluating.started)
                         if span is not None:
                             # Exemplar-style span event: the finished
                             # eval-phase breakdown rides on the span.
@@ -451,7 +461,7 @@ class PromAPI:
             deactivate_stats(token)
             self.slow_log.observe(
                 query,
-                time.perf_counter() - started,
+                perf_counter() - started,
                 stats=stats,
                 trace_id=trace_id,
                 endpoint=request.path,

@@ -140,6 +140,7 @@ from repro.tsdb.promql.functions import (
     WINDOW_FUNCTIONS,
     histogram_bucket_quantile,
     quantile,
+    topk_counts,
 )
 from repro.tsdb.promql.parser import PlanMemo
 
@@ -680,12 +681,16 @@ class _ColumnarEval:
         param = self._scalar(node.param) if node.param is not None else None
         keys, order, gid, bounds = self._plan(node, (vec.labels,), _grid_groups, node)
         G = len(keys)
+        op = node.op
+        ranks = op in ("topk", "bottomk")
+        if ranks:
+            if param is None:
+                raise QueryError(f"{op} requires a parameter")
+            k_cols = topk_counts(param)
         if not G:
             return vec  # nothing to aggregate
-
-        op = node.op
-        if op in ("topk", "bottomk"):
-            return self._topk(node, vec, gid, bounds, param)
+        if ranks:
+            return self._topk(node, vec, gid, bounds, k_cols)
 
         values, present = vec.values, vec.present
         count = np.add.reduceat(present[order].astype(np.intp), bounds, axis=0)
@@ -742,11 +747,8 @@ class _ColumnarEval:
                     out[g, j] = quantile(q[j], members)
         return out
 
-    def _topk(self, node, vec: _Matrix, gid: np.ndarray, bounds: np.ndarray, param) -> _Matrix:
+    def _topk(self, node, vec: _Matrix, gid: np.ndarray, bounds: np.ndarray, k_cols) -> _Matrix:
         op = node.op
-        if param is None:
-            raise QueryError(f"{op} requires a parameter")
-        k_cols = np.maximum(param.astype(np.int64), 0)
         # Every column ranked at once: rows sorted by group, then by
         # value (stable, absent last), and a row's rank is its place
         # after its group's first.

@@ -106,6 +106,7 @@ from repro.tsdb.promql.functions import (
     WINDOW_FUNCTIONS,
     histogram_bucket_quantile,
     quantile,
+    topk_counts,
 )
 from repro.tsdb.promql.parser import PlanMemo, parse_expr, plan_memo
 
@@ -699,12 +700,14 @@ class PromQLEngine:
         param = self._eval_scalar(node.param, at, memo) if node.param is not None else None
         keys, members = memo.plan(id(node), (labels,), _group_plan, node)
         op = node.op
-        if not members:
-            return keys, []
-        if op in ("topk", "bottomk"):
+        ranks = op in ("topk", "bottomk")
+        if ranks:
             if param is None:
                 raise QueryError(f"{op} requires a parameter")
-            k = max(int(param), 0)
+            k = int(topk_counts(param))
+        if not members:
+            return keys, []
+        if ranks:
             # Which elements survive is the values' doing; topk keeps
             # the original element labels (incl. name).
             chosen = []

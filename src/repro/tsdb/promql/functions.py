@@ -30,6 +30,8 @@ from typing import Callable
 
 import numpy as np
 
+from repro.common.errors import QueryError
+
 RangeFunc = Callable[[np.ndarray, np.ndarray, float, float], float | None]
 
 
@@ -330,6 +332,28 @@ def quantile(q: float, vs) -> float:
     if q > 1:
         return math.inf
     return float(np.quantile(vs, q))
+
+
+#: The floats an int64 holds (Go's ``convertibleToInt64``): 2**63 - 1024
+#: is the largest float64 below 2**63.
+_INT64_MIN = -9223372036854775808.0
+_INT64_MAX = 9223372036854774784.0
+
+#: Go's ``%v`` of the non-finite floats Python writes ``nan`` / ``inf``.
+_GO_NON_FINITE = {"nan": "NaN", "inf": "+Inf", "-inf": "-Inf"}
+
+
+def topk_counts(params) -> np.ndarray:
+    """``topk``/``bottomk``'s ``k`` per step (a float or an array of
+    them) as int64, negative counts as 0.  A ``k`` no int64 holds —
+    NaN, ±Inf or out of range — is Prometheus's error, raised whether
+    or not there is anything to rank."""
+    params = np.asarray(params, dtype=np.float64)
+    fits = (params >= _INT64_MIN) & (params <= _INT64_MAX)
+    if not fits.all():
+        text = repr(float(params[~fits][0]))
+        raise QueryError(f"Scalar value {_GO_NON_FINITE.get(text, text)} overflows int64")
+    return np.maximum(params.astype(np.int64), 0)
 
 
 def histogram_bucket_quantile(q: float, buckets: list[tuple[float, float]]) -> float:
