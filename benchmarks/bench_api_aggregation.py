@@ -16,24 +16,61 @@ same question three ways:
 3. the CEEMS API server: one indexed SQLite rollup lookup.
 
 The paper's claim reproduces as an orders-of-magnitude gap.
+
+Both sides are timed the way a first page open pays for them.  The raw
+path is a first evaluation: on a copy of the TSDB nothing has read yet,
+with the parser's memo emptied (the median of five such copies).  The
+API server remembers its answers until the database is written, so
+every timed lookup follows a write made in the round's setup, outside
+the timed call; the replayed answer (no write since) is printed on its
+own line.
 """
 
 from __future__ import annotations
 
+import statistics
+import time
+
 import numpy as np
 import pytest
 
+from benchmarks.conftest import replayed_s
 from repro.apiserver.api import APIServer
 from repro.apiserver.db import Database
 from repro.resourcemgr.base import ComputeUnit, UnitState
 from repro.tsdb.model import Labels
 from repro.tsdb.promql.engine import PromQLEngine
+from repro.tsdb.promql.parser import parse_expr
 from repro.tsdb.storage import TSDB
 
 YEAR = 365 * 86400.0
 NUNITS = 300
 NUSERS = 20
 STEP_1H = 3600.0
+USER_USAGE = "/api/v1/users/user000/usage"
+ROUNDS = 200
+
+
+def first_evaluation_s(tsdb: TSDB, query: str, at: float, copies: int = 5) -> float:
+    """Median seconds of the first evaluation of ``query``, each on a copy
+    of ``tsdb`` no query has read (appends still staged, no selector
+    memo) with the parser's memo emptied."""
+    times = []
+    for _ in range(copies):
+        fresh = TSDB(name=tsdb.name)
+        for series in tsdb.all_series():
+            fresh.append_array(series.labels, *series.arrays())
+        parse_expr.cache_clear()
+        engine = PromQLEngine(fresh)
+        started = time.perf_counter()
+        engine.query(query, at)
+        times.append(time.perf_counter() - started)
+    return statistics.median(times)
+
+
+def touch(db: Database):
+    """A write that changes no row: the next API answer reads the DB."""
+    return lambda: db.set_last_sync("jz", YEAR)
 
 
 @pytest.fixture(scope="module")
@@ -106,12 +143,10 @@ def test_api_server_rollup_lookup(benchmark, year_env):
     api = APIServer(year_env["db"])
 
     def lookup():
-        response = api.app.get(
-            "/api/v1/users/user000/usage", headers={"x-grafana-user": "user000"}
-        )
+        response = api.app.get(USER_USAGE, headers={"x-grafana-user": "user000"})
         return sum(r["total_energy_joules"] for r in response.decode_json()["data"])
 
-    energy = benchmark(lookup)
+    energy = benchmark.pedantic(lookup, setup=touch(year_env["db"]), rounds=ROUNDS)
     print(f"\n[E8] API-server rollup lookup: user000 = {energy / 3.6e6:.1f} kWh")
     assert energy == pytest.approx(year_env["user_energy"]["user000"], rel=0.05)
 
@@ -160,42 +195,36 @@ def test_raw_tsdb_year_query_5m(benchmark, year_env, year_5m):
 
 def test_speedup_summary(benchmark, year_env, year_5m):
     """Head-to-head: identical answers, orders-of-magnitude apart."""
-    import time
-
-    engine_1h = PromQLEngine(year_env["tsdb_1h"])
-    engine_5m = PromQLEngine(year_5m["tsdb"])
     api = APIServer(year_env["db"])
     selector = "|".join(year_5m["uuids"])
 
-    t0 = time.perf_counter()
-    engine_5m.query(
+    raw_5m_s = first_evaluation_s(
+        year_5m["tsdb"],
         f'sum(sum_over_time(ceems:compute_unit:power_watts{{uuid=~"{selector}"}}[367d])) * 300',
         YEAR + 3600.0,
     )
-    raw_5m_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    engine_1h.query(
+    raw_1h_s = first_evaluation_s(
+        year_env["tsdb_1h"],
         'sum(sum_over_time(ceems:compute_unit:power_watts{user="user000"}[366d])) * 3600',
         YEAR,
     )
-    raw_1h_s = time.perf_counter() - t0
 
     def lookup():
-        return api.app.get(
-            "/api/v1/users/user000/usage", headers={"x-grafana-user": "user000"}
-        )
+        return api.app.get(USER_USAGE, headers={"x-grafana-user": "user000"})
 
-    benchmark(lookup)
+    benchmark.pedantic(lookup, setup=touch(year_env["db"]), rounds=ROUNDS)
     api_s = benchmark.stats.stats.mean
+    replay_s = replayed_s(lookup)
 
     print(f"\n[E8] year-long per-user energy query (identical answers):")
     print(f"  raw TSDB, 5m resolution:   {raw_5m_s * 1000:9.2f} ms")
     print(f"  raw TSDB, 1h downsampled:  {raw_1h_s * 1000:9.2f} ms")
     print(f"  CEEMS API server rollup:   {api_s * 1000:9.2f} ms")
+    print(f"  ... replayed, DB unchanged:{replay_s * 1000:9.2f} ms")
     print(f"  speedup vs 5m raw: {raw_5m_s / api_s:,.0f}x — the paper's case "
           f"for the API server")
     benchmark.extra_info["raw_5m_ms"] = raw_5m_s * 1000
     benchmark.extra_info["raw_1h_ms"] = raw_1h_s * 1000
+    benchmark.extra_info["replayed_ms"] = replay_s * 1000
     benchmark.extra_info["speedup_vs_5m"] = raw_5m_s / api_s
     assert raw_5m_s / api_s > 20.0

@@ -8,6 +8,9 @@ operations whose cost the paper talks about.
 
 from __future__ import annotations
 
+import statistics
+import time
+
 import pytest
 
 from repro.cluster import StackSimulation, small_topology
@@ -40,3 +43,15 @@ def bench_sim() -> StackSimulation:
 def heaviest_user(sim: StackSimulation) -> str:
     usage = sim.ceems_datasource("admin").global_usage()
     return max(usage, key=lambda r: r["num_units"])["user"]
+
+
+def replayed_s(call, rounds: int = 200) -> float:
+    """Median seconds of ``call`` repeated with nothing written in
+    between: what a remembered answer costs to replay."""
+    call()
+    times = []
+    for _ in range(rounds):
+        started = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - started)
+    return statistics.median(times)

@@ -14,11 +14,16 @@ Endpoints mirror the documented CEEMS API (ref. [18] of the paper):
 * ``GET /api/v1/verify`` — ownership check (``uuid`` + user header):
   the endpoint the CEEMS LB calls in ``api`` authz mode.
 * ``GET /api/v1/clusters`` — known clusters.
+
+The database changes only when the updater writes, so every GET answer
+is remembered until the next write (:meth:`APIServer._remembered`).
 """
 
 from __future__ import annotations
 
+import math
 import sqlite3
+import threading
 from typing import Any
 
 from repro.apiserver.db import Database
@@ -27,6 +32,31 @@ from repro.common.errors import NotFoundError
 from repro.common.httpx import App, Request, Response
 
 USER_HEADER = "x-grafana-user"
+
+#: Body bytes the answer memo holds at most.  An answer that would pass
+#: the cap empties the memo first; a body larger than the cap is never
+#: kept.
+ANSWER_MEMO_BYTES = 4 * 1024 * 1024
+
+
+def _bound(raw: str | None) -> float | None:
+    """A ``from``/``to`` parameter: absent, or a finite number written
+    without digit separators."""
+    if not raw:
+        return None
+    value = float(raw) if "_" not in raw else math.nan
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+def _count(raw: str) -> int:
+    """A ``limit``/``offset`` parameter: a non-negative integer written
+    without digit separators."""
+    value = int(raw) if "_" not in raw else -1
+    if value < 0:
+        raise ValueError(raw)
+    return value
 
 
 def _unit_to_json(row: sqlite3.Row) -> dict[str, Any]:
@@ -50,17 +80,83 @@ class APIServer:
         self.admin_users = set(admin_users)
         self.app = App(name="ceems-api-server", auth=auth, tls=tls)
         self.app.expose_telemetry()
+        #: key -> (``db.writes`` it was computed at, status, headers, body)
+        self._answers: dict[tuple, tuple[int, int, dict[str, str], bytes]] = {}
+        self._answers_writes = 0
+        self._answer_bytes = 0
+        #: Guards the byte count, the stores and ``memo_hits``.
+        self._answers_lock = threading.Lock()
+        self.memo_hits = 0
         r = self.app.router
-        r.get("/api/v1/units", self._units)
-        r.get("/api/v1/units/{uuid}", self._unit)
-        r.get("/api/v1/usage/current", self._usage_current)
-        r.get("/api/v1/usage/global", self._usage_global)
-        r.get("/api/v1/users/{user}/usage", self._user_usage)
-        r.get("/api/v1/projects/{project}/usage", self._project_usage)
-        r.get("/api/v1/verify", self._verify)
-        r.get("/api/v1/clusters", self._clusters)
-        r.get("/api/v1/projects", self._projects)
+        for pattern, handler in (
+            ("/api/v1/units", self._units),
+            ("/api/v1/units/{uuid}", self._unit),
+            ("/api/v1/usage/current", self._usage_current),
+            ("/api/v1/usage/global", self._usage_global),
+            ("/api/v1/users/{user}/usage", self._user_usage),
+            ("/api/v1/projects/{project}/usage", self._project_usage),
+            ("/api/v1/verify", self._verify),
+            ("/api/v1/clusters", self._clusters),
+            ("/api/v1/projects", self._projects),
+        ):
+            r.get(pattern, self._remembered(handler))
         r.get("/-/healthy", lambda _req: Response.text("ok"))
+
+    # -- answer memo ---------------------------------------------------------
+    def _remembered(self, handler):
+        """``handler`` answering from memory while the database is
+        unchanged.
+
+        The key is everything a handler reads of a request: the
+        handler, the path, the query parameters and the caller.  The
+        write count is read *before* the handler runs, so an answer
+        computed across a write is kept under the older count and is
+        never served once that write has returned.  A request with a
+        body (a form a handler might read) is not remembered.
+        """
+
+        def remembered(request: Request) -> Response:
+            writes = self.db.writes
+            if request.body:
+                return handler(request)
+            key = (
+                handler,
+                request.path,
+                tuple((name, tuple(values)) for name, values in request.query.items()),
+                request.headers.get(USER_HEADER),
+            )
+            kept = self._answers.get(key)
+            if kept is not None and kept[0] == writes:
+                with self._answers_lock:
+                    self.memo_hits += 1
+                return Response(kept[1], dict(kept[2]), kept[3])
+            response = handler(request)
+            self._keep(key, writes, response)
+            return response
+
+        return remembered
+
+    def _keep(self, key: tuple, writes: int, response: Response) -> None:
+        size = len(response.body)
+        with self._answers_lock:
+            if writes != self._answers_writes:
+                if writes < self._answers_writes:
+                    return  # computed before a write another answer has seen
+                self._answers.clear()
+                self._answer_bytes = 0
+                self._answers_writes = writes
+            if size > ANSWER_MEMO_BYTES:
+                return
+            old = self._answers.pop(key, None)
+            if old is not None:
+                self._answer_bytes -= len(old[3])
+            if self._answer_bytes + size > ANSWER_MEMO_BYTES:
+                self._answers.clear()
+                self._answer_bytes = 0
+            # The middleware adds headers to the response it is handed:
+            # keep a copy of the handler's own.
+            self._answers[key] = (writes, response.status, dict(response.headers), response.body)
+            self._answer_bytes += size
 
     # -- identity ------------------------------------------------------------
     def _identity(self, request: Request) -> str:
@@ -84,10 +180,10 @@ class APIServer:
         else:
             user_filter = caller
         try:
-            started_after = float(request.param("from")) if request.param("from") else None
-            started_before = float(request.param("to")) if request.param("to") else None
-            limit = int(request.param("limit", "1000"))
-            offset = int(request.param("offset", "0"))
+            started_after = _bound(request.param("from"))
+            started_before = _bound(request.param("to"))
+            limit = _count(request.param("limit", "1000"))
+            offset = _count(request.param("offset", "0"))
         except ValueError:
             return Response.error(400, "from/to/limit/offset must be numbers")
         rows = self.db.list_units(

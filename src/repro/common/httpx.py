@@ -169,22 +169,40 @@ class Response:
 
 Handler = Callable[[Request], Response]
 
+#: A pattern holding any of these is matched by its regex; any other
+#: pattern matches exactly its own text.
+_REGEX_SYNTAX = re.compile(r"[{}\[\]().*+?^$|\\]")
+
 
 class Router:
     """Method+path router with ``{param}`` captures.
 
     Routes are matched in registration order; path parameters capture a
-    single segment and are stored in ``request.path_params``.
+    single segment and are stored in ``request.path_params``.  A literal
+    pattern is found by one dict lookup on the path, so a request tries
+    only the ``{param}`` patterns registered before the literal route
+    that would serve it.
     """
 
     def __init__(self) -> None:
         self._routes: list[tuple[str, re.Pattern[str], str, Handler]] = []
+        #: Literal patterns by path: (position, method, pattern, handler),
+        #: in registration order.
+        self._literal: dict[str, list[tuple[int, str, str, Handler]]] = {}
+        #: Every other pattern, in registration order, with its position.
+        self._captures: list[tuple[int, str, re.Pattern[str], str, Handler]] = []
 
     def add(self, method: str, pattern: str, handler: Handler) -> None:
+        method = method.upper()
         regex = re.compile(
             "^" + re.sub(r"\{(\w+)\}", r"(?P<\1>[^/]+)", pattern) + "$"
         )
-        self._routes.append((method.upper(), regex, pattern, handler))
+        position = len(self._routes)
+        self._routes.append((method, regex, pattern, handler))
+        if _REGEX_SYNTAX.search(pattern) is None:
+            self._literal.setdefault(pattern, []).append((position, method, pattern, handler))
+        else:
+            self._captures.append((position, method, regex, pattern, handler))
 
     def has_route(self, method: str, pattern: str) -> bool:
         return any(
@@ -201,17 +219,33 @@ class Router:
         self.add("DELETE", pattern, handler)
 
     def dispatch(self, request: Request) -> Response:
-        path_matched = False
-        for method, regex, pattern, handler in self._routes:
-            match = regex.match(request.path)
+        path, method = request.path, request.method
+        # ``$`` also matches before one trailing newline: a literal
+        # pattern's regex accepts ``pattern + "\n"``, and so does this.
+        literal = self._literal.get(path[:-1] if path.endswith("\n") else path, ())
+        first = None
+        for route in literal:
+            if route[1] == method:
+                first = route
+                break
+        bound = first[0] if first is not None else len(self._routes)
+        path_matched = bool(literal)
+        for position, route_method, regex, pattern, handler in self._captures:
+            if position > bound:
+                break
+            match = regex.match(path)
             if match is None:
                 continue
             path_matched = True
-            if method != request.method:
+            if route_method != method:
                 continue
             request.path_params = {k: urllib.parse.unquote(v) for k, v in match.groupdict().items()}
             request.matched_route = pattern
             return handler(request)
+        if first is not None:
+            request.path_params = {}
+            request.matched_route = first[2]
+            return first[3](request)
         if path_matched:
             return Response.error(405, "method not allowed")
         return Response.error(404, f"no route for {request.path}")

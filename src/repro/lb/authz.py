@@ -41,16 +41,34 @@ class Authorizer(abc.ABC):
 
 
 class DBAuthorizer(Authorizer):
-    """Direct SQLite lookups (the fast path)."""
+    """Direct SQLite lookups (the fast path).
+
+    Owners are remembered per uuid until the database's write count
+    moves; the count is read before the lookups, so an owner read
+    across a write is never used after it.  Unknown uuids are looked up
+    every time, which bounds the memo by the units the database holds.
+    """
 
     def __init__(self, db: Database, admin_users: tuple[str, ...] = ("admin",)) -> None:
         super().__init__(admin_users)
         self.db = db
+        #: (``db.writes`` the owners were read at, uuid -> (user, project))
+        self._owners: tuple[int, dict[str, tuple[str, str]]] = (-1, {})
 
     def _check(self, user: str, uuids: set[str]) -> bool:
+        writes = self.db.writes
+        read_at, owners = self._owners
+        if read_at != writes:
+            owners = {}
+            self._owners = (writes, owners)
         for uuid in uuids:
-            owner = self.db.find_unit_owner(uuid)
-            if owner is None or owner[0] != user:
+            owner = owners.get(uuid)
+            if owner is None:
+                owner = self.db.find_unit_owner(uuid)
+                if owner is None:
+                    return False
+                owners[uuid] = owner
+            if owner[0] != user:
                 return False
         return True
 

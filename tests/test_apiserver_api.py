@@ -218,3 +218,55 @@ class TestPaginationAndProjects:
 
     def test_projects_requires_identity(self, api):
         assert get(api, "/api/v1/projects").status == 401
+
+
+NUMBERS_ERROR = {"status": "error", "error": "from/to/limit/offset must be numbers"}
+
+
+class TestNumericParameters:
+    """``from``/``to`` are finite numbers and ``limit``/``offset``
+    non-negative integers, none written with digit separators; anything
+    else is the one 400 (PromAPI's parity for its own numbers)."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "from=nan",
+            "from=NaN",
+            "from=inf",
+            "from=-inf",
+            "from=Infinity",
+            "to=nan",
+            "to=+inf",
+            "from=1_0",
+            "to=5_00.0",
+            "limit=-1",
+            "limit=1_0",
+            "offset=-1",
+            "offset=0_0",
+            "limit=abc",
+            "from=abc",
+        ],
+    )
+    def test_rejected(self, api, query):
+        response = get(api, f"/api/v1/units?{query}", user="alice")
+        assert response.status == 400
+        assert response.decode_json() == NUMBERS_ERROR
+
+    @pytest.mark.parametrize(
+        "query, count",
+        [
+            ("from=10", 2),
+            ("from=1e1&to=10.0", 2),
+            ("from=11", 0),
+            ("to=-1e300", 0),
+            ("limit=0", 0),
+            ("limit=1&offset=1", 1),
+            ("limit=1&offset=2", 0),
+            ("from=&to=", 2),
+        ],
+    )
+    def test_accepted(self, api, query, count):
+        response = get(api, f"/api/v1/units?{query}", user="alice")
+        assert response.status == 200
+        assert len(response.decode_json()["data"]) == count
