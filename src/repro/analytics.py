@@ -91,7 +91,7 @@ def efficiency_report(
     if cluster is not None:
         clauses.append("cluster = ?")
         params.append(cluster)
-    rows = db.conn.execute(
+    rows = db.query(
         f"""
         SELECT user, project,
                COUNT(*) AS num_units,
@@ -106,7 +106,7 @@ def efficiency_report(
         ORDER BY energy DESC
         """,
         params,
-    ).fetchall()
+    )
     report_rows = [
         UserEfficiency(
             user=r["user"],

@@ -5,14 +5,19 @@ is only one go routine that writes to DB at a configured interval"* —
 a single writer (the updater) with many readers (API handlers, the
 LB's direct-DB authorizer).  This layer enforces that shape: all
 writes funnel through explicit transaction methods; reads are plain
-queries.
+queries.  Writer and readers share one connection, so one lock
+spans every write transaction and every read on it: a reader on
+another thread never sees a transaction's uncommitted statements (a
+usage table between a rebuild's ``DELETE`` and its ``INSERT``).
 """
 
 from __future__ import annotations
 
 import sqlite3
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from repro.common.errors import NotFoundError, StorageError
 from repro.resourcemgr.base import ComputeUnit, UnitState
@@ -39,23 +44,42 @@ class Database:
 
     def __init__(self, path: str = ":memory:") -> None:
         self.path = path
+        self._lock = threading.RLock()
         self.conn = sqlite3.connect(path, check_same_thread=False)
         self.conn.row_factory = sqlite3.Row
         self.conn.execute("PRAGMA journal_mode=WAL") if path != ":memory:" else None
         self.migrate()
         self.writes = 0
 
+    # -- the shared connection ------------------------------------------------
+    @contextmanager
+    def _transaction(self) -> Iterator[sqlite3.Connection]:
+        """One write transaction, no read in between; counts the write
+        once it has committed."""
+        with self._lock, self.conn:
+            yield self.conn
+        self.writes += 1
+
+    def query(self, sql: str, params: Iterable[Any] = ()) -> list[sqlite3.Row]:
+        """Every row of one read, taken between write transactions."""
+        with self._lock:
+            return self.conn.execute(sql, tuple(params)).fetchall()
+
+    def query_one(self, sql: str, params: Iterable[Any] = ()) -> sqlite3.Row | None:
+        with self._lock:
+            return self.conn.execute(sql, tuple(params)).fetchone()
+
     # -- migrations -------------------------------------------------------
     def schema_version(self) -> int:
         try:
-            row = self.conn.execute("SELECT value FROM meta WHERE key='schema_version'").fetchone()
+            row = self.query_one("SELECT value FROM meta WHERE key='schema_version'")
         except sqlite3.OperationalError:
             return 0
         return int(row["value"]) if row else 0
 
     def migrate(self) -> None:
         current = self.schema_version()
-        with self.conn:
+        with self._lock, self.conn:
             for version in range(current + 1, SCHEMA_VERSION + 1):
                 for statement in MIGRATIONS[version]:
                     self.conn.execute(statement)
@@ -101,7 +125,7 @@ class Database:
             )
             for u in units
         ]
-        with self.conn:
+        with self._transaction():
             self.conn.executemany(
                 """
                 INSERT INTO units (cluster, uuid, manager, name, user, project,
@@ -120,7 +144,6 @@ class Database:
                 """,
                 rows,
             )
-        self.writes += 1
         return len(rows)
 
     def add_unit_usage(
@@ -136,7 +159,7 @@ class Database:
         peaks take the max.
         """
         updated = 0
-        with self.conn:
+        with self._transaction():
             for uuid, usage in usage_by_uuid.items():
                 cursor = self.conn.execute(
                     """
@@ -165,12 +188,11 @@ class Database:
                     ),
                 )
                 updated += cursor.rowcount
-        self.writes += 1
         return updated
 
     def rebuild_usage_rollups(self, cluster: str, now: float) -> int:
         """Recompute the usage table for one cluster from units."""
-        with self.conn:
+        with self._transaction():
             self.conn.execute("DELETE FROM usage WHERE cluster = ?", (cluster,))
             cursor = self.conn.execute(
                 """
@@ -190,38 +212,36 @@ class Database:
                 """,
                 (now, cluster),
             )
-        self.writes += 1
         return cursor.rowcount
 
     def set_last_sync(self, cluster: str, at: float) -> None:
-        with self.conn:
+        with self._transaction():
             self.conn.execute(
                 "INSERT INTO sync_state (cluster, last_sync) VALUES (?, ?) "
                 "ON CONFLICT(cluster) DO UPDATE SET last_sync=excluded.last_sync",
                 (cluster, at),
             )
-        self.writes += 1
 
     def last_sync(self, cluster: str) -> float:
-        row = self.conn.execute(
+        row = self.query_one(
             "SELECT last_sync FROM sync_state WHERE cluster = ?", (cluster,)
-        ).fetchone()
+        )
         return float(row["last_sync"]) if row else 0.0
 
     # -- reads ------------------------------------------------------------------
     def get_unit(self, cluster: str, uuid: str) -> sqlite3.Row:
-        row = self.conn.execute(
+        row = self.query_one(
             "SELECT * FROM units WHERE cluster = ? AND uuid = ?", (cluster, uuid)
-        ).fetchone()
+        )
         if row is None:
             raise NotFoundError(f"unit {uuid} not found in cluster {cluster}")
         return row
 
     def find_unit_owner(self, uuid: str) -> tuple[str, str] | None:
         """(user, project) of a unit, any cluster — the LB's hot path."""
-        row = self.conn.execute(
+        row = self.query_one(
             "SELECT user, project FROM units WHERE uuid = ? LIMIT 1", (uuid,)
-        ).fetchone()
+        )
         return (row["user"], row["project"]) if row else None
 
     def list_units(
@@ -253,19 +273,19 @@ class Database:
             params.append(started_before)
         where = ("WHERE " + " AND ".join(clauses)) if clauses else ""
         params.extend([limit, offset])
-        return self.conn.execute(
+        return self.query(
             f"SELECT * FROM units {where} ORDER BY created_at DESC LIMIT ? OFFSET ?",
             params,
-        ).fetchall()
+        )
 
     def projects(self, cluster: str | None = None) -> list[str]:
         if cluster is None:
-            rows = self.conn.execute("SELECT DISTINCT project FROM units ORDER BY project").fetchall()
+            rows = self.query("SELECT DISTINCT project FROM units ORDER BY project")
         else:
-            rows = self.conn.execute(
+            rows = self.query(
                 "SELECT DISTINCT project FROM units WHERE cluster = ? ORDER BY project",
                 (cluster,),
-            ).fetchall()
+            )
         return [r["project"] for r in rows]
 
     def usage_rows(
@@ -277,9 +297,9 @@ class Database:
                 clauses.append(f"{column} = ?")
                 params.append(value)
         where = ("WHERE " + " AND ".join(clauses)) if clauses else ""
-        rows = self.conn.execute(
+        rows = self.query(
             f"SELECT * FROM usage {where} ORDER BY total_energy_joules DESC", params
-        ).fetchall()
+        )
         return [
             UsageRow(
                 cluster=r["cluster"],
@@ -299,35 +319,37 @@ class Database:
         """Finished units shorter than ``cutoff`` (cleanup candidates)."""
         terminal = tuple(s.value for s in UnitState if s.terminal)
         placeholders = ",".join("?" for _ in terminal)
-        return self.conn.execute(
+        return self.query(
             f"SELECT cluster, uuid, elapsed FROM units "
             f"WHERE state IN ({placeholders}) AND elapsed < ? AND elapsed >= 0",
             (*terminal, cutoff),
-        ).fetchall()
+        )
 
     def clusters(self) -> list[str]:
-        rows = self.conn.execute("SELECT DISTINCT cluster FROM units ORDER BY cluster").fetchall()
+        rows = self.query("SELECT DISTINCT cluster FROM units ORDER BY cluster")
         return [r["cluster"] for r in rows]
 
     def count_units(self, cluster: str | None = None) -> int:
         if cluster is None:
-            return int(self.conn.execute("SELECT COUNT(*) AS n FROM units").fetchone()["n"])
+            return int(self.query_one("SELECT COUNT(*) AS n FROM units")["n"])
         return int(
-            self.conn.execute(
+            self.query_one(
                 "SELECT COUNT(*) AS n FROM units WHERE cluster = ?", (cluster,)
-            ).fetchone()["n"]
+            )["n"]
         )
 
     # -- serialization (backups) -----------------------------------------------
     def serialize(self) -> bytes:
         """Full DB image (SQLite serialize API)."""
-        return self.conn.serialize()
+        with self._lock:
+            return self.conn.serialize()
 
     @classmethod
     def restore(cls, image: bytes) -> "Database":
         """Rebuild a Database from a serialized image."""
         db = cls.__new__(cls)
         db.path = ":memory:"
+        db._lock = threading.RLock()
         db.conn = sqlite3.connect(":memory:", check_same_thread=False)
         db.conn.row_factory = sqlite3.Row
         db.conn.deserialize(image)
@@ -336,10 +358,11 @@ class Database:
         return db
 
     def close(self) -> None:
-        self.conn.close()
+        with self._lock:
+            self.conn.close()
 
     def integrity_check(self) -> bool:
-        row = self.conn.execute("PRAGMA integrity_check").fetchone()
+        row = self.query_one("PRAGMA integrity_check")
         if row[0] != "ok":
             raise StorageError(f"integrity check failed: {row[0]}")
         return True

@@ -21,13 +21,20 @@ class FanoutStorage:
     """Hot + store querier with dedup.
 
     Merged selector results are memoised keyed by the matcher tuple.
-    Unlike the in-TSDB memo (which survives appends because series
-    mutate in place), a merged view is frozen at merge time, so the
-    memo entry is validated against the hot TSDB's data epochs and the
-    store's raw :meth:`~repro.thanos.store.ObjectStore.version`, and
-    rebuilt whenever either side changed.  A dashboard burst or a
-    columnar range query touching the same selectors between scrapes
-    pays the merge once.
+    An entry lives as long as what it was built from: the list the hot
+    TSDB's memo holds for the same matchers
+    (:meth:`~repro.tsdb.storage.TSDB.memoised_select`, the very list
+    object — a series created or dropped that the matchers select
+    makes the TSDB forget it) and the store's raw
+    :meth:`~repro.thanos.store.ObjectStore.version`.  Hot and store
+    series are read where they live (head series mutate in place,
+    blocks never change), so appends and retention leave such an entry
+    valid, as they leave the TSDB's own memo.  An entry holding a
+    :class:`~repro.tsdb.persist.chunkio.MergedSeries` is a frozen
+    merge once read, so it is also validated against the hot TSDB's
+    ``data_epoch`` and rebuilt after any append.  A dashboard burst or
+    a columnar range query touching the same selectors pays the merge
+    once.
 
     Overlapping series merge lazily: the memo holds
     :class:`~repro.tsdb.persist.chunkio.MergedSeries` overlays (hot
@@ -41,7 +48,8 @@ class FanoutStorage:
     def __init__(self, hot: TSDB, store: ObjectStore) -> None:
         self.hot = hot
         self.store = store
-        self._select_cache: dict[tuple[Matcher, ...], tuple[tuple, list]] = {}
+        # matchers -> (hot list, store version, data epoch or None, result)
+        self._select_cache: dict[tuple[Matcher, ...], tuple[list, int, int | None, list]] = {}
         self.select_cache_hits = 0
         self.select_cache_misses = 0
         #: Optional :class:`repro.obs.telemetry.Telemetry` sink; when
@@ -59,9 +67,6 @@ class FanoutStorage:
     def retention(self) -> float:
         return self.hot.retention
 
-    def _epochs(self) -> tuple:
-        return (self.hot.series_epoch, self.hot.data_epoch, self.store.version("raw"))
-
     def select(self, matchers: Sequence[Matcher]) -> list:
         if self.telemetry is not None:
             with self.telemetry.child_span("fanout.select") as span:
@@ -73,16 +78,24 @@ class FanoutStorage:
 
     def _select(self, matchers: Sequence[Matcher]) -> list:
         key = tuple(matchers)
-        epochs = self._epochs()
+        version = self.store.version("raw")
+        data_epoch = self.hot.data_epoch
         cached = self._select_cache.get(key)
-        if cached is not None and cached[0] == epochs:
+        if (
+            cached is not None
+            and cached[1] == version
+            and (cached[2] is None or cached[2] == data_epoch)
+            and self.hot.memoised_select(key) is cached[0]
+        ):
             self.select_cache_hits += 1
-            return cached[1]
+            return cached[3]
         self.select_cache_misses += 1
-        hot_series = {s.labels: s for s in self.hot.select(matchers)}
+        hot_list = self.hot.select(matchers)
+        hot_series = {s.labels: s for s in hot_list}
         store_series = {s.labels: s for s in self.store.select_at("raw", matchers)}
         keys = sorted(set(hot_series) | set(store_series), key=tuple)
         result = []
+        merged = False
         for k in keys:
             primary = hot_series.get(k)
             secondary = store_series.get(k)
@@ -92,9 +105,10 @@ class FanoutStorage:
                 result.append(secondary)
             else:
                 result.append(MergedSeries(primary, secondary, k))
+                merged = True
         if len(self._select_cache) >= self.SELECT_CACHE_MAX:
             self._select_cache.clear()
-        self._select_cache[key] = (epochs, result)
+        self._select_cache[key] = (hot_list, version, data_epoch if merged else None, result)
         return result
 
     def selector_cache_stats(self) -> dict[str, float]:

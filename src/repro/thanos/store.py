@@ -15,9 +15,12 @@ decides only what the block's chunk handles point at:
 * set — the block directory :meth:`persist_block` writes
   (``meta.json`` + index + Gorilla chunk files, see
   :mod:`repro.tsdb.persist.block`), read through mmap-backed
-  :class:`~repro.tsdb.persist.chunkio.FileChunk` handles.  Opening a
-  store on a populated directory registers every block from its
-  ``index.json`` alone; no chunk is decoded until a query touches it;
+  :class:`~repro.tsdb.persist.chunkio.FileChunk` handles.  A block
+  stored here is registered from the chunk refs its write produced,
+  under the caller's label objects; opening a store on a populated
+  directory registers every block from its ``index.json`` alone, and
+  keeps the handles, not the parsed index.  No chunk is decoded until
+  a query touches it;
 * unset — one :class:`~repro.tsdb.persist.chunkio.TailChunk` per
   series over a private copy of the arrays it was given, so the
   caller's buffers can neither be pinned nor rewritten under a
@@ -146,12 +149,15 @@ class ObjectStore:
         resolution: str = "raw",
         level: int = 1,
         sources: tuple[str, ...] = (),
+        on_series=None,
     ) -> dict:
         """Write one immutable block directory under ``persist_dir``.
 
-        ``series`` is an iterable of ``(labels, ts_array, vs_array)``.
-        Returns the written ``meta.json`` dict.  Writing does not
-        register the block; :meth:`store_block` does both.
+        ``series`` is an iterable of ``(labels, ts_array, vs_array)``;
+        ``on_series`` sees each written series' labels and chunk refs
+        (:func:`~repro.tsdb.persist.block.write_block`).  Returns the
+        written ``meta.json`` dict.  Writing does not register the
+        block; :meth:`store_block` does both.
         """
         meta = write_block(
             self.persist_dir,
@@ -162,6 +168,7 @@ class ObjectStore:
             resolution=resolution,
             level=level,
             sources=sources,
+            on_series=on_series,
         )
         self.persisted_blocks += 1
         self.persisted_raw_bytes += meta["codec"]["rawBytes"]
@@ -195,6 +202,10 @@ class ObjectStore:
         ulid = self.new_ulid()
         reader = None
         if self.persist_dir:
+            # Registered from the chunk refs the write produced, under
+            # the caller's label objects: the index is not read back.
+            reader = BlockReader(self.persist_dir, ulid)
+            chunks = []
             self.persist_block(
                 ulid,
                 series,
@@ -203,9 +214,8 @@ class ObjectStore:
                 resolution=resolution,
                 level=level,
                 sources=sources,
+                on_series=lambda labels, refs: chunks.append((labels, reader.handles(refs))),
             )
-            reader = BlockReader(self.persist_dir, ulid)
-            chunks = list(reader.chunk_series())
         else:
             chunks = [
                 (labels, [TailChunk(np.array(ts, dtype=np.float64), np.array(vs, dtype=np.float64))])

@@ -24,9 +24,10 @@ arrays, and the query frontend writes the answers it assembles through
 the same functions, so the two paths' bytes agree by construction.
 Non-finite sample values are spelled ``NaN`` / ``+Inf`` / ``-Inf``.
 A refreshed dashboard asks for nearly the same answer again, so the
-renderer writes each distinct sample value (:func:`value_texts`) and
-each label set's ``"metric"`` object (:func:`metric_text`) once, through
-two bounded process-wide memos.
+renderer writes each distinct sample value (:func:`value_texts`), each
+label set's ``"metric"`` object (:func:`metric_text`) and each step's
+point head (:func:`step_heads`) once, through three bounded
+process-wide memos.
 
 POST form bodies are honoured (Grafana sends long queries that way).
 Query-path requests are read, validated and parsed by
@@ -113,6 +114,11 @@ _VALUE_TEXT: dict[float, str] = {}
 #: are remembered hands back the very label objects of last time.
 _METRIC_TEXT: dict[Labels, str] = {}
 
+#: Step timestamp -> its ``[t, "`` point head, under ``_VALUE_TEXT``'s
+#: rules and bound: an aligned dashboard grid that slides one step
+#: repeats all its other steps.
+_STEP_TEXT: dict[float, str] = {}
+
 
 def value_texts(values: list[float]) -> list[str]:
     """The ``repr`` of every value (``json`` writes a float alike),
@@ -128,6 +134,23 @@ def value_texts(values: list[float]) -> list[str]:
             if value and value == value:
                 memo[value] = text
     return texts
+
+
+def step_heads(grid: list[float]) -> dict[float, str]:
+    """Every step's ``[t, "`` (``json`` writes a float with the same
+    ``repr``) by its timestamp, each distinct step formatted once
+    across answers."""
+    memo = _STEP_TEXT
+    heads = list(map(memo.get, grid))
+    if None in heads:
+        if len(memo) >= VALUE_TEXT_MAX:
+            memo.clear()
+        for i in compress(range(len(heads)), map(not_, heads)):
+            t = grid[i]
+            head = heads[i] = f'[{t!r}, "'
+            if t and t == t:
+                memo[t] = head
+    return dict(zip(grid, heads))
 
 
 def metric_text(labels: Labels) -> str:
@@ -156,10 +179,9 @@ def matrix_text(series: list[tuple[str, list[float], list[str]]], grid: list[flo
     timestamp is a step of ``grid``."""
     if not series:
         return "[]"
-    # Each step's ``[t, "`` once per response (``json`` writes a float
-    # with the same ``repr``), looked up by value: series covering
-    # different steps share one text per step, never one per position.
-    heads = {t: f'[{t!r}, "' for t in grid}
+    # Looked up by value: series covering different steps share one
+    # text per step, never one per position.
+    heads = step_heads(grid)
     return "[" + ", ".join(
         f'{{"metric": {metric}, "values": {_points_text(heads, ts, texts)}}}'
         for metric, ts, texts in series

@@ -37,7 +37,7 @@ import os
 import shutil
 import struct
 import zlib
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -91,13 +91,18 @@ def write_block(
     level: int = 1,
     sources: tuple[str, ...] = (),
     chunk_samples: int = DEFAULT_CHUNK_SAMPLES,
+    on_series: Callable[[Labels, list[dict]], None] | None = None,
 ) -> dict:
     """Write one immutable block directory; returns its meta dict.
 
     ``series`` yields ``(labels, timestamps, values)``; empty series
     are skipped.  The write is staged in ``<ulid>.tmp`` and renamed
     into place so a crash mid-write never leaves a half block that
-    :func:`list_block_ulids` would pick up.
+    :func:`list_block_ulids` would pick up.  The index is written
+    entry by entry as each series' chunks are; ``on_series(labels,
+    chunk_refs)``, when given, sees every written series with the
+    ``labels`` object it came with and the chunk refs its index entry
+    holds, so a store can register the block without reading it back.
     """
     with prof.profile("block.write"):
         return _write_block(
@@ -110,6 +115,7 @@ def write_block(
             level=level,
             sources=sources,
             chunk_samples=chunk_samples,
+            on_series=on_series,
         )
 
 
@@ -124,6 +130,7 @@ def _write_block(
     level: int,
     sources: tuple[str, ...],
     chunk_samples: int,
+    on_series: Callable[[Labels, list[dict]], None] | None,
 ) -> dict:
     final_dir = block_dir(root, ulid)
     tmp_dir = final_dir + ".tmp"
@@ -132,13 +139,19 @@ def _write_block(
     shutil.rmtree(tmp_dir, ignore_errors=True)
     os.makedirs(os.path.join(tmp_dir, CHUNKS_DIRNAME))
 
-    index: list[dict] = []
+    num_series = 0
     num_samples = 0
     num_chunks = 0
     raw_bytes = 0
     encoded_bytes = 0
     chunk_rel = f"{CHUNKS_DIRNAME}/{CHUNK_FILENAME}"
-    with open(os.path.join(tmp_dir, CHUNKS_DIRNAME, CHUNK_FILENAME), "wb") as chunks_fh:
+    with (
+        open(os.path.join(tmp_dir, CHUNKS_DIRNAME, CHUNK_FILENAME), "wb") as chunks_fh,
+        open(os.path.join(tmp_dir, INDEX_FILENAME), "w", encoding="utf-8") as index_fh,
+    ):
+        # The bytes `json.dump` writes for the whole list, one entry at
+        # a time: no index list is ever held.
+        index_fh.write("[")
         offset = 0
         for labels, ts, vs in series:
             if len(ts) == 0:
@@ -162,7 +175,13 @@ def _write_block(
                 num_chunks += 1
                 raw_bytes += 16 * count
                 encoded_bytes += len(encoded)
-            index.append({"labels": labels.as_dict(), "chunks": refs})
+            if num_series:
+                index_fh.write(", ")
+            index_fh.write(json.dumps({"labels": labels.as_dict(), "chunks": refs}))
+            num_series += 1
+            if on_series is not None:
+                on_series(labels, refs)
+        index_fh.write("]")
 
     meta = {
         "ulid": ulid,
@@ -171,14 +190,12 @@ def _write_block(
         "resolution": resolution,
         "stats": {
             "numSamples": num_samples,
-            "numSeries": len(index),
+            "numSeries": num_series,
             "numChunks": num_chunks,
         },
         "compaction": {"level": level, "sources": list(sources)},
         "codec": {"rawBytes": raw_bytes, "encodedBytes": encoded_bytes},
     }
-    with open(os.path.join(tmp_dir, INDEX_FILENAME), "w", encoding="utf-8") as fh:
-        json.dump(index, fh)
     # meta.json written last inside the staging dir, then one rename
     # publishes the block atomically (same-filesystem rename).
     with open(os.path.join(tmp_dir, META_FILENAME), "w", encoding="utf-8") as fh:
@@ -199,9 +216,11 @@ def delete_block(root: str, ulid: str) -> bool:
 class ChunkFile:
     """One mmap'd chunk file; validates CRC frames on demand.
 
-    ``key`` is process-unique and keys the decoded-chunk LRU together
-    with the frame offset, so two readers over the same path never
-    collide with a reopened (different-generation) mapping.
+    The file is mapped on first touch, so a block's handles can be
+    made while its directory is still being written.  ``key`` is
+    process-unique and keys the decoded-chunk LRU together with the
+    frame offset, so two readers over the same path never collide with
+    a reopened (different-generation) mapping.
     """
 
     _keys = itertools.count()
@@ -210,50 +229,67 @@ class ChunkFile:
         self.path = path
         self.name = name or path
         self.key = next(ChunkFile._keys)
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if size:
-                self._mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-            else:
-                self._mm = b""  # mmap rejects empty files
+        self._mapping: mmap.mmap | bytes | None = None
+
+    @property
+    def _mm(self) -> mmap.mmap | bytes:
+        """The file's mapping, made on first touch."""
+        mm = self._mapping
+        if mm is None:
+            with open(self.path, "rb") as fh:
+                if os.fstat(fh.fileno()).st_size:
+                    mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+                else:
+                    mm = b""  # mmap rejects empty files
+            self._mapping = mm
+        return mm
 
     def payload(self, offset: int, length: int) -> bytes:
         """CRC-checked chunk payload at frame ``offset``."""
-        header = self._mm[offset : offset + _FRAME.size]
+        mm = self._mm
+        header = mm[offset : offset + _FRAME.size]
         if len(header) < _FRAME.size:
             raise StorageError(f"{self.name}: truncated chunk frame")
         frame_length, crc = _FRAME.unpack(header)
         if frame_length != length:
             raise StorageError(f"{self.name}: chunk length mismatch")
         start = offset + _FRAME.size
-        payload = self._mm[start : start + length]
+        payload = mm[start : start + length]
         if len(payload) < length or zlib.crc32(payload) != crc:
             raise StorageError(f"{self.name}: chunk CRC mismatch")
         return payload
 
     def close(self) -> None:
-        if not isinstance(self._mm, bytes):
-            self._mm.close()
-            self._mm = b""
+        if isinstance(self._mapping, mmap.mmap):
+            self._mapping.close()
+        self._mapping = b""
 
 
 class BlockReader:
-    """Lazy reader over one block directory.
+    """Chunk handles over one block directory.
 
-    Chunk files are mmap'd on first touch and kept mapped for the
-    reader's lifetime; :meth:`chunk_series` exposes decode-on-demand
-    chunk handles (what the store registers), :meth:`series` decodes
-    the whole block eagerly.
+    Chunk files are mapped on first touch and kept mapped for the
+    reader's lifetime.  The reader keeps no index: :meth:`chunk_series`
+    parses ``index.json`` into decode-on-demand chunk handles (what a
+    reopened store registers) and :meth:`handles` makes them from the
+    chunk refs a write produced (what a store registers for the block
+    it has just written); :meth:`series` reads the index again and
+    decodes the whole block eagerly.  ``meta.json`` is read on first
+    use of :attr:`meta`.
     """
 
     def __init__(self, root: str, ulid: str) -> None:
         self.root = root
         self.ulid = ulid
         self.dir = block_dir(root, ulid)
-        self.meta = read_meta(root, ulid)
-        with open(os.path.join(self.dir, INDEX_FILENAME), encoding="utf-8") as fh:
-            self.index = json.load(fh)
+        self._meta: dict | None = None
         self._chunk_files: dict[str, ChunkFile] = {}
+
+    @property
+    def meta(self) -> dict:
+        if self._meta is None:
+            self._meta = read_meta(self.root, self.ulid)
+        return self._meta
 
     def _chunk_file(self, rel: str) -> ChunkFile:
         cf = self._chunk_files.get(rel)
@@ -273,31 +309,37 @@ class BlockReader:
         payload = self._chunk_file(ref["file"]).payload(ref["offset"], ref["length"])
         return decode_chunk(payload)
 
-    def chunk_series(self) -> Iterator[tuple[Labels, list[FileChunk]]]:
-        """Yield ``(labels, [FileChunk, ...])`` per series — no decode.
+    def _entries(self) -> list[dict]:
+        with open(os.path.join(self.dir, INDEX_FILENAME), encoding="utf-8") as fh:
+            return json.load(fh)
+
+    def handles(self, refs: list[dict]) -> list[FileChunk]:
+        """Decode-on-demand handles for one series' index chunk refs.
 
         The handles carry per-chunk (count, minTime, maxTime) straight
-        from the index, so time pruning never touches payload bytes.
+        from the refs, so time pruning never touches payload bytes.
         """
-        for entry in self.index:
-            labels = Labels(entry["labels"])
-            handles = [
-                FileChunk(
-                    self._chunk_file(ref["file"]),
-                    ref["offset"],
-                    ref["length"],
-                    ref["count"],
-                    ref["minTime"],
-                    ref["maxTime"],
-                )
-                for ref in entry["chunks"]
-            ]
-            if handles:
-                yield labels, handles
+        return [
+            FileChunk(
+                self._chunk_file(ref["file"]),
+                ref["offset"],
+                ref["length"],
+                ref["count"],
+                ref["minTime"],
+                ref["maxTime"],
+            )
+            for ref in refs
+        ]
+
+    def chunk_series(self) -> Iterator[tuple[Labels, list[FileChunk]]]:
+        """Yield ``(labels, [FileChunk, ...])`` per series — no decode."""
+        for entry in self._entries():
+            if entry["chunks"]:
+                yield Labels(entry["labels"]), self.handles(entry["chunks"])
 
     def series(self) -> Iterator[tuple[Labels, np.ndarray, np.ndarray]]:
         """Yield ``(labels, timestamps, values)`` per series, decoded."""
-        for entry in self.index:
+        for entry in self._entries():
             labels = Labels(entry["labels"])
             parts = [self._read_chunk(ref) for ref in entry["chunks"]]
             if not parts:

@@ -194,15 +194,19 @@ class ColumnarSeries(SeriesReads):
         """Compact or grow so ``extra`` slots follow the live region.
 
         Returns the new end index of the live region (== ``_len``
-        afterwards, since the region is re-anchored at 0).
+        afterwards, since the region is re-anchored at 0).  A grown
+        ring is twice the old one, doubled again only while the live
+        region plus ``extra`` does not fit: an append-only ring holds
+        at most twice its samples, and appends stay amortised O(1)
+        with or without retention sliding the region.
         """
         n = self._len
         cap = len(self._ts)
         if n + extra <= cap // 2:
             new_cap = cap  # enough dead space: compact within the buffer
         else:
-            new_cap = max(self.MIN_CAPACITY, cap)
-            while new_cap < (n + extra) * 2:
+            new_cap = max(self.MIN_CAPACITY, cap * 2)
+            while new_cap < n + extra:
                 new_cap *= 2
         ts = np.empty(new_cap, dtype=np.float64)
         vs = np.empty(new_cap, dtype=np.float64)
@@ -503,11 +507,12 @@ class TSDB:
       series satisfies are forgotten (``_forget_selects_matching``)
       and every other entry stays: it cannot contain that series, and
       a rule group's selects over other metrics keep hitting while
-      jobs — and the rules' own outputs — come and go.  Downstream memos
-      that **copy** sample data out of a series (e.g. the Thanos
-      fan-out merge) must instead validate against
-      ``(series_epoch, data_epoch)``, since an in-place mutation
-      silently outdates their copies.
+      jobs — and the rules' own outputs — come and go.  A downstream
+      memo built on the list a select returned stays valid while
+      :meth:`memoised_select` returns that very list; one that
+      **copies** sample data out of a series (e.g. a read Thanos
+      fan-out merge) must also validate against ``data_epoch``, since
+      an in-place mutation silently outdates its copies.
     * ``min_time``/``max_time`` are recomputed via
       :meth:`_recompute_time_bounds` on every drop path; before the
       audit ``max_time`` survived a fully-emptied store and
@@ -849,6 +854,16 @@ class TSDB:
         name = next((m.value for m in key if m.name == METRIC_NAME_LABEL and m.op is MatchOp.EQ), None)
         self._select_keys.setdefault(name, set()).add(key)
         return out
+
+    def memoised_select(self, key: tuple[Matcher, ...]) -> list[ColumnarSeries] | None:
+        """The memo's list for matcher tuple ``key``, if it holds one.
+
+        A downstream memo built on the list a select returned may serve
+        while this returns that very list: the memo keeps it exactly as
+        long as no series it would select comes or goes.  Counts and
+        traces nothing.
+        """
+        return self._select_cache.get(key)
 
     def _forget_selects_matching(self, labels: Labels) -> None:
         """Drop the memoised selects a created or dropped series would

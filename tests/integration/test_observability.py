@@ -111,10 +111,13 @@ class TestTracePropagationInProcess:
     def test_one_trace_spans_lb_to_storage(self, obs_sim):
         trace_id = "ab" * 16
         header = f"00-{trace_id}-{'cd' * 8}-01"
+        # A selector no earlier request asked for: the fan-out answers
+        # a repeated one (the fixture's `up`) from its memo, appends in
+        # between notwithstanding, and never reaches the hot TSDB.
         resp = obs_sim.lb.app.handle(
             Request.from_url(
                 "GET",
-                f"/api/v1/query?query=up&time={obs_sim.now}",
+                f"/api/v1/query?query=up%7Bjob%21%3D%22%22%7D&time={obs_sim.now}",
                 headers={**ADMIN, "traceparent": header},
             )
         )

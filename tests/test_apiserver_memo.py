@@ -280,10 +280,12 @@ def test_no_reader_sees_an_answer_from_before_a_returned_write():
                     failures.append(f"unit energy {energy} after {folded} folds")
             elif kind == 2:
                 rows = get(server, "/api/v1/usage/current", "alice").decode_json()["data"]
-                # The readers share the writer's connection, so a read
-                # between a rebuild's DELETE and INSERT sees no rows: a
-                # rebuild in flight, not one that has returned.
-                if rows and rows[0]["num_units"] < base_usage["num_units"] + rebuilt:
+                # No read lands inside a write transaction: an empty
+                # answer is a rebuild caught between its DELETE and its
+                # INSERT.
+                if not rows:
+                    failures.append(f"no usage rows after {rebuilt} rebuilds")
+                elif rows[0]["num_units"] < base_usage["num_units"] + rebuilt:
                     failures.append(f"usage rows {rows[0]['num_units']} after {rebuilt} rebuilds")
             else:
                 # The unit about to be written is asked for first, so a

@@ -1372,3 +1372,94 @@ class TestStoreDifferential:
         assert self._bits(memory.select_at("1h", [])) == {
             labels: (bits_of(ts), bits_of(vs)) for labels, (ts, vs) in one_h.items()
         }
+
+
+class TestBlockRegistration:
+    """A stored block is registered from the chunk refs its write
+    produced, under the caller's label objects, and no reader keeps a
+    parsed index: what a reopened store builds from ``index.json`` is
+    the same registration, serving the same bits."""
+
+    HOUR = 3600.0
+
+    def _hot(self) -> TSDB:
+        hot = TSDB(name="hot")
+        for t in np.arange(0.0, 9 * self.HOUR, 60.0).tolist():
+            for i in range(5):
+                if i == 4 and t >= 3 * self.HOUR:
+                    continue  # a series that ends
+                hot.append(series_labels(i), t, float(i * 1000.0 + t / 60.0))
+        return hot
+
+    def _ship(self, hot: TSDB, root: str) -> ObjectStore:
+        store = ObjectStore(persist_dir=root)
+        sidecar = Sidecar(hot, store)
+        compactor = Compactor(store, downsample_5m_after=2 * self.HOUR, downsample_1h_after=6 * self.HOUR)
+        for hour in (2, 4, 6, 8):
+            sidecar.upload(hour * self.HOUR)
+            compactor.run(hour * self.HOUR)
+        return store
+
+    @staticmethod
+    def _registration(store: ObjectStore) -> dict:
+        """Per resolution, label set and block: each chunk handle's file,
+        frame and sample metadata."""
+        return {
+            resolution: {
+                labels: {
+                    ulid: [(os.path.relpath(c.source.path, store.persist_dir), c.offset, c.length, c.count, c.min_time, c.max_time) for c in chunks]
+                    for ulid, chunks in per_block.items()
+                }
+                for labels, per_block in index._series.items()
+            }
+            for resolution, index in store.chunk_indexes.items()
+        }
+
+    @staticmethod
+    def _holds_no_index(reader: BlockReader) -> bool:
+        return not any(isinstance(value, list) for value in vars(reader).values())
+
+    def test_the_sidecar_registers_the_heads_label_objects(self, tmp_path):
+        hot = self._hot()
+        store = ObjectStore(persist_dir=str(tmp_path / "store"))
+        Sidecar(hot, store).upload(4 * self.HOUR)
+        head_labels = {id(series.labels) for series in hot.all_series()}
+        raw = store.chunk_indexes["raw"]
+        assert len(raw._series) == 5
+        assert {id(labels) for labels in raw._series} <= head_labels
+        assert all(id(series.labels) in head_labels for series in store.select_at("raw", []))
+
+    def test_no_reader_holds_a_parsed_index(self, tmp_path):
+        root = str(tmp_path / "store")
+        store = self._ship(self._hot(), root)
+        reopened = ObjectStore(persist_dir=root)
+        readers = [*store._readers.values(), *reopened._readers.values()]
+        assert len(readers) == 2 * len(store.blocks) > 2
+        assert all(self._holds_no_index(reader) for reader in readers)
+
+    def test_a_reopened_store_builds_the_same_registration_and_bits(self, tmp_path):
+        root = str(tmp_path / "store")
+        store = self._ship(self._hot(), root)
+        reopened = ObjectStore(persist_dir=root)
+        assert sorted(store.blocks, key=lambda b: b.ulid) == sorted(reopened.blocks, key=lambda b: b.ulid)
+        assert {b.resolution for b in store.blocks} == {"raw", "5m", "1h"}
+        assert self._registration(store) == self._registration(reopened)
+        for resolution in RESOLUTIONS:
+            for matchers in ([], [Matcher("idx", MatchOp.EQ, "4")], [Matcher("idx", MatchOp.RE, "[12]")]):
+                got = [(s.labels, bits_of(s.arrays()[0]), bits_of(s.arrays()[1])) for s in store.select_at(resolution, matchers)]
+                want = [(s.labels, bits_of(s.arrays()[0]), bits_of(s.arrays()[1])) for s in reopened.select_at(resolution, matchers)]
+                assert got == want, (resolution, matchers)
+                assert got or matchers, resolution
+
+    def test_the_index_is_one_json_list_written_entry_by_entry(self, tmp_path):
+        series = [(series_labels(i), np.arange(0.0, 300.0 * (i + 1), 15.0), np.arange(0.0, 20.0 * (i + 1))) for i in range(3)]
+        seen = []
+        meta = write_block(str(tmp_path), "B1", series, min_time=0.0, max_time=900.0, chunk_samples=8, on_series=lambda labels, refs: seen.append((labels, refs)))
+        with open(tmp_path / "B1" / "index.json", encoding="utf-8") as fh:
+            text = fh.read()
+        entries = json.loads(text)
+        assert text == json.dumps(entries)  # the bytes one `json.dump` of the list writes
+        assert [labels for labels, _refs in seen] == [labels for labels, _ts, _vs in series]
+        assert all(got is given for (got, _), (given, _ts, _vs) in zip(seen, series))
+        assert [{"labels": labels.as_dict(), "chunks": refs} for labels, refs in seen] == entries
+        assert meta["stats"] == {"numSamples": sum(len(ts) for _l, ts, _v in series), "numSeries": 3, "numChunks": sum(len(e["chunks"]) for e in entries)}

@@ -15,13 +15,13 @@ covering sparse subsets of one step grid, the awkward floats (``-0.0``,
 the smallest subnormal, ``1e22``, ``1e-7``, ``2**53 + 2``), vector and
 scalar answers at int and float timestamps, and ``stats=all``.
 
-The renderer writes each distinct value and label set once across
-answers, through two process-wide memos, so every differential here
+The renderer writes each distinct value, label set and step once
+across answers, through three process-wide memos, so every differential here
 also runs *warm*: answers rendered in sequence through one memo, after
 a fixed sequence that puts ``-0.0`` after ``0.0`` and the reverse,
 NaN, ``±Inf``, ``5e-324`` and ``2**53 + 2`` through it; and after each
-answer the value memo must hold no key it could answer wrongly or
-never hit (no zero, no NaN).  ``TestSharedMemosUnderThreads`` serves a
+answer the value and step memos must hold no key they could answer
+wrongly or never hit (no zero, no NaN).  ``TestSharedMemosUnderThreads`` serves a
 PromAPI on a real threaded server while series appear and vanish
 between rounds of concurrent clients, and every body must equal what a
 memo-less evaluation and the frozen render give.
@@ -31,8 +31,8 @@ text shared across series by index instead of by value, no ``", "``
 between series, a ``numpy.float64`` ``repr`` for values, the ``stats``
 key written before ``result``, the value memo's zero guard or NaN
 guard dropped, the value memo keyed by a rounded value or by a
-12-digit string — and the derandomised warm differential must fail on
-each.
+12-digit string, the step memo keyed by a rounded step — and the
+derandomised warm differential must fail on each.
 """
 
 from __future__ import annotations
@@ -131,6 +131,7 @@ def assert_memo_holds_only_hittable_keys(module) -> None:
     """A zero key would answer ``-0.0`` with ``0.0``'s text or the
     reverse; a NaN key can never be hit and only fills the memo."""
     assert all(key == key and key != 0 for key in module._VALUE_TEXT), "value memo holds a zero or NaN key"
+    assert all(key == key and key != 0 for key in module._STEP_TEXT), "step memo holds a zero or NaN key"
 
 
 #: Value columns rendered in this order, through one memo, before any
@@ -389,6 +390,10 @@ MUTATIONS = {
     "value memo NaN guard dropped": (("if value and value == value:", "if value:"),),
     "value memo keyed by a rounded value": _value_memo_keyed_by("round({}, 6)"),
     "value memo keyed by a 12-digit str": _value_memo_keyed_by("'{{:.12g}}'.format({})"),
+    "step memo keyed by a rounded step": (
+        ("list(map(memo.get, grid))", "list(map(memo.get, [round(t, 1) for t in grid]))"),
+        ("memo[t] = head", "memo[round(t, 1)] = head"),
+    ),
 }
 
 

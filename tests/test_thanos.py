@@ -237,3 +237,77 @@ class TestFanout:
         store.store_block([(mk("m", instance="cold1"), np.array([0.0]), np.array([1.0]))], min_time=0.0, max_time=1.0)
         fanout = FanoutStorage(hot, store)
         assert fanout.label_values("instance") == ["cold1", "hot1"]
+
+
+class TestFanoutSelectMemo:
+    """Memoised fan-out selects against a fresh querier's, across
+    appends, series creation and deletion, retention and a block cut
+    whose window the head still holds (merged series)."""
+
+    SELECTORS = (
+        [Matcher.name_eq("m")],
+        [Matcher.name_eq("m"), Matcher.eq("instance", "n1")],
+        [Matcher.name_eq("m"), Matcher.re("instance", "n[23]")],
+        [Matcher.name_eq("other")],
+        [Matcher.re("instance", ".+")],
+    )
+
+    @staticmethod
+    def _reads(series_list) -> list:
+        out = []
+        for s in series_list:
+            ts, vs = s.arrays()
+            w_ts, w_vs = s.window(1800.0, 7500.0)
+            out.append((s.labels, ts.tobytes(), vs.tobytes(), w_ts.tobytes(), w_vs.tobytes(), s.at_or_before(7500.0, 300.0)))
+        return out
+
+    def _check(self, fanout: FanoutStorage) -> None:
+        fresh = FanoutStorage(fanout.hot, fanout.store)
+        for matchers in self.SELECTORS:
+            assert self._reads(fanout.select(matchers)) == self._reads(fresh.select(matchers)), matchers
+
+    def test_memoised_selects_equal_fresh_ones(self):
+        hot = TSDB(retention=1.5 * 3600.0)
+        store = ObjectStore()
+        fanout = FanoutStorage(hot, store)
+        sidecar = Sidecar(hot, store)
+        t = 0.0
+
+        def scrape(*instances: str) -> None:
+            nonlocal t
+            t += 60.0
+            for instance in instances:
+                hot.append(mk("m", instance=instance), t, t / 60.0 + len(instance))
+
+        steps = [
+            lambda: [scrape("n1", "n2") for _ in range(30)],
+            lambda: scrape("n1", "n2"),  # appends only
+            lambda: scrape("n1", "n2", "n3"),  # a series created
+            lambda: hot.append(mk("other", instance="n1"), t, 1.0),
+            lambda: hot.delete_series([Matcher.eq("instance", "n2")]),  # a series dropped
+            lambda: [scrape("n1", "n3") for _ in range(100)],
+            lambda: sidecar.upload(2 * 3600.0),  # a block the head still holds: merged series
+            lambda: scrape("n1", "n3"),  # appends under merged series
+            lambda: hot.apply_retention(t),  # samples dropped, one series emptied
+            lambda: [scrape("n1", "n3") for _ in range(80)],
+            lambda: hot.apply_retention(t + 3600.0),  # samples dropped, no series
+            lambda: scrape("n4"),
+        ]
+        for step in steps:
+            step()
+            self._check(fanout)
+            self._check(fanout)  # served from the memo
+        assert store.blocks and fanout.select_cache_hits > len(steps) * len(self.SELECTORS)
+
+    def test_hot_only_entries_survive_appends(self):
+        hot = TSDB()
+        fanout = FanoutStorage(hot, ObjectStore())
+        selector = [Matcher.name_eq("m")]
+        hot.append(mk("m", instance="n1"), 0.0, 1.0)
+        first = fanout.select(selector)
+        for t in range(1, 20):
+            hot.append(mk("m", instance="n1"), float(t), 1.0)
+            assert fanout.select(selector) is first
+        assert first[0].timestamps == [float(t) for t in range(20)]
+        hot.append(mk("m", instance="n2"), 20.0, 1.0)
+        assert len(fanout.select(selector)) == 2

@@ -610,3 +610,68 @@ class TestSelectMemoSelectiveInvalidation:
         assert len(db.select([Matcher.eq("host", "b")])) == 2
         db.delete_series([Matcher.name_eq("cpu")])
         assert [s.labels.metric_name for s in db.select([Matcher.eq("host", "b")])] == ["mem"]
+
+
+class TestRingGrowth:
+    """What a head ring holds against what it stores: a grown ring is
+    at most twice its samples when only appends come, and under
+    retention a reallocation is paid for by half a ring of appends."""
+
+    @staticmethod
+    def _flush(series: ColumnarSeries, reallocations: list[int]) -> None:
+        buffer = series._ts
+        series.arrays()
+        if series._ts is not buffer:
+            reallocations.append(len(series._ts))
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches=st.lists(st.integers(1, 300), min_size=1, max_size=40))
+    def test_append_only_ring_is_at_most_twice_its_samples(self, batches):
+        series = ColumnarSeries(mklabels("x"))
+        reallocations: list[int] = []
+        t = 0.0
+        for size in batches:
+            for _ in range(size):
+                series.append(t, t * 0.5)
+                t += 1.0
+            before = len(reallocations)
+            self._flush(series, reallocations)
+            if len(reallocations) > before:
+                assert len(series._ts) <= max(ColumnarSeries.MIN_CAPACITY, 2 * series.nsamples)
+        n = series.nsamples
+        # each reallocation at least doubles the ring: O(log n) of them
+        assert len(reallocations) <= max(0, math.ceil(math.log2(n / ColumnarSeries.MIN_CAPACITY)))
+        ts, vs = series.arrays()
+        assert ts.tolist() == [float(i) for i in range(n)] and vs.tolist() == [i * 0.5 for i in range(n)]
+
+    def test_a_full_minimum_ring_grows_to_twice_not_four_times(self):
+        series = ColumnarSeries(mklabels("x"))
+        for t in range(ColumnarSeries.MIN_CAPACITY + 1):
+            series.append(float(t), 1.0)
+            series.arrays()
+        assert len(series._ts) == 2 * ColumnarSeries.MIN_CAPACITY
+
+    @pytest.mark.parametrize("window", [5, 40, 63, 64, 100, 257])
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_sliding_ring_reallocates_once_per_half_ring_of_appends(self, window, batch):
+        series = ColumnarSeries(mklabels("x"))
+        appended_at: list[tuple[int, int]] = []  # (appends so far, ring replaced) per reallocation
+        appends = 0
+        t = 0
+        while appends < 40 * max(window, ColumnarSeries.MIN_CAPACITY):
+            for _ in range(batch):
+                series.append(float(t), float(-t))
+                t += 1
+            appends += batch
+            buffer = series._ts
+            series.arrays()
+            if series._ts is not buffer:
+                appended_at.append((appends, len(buffer)))
+            series.truncate_before(float(t - window))
+        for (done, _cap), (next_done, cap) in zip(appended_at, appended_at[1:]):
+            # `cap` is the ring the first of the two left behind
+            assert next_done - done >= cap // 2 - batch, appended_at
+        assert len(series._ts) <= max(ColumnarSeries.MIN_CAPACITY, 4 * (window + batch))
+        ts, vs = series.arrays()
+        assert ts.tolist() == [float(i) for i in range(t - window, t)]
+        assert vs.tolist() == [-float(i) for i in range(t - window, t)]
