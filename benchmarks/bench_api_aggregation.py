@@ -51,15 +51,20 @@ USER_USAGE = "/api/v1/users/user000/usage"
 ROUNDS = 200
 
 
-def first_evaluation_s(tsdb: TSDB, query: str, at: float, copies: int = 5) -> float:
+def first_evaluation_s(tsdb: TSDB, query: str, at: float, copies: int = 5, flushed: bool = False) -> float:
     """Median seconds of the first evaluation of ``query``, each on a copy
     of ``tsdb`` no query has read (appends still staged, no selector
-    memo) with the parser's memo emptied."""
+    memo) with the parser's memo emptied.  ``flushed``: the copy's
+    staged appends are moved into its series' arrays first, so the
+    timed evaluation pays for the query alone."""
     times = []
     for _ in range(copies):
         fresh = TSDB(name=tsdb.name)
         for series in tsdb.all_series():
             fresh.append_array(series.labels, *series.arrays())
+        if flushed:
+            for series in fresh.all_series():
+                series.arrays()
         parse_expr.cache_clear()
         engine = PromQLEngine(fresh)
         started = time.perf_counter()
@@ -203,6 +208,12 @@ def test_speedup_summary(benchmark, year_env, year_5m):
         f'sum(sum_over_time(ceems:compute_unit:power_watts{{uuid=~"{selector}"}}[367d])) * 300',
         YEAR + 3600.0,
     )
+    raw_5m_flushed_s = first_evaluation_s(
+        year_5m["tsdb"],
+        f'sum(sum_over_time(ceems:compute_unit:power_watts{{uuid=~"{selector}"}}[367d])) * 300',
+        YEAR + 3600.0,
+        flushed=True,
+    )
     raw_1h_s = first_evaluation_s(
         year_env["tsdb_1h"],
         'sum(sum_over_time(ceems:compute_unit:power_watts{user="user000"}[366d])) * 3600',
@@ -218,12 +229,16 @@ def test_speedup_summary(benchmark, year_env, year_5m):
 
     print(f"\n[E8] year-long per-user energy query (identical answers):")
     print(f"  raw TSDB, 5m resolution:   {raw_5m_s * 1000:9.2f} ms")
+    print(f"  ... on a flushed copy:     {raw_5m_flushed_s * 1000:9.2f} ms")
     print(f"  raw TSDB, 1h downsampled:  {raw_1h_s * 1000:9.2f} ms")
     print(f"  CEEMS API server rollup:   {api_s * 1000:9.2f} ms")
     print(f"  ... replayed, DB unchanged:{replay_s * 1000:9.2f} ms")
     print(f"  speedup vs 5m raw: {raw_5m_s / api_s:,.0f}x — the paper's case "
           f"for the API server")
+    print(f"  ... vs 5m raw on a flushed copy (the query alone): {raw_5m_flushed_s / api_s:,.1f}x")
     benchmark.extra_info["raw_5m_ms"] = raw_5m_s * 1000
+    benchmark.extra_info["raw_5m_flushed_ms"] = raw_5m_flushed_s * 1000
+    benchmark.extra_info["speedup_vs_5m_flushed"] = raw_5m_flushed_s / api_s
     benchmark.extra_info["raw_1h_ms"] = raw_1h_s * 1000
     benchmark.extra_info["replayed_ms"] = replay_s * 1000
     benchmark.extra_info["speedup_vs_5m"] = raw_5m_s / api_s

@@ -21,6 +21,7 @@ and enabled runs alternate round by round, each keeping its best.  Results land 
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import math
 import time
@@ -206,21 +207,34 @@ def test_query_hook_overhead_disabled_under_bound():
         for kind in ("range", "instant"):
             run = _eval_runner(engine, kind)
             run()  # warm parser caches / lazy imports outside the timed runs
-            # The three configurations alternate within each round and
-            # each keeps its best: machine drift between rounds hits all
-            # three alike instead of one block of runs.
-            bypassed = disabled = enabled = math.inf
-            for _ in range(EVAL_RUNS):
+
+            def bypassed_run() -> float:
                 with _hooks_bypassed():
-                    bypassed = min(bypassed, _timed(run))
-                disabled = min(disabled, _timed(run))
+                    return _timed(run)
+
+            def enabled_run() -> float:
                 PROFILER.enable()
                 token = activate_stats(QueryStats(query="bench"))
                 try:
-                    enabled = min(enabled, _timed(run))
+                    return _timed(run)
                 finally:
                     deactivate_stats(token)
                     PROFILER.disable()
+
+            # The three configurations alternate within each round, in
+            # an order rotated every round, and each keeps its best:
+            # machine drift between rounds hits all three alike, and no
+            # configuration always runs first (or right after another).
+            # A collection before every run keeps one configuration's
+            # garbage out of the next one's timer.
+            configurations = (("bypassed", bypassed_run), ("disabled", lambda: _timed(run)), ("enabled", enabled_run))
+            best = dict.fromkeys(("bypassed", "disabled", "enabled"), math.inf)
+            for round_ in range(EVAL_RUNS):
+                for step in range(len(configurations)):
+                    name, timed = configurations[(round_ + step) % len(configurations)]
+                    gc.collect()
+                    best[name] = min(best[name], timed())
+            bypassed, disabled, enabled = best["bypassed"], best["disabled"], best["enabled"]
             report[kind] = {
                 "bypassed_seconds": bypassed,
                 "disabled_seconds": disabled,
@@ -279,24 +293,26 @@ def test_exemplar_capture_overhead_bounded():
     # take the median paired ratio: machine-speed drift between rounds
     # (CPU frequency scaling, noisy CI neighbours) hits both halves of
     # a pair roughly equally, and the median shrugs off the odd round
-    # that lands on a scheduling hiccup.
+    # that lands on a scheduling hiccup.  Which half runs first
+    # alternates by round, so neither always pays for a cold start or
+    # the other's garbage; a collection before each half keeps that
+    # garbage out of the timers.
     old = set_exemplars_enabled(False)
     ratios: list[float] = []
     disabled_best = enabled_best = math.inf
     try:
         drive()  # warm caches outside the timed rounds
-        for _ in range(EXEMPLAR_RUNS):
-            set_exemplars_enabled(False)
-            started = time.perf_counter()
-            drive()
-            disabled = time.perf_counter() - started
-            set_exemplars_enabled(True)
-            started = time.perf_counter()
-            drive()
-            enabled = time.perf_counter() - started
-            ratios.append(enabled / disabled - 1.0)
-            disabled_best = min(disabled_best, disabled)
-            enabled_best = min(enabled_best, enabled)
+        for round_ in range(EXEMPLAR_RUNS):
+            seconds: dict[bool, float] = {}
+            for enabled in (False, True) if round_ % 2 == 0 else (True, False):
+                set_exemplars_enabled(enabled)
+                gc.collect()
+                started = time.perf_counter()
+                drive()
+                seconds[enabled] = time.perf_counter() - started
+            ratios.append(seconds[True] / seconds[False] - 1.0)
+            disabled_best = min(disabled_best, seconds[False])
+            enabled_best = min(enabled_best, seconds[True])
     finally:
         set_exemplars_enabled(old)
     ratio = sorted(ratios)[len(ratios) // 2]

@@ -14,6 +14,8 @@ Two consumers need emission factors:
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.common.httpx import App, Request, Response
@@ -21,7 +23,7 @@ from repro.common.units import JOULES_PER_KWH
 from repro.emissions.provider import ProviderRegistry
 from repro.exporter.collector import Collector
 from repro.tsdb import exposition
-from repro.tsdb.exposition import MetricFamily
+from repro.tsdb.exposition import KeptFamilies, MetricFamily
 
 
 class EmissionsCollector(Collector):
@@ -37,18 +39,24 @@ class EmissionsCollector(Collector):
     def __init__(self, registry: ProviderRegistry, zone: str) -> None:
         self.registry = registry
         self.zone = zone
+        self._families = KeptFamilies(
+            ("ceems_emissions_gCo2_kWh", "Grid emission factor in gCO2e per kWh.", "gauge")
+        )
+        #: (zone, provider) -> its kept label dict
+        self._labels: dict[tuple[str, str], dict[str, str]] = {}
 
     def collect(self, now: float) -> list[MetricFamily]:
-        family = MetricFamily(
-            "ceems_emissions_gCo2_kWh",
-            help="Grid emission factor in gCO2e per kWh.",
-            type="gauge",
-        )
-        for factor in self.registry.all_factors(self.zone, now):
-            family.add(factor.value, country=factor.zone, provider=factor.provider)
+        factors = self.registry.all_factors(self.zone, now)
         resolved = self.registry.factor(self.zone, now)
-        family.add(resolved.value, country=resolved.zone, provider="resolved")
-        return [family]
+        rows = [(self._series(f.zone, f.provider), (f.value,)) for f in factors]
+        rows.append((self._series(resolved.zone, "resolved"), (resolved.value,)))
+        return self._families.fill(rows)
+
+    def _series(self, zone: str, provider: str) -> dict[str, str]:
+        labels = self._labels.get((zone, provider))
+        if labels is None:
+            labels = self._labels[(zone, provider)] = {"country": zone, "provider": provider}
+        return labels
 
 
 class EmissionsExporter:
@@ -62,14 +70,16 @@ class EmissionsExporter:
         self.collector = EmissionsCollector(registry, zone)
         self.clock = clock
         self.body = exposition.Body()
+        #: Held across collect and render: the collector's families
+        #: are live (see ``KeptFamilies``).
+        self._lock = threading.Lock()
         self.app = App(name="ceems-emissions")
         self.app.router.get("/metrics", self._metrics)
 
     def _metrics(self, request: Request) -> Response:
-        families = self.collector.collect(self.clock.now())
-        return Response.text(
-            self.body.render(families), content_type="text/plain; version=0.0.4"
-        )
+        with self._lock:
+            text = self.body.render(self.collector.collect(self.clock.now()))
+        return Response.text(text, content_type="text/plain; version=0.0.4")
 
 
 class EmissionsCalculator:

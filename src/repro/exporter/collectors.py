@@ -15,12 +15,14 @@ resource-manager agnostic while exporting one unified metric set.
 
 from __future__ import annotations
 
+import operator
 import re
 
+from repro.hwsim.cgroupfs import Cgroup, parse_cpuset
 from repro.hwsim.node import SimulatedNode
 from repro.hwsim.procfs import parse_meminfo, parse_proc_stat
 from repro.hwsim.rapl import RAPLDomain
-from repro.tsdb.exposition import MetricFamily, MetricPoint
+from repro.tsdb.exposition import KeptFamilies, MetricFamily
 
 from repro.exporter.collector import Collector
 
@@ -68,6 +70,49 @@ def _parse_kv_file(text: str) -> dict[str, int]:
     return out
 
 
+#: The families of the two cgroup hierarchies, in body order.
+_CGROUP_HEADS = {
+    "v1": (
+        ("ceems_compute_unit_cpu_user_seconds_total", "Total user CPU time of the compute unit.", "counter"),
+        ("ceems_compute_unit_cpu_system_seconds_total", "Total system CPU time of the compute unit.", "counter"),
+        ("ceems_compute_unit_memory_current_bytes", "Resident memory of the compute unit.", "gauge"),
+        ("ceems_compute_unit_memory_peak_bytes", "Peak resident memory of the compute unit.", "gauge"),
+        ("ceems_compute_unit_memory_limit_bytes", "cgroup memory limit of the compute unit.", "gauge"),
+        ("ceems_compute_unit_pids", "Processes/threads in the compute unit.", "gauge"),
+    ),
+    "v2": (
+        ("ceems_compute_unit_cpu_user_seconds_total", "Total user CPU time of the compute unit.", "counter"),
+        ("ceems_compute_unit_cpu_system_seconds_total", "Total system CPU time of the compute unit.", "counter"),
+        ("ceems_compute_unit_cpus", "Number of CPUs allocated to the compute unit.", "gauge"),
+        ("ceems_compute_unit_memory_current_bytes", "Resident memory of the compute unit.", "gauge"),
+        ("ceems_compute_unit_memory_peak_bytes", "Peak resident memory of the compute unit.", "gauge"),
+        ("ceems_compute_unit_memory_limit_bytes", "cgroup memory limit of the compute unit.", "gauge"),
+        ("ceems_compute_unit_io_read_bytes_total", "Bytes read by the compute unit.", "counter"),
+        ("ceems_compute_unit_io_write_bytes_total", "Bytes written by the compute unit.", "counter"),
+        ("ceems_compute_unit_pids", "Processes/threads in the compute unit.", "gauge"),
+    ),
+}
+
+
+def _io_bytes(text: str) -> tuple[int, int]:
+    """Read and written bytes summed over the devices of ``io.stat``
+    (a device line is ``major:minor key=value ...``; a key missing
+    from it counts 0, a repeated one its last value)."""
+    rbytes = wbytes = 0
+    for line in text.splitlines():
+        read = written = 0
+        for part in line.split()[1:]:
+            key, sep, value = part.partition("=")
+            if sep:
+                if key == "rbytes":
+                    read = value
+                elif key == "wbytes":
+                    written = value
+        rbytes += int(read)
+        wbytes += int(written)
+    return rbytes, wbytes
+
+
 class CgroupCollector(Collector):
     """Per-compute-unit CPU/memory/IO/pids metrics from the cgroup tree.
 
@@ -77,7 +122,8 @@ class CgroupCollector(Collector):
     ``memory.usage_in_bytes``), since CEEMS supports clusters that
     have not migrated.  v1 exposes fewer controllers: IO and cpuset
     metrics are absent, exactly as on a real v1 node where those
-    controllers are often unmounted for jobs.
+    controllers are often unmounted for jobs.  Each unit's files are
+    read one by one, only those the collector parses.
     """
 
     name = "cgroup"
@@ -87,139 +133,67 @@ class CgroupCollector(Collector):
             raise ValueError(f"unknown cgroup version {cgroup_version!r}")
         self.node = node
         self.cgroup_version = cgroup_version
+        self._families = KeptFamilies(*_CGROUP_HEADS[cgroup_version])
+        self._readings = self._readings_v1 if cgroup_version == "v1" else self._readings_v2
+        #: The leaf cgroups of the previous collect, and the workload
+        #: ones among them with their kept label dicts.
+        self._leaves: list[Cgroup] = []
+        self._units: list[tuple[Cgroup, dict[str, str]]] = []
 
     def collect(self, now: float) -> list[MetricFamily]:
-        if self.cgroup_version == "v1":
-            return self._collect_v1(now)
-        return self._collect_v2(now)
+        readings = self._readings
+        return self._families.fill((labels, readings(cgroup)) for cgroup, labels in self._workload_units())
 
-    def _collect_v1(self, now: float) -> list[MetricFamily]:
-        """The per-controller (legacy) hierarchy path."""
-        cpu_user = MetricFamily(
-            "ceems_compute_unit_cpu_user_seconds_total",
-            help="Total user CPU time of the compute unit.",
-            type="counter",
-        )
-        cpu_system = MetricFamily(
-            "ceems_compute_unit_cpu_system_seconds_total",
-            help="Total system CPU time of the compute unit.",
-            type="counter",
-        )
-        mem_current = MetricFamily(
-            "ceems_compute_unit_memory_current_bytes",
-            help="Resident memory of the compute unit.",
-            type="gauge",
-        )
-        mem_peak = MetricFamily(
-            "ceems_compute_unit_memory_peak_bytes",
-            help="Peak resident memory of the compute unit.",
-            type="gauge",
-        )
-        mem_limit = MetricFamily(
-            "ceems_compute_unit_memory_limit_bytes",
-            help="cgroup memory limit of the compute unit.",
-            type="gauge",
-        )
-        pids = MetricFamily(
-            "ceems_compute_unit_pids",
-            help="Processes/threads in the compute unit.",
-            type="gauge",
-        )
-        for cgroup in self.node.cgroupfs.leaves():
-            ident = extract_unit_uuid(cgroup.path)
-            if ident is None:
-                continue
-            manager, uuid = ident
-            labelset = {"uuid": uuid, "manager": manager}
-            v1 = cgroup.v1_files()
-            stat = _parse_kv_file(v1["cpuacct/cpuacct.stat"])
+    def _workload_units(self) -> list[tuple[Cgroup, dict[str, str]]]:
+        """``(cgroup, labels)`` of every compute-unit leaf, the label
+        dict the same object for as long as its cgroup is a leaf."""
+        leaves = list(self.node.cgroupfs.leaves())
+        if len(leaves) != len(self._leaves) or not all(map(operator.is_, leaves, self._leaves)):
+            kept = {id(cgroup): labels for cgroup, labels in self._units}
+            units = []
+            for cgroup in leaves:
+                ident = extract_unit_uuid(cgroup.path)
+                if ident is not None:
+                    manager, uuid = ident
+                    units.append((cgroup, kept.get(id(cgroup)) or {"uuid": uuid, "manager": manager}))
+            self._leaves = leaves
+            self._units = units
+        return self._units
+
+    @staticmethod
+    def _readings_v1(cgroup: Cgroup) -> tuple[float | None, ...]:
+        """The per-controller (legacy) hierarchy's files."""
+        read = cgroup.read
+        stat = _parse_kv_file(read("cpuacct/cpuacct.stat"))
+        limit = int(read("memory/memory.limit_in_bytes").strip())
+        return (
             # cpuacct.stat counts USER_HZ (100 Hz) ticks.
-            cpu_user.points.append(MetricPoint(labelset, stat["user"] / 100.0))
-            cpu_system.points.append(MetricPoint(labelset, stat["system"] / 100.0))
-            mem_current.points.append(MetricPoint(labelset, float(v1["memory/memory.usage_in_bytes"].strip())))
-            mem_peak.points.append(MetricPoint(labelset, float(v1["memory/memory.max_usage_in_bytes"].strip())))
-            limit = int(v1["memory/memory.limit_in_bytes"].strip())
-            if limit < 2**62:  # v1's "unlimited" sentinel
-                mem_limit.points.append(MetricPoint(labelset, float(limit)))
-            pids.points.append(MetricPoint(labelset, float(v1["pids/pids.current"].strip())))
-        return [cpu_user, cpu_system, mem_current, mem_peak, mem_limit, pids]
+            stat["user"] / 100.0,
+            stat["system"] / 100.0,
+            float(read("memory/memory.usage_in_bytes").strip()),
+            float(read("memory/memory.max_usage_in_bytes").strip()),
+            float(limit) if limit < 2**62 else None,  # v1's "unlimited" sentinel
+            float(read("pids/pids.current").strip()),
+        )
 
-    def _collect_v2(self, now: float) -> list[MetricFamily]:
-        cpu_user = MetricFamily(
-            "ceems_compute_unit_cpu_user_seconds_total",
-            help="Total user CPU time of the compute unit.",
-            type="counter",
+    @staticmethod
+    def _readings_v2(cgroup: Cgroup) -> tuple[float | None, ...]:
+        read = cgroup.read
+        cpu_stat = _parse_kv_file(read("cpu.stat"))
+        limit_text = read("memory.max").strip()
+        rbytes, wbytes = _io_bytes(read("io.stat"))
+        io = rbytes or wbytes
+        return (
+            cpu_stat["user_usec"] / 1e6,
+            cpu_stat["system_usec"] / 1e6,
+            float(len(parse_cpuset(read("cpuset.cpus")))),
+            float(read("memory.current").strip()),
+            float(read("memory.peak").strip()),
+            float(limit_text) if limit_text != "max" else None,
+            float(rbytes) if io else None,
+            float(wbytes) if io else None,
+            float(read("pids.current").strip()),
         )
-        cpu_system = MetricFamily(
-            "ceems_compute_unit_cpu_system_seconds_total",
-            help="Total system CPU time of the compute unit.",
-            type="counter",
-        )
-        cpus = MetricFamily(
-            "ceems_compute_unit_cpus",
-            help="Number of CPUs allocated to the compute unit.",
-            type="gauge",
-        )
-        mem_current = MetricFamily(
-            "ceems_compute_unit_memory_current_bytes",
-            help="Resident memory of the compute unit.",
-            type="gauge",
-        )
-        mem_peak = MetricFamily(
-            "ceems_compute_unit_memory_peak_bytes",
-            help="Peak resident memory of the compute unit.",
-            type="gauge",
-        )
-        mem_limit = MetricFamily(
-            "ceems_compute_unit_memory_limit_bytes",
-            help="cgroup memory limit of the compute unit.",
-            type="gauge",
-        )
-        io_read = MetricFamily(
-            "ceems_compute_unit_io_read_bytes_total",
-            help="Bytes read by the compute unit.",
-            type="counter",
-        )
-        io_write = MetricFamily(
-            "ceems_compute_unit_io_write_bytes_total",
-            help="Bytes written by the compute unit.",
-            type="counter",
-        )
-        pids = MetricFamily(
-            "ceems_compute_unit_pids",
-            help="Processes/threads in the compute unit.",
-            type="gauge",
-        )
-        for cgroup in self.node.cgroupfs.leaves():
-            ident = extract_unit_uuid(cgroup.path)
-            if ident is None:
-                continue
-            manager, uuid = ident
-            labelset = {"uuid": uuid, "manager": manager}
-            files = cgroup.files()
-            cpu_stat = _parse_kv_file(files["cpu.stat"])
-            cpu_user.points.append(MetricPoint(labelset, cpu_stat["user_usec"] / 1e6))
-            cpu_system.points.append(MetricPoint(labelset, cpu_stat["system_usec"] / 1e6))
-            from repro.hwsim.cgroupfs import parse_cpuset
-
-            cpus.points.append(MetricPoint(labelset, float(len(parse_cpuset(files["cpuset.cpus"])))))
-            mem_current.points.append(MetricPoint(labelset, float(files["memory.current"].strip())))
-            mem_peak.points.append(MetricPoint(labelset, float(files["memory.peak"].strip())))
-            limit_text = files["memory.max"].strip()
-            if limit_text != "max":
-                mem_limit.points.append(MetricPoint(labelset, float(limit_text)))
-            rbytes = wbytes = 0
-            for line in files["io.stat"].splitlines():
-                fields = dict(
-                    part.split("=", 1) for part in line.split()[1:] if "=" in part
-                )
-                rbytes += int(fields.get("rbytes", 0))
-                wbytes += int(fields.get("wbytes", 0))
-            if rbytes or wbytes:
-                io_read.points.append(MetricPoint(labelset, float(rbytes)))
-                io_write.points.append(MetricPoint(labelset, float(wbytes)))
-            pids.points.append(MetricPoint(labelset, float(files["pids.current"].strip())))
-        return [cpu_user, cpu_system, cpus, mem_current, mem_peak, mem_limit, io_read, io_write, pids]
 
 
 class RAPLCollector(Collector):
@@ -254,56 +228,64 @@ class RAPLCollector(Collector):
         #: powercap path -> (scrape time, raw µJ) of the previous
         #: collect, for the trustworthiness verdict.
         self._last_raw: dict[str, tuple[float, int]] = {}
+        self._domains = KeptFamilies(
+            ("ceems_rapl_package_joules_total", "RAPL package domain energy counter (handles wraparound upstream).", "counter"),
+            ("ceems_rapl_dram_joules_total", "RAPL DRAM domain energy counter.", "counter"),
+            (
+                "ceems_rapl_counter_trustworthy",
+                "0 when the scrape interval could hide a full counter "
+                "range (wrap subtraction no longer safe).",
+                "gauge",
+            ),
+        )
+        self._units = KeptFamilies(
+            (
+                "ceems_compute_unit_rapl_joules_total",
+                "Aliasing-free RAPL energy attributed to the compute "
+                "unit by allocation ratio (governor accumulator).",
+                "counter",
+            )
+        )
+        self._with_units = [*self._domains.families, *self._units.families]
+        #: Per package: its powercap zone, the zone's ``energy_uj``
+        #: path and label dict, for the package and (``None`` without
+        #: one) the DRAM sub-domain.
+        self._zones = []
+        for pkg in node.rapl:
+            base = f"intel-rapl:{pkg.socket}"
+            dram = f"{base}:0" if pkg.dram is not None else None
+            self._zones.append(
+                (
+                    pkg,
+                    (base, f"{base}/energy_uj", {"socket": str(pkg.socket), "path": base}),
+                    None if dram is None else (dram, f"{dram}/energy_uj", {"socket": str(pkg.socket), "path": dram}),
+                )
+            )
+        #: task uuid -> (task, its label dict), for the accumulator family.
+        self._tasks: dict[str, tuple[object, dict[str, str]]] = {}
 
     def collect(self, now: float) -> list[MetricFamily]:
-        package = MetricFamily(
-            "ceems_rapl_package_joules_total",
-            help="RAPL package domain energy counter (handles wraparound upstream).",
-            type="counter",
-        )
-        dram = MetricFamily(
-            "ceems_rapl_dram_joules_total",
-            help="RAPL DRAM domain energy counter.",
-            type="counter",
-        )
-        trust = MetricFamily(
-            "ceems_rapl_counter_trustworthy",
-            help="0 when the scrape interval could hide a full counter "
-            "range (wrap subtraction no longer safe).",
-            type="gauge",
-        )
         acc = getattr(self.node, "governor_accumulator", None)
-        for pkg in self.node.rapl:
-            entries = pkg.sysfs_entries()
-            base = f"intel-rapl:{pkg.socket}"
-            labels = {"socket": str(pkg.socket), "path": base}
-            raw_uj = int(entries[f"{base}/energy_uj"])
-            joules = (
-                acc.domain_joules("package", pkg.socket)
-                if acc is not None
-                else raw_uj / 1e6
-            )
-            package.points.append(MetricPoint(labels, joules))
-            trust.points.append(
-                MetricPoint(labels, self._trustworthy(base, now, raw_uj, pkg.package.max_energy_range_uj))
-            )
-            if pkg.dram is not None:
-                sub = f"{base}:0"
-                labels = {"socket": str(pkg.socket), "path": sub}
-                raw_uj = int(entries[f"{sub}/energy_uj"])
-                joules = (
-                    acc.domain_joules("dram", pkg.socket)
-                    if acc is not None
-                    else raw_uj / 1e6
-                )
-                dram.points.append(MetricPoint(labels, joules))
-                trust.points.append(
-                    MetricPoint(labels, self._trustworthy(sub, now, raw_uj, pkg.dram.max_energy_range_uj))
-                )
-        families = [package, dram, trust]
-        if acc is not None:
-            families.append(self._collect_units(acc))
-        return families
+        self._domains.fill(self._domain_rows(now, acc))
+        if acc is None:
+            return self._domains.families
+        self._units.fill(
+            (labels, (acc.unit_joules(task.uuid),)) for task, labels in _per_task(self.node, self._tasks, _unit_labels)
+        )
+        return self._with_units
+
+    def _domain_rows(self, now: float, acc):
+        """Package rows (package and trust families) and DRAM rows
+        (DRAM and trust families), socket by socket."""
+        for pkg, (base, energy, labels), dram in self._zones:
+            raw_uj = int(pkg.read_sysfs(energy))
+            joules = acc.domain_joules("package", pkg.socket) if acc is not None else raw_uj / 1e6
+            yield labels, (joules, None, self._trustworthy(base, now, raw_uj, pkg.package.max_energy_range_uj))
+            if dram is not None:
+                sub, energy, labels = dram
+                raw_uj = int(pkg.read_sysfs(energy))
+                joules = acc.domain_joules("dram", pkg.socket) if acc is not None else raw_uj / 1e6
+                yield labels, (None, joules, self._trustworthy(sub, now, raw_uj, pkg.dram.max_energy_range_uj))
 
     def _trustworthy(self, path: str, now: float, raw_uj: int, max_range_uj: int) -> float:
         """Double-wrap guard for one domain's raw counter path."""
@@ -316,20 +298,6 @@ class RAPLCollector(Collector):
             prev_uj, raw_uj, max_range_uj, now - prev_at, self.MAX_PLAUSIBLE_DOMAIN_WATTS
         )
         return 1.0 if ok else 0.0
-
-    def _collect_units(self, acc) -> MetricFamily:
-        """Per-compute-unit RAPL energy by allocation ratio."""
-        family = MetricFamily(
-            "ceems_compute_unit_rapl_joules_total",
-            help="Aliasing-free RAPL energy attributed to the compute "
-            "unit by allocation ratio (governor accumulator).",
-            type="counter",
-        )
-        for task in self.node.tasks.values():
-            ident = extract_unit_uuid(task.cgroup_path)
-            manager = ident[0] if ident else "unknown"
-            family.add(acc.unit_joules(task.uuid), uuid=task.uuid, manager=manager)
-        return family
 
     @staticmethod
     def wraparound_delta(prev_joules: float, curr_joules: float, max_range_uj: int) -> float:
@@ -347,35 +315,25 @@ class IPMICollector(Collector):
 
     def __init__(self, node: SimulatedNode) -> None:
         self.node = node
+        self._families = KeptFamilies(
+            ("ceems_ipmi_dcmi_current_watts", "Current node power reported by IPMI DCMI.", "gauge"),
+            ("ceems_ipmi_dcmi_avg_watts", "Average node power over the DCMI statistics window.", "gauge"),
+            ("ceems_ipmi_dcmi_min_watts", "Minimum node power over the DCMI statistics window.", "gauge"),
+            ("ceems_ipmi_dcmi_max_watts", "Maximum node power over the DCMI statistics window.", "gauge"),
+        )
+        self._labels: dict[str, str] = {}
 
     def collect(self, now: float) -> list[MetricFamily]:
         reading = self.node.ipmi.read(now)
-        current = MetricFamily(
-            "ceems_ipmi_dcmi_current_watts",
-            help="Current node power reported by IPMI DCMI.",
-            type="gauge",
+        if not reading.active:
+            return self._families.fill(())
+        watts = (
+            float(reading.current_watts),
+            float(reading.average_watts),
+            float(reading.minimum_watts),
+            float(reading.maximum_watts),
         )
-        avg = MetricFamily(
-            "ceems_ipmi_dcmi_avg_watts",
-            help="Average node power over the DCMI statistics window.",
-            type="gauge",
-        )
-        minimum = MetricFamily(
-            "ceems_ipmi_dcmi_min_watts",
-            help="Minimum node power over the DCMI statistics window.",
-            type="gauge",
-        )
-        maximum = MetricFamily(
-            "ceems_ipmi_dcmi_max_watts",
-            help="Maximum node power over the DCMI statistics window.",
-            type="gauge",
-        )
-        if reading.active:
-            current.add(float(reading.current_watts))
-            avg.add(float(reading.average_watts))
-            minimum.add(float(reading.minimum_watts))
-            maximum.add(float(reading.maximum_watts))
-        return [current, avg, minimum, maximum]
+        return self._families.fill(((self._labels, watts),))
 
 
 class NodeCollector(Collector):
@@ -385,33 +343,41 @@ class NodeCollector(Collector):
 
     def __init__(self, node: SimulatedNode) -> None:
         self.node = node
+        self._cpu = KeptFamilies(("ceems_cpu_seconds_total", "Node CPU time by mode.", "counter"))
+        self._totals = KeptFamilies(
+            ("ceems_cpu_count", "Number of CPUs on the node.", "gauge"),
+            ("ceems_meminfo_total_bytes", "Node MemTotal.", "gauge"),
+            ("ceems_meminfo_available_bytes", "Node MemAvailable.", "gauge"),
+            ("ceems_meminfo_used_bytes", "Node memory in use (MemTotal - MemAvailable).", "gauge"),
+        )
+        self._families = [*self._cpu.families, *self._totals.families]
+        self._labels: dict[str, str] = {}
 
     def collect(self, now: float) -> list[MetricFamily]:
         stat = parse_proc_stat(self.node.procfs.render_stat())
         meminfo = parse_meminfo(self.node.procfs.render_meminfo())
-        cpu = MetricFamily(
-            "ceems_cpu_seconds_total",
-            help="Node CPU time by mode.",
-            type="counter",
+        self._cpu.fill((labels, (stat[key] / 1e6,)) for key, labels in _CPU_MODES)
+        total, available = meminfo["MemTotal"], meminfo["MemAvailable"]
+        self._totals.fill(
+            ((self._labels, (float(self.node.spec.ncores), float(total), float(available), float(total - available))),)
         )
-        cpu.points = [MetricPoint(labels, stat[key] / 1e6) for key, labels in _CPU_MODES]
-        ncpus = MetricFamily("ceems_cpu_count", help="Number of CPUs on the node.", type="gauge")
-        ncpus.add(float(self.node.spec.ncores))
-        mem_total = MetricFamily(
-            "ceems_meminfo_total_bytes", help="Node MemTotal.", type="gauge"
-        )
-        mem_total.add(float(meminfo["MemTotal"]))
-        mem_available = MetricFamily(
-            "ceems_meminfo_available_bytes", help="Node MemAvailable.", type="gauge"
-        )
-        mem_available.add(float(meminfo["MemAvailable"]))
-        mem_used = MetricFamily(
-            "ceems_meminfo_used_bytes",
-            help="Node memory in use (MemTotal - MemAvailable).",
-            type="gauge",
-        )
-        mem_used.add(float(meminfo["MemTotal"] - meminfo["MemAvailable"]))
-        return [cpu, ncpus, mem_total, mem_available, mem_used]
+        return self._families
+
+
+def _per_task(node: SimulatedNode, kept: dict, make):
+    """``(task, make(task, manager))`` for every task on ``node``, in
+    task order.  ``kept`` is the caller's memo: what ``make`` returned
+    is handed out again — the same label dicts — while the task runs."""
+    tasks = node.tasks
+    if len(kept) > len(tasks):
+        for uuid in [uuid for uuid in kept if uuid not in tasks]:
+            del kept[uuid]
+    for uuid, task in tasks.items():
+        entry = kept.get(uuid)
+        if entry is None or entry[0] is not task:
+            ident = extract_unit_uuid(task.cgroup_path)
+            entry = kept[uuid] = (task, make(task, ident[0] if ident else "unknown"))
+        yield task, entry[1]
 
 
 class GPUMapCollector(Collector):
@@ -427,21 +393,31 @@ class GPUMapCollector(Collector):
 
     def __init__(self, node: SimulatedNode) -> None:
         self.node = node
+        self._families = KeptFamilies(
+            ("ceems_compute_unit_gpu_index_flag", "1 for each GPU index bound to the compute unit.", "gauge")
+        )
+        #: task uuid -> (task, one label dict per bound GPU)
+        self._tasks: dict[str, tuple[object, list[dict[str, str]]]] = {}
 
     def collect(self, now: float) -> list[MetricFamily]:
-        family = MetricFamily(
-            "ceems_compute_unit_gpu_index_flag",
-            help="1 for each GPU index bound to the compute unit.",
-            type="gauge",
+        return self._families.fill(
+            (labels, _BOUND) for _task, flags in _per_task(self.node, self._tasks, self._flag_labels) for labels in flags
         )
-        for task in self.node.tasks.values():
-            ident = extract_unit_uuid(task.cgroup_path)
-            manager = ident[0] if ident else "unknown"
-            for index in task.gpu_indices:
-                gpu = self.node.gpus[index]
-                labels = {"uuid": task.uuid, "manager": manager, "index": str(index), "gpu_uuid": gpu.uuid}
-                family.points.append(MetricPoint(labels, 1.0))
-        return [family]
+
+    def _flag_labels(self, task, manager: str) -> list[dict[str, str]]:
+        gpus = self.node.gpus
+        return [
+            {"uuid": task.uuid, "manager": manager, "index": str(index), "gpu_uuid": gpus[index].uuid}
+            for index in task.gpu_indices
+        ]
+
+
+#: The one reading of a ``gpu_index_flag`` series.
+_BOUND = (1.0,)
+
+
+def _unit_labels(task, manager: str) -> dict[str, str]:
+    return {"uuid": task.uuid, "manager": manager}
 
 
 class SelfCollector(Collector):
@@ -452,38 +428,32 @@ class SelfCollector(Collector):
     def __init__(self, exporter) -> None:
         # weak coupling: anything with scrapes_total / scrape_cpu_seconds
         self.exporter = exporter
+        self._totals = KeptFamilies(
+            ("ceems_exporter_scrapes_total", "Scrapes served by this exporter.", "counter"),
+            ("ceems_exporter_scrape_cpu_seconds_total", "CPU time spent answering scrapes.", "counter"),
+        )
+        self._outcomes = KeptFamilies(
+            ("ceems_exporter_collector_errors_total", "Collector failures since exporter start.", "counter"),
+            ("ceems_exporter_collector_last_scrape_success", "Outcome (1/0) of each collector's previous run.", "gauge"),
+        )
+        self._families = [*self._totals.families, *self._outcomes.families]
+        self._labels: dict[str, str] = {}
 
     def collect(self, now: float) -> list[MetricFamily]:
-        scrapes = MetricFamily(
-            "ceems_exporter_scrapes_total",
-            help="Scrapes served by this exporter.",
-            type="counter",
+        exporter = self.exporter
+        self._totals.fill(((self._labels, (float(exporter.scrapes_total), exporter.scrape_cpu_seconds)),))
+        registry = getattr(exporter, "registry", None)
+        if registry is None:
+            return self._totals.families
+        # last_success reflects the *previous* registry.collect()
+        # pass; the current pass finishes after this collector runs.
+        errors, last = registry.errors_total, registry.last_success
+        self._outcomes.fill(
+            (registry.label_sets[name], (_float_or_none(errors.get(name)), last.get(name)))
+            for name in sorted(errors.keys() | last.keys())
         )
-        scrapes.add(float(self.exporter.scrapes_total))
-        cpu = MetricFamily(
-            "ceems_exporter_scrape_cpu_seconds_total",
-            help="CPU time spent answering scrapes.",
-            type="counter",
-        )
-        cpu.add(self.exporter.scrape_cpu_seconds)
-        families = [scrapes, cpu]
-        registry = getattr(self.exporter, "registry", None)
-        if registry is not None:
-            errors = MetricFamily(
-                "ceems_exporter_collector_errors_total",
-                help="Collector failures since exporter start.",
-                type="counter",
-            )
-            for name, count in sorted(registry.errors_total.items()):
-                errors.points.append(MetricPoint(registry.label_sets[name], float(count)))
-            last = MetricFamily(
-                "ceems_exporter_collector_last_scrape_success",
-                help="Outcome (1/0) of each collector's previous run.",
-                type="gauge",
-            )
-            # last_success reflects the *previous* registry.collect()
-            # pass; the current pass finishes after this collector runs.
-            for name, ok in sorted(registry.last_success.items()):
-                last.points.append(MetricPoint(registry.label_sets[name], ok))
-            families.extend([errors, last])
-        return families
+        return self._families
+
+
+def _float_or_none(count: int | None) -> float | None:
+    return None if count is None else float(count)

@@ -87,13 +87,17 @@ class CEEMSExporter:
             if rejection is not None:
                 return rejection
         started = time.process_time()
-        with prof.profile("exporter.collect"):
-            families = self.registry.collect(self.clock.now())
-            families.extend(self.app.telemetry.collect())
-        with prof.profile("exporter.render"):
-            payload = self.body.render(families)
-        self.scrape_cpu_seconds += time.process_time() - started
-        self.scrapes_total += 1
+        telemetry = self.app.telemetry.registry
+        # The collected families are live until the next collect, so
+        # one scrape's collect and render may not interleave another's.
+        with telemetry.scrape_lock:
+            with prof.profile("exporter.collect"):
+                families = self.registry.collect(self.clock.now())
+                families.extend(telemetry.collect())
+            with prof.profile("exporter.render"):
+                payload = self.body.render(families)
+            self.scrape_cpu_seconds += time.process_time() - started
+            self.scrapes_total += 1
         self.last_payload_bytes = len(payload)
         return Response.text(payload, content_type="text/plain; version=0.0.4; charset=utf-8")
 

@@ -347,49 +347,63 @@ class GovernorDaemon:
             ),
             help="Intensity above which windows classify high-carbon.",
         )
+        #: Per-node families, kept between scrapes (made by the first),
+        #: and their label dicts.
+        self._node_families = None
+        self._node_label_sets: dict[tuple, dict[str, str]] = {}
         registry.collector(self._collect_node_families)
 
     def _collect_node_families(self):
-        from repro.tsdb.exposition import MetricFamily
+        kept = self._node_families
+        if kept is None:
+            from repro.tsdb.exposition import KeptFamilies
 
+            kept = self._node_families = (
+                KeptFamilies(
+                    ("ceems_governor_accumulated_joules_total", "Aliasing-free accumulated RAPL energy per domain.", "counter")
+                ),
+                KeptFamilies(
+                    ("ceems_governor_wraps_total", "Counter wraps folded by the accumulator.", "counter"),
+                    ("ceems_governor_power_watts", "Windowed RAPL-visible node power.", "gauge"),
+                    ("ceems_governor_cap_limit_watts", "Per-socket package cap currently written (0 = uncapped).", "gauge"),
+                    ("ceems_governor_accumulator_staleness_seconds", "Seconds since the accumulator last polled the node.", "gauge"),
+                    ("ceems_governor_cap_violation", "1 while settled package power exceeds the written cap.", "gauge"),
+                ),
+            )
+        energy, nodes = kept
         now = self.clock.now()
-        energy = MetricFamily(
-            "ceems_governor_accumulated_joules_total",
-            help="Aliasing-free accumulated RAPL energy per domain.",
-            type="counter",
+        labels = self._node_labels
+        energy.fill(
+            (labels(name, d.domain, str(d.socket)), (d.joules,))
+            for name, acc in self.accumulators.items()
+            for d in acc.domains
         )
-        wraps = MetricFamily(
-            "ceems_governor_wraps_total",
-            help="Counter wraps folded by the accumulator.",
-            type="counter",
+        nodes.fill(
+            (
+                labels(name),
+                (
+                    float(acc.wraps),
+                    acc.power_w(),
+                    self._written_w[name],
+                    _finite_staleness(acc.staleness(now)),
+                    self._violations.get(name, 0.0),
+                ),
+            )
+            for name, acc in self.accumulators.items()
         )
-        power = MetricFamily(
-            "ceems_governor_power_watts",
-            help="Windowed RAPL-visible node power.",
-            type="gauge",
-        )
-        cap = MetricFamily(
-            "ceems_governor_cap_limit_watts",
-            help="Per-socket package cap currently written (0 = uncapped).",
-            type="gauge",
-        )
-        stale = MetricFamily(
-            "ceems_governor_accumulator_staleness_seconds",
-            help="Seconds since the accumulator last polled the node.",
-            type="gauge",
-        )
-        violation = MetricFamily(
-            "ceems_governor_cap_violation",
-            help="1 while settled package power exceeds the written cap.",
-            type="gauge",
-        )
-        for name, acc in self.accumulators.items():
-            for d in acc.domains:
-                energy.add(d.joules, hostname=name, domain=d.domain, socket=str(d.socket))
-            wraps.add(float(acc.wraps), hostname=name)
-            power.add(acc.power_w(), hostname=name)
-            cap.add(self._written_w[name], hostname=name)
-            staleness = acc.staleness(now)
-            stale.add(staleness if staleness != float("inf") else 1e9, hostname=name)
-            violation.add(self._violations.get(name, 0.0), hostname=name)
-        return [energy, wraps, power, cap, stale, violation]
+        return [*energy.families, *nodes.families]
+
+    def _node_labels(self, hostname: str, domain: str | None = None, socket: str | None = None) -> dict[str, str]:
+        """The kept label dict of a node's (or one of its RAPL domains')
+        series."""
+        key = (hostname, domain, socket)
+        labels = self._node_label_sets.get(key)
+        if labels is None:
+            labels = {"hostname": hostname} if domain is None else {"hostname": hostname, "domain": domain, "socket": socket}
+            self._node_label_sets[key] = labels
+        return labels
+
+
+def _finite_staleness(seconds: float) -> float:
+    """An accumulator that never polled reads 1e9 s stale, not +Inf."""
+    return seconds if seconds != float("inf") else 1e9

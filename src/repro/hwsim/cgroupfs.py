@@ -26,7 +26,7 @@ keeping the collector honest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.common.errors import SimulationError
 
@@ -148,62 +148,111 @@ class Cgroup:
         stat.wios += wios
 
     # -- kernel-format file rendering ----------------------------------
+    def read(self, name: str) -> str:
+        """One readable file, kernel-formatted: a v2 name (``cpu.stat``)
+        or a v1 per-controller one (``cpuacct/cpuacct.stat``).  Only
+        the file asked for is rendered."""
+        entry = _V2_FILES.get(name)
+        if entry is not None:
+            controller, render = entry
+            if controller is None or controller in self.controllers:
+                return render(self)
+        else:
+            render = _V1_FILES.get(name)
+            if render is not None:
+                return render(self)
+        raise SimulationError(f"no file {name!r} in cgroup {self.path}")
+
     def files(self) -> dict[str, str]:
-        """All readable files of this cgroup, kernel-formatted."""
-        out: dict[str, str] = {
-            "cgroup.controllers": " ".join(self.controllers),
+        """All readable v2 files of this cgroup, kernel-formatted."""
+        return {
+            name: self.read(name)
+            for name, (controller, _render) in _V2_FILES.items()
+            if controller is None or controller in self.controllers
         }
-        if "cpu" in self.controllers:
-            out["cpu.stat"] = (
-                f"usage_usec {self.usage_usec}\n"
-                f"user_usec {self.user_usec}\n"
-                f"system_usec {self.system_usec}\n"
-                f"nr_periods {self.nr_periods}\n"
-                f"nr_throttled {self.nr_throttled}\n"
-                f"throttled_usec {self.throttled_usec}\n"
-            )
-            quota = "max" if self.cpu_quota_usec is None else str(self.cpu_quota_usec)
-            out["cpu.max"] = f"{quota} {self.cpu_period_usec}\n"
-        if "memory" in self.controllers:
-            out["memory.current"] = f"{self.memory_current}\n"
-            out["memory.peak"] = f"{self.memory_peak}\n"
-            out["memory.max"] = ("max" if self.memory_limit is None else str(self.memory_limit)) + "\n"
-            out["memory.stat"] = (
-                f"anon {self.memory_anon}\n"
-                f"file {self.memory_file}\n"
-                f"kernel {self.memory_kernel}\n"
-                f"kernel_stack 0\nslab {self.memory_kernel}\n"
-            )
-            out["memory.events"] = (
-                f"low 0\nhigh 0\nmax 0\noom {self.memory_oom_events}\noom_kill {self.memory_oom_events}\n"
-            )
-        if "io" in self.controllers:
-            out["io.stat"] = "".join(stat.render(dev) + "\n" for dev, stat in sorted(self.io.items()))
-        if "pids" in self.controllers:
-            out["pids.current"] = f"{self.pids_current}\n"
-            out["pids.max"] = ("max" if self.pids_max is None else str(self.pids_max)) + "\n"
-        if "cpuset" in self.controllers:
-            out["cpuset.cpus"] = _format_cpuset(self.cpuset_cpus) + "\n"
-            out["cpuset.cpus.effective"] = _format_cpuset(self.cpuset_cpus) + "\n"
-        return out
 
     def v1_files(self) -> dict[str, str]:
         """cgroup v1 compatibility view (per-controller hierarchies)."""
-        usage_ns = self.usage_usec * 1000
-        # v1 cpuacct.stat counts in USER_HZ (100 Hz) ticks.
-        return {
-            "cpuacct/cpuacct.usage": f"{usage_ns}\n",
-            "cpuacct/cpuacct.stat": (
-                f"user {self.user_usec // 10000}\nsystem {self.system_usec // 10000}\n"
-            ),
-            "memory/memory.usage_in_bytes": f"{self.memory_current}\n",
-            "memory/memory.max_usage_in_bytes": f"{self.memory_peak}\n",
-            "memory/memory.limit_in_bytes": (
-                str(self.memory_limit) if self.memory_limit is not None else str(2**63 - 4096)
-            )
-            + "\n",
-            "pids/pids.current": f"{self.pids_current}\n",
-        }
+        return {name: self.read(name) for name in _V1_FILES}
+
+
+def _cpu_stat(cg: Cgroup) -> str:
+    return (
+        f"usage_usec {cg.usage_usec}\n"
+        f"user_usec {cg.user_usec}\n"
+        f"system_usec {cg.system_usec}\n"
+        f"nr_periods {cg.nr_periods}\n"
+        f"nr_throttled {cg.nr_throttled}\n"
+        f"throttled_usec {cg.throttled_usec}\n"
+    )
+
+
+def _cpu_max(cg: Cgroup) -> str:
+    quota = "max" if cg.cpu_quota_usec is None else str(cg.cpu_quota_usec)
+    return f"{quota} {cg.cpu_period_usec}\n"
+
+
+def _memory_stat(cg: Cgroup) -> str:
+    return (
+        f"anon {cg.memory_anon}\n"
+        f"file {cg.memory_file}\n"
+        f"kernel {cg.memory_kernel}\n"
+        f"kernel_stack 0\nslab {cg.memory_kernel}\n"
+    )
+
+
+def _memory_events(cg: Cgroup) -> str:
+    return f"low 0\nhigh 0\nmax 0\noom {cg.memory_oom_events}\noom_kill {cg.memory_oom_events}\n"
+
+
+def _io_stat(cg: Cgroup) -> str:
+    return "".join(stat.render(dev) + "\n" for dev, stat in sorted(cg.io.items()))
+
+
+def _limit(value: int | None) -> str:
+    return ("max" if value is None else str(value)) + "\n"
+
+
+def _cpuset(cg: Cgroup) -> str:
+    return _format_cpuset(cg.cpuset_cpus) + "\n"
+
+
+def _v1_cpuacct_stat(cg: Cgroup) -> str:
+    # v1 cpuacct.stat counts in USER_HZ (100 Hz) ticks.
+    return f"user {cg.user_usec // 10000}\nsystem {cg.system_usec // 10000}\n"
+
+
+def _v1_limit(cg: Cgroup) -> str:
+    return (str(cg.memory_limit) if cg.memory_limit is not None else str(2**63 - 4096)) + "\n"
+
+
+#: Every v2 file, in ``files()`` order: name -> (the controller that
+#: provides it, ``None`` for the core files; its one renderer).
+_V2_FILES: dict[str, tuple[str | None, Callable[[Cgroup], str]]] = {
+    "cgroup.controllers": (None, lambda cg: " ".join(cg.controllers)),
+    "cpu.stat": ("cpu", _cpu_stat),
+    "cpu.max": ("cpu", _cpu_max),
+    "memory.current": ("memory", lambda cg: f"{cg.memory_current}\n"),
+    "memory.peak": ("memory", lambda cg: f"{cg.memory_peak}\n"),
+    "memory.max": ("memory", lambda cg: _limit(cg.memory_limit)),
+    "memory.stat": ("memory", _memory_stat),
+    "memory.events": ("memory", _memory_events),
+    "io.stat": ("io", _io_stat),
+    "pids.current": ("pids", lambda cg: f"{cg.pids_current}\n"),
+    "pids.max": ("pids", lambda cg: _limit(cg.pids_max)),
+    "cpuset.cpus": ("cpuset", _cpuset),
+    "cpuset.cpus.effective": ("cpuset", _cpuset),
+}
+
+#: The v1 compatibility files, in ``v1_files()`` order.
+_V1_FILES: dict[str, Callable[[Cgroup], str]] = {
+    "cpuacct/cpuacct.usage": lambda cg: f"{cg.usage_usec * 1000}\n",
+    "cpuacct/cpuacct.stat": _v1_cpuacct_stat,
+    "memory/memory.usage_in_bytes": lambda cg: f"{cg.memory_current}\n",
+    "memory/memory.max_usage_in_bytes": lambda cg: f"{cg.memory_peak}\n",
+    "memory/memory.limit_in_bytes": _v1_limit,
+    "pids/pids.current": lambda cg: f"{cg.pids_current}\n",
+}
 
 
 class CgroupFS:
@@ -293,8 +342,4 @@ class CgroupFS:
 
     def read(self, cgroup_path: str, filename: str) -> str:
         """Read one accounting file, as the collector would."""
-        node = self.get(cgroup_path)
-        files = node.files()
-        if filename not in files:
-            raise SimulationError(f"no file {filename!r} in cgroup {cgroup_path}")
-        return files[filename]
+        return self.get(cgroup_path).read(filename)

@@ -162,37 +162,37 @@ class RAPLPackage:
             out.append(self.dram)
         return out
 
-    def sysfs_entries(self) -> dict[str, int]:
+    def read_sysfs(self, path: str) -> int | str:
+        """Read one powercap sysfs file, e.g. ``intel-rapl:0/energy_uj``
+        (package) or ``intel-rapl:0:0/energy_uj`` (DRAM sub-domain).
+        Only the attribute asked for is read."""
+        zone, _, attribute = path.partition("/")
+        read = _POWERCAP_ATTRIBUTES.get(attribute)
+        base = f"intel-rapl:{self.socket}"
+        if zone == base:
+            domain = self.package
+        elif self.dram is not None and zone == f"{base}:0":
+            domain = self.dram
+        else:
+            domain = None
+        if read is None or domain is None:
+            raise SimulationError(f"no powercap file {path!r}")
+        return read(domain)
+
+    def sysfs_entries(self) -> dict[str, int | str]:
         """Render the powercap sysfs view of this package.
 
-        Returns a mapping of pseudo-paths to counter values, e.g.::
+        Returns a mapping of pseudo-paths to file values, e.g.::
 
             intel-rapl:0/energy_uj -> 12345
             intel-rapl:0/max_energy_range_uj -> ...
             intel-rapl:0:0/energy_uj -> ...      (dram sub-domain)
         """
-        base = f"intel-rapl:{self.socket}"
-        entries = {
-            f"{base}/name": self.package.name,
-            f"{base}/energy_uj": self.package.energy_uj,
-            f"{base}/max_energy_range_uj": self.package.max_energy_range_uj,
-            f"{base}/constraint_0_name": "long_term",
-            f"{base}/constraint_0_power_limit_uw": self.package.power_limit_uw,
-            f"{base}/constraint_0_max_power_uw": self.package.max_power_uw,
-        }
+        zones = [f"intel-rapl:{self.socket}"]
         if self.dram is not None:
-            sub = f"{base}:0"
-            entries.update(
-                {
-                    f"{sub}/name": self.dram.name,
-                    f"{sub}/energy_uj": self.dram.energy_uj,
-                    f"{sub}/max_energy_range_uj": self.dram.max_energy_range_uj,
-                    f"{sub}/constraint_0_name": "long_term",
-                    f"{sub}/constraint_0_power_limit_uw": self.dram.power_limit_uw,
-                    f"{sub}/constraint_0_max_power_uw": self.dram.max_power_uw,
-                }
-            )
-        return entries
+            zones.append(f"intel-rapl:{self.socket}:0")
+        paths = [f"{zone}/{attribute}" for zone in zones for attribute in _POWERCAP_ATTRIBUTES]
+        return {path: self.read_sysfs(path) for path in paths}
 
     def write_sysfs(self, path: str, value: int) -> int:
         """Write one powercap sysfs file (governor actuation path).
@@ -208,3 +208,15 @@ class RAPLPackage:
         if self.dram is not None and path == f"{base}:0/constraint_0_power_limit_uw":
             return self.dram.write_power_limit(value)
         raise SimulationError(f"powercap file {path!r} is not writable")
+
+
+#: A powercap zone's readable attributes, in ``sysfs_entries`` order:
+#: file name -> its one reader.
+_POWERCAP_ATTRIBUTES = {
+    "name": lambda domain: domain.name,
+    "energy_uj": lambda domain: domain.energy_uj,
+    "max_energy_range_uj": lambda domain: domain.max_energy_range_uj,
+    "constraint_0_name": lambda domain: "long_term",
+    "constraint_0_power_limit_uw": lambda domain: domain.power_limit_uw,
+    "constraint_0_max_power_uw": lambda domain: domain.max_power_uw,
+}

@@ -141,35 +141,39 @@ class LoadBalancer:
             help="Proxied requests slower than the slow-request threshold.",
             type="counter",
         )
+        #: Per-backend families, kept between scrapes (made by the
+        #: first), and their label dicts by (backend, pool).
+        self._backend_families = None
+        self._backend_label_sets: dict[tuple[str, str], dict[str, str]] = {}
         registry.collector(self._collect_backends)
 
     def _collect_backends(self):
-        from repro.tsdb.exposition import MetricFamily
+        if self._backend_families is None:
+            from repro.tsdb.exposition import KeptFamilies
 
-        healthy = MetricFamily(
-            "ceems_lb_backend_healthy",
-            help="Whether the backend is considered healthy (1/0).",
-            type="gauge",
-        )
-        in_flight = MetricFamily(
-            "ceems_lb_backend_in_flight",
-            help="In-flight requests per backend.",
-            type="gauge",
-        )
-        total = MetricFamily(
-            "ceems_lb_backend_requests_total",
-            help="Requests forwarded, per backend.",
-            type="counter",
-        )
+            self._backend_families = KeptFamilies(
+                ("ceems_lb_backend_healthy", "Whether the backend is considered healthy (1/0).", "gauge"),
+                ("ceems_lb_backend_in_flight", "In-flight requests per backend.", "gauge"),
+                ("ceems_lb_backend_requests_total", "Requests forwarded, per backend.", "counter"),
+            )
         pools: list[tuple[str, Strategy]] = [("hot", self.strategy)]
         if self.longterm_strategy is not None:
             pools.append(("longterm", self.longterm_strategy))
-        for pool, strategy in pools:
-            for backend in strategy.backends:
-                healthy.add(1.0 if backend.healthy else 0.0, backend=backend.name, pool=pool)
-                in_flight.add(float(backend.active_connections), backend=backend.name, pool=pool)
-                total.add(float(backend.total_requests), backend=backend.name, pool=pool)
-        return [healthy, in_flight, total]
+        return self._backend_families.fill(
+            (
+                self._backend_labels(backend.name, pool),
+                (1.0 if backend.healthy else 0.0, float(backend.active_connections), float(backend.total_requests)),
+            )
+            for pool, strategy in pools
+            for backend in strategy.backends
+        )
+
+    def _backend_labels(self, backend: str, pool: str) -> dict[str, str]:
+        """The kept label dict of one backend's series."""
+        labels = self._backend_label_sets.get((backend, pool))
+        if labels is None:
+            labels = self._backend_label_sets[(backend, pool)] = {"backend": backend, "pool": pool}
+        return labels
 
     def _ready(self, request: Request) -> Response:
         """503 until at least one hot backend is healthy."""

@@ -12,9 +12,11 @@ triplet (``*_bucket`` with cumulative ``le`` labels including
 ``+Inf``, ``*_sum``, ``*_count``), which keeps them compatible with
 ``histogram_quantile()`` in the PromQL engine.
 
-Thread safety: observation methods take a lock, because components
-mounted on :func:`repro.common.httpx.serve_threading` handle requests
-from server threads concurrently.
+Thread safety: observation methods take the metric's lock, because
+components mounted on :func:`repro.common.httpx.serve_threading`
+handle requests from server threads concurrently; ``collect`` returns
+live families, so a render holds :attr:`MetricsRegistry.scrape_lock`
+across collect and render.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro.common.errors import CEEMSError
 from repro.obs.trace import current_trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.tsdb.exposition import MetricFamily
+    from repro.tsdb.exposition import MetricFamily, MetricPoint
 
 
 def _exposition():
@@ -95,33 +97,29 @@ def set_exemplars_enabled(enabled: bool) -> bool:
 #: closing reading in, so one request reads the clock twice in all.
 _monotonic = time.perf_counter
 
-# Exemplar capture stores raw ``(trace_id, value, monotonic)`` tuples
-# inline in each metric's per-label-set entry — no side dict, so the
-# hot path pays no second hash of the label key.  The rate-limit check
-# runs before the trace lookup: on a hot metric nearly every
-# observation exits on the freshness test, so the steady-state cost is
-# one list index and one clock read.  The wire-format
-# :class:`~repro.tsdb.exposition.Exemplar` is only built at collect()
-# time, keeping exposition types off the ingest path entirely — once
-# per captured tuple: a slot that no observation replaced hands out
-# the same object again, and with it its rendered suffix.  The label
-# dicts of a label set are likewise built once, so collect() returns
-# fresh points over shared, read-only ``labels`` and ``exemplar``.
+# Each metric keeps its families: a ``MetricFamily`` made at the first
+# collect and one ``MetricPoint`` per label set, made with the label set
+# (with its label dicts, read-only from then on).  A counter or gauge
+# writes straight into its point, so ``collect`` does no work per
+# point; a histogram counts per bucket and writes the cumulative points
+# at ``collect``, under its lock, for the label sets observed since the
+# previous one — a render then never shows an observation half applied
+# across buckets.  What ``collect`` returns is therefore live: valid
+# until the next ``collect`` (see :class:`MetricsRegistry`).
+#
+# Exemplar capture keeps the capture's monotonic time beside the point
+# the exemplar rides on — no side dict, so the hot path pays no second
+# hash of the label key.  The rate-limit check runs before the trace
+# lookup: on a hot metric nearly every observation exits on the
+# freshness test, so the steady-state cost is one list index and one
+# clock read.  A captured wire :class:`~repro.tsdb.exposition.Exemplar`
+# is built once per capture — at most one per slot per
+# ``_EXEMPLAR_MIN_INTERVAL`` — and handed out until the next capture
+# replaces it, and with it its rendered suffix.
 
 
-def _wire_exemplar(exposition, captured, wire: list, idx: int):
-    """Captured tuple in slot ``idx`` -> wire :class:`Exemplar` (or
-    ``None``), built when the capture is one ``wire`` has not seen."""
-    if captured is None:
-        return None
-    built = wire[idx]
-    if built is None or built[0] is not captured:
-        trace_id, value, _mono = captured
-        built = wire[idx] = (
-            captured,
-            exposition.Exemplar(labels={"trace_id": trace_id}, value=value),
-        )
-    return built[1]
+def _new_exemplar(trace_id: str, value: float):
+    return _exposition().Exemplar(labels={"trace_id": trace_id}, value=value)
 
 
 class _Metric:
@@ -133,6 +131,11 @@ class _Metric:
         self.name = name
         self.help = help
         self._lock = threading.Lock()
+        #: The families ``collect`` hands out, made by the first one.
+        self._families: list[MetricFamily] | None = None
+
+    def _family(self, name: str, help: str = "", type: str | None = None) -> MetricFamily:
+        return _exposition().MetricFamily(name, help=help, type=type or self.type)
 
     def collect(self) -> list[MetricFamily]:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -145,8 +148,8 @@ class Counter(_Metric):
 
     def __init__(self, name: str, help: str = "") -> None:
         super().__init__(name, help)
-        # per label set: [running total, captured exemplar tuple|None,
-        # label dict and one-slot exemplar memo for collect()]
+        # per label set: [its point (the running total), monotonic time
+        # of the exemplar captured on it]
         self._values: dict[_LabelKey, list] = {}
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
@@ -164,35 +167,38 @@ class Counter(_Metric):
         try:
             entry = self._values.get(key)
             if entry is None:
-                entry = self._values[key] = [0.0, None, dict(key), [None]]
-            entry[0] += amount
+                entry = self._values[key] = [_exposition().MetricPoint(dict(key), 0.0), _NEVER]
+            point = entry[0]
+            point.value += amount
             if _EXEMPLARS_ENABLED:
                 # Exemplar value is the increment, not the running
                 # total: "this trace contributed this much".
-                prev = entry[1]
                 if now is None:
                     now = _monotonic()
-                if prev is None or now - prev[2] >= _EXEMPLAR_MIN_INTERVAL:
+                if now - entry[1] >= _EXEMPLAR_MIN_INTERVAL:
                     ctx = current_trace()
                     if ctx is not None:
-                        entry[1] = (ctx.trace_id, amount, now)
+                        entry[1] = now
+                        point.exemplar = _new_exemplar(ctx.trace_id, amount)
         finally:
             self._lock.release()
 
     def value(self, **labels: str) -> float:
         entry = self._values.get(_label_key(labels))
-        return entry[0] if entry else 0.0
+        return entry[0].value if entry else 0.0
 
     def collect(self) -> list[MetricFamily]:
-        exposition = _exposition()
-        family = exposition.MetricFamily(self.name, help=self.help, type=self.type)
-        point = exposition.MetricPoint
         with self._lock:
-            family.points = [
-                point(labels, value, None, _wire_exemplar(exposition, captured, wire, 0))
-                for value, captured, labels, wire in self._values.values()
-            ]
-        return [family]
+            if self._families is None:
+                self._families = [self._family(self.name, self.help)]
+            family = self._families[0]
+            if len(family.points) != len(self._values):  # a new label set
+                family.points = [entry[0] for entry in self._values.values()]
+        return self._families
+
+
+#: Capture time of a slot that has none yet: always due.
+_NEVER = float("-inf")
 
 
 class Gauge(_Metric):
@@ -202,29 +208,40 @@ class Gauge(_Metric):
 
     def __init__(self, name: str, help: str = "") -> None:
         super().__init__(name, help)
-        self._values: dict[_LabelKey, float] = {}
+        #: per label set: its point
+        self._values: dict[_LabelKey, MetricPoint] = {}
+
+    def _point(self, key: _LabelKey) -> MetricPoint:
+        point = self._values.get(key)
+        if point is None:
+            point = self._values[key] = _exposition().MetricPoint(dict(key), 0.0)
+        return point
 
     def set(self, value: float, **labels: str) -> None:
+        key = _label_key(labels)
         with self._lock:
-            self._values[_label_key(labels)] = float(value)
+            self._point(key).value = float(value)
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         key = _label_key(labels)
         with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
+            self._point(key).value += amount
 
     def dec(self, amount: float = 1.0, **labels: str) -> None:
         self.inc(-amount, **labels)
 
     def value(self, **labels: str) -> float:
-        return self._values.get(_label_key(labels), 0.0)
+        point = self._values.get(_label_key(labels))
+        return point.value if point else 0.0
 
     def collect(self) -> list[MetricFamily]:
-        family = _exposition().MetricFamily(self.name, help=self.help, type=self.type)
         with self._lock:
-            for key, value in self._values.items():
-                family.add(value, **dict(key))
-        return [family]
+            if self._families is None:
+                self._families = [self._family(self.name, self.help)]
+            family = self._families[0]
+            if len(family.points) != len(self._values):  # a new label set
+                family.points = list(self._values.values())
+        return self._families
 
 
 class Histogram(_Metric):
@@ -243,14 +260,14 @@ class Histogram(_Metric):
         if not self.buckets:
             raise CEEMSError(f"histogram {self.name} needs at least one bucket")
         # ``le`` label text is a pure function of the (immutable)
-        # bucket bounds; formatting it once here keeps collect() —
-        # which runs on every exporter scrape — allocation-light.
+        # bucket bounds, formatted once here.
         self._le_strs: tuple[str, ...] = tuple(self._le(b) for b in self.buckets)
-        # per label set: (per-bucket counts (+overflow slot),
-        # [sum, count], per-bucket exemplar tuples (+overflow slot),
-        # then for collect(): per-bucket label dicts (+Inf slot, then
-        # the le-less one of _sum/_count) and the exemplar memo)
-        self._data: dict[_LabelKey, tuple[list[int], list[float], list, list[dict], list]] = {}
+        # per label set: (per-bucket counts (+overflow slot), [sum,
+        # count], per-bucket exemplar captures (+overflow slot), then
+        # for collect(): its points — one per bucket, +Inf, _sum,
+        # _count — and per bucket the capture its point's exemplar
+        # was built from)
+        self._data: dict[_LabelKey, tuple[list[int], list[float], list, list[MetricPoint], list]] = {}
 
     def observe(self, value: float, **labels: str) -> None:
         self.observe_key(_label_key(labels), value)
@@ -265,11 +282,7 @@ class Histogram(_Metric):
         try:
             entry = self._data.get(key)
             if entry is None:
-                slots = len(self.buckets) + 1
-                dicts = [{**dict(key), "le": le} for le in (*self._le_strs, "+Inf")]
-                dicts.append(dict(key))
-                entry = ([0] * slots, [0.0, 0.0], [None] * slots, dicts, [None] * slots)
-                self._data[key] = entry
+                entry = self._data[key] = self._new_entry(key)
             entry[0][idx] += 1
             entry[1][0] += value  # sum
             entry[1][1] += 1  # count
@@ -287,6 +300,15 @@ class Histogram(_Metric):
                         exemplars[idx] = (ctx.trace_id, value, now)
         finally:
             self._lock.release()
+
+    def _new_entry(self, key: _LabelKey) -> tuple:
+        point = _exposition().MetricPoint
+        slots = len(self.buckets) + 1
+        plain = dict(key)
+        points = [point({**plain, "le": le}, 0.0) for le in (*self._le_strs, "+Inf")]
+        points.append(point(plain, 0.0))  # _sum
+        points.append(point(plain, 0.0))  # _count
+        return ([0] * slots, [0.0, 0.0], [None] * slots, points, [None] * slots)
 
     def count(self, **labels: str) -> float:
         entry = self._data.get(_label_key(labels))
@@ -306,38 +328,36 @@ class Histogram(_Metric):
         # The marker family carries HELP/TYPE histogram; sample lines
         # live in the _bucket/_sum/_count families (what the scrape
         # parser turns into the queryable series).
-        exposition = _exposition()
-        marker = exposition.MetricFamily(self.name, help=self.help, type=self.type)
-        buckets = exposition.MetricFamily(f"{self.name}_bucket", type="counter")
-        sums = exposition.MetricFamily(f"{self.name}_sum", type="counter")
-        counts = exposition.MetricFamily(f"{self.name}_count", type="counter")
-        point = exposition.MetricPoint
-        bucket_points = buckets.points
-        last = len(self.buckets)
         with self._lock:
-            for counts_per_bucket, sum_count, exemplars, labels, wire in self._data.values():
+            families = self._families
+            if families is None:
+                families = self._families = [
+                    self._family(self.name, self.help),
+                    self._family(f"{self.name}_bucket", type="counter"),
+                    self._family(f"{self.name}_sum", type="counter"),
+                    self._family(f"{self.name}_count", type="counter"),
+                ]
+            _marker, buckets, sums, counts = families
+            data = self._data
+            if len(sums.points) != len(data):  # a new label set
+                buckets.points = [point for entry in data.values() for point in entry[3][:-2]]
+                sums.points = [entry[3][-2] for entry in data.values()]
+                counts.points = [entry[3][-1] for entry in data.values()]
+            for per_bucket, sum_count, exemplars, points, built in data.values():
+                if points[-1].value == sum_count[1]:
+                    continue  # nothing observed since the last collect
                 cumulative = 0
-                for idx in range(last):
-                    cumulative += counts_per_bucket[idx]
-                    bucket_points.append(
-                        point(
-                            labels[idx],
-                            float(cumulative),
-                            None,
-                            _wire_exemplar(exposition, exemplars[idx], wire, idx),
-                        )
-                    )
-                bucket_points.append(
-                    point(
-                        labels[last],
-                        sum_count[1],
-                        None,
-                        _wire_exemplar(exposition, exemplars[last], wire, last),
-                    )
-                )
-                sums.points.append(point(labels[-1], sum_count[0]))
-                counts.points.append(point(labels[-1], sum_count[1]))
-        return [marker, buckets, sums, counts]
+                for idx, count in enumerate(per_bucket):
+                    cumulative += count
+                    point = points[idx]
+                    point.value = float(cumulative)
+                    captured = exemplars[idx]
+                    if captured is not built[idx]:
+                        built[idx] = captured
+                        point.exemplar = _new_exemplar(captured[0], captured[1])
+                points[-2].value = sum_count[0]
+                points[-1].value = sum_count[1]
+        return families
 
 
 class _CallbackGauge(_Metric):
@@ -357,10 +377,13 @@ class _CallbackGauge(_Metric):
         self.const_labels = const_labels
 
     def collect(self) -> list[MetricFamily]:
-        exposition = _exposition()
-        family = exposition.MetricFamily(self.name, help=self.help, type=self.type)
-        family.points.append(exposition.MetricPoint(self.const_labels, float(self.fn())))
-        return [family]
+        families = self._families
+        if families is None:
+            family = self._family(self.name, self.help)
+            family.points.append(_exposition().MetricPoint(self.const_labels, 0.0))
+            families = self._families = [family]
+        families[0].points[0].value = float(self.fn())
+        return families
 
 
 class MetricsRegistry:
@@ -370,12 +393,24 @@ class MetricsRegistry:
     in registration order; ``collector()`` callbacks run last, letting
     components expose pre-existing plain-attribute statistics (cache
     hit counters, backend health) without double bookkeeping.
+
+    **Live families.** ``collect()`` returns the metrics' own families,
+    kept between collects: valid until the next ``collect()``, which
+    writes new readings into the same ``MetricFamily`` and
+    ``MetricPoint`` objects (a family's point list is replaced only
+    when a label set is new).  Whoever renders them therefore holds
+    :attr:`scrape_lock` across collect and render — :meth:`render`
+    does, and so does an exporter that serves these families inside
+    its own body — so one scrape never shows another's readings.
+    Label dicts and exemplars on the points stay read-only.
     """
 
     def __init__(self) -> None:
         self._metrics: dict[str, _Metric] = {}
         self._collectors: list[Callable[[], list[MetricFamily]]] = []
         self._lock = threading.Lock()
+        #: Held across one collect and the render of what it returned.
+        self.scrape_lock = threading.Lock()
         #: The last rendered body (an ``exposition.Body``), made by the
         #: first render: the import is deferred, see :func:`_exposition`.
         self.body = None
@@ -438,6 +473,7 @@ class MetricsRegistry:
         return families
 
     def render(self) -> str:
-        if self.body is None:
-            self.body = _exposition().Body()
-        return self.body.render(self.collect())
+        with self.scrape_lock:
+            if self.body is None:
+                self.body = _exposition().Body()
+            return self.body.render(self.collect())

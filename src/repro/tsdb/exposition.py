@@ -20,6 +20,7 @@ import math
 import re
 import threading
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.common.errors import ScrapeError
 from repro.tsdb.model import METRIC_NAME_LABEL, Labels
@@ -76,6 +77,86 @@ class MetricFamily:
         convenience; a collector with several points per label set
         builds ``MetricPoint(labelset, value)`` over one shared dict."""
         self.points.append(MetricPoint(labels, value, timestamp_ms, exemplar))
+
+
+class KeptFamilies:
+    """A collector's families, kept between collects.
+
+    A *row* is one series identity: a label dict the caller keeps (the
+    same object on every collect while the series lives, as
+    ``exposition.Body`` wants it) with at most one reading per family.
+    :meth:`fill` writes a collect's readings into the points it made
+    for each row the first time and rebuilds the families' point lists
+    only when the rows, their order or the families they show up in
+    differ from the previous fill.  The families are made once.
+    """
+
+    __slots__ = ("families", "_rows")
+
+    def __init__(self, *heads: tuple[str, str, str]) -> None:
+        #: The live families, one per ``(name, help, type)`` head.
+        self.families = [MetricFamily(name, help, type) for name, help, type in heads]
+        #: The rows of the previous fill, in order: (labels, one point
+        #: per family, whether each family shows its point); ``None``
+        #: after a fill that failed.
+        self._rows: list[tuple[dict[str, str], list[MetricPoint], list[bool]]] | None = []
+
+    def fill(self, rows: Iterable[tuple[dict[str, str], tuple[float | None, ...]]]) -> list[MetricFamily]:
+        """Write ``rows`` into the families and return them.
+
+        A row is ``(labels, readings)``: one reading per family, in
+        family order, ``None`` where the series has no point in that
+        family this time.  Points appear in each family in row order.
+        """
+        kept = self._rows
+        # After a failed fill no row order is trusted: rebuild.
+        shown_changed = kept is None
+        if kept is None:
+            kept = []
+        size = len(kept)
+        at = 0
+        fresh = None  # the new row order, from the first row that moved
+        try:
+            for labels, readings in rows:
+                if fresh is None and at < size and kept[at][0] is labels:
+                    row = kept[at]
+                    at += 1
+                else:
+                    if fresh is None:
+                        fresh = kept[:at]
+                        known = {id(row[0]): row for row in kept}
+                    row = known.get(id(labels))
+                    if row is None or row[0] is not labels:
+                        width = len(self.families)
+                        row = (labels, [MetricPoint(labels, 0.0) for _ in range(width)], [False] * width)
+                    fresh.append(row)
+                shown = row[2]
+                for point, reading, was in zip(row[1], readings, shown):
+                    if reading is not None:
+                        point.value = reading
+                        if not was:
+                            break
+                    elif was:
+                        break
+                else:
+                    continue
+                # The row shows up in other families than last time.
+                shown[:] = [reading is not None for reading in readings]
+                for point, reading in zip(row[1], readings):
+                    if reading is not None:
+                        point.value = reading
+                shown_changed = True
+        except BaseException:
+            # Some rows may be half written: the next fill rebuilds.
+            self._rows = None
+            raise
+        if fresh is None and at < size:
+            fresh = kept[:at]
+        if fresh is not None or shown_changed:
+            rows = self._rows = kept if fresh is None else fresh
+            for j, family in enumerate(self.families):
+                family.points = [row[1][j] for row in rows if row[2][j]]
+        return self.families
 
 
 def _escape_help(text: str) -> str:

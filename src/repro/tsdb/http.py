@@ -315,108 +315,44 @@ class PromAPI:
             help="Queries that exceeded the slow-query threshold.",
             type="counter",
         )
+        self._engine_stats = _EngineStats()
         registry.collector(self._collect_engine_stats)
 
     def _collect_engine_stats(self):
-        from repro.tsdb.exposition import MetricFamily
+        from repro.obs.trace import SAMPLER_STATS
         from repro.tsdb.persist.chunkio import DECODE_CACHE_STATS
         from repro.tsdb.promql.columnar import COLUMNAR_STATS
         from repro.tsdb.storage import SNAPSHOT_STATS
 
-        families = []
-        seconds = MetricFamily(
-            "ceems_promql_eval_seconds_total",
-            help="Wall seconds spent evaluating PromQL, per query kind.",
-            type="counter",
-        )
-        queries = MetricFamily(
-            "ceems_promql_eval_queries_total",
-            help="PromQL evaluations, per query kind.",
-            type="counter",
-        )
-        for kind, count in self.engine.eval_queries.items():
-            if count:  # a kind gets its series with its first query
-                seconds.add(self.engine.eval_seconds[kind], kind=kind)
-                queries.add(float(count), kind=kind)
-        families.extend([seconds, queries])
-
+        kept = self._engine_stats
+        engine = self.engine
+        # a kind gets its series with its first query
+        families = [
+            *kept.kinds.fill(
+                (kept.labels("kind", kind), (engine.eval_seconds[kind], float(count)))
+                for kind, count in engine.eval_queries.items()
+                if count
+            )
+        ]
         # Storage selector memo (the hot TSDB and the Thanos fan-out
         # both expose {hits, misses}).
         stats_fn = getattr(self.storage, "selector_cache_stats", None)
         if stats_fn is not None:
             stats = stats_fn()
-            hits = MetricFamily(
-                "ceems_tsdb_select_cache_hits_total",
-                help="Selector memo hits in the storage backend.",
-                type="counter",
-            )
-            misses = MetricFamily(
-                "ceems_tsdb_select_cache_misses_total",
-                help="Selector memo misses in the storage backend.",
-                type="counter",
-            )
-            hits.add(float(stats["hits"]))
-            misses.add(float(stats["misses"]))
-            families.extend([hits, misses])
-
-        snapshots = MetricFamily(
-            "ceems_tsdb_snapshot_cache_total",
-            help="Head series arrays() snapshot-cache events, process-wide.",
-            type="counter",
-        )
-        snapshots.add(float(SNAPSHOT_STATS["hits"]), event="hit")
-        snapshots.add(float(SNAPSHOT_STATS["builds"]), event="build")
-        families.append(snapshots)
-
+            families += kept.select_memo.fill(((kept.none, (float(stats["hits"]), float(stats["misses"]))),))
+        hits, builds = float(SNAPSHOT_STATS["hits"]), float(SNAPSHOT_STATS["builds"])
+        families += kept.snapshots.fill(((kept.labels("event", "hit"), (hits,)), (kept.labels("event", "build"), (builds,))))
         # Flat aliases of the snapshot counters (a build is a cache
-        # miss): one sample per family, the conventional Prometheus
-        # shape for recording rules and dashboards.
-        snap_hits = MetricFamily(
-            "ceems_tsdb_snapshot_cache_hits_total",
-            help="Head series arrays() snapshot-cache hits, process-wide.",
-            type="counter",
+        # miss), then the process-wide decoded-chunk LRU.
+        families += kept.totals.fill(
+            ((kept.none, (hits, builds, *(float(DECODE_CACHE_STATS[event]) for event in _DECODE_EVENTS))),)
         )
-        snap_hits.add(float(SNAPSHOT_STATS["hits"]))
-        snap_misses = MetricFamily(
-            "ceems_tsdb_snapshot_cache_misses_total",
-            help="Head series arrays() snapshot rebuilds (cache misses), process-wide.",
-            type="counter",
+        families += kept.columnar.fill(
+            (kept.labels("event", event), (float(count),)) for event, count in COLUMNAR_STATS.items()
         )
-        snap_misses.add(float(SNAPSHOT_STATS["builds"]))
-        families.extend([snap_hits, snap_misses])
-
-        # Decoded-chunk LRU (query-over-chunks): hit/miss/eviction
-        # counters of the process-wide Gorilla decode cache.
-        for event in ("hits", "misses", "evictions"):
-            family = MetricFamily(
-                f"ceems_tsdb_chunk_decode_cache_{event}_total",
-                help=f"Decoded-chunk LRU {event}, process-wide.",
-                type="counter",
-            )
-            family.add(float(DECODE_CACHE_STATS[event]))
-            families.append(family)
-
-        columnar = MetricFamily(
-            "ceems_promql_columnar_total",
-            help="Columnar-evaluator events, process-wide.",
-            type="counter",
-        )
-        for event, count in COLUMNAR_STATS.items():
-            columnar.add(float(count), event=event)
-        families.append(columnar)
-
         # Tail-sampler totals, process-wide (every component's sampler
         # feeds the same aggregate; see repro.obs.trace.SAMPLER_STATS).
-        from repro.obs.trace import SAMPLER_STATS
-
-        for outcome in ("kept", "dropped"):
-            family = MetricFamily(
-                f"ceems_trace_sampler_{outcome}_total",
-                help=f"Spans {outcome} by tail-based sampling, process-wide.",
-                type="counter",
-            )
-            family.add(float(SAMPLER_STATS[outcome]))
-            families.append(family)
+        families += kept.sampler.fill(((kept.none, tuple(float(SAMPLER_STATS[o]) for o in _SAMPLER_OUTCOMES)),))
         return families
 
     # -- query introspection pipeline ---------------------------------------
@@ -709,3 +645,56 @@ class PromAPI:
         if self.alertmanager is None:
             return Response.error(404, "no alertmanager configured")
         return self.alertmanager.app.handle(request)
+
+
+_DECODE_EVENTS = ("hits", "misses", "evictions")
+_SAMPLER_OUTCOMES = ("kept", "dropped")
+
+
+class _EngineStats:
+    """The families ``PromAPI`` adds to its ``/metrics``, kept between
+    scrapes (see ``exposition.KeptFamilies``), with their label dicts."""
+
+    def __init__(self) -> None:
+        from repro.tsdb.exposition import KeptFamilies
+
+        self.kinds = KeptFamilies(
+            ("ceems_promql_eval_seconds_total", "Wall seconds spent evaluating PromQL, per query kind.", "counter"),
+            ("ceems_promql_eval_queries_total", "PromQL evaluations, per query kind.", "counter"),
+        )
+        self.select_memo = KeptFamilies(
+            ("ceems_tsdb_select_cache_hits_total", "Selector memo hits in the storage backend.", "counter"),
+            ("ceems_tsdb_select_cache_misses_total", "Selector memo misses in the storage backend.", "counter"),
+        )
+        self.snapshots = KeptFamilies(
+            ("ceems_tsdb_snapshot_cache_total", "Head series arrays() snapshot-cache events, process-wide.", "counter")
+        )
+        self.totals = KeptFamilies(
+            ("ceems_tsdb_snapshot_cache_hits_total", "Head series arrays() snapshot-cache hits, process-wide.", "counter"),
+            (
+                "ceems_tsdb_snapshot_cache_misses_total",
+                "Head series arrays() snapshot rebuilds (cache misses), process-wide.",
+                "counter",
+            ),
+            *(
+                (f"ceems_tsdb_chunk_decode_cache_{event}_total", f"Decoded-chunk LRU {event}, process-wide.", "counter")
+                for event in _DECODE_EVENTS
+            ),
+        )
+        self.columnar = KeptFamilies(("ceems_promql_columnar_total", "Columnar-evaluator events, process-wide.", "counter"))
+        self.sampler = KeptFamilies(
+            *(
+                (f"ceems_trace_sampler_{outcome}_total", f"Spans {outcome} by tail-based sampling, process-wide.", "counter")
+                for outcome in _SAMPLER_OUTCOMES
+            )
+        )
+        #: The label dict of the series without labels.
+        self.none: dict[str, str] = {}
+        self._labels: dict[tuple[str, str], dict[str, str]] = {}
+
+    def labels(self, name: str, value: str) -> dict[str, str]:
+        """The kept ``{name: value}`` dict."""
+        labels = self._labels.get((name, value))
+        if labels is None:
+            labels = self._labels[(name, value)] = {name: value}
+        return labels

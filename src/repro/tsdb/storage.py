@@ -491,11 +491,8 @@ class TSDB:
 
     Epoch / cache invalidation contract
     -----------------------------------
-    * ``series_epoch`` bumps exactly when the series *population*
-      changes (creation in :meth:`_get_or_create_series`, deletion in
-      :meth:`_drop_series`); ``data_epoch`` bumps on every sample
-      mutation (append, bulk append, retention truncation, series
-      deletion).
+    * ``data_epoch`` bumps on every sample mutation (append, bulk
+      append, retention truncation, series deletion).
     * ``_select_cache`` maps matcher tuples to lists of live
       :class:`ColumnarSeries` objects, and the contract is that a
       cached list is exactly what an uncached select would return
@@ -547,8 +544,6 @@ class TSDB:
         self._select_keys: dict[str | None, set[tuple[Matcher, ...]]] = {}
         self.select_cache_hits = 0
         self.select_cache_misses = 0
-        #: bumps when series are created or deleted
-        self.series_epoch = 0
         #: bumps on any sample mutation (append, retention, delete)
         self.data_epoch = 0
         #: Optional :class:`repro.obs.telemetry.Telemetry` sink; when
@@ -570,7 +565,6 @@ class TSDB:
             self._series_by_ref[ref] = series
             for pair in labels:
                 self._index.setdefault(pair, set()).add(labels)
-            self.series_epoch += 1
             self._forget_selects_matching(labels)
         return series
 
@@ -965,7 +959,6 @@ class TSDB:
                 postings.discard(key)
                 if not postings:
                     del self._index[pair]
-        self.series_epoch += 1
         self.data_epoch += 1
         self._forget_selects_matching(key)
 

@@ -21,10 +21,12 @@ from repro.cluster import StackSimulation, small_topology
 from repro.cluster.simulation import SimulationConfig
 from repro.cluster.topology import NodeGroupSpec
 from repro.exporter.gpu import AMDSMIExporter
+from repro.obs import telemetry as telemetry_mod
 from repro.resourcemgr.workload import SizeClass, WorkloadMix
 from repro.tsdb import exposition
 from repro.tsdb.exposition import Body, Exemplar, MetricFamily, MetricPoint, parse, render
 from repro.tsdb.scrape import ScrapeTarget
+from tests.reference import exporter as reference
 from tests.reference.exposition import render as frozen_render
 
 
@@ -318,23 +320,45 @@ class TestValueText:
 class CheckedBody(Body):
     """A ``Body`` that holds every text it serves against the frozen
     render of the same families (and the production stateless one,
-    a fresh ``Body``'s rebuild).  It keeps the verdicts instead of
+    a fresh ``Body``'s rebuild) and against the frozen render of what
+    the stateless endpoint of ``tests/reference/exporter.py`` collects
+    at the same moment (``oracle``).  It keeps the verdicts instead of
     raising: a handler that raised would just be a failed scrape."""
 
-    def __init__(self, kind: str, log: list) -> None:
+    def __init__(self, kind: str, log: list, oracle) -> None:
         super().__init__()
         self.kind = kind
         self.log = log
+        self.oracle = oracle
+        #: Every text served, in order.
+        self.served: list[str] = []
 
     def render(self, families):
         text = super().render(families)
-        self.log.append((self.kind, text == frozen_render(families) == render(families)))
+        expected = frozen_render(self.oracle())
+        self.log.append((self.kind, text == frozen_render(families) == render(families) == expected))
+        self.served.append(text)
         return text
 
 
+def _fails_between(sim, start: float, stop: float, read):
+    """``read``, raising while the sim clock is in ``[start, stop)``."""
+
+    def flaky():
+        if start <= sim.clock.now() < stop:
+            raise OSError("/proc/meminfo: input/output error")
+        return read()
+
+    return flaky
+
+
 class TestLiveDeployment:
-    """Every body of every endpoint kind, on a deployment whose jobs
-    come and go: byte-equal to the stateless render, and mostly refills."""
+    """Every body of every endpoint kind, on a deployment whose units
+    and GPU bindings come and go, where one collector fails for a while
+    and exemplars get replaced: byte-equal to the frozen stateless
+    endpoints' render of the same moment, and mostly refills."""
+
+    FAIL_FROM, FAIL_UNTIL = 10 * 60.0, 14 * 60.0
 
     @pytest.fixture(scope="class")
     def deployment(self):
@@ -356,28 +380,48 @@ class TestLiveDeployment:
                 ipmi_includes_gpu=False,
             )
         ]
-        sim = StackSimulation(topology, SimulationConfig(seed=23, update_interval=600.0), workload=churn)
-        amd_node = next(node for node in sim.nodes if node.spec.name.startswith("gpu-ipmi-excl"))
-        amd = AMDSMIExporter(amd_node, sim.clock)
+        # Every component's registry also feeds a frozen one (the oracle
+        # of its /metrics body and of the telemetry part of a CEEMS body).
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(telemetry_mod, "MetricsRegistry", reference.TeeRegistry)
+            sim = StackSimulation(topology, SimulationConfig(seed=23, update_interval=600.0), workload=churn)
+            amd_node = next(node for node in sim.nodes if node.spec.name.startswith("gpu-ipmi-excl"))
+            amd = AMDSMIExporter(amd_node, sim.clock)
         sim.scrape_manager.add_target(ScrapeTarget(app=amd.app, instance=f"{amd_node.spec.name}:9500", job="amd-smi"))
 
         log: list[tuple[str, bool]] = []
         bodies: list[CheckedBody] = []
 
-        def checked(kind: str) -> CheckedBody:
-            bodies.append(CheckedBody(kind, log))
+        def checked(kind: str, oracle) -> CheckedBody:
+            bodies.append(CheckedBody(kind, log, oracle))
             return bodies[-1]
 
+        def ceems_oracle(exporter):
+            frozen = reference.exporter_registry(exporter)
+            telemetry = exporter.app.telemetry.registry
+            return lambda: frozen.collect(sim.clock.now()) + telemetry.shadow.collect()
+
         for exporter in sim.exporters:
-            exporter.body = checked("ceems")
+            exporter.body = checked("ceems", ceems_oracle(exporter))
         for exporter in sim.gpu_exporters:
-            exporter.body = checked("dcgm")
-        amd.body = checked("amd-smi")
-        sim.emissions_exporter.body = checked("emissions")
-        endpoints = {id(e.app) for e in [*sim.exporters, *sim.gpu_exporters, amd, sim.emissions_exporter]}
+            exporter.body = checked("dcgm", lambda node=exporter.node: reference.dcgm_families(node))
+        amd.body = checked("amd-smi", lambda: reference.amd_smi_families(amd_node))
+        emissions = sim.emissions_exporter
+        emissions.body = checked(
+            "emissions",
+            lambda: reference.emissions_families(emissions.collector.registry, emissions.collector.zone, sim.clock.now()),
+        )
+        endpoints = {id(e.app) for e in [*sim.exporters, *sim.gpu_exporters, amd, emissions]}
         for target in sim.scrape_manager.targets:
             if id(target.app) not in endpoints:
-                target.app.telemetry.registry.body = checked("component")
+                registry = target.app.telemetry.registry
+                assert isinstance(registry, reference.TeeRegistry)
+                registry.body = checked("component", registry.shadow.collect)
+        # One node's node collector fails for four minutes (the frozen
+        # one reads the same procfs, so it fails alike).
+        failing = sim.exporters[0].node.procfs
+        start = sim.clock.now()
+        failing.render_meminfo = _fails_between(sim, start + self.FAIL_FROM, start + self.FAIL_UNTIL, failing.render_meminfo)
         sim.run(40 * 60.0)
         return sim, log, bodies
 
@@ -400,3 +444,36 @@ class TestLiveDeployment:
         refills = sum(t[0] for t in by_kind.values())
         rebuilds = sum(t[1] for t in by_kind.values())
         assert refills / (refills + rebuilds) >= 0.9, by_kind
+
+    def test_gpu_bindings_came_and_went(self, deployment):
+        _sim, _log, bodies = deployment
+        flags = {
+            sum(line.startswith("ceems_compute_unit_gpu_index_flag{") for line in text.splitlines())
+            for body in bodies
+            if body.kind == "ceems"
+            for text in body.served
+        }
+        assert len(flags) >= 2 and 0 in flags, flags
+
+    def test_the_failing_collector_was_left_out_and_came_back(self, deployment):
+        sim, _log, bodies = deployment
+        body = next(b for b in bodies if b.kind == "ceems" and b is sim.exporters[0].body)
+        marks = [
+            ('ceems_exporter_collector_success{collector="node"} 0' in text, "ceems_meminfo_total_bytes " in text)
+            for text in body.served
+        ]
+        assert (True, False) in marks and (False, True) in marks
+        assert all(failed != shown for failed, shown in marks)
+        assert marks[-1] == (False, True)
+        assert sim.exporters[0].registry.errors_total["node"] >= 10
+
+    def test_exemplars_were_replaced(self, deployment):
+        _sim, _log, bodies = deployment
+        suffixes: dict[tuple[int, str], set[str]] = {}
+        for body in bodies:
+            for text in body.served:
+                for line in text.splitlines():
+                    if not line.startswith("#") and " # {" in line:
+                        series, _, exemplar = line.partition(" # {")
+                        suffixes.setdefault((id(body), series.rsplit(" ", 1)[0]), set()).add(exemplar)
+        assert suffixes and max(len(seen) for seen in suffixes.values()) >= 2

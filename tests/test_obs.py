@@ -171,7 +171,7 @@ class TestCollectMemos:
         first = lat.collect()[1].points[0]
         again = lat.collect()[1].points[0]
         assert first.exemplar is again.exemplar and first.labels is again.labels
-        assert first is not again  # a point per collect; its labels and exemplar are shared, read-only
+        assert first is again  # the point is kept between collects; its labels and exemplar are read-only
 
     def test_golden_body(self, monkeypatch):
         """The le / +Inf / _sum / _count layout, pinned as bytes."""
