@@ -45,6 +45,10 @@ class ElectricityMapsProvider(EmissionFactorProvider):
         self.seed = seed
         self.rate_limit_per_hour = rate_limit_per_hour
         self._calls_in_window: dict[int, int] = {}
+        #: zone -> ``(window_start, seed, value)`` of the last window
+        #: asked for: every call inside one window reads the same
+        #: published value.
+        self._published: dict[str, tuple[float, int, float]] = {}
 
     def factor(self, zone: str, now: float) -> EmissionFactor:
         zone = zone.upper()
@@ -53,9 +57,12 @@ class ElectricityMapsProvider(EmissionFactorProvider):
             raise ProviderError(f"zone {zone!r} not covered by Electricity Maps")
         self._check_rate_limit(now)
         window_start = math.floor(now / _WINDOW) * _WINDOW
+        published = self._published.get(zone)
+        if published is None or published[:2] != (window_start, self.seed):
+            published = self._published[zone] = (window_start, self.seed, self._zone_model(zone, base, window_start))
         return EmissionFactor(
             zone=zone,
-            value=self._zone_model(zone, base, window_start),
+            value=published[2],
             provider=self.name,
             timestamp=window_start,
         )

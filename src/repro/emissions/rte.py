@@ -45,6 +45,9 @@ class RTEProvider(EmissionFactorProvider):
         self.seed = seed
         #: Simulates API outage for fallback-chain tests.
         self.available = available
+        #: ``(window_start, seed, value)`` of the last window asked for:
+        #: every scrape inside one window reads the same published value.
+        self._published: tuple[float, int, float] | None = None
 
     def factor(self, zone: str, now: float) -> EmissionFactor:
         if zone.upper() != "FR":
@@ -52,9 +55,12 @@ class RTEProvider(EmissionFactorProvider):
         if not self.available:
             raise ProviderError("éco2mix API unavailable")
         window_start = math.floor(now / _WINDOW) * _WINDOW
+        published = self._published
+        if published is None or published[:2] != (window_start, self.seed):
+            published = self._published = (window_start, self.seed, self._mix_model(window_start))
         return EmissionFactor(
             zone="FR",
-            value=self._mix_model(window_start),
+            value=published[2],
             provider=self.name,
             timestamp=window_start,
         )

@@ -8,6 +8,7 @@ regular-expression label comparison.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -132,6 +133,11 @@ class Labels:
 
 EMPTY_LABELS = Labels()
 
+#: Sort key of anything with a ``labels`` attribute (a series): its
+#: label pairs in order, the order ``tuple(labels)`` gives, read
+#: without building a tuple per element.
+BY_LABELS = operator.attrgetter("labels._items")
+
 
 @dataclass(frozen=True, slots=True)
 class Sample:
@@ -163,6 +169,16 @@ class Matcher:
             object.__setattr__(self, "_regex", re.compile(anchored_regex(self.value)))
         else:
             object.__setattr__(self, "_regex", None)
+        # A selector's matcher tuple keys the storage selector memo on
+        # every evaluation: hash once, not the fields and enum each time.
+        object.__setattr__(self, "_hash", hash((self.name, self.op, self.value)))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
+
+    def __reduce__(self):
+        # Rebuilt from its fields: a string's hash is per process.
+        return (type(self), (self.name, self.op, self.value))
 
     def matches(self, labels: Labels) -> bool:
         actual = labels.get(self.name, "")

@@ -32,7 +32,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.tsdb.model import Labels, select_labels
+from repro.tsdb.model import BY_LABELS, Labels, select_labels
 from repro.tsdb.persist.chunk import decode_chunk
 from repro.tsdb.storage import SeriesReads
 
@@ -265,7 +265,7 @@ class ChunkIndex:
             ChunkSeries(labels, [c for chunks in series[labels].values() for c in chunks])
             for labels in select_labels(self._postings, series, key)
         ]
-        out.sort(key=lambda s: tuple(s.labels))
+        out.sort(key=BY_LABELS)
         if len(self._memo) >= self.MEMO_MAX:
             self._memo.clear()
         self._memo[key] = out

@@ -142,7 +142,7 @@ from repro.tsdb.promql.functions import (
     quantile,
     topk_counts,
 )
-from repro.tsdb.promql.parser import PlanMemo
+from repro.tsdb.promql.parser import Kept, PlanMemo
 
 #: Process-wide columnar-evaluator counters (self-telemetry): range
 #: queries evaluated plus per-query memo hits.  Module level because
@@ -205,12 +205,12 @@ def _folded(labels: tuple, values: np.ndarray, present: np.ndarray, clashes: lis
     return _Matrix(tuple([labels[i] for i in keep.tolist()]), values[keep], present[keep])
 
 
-def _grid_groups(node: Aggregation, labels: tuple) -> tuple:
+def _grid_groups(kept: Kept, node: Aggregation, labels: tuple) -> tuple:
     """``_group_plan`` as one pass over the rows wants it: the output
     keys, the rows in group order (``order``, group ``g`` from
     ``bounds[g]``) and each row's group (``gid``).  A lone group's rows
     already are in order."""
-    keys, members = _group_plan(node, labels)
+    keys, members = _group_plan(kept, node, labels)
     G, S = len(keys), len(labels)
     if G <= 1:
         return keys, slice(None), np.zeros(S, dtype=np.intp), np.zeros(1, dtype=np.intp)
@@ -223,18 +223,18 @@ def _grid_groups(node: Aggregation, labels: tuple) -> tuple:
     return keys, order, gid, bounds
 
 
-def _grid_match(node: BinaryOp, lhs: tuple, rhs: tuple) -> tuple:
+def _grid_match(kept: Kept, node: BinaryOp, lhs: tuple, rhs: tuple) -> tuple:
     """``_match_plan`` with its pair indices as gather arrays."""
-    labels, l_idx, r_idx, clashes = _match_plan(node, lhs, rhs)
+    labels, l_idx, r_idx, clashes = _match_plan(kept, node, lhs, rhs)
     return labels, np.asarray(l_idx, dtype=np.intp), np.asarray(r_idx, dtype=np.intp), clashes
 
 
-def _grid_set(node: BinaryOp, lhs: tuple, rhs: tuple) -> tuple:
+def _grid_set(kept: Kept, node: BinaryOp, lhs: tuple, rhs: tuple) -> tuple:
     """``_set_plan``'s signature groups as index arrays, the number of
     group rows (one more, always absent, for a signature the other side
     lacks), and for ``or`` its rows — every row of both sides — with
     their clashes."""
-    _labels, _l_idx, _r_idx, (member, groups) = _set_plan(node, lhs, rhs)
+    _labels, _l_idx, _r_idx, (member, groups) = _set_plan(kept, node, lhs, rhs)
     rows = None
     if node.op == "or":
         # An rhs row holding an lhs row's labels shares its signature,
@@ -277,24 +277,27 @@ class Windows:
 
 
 def _flatten(
-    ts_parts: list[np.ndarray], vs_parts: list[np.ndarray], lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Samples ``[max(lo[i], 0), hi[i])`` of every series laid back to
-    back in one flat ``ts``/``vs`` pair, plus per series the shift that
-    turns its own sample index into the flat one.  Only the samples some
-    step can reach are copied; one series' arrays are used as they are,
-    never copied."""
+    ts_parts: list[np.ndarray], vs_parts: list[np.ndarray], bounds: list[tuple[int, int]]
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Samples ``[a, b)`` of every series, ``bounds[i] == (a, b)``, laid
+    back to back in one flat ``ts``/``vs`` pair, plus where each series'
+    samples start in it (and, last, where they end).  Only the samples
+    some step can reach are copied — both arrays in one copy — and one
+    series' are views of its own arrays: what a kernel scans is the
+    reachable samples, never a series' whole history."""
     if len(ts_parts) == 1:
-        return ts_parts[0], vs_parts[0], np.zeros(1, dtype=np.intp)
-    shift = np.zeros(len(ts_parts), dtype=np.intp)
-    if not ts_parts:
-        return np.zeros(0), np.zeros(0), shift
-    lo = np.maximum(lo, 0)
-    np.cumsum((hi - lo)[:-1], out=shift[1:])
-    bounds = list(zip(lo.tolist(), hi.tolist()))
-    ts = np.concatenate([part[a:b] for part, (a, b) in zip(ts_parts, bounds)])
-    vs = np.concatenate([part[a:b] for part, (a, b) in zip(vs_parts, bounds)])
-    return ts, vs, shift - lo
+        ((a, b),) = bounds
+        return ts_parts[0][a:b], vs_parts[0][a:b], [0, b - a]
+    offsets = [0]
+    ts_pieces: list[np.ndarray] = []
+    vs_pieces: list[np.ndarray] = []
+    for ts_a, vs_a, (a, b) in zip(ts_parts, vs_parts, bounds):
+        ts_pieces.append(ts_a[a:b])
+        vs_pieces.append(vs_a[a:b])
+        offsets.append(offsets[-1] + (b - a))
+    n = offsets[-1]
+    flat = np.concatenate(ts_pieces + vs_pieces) if ts_pieces else np.zeros(0)
+    return flat[:n], flat[n:], offsets
 
 
 def eval_range_columnar(
@@ -435,10 +438,11 @@ class _ColumnarEval:
             vs_parts.append(vs_a)
         # Only each row's samples from the one before the first step
         # to the last step's are ever gathered.
-        ts, vs, shift = _flatten(ts_parts, vs_parts, found[:, 0] - 1, found[:, -1])
+        lo = np.maximum(found[:, 0] - 1, 0)
+        ts, vs, offsets = _flatten(ts_parts, vs_parts, list(zip(lo.tolist(), found[:, -1].tolist())))
         if len(ts):
             present = found > 0
-            idx = found + (shift - 1)[:, None]  # flat index of that last sample
+            idx = found + (np.array(offsets[:-1]) - lo - 1)[:, None]  # flat index of that last sample
             t_found = ts[idx]
             v_found = vs[idx]
             present &= t_found > ats - self.lookback
@@ -472,28 +476,38 @@ class _ColumnarEval:
         ends = self.steps - node.selector.offset
         starts = ends - node.range_seconds
         series_list = obsquery.tracked_select(self.storage, node.selector.matchers)
-        S = len(series_list)
-        labels: list[Labels] = []
-        ts_parts: list[np.ndarray] = []
-        vs_parts: list[np.ndarray] = []
-        los = np.empty((S, self.T), dtype=np.intp)
-        his = np.empty((S, self.T), dtype=np.intp)
+        labels = self._plan(node, (tuple([series.labels for series in series_list]),), _as_is, leaf=True)
+        if not labels:
+            return self._no_windows(starts, ends)
+        T = self.T
+        # Every bound of a series in one search: a window holds
+        # ``start <= t <= end``, and ``t <= end`` is ``t < nextafter(end)``.
+        edges = np.concatenate((starts, np.nextafter(ends, np.inf)))
         # Windows only ever span [first start, last end]; chunks
         # outside that never contribute, so skip decoding them.
         lo_bound = float(starts[0])
         hi_bound = float(ends[-1])
-        for i, series in enumerate(series_list):
-            labels.append(series.labels)
+        ts_parts: list[np.ndarray] = []
+        vs_parts: list[np.ndarray] = []
+        cuts: list[np.ndarray] = []  # per series, every window's lo, then every hi
+        for series in series_list:
             ts_a, vs_a = series.query_window_arrays(lo_bound, hi_bound)
-            los[i] = ts_a.searchsorted(starts, side="left")
-            his[i] = ts_a.searchsorted(ends, side="right")
             ts_parts.append(ts_a)
             vs_parts.append(vs_a)
-        ts, vs, shift = _flatten(ts_parts, vs_parts, los[:, 0], his[:, -1])
-        los += shift[:, None]
-        his += shift[:, None]
+            cuts.append(ts_a.searchsorted(edges))
+        if T == 1:
+            # A series' one window is all of its samples that are
+            # copied: the flat offsets are the bounds.
+            ts, vs, offsets = _flatten(ts_parts, vs_parts, [cut.tolist() for cut in cuts])
+            at = np.array(offsets)
+            los, his = at[:-1, None], at[1:, None]
+        else:
+            cut = np.array(cuts)  # (S, 2T)
+            ts, vs, offsets = _flatten(ts_parts, vs_parts, list(zip(cut[:, 0].tolist(), cut[:, -1].tolist())))
+            cut += (np.array(offsets[:-1]) - cut[:, 0])[:, None]
+            los, his = cut[:, :T], cut[:, T:]
         nan = np.isnan(vs)
-        if nan.any():
+        if np.count_nonzero(nan):
             # Staleness markers delimit a series' life; range functions
             # never see them.  Dropping them re-indexes every bound by
             # the kept samples before it — the same sample set as the
@@ -504,8 +518,7 @@ class _ColumnarEval:
             los = kept_before[los]
             his = kept_before[his]
             ts, vs = ts[keep], vs[keep]
-        obsquery.record_samples(int(np.sum(his - los)))
-        labels = self._plan(node, (tuple(labels),), _as_is, leaf=True)
+        obsquery.record_samples(int(np.add.reduce(his - los, axis=None)))
         return Windows(labels, ts, vs, los, his, starts, ends)
 
     def _subquery_window_data(self, node: Subquery) -> Windows:

@@ -108,7 +108,7 @@ from repro.tsdb.promql.functions import (
     quantile,
     topk_counts,
 )
-from repro.tsdb.promql.parser import PlanMemo, parse_expr, plan_memo
+from repro.tsdb.promql.parser import Kept, PlanMemo, parse_expr, plan_memo
 
 DEFAULT_LOOKBACK = 300.0
 
@@ -247,6 +247,11 @@ SCALAR_LABELS = (EMPTY_LABELS,)
 # raises where two rows of one clash are present at the same step.  A
 # row that must not be present at all — one that would write an
 # invalid metric name — is a clash of the row with itself.
+#
+# A label half's first argument is the :class:`Kept` of its plan's
+# last build: what it derives from one member alone (a signature, a
+# label set without its name, a group key) goes through ``kept.each``,
+# so a rebuild derives only the members its last build did not see.
 
 #: Prometheus's error for a vector holding one label set twice.
 SAME_LABELSET = "vector cannot contain metrics with the same labelset"
@@ -322,34 +327,35 @@ def _rewritten(labels: tuple, dst: str, values: list[str | None], func: str) -> 
     return out, invalid + _same_labelsets(out)
 
 
-def _as_is(labels: tuple) -> tuple:
+def _as_is(kept: Kept, labels: tuple) -> tuple:
     return labels
 
 
-def _without_names(labels: tuple) -> tuple[tuple, list]:
-    out = tuple([l.without_name() for l in labels])
+def _without_names(kept: Kept, labels: tuple) -> tuple[tuple, list]:
+    out = tuple(kept.each("without_name", Labels.without_name, labels))
     return out, _same_labelsets(out)
 
 
-def _label_order(labels: tuple) -> tuple[tuple, list[int]]:
-    order = sorted(range(len(labels)), key=lambda i: tuple(labels[i]))
+def _label_order(kept: Kept, labels: tuple) -> tuple[tuple, list[int]]:
+    order = sorted(range(len(labels)), key=list(map(tuple, labels)).__getitem__)
     return tuple([labels[i] for i in order]), order
 
 
-def _group_plan(node: Aggregation, labels: tuple) -> tuple[tuple, list[list[int]]]:
+def _group_plan(kept: Kept, node: Aggregation, labels: tuple) -> tuple[tuple, list[list[int]]]:
     """Output keys in first-seen order and each group's member indices."""
     grouping = node.grouping
     if node.without:
-        keys = [l.drop(*grouping, METRIC_NAME_LABEL) for l in labels]
+        dropped = (*grouping, METRIC_NAME_LABEL)
+        keys = kept.each("group", lambda l: l.drop(*dropped), labels)
     elif grouping:
-        keys = [l.keep(grouping) for l in labels]
+        keys = kept.each("group", lambda l: l.keep(grouping), labels)
     else:
         keys = [EMPTY_LABELS] * len(labels)
     groups = _rows_by(keys)
     return tuple(groups), list(groups.values())
 
 
-def _bucket_plan(labels: tuple) -> tuple[tuple, list[list[int]], list[list[float]]]:
+def _bucket_plan(kept: Kept, labels: tuple) -> tuple[tuple, list[list[int]], list[list[float]]]:
     """``histogram_quantile``'s groups: series identity (labels without
     name and ``le``) in first-seen order, each group's rows sorted
     stably by ``le`` beside their bounds.  Rows without a parseable
@@ -369,15 +375,18 @@ def _bucket_plan(labels: tuple) -> tuple[tuple, list[list[int]], list[list[float
     return tuple(groups), rows, bounds
 
 
-def _signature(labels: Labels, matching: VectorMatching | None) -> Labels:
+def _signature(matching: VectorMatching | None):
+    """The function from a member's labels to its matching signature."""
     if matching is None:
-        return labels.without_name()
+        return Labels.without_name
+    names = matching.labels
     if matching.on:
-        return labels.keep(matching.labels)
-    return labels.drop(*matching.labels, METRIC_NAME_LABEL)
+        return lambda labels: labels.keep(names)
+    dropped = (*names, METRIC_NAME_LABEL)
+    return lambda labels: labels.drop(*dropped)
 
 
-def _match_plan(node: BinaryOp, lhs: tuple, rhs: tuple) -> tuple[tuple, list[int], list[int], list]:
+def _match_plan(kept: Kept, node: BinaryOp, lhs: tuple, rhs: tuple) -> tuple[tuple, list[int], list[int], list]:
     """Vector matching: output labels and the ``(lhs, rhs)`` index of
     every matched pair, in "many"-side order, and the clashes.  A row
     is paired with every "one"-side row sharing its signature: those
@@ -390,7 +399,8 @@ def _match_plan(node: BinaryOp, lhs: tuple, rhs: tuple) -> tuple[tuple, list[int
     # group_right mirrors group_left: match with the sides swapped,
     # compute with the original ones.
     many, one = (rhs, lhs) if group == "right" else (lhs, rhs)
-    one_sigs = [_signature(l, matching) for l in one]
+    signature = _signature(matching)
+    one_sigs = kept.each("signature", signature, one)
     partners = _rows_by(one_sigs)
     clashes = [
         (
@@ -400,30 +410,37 @@ def _match_plan(node: BinaryOp, lhs: tuple, rhs: tuple) -> tuple[tuple, list[int
         )
         for rows in _repeats(partners)
     ]
-    sigs = [_signature(l, matching) for l in many]
+    sigs = kept.each("signature", signature, many)
     if not group and len(set(sigs)) < len(sigs):
         clashes += [
             (f"many-to-many matching: duplicate signature {sigs[rows[0]]} on left side", LHS, rows)
             for rows in _repeats(_rows_by(sigs))
         ]
-    out: list[Labels] = []
     many_idx: list[int] = []
     one_idx: list[int] = []
-    for i, (labels, sig) in enumerate(zip(many, sigs)):
+    for i, sig in enumerate(sigs):
         for j in partners.get(sig, ()):
             many_idx.append(i)
             one_idx.append(j)
-            if filtering:
-                out.append(labels)
-            elif not group:
-                out.append(sig if matching and matching.on else labels.without_name())
-            else:
-                out.append(
-                    _set_labels(labels.without_name(), {name: one[j].get(name, "") for name in matching.include})
-                    if matching.include
-                    else labels.without_name()
-                )
-    out = tuple(out)
+    if filtering:
+        out = tuple([many[i] for i in many_idx])
+    elif not group and (matching is None or matching.on):
+        # The signature is the output: the labels without their name,
+        # or the ``on`` labels alone.
+        out = tuple([sigs[i] for i in many_idx])
+    elif group and matching.include:
+        # A pair's labels: the many-side element's without its name,
+        # the "one" side's values of the included labels on top.
+        include = matching.include
+        out = tuple(
+            kept.each(
+                "pair",
+                lambda pair: _set_labels(pair[0].without_name(), {name: pair[1].get(name, "") for name in include}),
+                [(many[i], one[j]) for i, j in zip(many_idx, one_idx)],
+            )
+        )
+    else:
+        out = tuple(kept.each("without_name", Labels.without_name, [many[i] for i in many_idx]))
     clashes += _same_labelsets(
         out, "multiple matches for labels: grouping labels must ensure unique matches" if group else SAME_LABELSET
     )
@@ -432,7 +449,9 @@ def _match_plan(node: BinaryOp, lhs: tuple, rhs: tuple) -> tuple[tuple, list[int
     return out, many_idx, one_idx, clashes
 
 
-def _set_plan(node: BinaryOp, lhs: tuple, rhs: tuple) -> tuple[tuple, list[int], list[int], tuple[list[int], list[int]]]:
+def _set_plan(
+    kept: Kept, node: BinaryOp, lhs: tuple, rhs: tuple
+) -> tuple[tuple, list[int], list[int], tuple[list[int], list[int]]]:
     """``and``/``unless`` keep lhs rows by rhs membership; ``or`` is all
     of lhs plus the rhs rows whose signature lhs lacks.  Membership is
     by signature group: per row of the filtered side (lhs; rhs for
@@ -440,11 +459,11 @@ def _set_plan(node: BinaryOp, lhs: tuple, rhs: tuple) -> tuple[tuple, list[int],
     (-1: none), and per row of the other side its group.  With every
     row present — the walk — that decides the output labels and the
     kept lhs and rhs indices, which come first."""
-    matching = node.matching
+    signature = _signature(node.matching)
     filtered, other = (rhs, lhs) if node.op == "or" else (lhs, rhs)
     index: dict[Labels, int] = {}
-    groups = [index.setdefault(_signature(l, matching), len(index)) for l in other]
-    member = [index.get(_signature(l, matching), -1) for l in filtered]
+    groups = [index.setdefault(sig, len(index)) for sig in kept.each("signature", signature, other)]
+    member = [index.get(sig, -1) for sig in kept.each("signature", signature, filtered)]
     if node.op == "or":
         extra = [j for j, g in enumerate(member) if g < 0]
         return lhs + tuple([rhs[j] for j in extra]), list(range(len(lhs))), extra, (member, groups)
@@ -453,7 +472,7 @@ def _set_plan(node: BinaryOp, lhs: tuple, rhs: tuple) -> tuple[tuple, list[int],
     return tuple([lhs[i] for i in keep]), keep, [], (member, groups)
 
 
-def _label_replace_plan(dst: str, replacement: str, src: str, regex: str, labels: tuple) -> tuple[tuple, list]:
+def _label_replace_plan(kept: Kept, dst: str, replacement: str, src: str, regex: str, labels: tuple) -> tuple[tuple, list]:
     pattern = _compile_anchored(regex)
     _check_label_name(dst, "destination", "label_replace")
     template = replacement.replace("$", "\\")
@@ -461,14 +480,14 @@ def _label_replace_plan(dst: str, replacement: str, src: str, regex: str, labels
     return _rewritten(labels, dst, [m.expand(template) if m else None for m in matches], "label_replace")
 
 
-def _label_join_plan(dst: str, sep: str, sources: tuple[str, ...], labels: tuple) -> tuple[tuple, list]:
+def _label_join_plan(kept: Kept, dst: str, sep: str, sources: tuple[str, ...], labels: tuple) -> tuple[tuple, list]:
     for name in sources:
         _check_label_name(name, "source", "label_join")
     _check_label_name(dst, "destination", "label_join")
     return _rewritten(labels, dst, [sep.join(l.get(s, "") for s in sources) for l in labels], "label_join")
 
 
-def _absent_plan(node: Call, labels: tuple) -> tuple:
+def _absent_plan(kept: Kept, node: Call, labels: tuple) -> tuple:
     """One label set when ``labels`` is empty, built as Prometheus's
     ``createLabelsForAbsentFunction``: from the argument selector's
     ``=`` matchers, except a name matched twice, or matched by ``=``
@@ -561,28 +580,29 @@ class PromQLEngine:
     # A node evaluates to a float, a string, or a vector
     # ``(labels, values)``.
     def _eval(self, node: Expr, at: float, memo: PlanMemo | None):
+        # The node kinds are disjoint; the ones rules hold most come first.
+        if isinstance(node, BinaryOp):
+            return self._eval_binary(node, at, memo)
+        if isinstance(node, VectorSelector):
+            return self._eval_selector(node, at, memo)
+        if isinstance(node, Aggregation):
+            return self._eval_aggregation(node, at, memo)
+        if isinstance(node, Call):
+            return self._eval_call(node, at, memo)
         if isinstance(node, NumberLiteral):
-            return node.value
-        if isinstance(node, StringLiteral):
             return node.value
         if isinstance(node, Paren):
             return self._eval(node.expr, at, memo)
+        if isinstance(node, StringLiteral):
+            return node.value
         if isinstance(node, UnaryOp):
             inner = self._eval(node.expr, at, memo)
             if isinstance(inner, tuple):
                 labels, values = inner
                 return _relabel(memo, node, labels, _without_names), [-v for v in values]
             return -inner
-        if isinstance(node, VectorSelector):
-            return self._eval_selector(node, at, memo)
         if isinstance(node, (MatrixSelector, Subquery)):
             raise QueryError("range selector only valid as a range-function argument")
-        if isinstance(node, Call):
-            return self._eval_call(node, at, memo)
-        if isinstance(node, Aggregation):
-            return self._eval_aggregation(node, at, memo)
-        if isinstance(node, BinaryOp):
-            return self._eval_binary(node, at, memo)
         raise QueryError(f"cannot evaluate node {node!r}")
 
     # -- leaves ---------------------------------------------------------------
@@ -612,11 +632,10 @@ class PromQLEngine:
             if len(node.args) != 1 or not isinstance(node.args[0], (MatrixSelector, Subquery)):
                 raise QueryError(f"{func}() expects a single range-vector argument")
             win = self._windows(node.args[0], at, memo)
-            values = WINDOW_FUNCTIONS[func](win.ts, win.vs, win.los[:, 0], win.his[:, 0], win.starts, win.ends)
+            values = WINDOW_FUNCTIONS[func](win.ts, win.vs, win.los[:, 0], win.his[:, 0], win.starts, win.ends).tolist()
             # A NaN kernel result is no element.
-            present = values == values
-            labels = tuple([l for l, p in zip(win.labels, present.tolist()) if p])
-            return _relabel(memo, node, labels, _without_names, leaf=True), values[present].tolist()
+            labels = tuple([l for l, v in zip(win.labels, values) if v == v])
+            return _relabel(memo, node, labels, _without_names, leaf=True), [v for v in values if v == v]
         if func == "quantile_over_time":
             if len(node.args) != 2 or not isinstance(node.args[1], (MatrixSelector, Subquery)):
                 raise QueryError("quantile_over_time(scalar, range-vector) expected")

@@ -138,7 +138,7 @@ WindowFunc = Callable[
 def _each_window(mask, los, his, starts, ends):
     """``(flat position, lo, hi, start, end)`` of every window in
     ``mask``, as Python scalars, in row-major order."""
-    if not mask.any():
+    if not np.count_nonzero(mask):
         return ()
     where = np.nonzero(mask)
     return zip(
@@ -171,20 +171,19 @@ def _over_time(reducer: Callable[[np.ndarray], float]) -> WindowFunc:
 
 
 def _extrapolated_delta_kernel(ts, vs, los, his, starts, ends, *, is_counter: bool):
-    n = his - los
-    ok = n >= 2
-    if not ok.any():
+    if not len(ts):
         return np.full(los.shape, np.nan)
-    # In bounds for every window (``ts`` is not empty); what a window of
-    # fewer than two samples gathers is masked out below.
+    # In bounds for every window (``ts`` is not empty).  A window of
+    # fewer than two samples gathers one sample as both ends, so its
+    # sampled interval is 0 and it is masked out with the windows whose
+    # ends share a timestamp: ``_extrapolated_delta``'s two ``None``s.
     last = his - 1
     lo = np.minimum(los, last)
     first_t, last_t = ts[lo], ts[last]
     first_v, last_v = vs[lo], vs[last]
     sampled_interval = last_t - first_t
-    ok &= sampled_interval > 0
     sampled_delta = last_v - first_v
-    average_interval = sampled_interval / (n - 1)
+    average_interval = sampled_interval / (last - lo)  # n - 1 where n >= 1
     half_interval = average_interval / 2
     threshold = average_interval * 1.1
     start_gap = first_t - starts
@@ -194,15 +193,17 @@ def _extrapolated_delta_kernel(ts, vs, los, his, starts, ends, *, is_counter: bo
     if is_counter:
         clamp = (sampled_delta > 0) & (first_v >= 0)
         zero_point = sampled_interval * first_v / sampled_delta
-        extend_start = np.where(clamp, np.minimum(extend_start, zero_point), extend_start)
+        np.minimum(extend_start, zero_point, out=extend_start, where=clamp)
     extrapolated_interval = (sampled_interval + extend_start) + extend_end
-    out = np.where(ok, sampled_delta * extrapolated_interval / sampled_interval, np.nan)
-    if is_counter:
-        # Exact integer prefix count of reset positions: window
-        # [lo, hi) contains a reset iff some i in [lo, hi-2] drops.
-        # Such a window is computed again, per window.
-        reset_count = np.zeros(len(vs), dtype=np.intp)
-        np.cumsum(vs[1:] < vs[:-1], out=reset_count[1:])
+    out = np.where(sampled_interval > 0, sampled_delta * extrapolated_interval / sampled_interval, np.nan)
+    if not is_counter:
+        return out
+    # Exact integer prefix count of reset positions: window [lo, hi)
+    # contains a reset iff some i in [lo, hi-2] drops.  Such a window is
+    # computed again, per window.
+    reset_count = np.zeros(len(vs), dtype=np.intp)
+    (vs[1:] < vs[:-1]).cumsum(out=reset_count[1:])
+    if reset_count[-1]:
         flat = out.reshape(-1)
         for k, lo, hi, start, end in _each_window(reset_count[last] > reset_count[lo], los, his, starts, ends):
             value = _extrapolated_delta(ts[lo:hi], vs[lo:hi], start, end, is_counter=True)

@@ -331,6 +331,54 @@ def parse_expr(query: str) -> Expr:
     return expr
 
 
+_MISSING = object()
+_NOTHING_KEPT: dict = {}
+
+
+class Kept:
+    """What one build of a label half derived from single members.
+
+    A label half is a pure function of its node and its input label
+    tuples, and most of its work is per member: a signature, a label
+    set without its name, a group key, a rule's output labels — each a
+    function of one ``Labels`` value and the node alone.  A build
+    derives them through :meth:`each`, by kind; the next rebuild of the
+    same plan gets the tables back and derives only the members it does
+    not find there, so a rebuild after a job started or stopped derives
+    that job's series, not every series.  A build's tables hold only
+    the members its own inputs asked for — never more than the current
+    inputs — and replace the last build's with the plan.  What a build
+    makes of the members together (groups, index lists, clashes,
+    errors) is computed anew on every rebuild.
+    """
+
+    __slots__ = ("_last", "tables")
+
+    def __init__(self, last: dict | None = None) -> None:
+        self._last = last or _NOTHING_KEPT
+        #: kind -> {member: derivation}, this build's.
+        self.tables: dict[str, dict] = {}
+
+    def each(self, kind: str, derive, members) -> list:
+        """``[derive(m) for m in members]``, where a member the last
+        build derived under ``kind`` (or this one did already) is looked
+        up instead."""
+        table = self.tables.get(kind)
+        if table is None:
+            table = self.tables[kind] = {}
+        last = self._last.get(kind, _NOTHING_KEPT)
+        out = []
+        for member in members:
+            value = last.get(member, _MISSING)
+            if value is _MISSING:
+                value = table.get(member, _MISSING)
+                if value is _MISSING:
+                    value = derive(member)
+            table[member] = value
+            out.append(value)
+        return out
+
+
 class PlanMemo:
     """The last label plan of every node of *one* parsed expression.
 
@@ -344,39 +392,51 @@ class PlanMemo:
     step of its own.  A plan is stored only after its label half
     returned; one that raised leaves nothing behind and raises again
     next time.  A plan listing clashes is stored, and the evaluators
-    raise them on every evaluation that reuses it.
+    raise them on every evaluation that reuses it.  Beside each plan
+    sit the per-member derivations its build kept (:class:`Kept`,
+    ``kept``), which only the next rebuild of that key reads: a key
+    whose plan is gone (``plans`` emptied) rebuilds from nothing.
 
     Threads may share a memo: every read and write is one dict
     operation on a whole ``(inputs, plan)`` entry, so a racing writer
     costs a rebuild, never a plan for other inputs (the counters are
-    approximate under races).
+    approximate under races); a derivation is a function of its member
+    alone, so a kept table another thread stored is still right.
     """
 
-    __slots__ = ("ast", "plans", "hits", "rebuilds")
+    __slots__ = ("ast", "plans", "kept", "hits", "rebuilds")
 
     def __init__(self, ast: Expr) -> None:
         #: The expression the plans belong to, held so node ids stay unique.
         self.ast = ast
         self.plans: dict[object, tuple[tuple, object]] = {}
+        #: key -> the derivation tables of that key's last build.
+        self.kept: dict[object, dict[str, dict]] = {}
         self.hits = 0
         self.rebuilds = 0
 
     def plan(self, key, inputs: tuple, build, *consts, leaf: bool = False):
-        """``build(*consts, *inputs)``, or the plan built last time
-        when ``inputs`` are the same tuple objects as then.  A leaf's
-        input is assembled from storage on every evaluation, so it is
-        compared by value instead (element identity first), and a hit
-        keeps the inputs just compared: equal label sets that are new
-        objects (another storage with the same series) are compared
-        value by value once, then by identity again."""
+        """``build(kept, *consts, *inputs)``, or the plan built last
+        time when ``inputs`` are the same tuple objects as then.  A
+        leaf's input is assembled from storage on every evaluation, so
+        it is compared by value instead (element identity first), and a
+        hit keeps the inputs just compared: equal label sets that are
+        new objects (another storage with the same series) are compared
+        value by value once, then by identity again.  ``kept`` is a
+        :class:`Kept` holding the derivations of this key's last build."""
         entry = self.plans.get(key)
         if entry is not None and (entry[0] == inputs if leaf else all(map(operator.is_, entry[0], inputs))):
             if leaf:
                 self.plans[key] = (inputs, entry[1])
             self.hits += 1
             return entry[1]
-        plan = build(*consts, *inputs)
+        kept = Kept(None if entry is None else self.kept.get(key))
+        plan = build(kept, *consts, *inputs)
         self.plans[key] = (inputs, plan)
+        if kept.tables:
+            self.kept[key] = kept.tables
+        else:
+            self.kept.pop(key, None)
         self.rebuilds += 1
         return plan
 

@@ -23,7 +23,7 @@ from repro.tsdb.alerts import AlertingRuleGroup
 from repro.tsdb.model import METRIC_NAME_LABEL, Labels
 from repro.tsdb.promql.ast import Expr
 from repro.tsdb.promql.engine import SCALAR_LABELS, PromQLEngine
-from repro.tsdb.promql.parser import parse_expr, plan_memo
+from repro.tsdb.promql.parser import Kept, parse_expr, plan_memo
 from repro.tsdb.storage import TSDB
 
 _STALE = float("nan")
@@ -56,11 +56,27 @@ class RecordingRule:
         expression share the memo, not the plan."""
         return ("record", self.record, tuple(self.labels.items()))
 
-    def output_labels(self, result_labels: tuple) -> tuple:
+    def output_labels(self, kept: Kept, result_labels: tuple) -> tuple:
         """Label half of recording: every result label set renamed to
-        ``record`` with the rule's extra labels on top."""
+        ``record`` with the rule's extra labels on top.  A result's
+        own labels are valid, so only the overlay can make an invalid
+        set: the first member derived is merged by ``Labels.merge``,
+        which validates it (and raises what it always raised), the rest
+        by the trusted constructor."""
         overlay = {METRIC_NAME_LABEL: self.record, **self.labels}
-        return tuple([labels.merge(overlay) for labels in result_labels])
+        checked = False
+
+        def output(labels: Labels) -> Labels:
+            nonlocal checked
+            if not checked:
+                merged = labels.merge(overlay)
+                checked = True
+                return merged
+            items = labels.as_dict()
+            items.update(overlay)
+            return Labels.from_sorted_items(sorted(items.items()))
+
+        return tuple(kept.each("output", output, result_labels))
 
 
 @dataclass

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.common.errors import StorageError
 from repro.tsdb.exposition import Exemplar
-from repro.tsdb.model import METRIC_NAME_LABEL, Labels, Matcher, MatchOp, match_all, select_labels
+from repro.tsdb.model import BY_LABELS, METRIC_NAME_LABEL, Labels, Matcher, MatchOp, match_all, select_labels
 
 #: Process-wide snapshot-cache counters for
 #: :meth:`ColumnarSeries.arrays` — per-instance bookkeeping would bloat
@@ -172,6 +172,13 @@ class ColumnarSeries(SeriesReads):
     )
 
     MIN_CAPACITY = 64
+    #: Staged samples a retention pass that drops nothing from the
+    #: series leaves staged.  A series some reader flushes every few
+    #: scrapes (a rule's ``rate`` input) holds fewer; one nobody reads
+    #: holds all since the last pass, and staged they cost about twice
+    #: the ring's memory (a list slot and a float object each), so the
+    #: pass flushes it.
+    STAGE_KEPT = 16
 
     def __init__(self, labels: Labels, ref: int = 0):
         self.labels = labels
@@ -840,7 +847,7 @@ class TSDB:
         self.select_cache_misses += 1
         series = self._series
         out = [series[k] for k in select_labels(self._index, series, matchers)]
-        out.sort(key=lambda s: tuple(s.labels))
+        out.sort(key=BY_LABELS)
         if len(self._select_cache) >= self.SELECT_CACHE_MAX:
             self._select_cache.clear()
             self._select_keys.clear()
@@ -904,14 +911,25 @@ class TSDB:
         """Enforce the retention horizon.
 
         Returns ``(samples_dropped, series_dropped)``.  Series left
-        empty are removed from the index entirely.
+        empty are removed from the index entirely.  A series whose
+        oldest sample is inside the horizon has nothing to drop and is
+        not searched: most passes drop nothing from most series.  Its
+        staged samples stay staged unless there are more than
+        :attr:`ColumnarSeries.STAGE_KEPT` — a series no reader flushes
+        — so staging stays as bounded as when every pass flushed.
         """
         if self.retention <= 0:
             return (0, 0)
         cutoff = now - self.retention
         samples_dropped = 0
         empty: list[Labels] = []
+        kept = ColumnarSeries.STAGE_KEPT
         for key, series in self._series.items():
+            oldest = series.min_time
+            if oldest is not None and oldest >= cutoff:
+                if len(series._stage_ts) > kept:
+                    series._flush()
+                continue
             samples_dropped += series.truncate_before(cutoff)
             if not series.nsamples:
                 empty.append(key)
@@ -971,4 +989,4 @@ class TSDB:
         return out
 
     def all_series(self) -> list[ColumnarSeries]:
-        return sorted(self._series.values(), key=lambda s: tuple(s.labels))
+        return sorted(self._series.values(), key=BY_LABELS)

@@ -83,6 +83,50 @@ class TestRTE:
             provider.factor("FR", now=0.0)
 
 
+#: Probe times around window edges: inside, on and either side of a
+#: boundary, going back to an earlier window and forward past several.
+_EDGE_TIMES = st.lists(
+    st.tuples(st.integers(1, 200), st.sampled_from([-1e-6, 0.0, 1e-6, 1.0, 449.5, 899.999, 1799.0, 3599.0])),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestRememberedWindows:
+    """A provider answers from the value it published for the current
+    window; that value must be what computing it afresh gives, at every
+    call, across window boundaries and back."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(times=_EDGE_TIMES, seed=st.integers(0, 3))
+    def test_rte_equals_a_fresh_computation(self, times, seed):
+        provider = RTEProvider(seed=seed)
+        for window, offset in times:
+            now = window * 900.0 + offset
+            got = provider.factor("FR", now)
+            fresh = RTEProvider(seed=seed)
+            assert got.value == fresh._mix_model(got.timestamp) == fresh.factor("FR", now).value
+            assert got.timestamp == fresh.factor("FR", now).timestamp
+
+    @settings(max_examples=100, deadline=None)
+    @given(times=_EDGE_TIMES, zones=st.lists(st.sampled_from(["FR", "DE", "PL", "NO"]), min_size=1, max_size=40))
+    def test_electricity_maps_equals_a_fresh_computation_per_zone(self, times, zones):
+        provider = ElectricityMapsProvider(seed=5)
+        for (window, offset), zone in zip(times, zones * len(times)):
+            now = window * 3600.0 + offset
+            got = provider.factor(zone, now)
+            fresh = ElectricityMapsProvider(seed=5)
+            assert got.value == fresh._zone_model(zone, OWID_FACTORS[zone], got.timestamp)
+            assert (got.value, got.timestamp) == (fresh.factor(zone, now).value, fresh.factor(zone, now).timestamp)
+
+    @pytest.mark.parametrize("make", [RTEProvider, ElectricityMapsProvider])
+    def test_a_changed_seed_is_not_served_the_old_value(self, make):
+        provider = make(seed=1)
+        before = provider.factor("FR", 1000.0).value
+        provider.seed = 2
+        assert provider.factor("FR", 1000.0).value == make(seed=2).factor("FR", 1000.0).value != before
+
+
 class TestElectricityMaps:
     def test_many_zones(self):
         provider = ElectricityMapsProvider(seed=1)

@@ -9,7 +9,8 @@ selector appears, goes stale, is deleted and re-created, moves host, a
 whole target goes stale and returns, a counter resets, a ``rate``
 window starves, retention truncates, a job's series are cleaned up, a
 second series makes a ``group_left`` "one" side many-to-many and is
-removed again — and after every tick three evaluators of the same
+removed again, several jobs start while others stop — and after every
+tick three evaluators of the same
 rule groups must have written the same samples, bit for bit and in the
 same order (outputs, staleness NaNs), and reported the same errors:
 
@@ -21,6 +22,10 @@ same order (outputs, staleness NaNs), and reported the same errors:
   ones alone);
 * the production walk with the **long-lived** memos the rule groups
   own, which is what a deployment runs.
+
+After every tick, every derivation a long-lived plan keeps is of a
+member of that plan's current inputs (``Kept``: bounded by the inputs,
+replaced with the plan).
 
 They share the TSDB: a second evaluation at the same timestamp
 overwrites what the first wrote with, if they agree, the same values,
@@ -56,6 +61,7 @@ from repro.tsdb.storage import TSDB
 from tests.conftest import SMALL_MIX
 from tests.reference.promql import ElementWalkEngine
 from tests.reference.rules import ElementRuleGroup
+from tests.test_plan_derivations import assert_kept_within_inputs
 from tests.test_promql_reference import DIFFERENTIAL_QUERIES
 
 STEP = 15.0
@@ -199,6 +205,11 @@ class World:
             self.feeds = [f for f in self.feeds if f.labels.get("uuid") != uuid]
         elif kind == "dup":  # a second series on a "one" side: many-to-many
             self._clone(feed, dup="x")
+        elif kind == "churn":  # jobs start and stop together: members come and go at once
+            for step in range(3):
+                self.edit("appear", index + step)
+            for step in range(2):
+                self.edit("stale", index + 7 * step)
 
     # -- one tick ----------------------------------------------------------
     def tick(self) -> None:
@@ -222,6 +233,13 @@ class World:
         for name, got in outcomes.items():
             for part, want_part, got_part in zip(("samples written", "errors", "recorded"), expected, got):
                 assert got_part == want_part, f"{name} differs in {part} at tick {self.tick_no}"
+        for group in self.memoised:
+            for rule in group.rules:
+                try:
+                    memo = plan_memo(rule.ast())
+                except QueryError:
+                    continue
+                assert_kept_within_inputs(memo)
 
     def _evaluate_fresh(self, group: RuleGroup, storage) -> int:
         for rule in group.rules:
@@ -254,7 +272,7 @@ ONE_SIDES = ("ceems_emissions_gCo2_kWh", "n")
 
 EDIT_KINDS = (
     "appear", "stale", "revive", "recreate", "move", "down",
-    "reset", "starve", "retention", "cleanup", "dup", "undup",
+    "reset", "starve", "retention", "cleanup", "dup", "undup", "churn",
 )  # fmt: skip
 
 #: A run: per tick, the edits made before it (often none, so memos

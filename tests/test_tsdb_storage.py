@@ -1,6 +1,7 @@
 """Tests for the TSDB storage layer."""
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +165,12 @@ class TestSeriesReads:
         assert series.at_or_before(135.0, 300.0) == (130.0, 9.0)
 
 
+def _held(series: ColumnarSeries) -> tuple[list, list]:
+    """A series' samples, ring then stage, read without flushing."""
+    live = slice(series._start, series._start + series._len)
+    return series._ts[live].tolist() + series._stage_ts, series._vs[live].tolist() + series._stage_vs
+
+
 class TestRetention:
     def test_old_samples_dropped(self):
         db = TSDB(retention=100.0)
@@ -188,6 +195,74 @@ class TestRetention:
         db = TSDB(retention=0.0)
         db.append(mklabels("x"), 0.0, 1.0)
         assert db.apply_retention(now=1e9) == (0, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("append"), st.integers(0, 3), st.sampled_from([0.0, 1.0, 5.0, 15.0, 60.0])),
+                st.tuples(st.just("flush"), st.integers(0, 3)),
+                st.tuples(st.just("retain"), st.sampled_from([0.0, 10.0, 45.0, 200.0])),
+                st.tuples(st.just("series"), st.integers(0, 3)),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        stage_kept=st.sampled_from([0, 2, ColumnarSeries.STAGE_KEPT]),
+    )
+    def test_skipping_untouched_series_equals_truncating_every_series(self, ops, stage_kept):
+        """A pass reads each series' oldest sample (ring head or first
+        staged sample) and does not search a series with nothing to
+        drop, flushing it only if its stage is long; it must equal
+        truncating every series — counts, arrays, series dropped,
+        ``data_epoch`` and time bounds — whether the samples it looks at
+        are staged or flushed."""
+
+        class TruncateEverything(TSDB):
+            def apply_retention(self, now):
+                cutoff = now - self.retention
+                samples_dropped, empty = 0, []
+                for key, series in self._series.items():
+                    samples_dropped += series.truncate_before(cutoff)
+                    if not series.nsamples:
+                        empty.append(key)
+                for key in empty:
+                    self._drop_series(key)
+                if samples_dropped:
+                    self.data_epoch += 1
+                    self._recompute_time_bounds()
+                return samples_dropped, len(empty)
+
+        dbs = (TSDB(retention=30.0), TruncateEverything(retention=30.0))
+        names = [mklabels("m", i=str(i)) for i in range(4)]
+        now = 100.0
+        with mock.patch.object(ColumnarSeries, "STAGE_KEPT", stage_kept):
+            self._run(ops, dbs, names, now, stage_kept)
+
+    @staticmethod
+    def _run(ops, dbs, names, now, stage_kept) -> None:
+        for op in ops:
+            for db in dbs:
+                if op[0] == "append":
+                    db.append(names[op[1]], now + op[2], float(op[1]))
+                elif op[0] == "flush" and db.has_series(names[op[1]]):
+                    db._series[names[op[1]]].arrays()
+                elif op[0] == "series":  # created, not yet appended to (a resolved scrape ref)
+                    db.get_ref(names[op[1]])
+            if op[0] == "append":
+                now += op[2]
+            elif op[0] == "retain":
+                now += op[1]
+                assert dbs[0].apply_retention(now) == dbs[1].apply_retention(now)
+                # Staging stays bounded: a pass flushes a long stage.
+                assert all(len(s._stage_ts) <= stage_kept for s in dbs[0]._series.values())
+            got, want = dbs
+            assert got.data_epoch == want.data_epoch
+            assert (got.min_time, got.max_time) == (want.min_time, want.max_time)
+            assert list(got._series) == list(want._series)
+            for labels, series in got._series.items():
+                # Read without flushing, so staged samples stay staged.
+                assert _held(series) == _held(want._series[labels])
 
 
 class TestDeleteSeries:
