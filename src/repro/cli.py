@@ -27,7 +27,7 @@ import dataclasses
 import sys
 
 from repro.cluster import StackSimulation, jean_zay_topology, small_topology
-from repro.cluster.simulation import CARBON_POLICIES, SimulationConfig
+from repro.cluster.simulation import SimulationConfig
 from repro.common.config import StackConfig
 from repro.common.errors import ConfigError
 from repro.common.units import format_co2, format_energy
@@ -45,11 +45,6 @@ SIM_FLAGS = {
     "alert_interval": "alerting rule evaluation cadence in seconds (<=0 disables live alert evaluation)",
     "probe_interval": "blackbox prober cadence in seconds (<=0 disables probing)",
     "notify_log": "JSONL file receiving grouped Alertmanager notifications",
-    "governor": "run the carbon-aware governor daemon (10 Hz RAPL accumulators, power capping)",
-    "carbon_policy": "defer deferrable jobs while grid intensity is above a fixed or a trailing-24h percentile cut-off",
-    "carbon_threshold": "--carbon-policy cut-off: gCO2e/kWh for threshold, the percentile rank (0-100) for percentile",
-    "carbon_cap_w": "per-socket package cap (W) applied during high-carbon windows (0 = defer only)",
-    "power_cap_w": "static per-socket package power cap in watts (0 = off)",
     "trace_sample_rate": "tail-sampling keep probability for fast, successful spans (errors and slow ones are kept)",
     "trace_keep_slow_ms": "spans at least this slow (ms) are always retained by the tail sampler",
     "exemplars_per_series": "exemplar ring slots per series in the hot TSDB",
@@ -72,8 +67,7 @@ def add_sim_args(p: argparse.ArgumentParser) -> None:
         if isinstance(default, bool):
             p.add_argument(flag, action="store_true", help=text)
         else:
-            choices = tuple(CARBON_POLICIES) if name == "carbon_policy" else None
-            p.add_argument(flag, type=type(default), default=default, choices=choices, help=text)
+            p.add_argument(flag, type=type(default), default=default, help=text)
 
 
 def _build_sim(args: argparse.Namespace) -> StackSimulation:
@@ -107,14 +101,6 @@ def _print_report(sim: StackSimulation, out) -> None:
         print("node power by class:", file=out)
         for el in sorted(result.vector, key=lambda e: -e.value):
             print(f"  {el.labels.get('nodegroup'):<16} {el.value / 1000:8.2f} kW", file=out)
-    if sim.governor is not None:
-        gov = sim.governor
-        print("governor:", file=out)
-        print(f"  accumulated energy: {format_energy(sum(a.joules for a in gov.accumulators.values()))}", file=out)
-        print(f"  counter wraps folded: {sum(a.wraps for a in gov.accumulators.values())}", file=out)
-        print(f"  cap writes: {gov.cap_writes_total}", file=out)
-        print(f"  jobs deferred/released: {gov.jobs_deferred_total}/{gov.jobs_released_total}", file=out)
-        print(f"  co2e avoided vs uncontrolled: {format_co2(gov.co2e_avoided_g)}", file=out)
 
 
 def cmd_simulate(args: argparse.Namespace, out=sys.stdout) -> int:
@@ -184,11 +170,9 @@ DEFAULT_RULES_PATH = "etc/prometheus-rules.yml"
 
 def generate_rules_text() -> str:
     """The canonical Prometheus rules file: Eq. (1) recording groups,
-    SLO burn-rate series, the CEEMS alert pack, SLO burn alerts and
-    the governor control-plane alerts."""
+    SLO burn-rate series, the CEEMS alert pack and SLO burn alerts."""
     from repro.energy import standard_rule_groups
     from repro.energy.export import alerting_rules_to_dict, rules_file
-    from repro.governor.rules import governor_alert_rules
     from repro.obs.slo import slo_alert_group, slo_recording_group, standard_slos
     from repro.tsdb.alerts import ceems_alert_rules
 
@@ -201,7 +185,6 @@ def generate_rules_text() -> str:
             alerting_rules_to_dict(
                 slo_alerts.name, slo_alerts.rules, interval=slo_alerts.interval
             ),
-            alerting_rules_to_dict("governor-alerts", governor_alert_rules()),
         ],
     )
 

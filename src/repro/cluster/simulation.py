@@ -57,11 +57,6 @@ from repro.tsdb.rules import RuleEvaluator
 from repro.tsdb.scrape import ScrapeConfig, ScrapeManager, ScrapeTarget
 from repro.tsdb.storage import TSDB
 
-#: ``carbon_policy`` name -> the :class:`CarbonPolicy` keyword that
-#: ``carbon_threshold`` fills.
-CARBON_POLICIES = {"threshold": "threshold_g_kwh", "percentile": "percentile"}
-
-
 @dataclass
 class SimulationConfig:
     """Cadences and sizes of the simulated deployment."""
@@ -115,26 +110,6 @@ class SimulationConfig:
     #: Run the alerting control plane (rule evaluator alert groups,
     #: Alertmanager, SLO burn-rate rules).
     with_alerting: bool = True
-    #: Run the carbon-aware governor daemon (``--governor``).
-    governor: bool = False
-    #: Accumulator poll cadence (10 Hz default — fast enough that a
-    #: RAPL wrap can never hide between polls).
-    governor_poll_interval: float = 0.1
-    #: Governor policy-loop cadence (cap writes, carbon window
-    #: classification, deferral release, avoided-CO2e accounting).
-    governor_interval: float = 60.0
-    #: Carbon admission policy (``--carbon-policy``): "" = off,
-    #: "threshold" = fixed gCO2e/kWh cut-off, "percentile" = trailing
-    #: 24 h percentile of the 15-min intensity curve.
-    carbon_policy: str = ""
-    #: The policy's cut-off: gCO2e/kWh under "threshold", the
-    #: percentile rank (0-100) under "percentile".
-    carbon_threshold: float = 75.0
-    #: Per-socket package cap during high-carbon windows (W; 0 = defer
-    #: only, no capping).
-    carbon_cap_w: float = 0.0
-    #: Static per-socket package cap, always on (W; 0 = off).
-    power_cap_w: float = 0.0
     #: Tail-sampling keep probability for fast, successful spans
     #: (``--trace-sample-rate``); 1.0 keeps everything.  Error and
     #: slow spans are always kept regardless.
@@ -308,22 +283,18 @@ class StackSimulation:
         # -- alerting control plane -------------------------------------------
         self.alertmanager = None
         self.slos = []
-        # Handed to the evaluator once the governor has added its own;
-        # alert_interval <= 0 adds none, as probe_interval <= 0 adds no
-        # prober.
-        alert_groups = []
         if cfg.with_alerting:
             from repro.obs.alertmanager import Alertmanager, InhibitRule, JSONLReceiver
             from repro.obs.slo import slo_alert_group, slo_recording_group, standard_slos
             from repro.tsdb.alerts import AlertingRuleGroup, ceems_alert_rules
 
-            alert_groups.append(
+            alert_groups = [
                 AlertingRuleGroup(
                     name="ceems-alerts",
                     interval=cfg.alert_interval,
                     rules=ceems_alert_rules(),
                 )
-            )
+            ]
             if cfg.meta_monitoring:
                 # SLOs read the self-telemetry request histograms, which
                 # only exist when the stack scrapes itself.
@@ -347,6 +318,11 @@ class StackSimulation:
             if cfg.notify_log:
                 self.alertmanager.receivers["default"] = JSONLReceiver(cfg.notify_log)
             self.rule_evaluator.notifier = self.alertmanager.receive
+            # alert_interval <= 0 adds no alerting groups, as
+            # probe_interval <= 0 adds no prober.
+            if cfg.alert_interval > 0:
+                for group in alert_groups:
+                    self.rule_evaluator.add_alert_group(group)
 
         # -- Thanos ------------------------------------------------------------
         self.object_store = ObjectStore(
@@ -366,54 +342,6 @@ class StackSimulation:
             else None
         )
 
-        # -- carbon-aware governor ---------------------------------------------
-        self.governor = None
-        if cfg.governor:
-            from repro.governor import (
-                CarbonPolicy,
-                GovernorDaemon,
-                StaticCapPolicy,
-                governor_alert_rules,
-            )
-
-            carbon_policy = None
-            if cfg.carbon_policy:
-                if cfg.carbon_policy not in CARBON_POLICIES:
-                    raise ValueError(f"unknown carbon policy {cfg.carbon_policy!r}")
-                carbon_policy = CarbonPolicy(
-                    lambda t: self.emission_registry.factor(cfg.zone, t).value,
-                    high_cap_w=cfg.carbon_cap_w,
-                    **{CARBON_POLICIES[cfg.carbon_policy]: cfg.carbon_threshold},
-                )
-            cap_policy = StaticCapPolicy(cfg.power_cap_w) if cfg.power_cap_w > 0 else None
-            self.governor = GovernorDaemon(
-                self.nodes,
-                self.clock,
-                slurm=self.slurm,
-                cap_policy=cap_policy,
-                carbon_policy=carbon_policy,
-                poll_interval=cfg.governor_poll_interval,
-                policy_interval=cfg.governor_interval,
-            )
-            governor_target = ScrapeTarget(
-                app=self.governor.app, instance="governor:9050", job="governor"
-            )
-            # exporter_targets was already handed to the scrape
-            # manager; register the new target with both (the prober
-            # walks exporter_targets later).
-            exporter_targets.append(governor_target)
-            self.scrape_manager.add_targets([governor_target])
-            if cfg.with_alerting:
-                alert_groups.append(
-                    AlertingRuleGroup(
-                        name="governor-alerts",
-                        interval=cfg.alert_interval,
-                        rules=governor_alert_rules(),
-                    )
-                )
-        if cfg.alert_interval > 0:
-            for group in alert_groups:
-                self.rule_evaluator.add_alert_group(group)
 
         # -- API server ----------------------------------------------------------
         self.db = Database(":memory:")
@@ -581,9 +509,6 @@ class StackSimulation:
         # Ordering within a tick follows registration order: physics
         # first, then collection, then derivation, then aggregation.
         self.clock.every(cfg.node_step, self._advance_nodes)
-        if self.governor is not None:
-            # Accumulation right after physics, policy after scheduling.
-            self.governor.register_timers(self.clock)
         if self.workload_generator is not None:
             self.workload_generator.register_timer(self.clock, self.slurm)
         self.clock.every(cfg.slurm_step, self.slurm.step)
@@ -622,7 +547,7 @@ class StackSimulation:
 
     def stats(self) -> dict[str, float]:
         """Headline deployment statistics (for examples and benches)."""
-        out = {
+        return {
             "nodes": len(self.nodes),
             "gpus": sum(len(n.gpus) for n in self.nodes),
             "tsdb_series": self.hot_tsdb.num_series,
@@ -633,12 +558,3 @@ class StackSimulation:
             "units_in_db": self.db.count_units(),
             "thanos_blocks": len(self.object_store.blocks),
         }
-        if self.governor is not None:
-            out.update(
-                governor_polls=float(self.governor.polls_total),
-                governor_cap_writes=float(self.governor.cap_writes_total),
-                jobs_deferred=float(self.governor.jobs_deferred_total),
-                jobs_released=float(self.governor.jobs_released_total),
-                co2e_avoided_g=self.governor.co2e_avoided_g,
-            )
-        return out

@@ -311,73 +311,6 @@ def ops_alerting_dashboard_json() -> dict[str, Any]:
     )
 
 
-def governor_dashboard_json() -> dict[str, Any]:
-    """The carbon-aware control plane: intensity, caps, deferrals."""
-    panels = [
-        _stat_panel(1, "CO2e avoided", "ceems_governor_co2e_avoided_grams_total", "mass", 0, 0),
-        _stat_panel(2, "Jobs deferred", "ceems_governor_jobs_deferred_total", "none", 4, 0),
-        _stat_panel(3, "Jobs parked now", "ceems_governor_deferred_jobs", "none", 8, 0),
-        _stat_panel(4, "Cap writes", "ceems_governor_cap_writes_total", "none", 12, 0),
-        _stat_panel(5, "High-carbon window", "ceems_governor_high_carbon", "none", 16, 0),
-        _timeseries_panel(
-            6,
-            "Grid intensity vs governor threshold",
-            [
-                ("intensity", "ceems_governor_intensity_gco2_kwh"),
-                ("threshold", "ceems_governor_intensity_threshold_gco2_kwh"),
-            ],
-            "none",
-            4,
-        ),
-        _timeseries_panel(
-            7,
-            "Node power vs written cap",
-            [
-                ("{{hostname}} power", "sum by (hostname) (ceems_governor_power_watts)"),
-                (
-                    "{{hostname}} cap",
-                    "sum by (hostname) (ceems_governor_cap_limit_watts > 0)",
-                ),
-            ],
-            "watt",
-            12,
-        ),
-        _timeseries_panel(
-            8,
-            "Accumulated energy rate (aliasing-free)",
-            [
-                (
-                    "{{hostname}}/{{domain}}",
-                    "sum by (hostname, domain) (rate(ceems_governor_accumulated_joules_total[5m]))",
-                )
-            ],
-            "watt",
-            20,
-        ),
-        _timeseries_panel(
-            9,
-            "Accumulator staleness",
-            [("{{hostname}}", "max by (hostname) (ceems_governor_accumulator_staleness_seconds)")],
-            "s",
-            28,
-        ),
-        _timeseries_panel(
-            10,
-            "Counter wraps folded",
-            [("{{hostname}}", "sum by (hostname) (rate(ceems_governor_wraps_total[30m]))")],
-            "none",
-            36,
-        ),
-    ]
-    return _dashboard(
-        "ceems-governor",
-        "CEEMS / Governor: carbon-aware control",
-        panels,
-        [_user_variable()],
-        "now-24h",
-    )
-
-
 def all_dashboards() -> dict[str, dict[str, Any]]:
     """uid -> dashboard JSON for every shipped dashboard."""
     dashboards = [
@@ -385,7 +318,6 @@ def all_dashboards() -> dict[str, dict[str, Any]]:
         fig2b_dashboard_json(),
         fig2c_dashboard_json(),
         ops_alerting_dashboard_json(),
-        governor_dashboard_json(),
     ]
     return {d["uid"]: d for d in dashboards}
 

@@ -199,21 +199,13 @@ class CgroupCollector(Collector):
 class RAPLCollector(Collector):
     """RAPL package/DRAM energy counters from the powercap interface.
 
-    Two data paths:
-
-    * **raw** (default): the wrapped ``energy_uj`` counters, exactly
-      what the real exporter reads.  Wrap subtraction downstream is
-      only safe while at most one wrap fits in a scrape interval, so
-      every scrape also emits ``ceems_rapl_counter_trustworthy`` — an
-      ``up 0``-style guard that drops to 0 whenever the elapsed
-      interval could hide a full counter range (small
-      ``max_energy_range_uj``, long scrape gap, missed scrapes).
-    * **accumulator**: when a governor daemon has attached its
-      high-rate accumulator to the node
-      (``node.governor_accumulator``), energy is served aliasing-free
-      from the accumulator under the same names/labels, and
-      per-compute-unit attributed energy
-      (``ceems_compute_unit_rapl_joules_total``) appears alongside.
+    The wrapped ``energy_uj`` counters, exactly what the real exporter
+    reads.  Wrap subtraction downstream is only safe while at most one
+    wrap fits in a scrape interval, so every scrape also emits
+    ``ceems_rapl_counter_trustworthy`` — an ``up 0``-style guard that
+    drops to 0 whenever the elapsed interval could hide a full counter
+    range (small ``max_energy_range_uj``, long scrape gap, missed
+    scrapes).
     """
 
     name = "rapl"
@@ -238,15 +230,6 @@ class RAPLCollector(Collector):
                 "gauge",
             ),
         )
-        self._units = KeptFamilies(
-            (
-                "ceems_compute_unit_rapl_joules_total",
-                "Aliasing-free RAPL energy attributed to the compute "
-                "unit by allocation ratio (governor accumulator).",
-                "counter",
-            )
-        )
-        self._with_units = [*self._domains.families, *self._units.families]
         #: Per package: its powercap zone, the zone's ``energy_uj``
         #: path and label dict, for the package and (``None`` without
         #: one) the DRAM sub-domain.
@@ -261,31 +244,20 @@ class RAPLCollector(Collector):
                     None if dram is None else (dram, f"{dram}/energy_uj", {"socket": str(pkg.socket), "path": dram}),
                 )
             )
-        #: task uuid -> (task, its label dict), for the accumulator family.
-        self._tasks: dict[str, tuple[object, dict[str, str]]] = {}
 
     def collect(self, now: float) -> list[MetricFamily]:
-        acc = getattr(self.node, "governor_accumulator", None)
-        self._domains.fill(self._domain_rows(now, acc))
-        if acc is None:
-            return self._domains.families
-        self._units.fill(
-            (labels, (acc.unit_joules(task.uuid),)) for task, labels in _per_task(self.node, self._tasks, _unit_labels)
-        )
-        return self._with_units
+        return self._domains.fill(self._domain_rows(now))
 
-    def _domain_rows(self, now: float, acc):
+    def _domain_rows(self, now: float):
         """Package rows (package and trust families) and DRAM rows
         (DRAM and trust families), socket by socket."""
         for pkg, (base, energy, labels), dram in self._zones:
             raw_uj = int(pkg.read_sysfs(energy))
-            joules = acc.domain_joules("package", pkg.socket) if acc is not None else raw_uj / 1e6
-            yield labels, (joules, None, self._trustworthy(base, now, raw_uj, pkg.package.max_energy_range_uj))
+            yield labels, (raw_uj / 1e6, None, self._trustworthy(base, now, raw_uj, pkg.package.max_energy_range_uj))
             if dram is not None:
                 sub, energy, labels = dram
                 raw_uj = int(pkg.read_sysfs(energy))
-                joules = acc.domain_joules("dram", pkg.socket) if acc is not None else raw_uj / 1e6
-                yield labels, (None, joules, self._trustworthy(sub, now, raw_uj, pkg.dram.max_energy_range_uj))
+                yield labels, (None, raw_uj / 1e6, self._trustworthy(sub, now, raw_uj, pkg.dram.max_energy_range_uj))
 
     def _trustworthy(self, path: str, now: float, raw_uj: int, max_range_uj: int) -> float:
         """Double-wrap guard for one domain's raw counter path."""
@@ -298,14 +270,6 @@ class RAPLCollector(Collector):
             prev_uj, raw_uj, max_range_uj, now - prev_at, self.MAX_PLAUSIBLE_DOMAIN_WATTS
         )
         return 1.0 if ok else 0.0
-
-    @staticmethod
-    def wraparound_delta(prev_joules: float, curr_joules: float, max_range_uj: int) -> float:
-        """Joule-domain counter delta with wraparound handling."""
-        return (
-            RAPLDomain.counter_delta(int(prev_joules * 1e6), int(curr_joules * 1e6), max_range_uj)
-            / 1e6
-        )
 
 
 class IPMICollector(Collector):
@@ -414,10 +378,6 @@ class GPUMapCollector(Collector):
 
 #: The one reading of a ``gpu_index_flag`` series.
 _BOUND = (1.0,)
-
-
-def _unit_labels(task, manager: str) -> dict[str, str]:
-    return {"uuid": task.uuid, "manager": manager}
 
 
 class SelfCollector(Collector):

@@ -21,7 +21,7 @@ benchmarks to quantify how well the CEEMS estimation recovers reality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.common.errors import SimulationError
 from repro.hwsim.cgroupfs import CgroupFS
@@ -34,7 +34,6 @@ from repro.hwsim.power_model import (
     DRAMPowerParams,
     NodePowerModel,
     PowerBreakdown,
-    PowerCapState,
 )
 from repro.hwsim.perf import TaskTelemetry
 from repro.hwsim.procfs import ProcFS
@@ -161,13 +160,9 @@ class SimulatedNode:
         maker = RAPLPackage.intel if spec.has_dram_rapl else RAPLPackage.amd
         self.rapl: list[RAPLPackage] = [maker(s) for s in range(spec.sockets)]
         for pkg in self.rapl:
-            # The long_term constraint accepts writes up to the part's
-            # peak package power (what real firmware advertises).
+            # The long_term constraint's advertised maximum is the
+            # part's peak package power, as real firmware reports it.
             pkg.package.max_power_uw = int(cpu_params.max_w * 1e6)
-        #: Per-socket RAPL cap enforcement state (see PowerCapState).
-        self.cap_states: list[PowerCapState] = [PowerCapState() for _ in range(spec.sockets)]
-        #: Seconds this node spent with its package draw clamped.
-        self.cap_throttled_seconds = 0.0
         self.ipmi = IPMIDCMISensor(includes_gpu=spec.ipmi_includes_gpu, seed=seed)
         self.gpus: list[GPUDevice] = [
             GPUDevice(index=i, profile=GPU_PROFILES[sku]) for i, sku in enumerate(spec.gpus)
@@ -181,10 +176,6 @@ class SimulatedNode:
         self._now: float | None = None
         #: Ground-truth accumulated energy per task uuid (test oracle).
         self.true_task_energy_j: dict[str, float] = {}
-        #: Set by the governor daemon when its high-rate RAPL
-        #: accumulator is attached to this node; the exporter's RAPL
-        #: collector then serves aliasing-free energy from it.
-        self.governor_accumulator = None
 
     # -- placement -------------------------------------------------------
     def can_fit(self, ncores: int, ngpus: int = 0) -> bool:
@@ -309,7 +300,6 @@ class SimulatedNode:
         mem_activity = min(0.5 * mem_activity_struct + 0.5 * cpu_util, 1.0)
         gpu_w = sum(gpu.advance(dt) for gpu in self.gpus)
         breakdown = self.power_model.evaluate(cpu_util, mem_activity, gpu_w)
-        breakdown = self._enforce_power_caps(breakdown, dt)
         self.last_breakdown = breakdown
 
         per_socket_cpu_j = breakdown.cpu_w * dt / self.spec.sockets
@@ -322,29 +312,6 @@ class SimulatedNode:
 
         # Ground-truth per-task attribution (oracle).
         self._accumulate_true_energy(dt, breakdown, task_busy, task_mem, busy_core_seconds, total_mem)
-        return breakdown
-
-    def _enforce_power_caps(self, breakdown: PowerBreakdown, dt: float) -> PowerBreakdown:
-        """Apply written RAPL package limits to the evaluated draw.
-
-        Limits arrive through the powercap sysfs writes
-        (``constraint_0_power_limit_uw``); each socket's
-        :class:`PowerCapState` turns the written limit into the ceiling
-        the silicon enforces *this* step (first-order settle), and the
-        package share of ``cpu_w`` is clamped to it.  The clamp happens
-        before RAPL/IPMI integration and before the attribution oracle,
-        so every downstream measurement sees the capped reality.
-        """
-        per_socket_prev = self.last_breakdown.cpu_w / self.spec.sockets
-        per_socket_now = breakdown.cpu_w / self.spec.sockets
-        clamped = 0.0
-        for pkg, cap in zip(self.rapl, self.cap_states):
-            cap.limit_w = pkg.package.power_limit_uw / 1e6
-            cap.advance(dt, from_w=per_socket_prev)
-            clamped += cap.clamp(per_socket_now)
-        if clamped < breakdown.cpu_w - 1e-9:
-            self.cap_throttled_seconds += dt
-            breakdown = replace(breakdown, cpu_w=clamped)
         return breakdown
 
     def _accumulate_true_energy(

@@ -24,7 +24,6 @@ paper):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -67,56 +66,6 @@ class PlatformPowerParams:
     def power(self, activity: float) -> float:
         activity = min(max(activity, 0.0), 1.0)
         return self.floor_w + self.activity_w * activity
-
-
-@dataclass
-class PowerCapState:
-    """One package's RAPL power cap with first-order settle dynamics.
-
-    Real RAPL enforcement is a running-average PID: after a limit
-    write the package draw converges to the cap over a few seconds
-    rather than stepping instantly.  The model reproduces that shape:
-
-    * tightening the cap moves the *enforced* ceiling exponentially
-      from the current draw toward the target with time constant
-      ``settle_seconds``;
-    * relaxing or clearing the cap releases instantly (a ceiling that
-      rises cannot throttle anything on the way up).
-
-    ``limit_w == 0`` means unconstrained.  ``enforced_w`` is the
-    ceiling the silicon applies *right now* — :class:`SimulatedNode`
-    clamps each socket's package power to it every integration step.
-    """
-
-    settle_seconds: float = 5.0
-    limit_w: float = 0.0
-    enforced_w: float = math.inf
-
-    def advance(self, dt: float, from_w: float) -> float:
-        """Advance the enforcement dynamics by ``dt`` seconds.
-
-        ``from_w`` seeds the ceiling when a cap first engages: the
-        running average starts from the draw the package had before
-        the write, which is what makes the settle time observable.
-        """
-        target = self.limit_w if self.limit_w > 0 else math.inf
-        if math.isinf(target) or target >= self.enforced_w:
-            self.enforced_w = target
-            return self.enforced_w
-        if math.isinf(self.enforced_w):
-            self.enforced_w = max(from_w, target)
-        decay = math.exp(-dt / self.settle_seconds) if self.settle_seconds > 0 else 0.0
-        self.enforced_w = target + (self.enforced_w - target) * decay
-        if self.enforced_w - target < 0.25:
-            self.enforced_w = target
-        return self.enforced_w
-
-    def clamp(self, power_w: float) -> float:
-        return min(power_w, self.enforced_w)
-
-    @property
-    def capped(self) -> bool:
-        return self.limit_w > 0
 
 
 @dataclass(frozen=True)

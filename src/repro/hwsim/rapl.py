@@ -18,18 +18,14 @@ Energy accumulation is exact: the node simulation integrates the
 ground-truth power model into the counters, so the only measurement
 artefacts are quantisation to 1 µJ and wraparound.
 
-The interface is also *writable* where the kernel's is: each domain
-exposes ``constraint_0_power_limit_uw`` (the ``long_term`` RAPL
-constraint), and :meth:`RAPLPackage.write_sysfs` accepts the same
-path/value writes a privileged governor daemon performs on real
-hardware.  The node simulation enforces written package limits inside
-its power model (see :mod:`repro.hwsim.power_model`).
+Each domain also exposes the read-only ``constraint_0_*`` files of
+the ``long_term`` RAPL constraint, as real sysfs does; the stack only
+ever reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 from repro.common.errors import SimulationError
 
@@ -45,26 +41,21 @@ class RAPLDomain:
 
     name: str
     max_energy_range_uj: int = DEFAULT_MAX_ENERGY_RANGE_UJ
-    #: ``constraint_0_power_limit_uw`` — the writable ``long_term``
-    #: power limit in microwatts; 0 means unconstrained.
+    #: ``constraint_0_power_limit_uw`` — the ``long_term`` power
+    #: limit in microwatts; 0 means unconstrained.
     power_limit_uw: int = 0
-    #: Upper bound the hardware accepts for the constraint (µW);
-    #: 0 = unknown (writes are then unclamped).
+    #: ``constraint_0_max_power_uw`` — the largest limit the part
+    #: advertises (µW); 0 = unknown.
     max_power_uw: int = 0
     #: Exact accumulated energy in microjoules (never wraps; the
     #: counter view wraps).
     _energy_uj_exact: float = field(default=0.0, repr=False)
-    #: Change stamp shared by every domain: :meth:`add_energy` bumps
-    #: it, so a high-rate poller that finds it where it left it knows
-    #: that no counter moved without reading any of them.
-    changes: ClassVar[int] = 0
 
     def add_energy(self, joules: float) -> None:
         """Integrate ground-truth energy into the counter."""
         if joules < 0:
             raise SimulationError(f"negative energy into RAPL domain {self.name}")
         self._energy_uj_exact += joules * 1e6
-        RAPLDomain.changes += 1
 
     @property
     def energy_uj(self) -> int:
@@ -75,21 +66,6 @@ class RAPLDomain:
     def total_energy_joules(self) -> float:
         """Ground-truth (unwrapped) energy — test oracle only."""
         return self._energy_uj_exact * 1e-6
-
-    def write_power_limit(self, limit_uw: int) -> int:
-        """Write ``constraint_0_power_limit_uw``; returns the value kept.
-
-        Like the kernel, negative writes are rejected and writes above
-        the constraint maximum are clamped to it.  0 clears the cap.
-        """
-        if limit_uw < 0:
-            raise SimulationError(
-                f"negative power limit for RAPL domain {self.name}"
-            )
-        if self.max_power_uw and limit_uw > self.max_power_uw:
-            limit_uw = self.max_power_uw
-        self.power_limit_uw = int(limit_uw)
-        return self.power_limit_uw
 
     @staticmethod
     def counter_delta(previous_uj: int, current_uj: int, max_range_uj: int) -> int:
@@ -193,21 +169,6 @@ class RAPLPackage:
             zones.append(f"intel-rapl:{self.socket}:0")
         paths = [f"{zone}/{attribute}" for zone in zones for attribute in _POWERCAP_ATTRIBUTES]
         return {path: self.read_sysfs(path) for path in paths}
-
-    def write_sysfs(self, path: str, value: int) -> int:
-        """Write one powercap sysfs file (governor actuation path).
-
-        Only the ``constraint_0_power_limit_uw`` files are writable,
-        exactly as for an unprivileged-file write on real hardware.
-        Returns the value the "kernel" kept (clamped to the constraint
-        maximum).
-        """
-        base = f"intel-rapl:{self.socket}"
-        if path == f"{base}/constraint_0_power_limit_uw":
-            return self.package.write_power_limit(value)
-        if self.dram is not None and path == f"{base}:0/constraint_0_power_limit_uw":
-            return self.dram.write_power_limit(value)
-        raise SimulationError(f"powercap file {path!r} is not writable")
 
 
 #: A powercap zone's readable attributes, in ``sysfs_entries`` order:

@@ -23,28 +23,12 @@ as on a real SLURM cluster.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.common.errors import SimulationError
 from repro.hwsim.node import SimulatedNode, UsageProfile
 from repro.resourcemgr.base import ComputeUnit, ResourceManager, UnitState
-
-
-class AdmissionDecision(str, enum.Enum):
-    """What an admission hook may decide about a pending job.
-
-    ``ADMIT`` lets the scheduling pass proceed normally; ``DEFER``
-    parks the job outside the FIFO queue until
-    :meth:`SlurmCluster.release_deferred`.  Anything else a hook does
-    — raising, returning an unknown value — fails *open* to ADMIT: an
-    energy policy daemon must never be able to wedge the scheduler.
-    """
-
-    ADMIT = "admit"
-    DEFER = "defer"
 
 
 @dataclass
@@ -63,10 +47,6 @@ class JobSpec:
     nnodes: int = 1
     partition: str = "cpu"
     name: str = "job"
-    #: Opt-in flag for carbon-aware scheduling: only deferrable jobs
-    #: may be parked by an admission hook (``sbatch --deferrable``
-    #: in the governor's deployment story).
-    deferrable: bool = False
 
     def __post_init__(self) -> None:
         if self.ncores <= 0 or self.nnodes <= 0:
@@ -98,14 +78,6 @@ class SlurmCluster(ResourceManager):
         self.partitions = partitions
         self._job_ids = itertools.count(1000)
         self._queue: list[tuple[str, JobSpec]] = []  # (uuid, spec) FIFO
-        #: Jobs parked by the admission hook, in submit order; they
-        #: hold no node resources and survive node failures untouched.
-        self._deferred: list[tuple[str, JobSpec]] = []
-        #: Pluggable admission seam (the governor's carbon policy):
-        #: ``hook(uuid, spec, now) -> AdmissionDecision``.  Consulted
-        #: once per scheduling pass per queued job; failures admit.
-        self.admission_hook: Callable[[str, JobSpec, float], AdmissionDecision] | None = None
-        self.admission_hook_errors = 0
         self._running: dict[str, _RunningJob] = {}
         #: Nodes drained out of scheduling (down or admin-drained).
         self._down_nodes: set[str] = set()
@@ -139,15 +111,14 @@ class SlurmCluster(ResourceManager):
         return job_id
 
     def cancel(self, job_id: str, now: float) -> None:
-        """``scancel``: drop a pending, deferred or running job."""
-        for queue in (self._queue, self._deferred):
-            for i, (uuid, _spec) in enumerate(queue):
-                if uuid == job_id:
-                    del queue[i]
-                    unit = self._units[job_id]
-                    unit.state = UnitState.CANCELLED
-                    unit.ended_at = now
-                    return
+        """``scancel``: drop a pending or running job."""
+        for i, (uuid, _spec) in enumerate(self._queue):
+            if uuid == job_id:
+                del self._queue[i]
+                unit = self._units[job_id]
+                unit.state = UnitState.CANCELLED
+                unit.ended_at = now
+                return
         running = self._running.get(job_id)
         if running is None:
             raise SimulationError(f"no pending or running job {job_id}")
@@ -162,50 +133,12 @@ class SlurmCluster(ResourceManager):
         """One FIFO pass with first-fit placement (no backfill)."""
         still_pending: list[tuple[str, JobSpec]] = []
         for uuid, spec in self._queue:
-            if self._consult_hook(uuid, spec, now) is AdmissionDecision.DEFER:
-                self._deferred.append((uuid, spec))
-                continue
             nodes = self._find_nodes(spec)
             if nodes is None:
                 still_pending.append((uuid, spec))
                 continue
             self._start(uuid, spec, nodes, now)
         self._queue = still_pending
-
-    def _consult_hook(self, uuid: str, spec: JobSpec, now: float) -> AdmissionDecision:
-        """Ask the admission hook about one job; fail open to ADMIT.
-
-        A hook that raises or answers with anything other than an
-        :class:`AdmissionDecision` admits the job and bumps
-        ``admission_hook_errors`` — queue state is left untouched, so
-        a broken policy daemon degrades to plain FIFO scheduling.
-        """
-        if self.admission_hook is None:
-            return AdmissionDecision.ADMIT
-        try:
-            decision = self.admission_hook(uuid, spec, now)
-        except Exception:
-            self.admission_hook_errors += 1
-            return AdmissionDecision.ADMIT
-        if not isinstance(decision, AdmissionDecision):
-            self.admission_hook_errors += 1
-            return AdmissionDecision.ADMIT
-        return decision
-
-    def release_deferred(self, now: float) -> list[str]:
-        """Return every parked job to the queue, restoring submit order.
-
-        Job ids are monotonic, so merging the deferred list back by id
-        re-establishes global FIFO fairness: a job deferred through a
-        high-carbon window never ends up behind jobs submitted after
-        it.  Returns the released job ids (in submit order).
-        """
-        if not self._deferred:
-            return []
-        released = [uuid for uuid, _spec in self._deferred]
-        self._queue = sorted(self._queue + self._deferred, key=lambda e: int(e[0]))
-        self._deferred = []
-        return released
 
     def _find_nodes(self, spec: JobSpec) -> list[SimulatedNode] | None:
         candidates = [
@@ -313,14 +246,6 @@ class SlurmCluster(ResourceManager):
     @property
     def queue_depth(self) -> int:
         return len(self._queue)
-
-    @property
-    def deferred_count(self) -> int:
-        return len(self._deferred)
-
-    @property
-    def deferred_job_ids(self) -> list[str]:
-        return [uuid for uuid, _spec in self._deferred]
 
     @property
     def running_count(self) -> int:

@@ -54,11 +54,6 @@ class WorkloadMix:
     #: means the 2pm submission peak runs 1.6x the mean rate and the
     #: 2am trough 0.4x — the shape real sacct logs show.
     diurnal_amplitude: float = 0.0
-    #: Fraction of jobs submitted ``--deferrable`` (eligible for
-    #: carbon-aware deferral).  0 draws nothing from the RNG, so
-    #: existing seeded streams are bit-identical when the governor
-    #: is off.
-    deferrable_fraction: float = 0.0
     sizes: tuple[SizeClass, ...] = (
         SizeClass("small", weight=0.45, ncores=4, memory_gb=8),
         SizeClass("medium", weight=0.30, ncores=16, memory_gb=32),
@@ -137,10 +132,6 @@ class WorkloadGenerator:
             read_bps=float(self._rng.uniform(0, 20e6)),
             write_bps=float(self._rng.uniform(0, 5e6)),
         )
-        deferrable = bool(
-            mix.deferrable_fraction > 0.0
-            and self._rng.uniform() < mix.deferrable_fraction
-        )
         self._counter += 1
         return JobSpec(
             user=user,
@@ -154,7 +145,6 @@ class WorkloadGenerator:
             profile=profile,
             partition=size.partition,
             name=f"{size.name}-{self._counter}",
-            deferrable=deferrable,
         )
 
     # -- driving a cluster ------------------------------------------------

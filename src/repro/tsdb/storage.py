@@ -917,13 +917,17 @@ class TSDB:
         staged samples stay staged unless there are more than
         :attr:`ColumnarSeries.STAGE_KEPT` — a series no reader flushes
         — so staging stays as bounded as when every pass flushed.
+        That flush runs without a horizon too (``retention <= 0``).
         """
+        kept = ColumnarSeries.STAGE_KEPT
         if self.retention <= 0:
+            for series in self._series.values():
+                if len(series._stage_ts) > kept:
+                    series._flush()
             return (0, 0)
         cutoff = now - self.retention
         samples_dropped = 0
         empty: list[Labels] = []
-        kept = ColumnarSeries.STAGE_KEPT
         for key, series in self._series.items():
             oldest = series.min_time
             if oldest is not None and oldest >= cutoff:

@@ -143,26 +143,20 @@ class RAPLCollector:
             help="0 when the scrape interval could hide a full counter range (wrap subtraction no longer safe).",
             type="gauge",
         )
-        acc = getattr(self.node, "governor_accumulator", None)
         for pkg in self.node.rapl:
             entries = pkg.sysfs_entries()
             base = f"intel-rapl:{pkg.socket}"
             labels = {"socket": str(pkg.socket), "path": base}
             raw_uj = int(entries[f"{base}/energy_uj"])
-            joules = acc.domain_joules("package", pkg.socket) if acc is not None else raw_uj / 1e6
-            package.points.append(MetricPoint(labels, joules))
+            package.points.append(MetricPoint(labels, raw_uj / 1e6))
             trust.points.append(MetricPoint(labels, self._trustworthy(base, now, raw_uj, pkg.package.max_energy_range_uj)))
             if pkg.dram is not None:
                 sub = f"{base}:0"
                 labels = {"socket": str(pkg.socket), "path": sub}
                 raw_uj = int(entries[f"{sub}/energy_uj"])
-                joules = acc.domain_joules("dram", pkg.socket) if acc is not None else raw_uj / 1e6
-                dram.points.append(MetricPoint(labels, joules))
+                dram.points.append(MetricPoint(labels, raw_uj / 1e6))
                 trust.points.append(MetricPoint(labels, self._trustworthy(sub, now, raw_uj, pkg.dram.max_energy_range_uj)))
-        families = [package, dram, trust]
-        if acc is not None:
-            families.append(self._collect_units(acc))
-        return families
+        return [package, dram, trust]
 
     def _trustworthy(self, path: str, now: float, raw_uj: int, max_range_uj: int) -> float:
         prev = self._last_raw.get(path)
@@ -172,18 +166,6 @@ class RAPLCollector:
         prev_at, prev_uj = prev
         _delta, ok = RAPLDomain.counter_delta_checked(prev_uj, raw_uj, max_range_uj, now - prev_at, self.MAX_PLAUSIBLE_DOMAIN_WATTS)
         return 1.0 if ok else 0.0
-
-    def _collect_units(self, acc) -> MetricFamily:
-        family = MetricFamily(
-            "ceems_compute_unit_rapl_joules_total",
-            help="Aliasing-free RAPL energy attributed to the compute unit by allocation ratio (governor accumulator).",
-            type="counter",
-        )
-        for task in self.node.tasks.values():
-            ident = extract_unit_uuid(task.cgroup_path)
-            manager = ident[0] if ident else "unknown"
-            family.add(acc.unit_joules(task.uuid), uuid=task.uuid, manager=manager)
-        return family
 
 
 class IPMICollector:

@@ -76,9 +76,7 @@ class TestFlagsAreConfigFields:
         if isinstance(default, bool):
             value, argv = True, [flag]
         else:
-            if dest == "carbon_policy":
-                value = "percentile"
-            elif isinstance(default, str):
+            if isinstance(default, str):
                 value = str(tmp_path / dest)
             elif isinstance(default, int):
                 value = default * 2 + 1
@@ -90,18 +88,8 @@ class TestFlagsAreConfigFields:
         if sim.config.persist_dir:
             sim.hot_tsdb.close()
 
-    def test_percentile_policy_reads_carbon_threshold(self):
-        """Under --carbon-policy percentile, --carbon-threshold is the
-        percentile rank."""
-        args = build_parser().parse_args(
-            ["simulate", "--governor", "--carbon-policy", "percentile", "--carbon-threshold", "90"]
-        )
-        policy = _build_sim(args).governor.carbon_policy
-        assert policy.percentile == 90.0
-        assert policy.threshold_g_kwh is None
-
     def test_alert_interval_zero_disables_alert_evaluation(self):
-        args = build_parser().parse_args(["simulate", "--governor", "--alert-interval", "0"])
+        args = build_parser().parse_args(["simulate", "--alert-interval", "0"])
         sim = _build_sim(args)
         assert sim.rule_evaluator.alert_groups == []
         assert sim.rule_evaluator.groups  # recording rules still run

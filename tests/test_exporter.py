@@ -20,6 +20,7 @@ from repro.exporter import (
 from repro.exporter.collector import Collector
 from repro.exporter.collectors import extract_unit_uuid
 from repro.hwsim import GPU_PROFILES, NodeSpec, SimulatedNode, UsageProfile
+from repro.hwsim.rapl import RAPLDomain
 from repro.tsdb import exposition
 
 
@@ -106,10 +107,65 @@ class TestRAPLCollector:
         families = {f.name: f for f in RAPLCollector(amd_node).collect(10.0)}
         assert families["ceems_rapl_dram_joules_total"].points == []
 
-    def test_wraparound_delta_helper(self):
-        # 262143 J range; counter wrapped from 262000 to 500
-        delta = RAPLCollector.wraparound_delta(262000.0, 500.0, 262_143_328_850)
-        assert delta == pytest.approx(643.3, rel=0.01)
+
+
+def busy_node(name="n0", seed=0, uuid="1000"):
+    node = SimulatedNode(NodeSpec(name=name), seed=seed)
+    node.place_task(
+        uuid=uuid,
+        cgroup_path=f"/sys/fs/cgroup/system.slice/{uuid}",
+        ncores=node.spec.ncores,
+        memory_limit_bytes=8 * 2**30,
+        profile=UsageProfile(cpu_base=1.0, mem_base=0.5),
+        start_time=0.0,
+    )
+    return node
+
+
+class TestDoubleWrapGuard:
+    def test_checked_delta_trustworthy_at_short_interval(self):
+        # 15 s × 1 kW = 1.5e10 µJ, well under the 262 kJ default range.
+        delta, ok = RAPLDomain.counter_delta_checked(
+            100, 200, 262_143_328_850, elapsed_seconds=15.0, max_plausible_watts=1000.0
+        )
+        assert delta == 100
+        assert ok
+
+    def test_checked_delta_flags_long_gaps(self):
+        # 1000 s at 1 kW could traverse a 1 GµJ range many times over.
+        _delta, ok = RAPLDomain.counter_delta_checked(
+            100, 200, 1_000_000_000, elapsed_seconds=1000.0, max_plausible_watts=1000.0
+        )
+        assert not ok
+
+    def test_collector_emits_trust_gauge(self):
+        node = busy_node()
+        collector = RAPLCollector(node)
+        families = {f.name: f for f in collector.collect(0.0)}
+        trust = families["ceems_rapl_counter_trustworthy"]
+        # First scrape: no baseline, optimistically trustworthy.
+        assert all(p.value == 1.0 for p in trust.points)
+
+    def test_collector_drops_trust_on_missed_scrapes(self):
+        node = busy_node()
+        # Tiny package range: a 30 s gap at plausible power (3e10 µJ)
+        # spans it many times over, while DRAM keeps its 65 kJ default
+        # range and stays trustworthy across the same gap.
+        for pkg in node.rapl:
+            pkg.package.max_energy_range_uj = 1_000_000_000  # 1 kJ
+        collector = RAPLCollector(node)
+        collector.collect(0.0)
+        node.advance(30.0, 30.0)
+        families = {f.name: f for f in collector.collect(30.0)}
+        trust = families["ceems_rapl_counter_trustworthy"]
+        # DRAM paths are "intel-rapl:<s>:0" (two colons), packages one.
+        package_trust = [
+            p for p in trust.points if p.labels["path"].count(":") == 1
+        ]
+        dram_trust = [p for p in trust.points if p.labels["path"].count(":") == 2]
+        assert package_trust and dram_trust
+        assert all(p.value == 0.0 for p in package_trust)
+        assert all(p.value == 1.0 for p in dram_trust)
 
 
 class TestIPMICollector:

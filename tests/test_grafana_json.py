@@ -22,7 +22,6 @@ class TestDashboardStructure:
             "ceems-fig2b",
             "ceems-fig2c",
             "ceems-ops-alerting",
-            "ceems-governor",
         }
 
     def test_schema_fields_present(self):
@@ -49,7 +48,7 @@ class TestDashboardStructure:
 
     def test_bundle_is_valid_json(self):
         bundle = json.loads(export_provisioning_bundle())
-        assert len(bundle) == 6  # 5 dashboards + the datasources entry
+        assert len(bundle) == 5  # 4 dashboards + the datasources entry
         assert "datasources" in bundle
 
     def test_datasource_exemplar_destination(self):

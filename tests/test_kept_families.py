@@ -35,7 +35,6 @@ from repro.common.errors import SimulationError
 from repro.common.httpx import Request
 from repro.exporter import CEEMSExporter
 from repro.exporter.collectors import CgroupCollector, GPUMapCollector, RAPLCollector
-from repro.governor.accumulator import NodeAccumulator
 from repro.hwsim import NodeSpec, SimulatedNode, UsageProfile
 from repro.exporter.collector import Collector
 from repro.hwsim.cgroupfs import Cgroup, IOStat
@@ -129,18 +128,17 @@ class TestASteadyScrapeMakesNothing:
 
 class TestCollectorsAgainstFrozen:
     """The collectors the live deployment does not drive through every
-    path: the v1 hierarchy, RAPL with a governor accumulator coming and
-    going, GPU bindings on a node of its own."""
+    path: the v1 hierarchy, RAPL as tasks come and go, GPU bindings on a
+    node of its own."""
 
     @pytest.mark.parametrize("version", ["v1", "v2"])
-    def test_collectors_as_tasks_and_the_accumulator_come_and_go(self, version):
+    def test_collectors_as_tasks_come_and_go(self, version):
         node = SimulatedNode(NodeSpec(name="n0", gpus=("A100",) * 4, memory_gb=256), seed=1)
         pairs = [
             (CgroupCollector(node, cgroup_version=version), reference.CgroupCollector(node, version)),
             (RAPLCollector(node), reference.RAPLCollector(node)),
             (GPUMapCollector(node), reference.GPUMapCollector(node)),
         ]
-        acc = NodeAccumulator(node)
         profile = UsageProfile.constant(0.6, 0.4, 0.5)
         t = 0.0
         for step in range(14):
@@ -148,13 +146,8 @@ class TestCollectorsAgainstFrozen:
                 node.place_task(str(2000 + step), f"/system.slice/slurmstepd.scope/job_{2000 + step}", 4, 2**30, profile, t, ngpus=1)
             if step == 7:
                 node.remove_task("2002")
-            if step == 4:
-                node.governor_accumulator = acc
-            if step == 11:
-                node.governor_accumulator = None
             t += 15.0
             node.advance(t, 15.0)
-            acc.poll(t)
             for live, frozen in pairs:
                 assert frozen_render(live.collect(t)) == frozen_render(frozen.collect(t)), (live.name, step)
 
@@ -388,7 +381,6 @@ class TestOneRendererPerFile:
     def test_a_powercap_read_is_the_entry(self, make):
         pkg = make(1)
         pkg.package.add_energy(12.5)
-        pkg.write_sysfs("intel-rapl:1/constraint_0_power_limit_uw", 150_000_000)
         if pkg.dram is not None:
             pkg.dram.add_energy(3.25)
         entries = pkg.sysfs_entries()

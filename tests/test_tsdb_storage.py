@@ -196,6 +196,20 @@ class TestRetention:
         db.append(mklabels("x"), 0.0, 1.0)
         assert db.apply_retention(now=1e9) == (0, 0)
 
+    @pytest.mark.parametrize("retention", [0.0, 1e9])
+    def test_a_pass_bounds_staging_with_or_without_a_horizon(self, retention):
+        """A series no reader flushes stays staged only up to
+        ``STAGE_KEPT`` samples, also when nothing ever ages out."""
+        db = TSDB(retention=retention)
+        labels = mklabels("x")
+        for i in range(5000):
+            db.append(labels, float(i), float(i))
+            if i % 40 == 39:
+                db.apply_retention(now=float(i))
+        series = db._series[labels]
+        assert len(series._stage_ts) <= ColumnarSeries.STAGE_KEPT
+        assert _held(series) == ([float(i) for i in range(5000)],) * 2
+
     @settings(max_examples=200, deadline=None)
     @given(
         ops=st.lists(
