@@ -154,18 +154,12 @@ class ClusterUtilisation:
         return "\n".join(lines)
 
 
-def cluster_utilisation_report(
-    engine: PromQLEngine,
-    at: float,
-    *,
-    idle_margin: float = 1.3,
-) -> ClusterUtilisation:
+def cluster_utilisation_report(engine: PromQLEngine, at: float) -> ClusterUtilisation:
     """Fleet snapshot at time ``at``.
 
     A node counts as *idle* when it draws power but hosts no unit CPU
     activity — detected as a ``ceems:node:power_watts`` series with no
-    matching per-unit series on the same hostname.  ``idle_margin`` is
-    reserved for callers that want a wattage-based definition instead.
+    matching per-unit series on the same hostname.
     """
     node_power = engine.query("ceems:node:power_watts", at=at)
     unit_power = engine.query("sum by (hostname) (ceems:compute_unit:power_watts)", at=at)
@@ -183,7 +177,6 @@ def cluster_utilisation_report(
             idle_power += el.value
     factor = engine.query('ceems_emissions_gCo2_kWh{provider="resolved"}', at=at)
     intensity = factor.vector[0].value if factor.vector else 0.0
-    del idle_margin
     return ClusterUtilisation(
         at=at,
         total_power_w=total,

@@ -47,9 +47,7 @@ SIM_FLAGS = {
     "notify_log": "JSONL file receiving grouped Alertmanager notifications",
     "trace_sample_rate": "tail-sampling keep probability for fast, successful spans (errors and slow ones are kept)",
     "trace_keep_slow_ms": "spans at least this slow (ms) are always retained by the tail sampler",
-    "exemplars_per_series": "exemplar ring slots per series in the hot TSDB",
     "frontend": "put the query frontend (splitting, results cache, coalescing, admission) between LB and backends",
-    "split_interval": "frontend range-splitting interval in seconds (default: 1 day)",
     "max_query_range": "reject range queries spanning more seconds than this with a structured 422 (0 = unlimited)",
     "max_query_steps": "reject range queries (and subquery grids) of more steps than this with a 422 (0 = unlimited)",
     "max_query_length": "reject queries longer than this many characters with a structured 422 (0 = unlimited)",

@@ -48,9 +48,12 @@ from repro.lb.authz import DBAuthorizer
 from repro.lb.server import LoadBalancer
 from repro.lb.strategies import Backend
 from repro.obs import TailSampler, Telemetry
+from repro.obs.alertmanager import Alertmanager, InhibitRule, JSONLReceiver
+from repro.obs.slo import slo_alert_group, slo_recording_group, standard_slos
 from repro.resourcemgr.slurm import SlurmCluster
 from repro.resourcemgr.workload import WorkloadGenerator, WorkloadMix
 from repro.thanos import Compactor, FanoutStorage, ObjectStore, Sidecar
+from repro.tsdb.alerts import AlertingRuleGroup, ceems_alert_rules
 from repro.tsdb.http import PromAPI
 from repro.tsdb.promql.engine import PromQLEngine
 from repro.tsdb.rules import RuleEvaluator
@@ -77,9 +80,6 @@ class SimulationConfig:
     cluster_name: str = "sim-cluster"
     lb_strategy: str = "round-robin"
     admin_users: tuple[str, ...] = ("admin",)
-    #: Scrape the stack's own components (LB, Prometheus endpoints,
-    #: API server) as ordinary targets of the sim Prometheus.
-    meta_monitoring: bool = True
     with_workload: bool = True
     with_emissions_providers: tuple[str, ...] = ("rte", "electricity_maps", "owid")
     collectors: tuple[str, ...] = ("cgroup", "rapl", "ipmi", "node", "gpu_map", "self")
@@ -98,7 +98,6 @@ class SimulationConfig:
     #: backend gets ``<base>.<name>`` (two backends cannot share one
     #: journal file).
     active_query_journal: str = ""
-    max_concurrent_queries: int = 20
     #: Alerting rule evaluation cadence (``--alert-interval``); <=0
     #: adds no alerting groups.
     alert_interval: float = 60.0
@@ -107,9 +106,6 @@ class SimulationConfig:
     #: JSONL sink for grouped Alertmanager notifications
     #: (``--notify-log``; "" keeps the in-memory log only).
     notify_log: str = ""
-    #: Run the alerting control plane (rule evaluator alert groups,
-    #: Alertmanager, SLO burn-rate rules).
-    with_alerting: bool = True
     #: Tail-sampling keep probability for fast, successful spans
     #: (``--trace-sample-rate``); 1.0 keeps everything.  Error and
     #: slow spans are always kept regardless.
@@ -117,14 +113,10 @@ class SimulationConfig:
     #: Spans at least this slow (ms) are always retained by the tail
     #: sampler (``--trace-keep-slow-ms``).
     trace_keep_slow_ms: float = 250.0
-    #: Exemplar ring slots per series (``--exemplars-per-series``).
-    exemplars_per_series: int = 10
     #: Put the query frontend — range splitting, step-aligned results
     #: cache, request coalescing, worker-pool admission — between the
     #: LB and the PromQL backends (``--frontend``).
     frontend: bool = False
-    #: Range-splitting interval in seconds (``--split-interval``).
-    split_interval: float = 86400.0
     #: Query guardrails (``--max-query-range`` seconds /
     #: ``--max-query-steps`` / ``--max-query-length`` chars; 0
     #: disables a bound).  Enforced at the frontend *and* the direct
@@ -281,48 +273,38 @@ class StackSimulation:
         self.rule_evaluator.add_group(emissions_rules(cfg.rule_interval))
 
         # -- alerting control plane -------------------------------------------
-        self.alertmanager = None
-        self.slos = []
-        if cfg.with_alerting:
-            from repro.obs.alertmanager import Alertmanager, InhibitRule, JSONLReceiver
-            from repro.obs.slo import slo_alert_group, slo_recording_group, standard_slos
-            from repro.tsdb.alerts import AlertingRuleGroup, ceems_alert_rules
-
-            alert_groups = [
+        # SLOs read the self-telemetry request histograms of the
+        # stack's own apps, which meta-monitoring scrapes below.
+        slos = standard_slos()
+        self.rule_evaluator.add_group(slo_recording_group(slos, interval=cfg.rule_interval))
+        self.alertmanager = Alertmanager(
+            self.clock,
+            inhibit_rules=[
+                # a dead target inhibits per-collector noise from
+                # the same instance
+                InhibitRule(
+                    source_match={"alertname": "CEEMSTargetDown"},
+                    target_match={"alertname": "CEEMSCollectorFailed"},
+                    equal=("instance",),
+                )
+            ],
+        )
+        if cfg.notify_log:
+            self.alertmanager.receivers["default"] = JSONLReceiver(cfg.notify_log)
+        self.rule_evaluator.notifier = self.alertmanager.receive
+        # alert_interval <= 0 adds no alerting groups, as
+        # probe_interval <= 0 adds no prober.
+        if cfg.alert_interval > 0:
+            self.rule_evaluator.add_alert_group(
                 AlertingRuleGroup(
                     name="ceems-alerts",
                     interval=cfg.alert_interval,
                     rules=ceems_alert_rules(),
                 )
-            ]
-            if cfg.meta_monitoring:
-                # SLOs read the self-telemetry request histograms, which
-                # only exist when the stack scrapes itself.
-                self.slos = standard_slos()
-                self.rule_evaluator.add_group(
-                    slo_recording_group(self.slos, interval=cfg.rule_interval)
-                )
-                alert_groups.append(slo_alert_group(self.slos, interval=cfg.alert_interval))
-            self.alertmanager = Alertmanager(
-                self.clock,
-                inhibit_rules=[
-                    # a dead target inhibits per-collector noise from
-                    # the same instance
-                    InhibitRule(
-                        source_match={"alertname": "CEEMSTargetDown"},
-                        target_match={"alertname": "CEEMSCollectorFailed"},
-                        equal=("instance",),
-                    )
-                ],
             )
-            if cfg.notify_log:
-                self.alertmanager.receivers["default"] = JSONLReceiver(cfg.notify_log)
-            self.rule_evaluator.notifier = self.alertmanager.receive
-            # alert_interval <= 0 adds no alerting groups, as
-            # probe_interval <= 0 adds no prober.
-            if cfg.alert_interval > 0:
-                for group in alert_groups:
-                    self.rule_evaluator.add_alert_group(group)
+            self.rule_evaluator.add_alert_group(
+                slo_alert_group(slos, interval=cfg.alert_interval)
+            )
 
         # -- Thanos ------------------------------------------------------------
         self.object_store = ObjectStore(
@@ -367,8 +349,6 @@ class StackSimulation:
         )
 
         # -- load balancer -----------------------------------------------------------
-        if cfg.exemplars_per_series > 0:
-            self.hot_tsdb.exemplars.per_series = cfg.exemplars_per_series
         from repro.frontend import QueryLimits
 
         query_limits = QueryLimits(
@@ -388,7 +368,6 @@ class StackSimulation:
                     if cfg.active_query_journal
                     else ""
                 ),
-                max_concurrent_queries=cfg.max_concurrent_queries,
                 limits=query_limits,
                 rules=self.rule_evaluator,
                 alertmanager=self.alertmanager,
@@ -421,7 +400,6 @@ class StackSimulation:
             self.frontend = QueryFrontend(
                 backends,
                 strategy=cfg.lb_strategy,
-                split_interval=cfg.split_interval,
                 clock=self.clock,
                 limits=query_limits,
             )
@@ -448,16 +426,14 @@ class StackSimulation:
             # /-/healthy proxies through the frontend to a backend,
             # so the probe proves the whole serving path answers.
             self.services.append((self.frontend.app, "frontend:9031", "ceems-frontend", "/-/healthy"))
-        if self.alertmanager is not None:
-            self.services.append((self.alertmanager.app, "alertmanager:9093", "alertmanager", None))
+        self.services.append((self.alertmanager.app, "alertmanager:9093", "alertmanager", None))
 
         # -- meta-monitoring ---------------------------------------------------
         # The stack scrapes itself, so one PromQL query answers "what
         # is the p99 LB latency".
-        if cfg.meta_monitoring:
-            self.scrape_manager.add_targets(
-                [ScrapeTarget(app=app, instance=instance, job=job) for app, instance, job, _ in self.services]
-            )
+        self.scrape_manager.add_targets(
+            [ScrapeTarget(app=app, instance=instance, job=job) for app, instance, job, _ in self.services]
+        )
 
         # -- blackbox probing --------------------------------------------------
         # Synthetic outside-in checks: meta-monitoring proves a
@@ -516,8 +492,7 @@ class StackSimulation:
         self.rule_evaluator.register_timers(self.clock)
         if self.prober is not None:
             self.prober.register_timer(self.clock)
-        if self.alertmanager is not None:
-            self.alertmanager.register_timer(self.clock)
+        self.alertmanager.register_timer(self.clock)
         self.sidecar.register_timer(self.clock, cfg.sidecar_interval)
         self.compactor.register_timer(self.clock, cfg.compactor_interval)
         self.updater.register_timer(self.clock)

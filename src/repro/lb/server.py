@@ -32,8 +32,8 @@ from repro.lb.authz import Authorizer
 from repro.lb.introspect import extract_uuids
 from repro.lb.strategies import Backend, Strategy, make_strategy
 from repro.tsdb.plan import (
+    API_ROUTES,
     INSTANT_PATH,
-    PASSTHROUGH_ROUTES,
     QUERY_PATHS,
     RANGE_PATH,
     QueryPlan,
@@ -92,10 +92,7 @@ class LoadBalancer:
         self.app.router.add("POST", "/{rest}", self._proxy)
         # Router patterns match single segments; register the API paths
         # explicitly so nested paths route too.
-        for path in (INSTANT_PATH, RANGE_PATH):
-            self.app.router.get(path, self._proxy)
-            self.app.router.post(path, self._proxy)
-        for method, path in PASSTHROUGH_ROUTES:
+        for method, path in API_ROUTES:
             self.app.router.add(method, path, self._proxy)
         self.requests_proxied = 0
         self.requests_denied = 0

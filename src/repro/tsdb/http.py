@@ -65,7 +65,14 @@ from repro.obs.query import (
 )
 from repro.obs.trace import current_trace
 from repro.tsdb.model import Labels, Matcher
-from repro.tsdb.plan import QueryLimits, plan_query
+from repro.tsdb.plan import (
+    API_ROUTES,
+    EXEMPLARS_PATH,
+    INSTANT_PATH,
+    RANGE_PATH,
+    QueryLimits,
+    plan_query,
+)
 from repro.tsdb.promql.ast import VectorSelector, iter_selectors
 from repro.tsdb.promql.engine import InstantResult, PromQLEngine, RangeResult
 from repro.tsdb.promql.parser import parse_expr, plan_memo
@@ -267,25 +274,23 @@ class PromAPI:
             logger=self.app.telemetry.log,
         )
         self.slow_log = SlowQueryLog(slow_query_ms, sink_path=query_log_path)
-        r = self.app.router
-        r.get("/debug/queries", self._debug_queries)
-        r.get("/api/v1/query", self._query)
-        r.post("/api/v1/query", self._query)
-        r.get("/api/v1/query_range", self._query_range)
-        r.post("/api/v1/query_range", self._query_range)
-        r.get("/api/v1/query_exemplars", self._query_exemplars)
-        r.post("/api/v1/query_exemplars", self._query_exemplars)
-        r.get("/api/v1/status/buildinfo", self._buildinfo)
-        r.get("/api/v1/status/runtimeinfo", self._runtimeinfo)
-        r.get("/api/v1/series", self._series)
-        r.get("/api/v1/label/{name}/values", self._label_values)
-        r.get("/api/v1/rules", self._rules)
-        r.get("/api/v1/alerts", self._alerts)
-        r.get("/api/v1/silences", self._silences_proxy)
-        r.post("/api/v1/silences", self._silences_proxy)
-        r.get("/api/v1/silence/{id}", self._silences_proxy)
-        r.delete("/api/v1/silence/{id}", self._silences_proxy)
-        r.get("/-/healthy", lambda _req: Response.text("ok"))
+        self.app.router.get("/debug/queries", self._debug_queries)
+        handlers = {
+            INSTANT_PATH: self._query,
+            RANGE_PATH: self._query_range,
+            EXEMPLARS_PATH: self._query_exemplars,
+            "/api/v1/status/buildinfo": self._buildinfo,
+            "/api/v1/status/runtimeinfo": self._runtimeinfo,
+            "/api/v1/series": self._series,
+            "/api/v1/rules": self._rules,
+            "/api/v1/alerts": self._alerts,
+            "/api/v1/silences": self._silences_proxy,
+            "/-/healthy": lambda _req: Response.text("ok"),
+            "/api/v1/label/{name}/values": self._label_values,
+            "/api/v1/silence/{id}": self._silences_proxy,
+        }
+        for method, path in API_ROUTES:
+            self.app.router.add(method, path, handlers[path])
         self.queries_served = 0
         self._register_metrics()
 

@@ -44,27 +44,35 @@ _NUMBERS = {
 }
 QUERY_PATHS = tuple(_NUMBERS)
 
-#: ``(method, pattern)`` routes the LB and the query frontend pass to
-#: a backend untouched, in mount order.  Router patterns match single
-#: segments, so the nested API paths are listed one by one; the probes
-#: Grafana makes on data-source load are read-only, so GET only.
-PASSTHROUGH_ROUTES = tuple(
-    (method, path)
-    for path in (
-        EXEMPLARS_PATH,
-        "/api/v1/series",
-        "/api/v1/rules",
-        "/api/v1/alerts",
-        "/api/v1/silences",
-        "/-/healthy",
-    )
-    for method in ("GET", "POST")
-) + (
+#: Every ``(method, pattern)`` route of the Prometheus HTTP API that a
+#: PromAPI backend serves, in mount order.  Router patterns match
+#: single segments, so the nested paths are listed one by one.  The
+#: query paths come first and the ``{param}`` patterns last, so that no
+#: literal route tries a pattern before its own.
+API_ROUTES = (
+    ("GET", INSTANT_PATH),
+    ("POST", INSTANT_PATH),
+    ("GET", RANGE_PATH),
+    ("POST", RANGE_PATH),
+    ("GET", EXEMPLARS_PATH),
+    ("POST", EXEMPLARS_PATH),
     ("GET", "/api/v1/status/buildinfo"),
     ("GET", "/api/v1/status/runtimeinfo"),
+    ("GET", "/api/v1/series"),
+    ("GET", "/api/v1/rules"),
+    ("GET", "/api/v1/alerts"),
+    ("GET", "/api/v1/silences"),
+    ("POST", "/api/v1/silences"),
+    ("GET", "/-/healthy"),
     ("GET", "/api/v1/label/{name}/values"),
     ("GET", "/api/v1/silence/{id}"),
     ("DELETE", "/api/v1/silence/{id}"),
+)
+#: What the LB and the query frontend pass to a backend untouched:
+#: every API route but the two evaluated query paths they mount
+#: themselves.
+PASSTHROUGH_ROUTES = tuple(
+    route for route in API_ROUTES if route[1] not in (INSTANT_PATH, RANGE_PATH)
 )
 
 #: Conservative default on the query text itself; ranges and step

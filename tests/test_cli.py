@@ -44,6 +44,8 @@ class TestParser:
             ("--scrape-workers", "2"),
             ("--decode-cache-chunks", "8"),
             ("--results-cache-mb", "1"),
+            ("--exemplars-per-series", "4"),
+            ("--split-interval", "900"),
         ],
         ids=lambda flag: flag[0],
     )

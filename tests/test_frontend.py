@@ -48,10 +48,9 @@ def fe_sim() -> StackSimulation:
     to 15 minutes so a 2 h history exercises many split boundaries."""
     sim = StackSimulation(
         small_topology(cpu_nodes=2, gpu_nodes=1),
-        SimulationConfig(
-            seed=13, frontend=True, split_interval=900.0, probe_interval=0
-        ),
+        SimulationConfig(seed=13, frontend=True, probe_interval=0),
     )
+    sim.frontend.split_interval = 900.0
     sim.run(2 * 3600)
     return sim
 

@@ -842,7 +842,6 @@ class TestSimulationCrashRecovery:
             SimulationConfig(
                 persist_dir=persist_dir,
                 with_workload=False,
-                meta_monitoring=False,
                 n_prom_backends=1,
             ),
         )

@@ -136,6 +136,28 @@ def test_post_to_an_lb_literal_falls_through_to_the_catch_all(deployment_routers
     assert get.matched_route == "/metrics"
 
 
+def test_lb_and_frontend_mount_exactly_the_backends_api_routes(deployment_routers):
+    """A route the LB or the frontend passes through is one a backend
+    serves, under the same method: no request is proxied only to be
+    refused with a 405, and no backend route is unreachable."""
+
+    def api_routes(router: Router) -> set[tuple[str, str]]:
+        return {
+            (method, pattern)
+            for method, _rx, pattern, _h in router._routes
+            if pattern.startswith("/api/") or pattern == "/-/healthy"
+        }
+
+    routers = dict(deployment_routers)
+    backend = routers["prom-0"]
+    assert ("GET", "/api/v1/series") in api_routes(backend)
+    for name in ("ceems-lb", "query-frontend"):
+        for method, pattern in api_routes(routers[name]) | api_routes(backend):
+            assert routers[name].has_route(method, pattern) == backend.has_route(
+                method, pattern
+            ), (name, method, pattern)
+
+
 def test_synthetic_orders():
     """Captures before and after a literal, duplicates, a pattern with
     regex syntax in it, and a method only some routes serve."""

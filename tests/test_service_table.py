@@ -4,11 +4,9 @@ The stack's own served apps (LB, API server, Prometheus endpoints,
 query frontend, Alertmanager) feed three lists: meta-monitoring scrape
 targets, blackbox probe targets and the span stores sharing the tail
 sampler.  These tests pin all three, in order where order is
-observable, for every combination of the switches that add or remove
-an app.
+observable, with and without the query frontend, the one switch that
+adds or removes an app.
 """
-
-import itertools
 
 import pytest
 
@@ -41,56 +39,39 @@ ALWAYS_SAMPLED = {
     "ceems-emissions",
 }
 
-SWITCHES = list(itertools.product((False, True), repeat=3))
-
-
-def build(frontend: bool, with_alerting: bool, meta_monitoring: bool) -> StackSimulation:
+def build(frontend: bool) -> StackSimulation:
     return StackSimulation(
         small_topology(cpu_nodes=1, gpu_nodes=1),
-        SimulationConfig(
-            seed=1,
-            with_workload=False,
-            frontend=frontend,
-            with_alerting=with_alerting,
-            meta_monitoring=meta_monitoring,
-        ),
+        SimulationConfig(seed=1, with_workload=False, frontend=frontend),
     )
 
 
 def sampled_components(sim: StackSimulation) -> set[str]:
     """Components, among every telemetry the deployment can reach,
     whose span store records through the shared tail sampler."""
-    apps = [sim.lb.app, sim.api_server.app, *(api.app for api in sim.prom_apis)]
+    apps = [sim.lb.app, sim.api_server.app, sim.alertmanager.app, *(api.app for api in sim.prom_apis)]
     apps += [t.app for t in sim.scrape_manager.targets]
     apps += [t.app for t in sim.prober.targets]
-    for component in (sim.frontend, sim.alertmanager):
-        if component is not None:
-            apps.append(component.app)
+    if sim.frontend is not None:
+        apps.append(sim.frontend.app)
     telemetries = [sim.hot_tsdb.telemetry, sim.scrape_manager.telemetry, sim.fanout.telemetry]
     telemetries += [app.telemetry for app in apps]
     return {t.component for t in telemetries if t.spans.sampler is sim.tail_sampler}
 
 
-@pytest.mark.parametrize(
-    "frontend,with_alerting,meta_monitoring",
-    SWITCHES,
-    ids=[f"frontend={a}-alerting={b}-meta={c}" for a, b, c in SWITCHES],
-)
-def test_scrape_probe_and_sampler_lists(frontend, with_alerting, meta_monitoring):
-    sim = build(frontend, with_alerting, meta_monitoring)
+@pytest.mark.parametrize("frontend", (False, True), ids=lambda on: f"frontend={on}")
+def test_scrape_probe_and_sampler_lists(frontend):
+    sim = build(frontend)
 
-    meta = []
-    if meta_monitoring:
-        meta = [
-            ("lb:9030", "ceems-lb"),
-            ("api:9040", "ceems-api"),
-            ("prom-0:9090", "prometheus"),
-            ("prom-1:9090", "prometheus"),
-        ]
-        if frontend:
-            meta.append(("frontend:9031", "ceems-frontend"))
-        if with_alerting:
-            meta.append(("alertmanager:9093", "alertmanager"))
+    meta = [
+        ("lb:9030", "ceems-lb"),
+        ("api:9040", "ceems-api"),
+        ("prom-0:9090", "prometheus"),
+        ("prom-1:9090", "prometheus"),
+    ]
+    if frontend:
+        meta.append(("frontend:9031", "ceems-frontend"))
+    meta.append(("alertmanager:9093", "alertmanager"))
     assert [(t.instance, t.job) for t in sim.scrape_manager.targets] == EXPORTER_SCRAPES + meta
 
     probes = [
@@ -103,9 +84,7 @@ def test_scrape_probe_and_sampler_lists(frontend, with_alerting, meta_monitoring
         probes.append(("frontend:9031", "/-/healthy"))
     assert [(t.instance, t.path) for t in sim.prober.targets] == probes + EXPORTER_PROBES
 
-    sampled = set(ALWAYS_SAMPLED)
+    sampled = ALWAYS_SAMPLED | {"alertmanager"}
     if frontend:
         sampled.add("query-frontend")
-    if with_alerting:
-        sampled.add("alertmanager")
     assert sampled_components(sim) == sampled
