@@ -52,8 +52,7 @@ Top-level subpackages
 """
 
 from repro.common.clock import SimClock
-from repro.common.units import Energy, Power
 
 __version__ = "1.0.0"
 
-__all__ = ["SimClock", "Energy", "Power", "__version__"]
+__all__ = ["SimClock", "__version__"]

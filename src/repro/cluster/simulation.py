@@ -55,6 +55,7 @@ from repro.resourcemgr.workload import WorkloadGenerator, WorkloadMix
 from repro.thanos import Compactor, FanoutStorage, ObjectStore, Sidecar
 from repro.tsdb.alerts import AlertingRuleGroup, ceems_alert_rules
 from repro.tsdb.http import PromAPI
+from repro.tsdb.plan import QueryLimits
 from repro.tsdb.promql.engine import PromQLEngine
 from repro.tsdb.rules import RuleEvaluator
 from repro.tsdb.scrape import ScrapeConfig, ScrapeManager, ScrapeTarget
@@ -349,8 +350,6 @@ class StackSimulation:
         )
 
         # -- load balancer -----------------------------------------------------------
-        from repro.frontend import QueryLimits
-
         query_limits = QueryLimits(
             max_query_length=cfg.max_query_length,
             max_range_seconds=cfg.max_query_range,

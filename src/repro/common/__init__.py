@@ -1,7 +1,7 @@
 """Shared infrastructure for the CEEMS reproduction.
 
 Hosts the pieces every component of the stack relies on: the exception
-hierarchy, physical-unit helpers, the simulation clock, the YAML-subset
+hierarchy, unit formatting helpers, the simulation clock, the YAML-subset
 configuration loader (the whole stack is configured from a single YAML
 file, as in the paper), an in-process HTTP abstraction used by the
 exporter / API server / load balancer, and basic-auth support.
@@ -16,7 +16,6 @@ from repro.common.errors import (
     QueryError,
     StorageError,
 )
-from repro.common.units import Energy, Power
 
 __all__ = [
     "SimClock",
@@ -27,6 +26,4 @@ __all__ = [
     "NotFoundError",
     "QueryError",
     "StorageError",
-    "Energy",
-    "Power",
 ]

@@ -1,169 +1,19 @@
-"""Physical-unit helpers: energy, power, and emission quantities.
+"""Unit conversions and human-readable formatting.
 
 The stack moves between several unit systems — RAPL counters count
 microjoules, IPMI reports watts, dashboards show kWh and grams of CO2e.
-These small value types make the conversions explicit and keep unit
-mistakes out of the estimation pipeline.
-
-Both :class:`Energy` and :class:`Power` are immutable value objects
-that support arithmetic within their own type plus the physically
-meaningful cross-type operations (energy / time = power, power * time
-= energy).
+Quantities travel as plain floats in SI units (joules, watts, grams,
+seconds); this module holds the kWh conversion constant, the Grafana-
+style formatters of energy, CO2e and bytes, and Prometheus duration
+strings.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
 
-#: Seconds per hour, used in kWh conversions.
-SECONDS_PER_HOUR = 3600.0
 #: Joules in one kilowatt-hour.
 JOULES_PER_KWH = 3.6e6
-
-Number = Union[int, float]
-
-
-@dataclass(frozen=True, slots=True)
-class Energy:
-    """An amount of energy, stored internally in joules."""
-
-    joules: float
-
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def from_microjoules(cls, uj: Number) -> "Energy":
-        """Build from a RAPL-style microjoule count."""
-        return cls(float(uj) * 1e-6)
-
-    @classmethod
-    def from_kwh(cls, kwh: Number) -> "Energy":
-        """Build from kilowatt-hours (dashboard / billing unit)."""
-        return cls(float(kwh) * JOULES_PER_KWH)
-
-    @classmethod
-    def zero(cls) -> "Energy":
-        return cls(0.0)
-
-    # -- conversions ---------------------------------------------------
-    @property
-    def microjoules(self) -> float:
-        return self.joules * 1e6
-
-    @property
-    def kwh(self) -> float:
-        return self.joules / JOULES_PER_KWH
-
-    @property
-    def wh(self) -> float:
-        return self.joules / SECONDS_PER_HOUR
-
-    def emissions(self, factor_g_per_kwh: Number) -> float:
-        """Equivalent emissions in grams of CO2e for a given factor.
-
-        ``factor_g_per_kwh`` is the emission factor in gCO2e/kWh, the
-        unit used by OWID, RTE and Electricity Maps alike.
-        """
-        return self.kwh * float(factor_g_per_kwh)
-
-    # -- arithmetic ----------------------------------------------------
-    def __add__(self, other: "Energy") -> "Energy":
-        if not isinstance(other, Energy):
-            return NotImplemented
-        return Energy(self.joules + other.joules)
-
-    def __sub__(self, other: "Energy") -> "Energy":
-        if not isinstance(other, Energy):
-            return NotImplemented
-        return Energy(self.joules - other.joules)
-
-    def __mul__(self, scalar: Number) -> "Energy":
-        if not isinstance(scalar, (int, float)):
-            return NotImplemented
-        return Energy(self.joules * scalar)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Union["Energy", Number]) -> Union[float, "Energy"]:
-        if isinstance(other, Energy):
-            return self.joules / other.joules
-        if isinstance(other, (int, float)):
-            return Energy(self.joules / other)
-        return NotImplemented
-
-    def over(self, seconds: Number) -> "Power":
-        """Average power when this energy is spent over ``seconds``."""
-        return Power(self.joules / float(seconds))
-
-    def __lt__(self, other: "Energy") -> bool:
-        return self.joules < other.joules
-
-    def __le__(self, other: "Energy") -> bool:
-        return self.joules <= other.joules
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return format_energy(self.joules)
-
-
-@dataclass(frozen=True, slots=True)
-class Power:
-    """An instantaneous power draw, stored internally in watts."""
-
-    watts: float
-
-    @classmethod
-    def from_milliwatts(cls, mw: Number) -> "Power":
-        return cls(float(mw) * 1e-3)
-
-    @classmethod
-    def zero(cls) -> "Power":
-        return cls(0.0)
-
-    @property
-    def milliwatts(self) -> float:
-        return self.watts * 1e3
-
-    @property
-    def kilowatts(self) -> float:
-        return self.watts * 1e-3
-
-    def times(self, seconds: Number) -> Energy:
-        """Energy consumed sustaining this power for ``seconds``."""
-        return Energy(self.watts * float(seconds))
-
-    def __add__(self, other: "Power") -> "Power":
-        if not isinstance(other, Power):
-            return NotImplemented
-        return Power(self.watts + other.watts)
-
-    def __sub__(self, other: "Power") -> "Power":
-        if not isinstance(other, Power):
-            return NotImplemented
-        return Power(self.watts - other.watts)
-
-    def __mul__(self, scalar: Number) -> "Power":
-        if not isinstance(scalar, (int, float)):
-            return NotImplemented
-        return Power(self.watts * scalar)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Union["Power", Number]) -> Union[float, "Power"]:
-        if isinstance(other, Power):
-            return self.watts / other.watts
-        if isinstance(other, (int, float)):
-            return Power(self.watts / other)
-        return NotImplemented
-
-    def __lt__(self, other: "Power") -> bool:
-        return self.watts < other.watts
-
-    def __le__(self, other: "Power") -> bool:
-        return self.watts <= other.watts
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return format_power(self.watts)
 
 
 def format_energy(joules: float) -> str:
@@ -184,24 +34,6 @@ def format_energy(joules: float) -> str:
     if absval >= 1e3:
         return f"{joules / 1e3:.2f} kJ"
     return f"{joules:.2f} J"
-
-
-def format_power(watts: float) -> str:
-    """Human-readable power string.
-
-    >>> format_power(1234.0)
-    '1.23 kW'
-    """
-    if not math.isfinite(watts):
-        return str(watts)
-    absval = abs(watts)
-    if absval >= 1e6:
-        return f"{watts / 1e6:.2f} MW"
-    if absval >= 1e3:
-        return f"{watts / 1e3:.2f} kW"
-    if absval < 1.0 and absval > 0:
-        return f"{watts * 1e3:.2f} mW"
-    return f"{watts:.2f} W"
 
 
 def format_co2(grams: float) -> str:

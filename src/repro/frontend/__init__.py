@@ -3,7 +3,6 @@ admission — the serving-tier layer between the LB and the PromQL
 backends (PR 10)."""
 
 from repro.frontend.cache import DEFAULT_FRESHNESS, ResultsCache
-from repro.frontend.limits import DEFAULT_MAX_QUERY_LENGTH, QueryLimits, limit_error
 from repro.frontend.server import (
     AdmissionGate,
     AdmissionRejected,
@@ -19,16 +18,13 @@ from repro.frontend.split import (
 
 __all__ = [
     "DEFAULT_FRESHNESS",
-    "DEFAULT_MAX_QUERY_LENGTH",
     "DEFAULT_SPLIT_INTERVAL",
     "AdmissionGate",
     "AdmissionRejected",
     "QueryFrontend",
-    "QueryLimits",
     "ResultsCache",
     "SingleFlight",
     "clamp_runs_to_parts",
     "grid_parts",
-    "limit_error",
     "uncovered_runs",
 ]

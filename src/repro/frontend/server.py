@@ -45,7 +45,6 @@ from typing import Iterator
 from repro.common.errors import CEEMSError
 from repro.common.httpx import App, Request, Response
 from repro.frontend.cache import DEFAULT_FRESHNESS, ResponseMemo, ResultsCache
-from repro.frontend.limits import QueryLimits
 from repro.frontend.split import (
     DEFAULT_SPLIT_INTERVAL,
     clamp_runs_to_parts,
@@ -55,7 +54,7 @@ from repro.frontend.split import (
 from repro.lb.strategies import Backend, Strategy, make_strategy
 from repro.tsdb.http import matrix_text, metric_text, query_response
 from repro.tsdb.model import Labels
-from repro.tsdb.plan import INSTANT_PATH, PASSTHROUGH_ROUTES, RANGE_PATH, QueryPlan, plan_query
+from repro.tsdb.plan import INSTANT_PATH, PASSTHROUGH_ROUTES, RANGE_PATH, QueryLimits, QueryPlan, plan_query
 from repro.tsdb.promql.engine import range_steps
 
 USER_HEADER = "x-grafana-user"

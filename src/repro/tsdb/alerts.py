@@ -1,4 +1,4 @@
-"""Alerting rules and a miniature Alertmanager.
+"""Alerting rules and alerting rule groups.
 
 The real CEEMS deployment ships Prometheus alerting rules alongside
 its recording rules (node down, exporter collector failures, power
@@ -8,10 +8,11 @@ anomalies).  This module adds the alerting half of the rules engine:
   duration; series matching the expression become *pending* and fire
   once they have matched continuously for the hold period (Prometheus
   semantics);
-* :class:`AlertManager` — groups firing alerts, deduplicates
-  notifications, and resolves alerts whose condition cleared.
-  Notifications go to pluggable receivers (the tests use a list; a
-  real deployment would post to Slack/email).
+* :class:`AlertingRuleGroup` — rules sharing an evaluation interval.
+  :class:`~repro.tsdb.rules.RuleEvaluator` runs the groups and hands
+  their fire/resolve transitions to
+  :class:`~repro.obs.alertmanager.Alertmanager`, which groups,
+  deduplicates, silences and routes the notifications.
 
 Operator alert packs for the CEEMS deployment are in
 :func:`ceems_alert_rules`.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.common.errors import QueryError
 from repro.tsdb.model import Labels
@@ -189,48 +189,6 @@ class AlertingRuleGroup:
 
     def active_alerts(self) -> list[AlertInstance]:
         return [alert for rule in self.rules for alert in rule.active_alerts()]
-
-
-Receiver = Callable[[AlertInstance], None]
-
-
-class AlertManager:
-    """Evaluates alerting rules and routes notifications."""
-
-    def __init__(self, engine: PromQLEngine, interval: float = 60.0) -> None:
-        self.engine = engine
-        self.interval = interval
-        self.rules: list[AlertingRule] = []
-        self.receivers: list[Receiver] = []
-        self.notifications: list[AlertInstance] = []
-        self.evaluations = 0
-
-    def add_rule(self, rule: AlertingRule) -> None:
-        if any(r.name == rule.name for r in self.rules):
-            raise QueryError(f"duplicate alerting rule {rule.name!r}")
-        self.rules.append(rule)
-
-    def add_receiver(self, receiver: Receiver) -> None:
-        self.receivers.append(receiver)
-
-    def evaluate(self, now: float) -> list[AlertInstance]:
-        """One evaluation pass over every rule; dispatches transitions."""
-        self.evaluations += 1
-        transitions: list[AlertInstance] = []
-        for rule in self.rules:
-            transitions.extend(rule.evaluate(self.engine, now))
-        for alert in transitions:
-            self.notifications.append(alert)
-            for receiver in self.receivers:
-                receiver(alert)
-        return transitions
-
-    def firing(self) -> dict[str, int]:
-        """Currently-firing alert counts per rule name."""
-        return {rule.name: rule.firing_count for rule in self.rules if rule.firing_count}
-
-    def register_timer(self, clock) -> None:
-        clock.every(self.interval, self.evaluate)
 
 
 def ceems_alert_rules() -> list[AlertingRule]:

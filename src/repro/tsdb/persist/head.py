@@ -3,12 +3,12 @@
 :class:`PersistentTSDB` subclasses the in-memory
 :class:`~repro.tsdb.storage.TSDB` and adds a write-ahead log:
 
-* a series gets a SERIES record (ref -> labels) before its first
-  sample is journaled, and every committed batch — a scrape target's
-  body with its ``up`` sample, a recording rule's outputs, a probe
-  round, a bulk array — is **one** SAMPLES record referencing series
-  by ref (the ref indirection Prometheus's WAL uses so sample records
-  stay small)::
+* a series has one ref, in memory and in the log (Prometheus's
+  ``HeadSeriesRef``): it gets a SERIES record (ref -> labels) when it
+  is created, and every committed batch — a scrape target's body with
+  its staleness markers and ``up`` sample, a recording rule's outputs,
+  a probe round, a bulk array — is **one** SAMPLES record referencing
+  series by that ref, so sample records stay small::
 
       [u8 kind][u32 n][u32 nt][nt x f64 t][n x u32 ref][n x f64 value]
 
@@ -29,9 +29,10 @@
   snapshot lands *after* the kept tail in segment order, replay
   buffers samples whose ref is not yet defined and flushes them when
   the restating CHECKPOINT record arrives (see :meth:`_replay`).  A
-  series the head dropped (deletion, retention) has no WAL ref any
-  more, so no checkpoint restates it and its buffered tail samples
-  are counted in ``replay_dropped`` instead of bringing it back.
+  series the head dropped (deletion, retention) is not live, so no
+  checkpoint restates it and its buffered tail samples are counted in
+  ``replay_dropped`` instead of bringing it back; its ref is never
+  handed out again, not even after a reopen.
 
 Recovery invariant: after a crash, ``replayed samples == every sample
 whose WAL record was fully framed before the crash``; with
@@ -55,7 +56,7 @@ from repro.obs import prof
 from repro.obs.registry import Histogram
 from repro.tsdb.model import Labels, MatchOp, Matcher
 from repro.tsdb.persist.wal import WAL, ReplayResult
-from repro.tsdb.storage import TSDB
+from repro.tsdb.storage import TSDB, ColumnarSeries
 
 _REC_SERIES = 1
 #: Samples as ``[u32 ref][f64 t][f64 value]`` triples (earlier versions).
@@ -119,12 +120,6 @@ class PersistentTSDB(TSDB):
         super().__init__(retention=retention, name=name)
         self.persist_dir = persist_dir
         self.wal = WAL(f"{persist_dir}/wal", segment_bytes=segment_bytes, fsync=fsync)
-        # WAL ref by in-memory series ref.  The WAL ref space is the
-        # log's own: replay must find refs numbered exactly as the log
-        # recorded them, while series refs restart fresh per process.
-        # An entry lives exactly as long as its series (_drop_series).
-        self._wal_refs: dict[int, int] = {}
-        self._next_wal_ref = 1
         #: max sample timestamp seen per segment (checkpoint eligibility)
         self._segment_max_time: dict[int, float] = {}
         self.checkpoints = 0
@@ -148,7 +143,8 @@ class PersistentTSDB(TSDB):
         """Rebuild head state from the WAL.
 
         Replay applies records through the in-memory base class, so
-        nothing it does is journaled again.  Checkpoints restate live
+        nothing it does is journaled again, and a series comes back
+        under the ref the log names it by.  Checkpoints restate live
         series in a segment *after* the kept tail, so a SAMPLES record
         may legitimately precede the only surviving definition of its
         ref.  Samples with unknown refs are therefore buffered (per
@@ -159,6 +155,7 @@ class PersistentTSDB(TSDB):
         """
         ref_labels: dict[int, Labels] = {}
         pending: dict[int, list[tuple[float, float]]] = {}
+        unborn: set[int] = set()  # defined refs with no series yet
         for segment, payload in self.wal.replay():
             kind = payload[0]
             if kind in (_REC_SERIES, _REC_CHECKPOINT):
@@ -167,20 +164,20 @@ class PersistentTSDB(TSDB):
                     self.replayed_series += 1
                     buffered = pending.pop(ref, None)
                     if buffered:
-                        self._flush_pending(labels, buffered)
+                        self._flush_pending(ref, labels, buffered)
+                    elif ref not in self._series_by_ref:
+                        unborn.add(ref)
             elif kind in (_REC_SAMPLES, _REC_SAMPLES_V1):
-                self._replay_samples(segment, payload, ref_labels, pending)
+                self._replay_samples(segment, payload, ref_labels, pending, unborn)
             elif kind == _REC_TOMBSTONE:
                 self._replay_tombstone(payload)
             else:
                 self.replay_dropped += 1
         self.replay_dropped += sum(len(buffered) for buffered in pending.values())
         self.replay_result = self.wal.last_replay
-        live = self._series
-        self._wal_refs = {live[labels].ref: ref for ref, labels in ref_labels.items() if labels in live}
         # Past the orphans too: their samples stay in the kept tail, and
         # a new series under one of their refs would inherit them.
-        self._next_wal_ref = max((*ref_labels, *pending), default=0) + 1
+        self._next_ref = max((*ref_labels, *pending), default=0) + 1
 
     def _replay_samples(
         self,
@@ -188,9 +185,14 @@ class PersistentTSDB(TSDB):
         payload: bytes,
         ref_labels: dict[int, Labels],
         pending: dict[int, list[tuple[float, float]]],
+        unborn: set[int],
     ) -> None:
         refs, stamps, values = decode_samples(payload)
         self._note_segment_time(segment, max(stamps))
+        if unborn and not unborn.isdisjoint(refs):
+            for ref in unborn.intersection(refs):
+                self._live_under(ref, ref_labels[ref])
+            unborn.difference_update(refs)
         labels = list(map(ref_labels.get, refs))
         if None not in labels:
             self._apply_replayed(list(zip(labels, stamps, values)))
@@ -205,9 +207,22 @@ class PersistentTSDB(TSDB):
                 batch.append((series_labels, ts, value))
         self._apply_replayed(batch)
 
-    def _flush_pending(self, labels: Labels, buffered: list[tuple[float, float]]) -> None:
+    def _live_under(self, ref: int, labels: Labels) -> None:
+        """Make the series ``labels`` live under its logged ``ref``."""
+        series = self._series.get(labels)
+        if series is None:
+            super()._create_series(labels, ref)
+        elif series.ref != ref:
+            # Retention dropped the series (unjournaled) and the log
+            # created it again: the newer ref names it from now on.
+            del self._series_by_ref[series.ref]
+            series.ref = ref
+            self._series_by_ref[ref] = series
+
+    def _flush_pending(self, ref: int, labels: Labels, buffered: list[tuple[float, float]]) -> None:
         """Apply the samples held for a ref its definition just named —
         one series' run in log order, so usually one array append."""
+        self._live_under(ref, labels)
         stamps, values = zip(*buffered)
         try:
             self.replayed_samples += super().append_array(labels, stamps, values)
@@ -220,13 +235,11 @@ class PersistentTSDB(TSDB):
         try:
             self.replayed_samples += super().append_many(batch)
         except StorageError:
-            for labels, ts, value in batch:
+            for sample in batch:
                 try:
-                    super().append(labels, ts, value)
+                    self.replayed_samples += super().append_many([sample])
                 except StorageError:
                     self.replay_dropped += 1
-                else:
-                    self.replayed_samples += 1
 
     def _replay_tombstone(self, payload: bytes) -> None:
         matchers = [
@@ -242,18 +255,6 @@ class PersistentTSDB(TSDB):
         if prev is None or ts > prev:
             self._segment_max_time[segment] = ts
 
-    def _wal_ref(self, series) -> int:
-        """The WAL ref of a live series, journaling its SERIES record
-        the first time."""
-        ref = self._wal_refs.get(series.ref)
-        if ref is None:
-            ref = self._wal_refs[series.ref] = self._next_wal_ref
-            self._next_wal_ref += 1
-            self.wal.append(
-                _HDR.pack(_REC_SERIES, ref) + json.dumps(series.labels.as_dict()).encode("utf-8")
-            )
-        return ref
-
     def _log_samples(self, refs: Sequence[int], stamps: Sequence[float], values: Sequence[float]) -> None:
         # append() reports the segment that actually holds the frame;
         # reading current_segment afterwards would mis-attribute the
@@ -262,10 +263,11 @@ class PersistentTSDB(TSDB):
         segment = self.wal.append(encode_samples(refs, stamps, values))
         self._note_segment_time(segment, max(stamps))
 
-    # -- mutations (journal after the in-memory append validates) ---------
-    def append(self, labels: Labels, timestamp: float, value: float) -> None:
-        super().append(labels, timestamp, value)
-        self._log_samples((self._wal_ref(self._series[labels]),), (timestamp,), (value,))
+    # -- mutations (journal after the in-memory change validates) ---------
+    def _create_series(self, labels: Labels, ref: int) -> ColumnarSeries:
+        series = super()._create_series(labels, ref)
+        self.wal.append(_HDR.pack(_REC_SERIES, ref) + json.dumps(labels.as_dict()).encode("utf-8"))
+        return series
 
     def append_many(self, batch: Iterable[tuple[Labels, float, float]]) -> int:
         batch = list(batch)
@@ -273,23 +275,15 @@ class PersistentTSDB(TSDB):
         if count:
             keys, stamps, values = zip(*batch)
             series = self._series
-            refs = [self._wal_ref(series[labels]) for labels in keys]
+            refs = [series[labels].ref for labels in keys]
             self._log_samples(refs, stamps[:1] if stamps.count(stamps[0]) == count else stamps, values)
         return count
 
     def append_array(self, labels: Labels, timestamps, values) -> int:
         count = super().append_array(labels, timestamps, values)
         if count:
-            self._log_samples((self._wal_ref(self._series[labels]),) * count, timestamps, values)
+            self._log_samples((self._series[labels].ref,) * count, timestamps, values)
         return count
-
-    def append_ref(self, ref: int, timestamp: float, value: float) -> None:
-        series = self.resolve_ref(ref)
-        if series is None:
-            raise StorageError(f"unknown series ref {ref}")
-        # Route through append() so the sample is journaled; the extra
-        # Labels lookup is the price of durability on this head.
-        self.append(series.labels, timestamp, value)
 
     def append_refs(
         self, timestamp: float, pairs: Iterable[tuple[int, float]]
@@ -297,14 +291,12 @@ class PersistentTSDB(TSDB):
         pairs = list(pairs)
         count, dead = super().append_refs(timestamp, pairs)
         if count:
-            refs, values = zip(*pairs)
-            wal_refs = list(map(self._wal_refs.get, refs))
-            if None in wal_refs:
-                # A series journaled for the first time, or a dead ref
-                # (not applied: the caller re-resolves it by labels).
+            if dead:
+                # Not applied: the caller re-resolves them by labels.
                 live = self._series_by_ref
-                wal_refs, values = zip(*[(self._wal_ref(live[ref]), value) for ref, value in pairs if ref in live])
-            self._log_samples(wal_refs, (timestamp,), values)
+                pairs = [pair for pair in pairs if pair[0] in live]
+            refs, values = zip(*pairs)
+            self._log_samples(refs, (timestamp,), values)
         return count, dead
 
     def delete_series(self, matchers: Sequence[Matcher]) -> int:
@@ -313,14 +305,6 @@ class PersistentTSDB(TSDB):
             doc = [{"name": m.name, "op": m.op.value, "value": m.value} for m in matchers]
             self.wal.append(bytes([_REC_TOMBSTONE]) + json.dumps(doc).encode("utf-8"))
         return deleted
-
-    def _drop_series(self, key: Labels) -> None:
-        # Forget the WAL ref with the series (delete or retention): a
-        # checkpoint restates live series only, so a dropped series'
-        # kept-tail samples stay orphans on replay instead of
-        # resurrecting it.
-        self._wal_refs.pop(self._series[key].ref, None)
-        super()._drop_series(key)
 
     # -- checkpointing -----------------------------------------------------
     def checkpoint(self, before_time: float) -> int:
@@ -336,8 +320,7 @@ class PersistentTSDB(TSDB):
         started = time.perf_counter()
         with prof.profile("head.checkpoint"):
             entries = bytearray()
-            by_ref = self._series_by_ref
-            live = sorted((wal_ref, by_ref[ref].labels) for ref, wal_ref in self._wal_refs.items())
+            live = sorted((ref, series.labels) for ref, series in self._series_by_ref.items())
             for ref, labels in live:
                 encoded = json.dumps(labels.as_dict()).encode("utf-8")
                 entries += _CKPT_ENTRY.pack(ref, len(encoded)) + encoded

@@ -36,13 +36,13 @@ value — so the manager pays per *changed* line:
   grammar (:func:`exposition.parse_sample_line` and friends), looking
   series text up in the old layout so only text never seen before
   costs a label parse (Prometheus ``scrapeCache``).
-* a target's samples and its ``up`` sample are committed by ref in
-  one :meth:`TSDB.append_refs` call (one WAL record on a durable
-  head, as Prometheus commits a scrape's appender once); refs that
-  died since the last cycle (retention, ``delete_series``) are
-  re-resolved through their labels, exactly like Prometheus re-lodges
-  a head ref miss.  Staleness markers are written only by a rebuild:
-  the same layout means no series vanished.
+* a target's samples, staleness markers and ``up`` sample are
+  committed by ref in one :meth:`TSDB.append_refs` call (one WAL
+  record on a durable head, as Prometheus commits a scrape's appender
+  once); refs that died since the last cycle (retention,
+  ``delete_series``) are re-resolved through their labels, as
+  Prometheus re-lodges a head ref miss, and committed in one more
+  call.  Only a rebuild or a failed scrape marks series stale.
 * each cycle is split into a **fetch** phase over every target (HTTP
   + decode + line compare/parse, touching only the target's own
   layout, never storage) and an **apply** phase that commits the
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from operator import ne
 
 from repro.common.auth import make_basic_auth_header
@@ -369,38 +369,34 @@ class ScrapeManager:
 
     # -- apply phase (registration order) ------------------------------------
     def _apply(self, result: _ScrapeResult, now: float) -> int:
-        """Commit one fetch result: samples and ``up`` in one batch,
-        then staleness markers."""
+        """Commit one fetch result: samples, staleness markers and
+        ``up`` in one batch."""
         target = result.target
         storage = self.storage
+        layout, stale = result.layout, []
         samples = 0
         if result.ok:
-            layout = result.layout
-            rebuilt = layout is not target._layout
-            if rebuilt:
+            if layout is not target._layout:
                 for slot, ref in enumerate(layout.refs):
                     if not ref:
                         layout.refs[slot] = storage.get_ref(layout.labels[slot])
-            self._append(target, layout, 1.0, now)
-            samples = len(layout.refs)
-            if rebuilt:
                 # Series this target exposed last time but not now
                 # have disappeared (e.g. a finished job's cgroup).
                 # Only a rebuild can find any: the same layout means
                 # the same series.
-                self._mark_stale(target, layout.series(), now)
+                stale = self._stale_refs(target, layout.series())
                 target._layout = layout
                 self.layout_rebuilds_total += 1
-            target.last_scrape_ok = True
+            samples = len(layout.refs)
         else:
             target.scrape_failures_total += 1
             # Prometheus writes staleness markers for every series of
             # a failed target so instant queries stop returning zombie
             # values the moment the node dies, instead of after the
             # lookback window.
-            self._mark_stale(target, {}, now)
-            target.last_scrape_ok = False
-            self._append(target, None, 0.0, now)
+            layout, stale = None, self._stale_refs(target, {})
+        self._append(target, layout, stale, float(result.ok), now)
+        target.last_scrape_ok = result.ok
         target.last_scrape_duration = result.duration
         target.last_scrape_samples = samples
         self.cache_hits_total += result.hits
@@ -408,27 +404,33 @@ class ScrapeManager:
         self.cache_evictions_total += result.evictions
         return samples
 
-    def _append(self, target: ScrapeTarget, layout: _Layout | None, up: float, now: float) -> None:
-        """One batched append by ref of a body's samples and the
-        target's ``up`` sample, then the body's exemplars."""
+    def _append(self, target: ScrapeTarget, layout: _Layout | None, stale: list[int], up: float, now: float) -> None:
+        """One batched append by ref of a body's samples, the
+        target's staleness markers and its ``up`` sample, then the
+        body's exemplars."""
         storage = self.storage
         refs = layout.refs if layout is not None else []
         values = layout.values if layout is not None else []
-        _appended, dead = storage.append_refs(now, chain(zip(refs, values), ((target._up_ref, up),)))
+        _appended, dead = storage.append_refs(
+            now, chain(zip(refs, values), zip(stale, repeat(_STALE)), ((target._up_ref, up),))
+        )
         if dead:
             # Refs that died since the last cycle (retention or
             # delete_series dropped the series; `up`'s before its first
             # resolution): re-resolve through labels — recreating the
-            # series exactly like a plain append by labels — and heal
-            # the layout so the next cycle is back on the fast path.
+            # series exactly like a plain append by labels — heal the
+            # layout so the next cycle is back on the fast path, and
+            # commit the healed samples as one more batch.
             dead_refs = {ref for ref, _ in dead}
+            healed = []
             for slot, ref in enumerate(refs):
                 if ref in dead_refs:
                     refs[slot] = storage.get_ref(layout.labels[slot])
-                    storage.append_ref(refs[slot], now, values[slot])
+                    healed.append((refs[slot], values[slot]))
             if target._up_ref in dead_refs:
                 target._up_ref = storage.get_ref(target.up_labels())
-                storage.append_ref(target._up_ref, now, up)
+                healed.append((target._up_ref, up))
+            storage.append_refs(now, healed)
         if layout is None:
             return
         # After the sample loop: dead refs have been healed above, so
@@ -439,26 +441,28 @@ class ScrapeManager:
         for slot, (_text, exemplar) in sorted(layout.exemplars.items()):
             storage.append_exemplar_ref(refs[slot], layout.labels[slot], exemplar, now)
 
-    def _mark_stale(self, target: ScrapeTarget, current: dict[int, Labels], now: float) -> None:
-        """Staleness markers for the series of the target's installed
+    def _stale_refs(self, target: ScrapeTarget, current: dict[int, Labels]) -> list[int]:
+        """Refs to stale-mark: the series of the target's installed
         layout that are not in ``current`` (``ref -> Labels``)."""
         if not target.last_scrape_ok:
-            return  # never scraped, or a failed scrape marked them all
+            return []  # never scraped, or a failed scrape marked them all
         storage = self.storage
+        stale = []
         seen_labels = None
         for ref, labels in target._layout.series().items():
             if ref in current:
                 continue
-            if storage.resolve_ref(ref) is not None:
-                storage.append_ref(ref, now, _STALE)
-                continue
-            # The ref died; its labels may have been re-scraped this
-            # cycle under a fresh ref, in which case the series is
-            # live, not stale.  Otherwise recreate it for the marker.
-            if seen_labels is None:
-                seen_labels = set(current.values())
-            if labels not in seen_labels:
-                storage.append(labels, now, _STALE)
+            if storage.resolve_ref(ref) is None:
+                # The ref died; its labels may be in this body under a
+                # fresh ref, in which case the series is live, not
+                # stale.  Otherwise recreate it for the marker.
+                if seen_labels is None:
+                    seen_labels = set(current.values())
+                if labels in seen_labels:
+                    continue
+                ref = storage.get_ref(labels)
+            stale.append(ref)
+        return stale
 
     # -- scraping ---------------------------------------------------------
     def scrape_target(self, target: ScrapeTarget, now: float) -> int:

@@ -536,7 +536,7 @@ class TSDB:
         # series refs: small-integer handles the scrape fast lane uses
         # to append without hashing a Labels key.  Monotonic, never
         # reused; dropped series leave a hole so stale refs dangle
-        # instead of aliasing (see append_ref).
+        # instead of aliasing (see append_refs).
         self._series_by_ref: dict[int, ColumnarSeries] = {}
         self._next_ref = 1
         self.samples_ingested = 0
@@ -567,33 +567,40 @@ class TSDB:
                 raise StorageError(f"series without a metric name: {labels!r}")
             ref = self._next_ref
             self._next_ref = ref + 1
-            series = ColumnarSeries(labels, ref=ref)
-            self._series[labels] = series
-            self._series_by_ref[ref] = series
-            for pair in labels:
-                self._index.setdefault(pair, set()).add(labels)
-            self._forget_selects_matching(labels)
+            series = self._create_series(labels, ref)
         return series
+
+    def _create_series(self, labels: Labels, ref: int) -> ColumnarSeries:
+        """Register a new series under ``ref``; a persistent head journals it."""
+        series = ColumnarSeries(labels, ref=ref)
+        self._series[labels] = series
+        self._series_by_ref[ref] = series
+        for pair in labels:
+            self._index.setdefault(pair, set()).add(labels)
+        self._forget_selects_matching(labels)
+        return series
+
+    def _committed(self, count: int, lo: float, hi: float) -> None:
+        """Account ``count`` applied samples spanning ``[lo, hi]``."""
+        self.samples_ingested += count
+        self.data_epoch += 1
+        if self.min_time is None or lo < self.min_time:
+            self.min_time = lo
+        if self.max_time is None or hi > self.max_time:
+            self.max_time = hi
 
     def append(self, labels: Labels, timestamp: float, value: float) -> None:
         """Append one sample, creating the series on first sight."""
-        series = self._get_or_create_series(labels)
-        series.append(timestamp, value)
-        self.samples_ingested += 1
-        self.data_epoch += 1
-        if self.min_time is None or timestamp < self.min_time:
-            self.min_time = timestamp
-        if self.max_time is None or timestamp > self.max_time:
-            self.max_time = timestamp
+        self.append_many([(labels, timestamp, value)])
 
     def append_many(self, batch: Iterable[tuple[Labels, float, float]]) -> int:
         """Append ``(labels, timestamp, value)`` samples in batch order.
 
-        Each sample has :meth:`append` semantics, but a batch holding a
-        sample that would land before its series' newest one (counting
-        the batch's own earlier samples) raises before any is applied.
-        Rule groups, the prober and WAL replay commit through here; a
-        persistent head journals the whole batch as one record.
+        Each sample has :meth:`ColumnarSeries.append` semantics, but a batch
+        holding a sample that would land before its series' newest one
+        (counting the batch's own earlier samples) raises before any is
+        applied.  Rule groups, the prober and WAL replay commit through
+        here; a persistent head journals the whole batch as one record.
         """
         batch = batch if isinstance(batch, list) else list(batch)
         if not batch:
@@ -610,12 +617,7 @@ class TSDB:
             if series is None:
                 series = self._get_or_create_series(labels)
             series.append(ts, value)
-        self.samples_ingested += len(batch)
-        self.data_epoch += 1
-        if self.min_time is None or lo < self.min_time:
-            self.min_time = lo
-        if self.max_time is None or hi > self.max_time:
-            self.max_time = hi
+        self._committed(len(batch), lo, hi)
         return len(batch)
 
     def _check_order(self, samples: Iterable[tuple[Labels, float]]) -> None:
@@ -676,13 +678,8 @@ class TSDB:
         else:
             for ts, value in zip(ts_list, vs_list):
                 series.append(ts, value)
-        self.samples_ingested += n
-        self.data_epoch += 1
         lo, hi = (ts_list[0], ts_list[-1]) if increasing else (min(ts_list), max(ts_list))
-        if self.min_time is None or lo < self.min_time:
-            self.min_time = lo
-        if self.max_time is None or hi > self.max_time:
-            self.max_time = hi
+        self._committed(n, lo, hi)
         return n
 
     # -- append-by-ref (scrape fast lane) ---------------------------------
@@ -694,32 +691,13 @@ class TSDB:
         skip label parsing, ``Labels`` hashing and the series-map
         lookup.  Refs stay valid until the series is dropped
         (retention, :meth:`delete_series`); they are never reused, so
-        a stale ref fails loudly instead of appending elsewhere.
+        a stale ref is reported dead instead of appending elsewhere.
         """
         return self._get_or_create_series(labels).ref
 
     def resolve_ref(self, ref: int) -> ColumnarSeries | None:
         """The live series behind ``ref``, or ``None`` if it was dropped."""
         return self._series_by_ref.get(ref)
-
-    def append_ref(self, ref: int, timestamp: float, value: float) -> None:
-        """Append one sample to the series behind ``ref``.
-
-        Raises :class:`StorageError` when the ref no longer resolves
-        (series deleted since :meth:`get_ref`) — callers re-resolve
-        via labels, exactly like Prometheus's scrape loop on a head
-        ref miss.
-        """
-        series = self._series_by_ref.get(ref)
-        if series is None:
-            raise StorageError(f"unknown series ref {ref}")
-        series.append(timestamp, value)
-        self.samples_ingested += 1
-        self.data_epoch += 1
-        if self.min_time is None or timestamp < self.min_time:
-            self.min_time = timestamp
-        if self.max_time is None or timestamp > self.max_time:
-            self.max_time = timestamp
 
     def append_refs(
         self, timestamp: float, pairs: Iterable[tuple[int, float]]
@@ -780,12 +758,7 @@ class TSDB:
             series._snapshot = None
             count += 1
         if count:
-            self.samples_ingested += count
-            self.data_epoch += 1
-            if self.min_time is None or timestamp < self.min_time:
-                self.min_time = timestamp
-            if self.max_time is None or timestamp > self.max_time:
-                self.max_time = timestamp
+            self._committed(count, timestamp, timestamp)
         return count, dead
 
     # -- exemplars ---------------------------------------------------------
@@ -972,8 +945,8 @@ class TSDB:
         series = self._series[key]
         del self._series[key]
         # Refs are never reused, so dropping the mapping is enough to
-        # invalidate every cached ref to this series: later
-        # append_ref/append_refs calls see a miss, not a different series.
+        # invalidate every cached ref to this series: a later
+        # append_refs call sees a miss, not a different series.
         self._series_by_ref.pop(series.ref, None)
         for pair in key:
             postings = self._index.get(pair)

@@ -17,8 +17,8 @@ from repro.common.httpx import Response
 from repro.energy.rules_library import POWER_METRIC
 from repro.lb import Backend, DBAuthorizer, LoadBalancer
 from repro.resourcemgr.workload import SizeClass, WorkloadMix
-from repro.tsdb.alerts import AlertManager, ceems_alert_rules
 from repro.tsdb.model import Matcher
+from tests.test_alerts import firing
 
 MIX = WorkloadMix(
     mean_interarrival=200.0,
@@ -34,12 +34,9 @@ def make_sim(**overrides) -> StackSimulation:
 class TestExporterOutage:
     def test_down_target_up_zero_and_alert(self):
         sim = make_sim()
-        alerts = AlertManager(sim.engine, interval=60.0)
-        for rule in ceems_alert_rules():
-            alerts.add_rule(rule)
-        alerts.register_timer(sim.clock)
+        alerts = sim.rule_evaluator
         sim.run(1200.0)
-        assert "CEEMSTargetDown" not in alerts.firing()
+        assert "CEEMSTargetDown" not in firing(alerts)
 
         # break node 0's exporter: every request now 500s
         victim = sim.exporters[0]
@@ -51,12 +48,12 @@ class TestExporterOutage:
         by_instance = {el.labels.get("instance"): el.value for el in up}
         assert by_instance[f"{victim.node.spec.name}:9010"] == 0.0
         assert sum(v for v in by_instance.values()) == len(by_instance) - 1
-        assert alerts.firing().get("CEEMSTargetDown") == 1
+        assert firing(alerts).get("CEEMSTargetDown") == 1
 
         # recovery clears the alert
         victim.app.router.dispatch = original
         sim.run(600.0)
-        assert "CEEMSTargetDown" not in alerts.firing()
+        assert "CEEMSTargetDown" not in firing(alerts)
 
     def test_other_nodes_keep_reporting_power(self):
         sim = make_sim()
@@ -201,10 +198,6 @@ class TestNodeCrashInStack:
         stale, the target-down alert fires, and the Fig. 2b job list
         shows the failed state."""
         sim = make_sim()
-        alerts = AlertManager(sim.engine, interval=60.0)
-        for rule in ceems_alert_rules():
-            alerts.add_rule(rule)
-        alerts.register_timer(sim.clock)
         sim.run(1800.0)
         running = sim.slurm.active_units()
         if not running:
@@ -226,7 +219,7 @@ class TestNodeCrashInStack:
         power = sim.engine.query(POWER_METRIC, at=sim.now)
         assert all(el.labels.get("hostname") != victim_host for el in power.vector)
         # alerting: target down fired
-        assert alerts.firing().get("CEEMSTargetDown") == 1
+        assert firing(sim.rule_evaluator).get("CEEMSTargetDown") == 1
         # scheduling: the dead node takes no new jobs
         assert victim_host in sim.slurm.down_nodes
         sim.run(600.0)

@@ -150,30 +150,27 @@ class Series:
 class ListHeadTSDB(TSDB):
     """A :class:`TSDB` whose head series are list :class:`Series`."""
 
-    def _get_or_create_series(self, labels: Labels) -> Series:
-        series = super()._get_or_create_series(labels)
-        if not isinstance(series, Series):
-            # Freshly created: swap the columnar series for a list one
-            # under the same ref before anything has been appended.
-            series = Series(labels=labels, ref=series.ref)
-            self._series[labels] = series
-            self._series_by_ref[series.ref] = series
+    def _create_series(self, labels: Labels, ref: int) -> Series:
+        # Swap the columnar series for a list one under the same ref
+        # before anything has been appended.
+        super()._create_series(labels, ref)
+        series = self._series[labels] = self._series_by_ref[ref] = Series(labels=labels, ref=ref)
         return series
 
     def append_refs(self, timestamp, pairs):
-        """``append_ref`` per pair: the production loop inlines
-        ``ColumnarSeries.append`` and cannot serve a list series."""
-        dead = []
-        count = 0
+        """By labels through ``append_many``: the production loop
+        inlines ``ColumnarSeries.append`` and cannot serve a list
+        series."""
+        batch, dead = [], []
         for ref, value in pairs:
-            if self.resolve_ref(ref) is None:
+            series = self.resolve_ref(ref)
+            if series is None:
                 dead.append((ref, value))
             else:
-                # The base method on purpose: a persistent head's
-                # append_refs journals the batch itself.
-                TSDB.append_ref(self, ref, timestamp, value)
-                count += 1
-        return count, dead
+                batch.append((series.labels, timestamp, value))
+        # The base method on purpose: a persistent head's append_refs
+        # journals the batch itself.
+        return TSDB.append_many(self, batch), dead
 
 
 class ListHeadPersistentTSDB(PersistentTSDB, ListHeadTSDB):

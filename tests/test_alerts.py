@@ -1,17 +1,17 @@
-"""Tests for alerting rules and the mini Alertmanager."""
+"""Tests for alerting rules and the alert groups the rule evaluator runs."""
 
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.errors import QueryError
 from repro.tsdb.alerts import (
     AlertingRule,
-    AlertManager,
+    AlertingRuleGroup,
     AlertState,
     ceems_alert_rules,
 )
 from repro.tsdb.model import Labels
 from repro.tsdb.promql.engine import PromQLEngine
+from repro.tsdb.rules import RuleEvaluator
 from repro.tsdb.storage import TSDB
 
 
@@ -105,47 +105,53 @@ class TestAlertingRule:
         assert alert.value == 3000.0
 
 
-class TestAlertManager:
-    def test_duplicate_rule_rejected(self, engine):
-        manager = AlertManager(engine)
-        manager.add_rule(AlertingRule(name="A", expr="up == 0"))
-        with pytest.raises(QueryError):
-            manager.add_rule(AlertingRule(name="A", expr="up == 0"))
+def firing(evaluator: RuleEvaluator) -> dict[str, int]:
+    """Currently-firing alert counts per rule name."""
+    return {r.name: r.firing_count for g in evaluator.alert_groups for r in g.rules if r.firing_count}
 
-    def test_receivers_notified(self, db, engine):
-        manager = AlertManager(engine)
-        manager.add_rule(AlertingRule(name="Down", expr="up == 0"))
+
+def alert_evaluator(db: TSDB, *rules: AlertingRule) -> RuleEvaluator:
+    evaluator = RuleEvaluator(db)
+    evaluator.add_alert_group(AlertingRuleGroup(name="test", interval=60.0, rules=list(rules)))
+    return evaluator
+
+
+class TestAlertManager:
+    """Alert groups on the stack's evaluator, notifying its receiver."""
+
+    def test_receivers_notified(self, db):
+        evaluator = alert_evaluator(db, AlertingRule(name="Down", expr="up == 0"))
         received = []
-        manager.add_receiver(received.append)
+        evaluator.notifier = lambda transitions, now: received.extend(transitions)
         feed_up(db, "n1", 0.0, 0.0)
-        manager.evaluate(now=0.0)
+        evaluator.evaluate_alerts(now=0.0)
         assert len(received) == 1
         assert received[0].name == "Down"
 
-    def test_firing_summary(self, db, engine):
-        manager = AlertManager(engine)
-        manager.add_rule(AlertingRule(name="Down", expr="up == 0"))
+    def test_firing_summary(self, db):
+        evaluator = alert_evaluator(db, AlertingRule(name="Down", expr="up == 0"))
         feed_up(db, "n1", 0.0, 0.0)
         feed_up(db, "n2", 0.0, 0.0)
-        manager.evaluate(now=0.0)
-        assert manager.firing() == {"Down": 2}
+        evaluator.evaluate_alerts(now=0.0)
+        assert firing(evaluator) == {"Down": 2}
 
-    def test_timer_driven(self, db, engine):
+    def test_timer_driven(self, db):
         clock = SimClock(start=0.0)
-        manager = AlertManager(engine, interval=60.0)
-        manager.add_rule(AlertingRule(name="Down", expr="up == 0", hold=120.0))
-        manager.register_timer(clock)
+        evaluator = alert_evaluator(db, AlertingRule(name="Down", expr="up == 0", hold=120.0))
+        notifications = []
+        evaluator.notifier = lambda transitions, now: notifications.extend(transitions)
+        evaluator.register_timers(clock)
 
         def keep_down(now):
             feed_up(db, "n1", 0.0, now)
 
         clock.every(15.0, keep_down)
         clock.advance(300.0)
-        assert manager.evaluations == 5
-        assert manager.firing() == {"Down": 1}
-        firing = [n for n in manager.notifications if n.state is AlertState.FIRING]
-        assert len(firing) == 1
-        assert firing[0].fired_at >= 120.0
+        assert evaluator.alert_evaluations == 5
+        assert firing(evaluator) == {"Down": 1}
+        firing_now = [n for n in notifications if n.state is AlertState.FIRING]
+        assert len(firing_now) == 1
+        assert firing_now[0].fired_at >= 120.0
 
 
 class TestCEEMSAlertPack:
@@ -154,20 +160,19 @@ class TestCEEMSAlertPack:
             rule.ast()
 
     def test_target_down_fires_in_live_stack(self, small_sim):
-        """Against the shared sim: no targets are down, the collector
-        success alert is quiet, and injecting a down sample fires."""
-        manager = AlertManager(small_sim.engine)
-        for rule in ceems_alert_rules():
-            manager.add_rule(rule)
-        manager.evaluate(now=small_sim.now)
-        assert "CEEMSTargetDown" not in manager.firing()
-        assert "EmissionFactorStale" not in manager.firing()
+        """The shared sim evaluates the pack on its own evaluator: no
+        target is down and an emission factor is scraped, so neither
+        alert fires."""
+        evaluator = small_sim.rule_evaluator
+        assert evaluator.alert_evaluations > 0
+        assert {r.name for g in evaluator.alert_groups for r in g.rules} >= {r.name for r in ceems_alert_rules()}
+        assert "CEEMSTargetDown" not in firing(evaluator)
+        assert "EmissionFactorStale" not in firing(evaluator)
 
-    def test_emission_factor_stale_alert(self, db, engine):
-        manager = AlertManager(engine)
+    def test_emission_factor_stale_alert(self, db):
         rules = {r.name: r for r in ceems_alert_rules()}
         rule = rules["EmissionFactorStale"]
         rule.hold = 0.0
-        manager.add_rule(rule)
-        transitions = manager.evaluate(now=0.0)  # nothing scraped -> absent fires
+        evaluator = alert_evaluator(db, rule)
+        transitions = evaluator.evaluate_alerts(now=0.0)  # nothing scraped -> absent fires
         assert any(t.name == "EmissionFactorStale" for t in transitions)

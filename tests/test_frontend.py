@@ -27,7 +27,6 @@ from repro.frontend import (
     AdmissionGate,
     AdmissionRejected,
     QueryFrontend,
-    QueryLimits,
     ResultsCache,
     SingleFlight,
     clamp_runs_to_parts,
@@ -37,6 +36,7 @@ from repro.frontend import (
 from repro.lb.server import LoadBalancer
 from repro.lb.strategies import Backend
 from repro.tsdb.http import PromAPI
+from repro.tsdb.plan import QueryLimits
 from repro.tsdb.promql.engine import range_steps
 
 ADMIN = {"x-grafana-user": "admin"}

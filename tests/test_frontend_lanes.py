@@ -19,11 +19,12 @@ import pytest
 from repro.cluster import StackSimulation, small_topology
 from repro.cluster.simulation import SimulationConfig
 from repro.common.httpx import App, Response
-from repro.frontend import QueryFrontend, QueryLimits
+from repro.frontend import QueryFrontend
 from repro.lb.server import LoadBalancer
 from repro.lb.strategies import Backend
 from repro.tsdb.http import PromAPI
 from repro.tsdb.model import Labels
+from repro.tsdb.plan import QueryLimits
 from repro.tsdb.storage import TSDB
 
 ADMIN = {"x-grafana-user": "admin"}

@@ -33,7 +33,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import StorageError
-from repro.common.httpx import Request
+from repro.common.httpx import App, Request, Response
+from repro.tsdb import exposition
 from repro.tsdb.model import Labels, MatchOp, Matcher
 from repro.tsdb.persist import (
     WAL,
@@ -45,7 +46,9 @@ from repro.tsdb.persist import (
     write_block,
 )
 from repro.tsdb.persist.bits import BitReader, BitWriter
+from repro.tsdb.persist.head import _series_entries, decode_samples
 from repro.tsdb.promql.engine import PromQLEngine
+from repro.tsdb.scrape import ScrapeManager, ScrapeTarget
 from repro.tsdb.storage import TSDB
 from repro.thanos.compact import Compactor, _downsample_series
 from repro.thanos.query import FanoutStorage
@@ -464,18 +467,66 @@ class TestPersistentTSDB:
         for t in range(100):
             head.append(y, float(t), float(t))
             head.append(x, float(t), float(t))
+        y_ref, x_ref = head.get_ref(y), head.get_ref(x)
         head.delete_series([Matcher.eq("idx", "x")])
         for t in range(100, 150):
             head.append(y, float(t), float(t))
         assert head.checkpoint(90.0) > 0
         head.close()
+        logged = set()
+        for _segment, payload in WAL(head.wal.path).replay():
+            if payload[0] in (1, 3):
+                logged.update(ref for ref, _labels in _series_entries(payload))
+            elif payload[0] == 5:
+                logged.update(decode_samples(payload)[0])
         reopened = PersistentTSDB(str(tmp_path / "hot"))
+        # The head's ref is the log's: y comes back under it, and a new
+        # series gets a ref above every logged one, x's orphans included.
+        assert x_ref in logged and x_ref > y_ref
+        assert reopened.get_ref(y) == y_ref
+        assert reopened.get_ref(w) > max(logged)
         reopened.append(w, 150.0, 1.0)
         reopened.close()
         again = PersistentTSDB(str(tmp_path / "hot"))
+        assert again.get_ref(y) == y_ref and again.get_ref(w) == reopened.get_ref(w)
         assert again.resolve_ref(again.get_ref(w)).timestamps == [150.0]
         assert not again.has_series(x)
         assert again.replay_dropped == reopened.replay_dropped > 0
+
+    def test_stale_markers_ride_in_the_scrape_record(self, tmp_path, monkeypatch):
+        """A scrape whose layout rebuild stale-marks N series — one of
+        them recreated because its ref died — journals its body, the N
+        markers and ``up`` as one SAMPLES record, not 1 + N."""
+        head = PersistentTSDB(str(tmp_path / "hot"))
+        jobs = [f"job-{i}" for i in range(5)]
+
+        def body(_request):
+            family = exposition.MetricFamily("power_watts", type="gauge")
+            family.add(100.0, hostname="n0")
+            for uuid in jobs:
+                family.add(50.0, hostname="n0", uuid=uuid)
+            return Response.text(exposition.render([family]))
+
+        app = App("fake")
+        app.router.get("/metrics", body)
+        manager = ScrapeManager(head)
+        manager.add_target(ScrapeTarget(app=app, instance="n0:9010"))
+        manager.scrape_all(15.0)
+        manager.scrape_all(30.0)
+        head.delete_series([Matcher.eq("uuid", "job-0")])
+        kinds = []
+        append = head.wal.append
+        monkeypatch.setattr(head.wal, "append", lambda payload: kinds.append(payload[0]) or append(payload))
+        identity = {"__name__": "power_watts", "hostname": "n0", "instance": "n0:9010", "job": "ceems"}
+        gone = [Labels({**identity, "uuid": uuid}) for uuid in jobs]
+        jobs.clear()
+        manager.scrape_all(45.0)
+        assert kinds == [1, 5]  # job-0's SERIES record, then the scrape's batch
+        for labels in gone:
+            ts, vs = head._series[labels].arrays()
+            assert ts[-1] == 45.0 and np.isnan(vs[-1])
+        head.close()
+        assert contents(PersistentTSDB(str(tmp_path / "hot"))) == contents(head)
 
     def test_retention_forgets_the_wal_ref(self, tmp_path):
         head = PersistentTSDB(str(tmp_path / "hot"), retention=50.0, segment_bytes=256)
@@ -488,6 +539,32 @@ class TestPersistentTSDB:
         checkpoint = [p for _s, p in WAL(head.wal.path).replay() if p[0] == 3]
         assert b'"idx": "0"' not in checkpoint[-1] and b'"idx": "1"' in checkpoint[-1]
         head.close()
+
+    def test_retention_dropped_series_replays_under_its_newest_ref(self, tmp_path):
+        """Retention is not journaled: a series it dropped that came
+        back under a new ref replays as one series under the newer ref,
+        so a later checkpoint restates the ref its kept-tail samples
+        carry instead of orphaning them."""
+        path = str(tmp_path / "hot")
+        head = PersistentTSDB(path, retention=50.0, segment_bytes=256)
+        x, y = series_labels(0), series_labels(1)
+        head.append(x, 0.0, 0.0)
+        for t in range(1, 100):
+            head.append(y, float(t), float(t))
+        head.apply_retention(99.0)
+        assert not head.has_series(x)
+        for t in range(100, 200):
+            head.append(x, float(t), float(t))
+        x_ref = head.get_ref(x)
+        head.close()
+        reopened = PersistentTSDB(path, retention=50.0, segment_bytes=256)
+        assert reopened.get_ref(x) == x_ref
+        reopened.apply_retention(199.0)
+        assert reopened.checkpoint(150.0) > 0
+        reopened.close()
+        again = PersistentTSDB(path, retention=50.0, segment_bytes=256)
+        kept = again.resolve_ref(again.get_ref(x)).timestamps
+        assert [t for t in kept if t >= 150.0] == [float(t) for t in range(150, 200)]
 
     def test_per_sample_records_still_replay(self, tmp_path):
         """A WAL of the earlier per-sample SAMPLES layout (kind 2) opens,
@@ -597,12 +674,11 @@ class TestReopenDifferential:
     reopen.
 
     Mutation checks made while writing this (each fails
-    ``test_reopen_matches_memory`` on a contents mismatch):
-    ``_drop_series`` keeping the dropped series' WAL ref (and the
-    checkpoint skipping it), so a dead ref in an ``append_refs`` batch
-    is journaled under it and a reopen resurrects the series;
-    ``append_many`` writing ``nt=1`` for a batch over several
-    timestamps.
+    ``test_reopen_matches_memory``): replay creating a series through
+    the journaling ``_create_series`` instead of the base class's, so
+    each reopen defines its replayed refs again at the log's end;
+    ``append_many`` writing
+    ``nt=1`` for a batch over several timestamps.
     """
 
     RETENTION = 8.0

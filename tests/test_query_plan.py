@@ -19,11 +19,12 @@ from pathlib import Path
 import pytest
 
 from repro.common.httpx import Request
-from repro.frontend import QueryFrontend, QueryLimits
+from repro.frontend import QueryFrontend
 from repro.lb.server import LoadBalancer
 from repro.lb.strategies import Backend
 from repro.tsdb.http import PromAPI
 from repro.tsdb.model import Labels
+from repro.tsdb.plan import QueryLimits
 from repro.tsdb.storage import TSDB
 
 USER = {"x-grafana-user": "alice"}

@@ -426,25 +426,26 @@ class TestAppendByRef:
         assert db.num_series == 1
         assert db.resolve_ref(ref).labels == labels
 
-    def test_append_ref_matches_append_by_labels(self):
+    def test_append_refs_matches_append_by_labels(self):
+        """One pair per call or the whole run in calls of two series:
+        the same samples, counts and time bounds as appends by labels."""
         by_labels = TSDB()
         by_ref = TSDB()
-        labels = mklabels("m", a="1")
-        ref = by_ref.get_ref(labels)
+        labels = [mklabels("m", a="1"), mklabels("m", a="2")]
+        refs = [by_ref.get_ref(one) for one in labels]
         for i in range(5):
-            by_labels.append(labels, 10.0 * (i + 1), float(i))
-            by_ref.append_ref(ref, 10.0 * (i + 1), float(i))
-        sa = by_labels.select([Matcher.name_eq("m")])[0]
-        sb = by_ref.select([Matcher.name_eq("m")])[0]
-        assert sa.timestamps == sb.timestamps and sa.values == sb.values
+            for one in labels:
+                by_labels.append(one, 10.0 * (i + 1), float(i))
+            if i % 2:
+                by_ref.append_refs(10.0 * (i + 1), [(ref, float(i)) for ref in refs])
+            else:
+                for ref in refs:
+                    by_ref.append_refs(10.0 * (i + 1), [(ref, float(i))])
+        for sa, sb in zip(by_labels.select([Matcher.name_eq("m")]), by_ref.select([Matcher.name_eq("m")])):
+            assert sa.timestamps == sb.timestamps and sa.values == sb.values
         assert by_labels.samples_ingested == by_ref.samples_ingested
         assert by_labels.min_time == by_ref.min_time
         assert by_labels.max_time == by_ref.max_time
-
-    def test_append_ref_unknown_raises(self):
-        db = TSDB()
-        with pytest.raises(StorageError, match="unknown series ref"):
-            db.append_ref(999, 1.0, 1.0)
 
     def test_append_refs_batch_and_semantics(self):
         db = TSDB()
@@ -465,18 +466,16 @@ class TestAppendByRef:
         db = TSDB()
         labels = mklabels("m", a="1")
         ref = db.get_ref(labels)
-        db.append_ref(ref, 1.0, 1.0)
+        db.append_refs(1.0, [(ref, 1.0)])
         db.delete_series([Matcher.name_eq("m")])
         assert db.resolve_ref(ref) is None
-        with pytest.raises(StorageError):
-            db.append_ref(ref, 2.0, 2.0)
         count, dead = db.append_refs(2.0, [(ref, 2.0)])
         assert (count, dead) == (0, [(ref, 2.0)])
         # recreating the same labels yields a NEW ref: the stale one
         # can never alias onto the recreated series.
         new_ref = db.get_ref(labels)
         assert new_ref != ref
-        db.append_ref(new_ref, 3.0, 3.0)
+        db.append_refs(3.0, [(new_ref, 3.0)])
         assert db.resolve_ref(ref) is None
         assert db.resolve_ref(new_ref).values == [3.0]
 
@@ -484,8 +483,8 @@ class TestAppendByRef:
         db = TSDB(retention=50.0)
         old = db.get_ref(mklabels("m", a="old"))
         live = db.get_ref(mklabels("m", a="live"))
-        db.append_ref(old, 10.0, 1.0)
-        db.append_ref(live, 100.0, 2.0)
+        db.append_refs(10.0, [(old, 1.0)])
+        db.append_refs(100.0, [(live, 2.0)])
         db.apply_retention(now=100.0)
         assert db.resolve_ref(old) is None
         assert db.resolve_ref(live) is not None

@@ -1,100 +1,17 @@
 """Unit tests for repro.common.units."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.units import (
     JOULES_PER_KWH,
-    Energy,
-    Power,
     format_bytes,
     format_co2,
     format_duration,
     format_energy,
-    format_power,
     parse_duration,
 )
-
-
-class TestEnergy:
-    def test_from_microjoules(self):
-        assert Energy.from_microjoules(2_000_000).joules == pytest.approx(2.0)
-
-    def test_from_kwh(self):
-        assert Energy.from_kwh(1.0).joules == pytest.approx(3.6e6)
-
-    def test_kwh_roundtrip(self):
-        assert Energy(7.2e6).kwh == pytest.approx(2.0)
-
-    def test_wh(self):
-        assert Energy(3600.0).wh == pytest.approx(1.0)
-
-    def test_emissions(self):
-        # 1 kWh at 56 g/kWh (France) = 56 g
-        assert Energy.from_kwh(1.0).emissions(56.0) == pytest.approx(56.0)
-
-    def test_add_sub(self):
-        assert (Energy(3.0) + Energy(4.0)).joules == 7.0
-        assert (Energy(3.0) - Energy(4.0)).joules == -1.0
-
-    def test_scalar_mul(self):
-        assert (Energy(3.0) * 2).joules == 6.0
-        assert (2 * Energy(3.0)).joules == 6.0
-
-    def test_div_by_energy_is_ratio(self):
-        assert Energy(6.0) / Energy(3.0) == 2.0
-
-    def test_div_by_scalar(self):
-        assert (Energy(6.0) / 3).joules == 2.0
-
-    def test_over_gives_power(self):
-        assert Energy(100.0).over(10.0).watts == 10.0
-
-    def test_ordering(self):
-        assert Energy(1.0) < Energy(2.0)
-        assert Energy(2.0) <= Energy(2.0)
-
-    def test_zero(self):
-        assert Energy.zero().joules == 0.0
-
-    def test_add_non_energy_raises(self):
-        with pytest.raises(TypeError):
-            Energy(1.0) + 3.0  # type: ignore[operator]
-
-    @given(st.floats(min_value=0, max_value=1e12, allow_nan=False))
-    def test_microjoule_roundtrip_property(self, uj):
-        e = Energy.from_microjoules(uj)
-        assert e.microjoules == pytest.approx(uj, rel=1e-9, abs=1e-6)
-
-
-class TestPower:
-    def test_milliwatts(self):
-        assert Power.from_milliwatts(1500).watts == pytest.approx(1.5)
-        assert Power(1.5).milliwatts == pytest.approx(1500)
-
-    def test_kilowatts(self):
-        assert Power(2500.0).kilowatts == pytest.approx(2.5)
-
-    def test_times_gives_energy(self):
-        assert Power(100.0).times(60).joules == pytest.approx(6000.0)
-
-    def test_arithmetic(self):
-        assert (Power(3.0) + Power(4.0)).watts == 7.0
-        assert (Power(4.0) - Power(3.0)).watts == 1.0
-        assert (Power(4.0) * 2.0).watts == 8.0
-        assert Power(8.0) / Power(4.0) == 2.0
-        assert (Power(8.0) / 4).watts == 2.0
-
-    @given(
-        st.floats(min_value=0, max_value=1e6, allow_nan=False),
-        st.floats(min_value=0.001, max_value=1e6, allow_nan=False),
-    )
-    def test_power_energy_inverse_property(self, watts, seconds):
-        p = Power(watts)
-        assert p.times(seconds).over(seconds).watts == pytest.approx(watts, rel=1e-9, abs=1e-9)
 
 
 class TestFormatting:
@@ -110,16 +27,6 @@ class TestFormatting:
     )
     def test_format_energy(self, joules, expected):
         assert format_energy(joules) == expected
-
-    @pytest.mark.parametrize(
-        "watts,expected",
-        [(0.005, "5.00 mW"), (5.0, "5.00 W"), (1234.0, "1.23 kW"), (2.5e6, "2.50 MW")],
-    )
-    def test_format_power(self, watts, expected):
-        assert format_power(watts) == expected
-
-    def test_format_power_nan(self):
-        assert format_power(math.nan) == "nan"
 
     @pytest.mark.parametrize(
         "grams,expected",
